@@ -26,7 +26,6 @@ import (
 	"progxe/internal/mapping"
 	"progxe/internal/relation"
 	"progxe/internal/server"
-	"progxe/internal/sig"
 	"progxe/internal/skyline"
 	"progxe/internal/smj"
 )
@@ -351,43 +350,6 @@ func BenchmarkAblationSkyline(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationSignature compares the exact signature against the Bloom
-// filter on the partition-pair join test of §III-A.
-func BenchmarkAblationSignature(b *testing.B) {
-	keysA := make([]int64, 2000)
-	keysB := make([]int64, 2000)
-	for i := range keysA {
-		keysA[i] = int64(i % 997)
-		keysB[i] = int64((i % 997) + 900) // partial overlap
-	}
-	b.Run("Exact", func(b *testing.B) {
-		ea, eb := sig.NewExact(), sig.NewExact()
-		for _, k := range keysA {
-			ea.Add(k)
-		}
-		for _, k := range keysB {
-			eb.Add(k)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ea.MayJoin(eb)
-		}
-	})
-	b.Run("Bloom", func(b *testing.B) {
-		ba, bb := sig.NewBloom(4096, 4), sig.NewBloom(4096, 4)
-		for _, k := range keysA {
-			ba.Add(k)
-		}
-		for _, k := range keysB {
-			bb.Add(k)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ba.MayIntersect(bb)
-		}
-	})
 }
 
 // BenchmarkJoinSubstrate compares the two equi-join implementations.

@@ -9,7 +9,6 @@ import (
 
 	"progxe/internal/core/sched"
 	"progxe/internal/grid"
-	"progxe/internal/join"
 	"progxe/internal/mapping"
 	"progxe/internal/obs"
 	"progxe/internal/preference"
@@ -360,7 +359,7 @@ func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared
 		if committers > 0 && speculate > 0 {
 			slack = specPendingMax
 		}
-		run.pool = newPool(ctx, workers, s, regions, len(pl.rparts), cp.Maps, slack)
+		run.pool = newPool(ctx, workers, s, regions, cp.Maps, slack)
 		run.pool.prof = prof
 		defer run.pool.stop()
 		if committers > 0 {
@@ -612,29 +611,39 @@ func (r *runState) process(reg *region) error {
 	return nil
 }
 
-// processSerial is the in-line tuple-level processing path: join, map and
-// insert one result at a time on the sequencer goroutine. The whole fused
-// join+map+insert loop reports as commit time — serial runs have no
-// separate prefetch or precheck stages to attribute.
+// processSerial is the in-line tuple-level processing path: probe the right
+// partition's key index with each left tuple, then map and insert one result
+// at a time on the sequencer goroutine — join.Hash's order (left outer,
+// right build order inner) with no table build and no per-region allocation.
+// The whole fused probe+map+insert loop reports as commit time — serial runs
+// have no separate prefetch or precheck stages to attribute.
 func (r *runState) processSerial(reg *region) {
 	prof := r.engine.opts.Profiler
 	defer prof.EndSequencer(obs.PhaseCommit, prof.Clock())
 	lt, rt := reg.a.tuples, reg.b.tuples
-	r.stats.JoinResults += join.Hash(lt, rt, func(li, ri int) bool {
-		if r.cancel.Check() != nil {
-			return false
+	maps, s := r.problem.Maps, r.space
+	n := 0
+probe:
+	for li := range lt {
+		l := &lt[li]
+		for _, ri := range reg.b.keys.lookup(l.JoinKey) {
+			n++
+			if r.cancel.Check() != nil {
+				break probe
+			}
+			t := &rt[ri]
+			v := maps.Map(l.Vals, t.Vals, r.mapBuf)
+			c := s.cellAt(s.g.CellOf(v))
+			if c == nil {
+				// Cannot happen: the region's enclosure covers this cell.
+				continue
+			}
+			if cv, ok := s.insert(c, l.ID, t.ID, v); ok {
+				r.roundNew = append(r.roundNew, cv)
+			}
 		}
-		v := r.problem.Maps.Map(lt[li].Vals, rt[ri].Vals, r.mapBuf)
-		c := r.space.cellAt(r.space.g.CellOf(v))
-		if c == nil {
-			// Cannot happen: the region's enclosure covers this cell.
-			return true
-		}
-		if cv, ok := r.space.insert(c, lt[li].ID, rt[ri].ID, v); ok {
-			r.roundNew = append(r.roundNew, cv)
-		}
-		return true
-	})
+	}
+	r.stats.JoinResults += n
 }
 
 // processPooled consumes the region's (prefetched or inline-built)

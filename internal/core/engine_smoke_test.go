@@ -11,7 +11,7 @@ import (
 
 // smokeProblem builds a small randomized SkyMapJoin problem with the paper's
 // standard workload shape.
-func smokeProblem(t *testing.T, n, d int, dist datagen.Distribution, sigma float64, seed uint64) *smj.Problem {
+func smokeProblem(t testing.TB, n, d int, dist datagen.Distribution, sigma float64, seed uint64) *smj.Problem {
 	t.Helper()
 	r, s, err := datagen.GeneratePair(datagen.Spec{
 		N: n, Dims: d, Distribution: dist, Selectivity: sigma, Seed: seed,

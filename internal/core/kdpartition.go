@@ -36,9 +36,9 @@ func (p Partitioning) String() string {
 
 // partitionInputKD splits the relation into at most maxParts balanced
 // partitions by recursive median splits over the used attributes. Like the
-// grid partitioner it returns partitions with tight bounding boxes and exact
-// join signatures; unlike it, partition populations are near-uniform even on
-// heavily skewed inputs.
+// grid partitioner it returns exactly-sized partitions with tight bounding
+// boxes and, on the right side, key indexes; unlike it, partition populations
+// are near-uniform even on heavily skewed inputs.
 func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Side, maxParts int) ([]*inputPartition, error) {
 	used := maps.UsedAttrs(side)
 	if len(rel.Tuples) == 0 {
@@ -62,11 +62,7 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 		maxParts = 4096
 	}
 	if len(used) == 0 || maxParts == 1 {
-		p := newPartition(0, rel.Schema.Arity())
-		for _, t := range rel.Tuples {
-			p.add(t)
-		}
-		return []*inputPartition{p}, nil
+		return singlePartition(rel, side), nil
 	}
 
 	idx := make([]int, len(rel.Tuples))
@@ -123,13 +119,15 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 	}
 	split(idx, maxParts)
 
-	out := make([]*inputPartition, 0, len(leaves))
+	counts := make([]int, len(leaves))
 	for i, members := range leaves {
-		p := newPartition(i, rel.Schema.Arity())
-		for _, m := range members {
-			p.add(rel.Tuples[m])
-		}
-		out = append(out, p)
+		counts[i] = len(members)
 	}
-	return out, nil
+	out := carvePartitions(rel.Schema.Arity(), counts)
+	for i, members := range leaves {
+		for _, m := range members {
+			out[i].add(rel.Tuples[m])
+		}
+	}
+	return finishPartitions(out, side), nil
 }

@@ -97,14 +97,6 @@ type regionJob struct {
 	n        int // candidates materialized (== reg.joinCard unless canceled)
 }
 
-// probeEntry lazily builds the hash-join probe table of one right-side
-// input partition. Regions sharing a right partition share the table, so
-// the build cost is paid once per partition instead of once per region.
-type probeEntry struct {
-	once sync.Once
-	tbl  map[int64][]int32
-}
-
 // precheckTask asks for the phase-1 dominance verdicts of one chunk of the
 // current round's candidates against the frozen pre-round space. Chunks
 // write disjoint ranges of the shared rejected slice.
@@ -152,8 +144,6 @@ type pool struct {
 	order  []int32 // prefetch priority: region ids, most-urgent first
 	cursor atomic.Int32
 
-	tables []probeEntry // probe tables indexed by right-partition id
-
 	sem  chan struct{} // bounds claimed-but-unconsumed prefetch jobs
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -177,7 +167,7 @@ type pool struct {
 // known. slack widens the in-flight prefetch budget by the number of extra
 // candidate buffers cross-round speculation may retain past consumption
 // (the pending-finish queue); 0 without speculation.
-func newPool(ctx context.Context, workers int, s *space, regions []*region, rparts int, maps *mapping.Set, slack int) *pool {
+func newPool(ctx context.Context, workers int, s *space, regions []*region, maps *mapping.Set, slack int) *pool {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -189,7 +179,6 @@ func newPool(ctx context.Context, workers int, s *space, regions []*region, rpar
 		g:       s.g,
 		ctx:     ctx,
 		jobs:    make([]regionJob, len(regions)),
-		tables:  make([]probeEntry, rparts),
 		sem:     make(chan struct{}, inflight),
 		quit:    make(chan struct{}),
 		bufFree: make(chan *candBuf, inflight+workers+1),
@@ -245,33 +234,19 @@ func (p *pool) putBuf(b *candBuf) {
 	}
 }
 
-// table returns the shared probe table of a right-side partition, building
-// it on first use (by whichever goroutine needs it first).
-func (p *pool) table(b *inputPartition) map[int64][]int32 {
-	e := &p.tables[b.id]
-	e.once.Do(func() {
-		m := make(map[int64][]int32, len(b.tuples))
-		for i, t := range b.tuples {
-			m[t.JoinKey] = append(m[t.JoinKey], int32(i))
-		}
-		e.tbl = m
-	})
-	return e.tbl
-}
-
-// mapStream materializes the region's candidate stream into buf in the
-// canonical order — left tuples outer, right build order inner — which is
-// exactly join.Hash's emission order, so the sequencer's commits replay the
-// serial engine verbatim. Returns the number of candidates written (short
-// only when canceled mid-stream, in which case the run is aborting anyway).
+// mapStream materializes the region's candidate stream into buf by probing
+// the right partition's plan-resident key index in the canonical order —
+// left tuples outer, right build order inner — which is exactly the serial
+// path's, so the sequencer's commits replay the serial engine verbatim.
+// Returns the number of candidates written (short only when canceled
+// mid-stream, in which case the run is aborting anyway).
 func (p *pool) mapStream(reg *region, buf *candBuf, cancel *smj.Canceler) int {
 	lt, rt := reg.a.tuples, reg.b.tuples
-	tbl := p.table(reg.b)
 	buf.ensure(reg.joinCard, p.d)
 	k := 0
 	for li := range lt {
 		lv := lt[li].Vals
-		for _, ri := range tbl[lt[li].JoinKey] {
+		for _, ri := range reg.b.keys.lookup(lt[li].JoinKey) {
 			if cancel.Check() != nil {
 				return k
 			}

@@ -115,6 +115,7 @@ func parallelFixture(t *testing.T) (*pool, *region, *space) {
 				JoinKey: int64(i % 5),
 			})
 		}
+		indexKeys([]*inputPartition{p})
 		return p
 	}
 	left := []*inputPartition{mk(0, 40)}
@@ -129,11 +130,11 @@ func parallelFixture(t *testing.T) (*pool, *region, *space) {
 		t.Fatal(err)
 	}
 	s.emit = func(outTuple) {}
-	return newPool(context.Background(), 1, s, regions, 1, sumMaps2(), 0), regions[0], s
+	return newPool(context.Background(), 1, s, regions, sumMaps2(), 0), regions[0], s
 }
 
 // TestWorkerStreamSteadyStateZeroAlloc pins the per-worker arena guarantee:
-// with the probe table cached and the candidate buffer at capacity,
+// with the candidate buffer at capacity,
 // materializing a region's stream performs no heap allocations at all —
 // the parallel runner adds no per-tuple (or per-region) allocation to the
 // steady state the serial arena already guarantees.
@@ -141,7 +142,7 @@ func TestWorkerStreamSteadyStateZeroAlloc(t *testing.T) {
 	p, reg, _ := parallelFixture(t)
 	cancel := smj.NewCanceler(context.Background())
 	buf := &candBuf{}
-	if n := p.mapStream(reg, buf, cancel); n != reg.joinCard { // warm: table + buffers
+	if n := p.mapStream(reg, buf, cancel); n != reg.joinCard { // warm: buffers
 		t.Fatalf("stream produced %d candidates, want joinCard=%d", n, reg.joinCard)
 	}
 	allocs := testing.AllocsPerRun(100, func() {

@@ -12,19 +12,19 @@ import (
 	"progxe/internal/grid"
 	"progxe/internal/mapping"
 	"progxe/internal/relation"
-	"progxe/internal/sig"
 	"progxe/internal/smj"
 )
 
 // inputPartition is one grid partition of an input source (IRa / ITb in the
 // paper's notation): the member tuples, their tight bounding box over the
-// full attribute vector, and the join-key signature maintained for the
-// partition (§III-A).
+// full attribute vector, and — on the right side, the probed side of every
+// region join — the join-key index that serves as the partition's exact
+// join signature (§III-A) and as its probe table (§III-B).
 type inputPartition struct {
 	id     int
 	tuples []relation.Tuple
 	rect   grid.Rect
-	sig    *sig.Exact
+	keys   keyIndex // right side only
 }
 
 // autoCells picks the per-dimension input grid resolution when the caller
@@ -54,7 +54,9 @@ func autoCells(n, usedDims int) int {
 // used by the mapping functions on the given side, with cellsPerDim cells in
 // each used dimension (0 selects autoCells). Partitions are returned in
 // ascending grid-cell order; each carries a tight bounding box (over all
-// attributes) and an exact join-key signature.
+// attributes) and, on the right side, its key index. Members are counted per
+// cell first and every partition's tuples carved out of one backing array,
+// so a cached plan carries no append slack.
 func partitionInput(rel *relation.Relation, maps *mapping.Set, side mapping.Side, cellsPerDim int) ([]*inputPartition, error) {
 	used := maps.UsedAttrs(side)
 	if len(rel.Tuples) == 0 {
@@ -65,11 +67,7 @@ func partitionInput(rel *relation.Relation, maps *mapping.Set, side mapping.Side
 	}
 	if len(used) == 0 {
 		// The side contributes no mapped attributes: a single partition.
-		p := newPartition(0, rel.Schema.Arity())
-		for _, t := range rel.Tuples {
-			p.add(t)
-		}
-		return []*inputPartition{p}, nil
+		return singlePartition(rel, side), nil
 	}
 
 	// Project the used attributes and bound them. One backing block for all
@@ -92,34 +90,80 @@ func partitionInput(rel *relation.Relation, maps *mapping.Set, side mapping.Side
 		return nil, fmt.Errorf("core: partitioning %s input: %w", side, err)
 	}
 
-	byCell := make(map[int]*inputPartition)
-	for i, t := range rel.Tuples {
+	// Populated cells are numbered in first-appearance order while their
+	// members are counted; the partitions are put in cell order afterwards.
+	seen := make(map[int]int32)
+	var flats, counts []int
+	memberOf := make([]int32, len(rel.Tuples))
+	for i := range rel.Tuples {
 		flat := g.CellOf(pts[i])
-		p := byCell[flat]
-		if p == nil {
-			p = newPartition(flat, rel.Schema.Arity())
-			byCell[flat] = p
+		pi, ok := seen[flat]
+		if !ok {
+			pi = int32(len(flats))
+			seen[flat] = pi
+			flats = append(flats, flat)
+			counts = append(counts, 0)
 		}
-		p.add(t)
+		counts[pi]++
+		memberOf[i] = pi
 	}
-	out := make([]*inputPartition, 0, len(byCell))
-	for _, p := range byCell {
-		out = append(out, p)
+	out := carvePartitions(rel.Schema.Arity(), counts)
+	for i, t := range rel.Tuples {
+		out[memberOf[i]].add(t)
+	}
+	for i, p := range out {
+		p.id = flats[i]
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
 	// Re-number sequentially for compact indexing.
 	for i, p := range out {
 		p.id = i
 	}
-	return out, nil
+	return finishPartitions(out, side), nil
+}
+
+// carvePartitions returns len(counts) empty partitions, partition i with
+// room for exactly counts[i] tuples out of one shared backing array, so
+// adding its members never regrows a slice.
+func carvePartitions(arity int, counts []int) []*inputPartition {
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	backing := make([]relation.Tuple, total)
+	out := make([]*inputPartition, len(counts))
+	for i, n := range counts {
+		out[i] = newPartition(i, arity)
+		out[i].tuples = backing[:0:n]
+		backing = backing[n:]
+	}
+	return out
+}
+
+// singlePartition puts the whole relation into one partition.
+func singlePartition(rel *relation.Relation, side mapping.Side) []*inputPartition {
+	out := carvePartitions(rel.Schema.Arity(), []int{len(rel.Tuples)})
+	for _, t := range rel.Tuples {
+		out[0].add(t)
+	}
+	return finishPartitions(out, side)
+}
+
+// finishPartitions completes one side's partitioning: the right side — the
+// one every region join probes — gets its key indexes here, before the
+// partitions are shared with anything.
+func finishPartitions(parts []*inputPartition, side mapping.Side) []*inputPartition {
+	if side == mapping.Right {
+		indexKeys(parts)
+	}
+	return parts
 }
 
 // newPartition returns an empty partition whose bounding box will track the
 // full arity-dimensional attribute vectors of added tuples.
 func newPartition(id, arity int) *inputPartition {
 	return &inputPartition{
-		id:  id,
-		sig: sig.NewExact(),
+		id: id,
 		rect: grid.Rect{
 			Lower: make([]float64, arity),
 			Upper: make([]float64, arity),
@@ -127,7 +171,7 @@ func newPartition(id, arity int) *inputPartition {
 	}
 }
 
-// add appends a tuple, growing the bounding box and the signature.
+// add appends a tuple, growing the bounding box.
 func (p *inputPartition) add(t relation.Tuple) {
 	if len(p.tuples) == 0 {
 		copy(p.rect.Lower, t.Vals)
@@ -143,7 +187,6 @@ func (p *inputPartition) add(t relation.Tuple) {
 		}
 	}
 	p.tuples = append(p.tuples, t)
-	p.sig.Add(t.JoinKey)
 }
 
 // len returns the partition cardinality (n_a^R in the cost model).

@@ -44,15 +44,17 @@ type region struct {
 	rank    float64 // Equation 8: Benefit / Cost, as of the last analyse
 }
 
-// pairRegions pairs the input partitions and keeps pairs whose exact join
-// signatures intersect (guaranteed populated), computing their output
-// enclosures via interval propagation — the region candidates before
-// domination pruning.
+// pairRegions pairs the input partitions and keeps pairs that produce at
+// least one join result — read off the right partition's key index, so a
+// kept pair is guaranteed populated and carries its exact join cardinality
+// — computing their output enclosures via interval propagation: the region
+// candidates before domination pruning.
 func pairRegions(left, right []*inputPartition, maps *mapping.Set) []*region {
 	var all []*region
 	for _, a := range left {
 		for _, b := range right {
-			if !a.sig.MayJoin(b.sig) {
+			card := b.keys.joinCardinality(a.tuples)
+			if card == 0 {
 				continue
 			}
 			all = append(all, &region{
@@ -60,7 +62,7 @@ func pairRegions(left, right []*inputPartition, maps *mapping.Set) []*region {
 				a:        a,
 				b:        b,
 				rect:     maps.MapRegion(a.rect, b.rect),
-				joinCard: a.sig.JoinCardinality(b.sig),
+				joinCard: card,
 				state:    regionLive,
 			})
 		}

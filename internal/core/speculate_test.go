@@ -37,6 +37,7 @@ func specFixture(t *testing.T, rng *rand.Rand, trend string) (*space, []cand) {
 				JoinKey: int64(i % 6),
 			})
 		}
+		indexKeys([]*inputPartition{p})
 		return p
 	}
 	left := []*inputPartition{mk(0, 60)}
@@ -51,7 +52,7 @@ func specFixture(t *testing.T, rng *rand.Rand, trend string) (*space, []cand) {
 		t.Fatal(err)
 	}
 	s.emit = func(outTuple) {}
-	p := newPool(context.Background(), 1, s, regions, 1, sumMaps2(), 0)
+	p := newPool(context.Background(), 1, s, regions, sumMaps2(), 0)
 	buf := &candBuf{}
 	n := p.mapStream(regions[0], buf, smj.NewCanceler(context.Background()))
 	return s, buf.cands[:n]

@@ -1,7 +1,8 @@
 // Package join provides the equi-join substrate: hash join and sort-merge
 // join over the int64 join keys of two relations, plus join-selectivity
 // estimation. The baselines consume whole-relation joins; the ProgXe core
-// joins one input-partition pair at a time through the same primitives.
+// joins one input-partition pair at a time through its plan-resident key
+// index, which enumerates Hash's exact order.
 package join
 
 import (
@@ -22,13 +23,13 @@ type Emit func(l, r int) bool
 
 // Hash performs a hash equi-join between the tuples of left and right,
 // streaming each matching (l, r) index pair to emit in deterministic order
-// (left order outer, right build order inner). It builds on the smaller
-// side. Returns the number of results emitted.
+// (left order outer, right build order inner). It always builds its table
+// on right and probes with left; callers control which side is which.
+// Returns the number of results emitted.
 func Hash(left, right []relation.Tuple, emit Emit) int {
 	if len(left) == 0 || len(right) == 0 {
 		return 0
 	}
-	// Build on the right side; callers control which side is which.
 	build := make(map[int64][]int, len(right))
 	for i, t := range right {
 		build[t.JoinKey] = append(build[t.JoinKey], i)

@@ -31,10 +31,12 @@ type Phase uint8
 
 const (
 	// PhasePartition covers input preprocessing: partial push-through (when
-	// enabled) and input-space partitioning of both sources.
+	// enabled), input-space partitioning of both sources, and the right
+	// side's join-key index.
 	PhasePartition Phase = iota
 	// PhaseRegionBuild covers partition pairing into candidate regions
-	// (join-signature intersection + interval propagation).
+	// (exact pair join cardinalities off the key index + interval
+	// propagation).
 	PhaseRegionBuild
 	// PhasePrune covers region-level domination pruning over the output-
 	// space box index.
