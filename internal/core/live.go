@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"progxe/internal/grid"
 	"progxe/internal/mapping"
@@ -14,9 +14,9 @@ import (
 )
 
 // This file implements incremental output-space maintenance: a LiveSpace
-// keeps a completed run's survivor state resident and applies a change feed
-// of base-relation inserts and deletes, emitting result records for tuples
-// that join the skyline and retract records for tuples that leave it.
+// holds every mapped join output of one query resident and applies a change
+// feed of base-relation inserts and deletes, emitting result records for
+// tuples that join the skyline and retract records for tuples that leave it.
 //
 // The correctness model is the batch engine's, held under mutation:
 //
@@ -29,10 +29,22 @@ import (
 // by at least one alive tuple: true when it dies (it was beaten by a
 // survivor), and preserved when its dominator w is itself evicted by a new
 // v, since DominatesMin is transitive (v ≤ w ≤ u with strictness inherited).
-// (2) A dominator's coordinate sum is strictly smaller than its victim's
-// (all-≤ plus strict-somewhere), so sum-sorted cell buffers admit one-sided
-// scan cutoffs in both directions, and promotion candidates processed in
-// ascending (sum, seq) order can never dominate an already-promoted tuple.
+// (2) A dominator's coordinate sum is never larger than its victim's: it is
+// all-≤ and floating-point addition rounds monotonically. In exact
+// arithmetic the sum is strictly smaller, but rounding can erase the gap —
+// (1e16, 0) dominates (1e16, 1) and both sum to 1e16 — so every cutoff on
+// the sum-sorted cell buffers is tie-inclusive.
+//
+// Invariant (2) is why the initial build needs no eviction. Visit the mapped
+// join in ascending (sum, seq) order and every dominator of a tuple has
+// either been visited already or sits in the tuple's own run of equal sums:
+// a tuple that no alive tuple and no later member of its run dominates can
+// never be dominated by anything still to come, so it is appended to its
+// cell's alive buffer and handed to the sink at once, final; a dominated one
+// is appended to the dead buffer under the witness that beat it. Nothing is
+// inserted mid-buffer, retracted or re-checked (sort-filter-skyline, the
+// order the batch cells use too). Delete promotion walks its candidates in
+// the same order for the same reason.
 
 // LiveSink receives the incremental output of a LiveSpace. Result delivers a
 // tuple entering the net result set; Retract withdraws a previously
@@ -102,6 +114,7 @@ func detach(u *liveTuple) {
 // summaries over the alive buffer give O(d) scan refutation.
 type liveCell struct {
 	flat   int
+	pos    int // index in LiveSpace.cellList
 	coords []int
 	minV   []float64 // over alive tuples; valid when len(alive) > 0
 	maxV   []float64
@@ -119,18 +132,47 @@ type liveCell struct {
 	vicN int
 }
 
-// firstSumAbove returns the index of the first tuple in ts with sum > s.
-func firstSumAbove(ts []*liveTuple, s float64) int {
-	return sort.Search(len(ts), func(i int) bool { return ts[i].sum > s })
+// byRank orders tuples ascending by (sum, seq), the order of every cell
+// buffer, of the snapshot, and of delete promotion.
+func byRank(a, b *liveTuple) int {
+	if c := cmp.Compare(a.sum, b.sum); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// firstSumNotBelow returns the index of the first tuple in ts with sum ≥ s.
+func firstSumNotBelow(ts []*liveTuple, s float64) int {
+	at, _ := slices.BinarySearchFunc(ts, s, func(t *liveTuple, s float64) int { return cmp.Compare(t.sum, s) })
+	return at
 }
 
 // insertByRank adds t to the (sum, seq)-sorted buffer ts.
 func insertByRank(ts []*liveTuple, t *liveTuple) []*liveTuple {
-	at := sort.Search(len(ts), func(i int) bool {
-		o := ts[i]
-		return o.sum > t.sum || (o.sum == t.sum && o.seq > t.seq)
-	})
+	at, _ := slices.BinarySearchFunc(ts, t, byRank)
 	return slices.Insert(ts, at, t)
+}
+
+// runEnd returns the end of the run of equal sums that starts at ts[i].
+func runEnd(ts []*liveTuple, i int) int {
+	j := i + 1
+	for j < len(ts) && ts[j].sum == ts[i].sum {
+		j++
+	}
+	return j
+}
+
+// dominatedBy reports whether any tuple of run dominates t. It covers the
+// one case ascending-sum order leaves open: a later member of t's own run of
+// equal sums that dominates it (possible only where rounding erased the
+// strict sum gap).
+func dominatedBy(run []*liveTuple, t *liveTuple) bool {
+	for _, o := range run {
+		if preference.DominatesMin(o.v, t.v) {
+			return true
+		}
+	}
+	return false
 }
 
 // refresh recomputes the alive-subset summaries from scratch.
@@ -200,90 +242,281 @@ func liveGridCells(d int) int {
 	return k
 }
 
-// NewLiveSpace builds the resident state for p: it bounds the output grid
-// from the initial join's mapped outputs, then routes every initial tuple
-// through the same insert protocol a feed change takes, so the invariants
-// hold from the first change onward. The initial net result set is available
-// via Results or Snapshot; construction itself emits nothing.
+// NewLiveSpace builds the settled resident state for p: StageLive followed by
+// the dominance pass with no sink. The initial net result set is available
+// via Results or Snapshot.
 func NewLiveSpace(p *smj.Problem) (*LiveSpace, error) {
-	if err := p.Validate(); err != nil {
+	st, err := StageLive(p)
+	if err != nil {
 		return nil, err
 	}
+	return st.Build(nil), nil
+}
+
+// LiveStage is a LiveSpace whose base relations are registered and whose
+// join is mapped, but whose tuples are not yet placed. Everything that can
+// fail has happened by the time a stage exists, so a server can commit to a
+// response before calling Build and stream the survivors as Build proves
+// them.
+type LiveStage struct {
+	ls  *LiveSpace
+	all []*liveTuple // every mapped join pair, in seq order
+}
+
+// StageLive validates p, registers both relations under ApplyInsert's checks
+// (finite values, no duplicate ID on a side), maps the join once and bounds
+// the output grid from the mapped outputs.
+//
+// The join is enumerated in the order a replay of the relations through
+// ApplyInsert would take — left side first (no partners yet), then every
+// right tuple in relation order against its left partners by ascending ID —
+// so seq numbers, byBase lists and (in Build) cell creation order are exactly
+// the replay's, and with them the retract order of every later apply.
+func StageLive(p *smj.Problem) (*LiveStage, error) {
 	cp, err := p.Canonicalized()
 	if err != nil {
 		return nil, err
 	}
-	d := cp.Maps.Dims()
-	ls := &LiveSpace{
-		pref:  p.Pref,
-		maps:  cp.Maps,
-		d:     d,
-		cells: make(map[int]*liveCell),
-	}
-	for s := 0; s < 2; s++ {
-		ls.base[s] = make(map[int64]relation.Tuple)
-		ls.byKey[s] = make(map[int64][]int64)
-		ls.byBase[s] = make(map[int64][]*liveTuple)
+	ls := newLiveSpace(p, cp)
+	d := ls.d
+	left, right := cp.Left.Tuples, cp.Right.Tuples
+	for s, ts := range [2][]relation.Tuple{left, right} {
+		for _, t := range ts {
+			if _, err := ls.register(mapping.Side(s), t); err != nil {
+				return nil, err
+			}
+		}
 	}
 
-	// Bound the grid from the initial mapped outputs. Later inserts may
-	// fall outside: grid.Coord clamps monotonically, so componentwise
-	// vector order still implies componentwise cell-coordinate order and
-	// every orthant scan below stays sound.
+	// Left partners per join key, as indexes into left, by ascending ID.
+	partners := make(map[int64][]int, len(ls.byKey[mapping.Left]))
+	for i, lt := range left {
+		partners[lt.JoinKey] = append(partners[lt.JoinKey], i)
+	}
+	for _, ps := range partners {
+		slices.SortFunc(ps, func(a, b int) int { return cmp.Compare(left[a].ID, left[b].ID) })
+	}
+	n := 0
+	for _, rt := range right {
+		n += len(partners[rt.JoinKey])
+	}
+
+	// The grid is bounded by the mapped outputs; min and max propagate NaN,
+	// so a non-finite output fails setGrid.
 	lo := make([]float64, d)
 	hi := make([]float64, d)
 	for i := range lo {
 		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
 	}
-	dst := make([]float64, d)
-	byKey := make(map[int64][]relation.Tuple, len(cp.Right.Tuples))
-	for _, rt := range cp.Right.Tuples {
-		byKey[rt.JoinKey] = append(byKey[rt.JoinKey], rt)
-	}
-	for _, lt := range cp.Left.Tuples {
-		for _, rt := range byKey[lt.JoinKey] {
-			ls.maps.Map(lt.Vals, rt.Vals, dst)
-			for i, v := range dst {
-				lo[i] = math.Min(lo[i], v)
-				hi[i] = math.Max(hi[i], v)
+	// Each byBase list gets its own exactly sized allocation: a list carved
+	// out of a shared backing array would keep the mapped tuples of a deleted
+	// base tuple reachable for as long as any neighbour lives.
+	all := make([]*liveTuple, 0, n)
+	leftLists := make([][]*liveTuple, len(left))
+	for _, rt := range right {
+		ps := partners[rt.JoinKey]
+		if len(ps) == 0 {
+			continue
+		}
+		fanout := len(ls.byKey[mapping.Right][rt.JoinKey])
+		mine := make([]*liveTuple, 0, len(ps))
+		for _, li := range ps {
+			lt := left[li]
+			nt := &liveTuple{leftID: lt.ID, rightID: rt.ID, v: make([]float64, d), seq: int64(len(all))}
+			ls.maps.Map(lt.Vals, rt.Vals, nt.v)
+			for i, x := range nt.v {
+				nt.sum += x
+				lo[i], hi[i] = min(lo[i], x), max(hi[i], x)
 			}
+			if leftLists[li] == nil {
+				leftLists[li] = make([]*liveTuple, 0, fanout)
+			}
+			leftLists[li] = append(leftLists[li], nt)
+			mine = append(mine, nt)
+			all = append(all, nt)
+		}
+		ls.byBase[mapping.Right][rt.ID] = mine
+	}
+	for li, lst := range leftLists {
+		if lst != nil {
+			ls.byBase[mapping.Left][left[li].ID] = lst
 		}
 	}
+	ls.nextSeq = int64(len(all))
+
+	if err := ls.setGrid(lo, hi); err != nil {
+		return nil, err
+	}
+	return &LiveStage{ls: ls, all: all}, nil
+}
+
+// newLiveSpace returns the empty space of p, whose canonical form is cp.
+func newLiveSpace(p, cp *smj.Problem) *LiveSpace {
+	ls := &LiveSpace{
+		pref:  p.Pref,
+		maps:  cp.Maps,
+		d:     cp.Maps.Dims(),
+		cells: make(map[int]*liveCell),
+	}
+	for s, rel := range [2]*relation.Relation{cp.Left, cp.Right} {
+		ls.base[s] = make(map[int64]relation.Tuple, len(rel.Tuples))
+		ls.byKey[s] = make(map[int64][]int64)
+		ls.byBase[s] = make(map[int64][]*liveTuple, len(rel.Tuples))
+	}
+	return ls
+}
+
+// setGrid lays the maintenance grid over the box [lo, hi] of the initial
+// mapped outputs (an empty join leaves lo > hi: any finite box works). Later
+// inserts may fall outside it: grid.Coord clamps monotonically, so
+// componentwise vector order still implies componentwise cell-coordinate
+// order and every orthant scan stays sound.
+func (ls *LiveSpace) setGrid(lo, hi []float64) error {
 	for i := range lo {
-		if lo[i] > hi[i] { // empty initial join: any finite box works
+		if lo[i] > hi[i] {
 			lo[i], hi[i] = 0, 1
 		}
 	}
 	b, err := grid.NewBounds(lo, hi)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	k := make([]int, d)
-	for i := range k {
-		k[i] = liveGridCells(d)
-	}
-	g, err := grid.New(b, k)
-	if err != nil {
-		return nil, err
-	}
-	ls.g = g
+	ls.g, err = grid.Uniform(b, liveGridCells(ls.d))
+	return err
+}
 
-	// Replay the initial relations through the live insert path: all left
-	// tuples first (no partners yet, so no mapped outputs), then each
-	// right tuple joins against the full left side — every initial pair
-	// is materialized exactly once, under the maintenance invariants.
-	for _, lt := range cp.Left.Tuples {
-		if err := ls.ApplyInsert(mapping.Left, lt, nil); err != nil {
-			return nil, err
+// denseGridCells is the largest grid for which Build links the cell
+// adjacency lists through a flat-index table; liveGridCells keeps every grid
+// of up to 12 dimensions within it. Larger grids leave the lists to domCells
+// and vicCells.
+const denseGridCells = 1 << 12
+
+// Build places every staged tuple and returns the settled space. Survivors
+// are delivered to sink (which may be nil) in ascending (sum, seq) order, each
+// the moment it is proven — see the file comment for why each is final. The
+// stage must not be used again.
+func (st *LiveStage) Build(sink LiveSink) *LiveSpace {
+	ls, all := st.ls, st.all
+	st.ls, st.all = nil, nil
+
+	// Cells are created in seq order, as a replay would create them: an
+	// eviction sweep retracts in cellList order.
+	home := make([]*liveCell, len(all))
+	for i, t := range all {
+		home[i] = ls.cellFor(t.v)
+	}
+	if ls.g.NumCells() <= denseGridCells {
+		ls.linkCells()
+	}
+
+	type sumKey struct {
+		sum float64
+		idx int32
+	}
+	keys := make([]sumKey, len(all))
+	for i, t := range all {
+		keys[i] = sumKey{t.sum, int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b sumKey) int {
+		switch { // a sum of finite components is never NaN
+		case a.sum < b.sum:
+			return -1
+		case a.sum > b.sum:
+			return 1
+		}
+		return int(a.idx - b.idx)
+	})
+	order := make([]*liveTuple, len(all))
+	for i, k := range keys {
+		order[i] = all[k.idx]
+	}
+
+	// last[c.pos] is the witness that most recently killed a tuple homed in
+	// c. Neighbours in sum order tend to die to the same survivor, so it is
+	// tried before the dominator cells are walked; nothing is evicted during
+	// the pass, so it is still alive.
+	last := make([]*liveTuple, len(ls.cellList))
+	var orphans []*liveTuple // dead to a later member of their run; referee pending
+	for i := 0; i < len(order); {
+		j := runEnd(order, i)
+		for x := i; x < j; x++ {
+			t := order[x]
+			c := home[t.seq]
+			w := last[c.pos]
+			if w == nil || !preference.DominatesMin(w.v, t.v) {
+				w = ls.dominated(c, t.v, t.sum)
+			}
+			switch {
+			case w != nil:
+				attach(w, t)
+				last[c.pos] = w
+				c.dead = append(c.dead, t)
+			case dominatedBy(order[x+1:j], t):
+				orphans = append(orphans, t)
+				c.dead = append(c.dead, t)
+			default:
+				t.alive = true
+				c.alive = append(c.alive, t)
+				c.widen(t, ls.d)
+				ls.emit(t, sink)
+			}
+		}
+		// The run's survivors are all alive now, and one of them dominates
+		// each orphan: the top of its chain of dominators within the run.
+		for _, t := range orphans {
+			attach(ls.dominated(home[t.seq], t.v, t.sum), t)
+		}
+		orphans = orphans[:0]
+		i = j
+	}
+	ls.stats = LiveStats{Results: ls.stats.Results} // the build is not feed work
+	return ls
+}
+
+// linkCells builds the dom and vic lists of every cell at once. A cell's
+// dominator cells fill the coordinate box between the origin and the cell,
+// so walking that box through a flat-index table finds them without testing
+// every pair of cells; the vic lists are the transpose, filled in cellList
+// order — the order the lazy vicCells keeps, which eviction sweeps retract in.
+func (ls *LiveSpace) linkCells() {
+	byFlat := make([]*liveCell, ls.g.NumCells())
+	for _, c := range ls.cellList {
+		byFlat[c.flat] = c
+	}
+	at := make([]int, ls.d)
+	vics := make([]int, len(ls.cellList))
+	var box []*liveCell
+	for _, c := range ls.cellList {
+		box = box[:0]
+		clear(at)
+		for flat, dim := 0, 0; dim >= 0; {
+			if n := byFlat[flat]; n != nil {
+				box = append(box, n)
+				vics[n.pos]++
+			}
+			// Odometer step through the box, last dimension fastest.
+			for dim = ls.d - 1; dim >= 0; dim-- {
+				if at[dim] < c.coords[dim] {
+					at[dim]++
+					flat += ls.g.Stride(dim)
+					break
+				}
+				flat -= at[dim] * ls.g.Stride(dim)
+				at[dim] = 0
+			}
+		}
+		c.dom = slices.Clone(box)
+		c.domN = len(ls.cellList)
+	}
+	for _, c := range ls.cellList {
+		c.vic = make([]*liveCell, 0, vics[c.pos])
+		c.vicN = len(ls.cellList)
+	}
+	for _, c := range ls.cellList {
+		for _, n := range c.dom {
+			n.vic = append(n.vic, c)
 		}
 	}
-	for _, rt := range cp.Right.Tuples {
-		if err := ls.ApplyInsert(mapping.Right, rt, nil); err != nil {
-			return nil, err
-		}
-	}
-	ls.stats = LiveStats{} // construction is not feed work
-	return ls, nil
 }
 
 // Dims returns the output-space dimensionality.
@@ -306,6 +539,7 @@ func (ls *LiveSpace) cellFor(v []float64) *liveCell {
 	}
 	c := &liveCell{
 		flat:   flat,
+		pos:    len(ls.cellList),
 		coords: ls.g.Coords(flat, make([]int, ls.d)),
 		minV:   make([]float64, ls.d),
 		maxV:   make([]float64, ls.d),
@@ -355,8 +589,8 @@ func (ls *LiveSpace) vicCells(c *liveCell) []*liveCell {
 // living in cell home), or nil — the witness becomes the referee when the
 // caller demotes. Candidate cells are home's cached dominator cells; within a
 // cell the alive-min summary refutes in O(d) and the sum-sorted buffer is
-// scanned only while sums stay strictly below s (a dominator's sum is
-// strictly smaller).
+// scanned only while sums stay at or below s (a dominator's sum is never
+// larger).
 func (ls *LiveSpace) dominated(home *liveCell, v []float64, s float64) *liveTuple {
 cells:
 	for _, c := range ls.domCells(home) {
@@ -369,7 +603,7 @@ cells:
 			}
 		}
 		for _, t := range c.alive {
-			if t.sum >= s {
+			if t.sum > s {
 				break
 			}
 			ls.stats.Comparisons++
@@ -385,7 +619,7 @@ cells:
 // to dead with nt as referee; each victim's own dependents transfer to nt
 // (transitivity keeps their referee a dominator). Victim cells are home's
 // cached victim cells; within a cell the alive-max summary refutes and only
-// tuples with sum > nt.sum are candidates.
+// tuples with sum ≥ nt.sum are candidates.
 func (ls *LiveSpace) evict(home *liveCell, nt *liveTuple, sink LiveSink) {
 	v, s := nt.v, nt.sum
 cells:
@@ -399,7 +633,7 @@ cells:
 			}
 		}
 		demoted := false
-		for _, t := range c.alive[firstSumAbove(c.alive, s):] {
+		for _, t := range c.alive[firstSumNotBelow(c.alive, s):] {
 			ls.stats.Comparisons++
 			if preference.DominatesMin(v, t.v) {
 				t.alive = false
@@ -467,6 +701,24 @@ func (ls *LiveSpace) retract(t *liveTuple, sink LiveSink) {
 	}
 }
 
+// register validates base tuple t and makes it resident on side, returning
+// the resident copy: values must be finite, and a duplicate ID on the side
+// is rejected.
+func (ls *LiveSpace) register(side mapping.Side, t relation.Tuple) (relation.Tuple, error) {
+	for _, v := range t.Vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return t, fmt.Errorf("live: non-finite value in tuple %d", t.ID)
+		}
+	}
+	if _, dup := ls.base[side][t.ID]; dup {
+		return t, fmt.Errorf("live: duplicate id %d on %v side", t.ID, side)
+	}
+	t.Vals = slices.Clone(t.Vals)
+	ls.base[side][t.ID] = t
+	ls.byKey[side][t.JoinKey] = append(ls.byKey[side][t.JoinKey], t.ID)
+	return t, nil
+}
+
 // ApplyInsert adds base tuple t to side, maps it against every join partner
 // on the opposite side, and routes each mapped output through the dominance
 // protocol — emitting results for survivors and retracts for the tuples they
@@ -476,18 +728,11 @@ func (ls *LiveSpace) ApplyInsert(side mapping.Side, t relation.Tuple, sink LiveS
 	if side != mapping.Left && side != mapping.Right {
 		return fmt.Errorf("live: invalid side %d", side)
 	}
-	for _, v := range t.Vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("live: non-finite value in tuple %d", t.ID)
-		}
-	}
-	if _, dup := ls.base[side][t.ID]; dup {
-		return fmt.Errorf("live: duplicate id %d on %v side", t.ID, side)
+	t, err := ls.register(side, t)
+	if err != nil {
+		return err
 	}
 	ls.stats.Inserts++
-	t.Vals = slices.Clone(t.Vals)
-	ls.base[side][t.ID] = t
-	ls.byKey[side][t.JoinKey] = append(ls.byKey[side][t.JoinKey], t.ID)
 
 	other := mapping.Right - side
 	partners := slices.Clone(ls.byKey[other][t.JoinKey])
@@ -522,13 +767,14 @@ func (ls *LiveSpace) ApplyInsert(side mapping.Side, t relation.Tuple, sink LiveS
 // last alive dominator, and its referee is an alive dominator — so if the
 // referee survived the delete, the tuple stays correctly dead, and otherwise
 // it appears in a removed survivor's dependent list. Candidates are processed
-// in ascending (sum, seq) order and re-checked against the current alive set
-// (earlier promotions included): any dominator of a candidate has a strictly
-// smaller sum, so it was processed first — if it was promoted the re-check
-// sees it, and if it stayed dead its own alive dominator transitively covers
-// the candidate. Promoted tuples therefore never retroactively dominate one
-// another, and a promoted tuple never evicts: it would have to dominate an
-// alive tuple the alive antichain already failed to dominate.
+// in ascending (sum, seq) order, like the initial build: each is re-checked
+// against the current alive set (earlier promotions included) and against the
+// later members of its run of equal sums. Any other dominator of a candidate
+// was processed first — if it was promoted the re-check sees it, and if it
+// stayed dead its own alive dominator transitively covers the candidate.
+// Promoted tuples therefore never retroactively dominate one another, and a
+// promoted tuple never evicts: it would have to dominate an alive tuple the
+// alive antichain already failed to dominate.
 func (ls *LiveSpace) ApplyDelete(side mapping.Side, id int64, sink LiveSink) error {
 	if side != mapping.Left && side != mapping.Right {
 		return fmt.Errorf("live: invalid side %d", side)
@@ -601,29 +847,35 @@ func (ls *LiveSpace) ApplyDelete(side mapping.Side, id int64, sink LiveSink) err
 		}
 		r.deps = nil
 	}
-	slices.SortFunc(cands, func(a, b *liveTuple) int {
-		if a.sum != b.sum {
-			if a.sum < b.sum {
-				return -1
+	slices.SortFunc(cands, byRank)
+	var orphans []*liveTuple // dead to a later member of their run; referee pending
+	for i := 0; i < len(cands); {
+		j := runEnd(cands, i)
+		for x := i; x < j; x++ {
+			u := cands[x]
+			c := ls.cells[ls.g.CellOf(u.v)]
+			if w := ls.dominated(c, u.v, u.sum); w != nil {
+				attach(w, u) // stays dead under a new referee
+				continue
 			}
-			return 1
+			if dominatedBy(cands[x+1:j], u) {
+				orphans = append(orphans, u)
+				continue
+			}
+			u.alive = true
+			ls.stats.Promotions++
+			if at := slices.Index(c.dead, u); at >= 0 {
+				c.dead = slices.Delete(c.dead, at, at+1)
+			}
+			c.alive = insertByRank(c.alive, u)
+			c.widen(u, ls.d)
+			ls.emit(u, sink)
 		}
-		return int(a.seq - b.seq)
-	})
-	for _, u := range cands {
-		c := ls.cells[ls.g.CellOf(u.v)]
-		if w := ls.dominated(c, u.v, u.sum); w != nil {
-			attach(w, u) // stays dead under a new referee
-			continue
+		for _, u := range orphans {
+			attach(ls.dominated(ls.cells[ls.g.CellOf(u.v)], u.v, u.sum), u)
 		}
-		u.alive = true
-		ls.stats.Promotions++
-		if i := slices.Index(c.dead, u); i >= 0 {
-			c.dead = slices.Delete(c.dead, i, i+1)
-		}
-		c.alive = insertByRank(c.alive, u)
-		c.widen(u, ls.d)
-		ls.emit(u, sink)
+		orphans = orphans[:0]
+		i = j
 	}
 	return nil
 }
@@ -643,21 +895,23 @@ func (ls *LiveSpace) Results() []smj.Result {
 		}
 	}
 	slices.SortFunc(out, func(a, b smj.Result) int {
-		if a.LeftID != b.LeftID {
-			return int(a.LeftID - b.LeftID)
+		if c := cmp.Compare(a.LeftID, b.LeftID); c != 0 {
+			return c
 		}
-		return int(a.RightID - b.RightID)
+		return cmp.Compare(a.RightID, b.RightID)
 	})
 	return out
 }
 
-// Snapshot delivers the current net result set to sink in the canonical
-// (LeftID, RightID) order — the initial emission of a fresh subscription.
+// Snapshot delivers the current net result set to sink in ascending
+// (sum, seq) order — the order Build delivers it in.
 func (ls *LiveSpace) Snapshot(sink LiveSink) {
-	for _, r := range ls.Results() {
-		ls.stats.Results++
-		if sink != nil {
-			sink.Result(r)
-		}
+	var alive []*liveTuple
+	for _, c := range ls.cellList {
+		alive = append(alive, c.alive...)
+	}
+	slices.SortFunc(alive, byRank)
+	for _, t := range alive {
+		ls.emit(t, sink)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // must equal a fresh oracle run over the current snapshot — byte-compared
 // on the canonical (LeftID, RightID) ordering, output vectors included.
 
-func liveProblem(t *testing.T, n, d int, dist datagen.Distribution, sigma float64, seed uint64) *smj.Problem {
+func liveProblem(t testing.TB, n, d int, dist datagen.Distribution, sigma float64, seed uint64) *smj.Problem {
 	t.Helper()
 	r, s, err := datagen.GeneratePair(datagen.Spec{N: n, Dims: d, Distribution: dist, Selectivity: sigma, Seed: seed})
 	if err != nil {

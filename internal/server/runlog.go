@@ -25,6 +25,11 @@ type RunRecord struct {
 	Reason        string    `json:"reason,omitempty"`
 	Error         string    `json:"error,omitempty"`
 	Results       int       `json:"results"`
+	// StageMillis and SnapshotMillis are set on subscriptions only: the time
+	// from admission until the response was committed (join, mapping, grid
+	// bounds), and until the snapshot's checkpoint was written.
+	StageMillis    float64 `json:"stageMillis,omitempty"`
+	SnapshotMillis float64 `json:"snapshotMillis,omitempty"`
 	// Cached reports that the run reused a compiled plan from the plan
 	// cache (partition / region-build / prune skipped).
 	Cached bool `json:"cached,omitempty"`

@@ -70,11 +70,13 @@ func (ls *liveStreamSink) Retract(leftID, rightID int64) {
 // handleSubscribe is POST /v1/subscribe: a never-ending live query. The body
 // is the QueryRequest schema shared with /v1/query (same exec object, same
 // flat-field compatibility); trace and limit are meaningless on an unbounded
-// stream and rejected. The handler materializes the query's output space
-// once, streams the current result set, then holds the survivor state
-// resident and folds in every catalog change to the subscribed relations —
-// emitting result records for new skyline members, retract records for
-// killed ones, and a checkpoint record after the snapshot and after each
+// stream and rejected. The handler stages the query's output space (join,
+// mapping, grid — every step that can fail), commits to the response, and
+// streams the snapshot as the dominance pass proves it: result records in
+// ascending coordinate-sum order, each one final, closed by a checkpoint. It
+// then holds the space resident and folds in every catalog change to the
+// subscribed relations — emitting result records for new skyline members,
+// retract records for killed ones, and a checkpoint record after each
 // applied change. The stream ends when the client disconnects, the server
 // shuts down, a subscribed relation is dropped or wholesale-replaced, or the
 // subscription falls off the bounded change ring (replay_truncated).
@@ -137,6 +139,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// The subscription's clock covers staging: elapsedMillis on every record
+	// is what the client has waited since its request was admitted.
+	start := time.Now()
 	// The change-ring cursor is taken BEFORE the snapshots: an event
 	// published after the cursor but before GetVersioned is both in the
 	// snapshot and on the ring, and the per-side seq check below skips it.
@@ -158,11 +163,15 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errBadQuery, "%v", err)
 		return
 	}
-	space, err := core.NewLiveSpace(plan.Problem)
+	// Everything that can fail happens in staging, before the response is
+	// committed: a bad relation gets the structured 4xx body, never a
+	// half-open stream.
+	stage, err := core.StageLive(plan.Problem)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, errBadQuery, "%v", err)
 		return
 	}
+	staged := time.Since(start)
 	sideVer := [2]uint64{vers[plan.Tables[0]], vers[plan.Tables[1]]}
 
 	// Subscription lifetime: client disconnect or server shutdown. No
@@ -186,14 +195,15 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	runID := s.runlog.newID()
 	s.metrics.subStarted()
-	start := time.Now()
 	sw.record("run", runRecord{
 		Type: "run", ID: runID, Engine: "live",
 		Dims: plan.Problem.Maps.Names(), Exec: exec,
 	})
 
+	// The dominance pass streams the snapshot: each survivor is written the
+	// moment it is proven, in ascending coordinate-sum order, and is final.
 	sink := &liveStreamSink{sw: sw, start: start}
-	space.Snapshot(sink)
+	space := stage.Build(sink)
 	maxVer := sideVer[0]
 	if sideVer[1] > maxVer {
 		maxVer = sideVer[1]
@@ -205,6 +215,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	checkpoint(maxVer)
+	snapshot := time.Since(start)
 
 	var endRec *errorRecord
 	applied := int64(0)
@@ -299,11 +310,15 @@ loop:
 		ID: runID, Engine: "live", Query: truncate(req.Query, 512), Exec: exec,
 		Start: start, ElapsedMillis: float64(elapsed.Microseconds()) / 1000,
 		Outcome: outcome, Reason: reason, Error: errMsg,
-		Results: sink.n,
+		Results:        sink.n,
+		StageMillis:    float64(staged.Microseconds()) / 1000,
+		SnapshotMillis: float64(snapshot.Microseconds()) / 1000,
 	}, nil)
 	s.logger.Info("subscription",
 		"id", runID, "outcome", outcome, "results", sink.n,
 		"retractions", sink.retr, "changesApplied", applied,
 		"comparisons", st.Comparisons,
+		"stageMs", float64(staged.Microseconds())/1000,
+		"snapshotMs", float64(snapshot.Microseconds())/1000,
 		"elapsedMs", float64(elapsed.Microseconds())/1000)
 }

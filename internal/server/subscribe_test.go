@@ -428,3 +428,98 @@ func TestSubscribeMetrics(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestSubscribeStagingFailureIsStructured pins that everything which can fail
+// while the output space is built fails before the response is committed: a
+// relation whose mapped outputs overflow yields the structured 4xx body, not
+// a 200 stream that breaks off, and the slot it held is free again.
+func TestSubscribeStagingFailureIsStructured(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxSubscriptions: 1})
+	for name, csv := range map[string]string{
+		"HL": "id,price,speed,region\n1,1.7e308,5,1\n2,3,4,1\n",
+		"HR": "id,cost,delay,region\n1,1.7e308,2,1\n2,1,1,1\n",
+	} {
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/relations/"+name, bytes.NewReader([]byte(csv)))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload %s: status %d", name, resp.StatusCode)
+		}
+	}
+	q := `SELECT (L.price + R.cost) AS total, (L.speed + R.delay) AS lag
+		FROM HL L, HR R WHERE L.region = R.region PREFERRING LOWEST(total) AND LOWEST(lag)`
+	b, _ := json.Marshal(QueryRequest{Query: q})
+	resp, err := http.Post(ts.URL+"/v1/subscribe", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e errorRecord
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || e.Type != "error" || e.Code != errBadQuery || e.Message == "" {
+		t.Fatalf("status %d body %+v, want 400 %s", resp.StatusCode, e, errBadQuery)
+	}
+	if st := srv.Stats(); st.SubscriptionsStarted != 0 {
+		t.Fatalf("a subscription that never staged was counted as started: %+v", st)
+	}
+	// The only slot is free: a good subscription is admitted.
+	sub := openSubscribe(t, ts, QueryRequest{Query: tinyQuery})
+	if run := sub.next(t); run["type"] != "run" {
+		t.Fatalf("head record = %v", run)
+	}
+}
+
+// TestSubscribeVanishedClientReleasesSlot closes the connection right after
+// the response header, while the snapshot is still being streamed: the
+// subscription must notice, end, and hand back its slot.
+func TestSubscribeVanishedClientReleasesSlot(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxSubscriptions: 1})
+	for i, name := range []string{"BigR", "BigT"} {
+		b, _ := json.Marshal(GenerateRequest{
+			Name: name, Rows: 3000, Dims: 3, Distribution: "anti-correlated", Selectivity: 0.005, Seed: uint64(31 + i),
+		})
+		resp, err := http.Post(ts.URL+"/v1/relations", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("generate %s: status %d", name, resp.StatusCode)
+		}
+	}
+	q := `SELECT (R.a0 + T.a0) AS x, (R.a1 + T.a1) AS y, (R.a2 + T.a2) AS z
+		FROM BigR R, BigT T WHERE R.jkey = T.jkey PREFERRING LOWEST(x) AND LOWEST(y) AND LOWEST(z)`
+	b, _ := json.Marshal(QueryRequest{Query: q})
+	resp, err := http.Post(ts.URL+"/v1/subscribe", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe: status %d", resp.StatusCode)
+	}
+	resp.Body.Close() // vanish with the snapshot in flight
+
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stats().SubscriptionsLive != 0 || len(srv.runlog.list()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("subscription outlived its client: %+v", srv.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	rec := srv.runlog.list()[0]
+	if rec.Engine != "live" || rec.Outcome != "canceled" || rec.Reason != "disconnect" {
+		t.Fatalf("run record = %+v, want a canceled live run", rec)
+	}
+	if rec.StageMillis <= 0 || rec.SnapshotMillis < rec.StageMillis || rec.ElapsedMillis < rec.SnapshotMillis {
+		t.Fatalf("run record timings: stage %v snapshot %v elapsed %v", rec.StageMillis, rec.SnapshotMillis, rec.ElapsedMillis)
+	}
+	sub := openSubscribe(t, ts, QueryRequest{Query: tinyQuery})
+	if run := sub.next(t); run["type"] != "run" {
+		t.Fatalf("head record = %v", run)
+	}
+}
