@@ -26,7 +26,7 @@ const (
 	// region set — a scaling experiment beyond the paper's evaluation.
 	SchedSetup
 	// PruneSetup figures compare region-level domination pruning time (the
-	// shared box-index sweep vs the retained O(n²) scan) on a fine-partition
+	// upper-corner frontier vs the retained O(n²) scan) on a fine-partition
 	// candidate set — the companion scaling experiment for the look-ahead's
 	// other quadratic pass.
 	PruneSetup
@@ -169,15 +169,15 @@ func Figures() []Figure {
 		SchedOpts: &fineOpts,
 		Expect:    "incremental graph construction + lazy release at least 5× faster than the batch builder",
 	})
-	// S2: region-pruning scaling on the same candidate set — the last O(n²)
-	// look-ahead pass rewritten over the shared box index.
+	// S2: region-pruning scaling on the same candidate set — the look-ahead's
+	// other O(n²) pass, answered by the upper-corner frontier.
 	figs = append(figs, Figure{
 		ID:        "S2",
-		Caption:   "Region-level domination pruning at ≥10⁴ candidates: box-index sweep vs O(n²) scan (fine-partition)",
+		Caption:   "Region-level domination pruning at ≥10⁴ candidates: upper-corner frontier vs O(n²) scan (fine-partition)",
 		Kind:      PruneSetup,
 		Workload:  FinePartitionWorkload(),
 		SchedOpts: &fineOpts,
-		Expect:    "box-index pruning at least 5× faster than the all-pairs scan",
+		Expect:    "frontier pruning at least 5× faster than the all-pairs scan",
 	})
 	// L1: incremental maintenance vs recompute on the Fig 11f cell — the
 	// subscription path's economics (beyond the paper's evaluation).

@@ -10,8 +10,8 @@ import (
 	"progxe/internal/smj"
 )
 
-// Region-pruning benchmark: the shared output-space box index's domination
-// sweep (grid.DominatedRects) against the retained O(n²) all-pairs scan, on
+// Region-pruning benchmark: the upper-corner frontier's pruning pass
+// (grid.DominatedRects) against the retained O(n²) all-pairs scan, on
 // the fine-partition workload's candidate region enclosures. The look-ahead
 // pairing runs once (core.PlanRects) and both pruners see the identical
 // float rect set, so the measurement isolates the pruning pass from
@@ -42,7 +42,7 @@ func runPruneSetup(f Figure, w io.Writer, repeats int) []RunResult {
 		name string
 		run  func() []bool
 	}{
-		{"Prune (box index)", func() []bool { return grid.DominatedRects(rects) }},
+		{"Prune (frontier)", func() []bool { return grid.DominatedRects(rects) }},
 		{"Prune (O(n²) oracle)", func() []bool { return grid.DominatedRectsQuadratic(rects, 0) }},
 	}
 	var out []RunResult
@@ -74,7 +74,7 @@ func runPruneSetup(f Figure, w io.Writer, repeats int) []RunResult {
 			v.name, best.Round(time.Microsecond), len(rects), pruned)
 	}
 	if len(out) == 2 && out[0].Total > 0 {
-		fmt.Fprintf(w, "# box-index speedup over O(n²) scan: %.2f×\n",
+		fmt.Fprintf(w, "# frontier speedup over O(n²) scan: %.2f×\n",
 			float64(out[1].Total)/float64(out[0].Total))
 	}
 	return out

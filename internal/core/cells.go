@@ -10,8 +10,11 @@ import (
 // outTuple is a surviving intermediate result held in an output cell's
 // buffer until ProgDetermine proves it safe to emit. sum caches the
 // coordinate sum of v; buffers are kept sorted ascending by it (SFS order),
-// so dominance scans can stop at the first entry whose sum is not smaller
-// (a dominator's sum is strictly smaller, a victim's strictly larger).
+// so dominance scans are cut off by sum. A dominator's float sum is ≤ its
+// victim's — float addition is monotone, but sums that differ only below the
+// rounding step tie — so every cutoff is tie-inclusive: dominators end at the
+// first entry whose sum is larger, victims start at the first whose sum is
+// not smaller.
 type outTuple struct {
 	leftID  int64
 	rightID int64
@@ -36,7 +39,6 @@ type cell struct {
 	flat      int
 	coords    []int
 	lower     []float64 // LOWER(Oh), for domination tests
-	coveredBy []int     // ids of regions covering this cell, ascending
 	regCount  int       // RegCount(Oh): unprocessed covering regions
 	counted   bool      // participates in blocking (was unmarked at build time)
 	marked    bool      // IS_MARKED(Oh): non-contributing, dominated at abstraction level
@@ -60,23 +62,9 @@ type cell struct {
 	watchers []*cell // pending cells whose current blocker is this cell
 }
 
-// coveredByRegion reports whether the region id covers this cell.
-func (c *cell) coveredByRegion(id int) bool {
-	lo, hi := 0, len(c.coveredBy)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.coveredBy[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(c.coveredBy) && c.coveredBy[lo] == id
-}
-
 // firstNotBelow returns the index of the first buffered tuple whose sum is
-// ≥ s — the cutoff for dominator scans (everything from here on cannot
-// dominate a tuple of sum s).
+// ≥ s — the start of the victim range for an eviction scan (everything
+// before it cannot be dominated by a tuple of sum s).
 func (c *cell) firstNotBelow(s float64) int {
 	lo, hi := 0, len(c.tuples)
 	for lo < hi {
@@ -91,8 +79,8 @@ func (c *cell) firstNotBelow(s float64) int {
 }
 
 // firstAbove returns the index of the first buffered tuple whose sum is > s
-// — the start of the victim range for an eviction scan (everything before
-// it cannot be dominated by a tuple of sum s).
+// — the cutoff for dominator scans (everything from here on cannot dominate
+// a tuple of sum s) and the stable insertion point for a tuple of sum s.
 func (c *cell) firstAbove(s float64) int {
 	lo, hi := 0, len(c.tuples)
 	for lo < hi {
@@ -135,9 +123,11 @@ func (a *vecArena) get() []float64 {
 // space is the mapped output space: the output grid, the covered cells, and
 // the bookkeeping that drives progressive result determination.
 type space struct {
-	d     int
-	g     *grid.Grid
-	cells map[int]*cell // construction-time lookup; hot paths use idx
+	d int
+	g *grid.Grid
+	// cells is the flat-id lookup of the fallback mode only (grids above
+	// denseLimit); nil otherwise — the index's dense table holds the cells.
+	cells map[int]*cell
 	// cellList is the deterministic iteration order (ascending flat index).
 	cellList []*cell
 	// idx accelerates flat-id resolution, comparable-slice enumeration and
@@ -311,8 +301,8 @@ func (s *space) dominatedWithin(p *cell, v []float64, sum float64) bool {
 // vector, adding the comparisons performed to *comps (run stats on the
 // sequencer, a task-local counter in precheck workers). The survivor
 // summary refutes whole cells in O(d); otherwise the scan walks the
-// SFS-sorted buffer up to the sum cutoff (a dominator's sum is strictly
-// smaller than the candidate's).
+// SFS-sorted buffer up to the sum cutoff (a dominator's sum is at most the
+// candidate's).
 func cellDominates(p *cell, v []float64, sum float64, comps *int) bool {
 	if len(p.tuples) == 0 {
 		return false
@@ -322,7 +312,7 @@ func cellDominates(p *cell, v []float64, sum float64, comps *int) bool {
 			return false
 		}
 	}
-	end := p.firstNotBelow(sum)
+	end := p.firstAbove(sum)
 	for j := 0; j < end; j++ {
 		*comps++
 		if preference.DominatesMin(p.tuples[j].v, v) {
@@ -344,8 +334,8 @@ func (s *space) evictDominated(p *cell, v []float64, sum float64) {
 // goroutines (committer-local counter + immediate arena recycling — with
 // partitioned commit, round survivors are referenced through the candidate
 // stream, never through these arena vectors, so no deferral is needed). Only
-// the sum-above suffix can contain victims; the kept prefix contributes to
-// the summary without dominance tests.
+// the suffix of sums not below the candidate's can contain victims; the kept
+// prefix contributes to the summary without dominance tests.
 func evictDominatedInto(p *cell, v []float64, sum float64, comps *int, free *[][]float64) {
 	if len(p.tuples) == 0 {
 		return
@@ -357,7 +347,7 @@ func evictDominatedInto(p *cell, v []float64, sum float64, comps *int, free *[][
 			return
 		}
 	}
-	start := p.firstAbove(sum)
+	start := p.firstNotBelow(sum)
 	keep := p.tuples[:start]
 	evicted := false
 	for j := start; j < len(p.tuples); j++ {

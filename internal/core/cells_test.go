@@ -12,12 +12,12 @@ func mkSpace(t *testing.T, outputCells int) (*space, *region) {
 	t.Helper()
 	left := []*inputPartition{mkPart(0, []float64{0, 0}, []float64{5, 5})}
 	right := []*inputPartition{mkPart(1, []float64{0, 0}, []float64{5, 5})}
-	regions, pruned := buildRegions(left, right, sumMaps2(), 0)
+	regions, pruned, front := buildRegions(left, right, sumMaps2(), nil)
 	if pruned != 0 || len(regions) != 1 {
 		t.Fatalf("setup: pruned=%d regions=%d", pruned, len(regions))
 	}
 	var stats smj.Stats
-	s, err := buildSpace(regions, 2, outputCells, &stats, 0)
+	s, err := buildSpace(regions, front, 2, outputCells, &stats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,20 +157,6 @@ func TestSliceBelowOrEqual(t *testing.T) {
 	for _, c := range cases {
 		if got := sliceBelowOrEqual(c.a, c.b); got != c.want {
 			t.Errorf("sliceBelowOrEqual(%v, %v) = %v", c.a, c.b, got)
-		}
-	}
-}
-
-func TestCoveredByRegion(t *testing.T) {
-	c := &cell{coveredBy: []int{2, 5, 9}}
-	for _, id := range []int{2, 5, 9} {
-		if !c.coveredByRegion(id) {
-			t.Fatalf("id %d must be covered", id)
-		}
-	}
-	for _, id := range []int{0, 3, 10} {
-		if c.coveredByRegion(id) {
-			t.Fatalf("id %d must not be covered", id)
 		}
 	}
 }

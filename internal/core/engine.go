@@ -256,7 +256,7 @@ func (e *Engine) RunContext(ctx context.Context, p *smj.Problem, sink smj.Sink) 
 	var stats smj.Stats
 	cancel := smj.NewCanceler(ctx)
 	workers, committers, speculate := e.resolveParallelism(ctx)
-	pl, err := e.prepare(cancel, p, workers, &stats)
+	pl, err := e.prepare(cancel, p, &stats)
 	if err != nil {
 		return stats, err
 	}
@@ -316,7 +316,7 @@ func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared
 		outCells = autoOutputCells(d)
 	}
 	tSpace := prof.Clock()
-	s, err := buildSpace(regions, d, outCells, &stats, workers)
+	s, err := buildSpace(regions, pl.frontier, d, outCells, &stats, workers)
 	if err != nil {
 		return stats, err
 	}
@@ -416,6 +416,16 @@ type runState struct {
 
 	mapBuf   []float64
 	roundNew [][]float64 // surviving vectors inserted by the current region
+	// live lists, ascending, the ids of the regions Line 9 may still discard;
+	// regions processed since the last sweep (flagged in processed — the
+	// sweep reads no region struct) are squeezed out as it passes them.
+	// lowers holds every region's LOWER corner (d values at id·d), lowerSums
+	// its coordinate sum, roundMin the sweep's componentwise-minimum scratch.
+	live      []int32
+	processed []bool
+	lowers    []float64
+	lowerSums []float64
+	roundMin  []float64
 	// roundSurv mirrors roundNew with the survivors' cells for the
 	// partitioned-commit path's intra-round dominance filter (and, with
 	// speculation on, the per-round delta pushed to the revalidation ring).
@@ -445,6 +455,7 @@ func (r *runState) loop() error {
 		return nil
 	}
 	r.mapBuf = make([]float64, r.d)
+	r.trackLive()
 	opts := r.engine.opts
 	prof := opts.Profiler
 
@@ -550,6 +561,7 @@ func (r *runState) rankCardinality(id int) float64 {
 // non-nil error means the run was canceled mid-region and must abort.
 func (r *runState) process(reg *region) error {
 	reg.state = regionProcessed
+	r.processed[reg.id] = true
 	r.roundNew = r.roundNew[:0]
 	r.roundSurv = r.roundSurv[:0]
 	joinedBefore := r.stats.JoinResults
@@ -581,19 +593,7 @@ func (r *runState) process(reg *region) error {
 
 	// Algorithm 1, Line 9: discard live regions now dominated by tuples
 	// generated in this round.
-	if len(r.roundNew) > 0 {
-		for _, other := range r.regions {
-			if other.state != regionLive {
-				continue
-			}
-			for _, v := range r.roundNew {
-				if preference.DominatesMin(v, other.rect.Lower) {
-					r.discard(other)
-					break
-				}
-			}
-		}
-	}
+	r.discardDominated()
 
 	// Algorithm 1, Lines 10–19: release out-edges, dirty-mark queued
 	// targets for the lazy pop-time refresh, enqueue new roots.
@@ -609,6 +609,76 @@ func (r *runState) process(reg *region) error {
 	}
 	prof.EndSequencer(obs.PhaseDetermine, tDetermine)
 	return nil
+}
+
+// trackLive sets up discardDominated's view of the regions: all live, their
+// LOWER corners and corner sums flat.
+func (r *runState) trackLive() {
+	n := len(r.regions)
+	r.roundMin = make([]float64, r.d)
+	r.live = make([]int32, n)
+	r.processed = make([]bool, n)
+	r.lowers = make([]float64, 0, n*r.d)
+	r.lowerSums = make([]float64, n)
+	for i, reg := range r.regions {
+		r.live[i] = int32(i)
+		r.lowers = append(r.lowers, reg.rect.Lower...)
+		for _, x := range reg.rect.Lower {
+			r.lowerSums[i] += x
+		}
+	}
+}
+
+// discardDominated is Algorithm 1, Line 9: every live region whose LOWER
+// corner some survivor of this round dominates is discarded, in ascending
+// region id — discard runs the determination cascade and trace events, and
+// both follow that order. Only the live list is walked, and a region is
+// refuted in O(d) where it can be: a dominator's coordinate sum is ≤ the
+// corner's (tie-inclusive, see outTuple), and it is componentwise ≤ the
+// corner only if the round's componentwise minimum is.
+func (r *runState) discardDominated() {
+	if len(r.roundNew) == 0 {
+		return
+	}
+	d := r.d
+	minV, minSum := r.roundMin, math.Inf(1)
+	copy(minV, r.roundNew[0])
+	for _, v := range r.roundNew {
+		sum := 0.0
+		for i, x := range v {
+			sum += x
+			minV[i] = min(minV[i], x)
+		}
+		minSum = min(minSum, sum)
+	}
+	keep := r.live[:0]
+	for _, id := range r.live {
+		if r.processed[id] {
+			continue
+		}
+		if r.lowerSums[id] >= minSum && r.roundDominates(r.lowers[int(id)*d:int(id)*d+d]) {
+			r.discard(r.regions[id])
+		} else {
+			keep = append(keep, id)
+		}
+	}
+	r.live = keep
+}
+
+// roundDominates reports whether a survivor of this round dominates the
+// corner, after the O(d) refutation by the round's componentwise minimum.
+func (r *runState) roundDominates(lower []float64) bool {
+	for i, m := range r.roundMin {
+		if m > lower[i] {
+			return false
+		}
+	}
+	for _, v := range r.roundNew {
+		if preference.DominatesMin(v, lower) {
+			return true
+		}
+	}
+	return false
 }
 
 // processSerial is the in-line tuple-level processing path: probe the right
@@ -876,8 +946,8 @@ func (r *runState) intraRoundDominated(c *cell, cd *cand) bool {
 	packed := s.idx.packed
 	for i := range r.roundSurv {
 		u := &r.roundSurv[i]
-		if u.sum >= cd.sum {
-			// A dominator's coordinate sum is strictly smaller.
+		if u.sum > cd.sum {
+			// A dominator's coordinate sum is never larger.
 			continue
 		}
 		if packed {

@@ -63,7 +63,7 @@ func Explain(p *smj.Problem, opts Options) (Plan, error) {
 		plan.InputCells = autoCells(left.Len(), max(1, len(cp.Maps.UsedAttrs(mapping.Left))))
 	}
 
-	regions, pruned := buildRegions(lparts, rparts, cp.Maps, opts.Workers)
+	regions, pruned, front := buildRegions(lparts, rparts, cp.Maps, nil)
 	plan.Regions = len(regions)
 	plan.RegionsPruned = pruned
 	for _, r := range regions {
@@ -76,7 +76,7 @@ func Explain(p *smj.Problem, opts Options) (Plan, error) {
 	}
 	plan.OutputCells = outCells
 	var stats smj.Stats
-	s, err := buildSpace(regions, d, outCells, &stats, opts.Workers)
+	s, err := buildSpace(regions, front, d, outCells, &stats, opts.Workers)
 	if err != nil {
 		return plan, err
 	}
@@ -138,13 +138,13 @@ func PlanBoxes(p *smj.Problem, opts Options) ([]sched.Box, []int, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	regions, _ := buildRegions(lparts, rparts, cp.Maps, opts.Workers)
+	regions, _, front := buildRegions(lparts, rparts, cp.Maps, nil)
 	outCells := opts.OutputCells
 	if outCells == 0 {
 		outCells = autoOutputCells(d)
 	}
 	var stats smj.Stats
-	s, err := buildSpace(regions, d, outCells, &stats, opts.Workers)
+	s, err := buildSpace(regions, front, d, outCells, &stats, opts.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -161,19 +161,14 @@ func PlanBoxes(p *smj.Problem, opts Options) ([]sched.Box, []int, error) {
 // PlanRects runs the look-ahead pairing of §III-A and returns every
 // candidate region's output-space enclosure BEFORE domination pruning — the
 // exact input of the region-pruning pass. Benchmarks use it to measure the
-// box-index pruning sweep against the retained O(n²) scan in isolation.
+// frontier pruning pass against the retained O(n²) scan in isolation.
 func PlanRects(p *smj.Problem, opts Options) ([]grid.Rect, error) {
 	opts = opts.withDefaults()
 	lparts, rparts, cp, _, err := planPartitions(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	all := pairRegions(lparts, rparts, cp.Maps)
-	rects := make([]grid.Rect, len(all))
-	for i, r := range all {
-		rects[i] = r.rect
-	}
-	return rects, nil
+	return regionRects(pairRegions(lparts, rparts, cp.Maps)), nil
 }
 
 // String renders the plan as a multi-line report.

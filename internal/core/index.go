@@ -8,7 +8,7 @@ import (
 
 // denseLimit caps the size of the flat-id → *cell lookup array. Grids above
 // the cap (possible only with extreme manual OutputCells choices) fall back
-// to the construction map and to whole-list scans, trading speed for memory.
+// to the space's cell map and to whole-list scans, trading speed for memory.
 // A variable (not const) so the differential tests can force the fallback
 // paths on small grids.
 var denseLimit = 1 << 21
@@ -46,7 +46,7 @@ type bucketEntry struct {
 type cellIndex struct {
 	g     *grid.Grid
 	d     int
-	all   []*cell // every covered cell (epoch-wrap stamp clearing)
+	all   []*cell // every covered cell, ascending flat id (epoch-wrap stamp clearing)
 	dense []*cell // flat id → cell; nil for uncovered cells. nil slice = fallback mode.
 	minC  []int   // componentwise min coordinate over covered cells
 	maxC  []int   // componentwise max coordinate over covered cells
@@ -60,12 +60,11 @@ type cellIndex struct {
 	epoch   int32 // visit stamp: dedups cells appearing in several buckets
 }
 
-// init sizes the index for the given grid and covered cell list (ascending
-// flat order), and assigns each cell its packed coordinate key.
-func (x *cellIndex) init(g *grid.Grid, cells []*cell) {
+// init sizes the index for the given grid; cells register through add as
+// the space creates them.
+func (x *cellIndex) init(g *grid.Grid) {
 	x.g = g
 	x.d = g.Dims()
-	x.all = cells
 	if g.NumCells() <= denseLimit {
 		x.dense = make([]*cell, g.NumCells())
 	}
@@ -83,20 +82,23 @@ func (x *cellIndex) init(g *grid.Grid, cells []*cell) {
 	for i := range x.buckets {
 		x.buckets[i] = make([][]bucketEntry, g.CellsPerDim(i))
 	}
-	for _, c := range cells {
-		if x.dense != nil {
-			x.dense[c.flat] = c
+}
+
+// add registers a newly created covered cell: its slot in the dense table,
+// its packed coordinate key, and the covered bounding box.
+func (x *cellIndex) add(c *cell) {
+	if x.dense != nil {
+		x.dense[c.flat] = c
+	}
+	if x.packed {
+		c.key = packKey(c.coords)
+	}
+	for i, v := range c.coords {
+		if v < x.minC[i] {
+			x.minC[i] = v
 		}
-		if x.packed {
-			c.key = packKey(c.coords)
-		}
-		for i, v := range c.coords {
-			if v < x.minC[i] {
-				x.minC[i] = v
-			}
-			if v > x.maxC[i] {
-				x.maxC[i] = v
-			}
+		if v > x.maxC[i] {
+			x.maxC[i] = v
 		}
 	}
 }

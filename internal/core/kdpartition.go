@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"progxe/internal/mapping"
 	"progxe/internal/relation"
@@ -69,6 +69,17 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 	for i := range idx {
 		idx[i] = i
 	}
+	// The split sorts (value, position) keys, position being the member's
+	// place in the order the previous level left: the keys are distinct, so
+	// any sort lands on the one order a stable sort by value gives — which
+	// the leaves' member order, and through it the join enumeration order of
+	// every region, is defined by.
+	type splitKey struct {
+		v   float64
+		pos int32
+		m   int32
+	}
+	keys := make([]splitKey, len(idx))
 	var leaves [][]int
 	var split func(members []int, budget int)
 	split = func(members []int, budget int) {
@@ -99,9 +110,22 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 			leaves = append(leaves, members)
 			return
 		}
-		sort.SliceStable(members, func(i, j int) bool {
-			return rel.Tuples[members[i]].Vals[bestDim] < rel.Tuples[members[j]].Vals[bestDim]
+		ks := keys[:len(members)]
+		for i, m := range members {
+			ks[i] = splitKey{v: rel.Tuples[m].Vals[bestDim], pos: int32(i), m: int32(m)}
+		}
+		slices.SortFunc(ks, func(a, b splitKey) int {
+			if a.v < b.v {
+				return -1
+			}
+			if a.v > b.v {
+				return 1
+			}
+			return int(a.pos - b.pos)
 		})
+		for i, k := range ks {
+			members[i] = int(k.m)
+		}
 		mid := len(members) / 2
 		// Never split between equal key values: move the cut to the first
 		// strictly larger value so partitions hold disjoint ranges.

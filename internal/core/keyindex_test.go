@@ -40,8 +40,10 @@ var keyShapes = []struct {
 // over random partitions — duplicate keys, one hot key holding most tuples,
 // an empty side, negative and extreme keys, disjoint key sets — probing the
 // index with the left tuples in order enumerates exactly join.Hash's (l, r)
-// sequence, and its cardinality equals join.Cardinality. Several partitions
-// are indexed in one call so the shared row backing is exercised too.
+// sequence, and the side-wide key directory assembled from the partitions'
+// indexes reads every partition's join.Cardinality off one probe per left
+// tuple. Several partitions are indexed in one call so the shared row backing
+// is exercised too.
 func TestKeyIndexEnumeratesJoinHash(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 2026))
 	tuples := func(n, side int, key func(*rand.Rand, int) int64) []relation.Tuple {
@@ -62,7 +64,10 @@ func TestKeyIndexEnumeratesJoinHash(t *testing.T) {
 				}
 			}
 			indexKeys(parts)
-			for _, p := range parts {
+			dir := newKeyDirectory(parts)
+			card := make([]int, len(parts))
+			dir.addJoinCardinalities(left, card)
+			for pi, p := range parts {
 				var want, got []join.Pair
 				join.Hash(left, p.tuples, func(l, r int) bool {
 					want = append(want, join.Pair{L: l, R: r})
@@ -76,8 +81,8 @@ func TestKeyIndexEnumeratesJoinHash(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s trial %d: index enumerates %v, join.Hash %v", shape.name, trial, got, want)
 				}
-				if card := p.keys.joinCardinality(left); card != join.Cardinality(left, p.tuples) {
-					t.Fatalf("%s trial %d: cardinality %d, join.Cardinality %d", shape.name, trial, card, join.Cardinality(left, p.tuples))
+				if want := join.Cardinality(left, p.tuples); card[pi] != want {
+					t.Fatalf("%s trial %d: directory cardinality %d, join.Cardinality %d", shape.name, trial, card[pi], want)
 				}
 				if len(p.keys.rows) != len(p.tuples) || len(p.keys.slots) > 2*len(p.tuples) {
 					t.Fatalf("%s trial %d: index of %d tuples holds %d rows, %d slots", shape.name, trial, len(p.tuples), len(p.keys.rows), len(p.keys.slots))

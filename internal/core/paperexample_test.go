@@ -42,7 +42,7 @@ func TestExample2RegionElimination(t *testing.T) {
 		mkPart(2, []float64{0, 0}, []float64{1, 1}),
 		mkPart(3, []float64{3, 3}, []float64{5, 5}),
 	}
-	regions, pruned := buildRegions(left, right, sumMaps2(), 0)
+	regions, pruned, _ := buildRegions(left, right, sumMaps2(), nil)
 	// Region (0,2) = [(0,0),(2,2)] dominates the other three pairs, whose
 	// lower corners are (3,3), (3,3) and (6,6).
 	if pruned != 3 {
@@ -69,7 +69,7 @@ func TestNoEliminationAtSharedBoundary(t *testing.T) {
 		mkPart(1, []float64{1, 1}, []float64{2, 2}),
 	}
 	right := []*inputPartition{mkPart(2, []float64{1, 1}, []float64{1, 1})}
-	regions, pruned := buildRegions(left, right, sumMaps2(), 0)
+	regions, pruned, _ := buildRegions(left, right, sumMaps2(), nil)
 	// Regions: [(1,1),(2,2)] and [(2,2),(3,3)] — upper of the first equals
 	// lower of the second.
 	if pruned != 1 || len(regions) != 1 {
@@ -95,12 +95,12 @@ func TestExample3StaticCellMarking(t *testing.T) {
 	}
 	right := []*inputPartition{mkPart(2, []float64{0, 0}, []float64{2, 2})}
 	maps := sumMaps2()
-	regions, pruned := buildRegions(left, right, maps, 0)
+	regions, pruned, front := buildRegions(left, right, maps, nil)
 	if pruned != 0 || len(regions) != 2 {
 		t.Fatalf("pruned=%d regions=%d", pruned, len(regions))
 	}
 	var stats smj.Stats
-	s, err := buildSpace(regions, 2, 6, &stats, 0)
+	s, err := buildSpace(regions, front, 2, 6, &stats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,19 +128,22 @@ func TestExample3StaticCellMarking(t *testing.T) {
 // the lower is a root (Fig. 7's shaded-root structure in miniature).
 func TestELGraphEdges(t *testing.T) {
 	left := []*inputPartition{
-		mkPart(0, []float64{0, 0}, []float64{2.5, 2.5}),
+		mkPart(0, []float64{0, 0}, []float64{2.4, 2.5}),
 		mkPart(1, []float64{2, 0}, []float64{4.5, 2.5}),
 	}
 	right := []*inputPartition{mkPart(2, []float64{0, 0}, []float64{0, 0})}
-	regions, pruned := buildRegions(left, right, sumMaps2(), 0)
+	regions, pruned, front := buildRegions(left, right, sumMaps2(), nil)
 	if pruned != 0 || len(regions) != 2 {
 		t.Fatalf("pruned=%d regions=%d", pruned, len(regions))
 	}
 	var stats smj.Stats
-	if _, err := buildSpace(regions, 2, 9, &stats, 0); err != nil {
+	if _, err := buildSpace(regions, front, 2, 9, &stats, 0); err != nil {
 		t.Fatal(err)
 	}
-	a, b := regions[0], regions[1] // a = [(0,0),(2.5,2.5)], b = [(2,0),(4.5,2.5)]
+	// a = [(0,0),(2.4,2.5)] ends inside x-cell 4 = [2, 2.5), where b =
+	// [(2,0),(4.5,2.5)] begins. (An a reaching x = 2.5 exactly would own a
+	// point of cell 5, which b's cell-4 tuples can eliminate: a mutual edge.)
+	a, b := regions[0], regions[1]
 	boxA := sched.Box{Min: a.minC, Max: a.maxC}
 	boxB := sched.Box{Min: b.minC, Max: b.maxC}
 	if !sched.Eliminates(boxA, boxB) {
@@ -165,12 +168,12 @@ func TestCompleteElimination(t *testing.T) {
 		mkPart(1, []float64{2.2, 2.2}, []float64{3, 3}),
 	}
 	right := []*inputPartition{mkPart(2, []float64{0, 0}, []float64{0.4, 0.4})}
-	regions, _ := buildRegions(left, right, sumMaps2(), 0)
+	regions, _, front := buildRegions(left, right, sumMaps2(), nil)
 	if len(regions) != 2 {
 		t.Skipf("expected 2 live regions, got %d", len(regions))
 	}
 	var stats smj.Stats
-	if _, err := buildSpace(regions, 2, 10, &stats, 0); err != nil {
+	if _, err := buildSpace(regions, front, 2, 10, &stats, 0); err != nil {
 		t.Fatal(err)
 	}
 	a, b := regions[0], regions[1]
@@ -197,12 +200,12 @@ func TestProgCountDefinition2(t *testing.T) {
 	}
 	right := []*inputPartition{mkPart(2, []float64{0, 0}, []float64{0, 0})}
 	maps := sumMaps2()
-	regions, _ := buildRegions(left, right, maps, 0)
+	regions, _, front := buildRegions(left, right, maps, nil)
 	if len(regions) != 2 {
 		t.Fatalf("regions = %d", len(regions))
 	}
 	var stats smj.Stats
-	s, err := buildSpace(regions, 2, 8, &stats, 0)
+	s, err := buildSpace(regions, front, 2, 8, &stats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +233,7 @@ func TestProgCountDefinition2(t *testing.T) {
 func liveUnmarked(s *space, r *region) []int {
 	var out []int
 	for _, flat := range r.cells {
-		c := s.cells[flat]
+		c := s.cellAt(flat)
 		if !c.marked && !c.emitted && remainingExcluding(c, r) == 0 {
 			out = append(out, flat)
 		}
@@ -246,9 +249,9 @@ func TestAnalyseRankOrdersByBenefitPerCost(t *testing.T) {
 		mkPart(1, []float64{2.5, 0}, []float64{5, 2}),
 	}
 	right := []*inputPartition{mkPart(2, []float64{0, 0}, []float64{0, 0})}
-	regions, _ := buildRegions(left, right, sumMaps2(), 0)
+	regions, _, front := buildRegions(left, right, sumMaps2(), nil)
 	var stats smj.Stats
-	s, err := buildSpace(regions, 2, 8, &stats, 0)
+	s, err := buildSpace(regions, front, 2, 8, &stats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,12 +120,12 @@ func parallelFixture(t *testing.T) (*pool, *region, *space) {
 	}
 	left := []*inputPartition{mk(0, 40)}
 	right := []*inputPartition{mk(0, 35)}
-	regions, _ := buildRegions(left, right, sumMaps2(), 0)
+	regions, _, front := buildRegions(left, right, sumMaps2(), nil)
 	if len(regions) != 1 || regions[0].joinCard == 0 {
 		t.Fatalf("fixture: regions=%d", len(regions))
 	}
 	var stats smj.Stats
-	s, err := buildSpace(regions, 2, 8, &stats, 0)
+	s, err := buildSpace(regions, front, 2, 8, &stats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,12 @@ func perfSpace(tb testing.TB, outputCells int) (*space, *region) {
 	tb.Helper()
 	left := []*inputPartition{mkPart(0, []float64{0, 0}, []float64{5, 5})}
 	right := []*inputPartition{mkPart(1, []float64{0, 0}, []float64{5, 5})}
-	regions, pruned := buildRegions(left, right, sumMaps2(), 0)
+	regions, pruned, front := buildRegions(left, right, sumMaps2(), nil)
 	if pruned != 0 || len(regions) != 1 {
 		tb.Fatalf("setup: pruned=%d regions=%d", pruned, len(regions))
 	}
 	var stats smj.Stats
-	s, err := buildSpace(regions, 2, outputCells, &stats, 0)
+	s, err := buildSpace(regions, front, 2, outputCells, &stats, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}

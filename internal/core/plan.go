@@ -32,6 +32,7 @@ type Prepared struct {
 
 	lparts, rparts []*inputPartition
 	blueprints     []regionBlueprint
+	frontier       *grid.Frontier // of the candidate regions' UPPER corners
 
 	pruned     int // regions eliminated by look-ahead pruning
 	pushPruned int // source tuples removed by partial push-through
@@ -73,7 +74,7 @@ func (pl *Prepared) Regions() (live, pruned int) { return len(pl.blueprints), pl
 // materialize clones the blueprints into fresh per-run region structs: one
 // backing allocation, live state, ids in blueprint order. Cell coverage
 // (cells/minC/maxC) is left nil for buildSpace to fill, exactly like regions
-// arriving straight from buildRegionsProf.
+// arriving straight from buildRegions.
 func (pl *Prepared) materialize() []*region {
 	backing := make([]region, len(pl.blueprints))
 	out := make([]*region, len(pl.blueprints))
@@ -96,14 +97,13 @@ func (pl *Prepared) materialize() []*region {
 // fresh profiler shows them at ~0: the whole point of caching the Plan.
 func (e *Engine) PrepareContext(ctx context.Context, p *smj.Problem) (*Prepared, error) {
 	var stats smj.Stats
-	workers, _, _ := e.resolveParallelism(ctx)
-	return e.prepare(smj.NewCanceler(ctx), p, workers, &stats)
+	return e.prepare(smj.NewCanceler(ctx), p, &stats)
 }
 
 // prepare is the plan-construction half of RunContext. Partial counters
 // (push-through pruning) land in stats even when a cancellation aborts the
 // preparation, matching the historical RunContext behavior.
-func (e *Engine) prepare(cancel *smj.Canceler, p *smj.Problem, workers int, stats *smj.Stats) (*Prepared, error) {
+func (e *Engine) prepare(cancel *smj.Canceler, p *smj.Problem, stats *smj.Stats) (*Prepared, error) {
 	prof := e.opts.Profiler
 	cp, d, err := checkProblem(p)
 	if err != nil {
@@ -135,8 +135,8 @@ func (e *Engine) prepare(cancel *smj.Canceler, p *smj.Problem, workers int, stat
 	prof.EndSequencer(obs.PhasePartition, tPartition)
 
 	// Output space look-ahead (§III-A).
-	regions, pruned := buildRegionsProf(pl.lparts, pl.rparts, cp.Maps, workers, prof)
-	pl.pruned = pruned
+	regions, pruned, front := buildRegions(pl.lparts, pl.rparts, cp.Maps, prof)
+	pl.pruned, pl.frontier = pruned, front
 	pl.blueprints = make([]regionBlueprint, len(regions))
 	for i, r := range regions {
 		pl.blueprints[i] = regionBlueprint{a: r.a, b: r.b, rect: r.rect, joinCard: r.joinCard}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
 
 	"progxe/internal/datagen"
+	"progxe/internal/grid"
 	"progxe/internal/mapping"
 	"progxe/internal/smj"
 )
@@ -19,28 +21,55 @@ type prunedRun struct {
 	stats   smj.Stats
 }
 
-func runWithPruning(t *testing.T, p *smj.Problem, opts Options, oracle bool) prunedRun {
-	t.Helper()
-	defer func(old bool) { pruneOracle = old }(pruneOracle)
-	pruneOracle = oracle
-	var rec prunedRun
-	opts.Trace = func(e Event) { rec.events = append(rec.events, e.String()) }
-	stats, err := New(opts).Run(p, smj.SinkFunc(func(r smj.Result) {
-		rec.results = append(rec.results, fmt.Sprintf("%d|%d|%v", r.LeftID, r.RightID, r.Out))
-	}))
-	if err != nil {
-		t.Fatalf("run (oracle=%v): %v", oracle, err)
+// quadraticPlan is pl with its look-ahead pruning redone by the all-pairs
+// scan: the same partitions paired again, the survivors of
+// grid.DominatedRectsQuadratic as blueprints.
+func quadraticPlan(pl *Prepared) *Prepared {
+	all := pairRegions(pl.lparts, pl.rparts, pl.problem.Maps)
+	ref := *pl
+	ref.blueprints, ref.pruned = nil, 0
+	for i, dominated := range grid.DominatedRectsQuadratic(regionRects(all), 2) {
+		if dominated {
+			ref.pruned++
+			continue
+		}
+		r := all[i]
+		ref.blueprints = append(ref.blueprints, regionBlueprint{a: r.a, b: r.b, rect: r.rect, joinCard: r.joinCard})
 	}
-	rec.stats = stats
-	return rec
+	return &ref
 }
 
-// TestPruningPathPreservesEmissionStream pins the tentpole's invariant:
-// swapping region-level domination pruning between the box-index sweep and
-// the retained O(n²) oracle changes nothing observable — kept/pruned
-// counts, the region schedule, the trace event sequence, and the emission
-// stream are byte-identical, because both paths mark the identical
-// dominated set.
+// runPrunedPlans prepares p once and runs the plan twice — as prepared
+// (frontier pruning) and with the pruning redone by the all-pairs scan.
+func runPrunedPlans(t *testing.T, p *smj.Problem, opts Options) (frontier, oracle prunedRun) {
+	t.Helper()
+	var rec *prunedRun
+	opts.Trace = func(e Event) { rec.events = append(rec.events, e.String()) }
+	e := New(opts)
+	pl, err := e.PrepareContext(context.Background(), p)
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	for _, run := range []struct {
+		rec *prunedRun
+		pl  *Prepared
+	}{{&frontier, pl}, {&oracle, quadraticPlan(pl)}} {
+		rec = run.rec
+		rec.stats, err = e.RunPlanContext(context.Background(), run.pl, smj.SinkFunc(func(r smj.Result) {
+			rec.results = append(rec.results, fmt.Sprintf("%d|%d|%v", r.LeftID, r.RightID, r.Out))
+		}))
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	}
+	return frontier, oracle
+}
+
+// TestPruningPathPreservesEmissionStream pins the pruning invariant end to
+// end: deciding region-level domination pruning by the frontier or by the
+// retained O(n²) oracle changes nothing observable — kept/pruned counts, the
+// region schedule, the trace event sequence, and the emission stream are
+// byte-identical, because both mark the identical dominated set.
 func TestPruningPathPreservesEmissionStream(t *testing.T) {
 	workloads := []struct {
 		name  string
@@ -59,10 +88,9 @@ func TestPruningPathPreservesEmissionStream(t *testing.T) {
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
 			p := smokeProblem(t, w.n, w.d, w.dist, w.sigma, w.seed)
-			indexed := runWithPruning(t, p, w.opts, false)
-			oracle := runWithPruning(t, p, w.opts, true)
+			indexed, oracle := runPrunedPlans(t, p, w.opts)
 			if indexed.stats.RegionsPruned != oracle.stats.RegionsPruned {
-				t.Fatalf("pruned counts diverge: index %d, oracle %d",
+				t.Fatalf("pruned counts diverge: frontier %d, oracle %d",
 					indexed.stats.RegionsPruned, oracle.stats.RegionsPruned)
 			}
 			if !slices.Equal(indexed.events, oracle.events) {
@@ -74,7 +102,7 @@ func TestPruningPathPreservesEmissionStream(t *testing.T) {
 					len(indexed.results), len(oracle.results))
 			}
 			if indexed.stats != oracle.stats {
-				t.Fatalf("stats diverge:\nindex  %+v\noracle %+v", indexed.stats, oracle.stats)
+				t.Fatalf("stats diverge:\nfrontier %+v\noracle   %+v", indexed.stats, oracle.stats)
 			}
 			if indexed.stats.Regions == 0 || len(indexed.results) == 0 {
 				t.Fatal("fixture produced no regions or no results; the check is vacuous")
@@ -105,12 +133,10 @@ func TestPrunedRegionSetsMatch(t *testing.T) {
 	if len(all) < 8 {
 		t.Fatalf("fixture paired only %d regions", len(all))
 	}
-	idx := prunedRegions(all, 0)
-	defer func(old bool) { pruneOracle = old }(pruneOracle)
-	pruneOracle = true
-	orc := prunedRegions(all, 2)
+	idx, _ := prunedRegions(all)
+	orc := grid.DominatedRectsQuadratic(regionRects(all), 2)
 	if !slices.Equal(idx, orc) {
-		t.Fatalf("verdicts diverge:\nindex  %v\noracle %v", idx, orc)
+		t.Fatalf("verdicts diverge:\nfrontier %v\noracle   %v", idx, orc)
 	}
 	pruned := 0
 	for _, d := range idx {

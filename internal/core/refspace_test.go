@@ -35,7 +35,6 @@ type refCell struct {
 	flat      int
 	coords    []int
 	lower     []float64
-	coveredBy []int
 	regCount  int
 	marked    bool
 	populated bool
@@ -68,13 +67,12 @@ func newRefSpace(s *space) *refSpace {
 	r := &refSpace{d: s.d, g: s.g, cells: map[int]*refCell{}}
 	for _, c := range s.cellList {
 		rc := &refCell{
-			flat:      c.flat,
-			coords:    slices.Clone(c.coords),
-			lower:     slices.Clone(c.lower),
-			coveredBy: slices.Clone(c.coveredBy),
-			regCount:  c.regCount,
-			marked:    c.marked,
-			active:    c.activeIdx >= 0,
+			flat:     c.flat,
+			coords:   slices.Clone(c.coords),
+			lower:    slices.Clone(c.lower),
+			regCount: c.regCount,
+			marked:   c.marked,
+			active:   c.activeIdx >= 0,
 		}
 		if rc.marked {
 			r.cellsMarked++
@@ -483,13 +481,13 @@ func differentialCheck(t *testing.T, p *smj.Problem, opts Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions, _ := buildRegions(lparts, rparts, cp.Maps, 0)
+	regions, _, front := buildRegions(lparts, rparts, cp.Maps, nil)
 	outCells := e.opts.OutputCells
 	if outCells == 0 {
 		outCells = autoOutputCells(d)
 	}
 	var buildStats smj.Stats
-	s, err := buildSpace(regions, d, outCells, &buildStats, 0)
+	s, err := buildSpace(regions, front, d, outCells, &buildStats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

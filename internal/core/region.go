@@ -1,16 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"progxe/internal/core/sched"
 	"progxe/internal/grid"
 	"progxe/internal/mapping"
 	"progxe/internal/obs"
 	"progxe/internal/par"
-	"progxe/internal/preference"
 	"progxe/internal/skyline"
 	"progxe/internal/smj"
 )
@@ -45,16 +45,20 @@ type region struct {
 }
 
 // pairRegions pairs the input partitions and keeps pairs that produce at
-// least one join result — read off the right partition's key index, so a
-// kept pair is guaranteed populated and carries its exact join cardinality
-// — computing their output enclosures via interval propagation: the region
-// candidates before domination pruning.
+// least one join result — read off the right side's key directory, one probe
+// per left tuple for all of its partition's pairs — so a kept pair is
+// guaranteed populated and carries its exact join cardinality. Their output
+// enclosures come from interval propagation: the region candidates before
+// domination pruning, left partition outer, right partition inner.
 func pairRegions(left, right []*inputPartition, maps *mapping.Set) []*region {
+	dir := newKeyDirectory(right)
+	card := make([]int, len(right))
 	var all []*region
 	for _, a := range left {
-		for _, b := range right {
-			card := b.keys.joinCardinality(a.tuples)
-			if card == 0 {
+		clear(card)
+		dir.addJoinCardinalities(a.tuples, card)
+		for bi, b := range right {
+			if card[bi] == 0 {
 				continue
 			}
 			all = append(all, &region{
@@ -62,7 +66,7 @@ func pairRegions(left, right []*inputPartition, maps *mapping.Set) []*region {
 				a:        a,
 				b:        b,
 				rect:     maps.MapRegion(a.rect, b.rect),
-				joinCard: card,
+				joinCard: card[bi],
 				state:    regionLive,
 			})
 		}
@@ -70,83 +74,78 @@ func pairRegions(left, right []*inputPartition, maps *mapping.Set) []*region {
 	return all
 }
 
-// pruneOracle forces region pruning through the retained all-pairs scan
-// instead of the box-index sweep; the differential tests flip it to pin
-// that both paths keep and prune identical region sets (and therefore
-// identical emission streams).
-var pruneOracle = false
-
 // prunedRegions marks every candidate region whose enclosure is dominated
 // by another candidate's enclosure: X is eliminated if some
 // guaranteed-populated region's UPPER point dominates LOWER(X) (Example 2).
 // Pruning by a region that is itself pruned stays sound: the domination
 // relation over enclosures is a strict partial order and chains down to a
-// surviving witness region. The verdicts come from the shared output-space
-// box index (grid.DominatedRects) in sub-quadratic time; the O(n²) scan is
-// retained as the differential oracle and benchmark baseline, fanned out
-// across workers. Both paths mark the same set, so the choice is invisible
-// to the engine's output.
-func prunedRegions(all []*region, workers int) []bool {
+// surviving witness region. The verdicts are read off the frontier of the
+// candidates' upper corners (grid.Frontier), which is returned with them: a
+// pruned region's upper corner is never Pareto-minimal, so the same frontier
+// serves buildSpace's static cell marking over the survivors.
+func prunedRegions(all []*region) ([]bool, *grid.Frontier) {
+	front := grid.NewFrontier(regionRects(all))
+	dominated := make([]bool, len(all))
+	for i, r := range all {
+		dominated[i] = front.Dominates(r.rect.Lower)
+	}
+	return dominated, front
+}
+
+// regionRects lists the regions' enclosures.
+func regionRects(all []*region) []grid.Rect {
 	rects := make([]grid.Rect, len(all))
 	for i, r := range all {
 		rects[i] = r.rect
 	}
-	if pruneOracle {
-		return grid.DominatedRectsQuadratic(rects, workers)
-	}
-	return grid.DominatedRects(rects)
+	return rects
 }
 
 // buildRegions pairs the input partitions into candidate regions and
 // applies region-level domination pruning (Output Space Look-Ahead step 1).
 // The returned regions are live; pruned is the count eliminated before any
-// tuple work. The verdict set is independent of the worker count.
-func buildRegions(left, right []*inputPartition, maps *mapping.Set, workers int) (regions []*region, pruned int) {
-	return buildRegionsProf(left, right, maps, workers, nil)
-}
-
-// buildRegionsProf is buildRegions with phase attribution: pairing reports
-// as region-build, domination pruning as prune. A nil profiler costs
-// nothing beyond two no-op calls.
-func buildRegionsProf(left, right []*inputPartition, maps *mapping.Set, workers int, prof *obs.Profiler) (regions []*region, pruned int) {
+// tuple work; front is the upper-corner frontier buildSpace marks cells
+// with. Pairing reports to the profiler as region-build, pruning as prune (a
+// nil profiler costs two no-op calls).
+func buildRegions(left, right []*inputPartition, maps *mapping.Set, prof *obs.Profiler) (regions []*region, pruned int, front *grid.Frontier) {
 	t0 := prof.Clock()
 	all := pairRegions(left, right, maps)
 	prof.EndSequencer(obs.PhaseRegionBuild, t0)
 	t1 := prof.Clock()
-	dominated := prunedRegions(all, workers)
+	dominated, front := prunedRegions(all)
 	prof.EndSequencer(obs.PhasePrune, t1)
-	for _, d := range dominated {
-		if d {
-			pruned++
-		}
-	}
 	for i, r := range all {
-		if !dominated[i] {
-			regions = append(regions, r)
+		if dominated[i] {
+			pruned++
+			continue
 		}
+		// Renumber the survivors for compact ids.
+		r.id = len(regions)
+		regions = append(regions, r)
 	}
-	// Renumber the survivors for compact ids.
-	for i, r := range regions {
-		r.id = i
-	}
-	return regions, pruned
+	return regions, pruned, front
 }
 
 // buildSpace lays the output grid over the union of the live regions'
 // enclosures, computes cell coverage and RegCounts, applies static cell
-// marking (Example 3), and initializes the Dom/Dependent counters. The
-// per-region coverage enumeration and the per-cell static-marking verdicts
-// fan out across workers — both write only region-local (resp. index-local)
-// state — while cell creation and the mark sweep stay serial and in
-// deterministic order, so the built space is identical for any worker
-// count.
-func buildSpace(regions []*region, d, outputCells int, stats *smj.Stats, workers int) (*space, error) {
+// marking (Example 3), and initializes the Dom/Dependent counters. A
+// region's covered cells are the full coordinate box minC..maxC, listed in
+// ascending flat order (grid.BoxCells); nothing else records coverage —
+// "does r cover c" is the box test (see remainingExcluding). Cells are
+// created straight into the index's flat-id table. Static marking asks front
+// — the frontier of the plan's candidate upper corners, which is also the
+// frontier of the live regions' — one question per cell. The per-region
+// coverage enumeration and the per-cell marking verdicts fan out across
+// workers — both write only region-local (resp. index-local) state — while
+// cell creation and the mark sweep stay serial and in deterministic order,
+// so the built space is identical for any worker count.
+func buildSpace(regions []*region, front *grid.Frontier, d, outputCells int, stats *smj.Stats, workers int) (*space, error) {
 	if len(regions) == 0 {
 		return &space{d: d, cells: map[int]*cell{}, stats: stats}, nil
 	}
-	bounds := regions[0].rect
+	bounds := grid.Rect{Lower: slices.Clone(regions[0].rect.Lower), Upper: slices.Clone(regions[0].rect.Upper)}
 	for _, r := range regions[1:] {
-		bounds = bounds.Union(r.rect)
+		bounds.Extend(r.rect)
 	}
 	gb, err := grid.NewBounds(bounds.Lower, bounds.Upper)
 	if err != nil {
@@ -156,47 +155,65 @@ func buildSpace(regions []*region, d, outputCells int, stats *smj.Stats, workers
 	if err != nil {
 		return nil, fmt.Errorf("core: output grid: %w", err)
 	}
-	s := &space{d: d, g: g, cells: make(map[int]*cell), stats: stats}
+	s := &space{d: d, g: g, stats: stats}
+	s.idx.init(g)
+	if s.idx.dense == nil {
+		s.cells = make(map[int]*cell)
+	}
 
 	// Coverage: which regions can deposit tuples into which cells. Each
-	// region's cell set and coordinate box depend only on the region, and
-	// the covered set is a full coordinate box in ascending flat order, so
-	// the box corners are the first and last flat ids.
+	// region's coordinate box and cell list depend only on the region; the
+	// boxes are sized first so that every list is carved out of one array.
+	corners := make([]int, 2*d*len(regions))
+	volume := make([]int, len(regions))
 	par.For(len(regions), workers, func(lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
-			r := regions[ri]
-			r.cells = g.CellsOverlapping(r.rect, r.cells[:0])
-			sort.Ints(r.cells)
-			r.minC = make([]int, d)
-			r.maxC = make([]int, d)
-			g.Coords(r.cells[0], r.minC)
-			g.Coords(r.cells[len(r.cells)-1], r.maxC)
+			r, at := regions[ri], 2*d*ri
+			r.minC, r.maxC = corners[at:at+d:at+d], corners[at+d:at+2*d:at+2*d]
+			volume[ri] = g.CellBox(r.rect, r.minC, r.maxC)
 		}
 	})
+	total := 0
+	for _, n := range volume {
+		total += n
+	}
+	lists := make([]int, total)
+	for ri, r := range regions {
+		r.cells, lists = lists[:0:volume[ri]], lists[volume[ri]:]
+	}
+	par.For(len(regions), workers, func(lo, hi int) {
+		for _, r := range regions[lo:hi] {
+			r.cells = g.BoxCells(r.minC, r.maxC, r.cells)
+		}
+	})
+	created := 0
 	for _, r := range regions {
 		for _, flat := range r.cells {
-			c := s.cells[flat]
+			c := s.cellAt(flat)
 			if c == nil {
-				coords := make([]int, d)
-				g.Coords(flat, coords)
-				lower := make([]float64, d)
-				g.CellLower(coords, lower)
-				c = &cell{flat: flat, coords: coords, lower: lower, activeIdx: -1}
-				s.cells[flat] = c
+				c = s.addCell(flat)
+				created++
 			}
-			c.coveredBy = append(c.coveredBy, r.id)
 			c.regCount++
 		}
 	}
-	s.cellList = make([]*cell, 0, len(s.cells))
-	for _, c := range s.cells {
-		s.cellList = append(s.cellList, c)
+	s.cellList = make([]*cell, 0, created)
+	if s.idx.dense != nil {
+		for _, c := range s.idx.dense {
+			if c != nil {
+				s.cellList = append(s.cellList, c)
+			}
+		}
+	} else {
+		for _, c := range s.cells {
+			s.cellList = append(s.cellList, c)
+		}
+		slices.SortFunc(s.cellList, func(a, b *cell) int { return cmp.Compare(a.flat, b.flat) })
 	}
-	sort.Slice(s.cellList, func(i, j int) bool { return s.cellList[i].flat < s.cellList[j].flat })
 	for i, c := range s.cellList {
 		c.seq = int32(i)
 	}
-	s.idx.init(g, s.cellList)
+	s.idx.all = s.cellList
 	s.arena.d = d
 
 	// Static marking: cells whose LOWER point is dominated by the UPPER
@@ -206,13 +223,7 @@ func buildSpace(regions []*region, d, outputCells int, stats *smj.Stats, workers
 	staticMark := make([]bool, len(s.cellList))
 	par.For(len(s.cellList), workers, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
-			c := s.cellList[ci]
-			for _, r := range regions {
-				if preference.DominatesMin(r.rect.Upper, c.lower) {
-					staticMark[ci] = true
-					break
-				}
-			}
+			staticMark[ci] = front.Dominates(s.cellList[ci].lower)
 		}
 	})
 	for ci, c := range s.cellList {
@@ -232,6 +243,21 @@ func buildSpace(regions []*region, d, outputCells int, stats *smj.Stats, workers
 		}
 	}
 	return s, nil
+}
+
+// addCell creates the covered cell with the given flat id and registers it
+// with the index.
+func (s *space) addCell(flat int) *cell {
+	coords := make([]int, s.d)
+	s.g.Coords(flat, coords)
+	lower := make([]float64, s.d)
+	s.g.CellLower(coords, lower)
+	c := &cell{flat: flat, coords: coords, lower: lower, activeIdx: -1}
+	s.idx.add(c)
+	if s.idx.dense == nil {
+		s.cells[flat] = c
+	}
+	return c
 }
 
 // buildActiveTree installs the cumulative active-cell tree behind
@@ -300,8 +326,7 @@ var fenCellLimit = 1 << 24
 func progCount(s *space, r *region) int {
 	solos := s.soloScratch[:0]
 	for _, flat := range r.cells {
-		c := s.cellAt(flat)
-		if c.activeIdx >= 0 && remainingExcluding(c, r) == 0 {
+		if c := s.cellAt(flat); c.activeIdx >= 0 && c.regCount == 1 {
 			solos = append(solos, c)
 		}
 	}
@@ -355,10 +380,10 @@ func progCount(s *space, r *region) int {
 }
 
 // remainingExcluding returns how many unprocessed regions other than r still
-// cover the cell.
+// cover the cell. r covers exactly the cells of its coordinate box.
 func remainingExcluding(c *cell, r *region) int {
 	n := c.regCount
-	if r.state == regionLive && c.coveredByRegion(r.id) {
+	if r.state == regionLive && grid.LeqAll(r.minC, c.coords) && grid.LeqAll(c.coords, r.maxC) {
 		n--
 	}
 	return n

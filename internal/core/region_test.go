@@ -56,12 +56,12 @@ func TestProgCountExactOnLargeRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions, _ := buildRegions(lparts, rparts, cp.Maps, 0)
+	regions, _, front := buildRegions(lparts, rparts, cp.Maps, nil)
 	if len(regions) < 2 {
 		t.Fatalf("fixture built only %d regions", len(regions))
 	}
 	var stats smj.Stats
-	s, err := buildSpace(regions, d, 64, &stats, 0)
+	s, err := buildSpace(regions, front, d, 64, &stats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

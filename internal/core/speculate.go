@@ -118,7 +118,7 @@ func (w *specView) cellDominates(seq int32, v []float64, sum float64, comps *int
 	}
 	for k := range vc.entries {
 		e := &vc.entries[k]
-		if e.sum >= sum {
+		if e.sum > sum {
 			continue
 		}
 		*comps++
@@ -435,7 +435,7 @@ func (sp *speculator) deltaDominated(c *cell, cd *cand, version int, comps *int)
 		}
 		for j := range d.survs {
 			u := &d.survs[j]
-			if u.sum >= cd.sum {
+			if u.sum > cd.sum {
 				continue
 			}
 			if packed {

@@ -15,38 +15,29 @@ const BoxIndexFenLimit = 1 << 21
 //
 //	x → y  iff  src(x) ≤ dst(y) componentwise,
 //
-// answered three ways: bulk per-box predecessor counts (InDegrees), forward
-// enumeration of the live successors of one box (EachOut), and backward
-// enumeration of the predecessors of one box (EachIn / InCount). Its two
-// consumers map their predicates onto that one relation:
+// answered two ways: bulk per-box predecessor counts (InDegrees) and forward
+// enumeration of the live successors of one box (EachOut). Its consumer, the
+// scheduler layer's EL-Graph (internal/core/sched), passes src = minC+1 and
+// dst = maxC, turning the strict §IV-B edge predicate minC(x) < maxC(y)
+// everywhere into the closed form above.
 //
-//   - the scheduler layer's EL-Graph (internal/core/sched) passes
-//     src = minC+1 and dst = maxC, turning the strict §IV-B edge predicate
-//     minC(x) < maxC(y) everywhere into the closed form above;
-//   - the float-rect domination index (RectIndex) passes src = upper-corner
-//     coordinate ranks and dst = lower-corner ranks, so x → y states
-//     UPPER(x) ≤ LOWER(y) everywhere — box domination up to the
-//     strict-somewhere check the caller adds.
-//
-// The machinery is the cellIndex/EL-Graph pattern: per-dimension grid
-// buckets of dst corners with the packed coordinate key inlined per entry,
-// per-dimension live-count Fenwicks so the cheapest dimension to scan is an
-// O(log k) decision, and a d-dimensional Fenwick over src corners for
-// orthant counting when the grid fits the limit. Coordinates pack into 8-bit
-// SWAR lanes when d ≤ 8: exactly when every dimension has ≤ 128 values
-// (one KeyLeq decides the comparison), and as a monotone coarse prefilter —
-// lane = value >> shift — on wider dimensions, where survivors are confirmed
-// by the coordinate-slice compare. More than 8 dimensions compares slices
-// directly.
+// The machinery is the cellIndex pattern: per-dimension grid buckets of dst
+// corners with the packed coordinate key inlined per entry and per-dimension
+// live-count Fenwicks so the cheapest dimension to scan is an O(log k)
+// decision; InDegrees counts orthants through a scratch d-dimensional
+// Fenwick over src corners when the grid fits the limit. Coordinates pack
+// into 8-bit SWAR lanes when d ≤ 8: exactly when every dimension has ≤ 128
+// values (one KeyLeq decides the comparison), and as a monotone coarse
+// prefilter — lane = value >> shift — on wider dimensions, where survivors
+// are confirmed by the coordinate-slice compare. More than 8 dimensions
+// compares slices directly.
 //
 // src coordinates may reach k[i] (the sched layer's +1 shift at the top of a
 // dimension); dst coordinates stay within [0, k[i]).
 //
 // Retire removes a box from the successor (dst) side only: EachOut stops
-// enumerating it, while InDegrees, EachIn and InCount keep counting it as a
-// predecessor. Both consumers want exactly that asymmetry — a scheduled
-// region's in-edges are never consulted again, and a dominated rect remains
-// a valid dominator for the pruning chain argument.
+// enumerating it, while InDegrees keeps counting it as a predecessor — a
+// scheduled region's in-edges are never consulted again.
 type BoxIndex struct {
 	src, dst [][]int // aliased caller corners, read-only
 	k        []int
@@ -66,15 +57,8 @@ type BoxIndex struct {
 	sufFen []*Fenwick
 	live   int32
 
-	// Backward-query state, built on first use: src corners bucketed per
-	// dimension with prefix counts, and the orthant-count Fenwick.
-	bySrc    [][][]int32
-	preSrc   [][]int32
-	srcFen   *Fenwick
-	fenTried bool // EnableInCounts already ran (nil srcFen = grid too large)
-
 	fenLimit int
-	updates  int // point updates on the src-corner Fenwick
+	updates  int // point updates on InDegrees' src-corner Fenwick
 }
 
 // boxEntry is one box in a dst bucket, carrying its packed key inline so
@@ -192,31 +176,15 @@ func (ix *BoxIndex) liveSuffix(dim, v int) int32 {
 // EachOut enumerates the live boxes y with dst(y) ≥ src(x) componentwise —
 // the successors of x — in unspecified order. x itself is enumerated when it
 // is live and satisfies the relation; callers that must not see it retire it
-// first (the scheduler) or filter it (callers whose relation excludes self).
+// first (the scheduler). The cheapest dimension by live suffix count is
+// walked upward from src(x), entries filtered by packed key and — when keys
+// are coarse — the coordinate-slice compare.
 func (ix *BoxIndex) EachOut(x int32, fn func(y int32)) {
+	q := ix.src[x]
 	var key uint64
 	if ix.keyed {
 		key = ix.sKey[x]
 	}
-	ix.eachOut(ix.src[x], key, fn)
-}
-
-// EachOutCorner enumerates the live boxes y with dst(y) ≥ q componentwise for
-// an arbitrary query corner q — the reverse-dominance query: every indexed
-// box whose target corner sits in the closed upper orthant of q. Coordinates
-// must lie in [0, k[i]] (a value of k[i] matches nothing in that dimension).
-func (ix *BoxIndex) EachOutCorner(q []int, fn func(y int32)) {
-	var key uint64
-	if ix.keyed {
-		key = ix.packKey(q)
-	}
-	ix.eachOut(q, key, fn)
-}
-
-// eachOut is the shared successor scan: the cheapest dimension by live
-// suffix count is walked upward from q, entries filtered by packed key and —
-// when keys are coarse — the coordinate-slice compare.
-func (ix *BoxIndex) eachOut(q []int, key uint64, fn func(y int32)) {
 	best, bestN := -1, int32(0)
 	for i, v := range q {
 		n := ix.liveSuffix(i, v)
@@ -258,9 +226,8 @@ func (ix *BoxIndex) eachOut(q []int, key uint64, fn func(y int32)) {
 }
 
 // Retire removes a box from the successor side: subsequent EachOut calls
-// skip it, and the live suffix counts steering the scans shrink. Counting
-// queries (InDegrees, EachIn, InCount) are unaffected. Retiring twice is a
-// no-op.
+// skip it, and the live suffix counts steering the scans shrink. InDegrees
+// is unaffected. Retiring twice is a no-op.
 func (ix *BoxIndex) Retire(id int32) {
 	removed := false
 	for i, v := range ix.dst[id] {
@@ -289,95 +256,9 @@ func (ix *BoxIndex) Retire(id int32) {
 	}
 }
 
-// ensureSrcBuckets lazily builds the backward-query side: per-dimension
-// buckets of src corners with prefix counts. src values may reach k[i], so
-// the bucket arrays carry one extra slot.
-func (ix *BoxIndex) ensureSrcBuckets() {
-	if ix.bySrc != nil {
-		return
-	}
-	ix.bySrc = make([][][]int32, ix.d)
-	ix.preSrc = make([][]int32, ix.d)
-	for i := 0; i < ix.d; i++ {
-		ix.bySrc[i] = make([][]int32, ix.k[i]+1)
-		ix.preSrc[i] = make([]int32, ix.k[i]+2)
-	}
-	for id, s := range ix.src {
-		for i, v := range s {
-			ix.bySrc[i][v] = append(ix.bySrc[i][v], int32(id))
-		}
-	}
-	for i := 0; i < ix.d; i++ {
-		for v := 0; v <= ix.k[i]; v++ {
-			ix.preSrc[i][v+1] = ix.preSrc[i][v] + int32(len(ix.bySrc[i][v]))
-		}
-	}
-}
-
-// EachIn enumerates the boxes x with src(x) ≤ dst(y) componentwise — the
-// predecessors of y, retired or not, y itself included when it satisfies the
-// relation — stopping early when fn returns false. It reports whether the
-// enumeration ran to completion.
-func (ix *BoxIndex) EachIn(y int32, fn func(x int32) bool) bool {
-	ix.ensureSrcBuckets()
-	q := ix.dst[y]
-	best, bestN := -1, int32(0)
-	for i, v := range q {
-		n := ix.preSrc[i][v+1]
-		if best < 0 || n < bestN {
-			best, bestN = i, n
-		}
-	}
-	if bestN == 0 {
-		return true
-	}
-	for v := 0; v <= q[best]; v++ {
-		for _, x := range ix.bySrc[best][v] {
-			if ix.leqSrcDst(x, y) && !fn(x) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// EachInCorner enumerates the boxes x with src(x) ≤ q componentwise for an
-// arbitrary query corner q — the forward-dominance query: every indexed box
-// whose source corner sits in the closed lower orthant of q, retired or not.
-// Coordinates must lie in [0, k[i]]. Enumeration stops early when fn returns
-// false; the return value reports whether it ran to completion.
-func (ix *BoxIndex) EachInCorner(q []int, fn func(x int32) bool) bool {
-	ix.ensureSrcBuckets()
-	best, bestN := -1, int32(0)
-	for i, v := range q {
-		n := ix.preSrc[i][v+1]
-		if best < 0 || n < bestN {
-			best, bestN = i, n
-		}
-	}
-	if bestN == 0 {
-		return true
-	}
-	for v := 0; v <= q[best]; v++ {
-		for _, x := range ix.bySrc[best][v] {
-			if LeqAll(ix.src[x], q) && !fn(x) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// EnableInCounts builds the src-corner orthant Fenwick when the grid fits
-// the limit, making InCount O(∏ log k) instead of a bucket scan. A no-op
-// after the first call, whichever way it went — a too-large grid is
-// remembered, so per-query callers don't re-pay the sizing scan (InCount
-// then reports ok = false and they enumerate instead).
-func (ix *BoxIndex) EnableInCounts() {
-	if ix.fenTried {
-		return
-	}
-	ix.fenTried = true
+// srcFenwick builds the orthant-count Fenwick over the src corners, or
+// returns nil when the grid exceeds the limit.
+func (ix *BoxIndex) srcFenwick() *Fenwick {
 	dims := make([]int, ix.d)
 	total := 1
 	for i := range dims {
@@ -389,29 +270,19 @@ func (ix *BoxIndex) EnableInCounts() {
 		}
 		dims[i] = hi + 1
 		if total > ix.fenLimit/dims[i] {
-			return
+			return nil
 		}
 		total *= dims[i]
 	}
 	fen, err := NewFenwick(dims)
 	if err != nil {
-		return
+		return nil
 	}
 	for _, s := range ix.src {
 		fen.Add(s, 1)
 	}
 	ix.updates += len(ix.src)
-	ix.srcFen = fen
-}
-
-// InCount returns the number of predecessors of y (boxes x, retired or not
-// and y itself included, with src(x) ≤ dst(y) componentwise) when the
-// orthant Fenwick is available, and ok = false otherwise.
-func (ix *BoxIndex) InCount(y int32) (n int, ok bool) {
-	if ix.srcFen == nil {
-		return 0, false
-	}
-	return ix.srcFen.Count(ix.dst[y]), true
+	return fen
 }
 
 // InDegrees returns, for every box y, its predecessor count |{x : src(x) ≤
@@ -419,28 +290,44 @@ func (ix *BoxIndex) InCount(y int32) (n int, ok bool) {
 // callers whose predicate excludes self subtract it. The query pass fans out
 // across workers (0 or 1 = serial) with no merge step, so the result is
 // identical for any worker count: the Fenwick path when the grid fits the
-// limit, the per-dimension bucket prefix scan beyond it.
+// limit, a per-dimension bucket prefix scan of the src corners beyond it.
+// Both structures are scratch and do not outlive the call.
 func (ix *BoxIndex) InDegrees(workers int) []int32 {
 	out := make([]int32, len(ix.src))
 	if len(ix.src) == 0 {
 		return out
 	}
-	ix.EnableInCounts()
-	if ix.srcFen != nil {
+	if fen := ix.srcFenwick(); fen != nil {
 		par.For(len(ix.dst), workers, func(lo, hi int) {
 			for y := lo; y < hi; y++ {
-				out[y] = int32(ix.srcFen.Count(ix.dst[y]))
+				out[y] = int32(fen.Count(ix.dst[y]))
 			}
 		})
 		return out
 	}
-	ix.ensureSrcBuckets()
+	// src values may reach k[i], so the bucket arrays carry one extra slot.
+	bySrc := make([][][]int32, ix.d)
+	preSrc := make([][]int32, ix.d)
+	for i := 0; i < ix.d; i++ {
+		bySrc[i] = make([][]int32, ix.k[i]+1)
+		preSrc[i] = make([]int32, ix.k[i]+2)
+	}
+	for id, s := range ix.src {
+		for i, v := range s {
+			bySrc[i][v] = append(bySrc[i][v], int32(id))
+		}
+	}
+	for i := 0; i < ix.d; i++ {
+		for v := 0; v <= ix.k[i]; v++ {
+			preSrc[i][v+1] = preSrc[i][v] + int32(len(bySrc[i][v]))
+		}
+	}
 	par.For(len(ix.dst), workers, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
 			q := ix.dst[y]
 			best, bestN := -1, int32(0)
 			for i, v := range q {
-				n := ix.preSrc[i][v+1]
+				n := preSrc[i][v+1]
 				if best < 0 || n < bestN {
 					best, bestN = i, n
 				}
@@ -450,7 +337,7 @@ func (ix *BoxIndex) InDegrees(workers int) []int32 {
 			}
 			n := int32(0)
 			for v := 0; v <= q[best]; v++ {
-				for _, x := range ix.bySrc[best][v] {
+				for _, x := range bySrc[best][v] {
 					if ix.leqSrcDst(x, int32(y)) {
 						n++
 					}

@@ -207,42 +207,44 @@ func (g *Grid) CellRect(flat int) Rect {
 	return r
 }
 
-// CoordRange returns the inclusive coordinate range [loC, hiC] of cells
-// overlapping interval [lo, hi] along dimension i.
+// CoordRange returns the inclusive coordinate range [loC, hiC] of the cells
+// that hold a point of the closed interval [lo, hi] along dimension i. An
+// upper endpoint exactly on a cell boundary includes the cell above it:
+// cells are half-open, so a point at hi belongs there.
 func (g *Grid) CoordRange(i int, lo, hi float64) (int, int) {
-	lc := g.Coord(i, lo)
-	// Upper endpoints that land exactly on a cell boundary belong to the
-	// lower cell (half-open cells), unless the interval is degenerate.
-	hc := g.Coord(i, hi)
-	if hi > lo {
-		boundary := g.bounds.Lo[i] + float64(hc)*g.width[i]
-		if hi == boundary && hc > lc {
-			hc--
-		}
-	}
-	return lc, hc
+	return g.Coord(i, lo), g.Coord(i, hi)
 }
 
-// CellsOverlapping appends to dst the flat indices of all cells that overlap
-// rectangle r, and returns dst. Cells touching r only at their shared
-// boundary on the upper side of r are excluded (half-open semantics).
-func (g *Grid) CellsOverlapping(r Rect, dst []int) []int {
-	d := g.Dims()
-	loC := make([]int, d)
-	hiC := make([]int, d)
-	for i := 0; i < d; i++ {
+// CellBox writes into loC and hiC the inclusive coordinate box of the cells
+// that hold a point of the closed rectangle r — CellOf of every point of r
+// lies in it — and returns the number of cells in it.
+func (g *Grid) CellBox(r Rect, loC, hiC []int) int {
+	n := 1
+	for i := range loC {
 		loC[i], hiC[i] = g.CoordRange(i, r.Lower[i], r.Upper[i])
+		n *= hiC[i] - loC[i] + 1
 	}
-	coords := slices.Clone(loC)
+	return n
+}
+
+// BoxCells appends to dst the flat indices of the cells of the inclusive
+// coordinate box loC..hiC, in ascending order, and returns dst.
+func (g *Grid) BoxCells(loC, hiC []int, dst []int) []int {
+	coords := make([]int, 0, 8)
+	coords = append(coords, loC...)
+	flat := g.Flat(coords)
 	for {
-		dst = append(dst, g.Flat(coords))
-		// Odometer increment.
-		i := d - 1
+		dst = append(dst, flat)
+		// Odometer increment, last dimension fastest: row-major order is
+		// ascending flat order.
+		i := len(coords) - 1
 		for ; i >= 0; i-- {
 			coords[i]++
+			flat += g.stride[i]
 			if coords[i] <= hiC[i] {
 				break
 			}
+			flat -= (coords[i] - loC[i]) * g.stride[i]
 			coords[i] = loC[i]
 		}
 		if i < 0 {

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -112,11 +113,21 @@ func TestCellBoundsContainPoint(t *testing.T) {
 
 func TestCoordRangeHalfOpen(t *testing.T) {
 	g := mustGrid(t, mustBounds(t, []float64{0}, []float64{10}), 5)
-	// [0, 2) is exactly cell 0; the upper endpoint on a boundary excludes
-	// the upper cell.
+	// Cells are half-open and the interval is closed: the point 2 belongs
+	// to cell 1 = [2, 4), so an upper endpoint on a boundary includes the
+	// cell above it (excluding it lost every point sitting on that corner).
 	lo, hi := g.CoordRange(0, 0, 2)
+	if lo != 0 || hi != 1 || g.Coord(0, 2) != 1 {
+		t.Fatalf("CoordRange(0,2) = [%d,%d], Coord(2) = %d", lo, hi, g.Coord(0, 2))
+	}
+	lo, hi = g.CoordRange(0, 0, 1.9)
 	if lo != 0 || hi != 0 {
-		t.Fatalf("CoordRange(0,2) = [%d,%d]", lo, hi)
+		t.Fatalf("CoordRange(0,1.9) = [%d,%d]", lo, hi)
+	}
+	// The top of the space is closed: its boundary stays in the last cell.
+	lo, hi = g.CoordRange(0, 9, 10)
+	if lo != 4 || hi != 4 {
+		t.Fatalf("CoordRange(9,10) = [%d,%d]", lo, hi)
 	}
 	lo, hi = g.CoordRange(0, 1, 5)
 	if lo != 0 || hi != 2 {
@@ -135,17 +146,25 @@ func TestCellsOverlapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := g.CellsOverlapping(r, nil)
-	// x cells 0..2, y cells 0..1 -> 6 cells.
-	if len(cells) != 6 {
-		t.Fatalf("CellsOverlapping = %d cells: %v", len(cells), cells)
+	loC, hiC := make([]int, 2), make([]int, 2)
+	n := g.CellBox(r, loC, hiC)
+	cells := g.BoxCells(loC, hiC, nil)
+	// x cells 0..2, y cells 0..1 -> 6 cells, row-major.
+	if want := []int{0, 1, 5, 6, 10, 11}; n != 6 || !slices.Equal(cells, want) {
+		t.Fatalf("CellBox = %d cells %v..%v, BoxCells = %v, want %v", n, loC, hiC, cells, want)
 	}
-	seen := map[int]bool{}
-	for _, c := range cells {
-		if seen[c] {
-			t.Fatalf("duplicate cell %d", c)
+	// Every listed cell overlaps r; no other cell does.
+	for flat := 0; flat < g.NumCells(); flat++ {
+		c := g.CellRect(flat)
+		overlaps := true
+		for i := range c.Lower {
+			if c.Upper[i] <= r.Lower[i] || c.Lower[i] >= r.Upper[i] {
+				overlaps = false
+			}
 		}
-		seen[c] = true
+		if overlaps != slices.Contains(cells, flat) {
+			t.Fatalf("cell %d %v: overlaps r = %v, listed = %v", flat, c, overlaps, !overlaps)
+		}
 	}
 }
 
@@ -224,9 +243,10 @@ func TestRect(t *testing.T) {
 	if !a.Overlaps(c) || a.Overlaps(b) {
 		t.Fatal("overlap tests wrong")
 	}
-	u := a.Union(b)
-	if u.Lower[0] != 0 || u.Upper[1] != 4 {
-		t.Fatalf("union = %s", u)
+	u, _ := NewRect(a.Lower, a.Upper)
+	u.Extend(b)
+	if u.Lower[0] != 0 || u.Upper[1] != 4 || a.Upper[1] != 2 {
+		t.Fatalf("a extended by b = %s (a = %s)", u, a)
 	}
 	if !a.UpperDominatesPoint([]float64{3, 3}) {
 		t.Fatal("upper (2,2) dominates (3,3)")

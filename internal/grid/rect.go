@@ -58,15 +58,13 @@ func (r Rect) UpperDominatesPoint(p []float64) bool {
 	return preference.DominatesMin(r.Upper, p)
 }
 
-// Union returns the smallest rectangle containing both r and other.
-func (r Rect) Union(other Rect) Rect {
-	lo := make([]float64, r.Dims())
-	hi := make([]float64, r.Dims())
-	for i := range lo {
-		lo[i] = min(r.Lower[i], other.Lower[i])
-		hi[i] = max(r.Upper[i], other.Upper[i])
+// Extend grows r in place to the smallest rectangle containing both r and
+// other. r must own its corner slices.
+func (r Rect) Extend(other Rect) {
+	for i := range r.Lower {
+		r.Lower[i] = min(r.Lower[i], other.Lower[i])
+		r.Upper[i] = max(r.Upper[i], other.Upper[i])
 	}
-	return Rect{Lower: lo, Upper: hi}
 }
 
 // Overlaps reports whether the closed boxes intersect.

@@ -38,8 +38,8 @@ const (
 	// (exact pair join cardinalities off the key index + interval
 	// propagation).
 	PhaseRegionBuild
-	// PhasePrune covers region-level domination pruning over the output-
-	// space box index.
+	// PhasePrune covers region-level domination pruning: building the
+	// upper-corner frontier and probing it once per candidate region.
 	PhasePrune
 	// PhaseSpaceBuild covers output grid construction, cell coverage,
 	// index construction, and static cell marking.
