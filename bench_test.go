@@ -164,66 +164,6 @@ func BenchmarkParallelWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCommitters sweeps the partitioned-commit fan-out behind
-// a fixed worker pool on the Fig. 11f workload. Sub-benchmarks report the
-// committer count alongside workers and gomaxprocs; committers=0 is the
-// PR-3 path (commit on the sequencer), and the emission stream is identical
-// at every count by construction.
-func BenchmarkParallelCommitters(b *testing.B) {
-	f, err := bench.FigureByID("11f")
-	if err != nil {
-		b.Fatal(err)
-	}
-	wl := f.Workload
-	wl.N = 600
-	p, err := wl.Problem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, committers := range []int{0, 1, 2, 4} {
-		b.Run(fmt.Sprintf("committers=%d", committers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := progxe.New(progxe.Options{Workers: 4, Committers: committers})
-				if _, err := e.Run(p, discard{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(committers), "committers")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-		})
-	}
-}
-
-// BenchmarkParallelSpeculate sweeps the cross-round speculation depth behind
-// a fixed w=4 c=4 pipeline on the Fig. 11f workload. speculate=0 is the PR-7
-// path (every round drains the committer logs before its phase-1 precheck);
-// positive depths overlap upcoming rounds' stale scans with those drains.
-// The emission stream is identical at every depth by construction.
-func BenchmarkParallelSpeculate(b *testing.B) {
-	f, err := bench.FigureByID("11f")
-	if err != nil {
-		b.Fatal(err)
-	}
-	wl := f.Workload
-	wl.N = 600
-	p, err := wl.Problem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, speculate := range []int{0, 1, 2, 4} {
-		b.Run(fmt.Sprintf("speculate=%d", speculate), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := progxe.New(progxe.Options{Workers: 4, Committers: 4, SpeculateRounds: speculate})
-				if _, err := e.Run(p, discard{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(speculate), "speculate")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-		})
-	}
-}
-
 // Figure 13 a–c: total execution time vs SSMJ across σ.
 func BenchmarkFig13a(b *testing.B) { benchTotalTime(b, "13a", 500) }
 func BenchmarkFig13b(b *testing.B) { benchTotalTime(b, "13b", 500) }

@@ -9,7 +9,7 @@
 //	progxe-bench -figure 11c      # one figure
 //	progxe-bench -list            # list figure ids and captions
 //	progxe-bench -series          # include full downsampled curves
-//	progxe-bench -json out.json   # machine-readable results (BENCH_*.json)
+//	progxe-bench -json out.json   # machine-readable results
 //	PROGXE_BENCH_SCALE=4 progxe-bench -figure 13c   # larger workloads
 //
 // Workload sizes default to laptop scale (the paper used N = 500K on a
@@ -37,30 +37,20 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("progxe-bench", flag.ContinueOnError)
 	var (
-		figID      = fs.String("figure", "", "run selected figures, comma-separated (e.g. 11f or 11f,13c)")
-		list       = fs.Bool("list", false, "list available figures")
-		series     = fs.Bool("series", false, "print downsampled progress curves")
-		plot       = fs.Bool("plot", false, "render progress figures as ASCII charts")
-		check      = fs.Bool("check", false, "evaluate the paper's qualitative claims against the runs")
-		csvDir     = fs.String("csv", "", "write per-figure series as CSV files into this directory")
-		jsonPath   = fs.String("json", "", "write machine-readable per-figure results (engine, total-ms, first-ms, DomComparisons) to this file")
-		workers    = fs.Int("workers", 0, "additionally run each ProgXe engine with this many parallel workers (adds \"(w=N)\" variants)")
-		committers = fs.Int("committers", 0, "additionally run each ProgXe engine with -workers workers and this many partitioned committers (adds \"(w=N c=M)\" variants; needs -workers)")
-		speculate  = fs.Int("speculate", 0, "additionally run each ProgXe engine with -workers/-committers and this speculation depth (adds \"(w=N c=M s=K)\" variants; needs -workers and -committers)")
-		baseline   = fs.String("baseline", "", "compare results against a committed BENCH_*.json and fail on ProgXe total-time regressions")
-		maxRegress = fs.Float64("max-regress", 0.2, "regression tolerance for -baseline (0.2 = fail beyond +20%)")
-		repeat     = fs.Int("repeat", 1, "run each cell this many times and keep the fastest (use ≥3 when gating with -baseline)")
-		summary    = fs.String("summary", "", "append a markdown digest (environment + w=N speedup table) to this file — point it at $GITHUB_STEP_SUMMARY in CI")
-		obsGate    = fs.Float64("obs-gate", 0, "run Fig 11f with observability fully on and fully off (interleaved, best of -repeat) and fail if on exceeds off by more than this fraction (e.g. 0.02 = 2%)")
+		figID    = fs.String("figure", "", "run selected figures, comma-separated (e.g. 11f or 11f,13c)")
+		list     = fs.Bool("list", false, "list available figures")
+		series   = fs.Bool("series", false, "print downsampled progress curves")
+		plot     = fs.Bool("plot", false, "render progress figures as ASCII charts")
+		check    = fs.Bool("check", false, "evaluate the paper's qualitative claims against the runs")
+		csvDir   = fs.String("csv", "", "write per-figure series as CSV files into this directory")
+		jsonPath = fs.String("json", "", "write machine-readable per-figure results (engine, total-ms, first-ms, DomComparisons) to this file")
+		workers  = fs.Int("workers", 0, "additionally run each ProgXe engine with this many parallel workers (adds \"(w=N)\" variants)")
+		repeat   = fs.Int("repeat", 1, "run each cell this many times and keep the fastest")
+		summary  = fs.String("summary", "", "append a markdown digest (environment + w=N speedup table) to this file — point it at $GITHUB_STEP_SUMMARY in CI")
+		obsGate  = fs.Float64("obs-gate", 0, "run Fig 11f with observability fully on and fully off (interleaved, best of -repeat) and fail if on exceeds off by more than this fraction (e.g. 0.02 = 2%)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *committers > 0 && *workers <= 0 {
-		return fmt.Errorf("-committers needs -workers (the commit stage only partitions on parallel runs)")
-	}
-	if *speculate > 0 && (*workers < 2 || *committers <= 0) {
-		return fmt.Errorf("-speculate needs -workers >= 2 and -committers (rounds only pipeline on partitioned-commit runs with a spare precheck lane)")
 	}
 
 	if *list {
@@ -91,12 +81,6 @@ func run(args []string) error {
 		}
 		if *workers > 0 {
 			f.Engines = bench.AddWorkerVariants(f.Engines, *workers)
-			if *committers > 0 {
-				f.Engines = bench.AddCommitterVariants(f.Engines, *workers, *committers)
-				if *speculate > 0 {
-					f.Engines = bench.AddSpeculateVariants(f.Engines, *workers, *committers, *speculate)
-				}
-			}
 		}
 		runs := bench.RunFigure(f, os.Stdout, *series, *repeat)
 		if *plot && f.Kind == bench.Progress {
@@ -110,7 +94,7 @@ func run(args []string) error {
 				return err
 			}
 		}
-		if *jsonPath != "" || *baseline != "" || *summary != "" {
+		if *jsonPath != "" || *summary != "" {
 			report.AddFigure(f, runs)
 		}
 	}
@@ -137,11 +121,6 @@ func run(args []string) error {
 			return fmt.Errorf("%d of %d shape checks failed", failed, len(verdicts))
 		}
 	}
-	if *baseline != "" {
-		if err := compareBaseline(*baseline, &report, *maxRegress); err != nil {
-			return err
-		}
-	}
 	if *obsGate > 0 {
 		on, off, err := bench.ObsOverhead("11f", *repeat)
 		if err != nil {
@@ -157,34 +136,6 @@ func run(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "\n%d figure(s) in %v (scale %.2g)\n",
 		len(figs), time.Since(start).Round(time.Millisecond), bench.Scale())
-	return nil
-}
-
-// compareBaseline checks the report's ProgXe totals against a committed
-// baseline (SSMJ-normalized wherever the figure carries the control run)
-// and fails on regressions beyond the tolerance.
-func compareBaseline(path string, report *bench.JSONReport, maxRegress float64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	base, err := bench.ReadJSON(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	verdicts := bench.CompareReports(base, report, maxRegress)
-	fmt.Printf("\n# trajectory vs %s (tolerance +%.0f%%)\n", path, maxRegress*100)
-	if len(verdicts) == 0 {
-		fmt.Println("no comparable cells (different scale, figures, or worker counts)")
-		return nil
-	}
-	for _, v := range verdicts {
-		fmt.Println(v)
-	}
-	if regs := bench.Regressions(verdicts); len(regs) > 0 {
-		return fmt.Errorf("%d of %d trajectory cells regressed beyond +%.0f%%", len(regs), len(verdicts), maxRegress*100)
-	}
 	return nil
 }
 

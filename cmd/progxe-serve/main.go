@@ -56,8 +56,6 @@ func run(args []string, ready chan<- string) error {
 		runTimeout = fs.Duration("run-timeout", 0, "per-run wall-clock cap (0 = default 60s, negative = unlimited)")
 		writeStall = fs.Duration("write-stall", 0, "per-record write deadline for stalled clients (0 = default 30s, negative = none)")
 		maxWorkers = fs.Int("max-workers", 0, "cap for the per-request \"workers\" knob (0 = default GOMAXPROCS, negative = disable parallel runs)")
-		maxCommit  = fs.Int("max-committers", 0, "cap for the per-request \"committers\" knob (0 = default GOMAXPROCS, negative = disable parallel commit)")
-		maxSpec    = fs.Int("max-speculate", 0, "cap for the per-request \"speculate\" knob (0 = default 8, negative = disable speculative pipelining)")
 		maxUpload  = fs.Int64("max-upload-bytes", 0, "CSV upload size cap in bytes (0 = default 64 MiB)")
 		defEngine  = fs.String("engine", "", "default engine for queries that name none (default progxe)")
 		demo       = fs.Bool("demo", false, "preload a demo workload: anti-correlated pair R, T (1000 rows, 3 dims)")
@@ -99,8 +97,6 @@ func run(args []string, ready chan<- string) error {
 		WriteStallTimeout: *writeStall,
 		MaxUploadBytes:    *maxUpload,
 		MaxRunWorkers:     *maxWorkers,
-		MaxRunCommitters:  *maxCommit,
-		MaxRunSpeculate:   *maxSpec,
 		DefaultEngine:     *defEngine,
 		Logger:            logger,
 		SlowRunThreshold:  *slowRun,

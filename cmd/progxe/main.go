@@ -50,8 +50,6 @@ func run(args []string) error {
 		inCells   = fs.Int("input-cells", 0, "input grid cells per dimension (0 = auto)")
 		outCells  = fs.Int("output-cells", 0, "output grid cells per dimension (0 = auto)")
 		workers   = fs.Int("workers", 0, "parallel region-processing workers (ProgXe engines; 0 = serial, -1 = GOMAXPROCS); results are identical at any count")
-		commit    = fs.Int("committers", 0, "output-space-partitioned commit goroutines (ProgXe engines; 0 = commit on the sequencer, -1 = GOMAXPROCS; needs -workers); results are identical at any count")
-		spec      = fs.Int("speculate", 0, "cross-round speculation depth (ProgXe engines; 0 = drain before every precheck, -1 = default depth; needs -workers >= 2 and -committers); results are identical at any depth")
 		ranker    = fs.String("ranker", "benefit-cost", "progressive scheduling ranker: benefit-cost (Eq. 8) or cardinality (skips ProgCount; ProgXe engines only)")
 		stats     = fs.Bool("stats", false, "print run statistics to stderr")
 		quiet     = fs.Bool("quiet", false, "suppress per-result output (timing only)")
@@ -120,7 +118,7 @@ func run(args []string) error {
 		tracer = core.NewTraceRecorder(prof.Epoch())
 	}
 
-	e, err := pickEngine(*engine, *inCells, *outCells, *workers, *commit, *spec, rk, *trace, prof, tracer)
+	e, err := pickEngine(*engine, *inCells, *outCells, *workers, rk, *trace, prof, tracer)
 	if err != nil {
 		return err
 	}
@@ -190,8 +188,8 @@ func loadCSV(path string) (*relation.Relation, error) {
 	return relation.ReadCSV(name, f)
 }
 
-func pickEngine(name string, inCells, outCells, workers, committers, speculate int, ranker core.RankerKind, trace bool, prof *obs.Profiler, tracer *core.TraceRecorder) (progxe.Engine, error) {
-	opts := progxe.Options{InputCells: inCells, OutputCells: outCells, Workers: workers, Committers: committers, SpeculateRounds: speculate, Ranker: ranker, Profiler: prof}
+func pickEngine(name string, inCells, outCells, workers int, ranker core.RankerKind, trace bool, prof *obs.Profiler, tracer *core.TraceRecorder) (progxe.Engine, error) {
+	opts := progxe.Options{InputCells: inCells, OutputCells: outCells, Workers: workers, Ranker: ranker, Profiler: prof}
 	switch {
 	case trace && tracer != nil:
 		opts.Trace = func(e core.Event) {

@@ -215,9 +215,8 @@ func FigureIDs() []string {
 // figures it prints each engine's summary and downsampled curve; for
 // TotalTime figures it prints one row per σ with a column per engine.
 // It returns every individual run. repeats > 1 executes each cell that
-// many times and keeps the fastest run — the noise-robust estimator the
-// trajectory comparison gates on (single-shot few-ms totals swing far
-// beyond any tolerance worth enforcing).
+// many times and keeps the fastest run — the noise-robust estimator
+// (single-shot few-ms totals swing widely).
 func RunFigure(f Figure, w io.Writer, series bool, repeats int) []RunResult {
 	fmt.Fprintf(w, "# Figure %s — %s\n", f.ID, f.Caption)
 	fmt.Fprintf(w, "# workload: %s (paper: N=500K)\n", f.Workload)

@@ -11,9 +11,7 @@ import (
 // JSONRun is one engine execution in the machine-readable report: the
 // figures' headline quantities (total and first-result latency) plus the
 // work counters that perf work tracks across PRs. Workers records the
-// parallel region-processing fan-out the run used (0 = serial), so
-// trajectory comparisons only ever match serial against serial and w=n
-// against w=n.
+// parallel region-processing fan-out the run used (0 = serial).
 type JSONRun struct {
 	Engine  string  `json:"engine"`
 	N       int     `json:"n"`
@@ -21,16 +19,8 @@ type JSONRun struct {
 	Dist    string  `json:"dist"`
 	Sigma   float64 `json:"sigma"`
 	Workers int     `json:"workers,omitempty"`
-	// Committers is the partitioned-commit fan-out the run used (0 = commit
-	// on the sequencer); like Workers it is part of the run's identity for
-	// trajectory comparisons.
-	Committers int `json:"committers,omitempty"`
-	// Speculate is the cross-round speculation depth the run used (0 =
-	// every round drains before its phase-1 precheck); part of the run's
-	// identity like Workers and Committers.
-	Speculate int     `json:"speculate,omitempty"`
-	TotalMS   float64 `json:"total_ms"`
-	FirstMS   float64 `json:"first_ms"`
+	TotalMS float64 `json:"total_ms"`
+	FirstMS float64 `json:"first_ms"`
 	// TT50MS/TT90MS are the progressiveness milestones: the time by which
 	// 50% / 90% of the final result set had been emitted.
 	TT50MS float64 `json:"tt50_ms,omitempty"`
@@ -40,25 +30,12 @@ type JSONRun struct {
 	// sequencer time spent in the serial commit+determine section.
 	SeqMS            float64 `json:"seq_ms,omitempty"`
 	WorkerMS         float64 `json:"worker_ms,omitempty"`
-	CommitterMS      float64 `json:"committer_ms,omitempty"`
 	SerialCommitFrac float64 `json:"serial_commit_frac,omitempty"`
-	// CommitWaitMS is the sequencer time spent blocked on the committer
-	// drain barrier — the stall speculative pipelining targets.
-	CommitWaitMS float64 `json:"commit_wait_ms,omitempty"`
-	// Speculation counters: rounds whose phase-1 scan was launched against
-	// a stale snapshot, rounds whose stale verdicts were consumed (the
-	// drain those rounds skipped), the delta re-checks revalidation paid,
-	// and the stale-verdict hit rate (SpecHits / SpecRounds).
-	SpecRounds      int     `json:"spec_rounds,omitempty"`
-	SpecHits        int     `json:"spec_hits,omitempty"`
-	SpecRevalChecks int     `json:"spec_reval_checks,omitempty"`
-	SpecHitRate     float64 `json:"spec_hit_rate,omitempty"`
-	Results         int     `json:"results"`
-	DomComparisons  int     `json:"dom_comparisons"`
-	JoinResults     int     `json:"join_results"`
+	Results          int     `json:"results"`
+	DomComparisons   int     `json:"dom_comparisons"`
+	JoinResults      int     `json:"join_results"`
 	// Regions records the run's output-region count (live + pruned), the
-	// scheduling load of the cell — trajectory comparisons can normalize
-	// by it when workloads are re-scaled.
+	// scheduling load of the cell.
 	Regions int `json:"regions,omitempty"`
 	// SchedEdges records the EL-Graph size the scheduler managed.
 	SchedEdges int    `json:"sched_edges,omitempty"`
@@ -85,8 +62,8 @@ type JSONFigure struct {
 }
 
 // JSONReport is the document progxe-bench -json emits: one entry per
-// executed figure, carrying enough context (workload, scale, GOMAXPROCS)
-// to compare BENCH_*.json files across revisions.
+// executed figure, with the context (workload, scale, GOMAXPROCS) it was
+// measured under.
 type JSONReport struct {
 	Scale      float64      `json:"scale"`
 	GoMaxProcs int          `json:"gomaxprocs,omitempty"`
@@ -104,8 +81,6 @@ func (r *JSONReport) AddFigure(f Figure, runs []RunResult) {
 			Dist:           run.Workload.Dist.String(),
 			Sigma:          run.Workload.Sigma,
 			Workers:        run.Workers,
-			Committers:     run.Committers,
-			Speculate:      run.Speculate,
 			TotalMS:        float64(run.Total) / float64(time.Millisecond),
 			FirstMS:        float64(run.First) / float64(time.Millisecond),
 			Results:        run.Results,
@@ -122,19 +97,7 @@ func (r *JSONReport) AddFigure(f Figure, runs []RunResult) {
 		}
 		jr.SeqMS = run.Phases.SequencerMillis
 		jr.WorkerMS = run.Phases.WorkerMillis
-		jr.CommitterMS = run.Phases.CommitterMillis
 		jr.SerialCommitFrac = run.Phases.SerialCommitFraction
-		for _, ph := range run.Phases.Phases {
-			if ph.Phase == "commit-wait" {
-				jr.CommitWaitMS = ph.SequencerMillis
-			}
-		}
-		jr.SpecRounds = run.Stats.SpecRounds
-		jr.SpecHits = run.Stats.SpecHits
-		jr.SpecRevalChecks = run.Stats.SpecRevalChecks
-		if run.Stats.SpecRounds > 0 {
-			jr.SpecHitRate = float64(run.Stats.SpecHits) / float64(run.Stats.SpecRounds)
-		}
 		if run.Err != nil {
 			jr.Error = run.Err.Error()
 		}
@@ -143,8 +106,7 @@ func (r *JSONReport) AddFigure(f Figure, runs []RunResult) {
 	r.Figures = append(r.Figures, jf)
 }
 
-// WriteJSON renders the report with stable indentation (diff-friendly for
-// committed BENCH_*.json baselines).
+// WriteJSON renders the report with stable indentation.
 func (r *JSONReport) WriteJSON(w io.Writer) error {
 	r.Scale = Scale()
 	r.GoMaxProcs = runtime.GOMAXPROCS(0)
@@ -153,8 +115,7 @@ func (r *JSONReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// ReadJSON parses a report previously written by WriteJSON (a committed
-// BENCH_*.json baseline).
+// ReadJSON parses a report previously written by WriteJSON.
 func ReadJSON(rd io.Reader) (*JSONReport, error) {
 	var r JSONReport
 	if err := json.NewDecoder(rd).Decode(&r); err != nil {

@@ -20,18 +20,12 @@ type ProgressPoint struct {
 type RunResult struct {
 	Engine   string
 	Workload Workload
-	Workers  int // parallel region-processing workers (0 = serial)
-	// Committers is the partitioned-commit fan-out (0 = commit on the
-	// sequencer).
-	Committers int
-	// Speculate is the cross-round speculation depth (0 = every round
-	// drains before its phase-1 precheck).
-	Speculate int
-	Total     time.Duration   // wall-clock to complete result set
-	First     time.Duration   // time of the first emitted result (0 if none)
-	Points    []ProgressPoint // cumulative curve, one entry per emission
-	Results   int
-	Stats     smj.Stats
+	Workers  int             // parallel region-processing workers (0 = serial)
+	Total    time.Duration   // wall-clock to complete result set
+	First    time.Duration   // time of the first emitted result (0 if none)
+	Points   []ProgressPoint // cumulative curve, one entry per emission
+	Results  int
+	Stats    smj.Stats
 	// Phases is the profiler's breakdown with serial-vs-parallel
 	// attribution (ProgXe-family engines; empty for baselines).
 	Phases obs.Report
@@ -65,7 +59,7 @@ func RunOnUnobserved(spec EngineSpec, w Workload, p *smj.Problem) RunResult {
 }
 
 func runOn(spec EngineSpec, w Workload, p *smj.Problem, observe bool) RunResult {
-	res := RunResult{Engine: spec.Name, Workload: w, Workers: spec.Workers, Committers: spec.Committers, Speculate: spec.Speculate}
+	res := RunResult{Engine: spec.Name, Workload: w, Workers: spec.Workers}
 	var prof *obs.Profiler
 	var e smj.Engine
 	if observe && spec.opts != nil {

@@ -9,16 +9,12 @@ import (
 )
 
 // WriteSummary renders a markdown digest of a JSON report: the run
-// environment and, when the report carries "(w=N)", "(w=N c=M)" and
-// "(w=N c=M s=K)" variants alongside their serial runs, the measured
-// multicore speedup per cell — the tables the CI multicore job publishes
-// into its step summary. Cells are matched by figure, workload, and base
-// engine name, with the variant dimension (workers, committers, speculation
-// depth) parsed back off the engine name; the serial run is the denominator
-// of the speedup table, the plain-parallel run the denominator of the
-// commit-parallel table, and the commit-parallel run the denominator of the
-// pipelined-rounds table, so a value above 1.00× is a win for the
-// respective stage.
+// environment and, when the report carries "(w=N)" variants alongside their
+// serial runs, the measured multicore speedup per cell — the tables the CI
+// multicore job publishes into its step summary. Cells are matched by
+// figure, workload, and base engine name, with the worker count parsed back
+// off the engine name; the serial run is the denominator, so a value above
+// 1.00× is a win for the workers stage.
 func WriteSummary(w io.Writer, r *JSONReport) {
 	scale, procs := r.Scale, r.GoMaxProcs
 	if scale == 0 {
@@ -29,20 +25,17 @@ func WriteSummary(w io.Writer, r *JSONReport) {
 	}
 	fmt.Fprintf(w, "## progxe-bench results (scale %.2g, GOMAXPROCS %d)\n\n", scale, procs)
 
-	// One arm of a cell: the measured quantities of a serial, parallel,
-	// commit-parallel, or pipelined (speculative) run.
+	// One arm of a cell: the measured quantities of a serial or parallel run.
 	type arm struct {
-		ms, tt50, tt90         float64
-		seqMS, workerMS        float64
-		committerMS, commitFrc float64
-		commitWaitMS           float64
-		specHitRate            float64
-		workers, committers    int
-		speculate, valid       int
+		ms, tt50, tt90  float64
+		seqMS, workerMS float64
+		commitFrc       float64
+		workers         int
+		valid           bool
 	}
 	type cell struct {
-		figure, engine, workload       string
-		serial, parallel, commit, spec arm
+		figure, engine, workload string
+		serial, parallel         arm
 	}
 	byKey := map[string]*cell{}
 	var order []string
@@ -51,29 +44,13 @@ func WriteSummary(w io.Writer, r *JSONReport) {
 			if run.Error != "" || run.TotalMS <= 0 {
 				continue
 			}
-			// Strip the variant suffix the derived specs append; the
-			// committer and speculation dimensions distinguish the
-			// commit-parallel and pipelined arms from the plain-parallel one.
-			var base string
-			var isParallel, isCommit, isSpec bool
-			switch {
-			case run.Speculate > 0:
-				base, isSpec = strings.CutSuffix(run.Engine, fmt.Sprintf(" (w=%d c=%d s=%d)", run.Workers, run.Committers, run.Speculate))
-				if !isSpec {
-					continue // a speculate variant under an unexpected name
-				}
-			case run.Committers > 0:
-				base, isCommit = strings.CutSuffix(run.Engine, fmt.Sprintf(" (w=%d c=%d)", run.Workers, run.Committers))
-				if !isCommit {
-					continue // a committer variant under an unexpected name
-				}
-			case run.Workers > 0:
+			// Strip the variant suffix the derived specs append.
+			base, isParallel := run.Engine, false
+			if run.Workers > 0 {
 				base, isParallel = strings.CutSuffix(run.Engine, fmt.Sprintf(" (w=%d)", run.Workers))
 				if !isParallel {
 					continue // a worker variant under an unexpected name
 				}
-			default:
-				base = run.Engine
 			}
 			key := fmt.Sprintf("%s|%s|%s|%d|%g", f.Figure, base, run.Dist, run.N, run.Sigma)
 			c := byKey[key]
@@ -84,19 +61,14 @@ func WriteSummary(w io.Writer, r *JSONReport) {
 				order = append(order, key)
 			}
 			a := &c.serial
-			if isSpec {
-				a = &c.spec
-			} else if isCommit {
-				a = &c.commit
-			} else if isParallel {
+			if isParallel {
 				a = &c.parallel
 			}
-			a.ms, a.tt50, a.tt90 = run.TotalMS, run.TT50MS, run.TT90MS
-			a.seqMS, a.workerMS = run.SeqMS, run.WorkerMS
-			a.committerMS, a.commitFrc = run.CommitterMS, run.SerialCommitFrac
-			a.commitWaitMS, a.specHitRate = run.CommitWaitMS, run.SpecHitRate
-			a.workers, a.committers = run.Workers, run.Committers
-			a.speculate, a.valid = run.Speculate, 1
+			*a = arm{
+				ms: run.TotalMS, tt50: run.TT50MS, tt90: run.TT90MS,
+				seqMS: run.SeqMS, workerMS: run.WorkerMS, commitFrc: run.SerialCommitFrac,
+				workers: run.Workers, valid: true,
+			}
 		}
 	}
 
@@ -104,7 +76,7 @@ func WriteSummary(w io.Writer, r *JSONReport) {
 	workers := 0
 	for _, key := range order {
 		c := byKey[key]
-		if c.serial.valid == 1 && c.parallel.valid == 1 {
+		if c.serial.valid && c.parallel.valid {
 			rows = append(rows, c)
 			workers = c.parallel.workers
 		}
@@ -135,8 +107,8 @@ func WriteSummary(w io.Writer, r *JSONReport) {
 
 	// Serial-vs-parallel attribution: the profiler's first-party numbers
 	// for the parallel runs, answering how much of the wall clock is the
-	// sequencer's serial commit+determine section (the parallel-commit
-	// frontier) versus work the pool already offloads.
+	// sequencer's serial commit+determine section versus work the pool
+	// already offloads.
 	var att []*cell
 	for _, c := range rows {
 		if c.parallel.seqMS > 0 {
@@ -157,76 +129,4 @@ func WriteSummary(w io.Writer, r *JSONReport) {
 		fmt.Fprintf(w, "\nserial commit+determine share of sequencer time: median %.1f%% over %d cells\n",
 			100*fracs[len(fracs)/2], len(fracs))
 	}
-
-	// Commit-parallel comparison: the (w=N c=M) arm against the plain
-	// (w=N) arm of the same cell — how much total time and serial commit
-	// share the partitioned commit stage removes from the sequencer.
-	var com []*cell
-	committers := 0
-	for _, key := range order {
-		c := byKey[key]
-		if c.parallel.valid == 1 && c.commit.valid == 1 {
-			com = append(com, c)
-			committers = c.commit.committers
-		}
-	}
-	if len(com) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\n### Partitioned commit (w=%d c=%d vs w=%d)\n\n", com[0].commit.workers, committers, workers)
-	fmt.Fprintln(w, "| Figure | Engine | Workload | parallel ms | commit-parallel ms | speedup | committer ms | serial commit share (p→c) |")
-	fmt.Fprintln(w, "|---|---|---|---:|---:|---:|---:|---:|")
-	gains := make([]float64, 0, len(com))
-	shares := make([]float64, 0, len(com))
-	for _, c := range com {
-		s := c.parallel.ms / c.commit.ms
-		gains = append(gains, s)
-		shares = append(shares, c.commit.commitFrc)
-		fmt.Fprintf(w, "| %s | %s | %s | %.1f | %.1f | %.2f× | %.1f | %.1f%%→%.1f%% |\n",
-			c.figure, c.engine, c.workload, c.parallel.ms, c.commit.ms, s,
-			c.commit.committerMS, c.parallel.commitFrc*100, c.commit.commitFrc*100)
-	}
-	sort.Float64s(gains)
-	sort.Float64s(shares)
-	fmt.Fprintf(w, "\ncommit-parallel vs parallel: median %.2f×; serial commit share after partitioning: median %.1f%% over %d cells\n",
-		gains[len(gains)/2], 100*shares[len(shares)/2], len(com))
-
-	// Pipelined rounds: the (w=N c=M s=K) arm against the (w=N c=M) arm of
-	// the same cell — how much total time and drain-barrier stall
-	// (commit-wait) speculative cross-round pipelining removes, and how
-	// often the stale verdicts actually got used.
-	var pip []*cell
-	depth := 0
-	for _, key := range order {
-		c := byKey[key]
-		if c.commit.valid == 1 && c.spec.valid == 1 {
-			pip = append(pip, c)
-			depth = c.spec.speculate
-		}
-	}
-	if len(pip) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\n### Pipelined rounds (w=%d c=%d s=%d vs s=0)\n\n", pip[0].spec.workers, pip[0].spec.committers, depth)
-	fmt.Fprintln(w, "| Figure | Engine | Workload | commit ms | pipelined ms | speedup | commit-wait ms (off→on) | spec hit rate |")
-	fmt.Fprintln(w, "|---|---|---|---:|---:|---:|---:|---:|")
-	pgains := make([]float64, 0, len(pip))
-	waits := make([]float64, 0, len(pip))
-	for _, c := range pip {
-		s := c.commit.ms / c.spec.ms
-		pgains = append(pgains, s)
-		if c.commit.commitWaitMS > 0 {
-			waits = append(waits, 1-c.spec.commitWaitMS/c.commit.commitWaitMS)
-		}
-		fmt.Fprintf(w, "| %s | %s | %s | %.1f | %.1f | %.2f× | %.1f→%.1f | %.0f%% |\n",
-			c.figure, c.engine, c.workload, c.commit.ms, c.spec.ms, s,
-			c.commit.commitWaitMS, c.spec.commitWaitMS, c.spec.specHitRate*100)
-	}
-	sort.Float64s(pgains)
-	fmt.Fprintf(w, "\npipelined vs commit-parallel: median %.2f×", pgains[len(pgains)/2])
-	if len(waits) > 0 {
-		sort.Float64s(waits)
-		fmt.Fprintf(w, "; commit-wait stall cut: median %.0f%%", 100*waits[len(waits)/2])
-	}
-	fmt.Fprintf(w, " over %d cells\n", len(pip))
 }

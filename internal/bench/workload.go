@@ -65,24 +65,20 @@ func (w Workload) Problem() (*smj.Problem, error) {
 // so worker-count variants can be derived (see WithWorkers); Workers
 // records the parallelism the spec runs with, for benchmark reports.
 type EngineSpec struct {
-	Name       string
-	New        func() smj.Engine
-	Workers    int
-	Committers int
-	Speculate  int
-	opts       *core.Options // nil for baselines without a parallel path
+	Name    string
+	New     func() smj.Engine
+	Workers int
+	opts    *core.Options // nil for baselines without a parallel path
 }
 
 // progxeSpec builds a ProgXe-family spec from core options.
 func progxeSpec(name string, opts core.Options) EngineSpec {
 	o := opts
 	return EngineSpec{
-		Name:       name,
-		New:        func() smj.Engine { return core.New(o) },
-		Workers:    o.Workers,
-		Committers: o.Committers,
-		Speculate:  o.SpeculateRounds,
-		opts:       &o,
+		Name:    name,
+		New:     func() smj.Engine { return core.New(o) },
+		Workers: o.Workers,
+		opts:    &o,
 	}
 }
 
@@ -109,69 +105,6 @@ func AddWorkerVariants(specs []EngineSpec, n int) []EngineSpec {
 	return out
 }
 
-// WithCommitters derives a partitioned-commit variant of a ProgXe-family
-// spec running with w workers and c committers, reporting false for engines
-// without a parallel path (the commit stage only partitions on parallel
-// runs, so both counts must be positive).
-func (s EngineSpec) WithCommitters(w, c int) (EngineSpec, bool) {
-	if s.opts == nil || w <= 0 || c <= 0 {
-		return s, false
-	}
-	o := *s.opts
-	o.Workers, o.Committers = w, c
-	return progxeSpec(fmt.Sprintf("%s (w=%d c=%d)", s.Name, w, c), o), true
-}
-
-// AddCommitterVariants appends a (w=w c=c) variant for every serial
-// ProgXe-family spec in the list. Applied after AddWorkerVariants it skips
-// the derived (w=n) variants — every base engine gains exactly one
-// partitioned-commit arm, so summaries can pair serial, parallel, and
-// commit-parallel runs of the same engine.
-func AddCommitterVariants(specs []EngineSpec, w, c int) []EngineSpec {
-	out := append([]EngineSpec(nil), specs...)
-	for _, s := range specs {
-		if s.Workers != 0 || s.Committers != 0 {
-			continue
-		}
-		if v, ok := s.WithCommitters(w, c); ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// WithSpeculate derives a speculative-pipelining variant of a ProgXe-family
-// spec running with w workers, c committers and speculation depth n,
-// reporting false for engines without a parallel path (speculation only
-// takes effect on partitioned-commit runs with a spare precheck lane, so
-// w must be ≥ 2 and the other counts positive).
-func (s EngineSpec) WithSpeculate(w, c, n int) (EngineSpec, bool) {
-	if s.opts == nil || w < 2 || c <= 0 || n <= 0 {
-		return s, false
-	}
-	o := *s.opts
-	o.Workers, o.Committers, o.SpeculateRounds = w, c, n
-	return progxeSpec(fmt.Sprintf("%s (w=%d c=%d s=%d)", s.Name, w, c, n), o), true
-}
-
-// AddSpeculateVariants appends a (w=w c=c s=n) variant for every serial
-// ProgXe-family spec in the list. Like AddCommitterVariants it skips already
-// derived variants, so applied after the other two every base engine gains
-// exactly one speculative arm and summaries can pair the partitioned-commit
-// and pipelined runs of the same engine.
-func AddSpeculateVariants(specs []EngineSpec, w, c, n int) []EngineSpec {
-	out := append([]EngineSpec(nil), specs...)
-	for _, s := range specs {
-		if s.Workers != 0 || s.Committers != 0 || s.Speculate != 0 {
-			continue
-		}
-		if v, ok := s.WithSpeculate(w, c, n); ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // ProgXeEngines returns the four framework variants compared in §VI-B
 // (Fig. 10): ProgXe, ProgXe+, and both with random ordering.
 func ProgXeEngines() []EngineSpec {
@@ -184,9 +117,7 @@ func ProgXeEngines() []EngineSpec {
 }
 
 // ComparisonEngines returns the engines of the state-of-the-art comparison
-// (§VI-C, Figs. 11–13): ProgXe, ProgXe+ and SSMJ. SSMJ doubles as the
-// machine-speed control for cross-revision trajectory comparisons (see
-// CompareReports).
+// (§VI-C, Figs. 11–13): ProgXe, ProgXe+ and SSMJ.
 func ComparisonEngines() []EngineSpec {
 	return []EngineSpec{
 		progxeSpec("ProgXe", core.Options{}),

@@ -159,10 +159,6 @@ type space struct {
 	traceEmit func(c *cell, n int)
 	// prof receives per-cell emission spans (nil-safe; set by the engine).
 	prof *obs.Profiler
-	// cpool, when non-nil, is the partitioned committer pool: cell buffers
-	// and survivor summaries are committer-owned, and the determination
-	// cascade reads them only through the pool's emission handshake.
-	cpool *commitPool
 }
 
 // cellAt returns the covered cell with the given flat index, or nil.
@@ -171,6 +167,15 @@ func (s *space) cellAt(flat int) *cell {
 		return s.idx.dense[flat]
 	}
 	return s.cells[flat]
+}
+
+// dims lists the output grid's per-dimension cell counts.
+func (s *space) dims() []int {
+	dims := make([]int, s.d)
+	for i := range dims {
+		dims[i] = s.g.CellsPerDim(i)
+	}
+	return dims
 }
 
 // flushFree recycles the vectors retired during the last region round.
@@ -323,20 +328,11 @@ func cellDominates(p *cell, v []float64, sum float64, comps *int) bool {
 }
 
 // evictDominated removes every survivor of p dominated by the candidate
-// vector, keeping the buffer sorted and the survivor summary exact.
+// vector, keeping the buffer sorted and the survivor summary exact. Evicted
+// vectors go to pendingFree (see space). Only the suffix of sums not below the
+// candidate's can contain victims; the kept prefix contributes to the summary
+// without dominance tests.
 func (s *space) evictDominated(p *cell, v []float64, sum float64) {
-	evictDominatedInto(p, v, sum, &s.stats.DomComparisons, &s.pendingFree)
-}
-
-// evictDominatedInto is evictDominated parameterized over the comparison
-// counter and the free list receiving evicted vectors, so the same scan runs
-// on the sequencer (run stats + deferred pendingFree) and on committer
-// goroutines (committer-local counter + immediate arena recycling — with
-// partitioned commit, round survivors are referenced through the candidate
-// stream, never through these arena vectors, so no deferral is needed). Only
-// the suffix of sums not below the candidate's can contain victims; the kept
-// prefix contributes to the summary without dominance tests.
-func evictDominatedInto(p *cell, v []float64, sum float64, comps *int, free *[][]float64) {
 	if len(p.tuples) == 0 {
 		return
 	}
@@ -352,10 +348,10 @@ func evictDominatedInto(p *cell, v []float64, sum float64, comps *int, free *[][
 	evicted := false
 	for j := start; j < len(p.tuples); j++ {
 		u := p.tuples[j]
-		*comps++
+		s.stats.DomComparisons++
 		if preference.DominatesMin(v, u.v) {
 			evicted = true
-			*free = append(*free, u.v)
+			s.pendingFree = append(s.pendingFree, u.v)
 			continue
 		}
 		keep = append(keep, u)
@@ -376,15 +372,9 @@ func evictDominatedInto(p *cell, v []float64, sum float64, comps *int, free *[][
 // bufferInsert places t into the cell's buffer keeping SFS order (stable on
 // equal sums) and widens the survivor summary.
 func (s *space) bufferInsert(c *cell, t outTuple) {
-	bufferInsertD(c, t, s.d)
-}
-
-// bufferInsertD is bufferInsert without the space receiver, shared with the
-// committer goroutines (which own their partition's cell buffers outright).
-func bufferInsertD(c *cell, t outTuple, d int) {
 	if c.minV == nil {
-		buf := make([]float64, 2*d)
-		c.minV, c.maxV = buf[:d:d], buf[d:]
+		buf := make([]float64, 2*s.d)
+		c.minV, c.maxV = buf[:s.d:s.d], buf[s.d:]
 	}
 	if len(c.tuples) == 0 {
 		copy(c.minV, t.v)
@@ -510,10 +500,6 @@ func (s *space) deactivate(c *cell) {
 // remain in its closed lower orthant. If a blocker exists the candidate
 // watches it and is reconsidered when the blocker finalizes.
 func (s *space) consider(c *cell) {
-	if s.cpool != nil {
-		s.considerCommitted(c)
-		return
-	}
 	if c.emitted || c.marked || !c.finalized || len(c.tuples) == 0 {
 		return
 	}
@@ -533,38 +519,6 @@ func (s *space) consider(c *cell) {
 	s.stats.ResultCount += len(c.tuples)
 	if s.traceEmit != nil {
 		s.traceEmit(c, len(c.tuples))
-	}
-}
-
-// considerCommitted is the partitioned-commit twin of consider. The cascade
-// cannot read len(c.tuples) — buffers belong to the owning committer — so
-// populated stands in: a populated cell whose survivors were all evicted
-// passes the guard, drains to an empty emission record through the
-// completion queue, and reports nothing, exactly like the serial engine's
-// silent skip (no trace event, no ResultCount, and the watcher registration
-// it may take first resolves to the same nothing). Every observable effect
-// is therefore identical to the serial cascade.
-func (s *space) considerCommitted(c *cell) {
-	if c.emitted || c.marked || !c.finalized || !c.populated {
-		return
-	}
-	if b := s.findBlocker(c); b != nil {
-		b.watchers = append(b.watchers, c)
-		return
-	}
-	c.emitted = true
-	tuples := s.cpool.emitCell(c, s.prof)
-	if len(tuples) == 0 {
-		return
-	}
-	tEmit := s.prof.Clock()
-	for _, t := range tuples {
-		s.emit(t)
-	}
-	s.prof.EndSequencer(obs.PhaseEmit, tEmit)
-	s.stats.ResultCount += len(tuples)
-	if s.traceEmit != nil {
-		s.traceEmit(c, len(tuples))
 	}
 }
 

@@ -1,9 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"progxe/internal/baseline"
+	"progxe/internal/datagen"
+	"progxe/internal/grid"
 	"progxe/internal/mapping"
 	"progxe/internal/preference"
 	"progxe/internal/relation"
@@ -220,5 +226,45 @@ func TestAutoCells(t *testing.T) {
 	}
 	if autoOutputCells(2) != 64 || autoOutputCells(4) != 8 || autoOutputCells(5) != 5 {
 		t.Fatalf("auto output cells: %d %d %d", autoOutputCells(2), autoOutputCells(4), autoOutputCells(5))
+	}
+}
+
+// TestUncoveredJoinRowFailsRun truncates every region's enclosure to a point
+// on one of the output space's two extreme corners, so the regions' cell
+// covers no longer contain the cells their join rows map to. Such a row
+// cannot be placed; the run must fail instead of returning a short skyline.
+func TestUncoveredJoinRowFailsRun(t *testing.T) {
+	p := smokeProblem(t, 400, 2, datagen.Independent, 0.05, 5)
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := New(Options{InputCells: 2, Workers: workers})
+			pl, err := e.PrepareContext(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pl.blueprints) < 2 {
+				t.Fatalf("plan has %d regions, want several", len(pl.blueprints))
+			}
+			lo := slices.Clone(pl.blueprints[0].rect.Lower)
+			hi := slices.Clone(pl.blueprints[0].rect.Upper)
+			for _, bp := range pl.blueprints {
+				for i := range lo {
+					lo[i] = min(lo[i], bp.rect.Lower[i])
+					hi[i] = max(hi[i], bp.rect.Upper[i])
+				}
+			}
+			for i := range pl.blueprints {
+				corner := lo
+				if i%2 == 1 {
+					corner = hi
+				}
+				pl.blueprints[i].rect = grid.Rect{Lower: corner, Upper: corner}
+			}
+			var sink smj.Collector
+			_, err = e.RunPlanContext(context.Background(), pl, &sink)
+			if err == nil || !strings.Contains(err.Error(), "invariant violation") {
+				t.Fatalf("run over truncated cell covers returned %d results, err = %v; want an invariant violation", len(sink.Results), err)
+			}
+		})
 	}
 }

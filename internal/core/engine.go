@@ -8,7 +8,6 @@ import (
 	"runtime"
 
 	"progxe/internal/core/sched"
-	"progxe/internal/grid"
 	"progxe/internal/mapping"
 	"progxe/internal/obs"
 	"progxe/internal/preference"
@@ -129,32 +128,9 @@ type Options struct {
 	// smj.WithParallelism request on the RunContext context overrides this
 	// per run.
 	Workers int
-	// Committers enables the partitioned commit stage on top of parallel
-	// region processing: n ≥ 1 runs n committer goroutines, each owning a
-	// static partition of the output cell grid and applying the sequencer's
-	// per-cell operation logs (phase-2 evictions, buffer insertion, marks,
-	// emission snapshots), while the sequencer routes verdicts and drains a
-	// bounded completion queue. 0 (the default) keeps the commit protocol
-	// on the sequencer; negative picks GOMAXPROCS. Ignored unless Workers
-	// resolves to ≥ 1. Like Workers, any value yields a byte-identical
-	// result stream. A smj.WithCommitters request on the RunContext context
-	// overrides this per run.
+	// Committers is inert (no code reads it); the next [benchmark] PR drops it with core.par.total_ms.wc.
 	Committers int
-	// SpeculateRounds enables speculative cross-round pipelining on top of
-	// the partitioned commit stage: up to n upcoming rounds may run their
-	// phase-1 dominance scans against a stale append-only survivor view
-	// while the current round's committer logs drain; stale rejections are
-	// final by dominance transitivity, stale survivors are revalidated
-	// against only the per-round survivor deltas, and rounds whose stale
-	// verdicts get used skip the drain barrier entirely. 0 (the default)
-	// disables speculation; negative picks the default depth of 2; values
-	// are clamped to 8. Ignored unless Workers resolves to ≥ 2 (scans share
-	// the precheck lanes, so a spare lane must exist for the overlap to
-	// ever pay off) and Committers to ≥ 1. Like Workers, any value yields
-	// a byte-identical result
-	// stream (the scheduling-dependent SpecRounds/SpecHits/SpecRevalChecks
-	// counters excepted, like DomComparisons). A smj.WithSpeculate request
-	// on the RunContext context overrides this per run.
+	// SpeculateRounds is inert (no code reads it); the next [benchmark] PR drops it with core.par.total_ms.wcs.
 	SpeculateRounds int
 	// Trace, when non-nil, receives an Event for every region selection,
 	// region completion, region discard, and cell emission. Intended for
@@ -200,6 +176,14 @@ type Engine struct {
 // New returns a ProgXe engine with the given options.
 func New(opts Options) *Engine {
 	return &Engine{opts: opts.withDefaults()}
+}
+
+// outputCells resolves the output grid resolution k for d output dimensions.
+func (e *Engine) outputCells(d int) int {
+	if e.opts.OutputCells != 0 {
+		return e.opts.OutputCells
+	}
+	return autoOutputCells(d)
 }
 
 // Name identifies the configured variant using the paper's naming.
@@ -255,47 +239,24 @@ var _ smj.ContextEngine = (*Engine)(nil)
 func (e *Engine) RunContext(ctx context.Context, p *smj.Problem, sink smj.Sink) (smj.Stats, error) {
 	var stats smj.Stats
 	cancel := smj.NewCanceler(ctx)
-	workers, committers, speculate := e.resolveParallelism(ctx)
 	pl, err := e.prepare(cancel, p, &stats)
 	if err != nil {
 		return stats, err
 	}
-	return e.runPlan(ctx, cancel, pl, sink, workers, committers, speculate)
+	return e.runPlan(ctx, cancel, pl, sink, e.resolveParallelism(ctx))
 }
 
-// resolveParallelism resolves the run's worker, committer and speculation
-// counts from the engine options and their per-run context overrides.
-func (e *Engine) resolveParallelism(ctx context.Context) (workers, committers, speculate int) {
-	workers = e.opts.Workers
+// resolveParallelism resolves the run's worker count from the engine options
+// and the per-run context override.
+func (e *Engine) resolveParallelism(ctx context.Context) int {
+	workers := e.opts.Workers
 	if n, ok := smj.ParallelismFrom(ctx); ok {
 		workers = n
 	}
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	committers = e.opts.Committers
-	if n, ok := smj.CommittersFrom(ctx); ok {
-		committers = n
-	}
-	if committers < 0 {
-		committers = runtime.GOMAXPROCS(0)
-	}
-	speculate = e.opts.SpeculateRounds
-	if n, ok := smj.SpeculateFrom(ctx); ok {
-		speculate = n
-	}
-	if speculate < 0 {
-		speculate = 2
-	}
-	if speculate > 0 && workers < 2 {
-		// Speculative scans share the precheck lanes. With a single worker
-		// every scan queues behind that worker's prefetch jobs, so the
-		// sequencer's per-round fence stalls for the length of whatever job
-		// is in flight — a pathological slowdown instead of an overlap.
-		// Speculation needs a spare lane to ever pay off.
-		speculate = 0
-	}
-	return workers, committers, speculate
+	return workers
 }
 
 // runPlan is the tuple-processing half of RunContext: it materializes fresh
@@ -303,7 +264,7 @@ func (e *Engine) resolveParallelism(ctx context.Context) (workers, committers, s
 // framework loop. All observable behavior — emissions, trace events,
 // counters — is identical whether the plan was prepared moments ago by
 // RunContext or served from a cache.
-func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared, sink smj.Sink, workers, committers, speculate int) (smj.Stats, error) {
+func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared, sink smj.Sink, workers int) (smj.Stats, error) {
 	var stats smj.Stats
 	prof := e.opts.Profiler
 	cp, d := pl.problem, pl.d
@@ -311,10 +272,7 @@ func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared
 	stats.PushPruned = pl.pushPruned
 	stats.Regions = len(regions) + pl.pruned
 	stats.RegionsPruned = pl.pruned
-	outCells := e.opts.OutputCells
-	if outCells == 0 {
-		outCells = autoOutputCells(d)
-	}
+	outCells := e.outputCells(d)
 	tSpace := prof.Clock()
 	s, err := buildSpace(regions, pl.frontier, d, outCells, &stats, workers)
 	if err != nil {
@@ -355,39 +313,22 @@ func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared
 		cancel:   cancel,
 	}
 	if workers > 0 && len(regions) > 0 {
-		slack := 0
-		if committers > 0 && speculate > 0 {
-			slack = specPendingMax
-		}
-		run.pool = newPool(ctx, workers, s, regions, cp.Maps, slack)
+		run.pool = newPool(ctx, workers, s, regions, cp.Maps)
 		run.pool.prof = prof
 		defer run.pool.stop()
-		if committers > 0 {
-			prof.SetCommitterLaneBase(2*workers + 1)
-			run.cpool = newCommitPool(committers, d, prof, 2*workers+1)
-			s.cpool = run.cpool
-			run.cpool.start()
-			defer run.cpool.shutdown()
-			if speculate > 0 {
-				run.spec = newSpeculator(speculate, s, run.pool, &stats)
-			}
-		}
 	}
 	if e.opts.Trace != nil {
 		s.traceEmit = func(c *cell, n int) {
 			run.emitTrace(Event{Kind: EventCellEmitted, Cell: c.flat, Survivors: n})
 		}
 	}
-	err = run.loop()
-	if run.cpool != nil {
-		// Shut the committers down before stats are read (and before the
-		// completeness check below reads buffer state): the explicit call
-		// folds their dominance-comparison counters deterministically; the
-		// deferred call above then no-ops.
-		stats.DomComparisons += run.cpool.shutdown()
-	}
-	if err != nil {
+	if err := run.loop(); err != nil {
 		return stats, err
+	}
+	// A region's cell cover contains the cell of every row it joins; a row
+	// outside it was dropped, so the stream is short.
+	if run.uncovered > 0 {
+		return stats, fmt.Errorf("core: %d join results mapped outside their region's cell cover (invariant violation)", run.uncovered)
 	}
 
 	// Completeness check: with all regions resolved, every unmarked
@@ -410,9 +351,7 @@ type runState struct {
 
 	sched  sched.Scheduler
 	cancel *smj.Canceler
-	pool   *pool       // non-nil when parallel region processing is enabled
-	cpool  *commitPool // non-nil when partitioned committers are enabled
-	spec   *speculator // non-nil when cross-round speculation is enabled
+	pool   *pool // non-nil when parallel region processing is enabled
 
 	mapBuf   []float64
 	roundNew [][]float64 // surviving vectors inserted by the current region
@@ -426,24 +365,9 @@ type runState struct {
 	lowers    []float64
 	lowerSums []float64
 	roundMin  []float64
-	// roundSurv mirrors roundNew with the survivors' cells for the
-	// partitioned-commit path's intra-round dominance filter (and, with
-	// speculation on, the per-round delta pushed to the revalidation ring).
-	roundSurv []roundSurv
-	// pendingFinish queues committed regions whose candidate buffers are
-	// still referenced by in-flight operation logs; they are released at
-	// the next drain barrier. Without speculation at most one region is
-	// pending (every round drains); with drains skipped the queue grows to
-	// specPendingMax before a drain is forced.
-	pendingFinish []*region
-}
-
-// roundSurv is one current-round survivor: its vector (candidate-stream
-// backed), coordinate sum, and target cell.
-type roundSurv struct {
-	v   []float64
-	sum float64
-	c   *cell
+	// uncovered counts join results whose output cell no region covers — an
+	// invariant violation that fails the run (see runPlan).
+	uncovered int
 }
 
 // loop repeats pick → tuple-level processing → progressive determination
@@ -473,17 +397,13 @@ func (r *runState) loop() error {
 		r.sched = sched.NewFixed(len(r.regions), nil)
 	default:
 		r.space.fenEligible = r.space.g.NumCells() <= fenCellLimit
-		dims := make([]int, r.d)
-		for i := range dims {
-			dims[i] = r.space.g.CellsPerDim(i)
-		}
 		// The ranker handed to the scheduler is the engine's only influence
 		// on ProgOrder's decisions — swapping it proves the layer pluggable.
 		ranker := sched.Ranker(r.rankRegion)
 		if opts.Ranker == RankCardinality && opts.Ordering == OrderProgressive {
 			ranker = r.rankCardinality
 		}
-		r.sched = sched.NewProgressive(schedBoxes(r.regions), dims, ranker, r.workers())
+		r.sched = sched.NewProgressive(schedBoxes(r.regions), r.space.dims(), ranker, r.workers())
 	}
 	// Construction-time counters land in the stats immediately, and the
 	// running refresh tally is folded in on every exit path, so canceled
@@ -563,15 +483,11 @@ func (r *runState) process(reg *region) error {
 	reg.state = regionProcessed
 	r.processed[reg.id] = true
 	r.roundNew = r.roundNew[:0]
-	r.roundSurv = r.roundSurv[:0]
 	joinedBefore := r.stats.JoinResults
 
-	switch {
-	case r.cpool != nil:
-		r.processCommitted(reg)
-	case r.pool != nil:
+	if r.pool != nil {
 		r.processPooled(reg)
-	default:
+	} else {
 		r.processSerial(reg)
 	}
 
@@ -601,12 +517,6 @@ func (r *runState) process(reg *region) error {
 
 	// roundNew is consumed; vectors evicted this round can now be recycled.
 	r.space.flushFree()
-	if r.cpool != nil {
-		// Completion-queue waits inside the cascade were already attributed
-		// to PhaseCommitWait; shift the span start so the determine total
-		// excludes them.
-		tDetermine += r.cpool.takeEmitWait()
-	}
 	prof.EndSequencer(obs.PhaseDetermine, tDetermine)
 	return nil
 }
@@ -705,7 +615,7 @@ probe:
 			v := maps.Map(l.Vals, t.Vals, r.mapBuf)
 			c := s.cellAt(s.g.CellOf(v))
 			if c == nil {
-				// Cannot happen: the region's enclosure covers this cell.
+				r.uncovered++
 				continue
 			}
 			if cv, ok := s.insert(c, l.ID, t.ID, v); ok {
@@ -747,6 +657,7 @@ func (r *runState) processPooled(reg *region) {
 		cd := &cands[k]
 		c := r.space.cellAt(cd.flat)
 		if c == nil {
+			r.uncovered++
 			continue
 		}
 		if rejected != nil {
@@ -769,284 +680,6 @@ func (r *runState) processPooled(reg *region) {
 	r.pool.finish(reg)
 }
 
-// processCommitted is the partitioned-commit path (see commit.go): the
-// sequencer decides every verdict against sequencer-owned state in the
-// canonical stream order, appends the effects as per-cell operations to the
-// committer logs, and defers all buffer mutation to the owning committers.
-//
-// Per round: (1) drain barrier — committers finish the previous rounds'
-// logs, freezing phase-1 state (and releasing the pending candidate
-// buffers, whose vectors the logs referenced); (2) phase-1 verdicts for
-// every candidate against that frozen space — fanned to the precheck
-// workers for large rounds, computed inline otherwise, but always for the
-// whole round before any op is appended; (3) the verdict/routing pass: a
-// candidate survives iff its cell is unmarked (marks from this very round
-// included, exactly like the serial engine's commit-time check), the
-// pre-round space does not dominate it, and no earlier-this-round survivor
-// in a comparable cell dominates it. That intra-round filter makes the
-// combined verdict equal the serial verdict: a serial rejection's live
-// dominator is either a pre-round survivor (phase 1 finds it, or a
-// transitively stronger one) or an earlier round survivor (the filter
-// finds it); conversely both checks only consult vectors the serial engine
-// also held live at this candidate's turn — eviction chains only ever
-// strengthen dominators, and a dominator in a cell strictly below would
-// have marked this cell first.
-//
-// With speculation enabled (see speculate.go), step (2) may have already
-// run on a precheck worker against the stale append-only survivor view
-// while EARLIER rounds were still draining. When those stale verdicts are
-// available the round skips the drain barrier of step (1) entirely —
-// committers keep applying old logs while this round routes new ones — and
-// replaces the fresh phase-1 scan with a delta revalidation of the stale
-// survivors. The combined verdict is provably the fresh verdict, so the
-// routing pass (and the whole observable run) is unchanged.
-func (r *runState) processCommitted(reg *region) {
-	prof := r.engine.opts.Profiler
-	tTake := prof.Clock()
-	buf, n := r.pool.take(reg, r.cancel)
-	prof.EndSequencer(obs.PhasePrefetch, tTake)
-	cands := buf.cands[:n]
-	if n == 0 {
-		// No candidates, no state reads: the barrier can wait for a round
-		// that needs it. The buffer holds nothing the logs reference.
-		r.pool.finish(reg)
-		return
-	}
-
-	sp := r.spec
-	var sr *specResult
-	usable := false
-	if sp != nil {
-		// Claim this region's stale verdicts (waiting out a scan still in
-		// flight) before deciding whether the drain barrier is needed.
-		tSpec := prof.Clock()
-		sr = sp.take(reg)
-		prof.EndSequencer(obs.PhaseSpeculate, tSpec)
-		usable = sr != nil && sp.usable(sr)
-	}
-
-	if !usable || len(r.pendingFinish) >= specPendingMax {
-		tWait := prof.Clock()
-		r.cpool.drain()
-		for _, pf := range r.pendingFinish {
-			r.pool.finish(pf)
-		}
-		r.pendingFinish = r.pendingFinish[:0]
-		prof.EndSequencer(obs.PhaseCommitWait, tWait)
-	}
-	if sp != nil {
-		// Fence the remaining speculative scans (overlapped with the drain
-		// above when one ran): past this point the round mutates state the
-		// scans read — the view, the index buckets, marked flags.
-		tSpec := prof.Clock()
-		sp.fence()
-		prof.EndSequencer(obs.PhaseSpeculate, tSpec)
-	}
-
-	var rejected []bool
-	if usable {
-		r.stats.SpecHits++
-		rejected = sr.rejected[:n]
-		// Revalidate the stale survivors against only the survivor deltas
-		// admitted since the snapshot: stale rejections are already final.
-		tReval := prof.Clock()
-		comps := 0
-		for k := range cands {
-			if rejected[k] {
-				continue
-			}
-			cd := &cands[k]
-			c := r.space.cellAt(cd.flat)
-			if c == nil || c.marked {
-				continue
-			}
-			r.stats.SpecRevalChecks++
-			if sp.deltaDominated(c, cd, sr.version, &comps) {
-				rejected[k] = true
-			}
-		}
-		r.stats.DomComparisons += comps
-		prof.EndSequencer(obs.PhaseRevalidate, tReval)
-	} else {
-		rejected = r.pool.rejectedScratch(n)
-		tCheck := prof.Clock()
-		if n >= precheckMinCands {
-			r.stats.DomComparisons += r.pool.precheck(r.space, cands, rejected)
-		} else {
-			// Inline phase 1 on the sequencer, still for the whole round up
-			// front: a per-candidate scan interleaved with routing would race
-			// with the committers applying this round's earlier ops.
-			comps := 0
-			for k := range cands {
-				cd := &cands[k]
-				c := r.space.cellAt(cd.flat)
-				if c == nil || c.marked {
-					continue
-				}
-				if r.space.precheckDominated(c, cd.v, cd.sum, r.pool.seqState, &comps) {
-					rejected[k] = true
-				}
-			}
-			r.stats.DomComparisons += comps
-		}
-		prof.EndSequencer(obs.PhasePrecheck, tCheck)
-	}
-
-	tCommit := prof.Clock()
-	for k := range cands {
-		if r.cancel.Check() != nil {
-			break
-		}
-		cd := &cands[k]
-		c := r.space.cellAt(cd.flat)
-		if c == nil {
-			continue
-		}
-		if c.marked {
-			r.stats.MappedDiscarded++
-			continue
-		}
-		if rejected[k] || r.intraRoundDominated(c, cd) {
-			continue
-		}
-		v := cd.v
-		if sp != nil {
-			// Record the survivor in the append-only view; roundNew and the
-			// delta ring alias the permanent copy, not the recyclable
-			// candidate buffer.
-			v = sp.record(c, cd)
-		}
-		r.routeCommit(c, cd)
-		r.roundNew = append(r.roundNew, v)
-		r.roundSurv = append(r.roundSurv, roundSurv{v: v, sum: cd.sum, c: c})
-	}
-	r.stats.JoinResults += n
-	// Hand the committers everything routed so far; they overlap with the
-	// determination cascade and are fenced at the next drain barrier.
-	r.cpool.flushAll()
-	prof.EndSequencer(obs.PhaseCommit, tCommit)
-	r.pendingFinish = append(r.pendingFinish, reg)
-	if sp != nil {
-		if sr != nil {
-			sp.release(sr)
-		}
-		sp.pushDelta(r.roundSurv)
-		sp.launch()
-	}
-}
-
-// intraRoundDominated reports whether an earlier survivor of the current
-// round dominates the candidate. Comparability reduces to the componentwise
-// cell-coordinate test: a dominating survivor in a cell strictly below would
-// have marked the candidate's cell (checked, in routing order, before this
-// filter runs), so any candidate reaching here only has dominators in
-// comparable-≤ cells — the same set the serial engine's bucket walk scans.
-func (r *runState) intraRoundDominated(c *cell, cd *cand) bool {
-	s := r.space
-	packed := s.idx.packed
-	for i := range r.roundSurv {
-		u := &r.roundSurv[i]
-		if u.sum > cd.sum {
-			// A dominator's coordinate sum is never larger.
-			continue
-		}
-		if packed {
-			if !keyLeq(u.c.key, c.key) {
-				continue
-			}
-		} else if !grid.LeqAll(u.c.coords, c.coords) {
-			continue
-		}
-		r.stats.DomComparisons++
-		if preference.DominatesMin(u.v, cd.v) {
-			return true
-		}
-	}
-	return false
-}
-
-// routeCommit appends the operation log of one surviving candidate: the
-// insert into its own cell, one eviction per comparable populated cell above
-// (enumerated through the same bucket-suffix walk as commitSurvivor, against
-// sequencer-owned index state only), and — on first population — the
-// strictly-above marks. Per-cell op order equals sequencer append order,
-// which replays the serial engine's per-cell mutation order exactly.
-func (r *runState) routeCommit(c *cell, cd *cand) {
-	s := r.space
-	r.cpool.route(commitOp{
-		kind: copInsert, c: c,
-		leftID: cd.leftID, rightID: cd.rightID,
-		sum: cd.sum, v: cd.v,
-	})
-	packed := s.idx.packed
-	epoch := s.idx.stamp(c)
-	for i := 0; i < s.d; i++ {
-		b := s.idx.buckets[i][c.coords[i]]
-		for j := bucketSplit(b, c.flat+1); j < len(b); j++ {
-			e := &b[j]
-			if packed {
-				if !keyLeq(c.key, e.key) {
-					continue
-				}
-			} else if !grid.LeqAll(c.coords, e.c.coords) {
-				continue
-			}
-			p := e.c
-			// Buckets hold populated cells only; emitted buffers are
-			// immutable, marked ones already dropped. The serial walk's
-			// len(p.tuples) == 0 skip becomes a no-op eviction here
-			// (refuted by the committer before any comparison).
-			if p.visited == epoch || p.emitted || p.marked {
-				continue
-			}
-			p.visited = epoch
-			r.cpool.route(commitOp{kind: copEvict, c: p, sum: cd.sum, v: cd.v})
-		}
-	}
-	if !c.populated {
-		r.populateRouted(c)
-	}
-}
-
-// populateRouted is populate for the partitioned-commit path: identical
-// marking decisions (all against sequencer-owned state), with the buffer
-// drop of each newly marked cell routed to its owning committer.
-func (r *runState) populateRouted(c *cell) {
-	s := r.space
-	c.populated = true
-	s.idx.addPopulated(c)
-	vol := s.idx.strictUpperBoxVolume(c.coords)
-	if vol == 0 {
-		return
-	}
-	if s.idx.dense != nil && vol < len(s.cellList) {
-		s.idx.eachInStrictUpperBox(c.coords, func(q *cell) {
-			if !q.marked {
-				r.markRouted(q)
-			}
-		})
-		return
-	}
-	for _, q := range s.cellList {
-		if q.marked || q == c {
-			continue
-		}
-		if grid.StrictlyBelow(c.coords, q.coords) {
-			r.markRouted(q)
-		}
-	}
-}
-
-// markRouted marks a cell (sequencer-owned flag, visible to this round's
-// later verdicts immediately) and routes the tuple drop to its committer.
-func (r *runState) markRouted(q *cell) {
-	q.marked = true
-	r.stats.CellsMarked++
-	if q.populated {
-		r.cpool.route(commitOp{kind: copMark, c: q})
-	}
-}
-
 // discard eliminates a live region without processing it: its cells'
 // RegCounts drain (possibly finalizing them) and its graph edges release.
 func (r *runState) discard(reg *region) {
@@ -1056,11 +689,6 @@ func (r *runState) discard(reg *region) {
 	reg.state = regionDiscarded
 	r.stats.RegionsDropped++
 	r.emitTrace(Event{Kind: EventRegionDiscarded, Region: reg.id})
-	if r.spec != nil {
-		// Wait out any speculative scan over the region's candidates before
-		// the pool recycles its buffer.
-		r.spec.drop(reg)
-	}
 	if r.pool != nil {
 		r.pool.drop(reg)
 	}

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"progxe/internal/core/sched"
@@ -18,7 +18,7 @@ import (
 type Plan struct {
 	LeftPartitions  int
 	RightPartitions int
-	InputCells      int // g actually used per dimension (left side)
+	InputCells      int // g actually used per dimension (left side); 0 for an auto-sized kd split
 	OutputCells     int // k per output dimension
 	Regions         int // live regions after pruning
 	RegionsPruned   int // eliminated by look-ahead alone
@@ -30,98 +30,55 @@ type Plan struct {
 	EstimatedJoin   int // total join results across live regions
 }
 
+// lookAhead is the look-ahead of a real run up to the laid output space:
+// prepare, fresh regions, buildSpace — what Explain and PlanBoxes report on.
+func (e *Engine) lookAhead(p *smj.Problem) (*Prepared, []*region, *space, error) {
+	ctx := context.Background()
+	var stats smj.Stats
+	pl, err := e.prepare(smj.NewCanceler(ctx), p, &stats)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	regions := pl.materialize()
+	s, err := buildSpace(regions, pl.frontier, pl.d, e.outputCells(pl.d), &stats, e.resolveParallelism(ctx))
+	return pl, regions, s, err
+}
+
 // Explain runs the look-ahead phases of the engine (§III-A and the EL-Graph
 // construction of §IV) and reports the resulting plan.
 func Explain(p *smj.Problem, opts Options) (Plan, error) {
 	var plan Plan
-	opts = opts.withDefaults()
-	if opts.Workers < 0 {
-		// Same normalization RunContext applies before the setup passes.
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	cp, d, err := checkProblem(p)
+	e := New(opts)
+	pl, regions, s, err := e.lookAhead(p)
 	if err != nil {
 		return plan, err
 	}
-	left, right := cp.Left, cp.Right
-	if opts.PushThrough {
-		left, _ = smj.PushThrough(left, cp.Maps, mapping.Left)
-		right, _ = smj.PushThrough(right, cp.Maps, mapping.Right)
+	plan.LeftPartitions = len(pl.lparts)
+	plan.RightPartitions = len(pl.rparts)
+	plan.InputCells = e.opts.InputCells
+	if plan.InputCells == 0 && e.opts.Partitioning == PartitionGrid {
+		n := 0
+		for _, part := range pl.lparts {
+			n += part.len()
+		}
+		plan.InputCells = autoCells(n, max(1, len(pl.problem.Maps.UsedAttrs(mapping.Left))))
 	}
-	lparts, err := partitionInput(left, cp.Maps, mapping.Left, opts.InputCells)
-	if err != nil {
-		return plan, err
-	}
-	rparts, err := partitionInput(right, cp.Maps, mapping.Right, opts.InputCells)
-	if err != nil {
-		return plan, err
-	}
-	plan.LeftPartitions = len(lparts)
-	plan.RightPartitions = len(rparts)
-	plan.InputCells = opts.InputCells
-	if plan.InputCells == 0 {
-		plan.InputCells = autoCells(left.Len(), max(1, len(cp.Maps.UsedAttrs(mapping.Left))))
-	}
-
-	regions, pruned, front := buildRegions(lparts, rparts, cp.Maps, nil)
-	plan.Regions = len(regions)
-	plan.RegionsPruned = pruned
+	plan.Regions, plan.RegionsPruned = pl.Regions()
 	for _, r := range regions {
 		plan.EstimatedJoin += r.joinCard
 	}
-
-	outCells := opts.OutputCells
-	if outCells == 0 {
-		outCells = autoOutputCells(d)
-	}
-	plan.OutputCells = outCells
-	var stats smj.Stats
-	s, err := buildSpace(regions, front, d, outCells, &stats, opts.Workers)
-	if err != nil {
-		return plan, err
-	}
+	plan.OutputCells = e.outputCells(pl.d)
 	plan.CoveredCells = len(s.cellList)
-	plan.MarkedCells = stats.CellsMarked
-	if s.g != nil {
+	plan.MarkedCells = s.stats.CellsMarked
+	if len(regions) > 0 {
 		b := s.g.Bounds()
 		plan.OutputBounds = grid.Rect{Lower: b.Lo, Upper: b.Hi}
-	}
-
-	if len(regions) > 0 {
-		dims := make([]int, d)
-		for i := range dims {
-			dims[i] = s.g.CellsPerDim(i)
-		}
-		c := sched.NewProgressive(schedBoxes(regions), dims, func(int) float64 { return 0 }, opts.Workers).Counters()
+		workers := e.resolveParallelism(context.Background())
+		c := sched.NewProgressive(schedBoxes(regions), s.dims(), func(int) float64 { return 0 }, workers).Counters()
 		plan.Edges = c.Edges
 		plan.Roots = c.Roots
 	}
 	return plan, nil
-}
-
-// planPartitions is the look-ahead preamble shared by the Plan* benchmark
-// entry points: problem validation, the pre-partitioning push-through a
-// real run would apply (so the derived geometry matches RunContext's), and
-// input partitioning under the configured method. opts must already carry
-// defaults.
-func planPartitions(p *smj.Problem, opts Options) (lparts, rparts []*inputPartition, cp *smj.Problem, d int, err error) {
-	cp, d, err = checkProblem(p)
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
-	left, right := cp.Left, cp.Right
-	if opts.PushThrough {
-		left, _ = smj.PushThrough(left, cp.Maps, mapping.Left)
-		right, _ = smj.PushThrough(right, cp.Maps, mapping.Right)
-	}
-	e := New(opts)
-	if lparts, err = e.partition(left, cp.Maps, mapping.Left); err != nil {
-		return nil, nil, nil, 0, err
-	}
-	if rparts, err = e.partition(right, cp.Maps, mapping.Right); err != nil {
-		return nil, nil, nil, 0, err
-	}
-	return lparts, rparts, cp, d, nil
 }
 
 // PlanBoxes runs the look-ahead phases (§III-A) and returns the live
@@ -130,32 +87,11 @@ func planPartitions(p *smj.Problem, opts Options) (lparts, rparts []*inputPartit
 // use it to measure scheduler construction and edge release in isolation
 // from tuple-level work.
 func PlanBoxes(p *smj.Problem, opts Options) ([]sched.Box, []int, error) {
-	opts = opts.withDefaults()
-	if opts.Workers < 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	lparts, rparts, cp, d, err := planPartitions(p, opts)
-	if err != nil {
+	_, regions, s, err := New(opts).lookAhead(p)
+	if err != nil || len(regions) == 0 {
 		return nil, nil, err
 	}
-	regions, _, front := buildRegions(lparts, rparts, cp.Maps, nil)
-	outCells := opts.OutputCells
-	if outCells == 0 {
-		outCells = autoOutputCells(d)
-	}
-	var stats smj.Stats
-	s, err := buildSpace(regions, front, d, outCells, &stats, opts.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(regions) == 0 {
-		return nil, nil, nil
-	}
-	dims := make([]int, d)
-	for i := range dims {
-		dims[i] = s.g.CellsPerDim(i)
-	}
-	return schedBoxes(regions), dims, nil
+	return schedBoxes(regions), s.dims(), nil
 }
 
 // PlanRects runs the look-ahead pairing of §III-A and returns every
@@ -163,12 +99,12 @@ func PlanBoxes(p *smj.Problem, opts Options) ([]sched.Box, []int, error) {
 // exact input of the region-pruning pass. Benchmarks use it to measure the
 // frontier pruning pass against the retained O(n²) scan in isolation.
 func PlanRects(p *smj.Problem, opts Options) ([]grid.Rect, error) {
-	opts = opts.withDefaults()
-	lparts, rparts, cp, _, err := planPartitions(p, opts)
+	var stats smj.Stats
+	pl, err := New(opts).preparePartitions(smj.NewCanceler(context.Background()), p, &stats)
 	if err != nil {
 		return nil, err
 	}
-	return regionRects(pairRegions(lparts, rparts, cp.Maps)), nil
+	return regionRects(pairRegions(pl.lparts, pl.rparts, pl.problem.Maps)), nil
 }
 
 // String renders the plan as a multi-line report.

@@ -13,17 +13,14 @@ import (
 	"progxe/internal/smj"
 )
 
-// batchPipelines are the engine's four tuple-level paths: the serial
-// protocol, pooled workers, partitioned committers, and speculative
-// pipelining. Each cuts its dominance scans off by coordinate sum.
+// batchPipelines are the engine's two tuple-level paths: the serial protocol
+// and pooled workers. Each cuts its dominance scans off by coordinate sum.
 var batchPipelines = []struct {
 	name string
 	opts Options
 }{
 	{"serial", Options{}},
 	{"workers", Options{Workers: 2}},
-	{"workers+committers", Options{Workers: 2, Committers: 2}},
-	{"workers+committers+speculate", Options{Workers: 2, Committers: 2, SpeculateRounds: 2}},
 }
 
 // requireOracleAnswer demands the run's emissions be exactly the naive

@@ -151,7 +151,6 @@ type pool struct {
 	bufFree chan *candBuf
 
 	taskCh   chan *precheckTask
-	specCh   chan *specTask // speculative scans, served at lower priority
 	tasks    []precheckTask
 	pwg      sync.WaitGroup
 	seqState *precheckState // precheck scratch for the sequencer itself
@@ -164,14 +163,12 @@ type pool struct {
 
 // newPool sizes the pool for a run over the given regions. It does not
 // start any goroutine; the sequencer calls start once the prefetch order is
-// known. slack widens the in-flight prefetch budget by the number of extra
-// candidate buffers cross-round speculation may retain past consumption
-// (the pending-finish queue); 0 without speculation.
-func newPool(ctx context.Context, workers int, s *space, regions []*region, maps *mapping.Set, slack int) *pool {
+// known.
+func newPool(ctx context.Context, workers int, s *space, regions []*region, maps *mapping.Set) *pool {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	inflight := workers + 2 + slack
+	inflight := workers + 2
 	p := &pool{
 		workers: workers,
 		d:       s.d,
@@ -184,10 +181,7 @@ func newPool(ctx context.Context, workers int, s *space, regions []*region, maps
 		bufFree: make(chan *candBuf, inflight+workers+1),
 		// Sized so the sequencer can publish a whole round's tasks without
 		// blocking (chunking bounds the task count per round).
-		taskCh: make(chan *precheckTask, 4*workers+8),
-		// Sized past specMaxDepth so launching a speculative scan never
-		// blocks the sequencer.
-		specCh:   make(chan *specTask, 2*specMaxDepth),
+		taskCh:   make(chan *precheckTask, 4*workers+8),
 		seqState: newPrecheckState(len(s.cellList)),
 	}
 	for i := range p.jobs {
@@ -414,12 +408,9 @@ func (p *pool) precheck(s *space, cands []cand, rejected []bool) int {
 	return comps
 }
 
-// precheckWorker serves phase-1 scan tasks for the duration of the run:
-// round-critical barrier tasks first, speculative cross-round scans only
-// when the barrier queue is empty (a speculation stall costs a fresh scan
-// later; a barrier stall costs sequencer wall-clock now). Only
-// worker-served tasks report on the worker lane; tasks the sequencer
-// drains itself are already inside its barrier span (no double counting).
+// precheckWorker serves phase-1 scan tasks for the duration of the run. Only
+// worker-served tasks report on the worker lane; tasks the sequencer drains
+// itself are already inside its barrier span (no double counting).
 func (p *pool) precheckWorker(lane int, cells int) {
 	defer p.wg.Done()
 	st := newPrecheckState(cells)
@@ -431,20 +422,6 @@ func (p *pool) precheckWorker(lane int, cells int) {
 			t0 := p.prof.Clock()
 			t.run(st)
 			p.prof.EndWorker(obs.PhasePrecheck, lane, t0)
-			continue
-		default:
-		}
-		select {
-		case <-p.quit:
-			return
-		case t := <-p.taskCh:
-			t0 := p.prof.Clock()
-			t.run(st)
-			p.prof.EndWorker(obs.PhasePrecheck, lane, t0)
-		case t := <-p.specCh:
-			t0 := p.prof.Clock()
-			t.run(st)
-			p.prof.EndWorker(obs.PhaseSpeculate, lane, t0)
 		}
 	}
 }
@@ -491,8 +468,9 @@ func (st *precheckState) stamp(c *cell) int32 {
 // counting into the task-local counter. Its verdict for a candidate equals
 // the serial engine's rejection verdict restricted to pre-round survivors:
 // sound because eviction only ever replaces a tuple with one that dominates
-// it (so a stale dominator implies a live one), and exact because intra-
-// round insertions are re-checked by the sequencer against roundNew.
+// it (so a stale dominator implies a live one), and exact because survivors
+// re-run the full current-state protocol at commit time, which also sees
+// this round's earlier insertions.
 func (s *space) precheckDominated(c *cell, v []float64, sum float64, st *precheckState, comps *int) bool {
 	epoch := st.stamp(c)
 	if cellDominates(c, v, sum, comps) {

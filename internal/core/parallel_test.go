@@ -130,7 +130,7 @@ func parallelFixture(t *testing.T) (*pool, *region, *space) {
 		t.Fatal(err)
 	}
 	s.emit = func(outTuple) {}
-	return newPool(context.Background(), 1, s, regions, sumMaps2(), 0), regions[0], s
+	return newPool(context.Background(), 1, s, regions, sumMaps2()), regions[0], s
 }
 
 // TestWorkerStreamSteadyStateZeroAlloc pins the per-worker arena guarantee:

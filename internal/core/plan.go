@@ -23,8 +23,8 @@ import (
 //
 // A Prepared plan is only valid for engines whose plan-affecting options (InputCells,
 // PushThrough, Partitioning) match the preparing engine's; RunPlanContext
-// rejects mismatches. Run-time options (ordering, ranker, workers,
-// committers, output grid, tracing, profiling) may differ freely.
+// rejects mismatches. Run-time options (ordering, ranker, workers, output
+// grid, tracing, profiling) may differ freely.
 type Prepared struct {
 	problem *smj.Problem       // canonicalized
 	pref    *preference.Pareto // original orientation, for emission
@@ -104,6 +104,24 @@ func (e *Engine) PrepareContext(ctx context.Context, p *smj.Problem) (*Prepared,
 // (push-through pruning) land in stats even when a cancellation aborts the
 // preparation, matching the historical RunContext behavior.
 func (e *Engine) prepare(cancel *smj.Canceler, p *smj.Problem, stats *smj.Stats) (*Prepared, error) {
+	pl, err := e.preparePartitions(cancel, p, stats)
+	if err != nil {
+		return nil, err
+	}
+	// Output space look-ahead (§III-A).
+	regions, pruned, front := buildRegions(pl.lparts, pl.rparts, pl.problem.Maps, e.opts.Profiler)
+	pl.pruned, pl.frontier = pruned, front
+	pl.blueprints = make([]regionBlueprint, len(regions))
+	for i, r := range regions {
+		pl.blueprints[i] = regionBlueprint{a: r.a, b: r.b, rect: r.rect, joinCard: r.joinCard}
+	}
+	return pl, nil
+}
+
+// preparePartitions is prepare up to the partitioned inputs: problem
+// validation, partial push-through and input partitioning under the
+// configured method. The returned plan has no regions yet.
+func (e *Engine) preparePartitions(cancel *smj.Canceler, p *smj.Problem, stats *smj.Stats) (*Prepared, error) {
 	prof := e.opts.Profiler
 	cp, d, err := checkProblem(p)
 	if err != nil {
@@ -133,14 +151,6 @@ func (e *Engine) prepare(cancel *smj.Canceler, p *smj.Problem, stats *smj.Stats)
 		return nil, err
 	}
 	prof.EndSequencer(obs.PhasePartition, tPartition)
-
-	// Output space look-ahead (§III-A).
-	regions, pruned, front := buildRegions(pl.lparts, pl.rparts, cp.Maps, prof)
-	pl.pruned, pl.frontier = pruned, front
-	pl.blueprints = make([]regionBlueprint, len(regions))
-	for i, r := range regions {
-		pl.blueprints[i] = regionBlueprint{a: r.a, b: r.b, rect: r.rect, joinCard: r.joinCard}
-	}
 	return pl, nil
 }
 
@@ -161,6 +171,5 @@ func (e *Engine) RunPlanContext(ctx context.Context, pl *Prepared, sink smj.Sink
 	if err := cancel.Now(); err != nil {
 		return stats, err
 	}
-	workers, committers, speculate := e.resolveParallelism(ctx)
-	return e.runPlan(ctx, cancel, pl, sink, workers, committers, speculate)
+	return e.runPlan(ctx, cancel, pl, sink, e.resolveParallelism(ctx))
 }

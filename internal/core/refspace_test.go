@@ -258,21 +258,6 @@ func workerSweep() []int {
 	return sweep
 }
 
-// committerSweep lists the committer counts crossed with worker counts in
-// the partitioned-commit differential sweep. Short mode (the PR race job)
-// keeps two counts; the full sweep — including NumCPU — runs in the CI
-// multicore job under -race, where committers are truly concurrent.
-func committerSweep() []int {
-	if testing.Short() {
-		return []int{1, 2}
-	}
-	sweep := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
-		sweep = append(sweep, n)
-	}
-	return sweep
-}
-
 // runRecorded executes the engine built from opts over p, recording the
 // emission sequence, the full trace-event stream, and the run stats.
 func runRecorded(t *testing.T, p *smj.Problem, opts Options) ([]emission, []Event, smj.Stats) {
@@ -292,7 +277,7 @@ func runRecorded(t *testing.T, p *smj.Problem, opts Options) ([]emission, []Even
 		got = append(got, emission{cell: -1, leftID: res.LeftID, rightID: res.RightID, out: slices.Clone(res.Out)})
 	}))
 	if err != nil {
-		t.Fatalf("run (workers=%d committers=%d): %v", opts.Workers, opts.Committers, err)
+		t.Fatalf("run (workers=%d): %v", opts.Workers, err)
 	}
 	return got, events, stats
 }
@@ -323,73 +308,12 @@ func checkParallelMatchesSerial(t *testing.T, p *smj.Problem, opts Options, seri
 		em, ev, stats := runRecorded(t, p, popts)
 		requireIdenticalRun(t, fmt.Sprintf("workers=%d", w), em, ev, stats, serialEm, serialEv, serialStats)
 	}
-
-	// Partitioned-commit sweep: every committers × workers combination must
-	// reproduce the serial stream bit for bit too, again alternating the
-	// precheck threshold so both phase-1 placements (parallel barrier,
-	// inline sequencer scan) cross both the op-log and emission paths.
-	combo := 0
-	for _, cN := range committerSweep() {
-		for _, w := range []int{1, 2, 4} {
-			if testing.Short() && w == 4 {
-				continue
-			}
-			switch combo % 3 {
-			case 0:
-				precheckMinCands = 1
-			case 1:
-				precheckMinCands = 1 << 30
-			default:
-				precheckMinCands = 256
-			}
-			combo++
-			popts := opts
-			popts.Workers = w
-			popts.Committers = cN
-			em, ev, stats := runRecorded(t, p, popts)
-			requireIdenticalRun(t, fmt.Sprintf("workers=%d committers=%d", w, cN), em, ev, stats, serialEm, serialEv, serialStats)
-		}
-	}
-
-	// Speculative-pipelining sweep: cross-round phase-1 scans against stale
-	// snapshots plus delta revalidation must still reproduce the serial
-	// stream bit for bit at every depth × committers × workers combination.
-	// Depth 0 is the committer sweep above; the precheck threshold keeps
-	// rotating so speculative rounds interleave with both fresh placements.
-	// Workers start at 2 — speculation requires a spare precheck lane and
-	// is a no-op below that, so w=1 cells would assert nothing new.
-	combo = 0
-	for _, depth := range []int{1, 2} {
-		for _, cN := range []int{1, 4} {
-			for _, w := range []int{2, 4} {
-				if testing.Short() && (w == 4 || cN == 4) {
-					continue
-				}
-				switch combo % 3 {
-				case 0:
-					precheckMinCands = 1
-				case 1:
-					precheckMinCands = 1 << 30
-				default:
-					precheckMinCands = 256
-				}
-				combo++
-				popts := opts
-				popts.Workers = w
-				popts.Committers = cN
-				popts.SpeculateRounds = depth
-				em, ev, stats := runRecorded(t, p, popts)
-				requireIdenticalRun(t, fmt.Sprintf("workers=%d committers=%d speculate=%d", w, cN, depth), em, ev, stats, serialEm, serialEv, serialStats)
-			}
-		}
-	}
 }
 
 // requireIdenticalRun demands one recorded run equals the serial reference
 // byte for byte: emissions (cells, ids, vectors), the complete trace-event
-// stream, and every counter except DomComparisons and the speculation
-// counters (SpecRounds, SpecHits, SpecRevalChecks), all of which reflect
-// where and when comparisons execute — scheduling — not what they decide.
+// stream, and every counter except DomComparisons, which reflects
+// where comparisons execute, not what they decide.
 func requireIdenticalRun(t *testing.T, label string, em []emission, ev []Event, stats smj.Stats, serialEm []emission, serialEv []Event, serialStats smj.Stats) {
 	t.Helper()
 	if len(em) != len(serialEm) {
@@ -412,9 +336,6 @@ func requireIdenticalRun(t *testing.T, label string, em []emission, ev []Event, 
 	}
 	ns, ss := stats, serialStats
 	ns.DomComparisons, ss.DomComparisons = 0, 0
-	ns.SpecRounds, ss.SpecRounds = 0, 0
-	ns.SpecHits, ss.SpecHits = 0, 0
-	ns.SpecRevalChecks, ss.SpecRevalChecks = 0, 0
 	if ns != ss {
 		t.Fatalf("%s stats diverge: parallel %+v, serial %+v", label, ns, ss)
 	}

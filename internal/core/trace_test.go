@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -141,5 +143,35 @@ func TestExplain(t *testing.T) {
 	bad.Pref = nil
 	if _, err := Explain(&bad, Options{}); err == nil {
 		t.Fatal("invalid problem must error")
+	}
+}
+
+// TestExplainMatchesPrepared pins Explain to the engine's own look-ahead:
+// under either partitioning method it reports the partitions and regions a
+// real PrepareContext builds.
+func TestExplainMatchesPrepared(t *testing.T) {
+	p := smokeProblem(t, 2000, 3, datagen.AntiCorrelated, 0.02, 9)
+	for _, opts := range []Options{
+		{Partitioning: PartitionGrid, InputCells: 3},
+		{Partitioning: PartitionKD, InputCells: 3},
+		{Partitioning: PartitionKD},
+	} {
+		t.Run(fmt.Sprintf("%s/g=%d", opts.Partitioning, opts.InputCells), func(t *testing.T) {
+			plan, err := Explain(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := New(opts).PrepareContext(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, pruned := pl.Regions()
+			if plan.Regions != live || plan.RegionsPruned != pruned {
+				t.Fatalf("explain regions %d live %d pruned, prepared plan %d live %d pruned", plan.Regions, plan.RegionsPruned, live, pruned)
+			}
+			if plan.LeftPartitions != len(pl.lparts) || plan.RightPartitions != len(pl.rparts) {
+				t.Fatalf("explain partitions %d × %d, prepared plan %d × %d", plan.LeftPartitions, plan.RightPartitions, len(pl.lparts), len(pl.rparts))
+			}
+		})
 	}
 }

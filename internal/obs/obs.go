@@ -58,29 +58,9 @@ const (
 	// whole barrier (including its own help draining the task queue);
 	// worker lanes record their individual task scans.
 	PhasePrecheck
-	// PhaseCommit covers the tuple-commit protocol. In serial runs this
-	// includes the fused join+map+insert loop; with partitioned committers
-	// enabled the sequencer lane records verdict/routing time and committer
-	// lanes record log application (eviction scans, buffer inserts).
+	// PhaseCommit covers the tuple-commit protocol on the sequencer. In
+	// serial runs this includes the fused join+map+insert loop.
 	PhaseCommit
-	// PhaseCommitWait covers the sequencer's synchronization against the
-	// committer pool: the per-round drain barrier and the bounded completion
-	// queue behind emission records. It is sequencer wall-clock during which
-	// committers are doing the commit work, so it counts toward the
-	// sequencer total but never toward the serial commit share.
-	PhaseCommitWait
-	// PhaseSpeculate covers speculative cross-round phase-1 scans: worker
-	// lanes record the stale-snapshot dominance scans they run for rounds
-	// whose predecessors are still draining; the sequencer lane records its
-	// fence against outstanding speculative scans. Sequencer time here is
-	// synchronization, not commit work, so — like PhaseCommitWait — it never
-	// joins the serial commit share.
-	PhaseSpeculate
-	// PhaseRevalidate covers the sequencer's delta revalidation of
-	// speculative survivors: each survivor of a stale-snapshot scan is
-	// re-checked against only the per-round survivor deltas admitted since
-	// the snapshot, instead of the whole space.
-	PhaseRevalidate
 	// PhaseDetermine covers the progressive result determination cascade,
 	// dominance discards of live regions, and the scheduler graph updates
 	// after each round.
@@ -113,12 +93,6 @@ func (p Phase) String() string {
 		return "precheck"
 	case PhaseCommit:
 		return "commit"
-	case PhaseCommitWait:
-		return "commit-wait"
-	case PhaseSpeculate:
-		return "speculate"
-	case PhaseRevalidate:
-		return "revalidate"
 	case PhaseDetermine:
 		return "determine"
 	case PhaseEmit:
@@ -131,7 +105,7 @@ func (p Phase) String() string {
 // phaseSpan is one recorded interval for trace export (EnableSpans only).
 type phaseSpan struct {
 	phase      Phase
-	lane       int32 // 0 = sequencer, k > 0 = worker k (committers above the base)
+	lane       int32 // 0 = sequencer, k > 0 = worker k
 	start, dur int64 // nanos since epoch
 }
 
@@ -145,12 +119,6 @@ type Profiler struct {
 	epoch time.Time
 	seq   [NumPhases]atomic.Int64 // nanos on the sequencer goroutine
 	par   [NumPhases]atomic.Int64 // nanos aggregated across workers
-	com   [NumPhases]atomic.Int64 // nanos aggregated across committers
-
-	// committerBase is the first lane number owned by a committer (the
-	// engine assigns lanes 1..2w to the prefetch/precheck workers and
-	// 2w+1..2w+c to the committers). 0 means no committer lanes exist.
-	committerBase atomic.Int32
 
 	spanMu    sync.Mutex
 	spans     []phaseSpan
@@ -201,23 +169,12 @@ func (p *Profiler) EndSequencer(ph Phase, start int64) {
 
 // EndWorker closes an interval opened at start on a worker lane. worker
 // numbers the lane for trace export (1-based across the pool); attribution
-// aggregates worker lanes together, and — when a committer lane base is set —
-// committer lanes into their own bucket.
+// aggregates worker lanes together.
 func (p *Profiler) EndWorker(ph Phase, worker int, start int64) {
 	if p == nil {
 		return
 	}
 	p.end(ph, int32(worker), start)
-}
-
-// SetCommitterLaneBase declares that lanes ≥ base belong to committer
-// goroutines, splitting their attribution (and span track naming) from the
-// prefetch/precheck workers. base ≤ 0 clears the split.
-func (p *Profiler) SetCommitterLaneBase(base int) {
-	if p == nil {
-		return
-	}
-	p.committerBase.Store(int32(base))
 }
 
 func (p *Profiler) end(ph Phase, lane int32, start int64) {
@@ -226,12 +183,9 @@ func (p *Profiler) end(ph Phase, lane int32, start int64) {
 	if d < 0 {
 		d = 0
 	}
-	switch base := p.committerBase.Load(); {
-	case lane == 0:
+	if lane == 0 {
 		p.seq[ph].Add(d)
-	case base > 0 && lane >= base:
-		p.com[ph].Add(d)
-	default:
+	} else {
 		p.par[ph].Add(d)
 	}
 	if p.recording.Load() {
@@ -246,11 +200,10 @@ type PhaseTotals struct {
 	Phase           string  `json:"phase"`
 	SequencerMillis float64 `json:"sequencerMillis"`
 	WorkerMillis    float64 `json:"workerMillis,omitempty"`
-	CommitterMillis float64 `json:"committerMillis,omitempty"`
 }
 
 // Report is the profiler's run-level digest: per-phase totals plus the
-// serial-vs-parallel attribution the parallel-commit decision gates on.
+// serial-vs-parallel attribution.
 type Report struct {
 	// Phases lists every phase with non-zero time, in pipeline order.
 	Phases []PhaseTotals `json:"phases"`
@@ -259,15 +212,8 @@ type Report struct {
 	SequencerMillis float64 `json:"sequencerMillis"`
 	// WorkerMillis totals the aggregated worker lanes across phases.
 	WorkerMillis float64 `json:"workerMillis"`
-	// CommitterMillis totals the aggregated committer lanes across phases —
-	// commit work that partitioned committers took off the sequencer.
-	CommitterMillis float64 `json:"committerMillis,omitempty"`
 	// SerialCommitFraction is the share of sequencer time spent in the
-	// inherently serial stages (commit + determination cascade) — the
-	// first-party number behind the parallel-commit frontier. Time the
-	// sequencer spends blocked on the committer pool (PhaseCommitWait)
-	// counts toward the denominator but never the numerator: during it the
-	// commit work is running on committer lanes, not the sequencer.
+	// inherently serial stages (commit + determination cascade).
 	SerialCommitFraction float64 `json:"serialCommitFraction"`
 }
 
@@ -280,20 +226,18 @@ func (p *Profiler) Report() Report {
 	}
 	var seqTotal, serial int64
 	for ph := Phase(0); ph < NumPhases; ph++ {
-		s, w, c := p.seq[ph].Load(), p.par[ph].Load(), p.com[ph].Load()
-		if s == 0 && w == 0 && c == 0 {
+		s, w := p.seq[ph].Load(), p.par[ph].Load()
+		if s == 0 && w == 0 {
 			continue
 		}
 		r.Phases = append(r.Phases, PhaseTotals{
 			Phase:           ph.String(),
 			SequencerMillis: millis(s),
 			WorkerMillis:    millis(w),
-			CommitterMillis: millis(c),
 		})
 		if ph != PhaseEmit {
 			seqTotal += s
 			r.WorkerMillis += millis(w)
-			r.CommitterMillis += millis(c)
 		}
 		if ph == PhaseCommit || ph == PhaseDetermine {
 			serial += s
@@ -333,9 +277,6 @@ func (r Report) String() string {
 		if ph.WorkerMillis > 0 {
 			fmt.Fprintf(&sb, "+w%.2fms", ph.WorkerMillis)
 		}
-		if ph.CommitterMillis > 0 {
-			fmt.Fprintf(&sb, "+c%.2fms", ph.CommitterMillis)
-		}
 	}
 	return sb.String()
 }
@@ -350,13 +291,9 @@ func (p *Profiler) Spans() []Span {
 	p.spanMu.Lock()
 	defer p.spanMu.Unlock()
 	out := make([]Span, 0, len(p.spans))
-	base := p.committerBase.Load()
 	for _, s := range p.spans {
 		track := "sequencer"
-		switch {
-		case s.lane > 0 && base > 0 && s.lane >= base:
-			track = fmt.Sprintf("committer %d", s.lane-base+1)
-		case s.lane > 0:
+		if s.lane > 0 {
 			track = fmt.Sprintf("worker %d", s.lane)
 		}
 		out = append(out, Span{

@@ -18,12 +18,8 @@ const (
 	errBadQuery = "bad_query"
 	// errUnknownEngine: the "engine" field names no registered engine.
 	errUnknownEngine = "unknown_engine"
-	// errBadExec: an exec knob is out of range (negative committers or
-	// speculate, unknown ranker).
+	// errBadExec: an exec knob is out of range (unknown ranker).
 	errBadExec = "bad_exec"
-	// errExecConflict: the request sets both the nested "exec" object and a
-	// legacy flat knob.
-	errExecConflict = "exec_conflict"
 	// errRelationNotFound: a named relation is not in the catalog.
 	errRelationNotFound = "relation_not_found"
 	// errBadRelation: a relation upload, generate spec, or name is invalid.

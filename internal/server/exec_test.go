@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -18,19 +19,27 @@ func execObj(t *testing.T, run map[string]any) map[string]any {
 	return ex
 }
 
-// TestExecObjectMatchesFlatFields pins the API redesign's compatibility
-// contract: the nested exec object and the legacy flat fields are the same
-// knobs, resolve through the same clamp rules, and echo identically.
-func TestExecObjectMatchesFlatFields(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxRunWorkers: 2, MaxRunCommitters: 2, MaxRunSpeculate: 2})
-	q := e2eWorkload(t, ts)
+// TestExecRemovedMembersIgnored pins what a client of an older API sees:
+// members the exec object no longer has (committers, speculate) and the
+// retired flat spelling are unknown JSON members — accepted, ignored, and
+// absent from the echoed exec — while the members that remain still clamp.
+func TestExecRemovedMembersIgnored(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxRunWorkers: 2})
+	q, err := json.Marshal(e2eWorkload(t, ts))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	collect := func(req QueryRequest) (run map[string]any, n int) {
+	collect := func(members string) (exec map[string]any, n int) {
 		t.Helper()
-		resp := postQuery(t, ts, req)
+		body := `{"engine":"progxe","query":` + string(q) + `,` + members + `}`
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query returned %d", resp.StatusCode)
+			t.Fatalf("query with %s returned %d", members, resp.StatusCode)
 		}
 		recs := decodeNDJSON(t, resp.Body)
 		if recs[0]["type"] != "run" {
@@ -40,71 +49,34 @@ func TestExecObjectMatchesFlatFields(t *testing.T) {
 		if last["type"] != "stats" || last["error"] != nil {
 			t.Fatalf("stats trailer = %v", last)
 		}
-		return recs[0], len(recs) - 2
+		return execObj(t, recs[0]), len(recs) - 2
 	}
 
-	nested, nn := collect(QueryRequest{Query: q, Engine: "progxe",
-		Exec: &ExecRequest{Workers: 64, Committers: 64, Speculate: 64, Ranker: "cardinality"}})
-	flat, fn := collect(QueryRequest{Query: q, Engine: "progxe",
-		Workers: 64, Committers: 64, Speculate: 64, Ranker: "cardinality"})
-	if nn != fn || nn == 0 {
-		t.Fatalf("result counts differ: nested %d, flat %d", nn, fn)
+	nested, nn := collect(`"exec":{"workers":64,"committers":-1,"speculate":64,"ranker":"cardinality"}`)
+	if len(nested) != 2 || nested["workers"] != float64(2) || nested["ranker"] != "cardinality" {
+		t.Fatalf("exec echo = %v, want exactly workers=2 (capped) and ranker=cardinality", nested)
 	}
-	ne, fe := execObj(t, nested), execObj(t, flat)
-	for _, k := range []string{"workers", "committers", "speculate", "ranker"} {
-		if ne[k] != fe[k] {
-			t.Fatalf("exec echo differs at %q: nested %v, flat %v", k, ne[k], fe[k])
-		}
+	flat, fn := collect(`"workers":2,"committers":2,"speculate":2,"ranker":"cardinality"`)
+	if len(flat) != 1 || flat["ranker"] != "benefit-cost" {
+		t.Fatalf("exec echo = %v, want a serial default-ranker run: the flat spelling is ignored", flat)
 	}
-	if ne["workers"] != float64(2) || ne["committers"] != float64(2) || ne["speculate"] != float64(2) {
-		t.Fatalf("caps not applied to nested exec: %v", ne)
-	}
-	if ne["ranker"] != "cardinality" {
-		t.Fatalf("ranker echo = %v, want cardinality", ne["ranker"])
+	if nn == 0 || nn != fn {
+		t.Fatalf("result counts: nested %d, flat %d", nn, fn)
 	}
 }
 
-// TestExecConflictRejected pins the anti-merge rule: a request spelling the
-// knobs both ways is ambiguous and must 400 with exec_conflict — never
-// silently prefer one spelling.
-func TestExecConflictRejected(t *testing.T) {
+// TestExecNestedValidation drives resolveExec's reject path: an unknown
+// ranker is bad_exec, not a clamp.
+func TestExecNestedValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	q := e2eWorkload(t, ts)
-	resp := postQuery(t, ts, QueryRequest{Query: q, Engine: "progxe",
-		Workers: 2, Exec: &ExecRequest{Workers: 4}})
+	resp := postQuery(t, ts, QueryRequest{Query: q, Engine: "progxe", Exec: &ExecRequest{Ranker: "nope"}})
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("conflicting spellings returned %d, want 400", resp.StatusCode)
-	}
 	var rec errorRecord
 	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
 		t.Fatalf("decoding error body: %v", err)
 	}
-	if rec.Type != "error" || rec.Code != errExecConflict || rec.Message == "" {
-		t.Fatalf("error body = %+v, want type=error code=exec_conflict", rec)
-	}
-}
-
-// TestExecNestedValidation drives resolveExec's reject paths through the
-// nested spelling: negative committers/speculate and unknown rankers are
-// bad_exec, not clamps.
-func TestExecNestedValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	q := e2eWorkload(t, ts)
-	for _, ex := range []ExecRequest{
-		{Workers: 2, Committers: -1},
-		{Workers: 2, Committers: 2, Speculate: -1},
-		{Ranker: "nope"},
-	} {
-		ex := ex
-		resp := postQuery(t, ts, QueryRequest{Query: q, Engine: "progxe", Exec: &ex})
-		var rec errorRecord
-		if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
-			t.Fatalf("decoding error body: %v", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || rec.Code != errBadExec {
-			t.Fatalf("exec %+v returned %d code %q, want 400 bad_exec", ex, resp.StatusCode, rec.Code)
-		}
+	if resp.StatusCode != http.StatusBadRequest || rec.Code != errBadExec {
+		t.Fatalf("unknown ranker returned %d code %q, want 400 bad_exec", resp.StatusCode, rec.Code)
 	}
 }

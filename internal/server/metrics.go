@@ -244,9 +244,6 @@ func (m *metrics) observePhases(rep obs.Report) {
 		if ph.WorkerMillis > 0 {
 			m.phaseSeconds[phaseKey{phase: ph.Phase, lane: "worker"}] += ph.WorkerMillis / 1000
 		}
-		if ph.CommitterMillis > 0 {
-			m.phaseSeconds[phaseKey{phase: ph.Phase, lane: "committer"}] += ph.CommitterMillis / 1000
-		}
 	}
 	m.mu.Unlock()
 }

@@ -33,7 +33,7 @@ func TestParallelQueryMatchesSerial(t *testing.T) {
 		t.Fatalf("serial run record advertises workers=%v", w)
 	}
 	// Ask for more than the cap: clamped to MaxRunWorkers, echoed back.
-	parallelRun, parallel := collect(QueryRequest{Query: q, Engine: "progxe", Workers: 64})
+	parallelRun, parallel := collect(QueryRequest{Query: q, Engine: "progxe", Exec: &ExecRequest{Workers: 64}})
 	if w := execObj(t, parallelRun)["workers"]; w != float64(2) {
 		t.Fatalf("parallel run record workers = %v, want 2 (clamped)", w)
 	}
@@ -50,7 +50,7 @@ func TestParallelQueryMatchesSerial(t *testing.T) {
 	}
 
 	// Negative requests degrade to serial rather than erroring.
-	negRun, neg := collect(QueryRequest{Query: q, Engine: "progxe", Workers: -3})
+	negRun, neg := collect(QueryRequest{Query: q, Engine: "progxe", Exec: &ExecRequest{Workers: -3}})
 	if w, ok := execObj(t, negRun)["workers"]; ok && w != float64(0) {
 		t.Fatalf("negative workers granted %v", w)
 	}
@@ -64,7 +64,7 @@ func TestParallelQueryMatchesSerial(t *testing.T) {
 func TestMaxRunWorkersDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxRunWorkers: -1})
 	q := e2eWorkload(t, ts)
-	resp := postQuery(t, ts, QueryRequest{Query: q, Engine: "progxe", Workers: 8})
+	resp := postQuery(t, ts, QueryRequest{Query: q, Engine: "progxe", Exec: &ExecRequest{Workers: 8}})
 	defer resp.Body.Close()
 	recs := decodeNDJSON(t, resp.Body)
 	if w, ok := execObj(t, recs[0])["workers"]; ok && w != float64(0) {

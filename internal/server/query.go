@@ -33,20 +33,10 @@ type QueryRequest struct {
 	// Limit stops the run after this many results (0 = stream everything).
 	// The truncated stream still only contains final skyline members.
 	Limit int `json:"limit,omitempty"`
-	// Exec nests the run-shaping knobs (workers, committers, speculate,
-	// ranker) under one object — the preferred spelling, shared verbatim by
-	// /v1/query and /v1/subscribe. See ExecRequest for the field semantics
-	// and resolveExec for the clamp-vs-reject rules.
+	// Exec nests the run-shaping knobs (workers, ranker) under one object,
+	// shared verbatim by /v1/query and /v1/subscribe. See ExecRequest for
+	// the field semantics and resolveExec for the clamp-vs-reject rules.
 	Exec *ExecRequest `json:"exec,omitempty"`
-	// Workers is the legacy flat spelling of Exec.Workers. Setting any flat
-	// knob together with the exec object is rejected (exec_conflict).
-	Workers int `json:"workers,omitempty"`
-	// Committers is the legacy flat spelling of Exec.Committers.
-	Committers int `json:"committers,omitempty"`
-	// Speculate is the legacy flat spelling of Exec.Speculate.
-	Speculate int `json:"speculate,omitempty"`
-	// Ranker is the legacy flat spelling of Exec.Ranker.
-	Ranker string `json:"ranker,omitempty"`
 	// Trace records a Chrome-trace document for this run (phase spans,
 	// region spans, emission instants), retrievable afterwards from
 	// GET /v1/runs/{id}/trace and loadable in Perfetto. Off by default:
@@ -478,12 +468,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if exec.Workers > 0 {
 		ctx = smj.WithParallelism(ctx, exec.Workers)
 	}
-	if exec.Committers > 0 {
-		ctx = smj.WithCommitters(ctx, exec.Committers)
-	}
-	if exec.Speculate > 0 {
-		ctx = smj.WithSpeculate(ctx, exec.Speculate)
-	}
 	// Service shutdown aborts in-flight runs so graceful drains finish
 	// within their window instead of waiting out every stream.
 	defer context.AfterFunc(s.runCtx, cancelRun)()
@@ -643,12 +627,6 @@ func (s *Server) startCoalesced(g *runGroup, req QueryRequest,
 	ctx, cancelRun := context.WithCancel(ctx)
 	if exec.Workers > 0 {
 		ctx = smj.WithParallelism(ctx, exec.Workers)
-	}
-	if exec.Committers > 0 {
-		ctx = smj.WithCommitters(ctx, exec.Committers)
-	}
-	if exec.Speculate > 0 {
-		ctx = smj.WithSpeculate(ctx, exec.Speculate)
 	}
 	g.mu.Lock()
 	g.cancel = func() { cancelRun(); cancelT() }

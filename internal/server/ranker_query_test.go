@@ -39,7 +39,7 @@ func TestRankerQueryField(t *testing.T) {
 	if defRun["engine"] != "ProgXe" {
 		t.Fatalf("default run engine = %v", defRun["engine"])
 	}
-	cardRun, cardResults := collect(QueryRequest{Query: q, Engine: "progxe", Ranker: "cardinality"})
+	cardRun, cardResults := collect(QueryRequest{Query: q, Engine: "progxe", Exec: &ExecRequest{Ranker: "cardinality"}})
 	if cardRun["engine"] != "ProgXe (card-ranker)" {
 		t.Fatalf("cardinality run engine = %v, want ProgXe (card-ranker)", cardRun["engine"])
 	}
@@ -56,11 +56,11 @@ func TestRankerQueryField(t *testing.T) {
 	}
 
 	// Spelling the default explicitly is accepted too.
-	if run, _ := collect(QueryRequest{Query: q, Engine: "progxe", Ranker: "benefit-cost"}); run["engine"] != "ProgXe" {
+	if run, _ := collect(QueryRequest{Query: q, Engine: "progxe", Exec: &ExecRequest{Ranker: "benefit-cost"}}); run["engine"] != "ProgXe" {
 		t.Fatalf("benefit-cost run engine = %v", run["engine"])
 	}
 
-	resp := postQuery(t, ts, QueryRequest{Query: q, Engine: "progxe", Ranker: "bogus"})
+	resp := postQuery(t, ts, QueryRequest{Query: q, Engine: "progxe", Exec: &ExecRequest{Ranker: "bogus"}})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown ranker returned %d, want 400", resp.StatusCode)

@@ -117,18 +117,6 @@ type Config struct {
 	// how many runs execute, this limits how wide each may fan out.
 	// Default GOMAXPROCS; negative disables per-request parallelism.
 	MaxRunWorkers int
-	// MaxRunCommitters caps the per-request "committers" knob (the
-	// partitioned commit stage). Non-negative requests above the cap are
-	// clamped like workers; negative requests are rejected with 400 at the
-	// handler. Default GOMAXPROCS; negative disables per-request
-	// committers.
-	MaxRunCommitters int
-	// MaxRunSpeculate caps the per-request "speculate" knob (cross-round
-	// speculative pipelining depth). Non-negative requests above the cap
-	// are clamped; negative requests are rejected with 400 at the handler.
-	// Default 8 (the engine's own depth cap); negative disables
-	// per-request speculation.
-	MaxRunSpeculate int
 	// DefaultEngine is used when a query request names none. Default "progxe".
 	DefaultEngine string
 	// NewEngine overrides engine construction — a seam for tests to inject
@@ -206,18 +194,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRunWorkers < 0 {
 		c.MaxRunWorkers = 0 // per-request parallelism disabled
-	}
-	if c.MaxRunCommitters == 0 {
-		c.MaxRunCommitters = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxRunCommitters < 0 {
-		c.MaxRunCommitters = 0 // per-request committers disabled
-	}
-	if c.MaxRunSpeculate == 0 {
-		c.MaxRunSpeculate = 8
-	}
-	if c.MaxRunSpeculate < 0 {
-		c.MaxRunSpeculate = 0 // per-request speculation disabled
 	}
 	if c.DefaultEngine == "" {
 		c.DefaultEngine = defaultEngine

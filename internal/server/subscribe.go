@@ -83,7 +83,7 @@ func (ls *liveStreamSink) Retract(leftID, rightID int64) {
 //
 // Exec parallelism knobs are validated and accepted but not granted: live
 // maintenance is serial by design (each change's repair work is tiny), so
-// the echoed exec object reports zero workers/committers/speculate.
+// the echoed exec object reports zero workers.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	body := http.MaxBytesReader(w, r.Body, defaultMaxQueryBytes)
@@ -116,7 +116,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Live maintenance is serial; report what is granted, not what was asked.
-	exec.Workers, exec.Committers, exec.Speculate = 0, 0, 0
+	exec.Workers = 0
 
 	q, err := query.Parse(req.Query)
 	if err != nil {

@@ -30,60 +30,3 @@ func ParallelismFrom(ctx context.Context) (int, bool) {
 	n, ok := ctx.Value(parallelismKey{}).(int)
 	return n, ok
 }
-
-// committersKey carries a per-run committer-count request, the partitioned
-// commit stage's analogue of parallelismKey.
-type committersKey struct{}
-
-// WithCommitters returns a context requesting that engines run the commit
-// stage across n output-space-partitioned committer goroutines. The ProgXe
-// core reads the value in RunContext, where it overrides the configured
-// Options.Committers; n = 0 keeps the commit protocol on the sequencer. The
-// request only takes effect when the run is parallel (workers ≥ 1) and, like
-// WithParallelism, never changes the result stream.
-func WithCommitters(ctx context.Context, n int) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, committersKey{}, n)
-}
-
-// CommittersFrom reports the committer count requested via WithCommitters,
-// and whether one was set at all.
-func CommittersFrom(ctx context.Context) (int, bool) {
-	if ctx == nil {
-		return 0, false
-	}
-	n, ok := ctx.Value(committersKey{}).(int)
-	return n, ok
-}
-
-// speculateKey carries a per-run speculation-depth request, the cross-round
-// pipelining analogue of parallelismKey.
-type speculateKey struct{}
-
-// WithSpeculate returns a context requesting that engines speculate up to n
-// rounds ahead: phase-1 dominance scans for upcoming rounds run against a
-// stale space snapshot while the current round's commits drain, with
-// speculative survivors revalidated against only the per-round deltas. The
-// ProgXe core reads the value in RunContext, where it overrides the
-// configured Options.SpeculateRounds; n = 0 disables speculation. The
-// request only takes effect on parallel runs with partitioned committers
-// and a spare precheck lane (workers ≥ 2 and committers ≥ 1) and, like
-// WithParallelism, never changes the result stream.
-func WithSpeculate(ctx context.Context, n int) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, speculateKey{}, n)
-}
-
-// SpeculateFrom reports the speculation depth requested via WithSpeculate,
-// and whether one was set at all.
-func SpeculateFrom(ctx context.Context) (int, bool) {
-	if ctx == nil {
-		return 0, false
-	}
-	n, ok := ctx.Value(speculateKey{}).(int)
-	return n, ok
-}

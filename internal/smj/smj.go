@@ -157,13 +157,6 @@ type Stats struct {
 	SchedRankRefreshes int // lazy benefit/cost refreshes at queue-pop
 	FenwickUpdates     int // point updates on the active-cell and in-degree Fenwick trees
 
-	// Speculative-pipelining counters (ProgXe engines with SpeculateRounds).
-	// Like DomComparisons these are scheduling-dependent — how many rounds
-	// get speculated depends on which prefetch jobs happen to be ready — so
-	// the differential harness exempts them from byte-identity.
-	SpecRounds      int // speculative phase-1 scans launched against stale snapshots
-	SpecHits        int // rounds whose stale verdicts were consumed (drain overlapped)
-	SpecRevalChecks int // speculative survivors revalidated against per-round deltas
 }
 
 // Engine evaluates a SkyMapJoin problem, streaming results to sink.

@@ -87,26 +87,6 @@ func WithParallelism(ctx context.Context, n int) context.Context {
 	return smj.WithParallelism(ctx, n)
 }
 
-// WithCommitters returns a context requesting that the run apply commit
-// operations across n output-space-partitioned committer goroutines (ProgXe
-// engines; overrides Options.Committers for that run, effective only when
-// the run is parallel). Like WithParallelism, this never changes the result
-// stream.
-func WithCommitters(ctx context.Context, n int) context.Context {
-	return smj.WithCommitters(ctx, n)
-}
-
-// WithSpeculate returns a context requesting that the run speculate up to n
-// rounds ahead: phase-1 dominance prechecks for upcoming rounds run against
-// a stale space snapshot while the current round's commits drain, with
-// speculative survivors revalidated against only the per-round deltas
-// (ProgXe engines; overrides Options.SpeculateRounds for that run, effective
-// only on parallel runs with partitioned committers). Like WithParallelism,
-// this never changes the result stream.
-func WithSpeculate(ctx context.Context, n int) context.Context {
-	return smj.WithSpeculate(ctx, n)
-}
-
 // Prepared is a reusable snapshot of the plan-construction phases of a
 // ProgXe run (input partitioning, region pairing, look-ahead pruning). It is
 // immutable once built, so one Prepared plan can back any number of

@@ -21,10 +21,8 @@ type (
 	// including the time-to-first-result histogram.
 	ServerStats = server.Snapshot
 	// ExecOptions mirrors the wire "exec" object shared by /v1/query and
-	// /v1/subscribe: the run-shaping knobs (workers, committers, speculate,
-	// ranker) under one name. Embedders constructing QueryRequest bodies
-	// programmatically should prefer it over the legacy flat fields; a
-	// request carrying both spellings is rejected with exec_conflict.
+	// /v1/subscribe: the run-shaping knobs (workers, ranker) under one name,
+	// and the only spelling of them a request body has.
 	ExecOptions = server.ExecRequest
 )
 
