@@ -237,7 +237,7 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 }
 
 // BenchmarkAblationOrdering isolates the ordering policy: the full
-// benefit/cost ProgOrder vs cardinality-only ranking vs arrival vs random.
+// benefit/cost ProgOrder vs arrival vs random.
 func BenchmarkAblationOrdering(b *testing.B) {
 	p := ablationProblem(b, 1200, 4)
 	policies := []struct {
@@ -245,7 +245,6 @@ func BenchmarkAblationOrdering(b *testing.B) {
 		ord  progxe.Ordering
 	}{
 		{"ProgOrder", progxe.OrderProgressive},
-		{"CardinalityOnly", progxe.OrderCardinality},
 		{"Arrival", progxe.OrderArrival},
 		{"Random", progxe.OrderRandom},
 	}

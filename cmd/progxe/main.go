@@ -50,7 +50,6 @@ func run(args []string) error {
 		inCells   = fs.Int("input-cells", 0, "input grid cells per dimension (0 = auto)")
 		outCells  = fs.Int("output-cells", 0, "output grid cells per dimension (0 = auto)")
 		workers   = fs.Int("workers", 0, "parallel region-processing workers (ProgXe engines; 0 = serial, -1 = GOMAXPROCS); results are identical at any count")
-		ranker    = fs.String("ranker", "benefit-cost", "progressive scheduling ranker: benefit-cost (Eq. 8) or cardinality (skips ProgCount; ProgXe engines only)")
 		stats     = fs.Bool("stats", false, "print run statistics to stderr")
 		quiet     = fs.Bool("quiet", false, "suppress per-result output (timing only)")
 		explain   = fs.Bool("explain", false, "print the look-ahead plan and exit without executing")
@@ -101,11 +100,6 @@ func run(args []string) error {
 		return nil
 	}
 
-	rk, err := core.ParseRanker(*ranker)
-	if err != nil {
-		return err
-	}
-
 	// Observability: the profiler is free on the hot path, so it is on
 	// whenever something consumes it (-stats phase breakdown, -trace-out).
 	var prof *obs.Profiler
@@ -118,7 +112,7 @@ func run(args []string) error {
 		tracer = core.NewTraceRecorder(prof.Epoch())
 	}
 
-	e, err := pickEngine(*engine, *inCells, *outCells, *workers, rk, *trace, prof, tracer)
+	e, err := pickEngine(*engine, *inCells, *outCells, *workers, *trace, prof, tracer)
 	if err != nil {
 		return err
 	}
@@ -188,8 +182,8 @@ func loadCSV(path string) (*relation.Relation, error) {
 	return relation.ReadCSV(name, f)
 }
 
-func pickEngine(name string, inCells, outCells, workers int, ranker core.RankerKind, trace bool, prof *obs.Profiler, tracer *core.TraceRecorder) (progxe.Engine, error) {
-	opts := progxe.Options{InputCells: inCells, OutputCells: outCells, Workers: workers, Ranker: ranker, Profiler: prof}
+func pickEngine(name string, inCells, outCells, workers int, trace bool, prof *obs.Profiler, tracer *core.TraceRecorder) (progxe.Engine, error) {
+	opts := progxe.Options{InputCells: inCells, OutputCells: outCells, Workers: workers, Profiler: prof}
 	switch {
 	case trace && tracer != nil:
 		opts.Trace = func(e core.Event) {

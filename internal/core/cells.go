@@ -47,7 +47,6 @@ type cell struct {
 	emitted   bool      // survivors already reported
 	activeIdx int       // position in space.active, -1 if not active
 	visited   int32     // cellIndex epoch stamp (bucket-union dedup)
-	seq       int32     // position in space.cellList (goroutine-local visit stamps)
 	key       uint64    // packed coordinate key (valid when the index is packed)
 	// minV/maxV are the componentwise min/max over the current survivors —
 	// the survivor summary. A cell can hold a dominator of t only if
@@ -297,18 +296,10 @@ func (s *space) commitSurvivor(c *cell, leftID, rightID int64, v []float64, sum 
 }
 
 // dominatedWithin reports whether any survivor of p dominates the candidate
-// vector, counting comparisons into the run stats.
+// vector, counting comparisons into the run stats. The survivor summary
+// refutes whole cells in O(d); otherwise the scan walks the SFS-sorted
+// buffer up to the sum cutoff (a dominator's sum is at most the candidate's).
 func (s *space) dominatedWithin(p *cell, v []float64, sum float64) bool {
-	return cellDominates(p, v, sum, &s.stats.DomComparisons)
-}
-
-// cellDominates reports whether any survivor of p dominates the candidate
-// vector, adding the comparisons performed to *comps (run stats on the
-// sequencer, a task-local counter in precheck workers). The survivor
-// summary refutes whole cells in O(d); otherwise the scan walks the
-// SFS-sorted buffer up to the sum cutoff (a dominator's sum is at most the
-// candidate's).
-func cellDominates(p *cell, v []float64, sum float64, comps *int) bool {
 	if len(p.tuples) == 0 {
 		return false
 	}
@@ -319,7 +310,7 @@ func cellDominates(p *cell, v []float64, sum float64, comps *int) bool {
 	}
 	end := p.firstAbove(sum)
 	for j := 0; j < end; j++ {
-		*comps++
+		s.stats.DomComparisons++
 		if preference.DominatesMin(p.tuples[j].v, v) {
 			return true
 		}

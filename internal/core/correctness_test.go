@@ -43,7 +43,6 @@ func TestEnginesAgreeWithOracle(t *testing.T) {
 		New(Options{Ordering: OrderRandom, Seed: 11}),
 		New(Options{Ordering: OrderRandom, PushThrough: true, Seed: 12}),
 		New(Options{Ordering: OrderArrival}),
-		New(Options{Ordering: OrderCardinality}),
 		New(Options{InputCells: 2, OutputCells: 3}),
 		New(Options{InputCells: 6, OutputCells: 16}),
 		New(Options{Partitioning: PartitionKD}),

@@ -199,7 +199,7 @@ func TestEngineNames(t *testing.T) {
 			t.Errorf("Name(%+v) = %q, want %q", opts, got, want)
 		}
 	}
-	for _, o := range []Ordering{OrderProgressive, OrderRandom, OrderArrival, OrderCardinality, Ordering(9)} {
+	for _, o := range []Ordering{OrderProgressive, OrderRandom, OrderArrival, Ordering(9)} {
 		if o.String() == "" {
 			t.Fatalf("Ordering(%d) renders empty", o)
 		}

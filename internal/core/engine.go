@@ -28,10 +28,6 @@ const (
 	OrderRandom
 	// OrderArrival processes regions in construction order (ablation).
 	OrderArrival
-	// OrderCardinality ranks EL-Graph roots by estimated cardinality/cost,
-	// ignoring the progressiveness (ProgCount) term (ablation isolating the
-	// benefit model).
-	OrderCardinality
 )
 
 // String names the ordering policy.
@@ -43,55 +39,8 @@ func (o Ordering) String() string {
 		return "random"
 	case OrderArrival:
 		return "arrival"
-	case OrderCardinality:
-		return "cardinality"
 	default:
 		return fmt.Sprintf("Ordering(%d)", int8(o))
-	}
-}
-
-// RankerKind selects the benefit model behind the progressive scheduler's
-// Benefit/Cost ranks — the sched.Ranker implementation the engine hands to
-// sched.NewProgressive. The scheduler layer is agnostic to the choice; only
-// the rank values (and therefore the schedule) change.
-type RankerKind int8
-
-const (
-	// RankBenefitCost is Equation 8 as written: Benefit = ProgCount-weighted
-	// cardinality, Cost = the Equation 7 work model. ProgCount is exact but
-	// is the expensive term of every lazy rank refresh.
-	RankBenefitCost RankerKind = iota
-	// RankCardinality drops the progressiveness term: Benefit is the
-	// estimated skyline cardinality of the region alone, over the same
-	// Equation 7 cost. Each refresh is O(1) — no ProgCount, no orthant
-	// queries — trading schedule quality for refresh cost on workloads whose
-	// rank order is cardinality-driven anyway.
-	RankCardinality
-)
-
-// String names the ranker the way the -ranker flag and the query service
-// spell it.
-func (k RankerKind) String() string {
-	switch k {
-	case RankCardinality:
-		return "cardinality"
-	case RankBenefitCost:
-		return "benefit-cost"
-	default:
-		return fmt.Sprintf("RankerKind(%d)", int8(k))
-	}
-}
-
-// ParseRanker resolves a ranker name ("benefit-cost", "cardinality"; empty
-// selects the default) to its kind.
-func ParseRanker(s string) (RankerKind, error) {
-	switch s {
-	case "", "benefit-cost":
-		return RankBenefitCost, nil
-	case "cardinality":
-		return RankCardinality, nil
-	default:
-		return 0, fmt.Errorf("unknown ranker %q (want benefit-cost or cardinality)", s)
 	}
 }
 
@@ -108,9 +57,6 @@ type Options struct {
 	OutputCells int
 	// Ordering is the region-ordering policy. Default OrderProgressive.
 	Ordering Ordering
-	// Ranker selects the benefit model driving OrderProgressive's ranks
-	// (ignored by the other orderings). Default RankBenefitCost.
-	Ranker RankerKind
 	// PushThrough enables skyline partial push-through on each source
 	// before partitioning — the ProgXe+ variants.
 	PushThrough bool
@@ -120,13 +66,10 @@ type Options struct {
 	// (uniform grid by default; kd median splits adapt to skew).
 	Partitioning Partitioning
 	// Workers enables parallel region processing. 0 (the default) runs the
-	// fully serial engine; n ≥ 1 runs n candidate-prefetch workers plus n
-	// phase-1 precheck workers alongside the sequencer; negative picks
-	// GOMAXPROCS. Any value yields a result stream (emissions, trace
-	// events, counters other than DomComparisons) byte-identical to the
-	// serial engine — parallelism changes wall-clock, never output. A
-	// smj.WithParallelism request on the RunContext context overrides this
-	// per run.
+	// fully serial engine; n ≥ 1 runs n candidate-prefetch workers alongside
+	// the sequencer; negative picks GOMAXPROCS. Any value yields a run
+	// (emissions, trace events, every counter) byte-identical to the serial
+	// engine — parallelism changes wall-clock, never output.
 	Workers int
 	// Committers is inert (no code reads it); the next [benchmark] PR drops it with core.par.total_ms.wc.
 	Committers int
@@ -138,7 +81,7 @@ type Options struct {
 	Trace func(Event)
 	// Profiler, when non-nil, receives monotonic-clock phase attribution
 	// for the run: setup phases and the sequencer's per-region stages on
-	// the sequencer lane, prefetch/precheck work on worker lanes. Purely
+	// the sequencer lane, prefetch work on worker lanes. Purely
 	// observational — never consulted for decisions — so enabling it
 	// cannot change the result stream. nil costs nothing.
 	Profiler *obs.Profiler
@@ -195,9 +138,6 @@ func (e *Engine) Name() string {
 	if e.opts.Ordering != OrderProgressive {
 		name += " (No-Order)"
 	}
-	if e.opts.Ordering == OrderProgressive && e.opts.Ranker == RankCardinality {
-		name += " (card-ranker)"
-	}
 	return name
 }
 
@@ -243,20 +183,15 @@ func (e *Engine) RunContext(ctx context.Context, p *smj.Problem, sink smj.Sink) 
 	if err != nil {
 		return stats, err
 	}
-	return e.runPlan(ctx, cancel, pl, sink, e.resolveParallelism(ctx))
+	return e.runPlan(ctx, cancel, pl, sink, e.workers())
 }
 
-// resolveParallelism resolves the run's worker count from the engine options
-// and the per-run context override.
-func (e *Engine) resolveParallelism(ctx context.Context) int {
-	workers := e.opts.Workers
-	if n, ok := smj.ParallelismFrom(ctx); ok {
-		workers = n
+// workers resolves the run's worker count from the engine options.
+func (e *Engine) workers() int {
+	if e.opts.Workers < 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return workers
+	return e.opts.Workers
 }
 
 // runPlan is the tuple-processing half of RunContext: it materializes fresh
@@ -398,12 +333,8 @@ func (r *runState) loop() error {
 	default:
 		r.space.fenEligible = r.space.g.NumCells() <= fenCellLimit
 		// The ranker handed to the scheduler is the engine's only influence
-		// on ProgOrder's decisions — swapping it proves the layer pluggable.
-		ranker := sched.Ranker(r.rankRegion)
-		if opts.Ranker == RankCardinality && opts.Ordering == OrderProgressive {
-			ranker = r.rankCardinality
-		}
-		r.sched = sched.NewProgressive(schedBoxes(r.regions), r.space.dims(), ranker, r.workers())
+		// on ProgOrder's decisions.
+		r.sched = sched.NewProgressive(schedBoxes(r.regions), r.space.dims(), r.rankRegion, r.workers())
 	}
 	// Construction-time counters land in the stats immediately, and the
 	// running refresh tally is folded in on every exit path, so canceled
@@ -415,7 +346,7 @@ func (r *runState) loop() error {
 		r.stats.SchedRankRefreshes = r.sched.Counters().RankRefreshes
 	}()
 	if r.pool != nil {
-		r.pool.start(r.sched.PrefetchOrder(), len(r.space.cellList))
+		r.pool.start(r.sched.PrefetchOrder())
 	}
 	prof.EndSequencer(obs.PhaseSched, tSched)
 
@@ -458,21 +389,6 @@ func (r *runState) workers() int {
 func (r *runState) rankRegion(id int) float64 {
 	reg := r.regions[id]
 	analyse(r.space, reg, r.d, r.outCells)
-	if r.engine.opts.Ordering == OrderCardinality {
-		// Replace the benefit with the raw cardinality estimate, keeping
-		// the cost denominator (ablation).
-		reg.benefit = float64(reg.joinCard)
-		reg.rank = reg.benefit / reg.cost
-	}
-	return reg.rank
-}
-
-// rankCardinality is the cardinality-aware sched.Ranker: Equation 8 with
-// the progressiveness term dropped, so a refresh costs O(1) — no ProgCount
-// scan, no orthant queries (see RankCardinality).
-func (r *runState) rankCardinality(id int) float64 {
-	reg := r.regions[id]
-	analyseCardinality(reg, r.d, r.outCells)
 	return reg.rank
 }
 
@@ -596,7 +512,7 @@ func (r *runState) roundDominates(lower []float64) bool {
 // at a time on the sequencer goroutine — join.Hash's order (left outer,
 // right build order inner) with no table build and no per-region allocation.
 // The whole fused probe+map+insert loop reports as commit time — serial runs
-// have no separate prefetch or precheck stages to attribute.
+// have no separate prefetch stage to attribute.
 func (r *runState) processSerial(reg *region) {
 	prof := r.engine.opts.Profiler
 	defer prof.EndSequencer(obs.PhaseCommit, prof.Clock())
@@ -627,28 +543,16 @@ probe:
 }
 
 // processPooled consumes the region's (prefetched or inline-built)
-// candidate stream. Large rounds first run the phase-1 dominance check of
-// every candidate in parallel against the frozen pre-round space; the
-// sequencer then commits candidates in the canonical stream order. A
-// precheck rejection is final — a pre-round dominator (or, transitively,
-// whatever evicted it) still exists at the candidate's turn — so the
-// rejected majority skips its commit-time scans entirely; survivors re-run
-// the full current-state protocol, which also covers tuples inserted
-// earlier in the same round. The protocol outcome per candidate — and
-// therefore the whole observable run — is identical to processSerial.
+// candidate stream: the sequencer commits each candidate in the canonical
+// stream order through the same insertSum protocol processSerial reaches via
+// insert, so the whole observable run — every comparison included — is
+// identical to processSerial's.
 func (r *runState) processPooled(reg *region) {
 	prof := r.engine.opts.Profiler
 	tTake := prof.Clock()
 	buf, n := r.pool.take(reg, r.cancel)
 	prof.EndSequencer(obs.PhasePrefetch, tTake)
 	cands := buf.cands[:n]
-	var rejected []bool
-	if n >= precheckMinCands {
-		rejected = r.pool.rejectedScratch(n)
-		tBarrier := prof.Clock()
-		r.stats.DomComparisons += r.pool.precheck(r.space, cands, rejected)
-		prof.EndSequencer(obs.PhasePrecheck, tBarrier)
-	}
 	tCommit := prof.Clock()
 	for k := range cands {
 		if r.cancel.Check() != nil {
@@ -659,17 +563,6 @@ func (r *runState) processPooled(reg *region) {
 		if c == nil {
 			r.uncovered++
 			continue
-		}
-		if rejected != nil {
-			if c.marked {
-				// Marking may have happened mid-round; count exactly like
-				// the serial insert would at this candidate's turn.
-				r.stats.MappedDiscarded++
-				continue
-			}
-			if rejected[k] {
-				continue
-			}
 		}
 		if cv, ok := r.space.insertSum(c, cd.leftID, cd.rightID, cd.v, cd.sum); ok {
 			r.roundNew = append(r.roundNew, cv)

@@ -40,7 +40,7 @@ func (e *Engine) lookAhead(p *smj.Problem) (*Prepared, []*region, *space, error)
 		return nil, nil, nil, err
 	}
 	regions := pl.materialize()
-	s, err := buildSpace(regions, pl.frontier, pl.d, e.outputCells(pl.d), &stats, e.resolveParallelism(ctx))
+	s, err := buildSpace(regions, pl.frontier, pl.d, e.outputCells(pl.d), &stats, e.workers())
 	return pl, regions, s, err
 }
 
@@ -73,8 +73,7 @@ func Explain(p *smj.Problem, opts Options) (Plan, error) {
 	if len(regions) > 0 {
 		b := s.g.Bounds()
 		plan.OutputBounds = grid.Rect{Lower: b.Lo, Upper: b.Hi}
-		workers := e.resolveParallelism(context.Background())
-		c := sched.NewProgressive(schedBoxes(regions), s.dims(), func(int) float64 { return 0 }, workers).Counters()
+		c := sched.NewProgressive(schedBoxes(regions), s.dims(), func(int) float64 { return 0 }, e.workers()).Counters()
 		plan.Edges = c.Edges
 		plan.Roots = c.Roots
 	}

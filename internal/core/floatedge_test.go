@@ -57,8 +57,6 @@ func TestBatchRoundedSumTie(t *testing.T) {
 	if big := 1e16; big+1 != big {
 		t.Fatal("1e16 + 1 is expected to round to 1e16")
 	}
-	defer func(old int) { precheckMinCands = old }(precheckMinCands)
-	precheckMinCands = 1 // tiny rounds take the parallel phase-1 paths too
 	for _, left := range [][][]float64{
 		{{1e16, 0}, {1e16, 1}, {0, 5}},
 		{{1e16, 1}, {1e16, 0}, {0, 5}},
@@ -86,7 +84,6 @@ func TestBatchFloatEdges(t *testing.T) {
 		// stops being a lower bound of its members and static marking drops
 		// a skyline member. That is cell arithmetic, not a sum cutoff.
 	}
-	defer func(old int) { precheckMinCands = old }(precheckMinCands)
 	seeds := uint64(48)
 	if testing.Short() {
 		seeds = 12
@@ -112,8 +109,6 @@ func TestBatchFloatEdges(t *testing.T) {
 			p.Left.Tuples = append(p.Left.Tuples, draw(id))
 			p.Right.Tuples = append(p.Right.Tuples, draw(id))
 		}
-		// Alternate the precheck threshold so both phase-1 placements run.
-		precheckMinCands = []int{1, 256}[seed%2]
 		for _, pipe := range batchPipelines {
 			for _, shape := range []Options{{}, {InputCells: 3, OutputCells: 4}, {Partitioning: PartitionKD, InputCells: 2}} {
 				opts := pipe.opts

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -48,9 +49,8 @@ func runObserved(t *testing.T, p *smj.Problem, opts Options) ([]emission, []Even
 // TestDifferentialObservability is the non-perturbation proof: runs with the
 // profiler (spans on), the trace recorder and a timeline all enabled must
 // reproduce the unobserved serial run bit for bit — emission sequence,
-// trace-event stream, and every counter except DomComparisons — across the
-// full worker sweep with both pooled commit paths forced, exactly like the
-// plain differential harness.
+// trace-event stream, and every counter — across the full worker sweep,
+// exactly like the plain differential harness.
 func TestDifferentialObservability(t *testing.T) {
 	for _, tc := range []struct {
 		dist  datagen.Distribution
@@ -68,7 +68,7 @@ func TestDifferentialObservability(t *testing.T) {
 
 			// Serial with observability on.
 			em, ev, stats, prof, rec := runObserved(t, p, Options{})
-			compareRuns(t, "serial+obs", em, ev, stats, serialEm, serialEv, serialStats)
+			requireIdenticalRun(t, "serial+obs", em, ev, stats, serialEm, serialEv, serialStats)
 
 			// The profiler must actually have seen the run.
 			rep := prof.Report()
@@ -89,61 +89,32 @@ func TestDifferentialObservability(t *testing.T) {
 				t.Fatalf("profiler span log empty with EnableSpans")
 			}
 
-			// Worker sweep with both pooled commit paths forced, all
-			// observability on.
-			defer func(old int) { precheckMinCands = old }(precheckMinCands)
-			for i, w := range workerSweep() {
-				switch i {
-				case 0:
-					precheckMinCands = 1
-				case 1:
-					precheckMinCands = 1 << 30
-				default:
-					precheckMinCands = 256
+			// Worker sweep, all observability on. The pool's goroutines are
+			// the w prefetch workers: spans sit on the sequencer lane or on
+			// worker lanes 1..w, and the only phase off the sequencer is
+			// prefetch.
+			for _, w := range workerSweep() {
+				em, ev, stats, prof, _ := runObserved(t, p, Options{Workers: w})
+				requireIdenticalRun(t, "parallel+obs", em, ev, stats, serialEm, serialEv, serialStats)
+				if rep := prof.Report(); rep.SequencerMillis <= 0 {
+					t.Fatalf("workers=%d profiler recorded no sequencer time", w)
 				}
-				popts := Options{Workers: w}
-				em, ev, stats, prof, _ := runObserved(t, p, popts)
-				compareRuns(t, "parallel+obs", em, ev, stats, serialEm, serialEv, serialStats)
-				if i != 1 { // precheck disabled on pass 1 → maybe no worker time
-					if rep := prof.Report(); rep.SequencerMillis <= 0 {
-						t.Fatalf("workers=%d profiler recorded no sequencer time", w)
+				for _, sp := range prof.Spans() {
+					if sp.Name == obs.PhasePrecheck.String() {
+						t.Fatalf("workers=%d: span of the removed stage recorded: %+v", w, sp)
+					}
+					if sp.Track == "sequencer" {
+						continue
+					}
+					var lane int
+					if _, err := fmt.Sscanf(sp.Track, "worker %d", &lane); err != nil || lane < 1 || lane > w {
+						t.Fatalf("workers=%d: span on lane %q, want sequencer or worker 1..%d", w, sp.Track, w)
+					}
+					if sp.Name != obs.PhasePrefetch.String() {
+						t.Fatalf("workers=%d: worker lane recorded phase %q, want prefetch only", w, sp.Name)
 					}
 				}
 			}
-
-			// Two workers at the production precheck threshold.
-			precheckMinCands = 256
-			em, ev, stats, _, _ = runObserved(t, p, Options{Workers: 2})
-			compareRuns(t, "workers+obs", em, ev, stats, serialEm, serialEv, serialStats)
 		})
-	}
-}
-
-// compareRuns demands bit-for-bit equality with the serial baseline, modulo
-// DomComparisons (execution placement, not verdicts).
-func compareRuns(t *testing.T, label string, em []emission, ev []Event, stats smj.Stats, serialEm []emission, serialEv []Event, serialStats smj.Stats) {
-	t.Helper()
-	if len(em) != len(serialEm) {
-		t.Fatalf("%s emitted %d results, baseline %d", label, len(em), len(serialEm))
-	}
-	for i := range em {
-		g, s := em[i], serialEm[i]
-		if g.cell != s.cell || g.leftID != s.leftID || g.rightID != s.rightID || !slices.Equal(g.out, s.out) {
-			t.Fatalf("%s emission %d diverges: {cell %d (%d,%d) %v} vs {cell %d (%d,%d) %v}",
-				label, i, g.cell, g.leftID, g.rightID, g.out, s.cell, s.leftID, s.rightID, s.out)
-		}
-	}
-	if len(ev) != len(serialEv) {
-		t.Fatalf("%s produced %d trace events, baseline %d", label, len(ev), len(serialEv))
-	}
-	for i := range ev {
-		if ev[i] != serialEv[i] {
-			t.Fatalf("%s event %d diverges: %v vs %v", label, i, ev[i], serialEv[i])
-		}
-	}
-	ns, ss := stats, serialStats
-	ns.DomComparisons, ss.DomComparisons = 0, 0
-	if ns != ss {
-		t.Fatalf("%s stats diverge: %+v vs %+v", label, ns, ss)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -15,34 +14,33 @@ import (
 
 // Parallel region processing.
 //
-// Tuple-level processing of one region decomposes into three stages with
-// very different concurrency properties:
+// Tuple-level processing of one region decomposes into two stages with very
+// different concurrency properties:
 //
 //  1. the candidate stream — join matching, mapping-function evaluation,
 //     output-cell routing and coordinate sums — is a pure function of the
 //     region's input partitions and the (immutable) grid and mapping set;
-//  2. the phase-1 dominance check of each candidate reads the output space
-//     but, against a fixed snapshot, is independent per candidate;
-//  3. committing survivors (eviction, buffer insertion, populate marking,
-//     progressive determination) mutates shared bookkeeping whose order
-//     defines the emission stream.
+//  2. the tuple-level protocol (dominance check, eviction, buffer insertion,
+//     populate marking, progressive determination) reads and mutates shared
+//     bookkeeping whose order defines the emission stream.
 //
-// The pool below parallelizes (1) across regions — prefetch workers
+// The pool below parallelizes (1) across regions: prefetch workers
 // materialize candidate streams into per-job arenas while earlier regions
-// commit — and (2) within a region: precheck workers scan the frozen
-// pre-round space while the sequencer waits. Stage (3) stays on the
-// sequencer goroutine, in the exact order the serial engine uses, so the
-// externally observable run — emissions, trace events, and every counter
-// except DomComparisons (which reflects where comparisons run, not what
-// they decide) — is byte-identical to the serial engine regardless of
-// GOMAXPROCS, worker count, or goroutine scheduling.
+// commit. Stage (2) stays on the sequencer goroutine, which runs the serial
+// engine's protocol on each candidate in the serial engine's order, so the
+// externally observable run — emissions, trace events and every counter —
+// is byte-identical to the serial engine regardless of GOMAXPROCS, worker
+// count, or goroutine scheduling.
 //
 // A cell-sharded space with per-cell locks was considered and rejected:
 // phase-1/phase-2 scans cross cells, so insert outcomes under concurrent
 // commit would depend on interleaving (arrival-order tie-breaks, the
 // populate/marking race), which is irreconcilable with a bit-for-bit
-// deterministic stream. Sharding the *reads* (precheck) and the *stream
-// construction* (prefetch) keeps every mutation single-owner instead.
+// deterministic stream. A parallel phase-1 check of each round against the
+// frozen pre-round space was built and measured slower than committing
+// directly (its barrier cost more than the commit-time scans it saved).
+// Sharding only the *stream construction* keeps every mutation — and every
+// comparison — single-owner instead.
 
 // cand is one mapped join result awaiting the tuple-level protocol: the
 // joined pair, its canonical output vector (backed by the job's block),
@@ -97,41 +95,6 @@ type regionJob struct {
 	n        int // candidates materialized (== reg.joinCard unless canceled)
 }
 
-// precheckTask asks for the phase-1 dominance verdicts of one chunk of the
-// current round's candidates against the frozen pre-round space. Chunks
-// write disjoint ranges of the shared rejected slice.
-type precheckTask struct {
-	s        *space
-	cands    []cand
-	rejected []bool
-	lo       int
-	comps    int
-	wg       *sync.WaitGroup
-}
-
-// precheckState is the per-goroutine scratch for precheck scans: the visit
-// stamps that dedup cells appearing in several coordinate buckets. Each
-// goroutine owns one, so scans never touch the index's shared epoch.
-type precheckState struct {
-	visited []int32
-	epoch   int32
-}
-
-func newPrecheckState(cells int) *precheckState {
-	return &precheckState{visited: make([]int32, cells)}
-}
-
-// precheckMinCands is the round size below which the phase-1 precheck runs
-// inline on the sequencer: distributing a handful of candidates costs more
-// in barrier synchronization than the scans themselves. A variable (not
-// const) so the differential tests can force each pooled commit path —
-// precheck on every round, or never — regardless of round sizes. The
-// threshold changes where phase 1 executes, never its verdicts.
-var precheckMinCands = 256
-
-// precheckChunk is the target candidates-per-task granularity.
-const precheckChunk = 512
-
 // pool runs parallel region processing for one engine run.
 type pool struct {
 	workers int
@@ -150,14 +113,8 @@ type pool struct {
 
 	bufFree chan *candBuf
 
-	taskCh   chan *precheckTask
-	tasks    []precheckTask
-	pwg      sync.WaitGroup
-	seqState *precheckState // precheck scratch for the sequencer itself
-	rejected []bool
-
-	// prof attributes worker-side stream construction and precheck scans
-	// to worker lanes (nil-safe; set by the engine before start).
+	// prof attributes worker-side stream construction to worker lanes
+	// (nil-safe; set by the engine before start).
 	prof *obs.Profiler
 }
 
@@ -179,10 +136,6 @@ func newPool(ctx context.Context, workers int, s *space, regions []*region, maps
 		sem:     make(chan struct{}, inflight),
 		quit:    make(chan struct{}),
 		bufFree: make(chan *candBuf, inflight+workers+1),
-		// Sized so the sequencer can publish a whole round's tasks without
-		// blocking (chunking bounds the task count per round).
-		taskCh:   make(chan *precheckTask, 4*workers+8),
-		seqState: newPrecheckState(len(s.cellList)),
 	}
 	for i := range p.jobs {
 		p.jobs[i].reg = regions[i]
@@ -191,17 +144,15 @@ func newPool(ctx context.Context, workers int, s *space, regions []*region, maps
 	return p
 }
 
-// start launches the prefetch and precheck workers. order lists region ids
-// in descending scheduling urgency; prefetching a region that is later
-// discarded wastes only the stream construction, never correctness.
-func (p *pool) start(order []int32, cells int) {
+// start launches the prefetch workers on profiler lanes 1..workers (lane 0
+// is the sequencer's). order lists region ids in descending scheduling
+// urgency; prefetching a region that is later discarded wastes only the
+// stream construction, never correctness.
+func (p *pool) start(order []int32) {
 	p.order = order
-	// Profiler lanes: prefetch workers take 1..workers, precheck workers
-	// workers+1..2·workers; lane 0 is the sequencer's.
+	p.wg.Add(p.workers)
 	for i := 0; i < p.workers; i++ {
-		p.wg.Add(2)
 		go p.prefetchWorker(1 + i)
-		go p.precheckWorker(1+p.workers+i, cells)
 	}
 }
 
@@ -351,154 +302,6 @@ func (p *pool) drop(reg *region) {
 	}
 	<-j.done
 	p.finish(reg)
-}
-
-// rejectedScratch returns the shared, cleared verdict slice for n candidates.
-func (p *pool) rejectedScratch(n int) []bool {
-	if cap(p.rejected) < n {
-		p.rejected = make([]bool, n)
-	} else {
-		p.rejected = p.rejected[:n]
-		clear(p.rejected)
-	}
-	return p.rejected
-}
-
-// precheck runs the phase-1 dominance check of every candidate against the
-// frozen pre-round space, fanned across the precheck workers with the
-// sequencer helping. It returns the number of dominance comparisons
-// performed, accumulated in task order so the total is deterministic.
-// The space MUST NOT be mutated while precheck runs; the sequencer
-// guarantees that by blocking here until the barrier resolves.
-func (p *pool) precheck(s *space, cands []cand, rejected []bool) int {
-	chunk := (len(cands) + 3*p.workers) / (3*p.workers + 1)
-	if chunk < precheckChunk {
-		chunk = precheckChunk
-	}
-	p.tasks = p.tasks[:0]
-	for lo := 0; lo < len(cands); lo += chunk {
-		hi := lo + chunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		p.tasks = append(p.tasks, precheckTask{
-			s: s, cands: cands[lo:hi], rejected: rejected, lo: lo, wg: &p.pwg,
-		})
-	}
-	p.pwg.Add(len(p.tasks))
-	for i := range p.tasks {
-		p.taskCh <- &p.tasks[i]
-	}
-	// Help drain the queue: with every worker busy the sequencer would
-	// otherwise idle through its own barrier.
-	for {
-		select {
-		case t := <-p.taskCh:
-			t.run(p.seqState)
-			continue
-		default:
-		}
-		break
-	}
-	p.pwg.Wait()
-	comps := 0
-	for i := range p.tasks {
-		comps += p.tasks[i].comps
-	}
-	return comps
-}
-
-// precheckWorker serves phase-1 scan tasks for the duration of the run. Only
-// worker-served tasks report on the worker lane; tasks the sequencer drains
-// itself are already inside its barrier span (no double counting).
-func (p *pool) precheckWorker(lane int, cells int) {
-	defer p.wg.Done()
-	st := newPrecheckState(cells)
-	for {
-		select {
-		case <-p.quit:
-			return
-		case t := <-p.taskCh:
-			t0 := p.prof.Clock()
-			t.run(st)
-			p.prof.EndWorker(obs.PhasePrecheck, lane, t0)
-		}
-	}
-}
-
-// run computes the verdicts of one chunk.
-func (t *precheckTask) run(st *precheckState) {
-	comps := 0
-	for k := range t.cands {
-		if par.YieldHook != nil && k%64 == 0 {
-			par.YieldHook()
-		}
-		cd := &t.cands[k]
-		c := t.s.cellAt(cd.flat)
-		if c == nil || c.marked {
-			// Marked cells reject without dominance tests; the sequencer
-			// handles (and counts) them at commit time, where marks added
-			// by this very round are also visible.
-			continue
-		}
-		if t.s.precheckDominated(c, cd.v, cd.sum, st, &comps) {
-			t.rejected[t.lo+k] = true
-		}
-	}
-	t.comps = comps
-	t.wg.Done()
-}
-
-// stamp opens a fresh visit epoch in the goroutine-local scratch and
-// pre-visits c, mirroring cellIndex.stamp (including wrap clearing)
-// without touching shared state.
-func (st *precheckState) stamp(c *cell) int32 {
-	if st.epoch == math.MaxInt32 {
-		st.epoch = 0
-		clear(st.visited)
-	}
-	st.epoch++
-	st.visited[c.seq] = st.epoch
-	return st.epoch
-}
-
-// precheckDominated is the read-only twin of the insert phase-1 scan in
-// space.insertSum: identical bucket enumeration, identical summary and sum
-// cutoffs, but visit dedup through goroutine-local stamps and comparison
-// counting into the task-local counter. Its verdict for a candidate equals
-// the serial engine's rejection verdict restricted to pre-round survivors:
-// sound because eviction only ever replaces a tuple with one that dominates
-// it (so a stale dominator implies a live one), and exact because survivors
-// re-run the full current-state protocol at commit time, which also sees
-// this round's earlier insertions.
-func (s *space) precheckDominated(c *cell, v []float64, sum float64, st *precheckState, comps *int) bool {
-	epoch := st.stamp(c)
-	if cellDominates(c, v, sum, comps) {
-		return true
-	}
-	packed := s.idx.packed
-	for i := 0; i < s.d; i++ {
-		b := s.idx.buckets[i][c.coords[i]]
-		for j := bucketSplit(b, c.flat) - 1; j >= 0; j-- {
-			e := &b[j]
-			if packed {
-				if !keyLeq(e.key, c.key) {
-					continue
-				}
-			} else if !grid.LeqAll(e.c.coords, c.coords) {
-				continue
-			}
-			p := e.c
-			if st.visited[p.seq] == epoch || len(p.tuples) == 0 {
-				continue
-			}
-			st.visited[p.seq] = epoch
-			if cellDominates(p, v, sum, comps) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // The deterministic parallel-for behind the setup passes (region pruning,

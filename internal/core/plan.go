@@ -23,7 +23,7 @@ import (
 //
 // A Prepared plan is only valid for engines whose plan-affecting options (InputCells,
 // PushThrough, Partitioning) match the preparing engine's; RunPlanContext
-// rejects mismatches. Run-time options (ordering, ranker, workers, output
+// rejects mismatches. Run-time options (ordering, workers, output
 // grid, tracing, profiling) may differ freely.
 type Prepared struct {
 	problem *smj.Problem       // canonicalized
@@ -171,5 +171,5 @@ func (e *Engine) RunPlanContext(ctx context.Context, pl *Prepared, sink smj.Sink
 	if err := cancel.Now(); err != nil {
 		return stats, err
 	}
-	return e.runPlan(ctx, cancel, pl, sink, e.resolveParallelism(ctx))
+	return e.runPlan(ctx, cancel, pl, sink, e.workers())
 }

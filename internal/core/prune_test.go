@@ -83,7 +83,6 @@ func TestPruningPathPreservesEmissionStream(t *testing.T) {
 		{"indep d=4", 220, 4, datagen.Independent, 0.05, 11, Options{}},
 		{"corr d=2 kd", 300, 2, datagen.Correlated, 0.02, 13, Options{Partitioning: PartitionKD}},
 		{"anti d=2 fine grid", 240, 2, datagen.AntiCorrelated, 0.05, 17, Options{InputCells: 4, OutputCells: 32}},
-		{"card-ranker", 220, 3, datagen.AntiCorrelated, 0.05, 19, Options{Ranker: RankCardinality}},
 	}
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {

@@ -286,23 +286,10 @@ func runRecorded(t *testing.T, p *smj.Problem, opts Options) ([]emission, []Even
 // every parallel run reproduces the serial run bit for bit: the emission
 // sequence (ids, cells and vectors), the complete trace-event stream
 // (region choices with ranks, processing, discards, cell emissions), and
-// every counter except DomComparisons, which reflects where comparisons
-// execute (precheck workers vs the sequencer), not what they decide.
+// every counter.
 func checkParallelMatchesSerial(t *testing.T, p *smj.Problem, opts Options, serialEm []emission, serialEv []Event, serialStats smj.Stats) {
 	t.Helper()
-	defer func(old int) { precheckMinCands = old }(precheckMinCands)
-	for i, w := range workerSweep() {
-		// Force both pooled commit paths across the sweep: every round
-		// through the parallel precheck, then never, then the production
-		// threshold.
-		switch i {
-		case 0:
-			precheckMinCands = 1
-		case 1:
-			precheckMinCands = 1 << 30
-		default:
-			precheckMinCands = 256
-		}
+	for _, w := range workerSweep() {
 		popts := opts
 		popts.Workers = w
 		em, ev, stats := runRecorded(t, p, popts)
@@ -312,8 +299,7 @@ func checkParallelMatchesSerial(t *testing.T, p *smj.Problem, opts Options, seri
 
 // requireIdenticalRun demands one recorded run equals the serial reference
 // byte for byte: emissions (cells, ids, vectors), the complete trace-event
-// stream, and every counter except DomComparisons, which reflects
-// where comparisons execute, not what they decide.
+// stream, and every counter.
 func requireIdenticalRun(t *testing.T, label string, em []emission, ev []Event, stats smj.Stats, serialEm []emission, serialEv []Event, serialStats smj.Stats) {
 	t.Helper()
 	if len(em) != len(serialEm) {
@@ -334,10 +320,8 @@ func requireIdenticalRun(t *testing.T, label string, em []emission, ev []Event, 
 			t.Fatalf("%s event %d diverges: parallel %v, serial %v", label, i, ev[i], serialEv[i])
 		}
 	}
-	ns, ss := stats, serialStats
-	ns.DomComparisons, ss.DomComparisons = 0, 0
-	if ns != ss {
-		t.Fatalf("%s stats diverge: parallel %+v, serial %+v", label, ns, ss)
+	if stats != serialStats {
+		t.Fatalf("%s stats diverge: parallel %+v, serial %+v", label, stats, serialStats)
 	}
 }
 
@@ -534,13 +518,12 @@ func differentialCheck(t *testing.T, p *smj.Problem, opts Options) {
 
 // TestDifferentialEngineVariants replays the differential check under the
 // non-default engine configurations whose schedules exercise different
-// region orders (random, arrival, cardinality, push-through, kd splits).
+// region orders (random, arrival, push-through, kd splits).
 func TestDifferentialEngineVariants(t *testing.T) {
 	p := smokeProblem(t, 300, 3, datagen.AntiCorrelated, 0.05, 99)
 	for _, opts := range []Options{
 		{Ordering: OrderRandom, Seed: 7},
 		{Ordering: OrderArrival},
-		{Ordering: OrderCardinality},
 		{PushThrough: true},
 		{Partitioning: PartitionKD},
 		{InputCells: 2, OutputCells: 5},

@@ -210,9 +210,6 @@ func buildSpace(regions []*region, front *grid.Frontier, d, outputCells int, sta
 		}
 		slices.SortFunc(s.cellList, func(a, b *cell) int { return cmp.Compare(a.flat, b.flat) })
 	}
-	for i, c := range s.cellList {
-		c.seq = int32(i)
-	}
 	s.idx.all = s.cellList
 	s.arena.d = d
 
@@ -399,21 +396,6 @@ func analyse(s *space, r *region, d, outputCells int) {
 		total = 1
 	}
 	r.benefit = float64(pc) / float64(total) * card
-	r.cost = analyseCost(r, d, outputCells, total)
-	r.rank = r.benefit / r.cost
-}
-
-// analyseCardinality is the RankCardinality benefit model: the region's
-// estimated skyline cardinality stands in for the ProgCount-weighted
-// benefit, over the unchanged Equation 7 cost. It reads only the region's
-// construction-time quantities, so a refresh is O(1) and independent of the
-// output space's current state.
-func analyseCardinality(r *region, d, outputCells int) {
-	r.benefit = skyline.EstimateCardinality(float64(r.joinCard), d)
-	total := len(r.cells)
-	if total == 0 {
-		total = 1
-	}
 	r.cost = analyseCost(r, d, outputCells, total)
 	r.rank = r.benefit / r.cost
 }

@@ -49,17 +49,16 @@ const (
 	PhaseSched
 	// PhasePrefetch covers candidate-stream materialization (join matching,
 	// mapping, cell routing, coordinate sums). On worker lanes this is the
-	// prefetch workers' stream construction; on the sequencer lane it is the
-	// time spent waiting for (or inline-building) the stream at a region's
-	// turn. Serial runs fold this work into PhaseCommit.
+	// prefetch workers' stream construction — the only work that runs off
+	// the sequencer; on the sequencer lane it is the time spent waiting for
+	// (or inline-building) the stream at a region's turn. Serial runs fold
+	// this work into PhaseCommit.
 	PhasePrefetch
-	// PhasePrecheck covers the phase-1 dominance scans of large rounds
-	// against the frozen pre-round space. The sequencer lane records the
-	// whole barrier (including its own help draining the task queue);
-	// worker lanes record their individual task scans.
+	// PhasePrecheck is inert (the precheck stage is gone, nothing records it, so core.par.precheck_ms reads 0); the next [benchmark] PR drops it.
 	PhasePrecheck
-	// PhaseCommit covers the tuple-commit protocol on the sequencer. In
-	// serial runs this includes the fused join+map+insert loop.
+	// PhaseCommit covers the tuple-level protocol on the sequencer — every
+	// dominance check, eviction and buffer insertion, whatever the worker
+	// count. In serial runs this includes the fused join+map+insert loop.
 	PhaseCommit
 	// PhaseDetermine covers the progressive result determination cascade,
 	// dominance discards of live regions, and the scheduler graph updates

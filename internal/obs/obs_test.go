@@ -93,7 +93,7 @@ func TestProfilerConcurrentWorkers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				start := p.Clock()
-				p.EndWorker(PhasePrecheck, w, start)
+				p.EndWorker(PhasePrefetch, w, start)
 			}
 		}(w)
 	}

@@ -20,7 +20,7 @@ import (
 type coalesceKey struct {
 	plan          planKey
 	limit         int
-	exec          ExecInfo // granted knobs after resolveExec (ranker included)
+	exec          ExecInfo // granted knobs after resolveExec
 	timeoutMillis int64
 }
 

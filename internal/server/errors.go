@@ -18,8 +18,6 @@ const (
 	errBadQuery = "bad_query"
 	// errUnknownEngine: the "engine" field names no registered engine.
 	errUnknownEngine = "unknown_engine"
-	// errBadExec: an exec knob is out of range (unknown ranker).
-	errBadExec = "bad_exec"
 	// errRelationNotFound: a named relation is not in the catalog.
 	errRelationNotFound = "relation_not_found"
 	// errBadRelation: a relation upload, generate spec, or name is invalid.

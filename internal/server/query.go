@@ -33,9 +33,9 @@ type QueryRequest struct {
 	// Limit stops the run after this many results (0 = stream everything).
 	// The truncated stream still only contains final skyline members.
 	Limit int `json:"limit,omitempty"`
-	// Exec nests the run-shaping knobs (workers, ranker) under one object,
-	// shared verbatim by /v1/query and /v1/subscribe. See ExecRequest for
-	// the field semantics and resolveExec for the clamp-vs-reject rules.
+	// Exec nests the run-shaping knobs (workers) under one object, shared
+	// verbatim by /v1/query and /v1/subscribe. See ExecRequest for the field
+	// semantics and resolveExec for the clamping rules.
 	Exec *ExecRequest `json:"exec,omitempty"`
 	// Trace records a Chrome-trace document for this run (phase spans,
 	// region spans, emission instants), retrievable afterwards from
@@ -206,7 +206,7 @@ func (s *Server) resolveTimeout(reqMillis int64) time.Duration {
 // by shutdown and the server's RunTimeout), not the triggering request's:
 // a builder whose client disconnects mid-compile must not poison the entry
 // its sharers are waiting on.
-func (s *Server) planFor(key planKey, engine smj.Engine, q *query.Query, left, right *relation.Relation, workers int, useCache bool) (entry *planEntry, hit bool, err error) {
+func (s *Server) planFor(key planKey, engine smj.Engine, q *query.Query, left, right *relation.Relation, useCache bool) (entry *planEntry, hit bool, err error) {
 	if !useCache || s.plans == nil {
 		p, err := q.Compile(left, right)
 		if err != nil {
@@ -229,9 +229,6 @@ func (s *Server) planFor(key planKey, engine smj.Engine, q *query.Query, left, r
 		if t := s.cfg.RunTimeout; t > 0 {
 			ctx, cancel = context.WithTimeout(ctx, t)
 			defer cancel()
-		}
-		if workers > 0 {
-			ctx = smj.WithParallelism(ctx, workers)
 		}
 		pl, err := pe.PrepareContext(ctx, p)
 		if err != nil {
@@ -371,11 +368,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if engineName == "" {
 		engineName = s.cfg.DefaultEngine
 	}
-	exec, ranker, herr := s.resolveExec(&req)
-	if herr != nil {
-		writeError(w, herr.status, herr.code, "%s", herr.msg)
-		return
-	}
+	exec := s.resolveExec(&req)
 
 	// Parsing and catalog resolution precede admission: both are cheap (no
 	// relation-sized copies) and both are needed to name the plan — the
@@ -402,7 +395,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if s.coal != nil && !req.Trace {
-		s.handleCoalesced(w, r, req, sse, engineName, ranker, q, key, left, right, timeout, exec)
+		s.handleCoalesced(w, r, req, sse, engineName, q, key, left, right, timeout, exec)
 		return
 	}
 
@@ -427,7 +420,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Span retention and the event recorder are opt-in per request.
 	prof := obs.NewProfiler()
 	var tracer *core.TraceRecorder
-	opts := core.Options{Ranker: ranker, Profiler: prof}
+	// Per-request parallelism, clamped by the server cap: the engine is built
+	// for this request alone, and the run record reports what was granted.
+	opts := core.Options{Workers: exec.Workers, Profiler: prof}
 	if req.Trace {
 		prof.EnableSpans()
 		tracer = core.NewTraceRecorder(prof.Epoch())
@@ -442,7 +437,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Trace runs bypass the plan cache: a cached plan was prepared by some
 	// earlier run, so reusing it would leave the trace without its setup
 	// spans — a trace documents one complete run.
-	entry, cached, err := s.planFor(key, engine, q, left, right, exec.Workers, !req.Trace)
+	entry, cached, err := s.planFor(key, engine, q, left, right, !req.Trace)
 	if err != nil {
 		status, code := http.StatusBadRequest, errBadQuery
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -462,12 +457,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
-	// Per-request parallelism, clamped by the server cap. The request is
-	// threaded through the context so any ContextEngine can honor it; the
-	// run record reports what was granted.
-	if exec.Workers > 0 {
-		ctx = smj.WithParallelism(ctx, exec.Workers)
-	}
 	// Service shutdown aborts in-flight runs so graceful drains finish
 	// within their window instead of waiting out every stream.
 	defer context.AfterFunc(s.runCtx, cancelRun)()
@@ -555,7 +544,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // engine run), later identical requests attach as subscribers; every client
 // then streams the same byte-identical records from the group's replay ring.
 func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, req QueryRequest, sse bool,
-	engineName string, ranker core.RankerKind, q *query.Query, key planKey,
+	engineName string, q *query.Query, key planKey,
 	left, right *relation.Relation, timeout time.Duration, exec ExecInfo) {
 
 	ckey := coalesceKey{
@@ -571,7 +560,7 @@ func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, req Que
 		return
 	}
 	if leader {
-		s.startCoalesced(g, req, engineName, ranker, q, key, left, right, timeout, exec)
+		s.startCoalesced(g, req, engineName, q, key, left, right, timeout, exec)
 	}
 	s.streamGroup(w, r, g, sse)
 }
@@ -581,7 +570,7 @@ func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, req Que
 // the run goroutine. Setup failures resolve the group into a shared HTTP
 // error: every subscriber (the leader included) reports it identically.
 func (s *Server) startCoalesced(g *runGroup, req QueryRequest,
-	engineName string, ranker core.RankerKind, q *query.Query, key planKey,
+	engineName string, q *query.Query, key planKey,
 	left, right *relation.Relation, timeout time.Duration, exec ExecInfo) {
 
 	// Until the run goroutine owns the group, every exit — error or panic —
@@ -600,12 +589,12 @@ func (s *Server) startCoalesced(g *runGroup, req QueryRequest,
 	}
 
 	prof := obs.NewProfiler()
-	engine, err := s.cfg.NewEngine(engineName, core.Options{Ranker: ranker, Profiler: prof})
+	engine, err := s.cfg.NewEngine(engineName, core.Options{Workers: exec.Workers, Profiler: prof})
 	if err != nil {
 		fail(http.StatusBadRequest, errUnknownEngine, "%v", err)
 		return
 	}
-	entry, cached, err := s.planFor(key, engine, q, left, right, exec.Workers, true)
+	entry, cached, err := s.planFor(key, engine, q, left, right, true)
 	if err != nil {
 		status, code := http.StatusBadRequest, errBadQuery
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -625,9 +614,6 @@ func (s *Server) startCoalesced(g *runGroup, req QueryRequest,
 		ctx, cancelT = context.WithTimeout(ctx, timeout)
 	}
 	ctx, cancelRun := context.WithCancel(ctx)
-	if exec.Workers > 0 {
-		ctx = smj.WithParallelism(ctx, exec.Workers)
-	}
 	g.mu.Lock()
 	g.cancel = func() { cancelRun(); cancelT() }
 	g.mu.Unlock()

@@ -113,7 +113,7 @@ type Config struct {
 	// processing). Requests asking for more are clamped, not rejected —
 	// parallelism changes latency, never results. Together with
 	// MaxConcurrentRuns this bounds the total engine goroutines at
-	// MaxConcurrentRuns × (2·MaxRunWorkers + 1): admission control limits
+	// MaxConcurrentRuns × (MaxRunWorkers + 1): admission control limits
 	// how many runs execute, this limits how wide each may fan out.
 	// Default GOMAXPROCS; negative disables per-request parallelism.
 	MaxRunWorkers int

@@ -217,7 +217,6 @@ func TestQueryValidationErrors(t *testing.T) {
 		{"unknown attribute", QueryRequest{Query: strings.ReplaceAll(tinyQuery, "L.price", "L.nosuch")}, http.StatusBadRequest, "bad_query"},
 		{"unknown engine", QueryRequest{Query: tinyQuery, Engine: "quantum"}, http.StatusBadRequest, "unknown_engine"},
 		{"unknown format", QueryRequest{Query: tinyQuery, Format: "xml"}, http.StatusBadRequest, "bad_format"},
-		{"unknown ranker", QueryRequest{Query: tinyQuery, Exec: &ExecRequest{Ranker: "nope"}}, http.StatusBadRequest, "bad_exec"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -68,10 +68,10 @@ func (ls *liveStreamSink) Retract(leftID, rightID int64) {
 }
 
 // handleSubscribe is POST /v1/subscribe: a never-ending live query. The body
-// is the QueryRequest schema shared with /v1/query (same exec object, same
-// flat-field compatibility); trace and limit are meaningless on an unbounded
-// stream and rejected. The handler stages the query's output space (join,
-// mapping, grid — every step that can fail), commits to the response, and
+// is the QueryRequest schema shared with /v1/query (same exec object); trace
+// and limit are meaningless on an unbounded stream and rejected. The handler
+// stages the query's output space (join, mapping, grid — every step that can
+// fail), commits to the response, and
 // streams the snapshot as the dominance pass proves it: result records in
 // ascending coordinate-sum order, each one final, closed by a checkpoint. It
 // then holds the space resident and folds in every catalog change to the
@@ -81,9 +81,9 @@ func (ls *liveStreamSink) Retract(leftID, rightID int64) {
 // shuts down, a subscribed relation is dropped or wholesale-replaced, or the
 // subscription falls off the bounded change ring (replay_truncated).
 //
-// Exec parallelism knobs are validated and accepted but not granted: live
-// maintenance is serial by design (each change's repair work is tiny), so
-// the echoed exec object reports zero workers.
+// Exec parallelism knobs are accepted but not granted: live maintenance is
+// serial by design (each change's repair work is tiny), so the echoed exec
+// object reports zero workers.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	body := http.MaxBytesReader(w, r.Body, defaultMaxQueryBytes)
@@ -110,14 +110,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			"subscriptions run the live maintenance engine; engine %q is not selectable here", req.Engine)
 		return
 	}
-	exec, _, herr := s.resolveExec(&req)
-	if herr != nil {
-		writeError(w, herr.status, herr.code, "%s", herr.msg)
-		return
-	}
-	// Live maintenance is serial; report what is granted, not what was asked.
-	exec.Workers = 0
-
 	q, err := query.Parse(req.Query)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, errBadQuery, "%v", err)
@@ -197,7 +189,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.metrics.subStarted()
 	sw.record("run", runRecord{
 		Type: "run", ID: runID, Engine: "live",
-		Dims: plan.Problem.Maps.Names(), Exec: exec,
+		Dims: plan.Problem.Maps.Names(),
 	})
 
 	// The dominance pass streams the snapshot: each survivor is written the
@@ -307,7 +299,7 @@ loop:
 	}
 	st := space.Stats()
 	s.runlog.add(RunRecord{
-		ID: runID, Engine: "live", Query: truncate(req.Query, 512), Exec: exec,
+		ID: runID, Engine: "live", Query: truncate(req.Query, 512),
 		Start: start, ElapsedMillis: float64(elapsed.Microseconds()) / 1000,
 		Outcome: outcome, Reason: reason, Error: errMsg,
 		Results:        sink.n,

@@ -78,15 +78,6 @@ func RunContext(ctx context.Context, e Engine, p *Problem, sink Sink) (Stats, er
 	return smj.RunContext(ctx, e, p, sink)
 }
 
-// WithParallelism returns a context requesting that the run use n worker
-// goroutines for parallel region processing (ProgXe engines; overrides
-// Options.Workers for that run, with n = 0 forcing serial). Parallelism
-// never changes the result stream: a parallel run emits byte-identical
-// results in identical order to a serial one.
-func WithParallelism(ctx context.Context, n int) context.Context {
-	return smj.WithParallelism(ctx, n)
-}
-
 // Prepared is a reusable snapshot of the plan-construction phases of a
 // ProgXe run (input partitioning, region pairing, look-ahead pruning). It is
 // immutable once built, so one Prepared plan can back any number of
@@ -158,16 +149,6 @@ const (
 	OrderProgressive = core.OrderProgressive
 	OrderRandom      = core.OrderRandom
 	OrderArrival     = core.OrderArrival
-	OrderCardinality = core.OrderCardinality
-)
-
-// RankerKind selects the benefit model behind ProgOrder's ranks.
-type RankerKind = core.RankerKind
-
-// Progressive-scheduler rankers (see core.RankerKind).
-const (
-	RankBenefitCost = core.RankBenefitCost
-	RankCardinality = core.RankCardinality
 )
 
 // Partitioning selects the input space-partitioning structure.

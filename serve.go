@@ -21,7 +21,7 @@ type (
 	// including the time-to-first-result histogram.
 	ServerStats = server.Snapshot
 	// ExecOptions mirrors the wire "exec" object shared by /v1/query and
-	// /v1/subscribe: the run-shaping knobs (workers, ranker) under one name,
+	// /v1/subscribe: the run-shaping knobs (workers) under one name,
 	// and the only spelling of them a request body has.
 	ExecOptions = server.ExecRequest
 )
