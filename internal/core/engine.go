@@ -516,25 +516,25 @@ func (r *runState) roundDominates(lower []float64) bool {
 func (r *runState) processSerial(reg *region) {
 	prof := r.engine.opts.Profiler
 	defer prof.EndSequencer(obs.PhaseCommit, prof.Clock())
-	lt, rt := reg.a.tuples, reg.b.tuples
+	a, b := reg.a, reg.b
 	maps, s := r.problem.Maps, r.space
 	n := 0
 probe:
-	for li := range lt {
-		l := &lt[li]
-		for _, ri := range reg.b.keys.lookup(l.JoinKey) {
+	for li, key := range a.jkeys {
+		lo, hi := b.keys.lookup(key)
+		lv, lid := a.row(li), a.ids[li]
+		for k := int(lo); k < int(hi); k++ {
 			n++
 			if r.cancel.Check() != nil {
 				break probe
 			}
-			t := &rt[ri]
-			v := maps.Map(l.Vals, t.Vals, r.mapBuf)
+			v := maps.Map(lv, b.row(k), r.mapBuf)
 			c := s.cellAt(s.g.CellOf(v))
 			if c == nil {
 				r.uncovered++
 				continue
 			}
-			if cv, ok := s.insert(c, l.ID, t.ID, v); ok {
+			if cv, ok := s.insert(c, lid, b.ids[k], v); ok {
 				r.roundNew = append(r.roundNew, cv)
 			}
 		}

@@ -40,9 +40,12 @@ func (p Partitioning) String() string {
 // boxes and, on the right side, key indexes; unlike it, partition populations
 // are near-uniform even on heavily skewed inputs.
 func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Side, maxParts int) ([]*inputPartition, error) {
-	used := maps.UsedAttrs(side)
 	if len(rel.Tuples) == 0 {
 		return nil, nil
+	}
+	used := maps.UsedAttrs(side)
+	if _, _, err := boundUsed(rel, used, side); err != nil {
+		return nil, err
 	}
 	if maxParts <= 0 {
 		// Auto-sizing keeps n << N (§IV): ≈ 1 partition per 48 tuples, at
@@ -147,10 +150,10 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 	for i, members := range leaves {
 		counts[i] = len(members)
 	}
-	out := carvePartitions(rel.Schema.Arity(), counts)
+	out := newPartitions(rel.Schema.Arity(), counts)
 	for i, members := range leaves {
-		for _, m := range members {
-			out[i].add(rel.Tuples[m])
+		for j, m := range members {
+			out[i].set(j, &rel.Tuples[m])
 		}
 	}
 	return finishPartitions(out, side), nil

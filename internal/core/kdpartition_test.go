@@ -40,9 +40,9 @@ func TestKDPartitionBalance(t *testing.T) {
 	}
 	// Bounding boxes must contain their members.
 	for _, pt := range parts {
-		for _, tu := range pt.tuples {
-			if !pt.rect.Contains(tu.Vals) {
-				t.Fatalf("tuple %v outside partition box %v", tu.Vals, pt.rect)
+		for i := range pt.ids {
+			if !pt.rect.Contains(pt.row(i)) {
+				t.Fatalf("tuple %v outside partition box %v", pt.row(i), pt.rect)
 			}
 		}
 	}

@@ -3,26 +3,23 @@ package core
 import (
 	"math/bits"
 	"math/rand/v2"
-
-	"progxe/internal/relation"
 )
 
-// keyIndex is the join substrate of one right-side input partition: the
-// partition's tuple indices grouped by join key (build order within a
-// group) plus an open-addressing key → group lookup. It is built once when
-// partitioning finishes, held in the Prepared plan, and never written
-// afterwards, so region pairing, the serial probe loop, prefetch workers
-// and concurrent runs of one plan all read it without synchronization.
-// Probing left tuples in order and walking each matched group in order
-// enumerates exactly join.Hash's (left outer, right build order inner)
-// sequence.
+// keyIndex is the join substrate of one right-side input partition: an
+// open-addressing join key → row range lookup over the partition's columns,
+// which are stored in key-group order (groups in first-appearance order,
+// build order within a group). It is built once when partitioning finishes,
+// held in the Prepared plan, and never written afterwards, so region pairing,
+// the serial probe loop, prefetch workers and concurrent runs of one plan all
+// read it without synchronization. Probing left rows in order and walking
+// each matched range in order enumerates exactly join.Hash's (left outer,
+// right build order inner) sequence.
 type keyIndex struct {
-	rows  []int32   // tuple indices, grouped by join key
 	slots []keySlot // linear-probing table, two slots per distinct key
 }
 
-// keySlot is one table entry: the group of key occupies rows[lo:hi]. Groups
-// are never empty, so hi == 0 marks a free slot.
+// keySlot is one table entry: the group of key occupies rows lo:hi of the
+// partition. Groups are never empty, so hi == 0 marks a free slot.
 type keySlot struct {
 	key    int64
 	lo, hi int32
@@ -58,14 +55,14 @@ func find(slots []keySlot, key int64) int {
 	}
 }
 
-// lookup returns the indices of the partition's tuples carrying key, in
-// build order; empty when there are none.
-func (ix *keyIndex) lookup(key int64) []int32 {
+// lookup returns the row range lo:hi of the partition's tuples carrying key,
+// in build order; empty when there are none.
+func (ix *keyIndex) lookup(key int64) (lo, hi int32) {
 	if len(ix.slots) == 0 {
-		return nil
+		return 0, 0
 	}
 	s := &ix.slots[find(ix.slots, key)]
-	return ix.rows[s.lo:s.hi]
+	return s.lo, s.hi
 }
 
 // keyDirectory is region pairing's scratch view of one whole side: every
@@ -125,67 +122,84 @@ func newKeyDirectory(parts []*inputPartition) keyDirectory {
 // the exact number of equi-join results between left and b — region
 // pairing's MayJoin (> 0 means guaranteed populated, §III-A) and the
 // σ·n_a·n_b term of Equations 4–5, for all pairs of one left partition in
-// one pass over its tuples.
-func (d *keyDirectory) addJoinCardinalities(left []relation.Tuple, card []int) {
+// one pass over its join keys.
+func (d *keyDirectory) addJoinCardinalities(left []int64, card []int) {
 	if len(d.slots) == 0 {
 		return
 	}
-	for i := range left {
-		s := &d.slots[find(d.slots, left[i].JoinKey)]
+	for _, key := range left {
+		s := &d.slots[find(d.slots, key)]
 		for _, r := range d.runs[s.lo:s.hi] {
 			card[r.part] += int(r.n)
 		}
 	}
 }
 
-// indexKeys builds the key index of every partition by one-pass hash
-// grouping: count each key's tuples through a scratch table, lay the groups
-// out in first-appearance order, scatter the tuple indices, then copy the
-// groups into a table sized to the distinct-key count. The row arrays are
-// carved out of one backing array; the scratch does not outlive the call.
-func indexKeys(parts []*inputPartition) {
-	total, largest := 0, 0
+// groupByKey puts every freshly scattered right-side partition into its
+// final form by one-pass hash grouping over its contiguous keys: count each
+// key's rows through a scratch table, lay the groups out in first-appearance
+// order, permute the rows into group order in place — the second and last
+// copy of a right-side value — and copy the groups into a table sized to the
+// distinct-key count. The key column is scratch from then on: each key lives
+// once, in its slot.
+func groupByKey(parts []*inputPartition) {
+	largest := 0
 	for _, p := range parts {
-		total += len(p.tuples)
-		largest = max(largest, len(p.tuples))
+		largest = max(largest, p.len())
 	}
-	rows := make([]int32, total)
 	scratch := make([]keySlot, 2*largest)
-	slotAt := make([]int32, largest) // scratch slot of each tuple
-	var groups []int32               // scratch slots in first-appearance order
+	dest := make([]int32, largest) // of each row: its scratch slot, then its final position
+	var groups []int32             // scratch slots in first-appearance order
 	for _, p := range parts {
-		n := len(p.tuples)
+		n, keys := p.len(), p.jkeys
+		p.jkeys = nil
 		if n == 0 {
 			continue
 		}
 		tbl := scratch[:2*n]
 		clear(tbl)
 		groups = groups[:0]
-		for i := range p.tuples {
-			key := p.tuples[i].JoinKey
+		for i, key := range keys {
 			at := find(tbl, key)
 			if tbl[at].hi == 0 {
 				tbl[at].key = key
 				groups = append(groups, int32(at))
 			}
 			tbl[at].hi++ // group size, until the layout below
-			slotAt[i] = int32(at)
+			dest[i] = int32(at)
 		}
 		off := int32(0)
 		for _, at := range groups {
 			size := tbl[at].hi
-			tbl[at].lo, tbl[at].hi = off, off // hi: the scatter cursor
+			tbl[at].lo, tbl[at].hi = off, off // hi: the placement cursor
 			off += size
 		}
-		p.keys = keyIndex{rows: rows[:n:n], slots: make([]keySlot, 2*len(groups))}
-		rows = rows[n:]
-		for i := range p.tuples {
-			s := &tbl[slotAt[i]]
-			p.keys.rows[s.hi] = int32(i)
+		for i := range dest[:n] {
+			s := &tbl[dest[i]]
+			dest[i] = s.hi
 			s.hi++
 		}
+		p.permute(dest[:n])
+		p.keys = keyIndex{slots: make([]keySlot, 2*len(groups))}
 		for _, at := range groups {
 			p.keys.slots[find(p.keys.slots, tbl[at].key)] = tbl[at]
+		}
+	}
+}
+
+// permute moves row i to position dest[i] for every row, in place; dest is a
+// permutation and is consumed. Each swap sends one row home, so a row is
+// written at most twice.
+func (p *inputPartition) permute(dest []int32) {
+	ar := p.arity
+	for i := range dest {
+		for j := int(dest[i]); j != i; j = int(dest[i]) {
+			p.ids[i], p.ids[j] = p.ids[j], p.ids[i]
+			a, b := p.vals[i*ar:(i+1)*ar], p.vals[j*ar:(j+1)*ar]
+			for k := range a {
+				a[k], b[k] = b[k], a[k]
+			}
+			dest[i], dest[j] = dest[j], int32(j)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -10,6 +11,7 @@ import (
 
 	"progxe/internal/datagen"
 	"progxe/internal/join"
+	"progxe/internal/mapping"
 	"progxe/internal/relation"
 	"progxe/internal/smj"
 )
@@ -42,8 +44,9 @@ var keyShapes = []struct {
 // index with the left tuples in order enumerates exactly join.Hash's (l, r)
 // sequence, and the side-wide key directory assembled from the partitions'
 // indexes reads every partition's join.Cardinality off one probe per left
-// tuple. Several partitions are indexed in one call so the shared row backing
-// is exercised too.
+// tuple. Several partitions are built in one call so the shared column
+// backing is exercised too; a tuple's ID is its build position, which is how
+// the rows — stored in key-group order — are read back as join.Hash's r.
 func TestKeyIndexEnumeratesJoinHash(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 2026))
 	tuples := func(n, side int, key func(*rand.Rand, int) int64) []relation.Tuple {
@@ -56,36 +59,35 @@ func TestKeyIndexEnumeratesJoinHash(t *testing.T) {
 	for _, shape := range keyShapes {
 		for trial := 0; trial < 40; trial++ {
 			left := tuples(rng.IntN(60), 0, shape.key) // 0: empty left side
-			parts := make([]*inputPartition, 1+rng.IntN(4))
-			for i := range parts {
-				parts[i] = newPartition(i, 1)
-				for _, tu := range tuples(rng.IntN(80), 1, shape.key) { // 0: empty right side
-					parts[i].add(tu)
-				}
+			right := make([][]relation.Tuple, 1+rng.IntN(4))
+			for i := range right {
+				right[i] = tuples(rng.IntN(80), 1, shape.key) // 0: empty right side
 			}
-			indexKeys(parts)
+			lpart := testPartitions(mapping.Left, 1, left)[0]
+			parts := testPartitions(mapping.Right, 1, right...)
 			dir := newKeyDirectory(parts)
 			card := make([]int, len(parts))
-			dir.addJoinCardinalities(left, card)
+			dir.addJoinCardinalities(lpart.jkeys, card)
 			for pi, p := range parts {
 				var want, got []join.Pair
-				join.Hash(left, p.tuples, func(l, r int) bool {
+				join.Hash(left, right[pi], func(l, r int) bool {
 					want = append(want, join.Pair{L: l, R: r})
 					return true
 				})
-				for li := range left {
-					for _, ri := range p.keys.lookup(left[li].JoinKey) {
-						got = append(got, join.Pair{L: li, R: int(ri)})
+				for li, key := range lpart.jkeys {
+					lo, hi := p.keys.lookup(key)
+					for k := lo; k < hi; k++ {
+						got = append(got, join.Pair{L: li, R: int(p.ids[k])})
 					}
 				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s trial %d: index enumerates %v, join.Hash %v", shape.name, trial, got, want)
 				}
-				if want := join.Cardinality(left, p.tuples); card[pi] != want {
+				if want := join.Cardinality(left, right[pi]); card[pi] != want {
 					t.Fatalf("%s trial %d: directory cardinality %d, join.Cardinality %d", shape.name, trial, card[pi], want)
 				}
-				if len(p.keys.rows) != len(p.tuples) || len(p.keys.slots) > 2*len(p.tuples) {
-					t.Fatalf("%s trial %d: index of %d tuples holds %d rows, %d slots", shape.name, trial, len(p.tuples), len(p.keys.rows), len(p.keys.slots))
+				if p.len() != len(right[pi]) || p.jkeys != nil || len(p.keys.slots) > 2*p.len() {
+					t.Fatalf("%s trial %d: partition of %d tuples holds %d rows, %d keys, %d slots", shape.name, trial, len(right[pi]), p.len(), len(p.jkeys), len(p.keys.slots))
 				}
 			}
 		}
@@ -162,8 +164,9 @@ func joinAllRegions(pl *Prepared) int {
 	n := 0
 	for i := range pl.blueprints {
 		bp := &pl.blueprints[i]
-		for li := range bp.a.tuples {
-			n += len(bp.b.keys.lookup(bp.a.tuples[li].JoinKey))
+		for _, key := range bp.a.jkeys {
+			lo, hi := bp.b.keys.lookup(key)
+			n += int(hi - lo)
 		}
 	}
 	return n
@@ -188,19 +191,68 @@ func TestRegionJoinZeroAlloc(t *testing.T) {
 
 var benchSink int
 
-// BenchmarkKeyIndexBuild measures indexing one side's partitions — what a
-// prepare pays once per plan in place of per-tuple signature-map increments
-// and per-region hash builds.
+// BenchmarkKeyIndexBuild measures grouping and indexing one side's scattered
+// partitions — what a prepare pays once per plan in place of per-tuple
+// signature-map increments and per-region hash builds. Every iteration first
+// restores the scattered columns from a copy (three memmoves, on the clock);
+// BenchmarkPartitionInput times the scatter itself.
 func BenchmarkKeyIndexBuild(b *testing.B) {
 	pl := planFixture(b)
-	parts := make([]*inputPartition, len(pl.rparts)) // the plan's own stay read-only
-	for i, p := range pl.rparts {
-		parts[i] = &inputPartition{tuples: p.tuples}
+	partOf := map[int64]int{}
+	for pi, p := range pl.rparts {
+		for _, id := range p.ids {
+			partOf[id] = pi
+		}
+	}
+	right := pl.problem.Right
+	members := make([][]relation.Tuple, len(pl.rparts))
+	for _, tu := range right.Tuples {
+		members[partOf[tu.ID]] = append(members[partOf[tu.ID]], tu)
+	}
+	// The left side's form is the scattered, ungrouped one.
+	scattered := testPartitions(mapping.Left, right.Schema.Arity(), members...)
+	work := testPartitions(mapping.Left, right.Schema.Arity(), members...)
+	keys := make([][]int64, len(work))
+	for i, w := range work {
+		keys[i] = w.jkeys
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		indexKeys(parts)
+		for pi, w := range work {
+			w.jkeys = keys[pi]
+			copy(w.ids, scattered[pi].ids)
+			copy(w.jkeys, scattered[pi].jkeys)
+			copy(w.vals, scattered[pi].vals)
+		}
+		groupByKey(work)
+	}
+}
+
+// BenchmarkPartitionInput measures one side's whole partitioning — bound,
+// count, scatter and, on the right side, key grouping — at the benchmark's
+// largest engine input (N=40K, d=4).
+func BenchmarkPartitionInput(b *testing.B) {
+	p := smokeProblem(b, 40000, 4, datagen.Independent, 0.001, 5)
+	for _, method := range []Partitioning{PartitionGrid, PartitionKD} {
+		for _, side := range []mapping.Side{mapping.Left, mapping.Right} {
+			rel := p.Left
+			if side == mapping.Right {
+				rel = p.Right
+			}
+			e := New(Options{Partitioning: method})
+			b.Run(fmt.Sprintf("%s/%s", method, map[mapping.Side]string{mapping.Left: "left", mapping.Right: "right"}[side]), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					parts, err := e.partition(rel, p.Maps, side)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink += len(parts)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rel.Tuples)), "ns/tuple")
+			})
+		}
 	}
 }
 

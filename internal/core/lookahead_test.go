@@ -312,10 +312,7 @@ func TestKDMemberOrderMatchesStableSort(t *testing.T) {
 					t.Fatalf("trial %d: %d partitions, stable-sort reference has %d leaves", trial, len(parts), len(leaves))
 				}
 				for li, members := range leaves {
-					got := make([]int64, len(parts[li].tuples))
-					for i, tu := range parts[li].tuples {
-						got[i] = tu.ID
-					}
+					got := parts[li].ids
 					want := make([]int64, len(members))
 					for i, m := range members {
 						want[i] = p.Left.Tuples[m].ID
@@ -336,29 +333,28 @@ func TestKDMemberOrderMatchesStableSort(t *testing.T) {
 func TestPairRegionsMatchesPerPairJoin(t *testing.T) {
 	maps := mapping.MustSet(mapping.Func{Name: "x", Expr: mapping.Sum(mapping.A(mapping.Left, 0, ""), mapping.A(mapping.Right, 0, ""))})
 	rng := rand.New(rand.NewPCG(5, 17))
-	side := func(sideNo int, key func(*rand.Rand, int) int64) []*inputPartition {
-		parts := make([]*inputPartition, 1+rng.IntN(6))
+	side := func(side mapping.Side, key func(*rand.Rand, int) int64) [][]relation.Tuple {
+		members := make([][]relation.Tuple, 1+rng.IntN(6))
 		id := int64(0)
-		for i := range parts {
-			parts[i] = newPartition(i, 1)
+		for i := range members {
 			for n := rng.IntN(40) * rng.IntN(2); n > 0; n-- { // half the partitions are empty
-				parts[i].add(relation.Tuple{ID: id, Vals: []float64{rng.Float64()}, JoinKey: key(rng, sideNo)})
+				members[i] = append(members[i], relation.Tuple{ID: id, Vals: []float64{rng.Float64()}, JoinKey: key(rng, int(side))})
 				id++
 			}
 		}
-		indexKeys(parts)
-		return parts
+		return members
 	}
 	pairs := 0
 	for _, shape := range keyShapes {
 		for trial := 0; trial < 30; trial++ {
-			left, right := side(0, shape.key), side(1, shape.key)
+			lt, rt := side(mapping.Left, shape.key), side(mapping.Right, shape.key)
+			left, right := testPartitions(mapping.Left, 1, lt...), testPartitions(mapping.Right, 1, rt...)
 			type pair struct{ a, b, card int }
 			var want []pair
-			for _, a := range left {
-				for _, b := range right {
-					if card := join.Cardinality(a.tuples, b.tuples); card > 0 {
-						want = append(want, pair{a.id, b.id, card})
+			for ai, a := range lt {
+				for bi, b := range rt {
+					if card := join.Cardinality(a, b); card > 0 {
+						want = append(want, pair{ai, bi, card})
 					}
 				}
 			}

@@ -20,13 +20,15 @@ func sumMaps2() *mapping.Set {
 
 // mkPart hand-builds an input partition with two corner tuples spanning the
 // given box, all carrying join key 1 so that every pair is guaranteed to
-// join (the "guaranteed populated" premise of §III-A). It carries a key
-// index, so it can stand on either side of a region.
+// join (the "guaranteed populated" premise of §III-A). With one key its group
+// order is its build order, so it keeps the key column beside the key index
+// and can stand on either side of a region.
 func mkPart(id int, lo, hi []float64) *inputPartition {
-	p := newPartition(id, len(lo))
-	p.add(relation.Tuple{ID: int64(id * 10), Vals: append([]float64(nil), lo...), JoinKey: 1})
-	p.add(relation.Tuple{ID: int64(id*10 + 1), Vals: append([]float64(nil), hi...), JoinKey: 1})
-	indexKeys([]*inputPartition{p})
+	p := testPartitions(mapping.Right, len(lo), []relation.Tuple{
+		{ID: int64(id * 10), Vals: lo, JoinKey: 1},
+		{ID: int64(id*10 + 1), Vals: hi, JoinKey: 1},
+	})[0]
+	p.id, p.jkeys = id, []int64{1, 1}
 	return p
 }
 

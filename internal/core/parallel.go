@@ -186,24 +186,25 @@ func (p *pool) putBuf(b *candBuf) {
 // Returns the number of candidates written (short only when canceled
 // mid-stream, in which case the run is aborting anyway).
 func (p *pool) mapStream(reg *region, buf *candBuf, cancel *smj.Canceler) int {
-	lt, rt := reg.a.tuples, reg.b.tuples
+	a, b := reg.a, reg.b
 	buf.ensure(reg.joinCard, p.d)
 	k := 0
-	for li := range lt {
-		lv := lt[li].Vals
-		for _, ri := range reg.b.keys.lookup(lt[li].JoinKey) {
+	for li, key := range a.jkeys {
+		lo, hi := b.keys.lookup(key)
+		lv, lid := a.row(li), a.ids[li]
+		for ri := int(lo); ri < int(hi); ri++ {
 			if cancel.Check() != nil {
 				return k
 			}
 			v := buf.block[k*p.d : (k+1)*p.d : (k+1)*p.d]
-			p.maps.Map(lv, rt[ri].Vals, v)
+			p.maps.Map(lv, b.row(ri), v)
 			sum := 0.0
 			for _, x := range v {
 				sum += x
 			}
 			buf.cands[k] = cand{
-				leftID:  lt[li].ID,
-				rightID: rt[ri].ID,
+				leftID:  lid,
+				rightID: b.ids[ri],
 				sum:     sum,
 				flat:    p.g.CellOf(v),
 				v:       v,

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"progxe/internal/datagen"
+	"progxe/internal/mapping"
 	"progxe/internal/par"
 	"progxe/internal/relation"
 	"progxe/internal/smj"
@@ -94,20 +95,18 @@ func TestParallelDeterminism(t *testing.T) {
 // fan-out for driving the pool's stream construction directly.
 func parallelFixture(t *testing.T) (*pool, *region, *space) {
 	t.Helper()
-	mk := func(id int, n int) *inputPartition {
-		p := newPartition(id, 2)
-		for i := 0; i < n; i++ {
-			p.add(relation.Tuple{
-				ID:      int64(id*1000 + i),
+	mk := func(side mapping.Side, n int) []*inputPartition {
+		members := make([]relation.Tuple, n)
+		for i := range members {
+			members[i] = relation.Tuple{
+				ID:      int64(i),
 				Vals:    []float64{float64(i%7) * 0.5, float64((i*3)%11) * 0.4},
 				JoinKey: int64(i % 5),
-			})
+			}
 		}
-		indexKeys([]*inputPartition{p})
-		return p
+		return testPartitions(side, 2, members)
 	}
-	left := []*inputPartition{mk(0, 40)}
-	right := []*inputPartition{mk(0, 35)}
+	left, right := mk(mapping.Left, 40), mk(mapping.Right, 35)
 	regions, _, front := buildRegions(left, right, sumMaps2(), nil)
 	if len(regions) != 1 || regions[0].joinCard == 0 {
 		t.Fatalf("fixture: regions=%d", len(regions))
@@ -151,7 +150,7 @@ func TestMapStreamMatchesSerialOrder(t *testing.T) {
 
 	var want []cand
 	mapBuf := make([]float64, 2)
-	lt, rt := reg.a.tuples, reg.b.tuples
+	lt, rt := tuplesOf(reg.a), tuplesOf(reg.b)
 	joinHashReplay(lt, rt, func(li, ri int) {
 		v := sumMaps2().Map(lt[li].Vals, rt[ri].Vals, mapBuf)
 		want = append(want, cand{

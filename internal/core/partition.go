@@ -7,7 +7,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"progxe/internal/grid"
 	"progxe/internal/mapping"
@@ -16,15 +16,123 @@ import (
 )
 
 // inputPartition is one grid partition of an input source (IRa / ITb in the
-// paper's notation): the member tuples, their tight bounding box over the
-// full attribute vector, and — on the right side, the probed side of every
-// region join — the join-key index that serves as the partition's exact
-// join signature (§III-A) and as its probe table (§III-B).
+// paper's notation), stored as columns: row i is (ids[i], vals[i*arity :
+// (i+1)*arity]), the values at full schema arity so the mapping functions
+// and interval propagation keep their schema indexing. Every column is carved
+// out of one pointer-free array per side, so the tuple-level loop reads one
+// sequential block per join row and the garbage collector scans nothing.
+//
+// A left partition also carries its rows' join keys (16 + 8·arity bytes per
+// tuple). A right partition — the probed side of every region join — stores
+// its rows in join-key-group order instead (groups in first-appearance order,
+// build order within a group) and keeps each key once, in the keyIndex slot
+// whose lo:hi is the group's row range (8 + 8·arity bytes per tuple): a probe
+// hit is a contiguous run of rows, and walking the runs in left-row order
+// enumerates join.Hash's sequence. rect is the tight bounding box over the
+// full attribute vector; the key index doubles as the partition's exact join
+// signature (§III-A).
 type inputPartition struct {
-	id     int
-	tuples []relation.Tuple
-	rect   grid.Rect
-	keys   keyIndex // right side only
+	id    int
+	arity int
+	ids   []int64
+	jkeys []int64   // left side only
+	vals  []float64 // len() rows of arity values
+	rect  grid.Rect
+	keys  keyIndex // right side only
+}
+
+// len returns the partition cardinality (n_a^R in the cost model).
+func (p *inputPartition) len() int { return len(p.ids) }
+
+// row returns the attribute vector of row i.
+func (p *inputPartition) row(i int) []float64 {
+	return p.vals[i*p.arity : (i+1)*p.arity : (i+1)*p.arity]
+}
+
+// newPartitions returns len(counts) partitions, partition i with exactly
+// counts[i] rows for set to fill, so a cached plan carries no append slack.
+func newPartitions(arity int, counts []int) []*inputPartition {
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	ids, jkeys := make([]int64, total), make([]int64, total)
+	vals := make([]float64, total*arity)
+	corners := make([]float64, 2*arity*len(counts))
+	backing := make([]inputPartition, len(counts))
+	out := make([]*inputPartition, len(counts))
+	for i, n := range counts {
+		p := &backing[i]
+		p.id, p.arity = i, arity
+		p.ids, ids = ids[:n:n], ids[n:]
+		p.jkeys, jkeys = jkeys[:n:n], jkeys[n:]
+		p.vals, vals = vals[:n*arity:n*arity], vals[n*arity:]
+		p.rect.Lower, corners = corners[:arity:arity], corners[arity:]
+		p.rect.Upper, corners = corners[:arity:arity], corners[arity:]
+		for j := range p.rect.Lower {
+			p.rect.Lower[j], p.rect.Upper[j] = math.Inf(1), math.Inf(-1)
+		}
+		out[i] = p
+	}
+	return out
+}
+
+// set fills row i with one tuple of the relation — the single copy of its
+// values on the left side — growing the bounding box.
+func (p *inputPartition) set(i int, t *relation.Tuple) {
+	p.ids[i], p.jkeys[i] = t.ID, t.JoinKey
+	row, lo, hi := p.row(i), p.rect.Lower, p.rect.Upper
+	for j, v := range t.Vals[:len(row)] {
+		row[j] = v
+		if v < lo[j] {
+			lo[j] = v
+		}
+		if v > hi[j] {
+			hi[j] = v
+		}
+	}
+}
+
+// finishPartitions completes one side's partitioning: the right side — the
+// one every region join probes — is regrouped by join key and indexed here,
+// before the partitions are shared with anything.
+func finishPartitions(parts []*inputPartition, side mapping.Side) []*inputPartition {
+	if side == mapping.Right {
+		groupByKey(parts)
+	}
+	return parts
+}
+
+// boundUsed is the partitioners' first pass: it refuses what the columns
+// and the grid cannot hold — a tuple off the schema's arity, a NaN or
+// infinite value the mapping functions read (dominance over either is
+// meaningless, and a NaN slips through every < and > after it) — and bounds
+// the used attributes.
+func boundUsed(rel *relation.Relation, used []int, side mapping.Side) (lo, hi []float64, err error) {
+	arity := rel.Schema.Arity()
+	lo, hi = make([]float64, len(used)), make([]float64, len(used))
+	for j := range used {
+		lo[j], hi[j] = math.Inf(1), math.Inf(-1)
+	}
+	for i := range rel.Tuples {
+		t := &rel.Tuples[i]
+		if len(t.Vals) != arity {
+			return nil, nil, fmt.Errorf("core: %s tuple %d has %d values, schema has %d", side, t.ID, len(t.Vals), arity)
+		}
+		for j, a := range used {
+			v := t.Vals[a]
+			if v-v != 0 { // NaN, ±Inf
+				return nil, nil, fmt.Errorf("core: non-finite value in %s tuple %d", side, t.ID)
+			}
+			if v < lo[j] {
+				lo[j] = v
+			}
+			if v > hi[j] {
+				hi[j] = v
+			}
+		}
+	}
+	return lo, hi, nil
 }
 
 // autoCells picks the per-dimension input grid resolution when the caller
@@ -54,34 +162,26 @@ func autoCells(n, usedDims int) int {
 // used by the mapping functions on the given side, with cellsPerDim cells in
 // each used dimension (0 selects autoCells). Partitions are returned in
 // ascending grid-cell order; each carries a tight bounding box (over all
-// attributes) and, on the right side, its key index. Members are counted per
-// cell first and every partition's tuples carved out of one backing array,
-// so a cached plan carries no append slack.
+// attributes) and, on the right side, its key index. Three sequential passes
+// over the relation — bound, count members per cell, scatter into exactly
+// sized columns — with no per-tuple allocation.
 func partitionInput(rel *relation.Relation, maps *mapping.Set, side mapping.Side, cellsPerDim int) ([]*inputPartition, error) {
-	used := maps.UsedAttrs(side)
 	if len(rel.Tuples) == 0 {
 		return nil, nil
 	}
-	if cellsPerDim <= 0 {
-		cellsPerDim = autoCells(len(rel.Tuples), max(1, len(used)))
+	used := maps.UsedAttrs(side)
+	lo, hi, err := boundUsed(rel, used, side)
+	if err != nil {
+		return nil, err
 	}
 	if len(used) == 0 {
 		// The side contributes no mapped attributes: a single partition.
 		return singlePartition(rel, side), nil
 	}
-
-	// Project the used attributes and bound them. One backing block for all
-	// projections keeps this O(1) allocations instead of O(N).
-	pts := make([][]float64, len(rel.Tuples))
-	block := make([]float64, len(rel.Tuples)*len(used))
-	for i, t := range rel.Tuples {
-		v := block[i*len(used) : (i+1)*len(used) : (i+1)*len(used)]
-		for j, a := range used {
-			v[j] = t.Vals[a]
-		}
-		pts[i] = v
+	if cellsPerDim <= 0 {
+		cellsPerDim = autoCells(len(rel.Tuples), len(used))
 	}
-	bounds, err := grid.BoundsOf(pts)
+	bounds, err := grid.NewBounds(lo, hi)
 	if err != nil {
 		return nil, fmt.Errorf("core: bounding %s input: %w", side, err)
 	}
@@ -90,107 +190,72 @@ func partitionInput(rel *relation.Relation, maps *mapping.Set, side mapping.Side
 		return nil, fmt.Errorf("core: partitioning %s input: %w", side, err)
 	}
 
-	// Populated cells are numbered in first-appearance order while their
-	// members are counted; the partitions are put in cell order afterwards.
-	seen := make(map[int]int32)
+	// Populated cells are numbered from 1 in first-appearance order while
+	// their members are counted: through a flat table when the grid is small
+	// enough to afford one (as cellIndex does), a map otherwise.
+	var dense []int32
+	var sparse map[int]int32
+	if g.NumCells() <= denseLimit {
+		dense = make([]int32, g.NumCells())
+	} else {
+		sparse = make(map[int]int32)
+	}
 	var flats, counts []int
-	memberOf := make([]int32, len(rel.Tuples))
+	ordOf := make([]int32, len(rel.Tuples)) // its cell's ordinal - 1
+	pt := make([]float64, len(used))
 	for i := range rel.Tuples {
-		flat := g.CellOf(pts[i])
-		pi, ok := seen[flat]
-		if !ok {
-			pi = int32(len(flats))
-			seen[flat] = pi
-			flats = append(flats, flat)
-			counts = append(counts, 0)
+		vals := rel.Tuples[i].Vals
+		for j, a := range used {
+			pt[j] = vals[a]
 		}
-		counts[pi]++
-		memberOf[i] = pi
+		flat := g.CellOf(pt)
+		var ord int32
+		if dense != nil {
+			ord = dense[flat]
+		} else {
+			ord = sparse[flat]
+		}
+		if ord == 0 {
+			flats, counts = append(flats, flat), append(counts, 0)
+			ord = int32(len(flats))
+			if dense != nil {
+				dense[flat] = ord
+			} else {
+				sparse[flat] = ord
+			}
+		}
+		counts[ord-1]++
+		ordOf[i] = ord - 1
 	}
-	out := carvePartitions(rel.Schema.Arity(), counts)
-	for i, t := range rel.Tuples {
-		out[memberOf[i]].add(t)
+
+	// Partition ids ascend with the grid cell: rank the populated cells.
+	byCell := make([]int32, len(flats))
+	for i := range byCell {
+		byCell[i] = int32(i)
 	}
-	for i, p := range out {
-		p.id = flats[i]
+	slices.SortFunc(byCell, func(a, b int32) int { return flats[a] - flats[b] })
+	rank, sizes := make([]int32, len(flats)), make([]int, len(flats))
+	for k, ord := range byCell {
+		rank[ord], sizes[k] = int32(k), counts[ord]
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
-	// Re-number sequentially for compact indexing.
-	for i, p := range out {
-		p.id = i
+	out := newPartitions(rel.Schema.Arity(), sizes)
+	next := make([]int32, len(out)) // unfilled row of each partition
+	for i := range rel.Tuples {
+		k := rank[ordOf[i]]
+		out[k].set(int(next[k]), &rel.Tuples[i])
+		next[k]++
 	}
 	return finishPartitions(out, side), nil
 }
 
-// carvePartitions returns len(counts) empty partitions, partition i with
-// room for exactly counts[i] tuples out of one shared backing array, so
-// adding its members never regrows a slice.
-func carvePartitions(arity int, counts []int) []*inputPartition {
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	backing := make([]relation.Tuple, total)
-	out := make([]*inputPartition, len(counts))
-	for i, n := range counts {
-		out[i] = newPartition(i, arity)
-		out[i].tuples = backing[:0:n]
-		backing = backing[n:]
-	}
-	return out
-}
-
 // singlePartition puts the whole relation into one partition.
 func singlePartition(rel *relation.Relation, side mapping.Side) []*inputPartition {
-	out := carvePartitions(rel.Schema.Arity(), []int{len(rel.Tuples)})
-	for _, t := range rel.Tuples {
-		out[0].add(t)
+	out := newPartitions(rel.Schema.Arity(), []int{len(rel.Tuples)})
+	for i := range rel.Tuples {
+		out[0].set(i, &rel.Tuples[i])
 	}
 	return finishPartitions(out, side)
 }
-
-// finishPartitions completes one side's partitioning: the right side — the
-// one every region join probes — gets its key indexes here, before the
-// partitions are shared with anything.
-func finishPartitions(parts []*inputPartition, side mapping.Side) []*inputPartition {
-	if side == mapping.Right {
-		indexKeys(parts)
-	}
-	return parts
-}
-
-// newPartition returns an empty partition whose bounding box will track the
-// full arity-dimensional attribute vectors of added tuples.
-func newPartition(id, arity int) *inputPartition {
-	return &inputPartition{
-		id: id,
-		rect: grid.Rect{
-			Lower: make([]float64, arity),
-			Upper: make([]float64, arity),
-		},
-	}
-}
-
-// add appends a tuple, growing the bounding box.
-func (p *inputPartition) add(t relation.Tuple) {
-	if len(p.tuples) == 0 {
-		copy(p.rect.Lower, t.Vals)
-		copy(p.rect.Upper, t.Vals)
-	} else {
-		for i, v := range t.Vals {
-			if v < p.rect.Lower[i] {
-				p.rect.Lower[i] = v
-			}
-			if v > p.rect.Upper[i] {
-				p.rect.Upper[i] = v
-			}
-		}
-	}
-	p.tuples = append(p.tuples, t)
-}
-
-// len returns the partition cardinality (n_a^R in the cost model).
-func (p *inputPartition) len() int { return len(p.tuples) }
 
 // checkProblem validates and canonicalizes the problem for the ProgXe
 // engines and reports the output dimensionality.

@@ -12,14 +12,16 @@ import (
 )
 
 // Prepared is a reusable snapshot of the plan-construction phases of a ProgXe
-// run: the canonicalized problem, the partitioned inputs (the right side with
-// its join-key index, the one join substrate every run of the plan probes),
-// and the surviving region blueprints after output-space look-ahead pruning.
-// Everything a Plan holds is immutable once prepared — input partitions and
-// their key indexes are never written during a run and the per-run mutable
-// region state (lifecycle, scheduler ranks, cell coverage) lives in fresh
-// region structs materialized per run — so one Plan can back any number of
-// concurrent RunPlanContext calls.
+// run: the canonicalized problem, the partitioned inputs as flat columns (its
+// own copy of the values — nothing in it aliases the relations — with the
+// right side in join-key-group order behind its key index, the one join
+// substrate every run of the plan probes), and the surviving region
+// blueprints after output-space look-ahead pruning. Everything a Plan holds
+// is immutable once prepared — the partitions' columns and key indexes are
+// never written during a run and the per-run mutable region state (lifecycle,
+// scheduler ranks, cell coverage) lives in fresh region structs materialized
+// per run — so one Plan can back any number of concurrent RunPlanContext
+// calls.
 //
 // A Prepared plan is only valid for engines whose plan-affecting options (InputCells,
 // PushThrough, Partitioning) match the preparing engine's; RunPlanContext

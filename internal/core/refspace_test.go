@@ -433,7 +433,7 @@ func differentialCheck(t *testing.T, p *smj.Problem, opts Options) {
 		}
 		live[reg.id] = false
 		roundNew = roundNew[:0]
-		lt, rt := reg.a.tuples, reg.b.tuples
+		lt, rt := tuplesOf(reg.a), tuplesOf(reg.b)
 		join.Hash(lt, rt, func(li, ri int) bool {
 			v := cp.Maps.Map(lt[li].Vals, rt[ri].Vals, mapBuf)
 			c := ref.cells[ref.g.CellOf(v)]

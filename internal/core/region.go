@@ -56,7 +56,7 @@ func pairRegions(left, right []*inputPartition, maps *mapping.Set) []*region {
 	var all []*region
 	for _, a := range left {
 		clear(card)
-		dir.addJoinCardinalities(a.tuples, card)
+		dir.addJoinCardinalities(a.jkeys, card)
 		for bi, b := range right {
 			if card[bi] == 0 {
 				continue
