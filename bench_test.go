@@ -274,24 +274,20 @@ func BenchmarkAblationOrdering(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSkyline compares the single-set skyline substrates used
-// by the blocking baselines.
-func BenchmarkAblationSkyline(b *testing.B) {
+// BenchmarkSkyline measures the single-set skyline pass (SFS) the blocking
+// baselines run.
+func BenchmarkSkyline(b *testing.B) {
 	rel := datagen.MustGenerate(datagen.Spec{N: 4000, Dims: 4, Distribution: datagen.AntiCorrelated, Selectivity: 1, Seed: 8})
 	pts := make([][]float64, rel.Len())
 	for i, t := range rel.Tuples {
 		pts[i] = t.Vals
 	}
-	for _, alg := range []skyline.Algorithm{skyline.BNL, skyline.SFS, skyline.DC} {
-		b.Run(alg.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				skyline.Compute(alg, pts)
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		skyline.Compute(pts)
 	}
 }
 
-// BenchmarkJoinSubstrate compares the two equi-join implementations.
+// BenchmarkJoinSubstrate measures the whole-relation hash equi-join.
 func BenchmarkJoinSubstrate(b *testing.B) {
 	r, t, err := datagen.GeneratePair(datagen.Spec{N: 5000, Dims: 2, Selectivity: 0.001, Seed: 3})
 	if err != nil {
@@ -302,18 +298,14 @@ func BenchmarkJoinSubstrate(b *testing.B) {
 			join.Hash(r.Tuples, t.Tuples, func(int, int) bool { return true })
 		}
 	})
-	b.Run("Merge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			join.Merge(r.Tuples, t.Tuples, func(int, int) bool { return true })
-		}
-	})
 }
 
 // BenchmarkServeTTFR measures time-to-first-result through the HTTP serve
 // layer — the quantity the serve-path plan cache exists to improve. The
 // cache-miss variant disables the plan cache so every request re-pays
 // partition/region-build/prune at query time; the cache-hit variant warms
-// the cache once and measures the replanning-free path. Reported first-ms
+// the cache once and measures the replanning-free path. Both run through a
+// run group of one — the only path a /v1/query run has. Reported first-ms
 // here is client-observed: request write → first "result" NDJSON line.
 func BenchmarkServeTTFR(b *testing.B) {
 	left, right, err := datagen.GeneratePair(datagen.Spec{

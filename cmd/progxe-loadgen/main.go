@@ -166,10 +166,10 @@ func run(args []string) error {
 	return report(cfg, results, window, before, after)
 }
 
-// selfHost starts an in-process service with a generated workload and
-// coalescing on — the configuration the serve binary defaults to.
+// selfHost starts an in-process service with a generated workload, in the
+// configuration the serve binary defaults to.
 func selfHost(cfg config) (*server.Server, net.Listener, error) {
-	srv := server.New(server.Config{CoalesceReplay: server.DefaultCoalesceReplay})
+	srv := server.New(server.Config{})
 	r, t, err := datagen.GeneratePair(datagen.Spec{
 		N: cfg.rows, Dims: cfg.dims, Distribution: datagen.AntiCorrelated,
 		Selectivity: 0.01, Seed: uint64(cfg.seed),

@@ -64,7 +64,7 @@ func run(args []string, ready chan<- string) error {
 		slowRun    = fs.Duration("slow-run", 0, "log runs slower than this at WARN level (0 = disabled)")
 		runLogSize = fs.Int("run-log", 0, "recent runs retained for /v1/runs (0 = default 128, negative = disabled)")
 		planCache  = fs.Int("plan-cache", 0, "compiled query plans cached across runs (0 = default 128, negative = disabled)")
-		coalesce   = fs.Int("coalesce", server.DefaultCoalesceReplay, "replay-buffer records per coalesced run; concurrent identical queries share one engine run (0 or negative = disabled)")
+		coalesce   = fs.Int("coalesce", server.DefaultCoalesceReplay, "replay window in records per run; concurrent identical queries share one engine run and a client further behind than this is cut off (0 or negative = default)")
 		loads      []string
 		follows    []string
 	)

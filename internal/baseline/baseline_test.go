@@ -8,7 +8,6 @@ import (
 	"progxe/internal/datagen"
 	"progxe/internal/mapping"
 	"progxe/internal/preference"
-	"progxe/internal/skyline"
 	"progxe/internal/smj"
 )
 
@@ -52,8 +51,6 @@ func assertSame(t *testing.T, label string, got, want []smj.Result) {
 
 func TestBaselinesAgree(t *testing.T) {
 	engines := []smj.Engine{
-		&JFSL{Algorithm: skyline.SFS},
-		&JFSL{Algorithm: skyline.DC},
 		&JFSL{PushThrough: true},
 		&SAJ{},
 		&SSMJ{Strict: true},

@@ -19,8 +19,6 @@ import (
 // map every join result, then run a single skyline pass, and only then
 // report results [1][6].
 type JFSL struct {
-	// Algorithm selects the skyline implementation (default BNL).
-	Algorithm skyline.Algorithm
 	// PushThrough enables skyline partial push-through on both sources
 	// before the join — the optimized JF-SL+ variant.
 	PushThrough bool
@@ -87,7 +85,7 @@ func (e *JFSL) RunContext(ctx context.Context, p *smj.Problem, sink smj.Sink) (s
 		return stats, err
 	}
 
-	sky := skyline.Compute(e.Algorithm, pts)
+	sky := skyline.Compute(pts)
 	if err := cancel.Now(); err != nil {
 		return stats, err
 	}

@@ -126,16 +126,6 @@ func ComparisonEngines() []EngineSpec {
 	}
 }
 
-// BlockingEngines returns every blocking baseline (used by the total-time
-// comparisons that §VI-C delegates to the technical report).
-func BlockingEngines() []EngineSpec {
-	return []EngineSpec{
-		{Name: "JF-SL", New: func() smj.Engine { return &baseline.JFSL{} }},
-		{Name: "JF-SL+", New: func() smj.Engine { return &baseline.JFSL{PushThrough: true} }},
-		{Name: "SAJ", New: func() smj.Engine { return &baseline.SAJ{} }},
-	}
-}
-
 // FinePartitionWorkload is the scheduler-stress configuration: kd-partition
 // fanout driven far past the auto-sized partition budgets so the region
 // count reaches the 10⁴–10⁵ range where the batch O(n²) EL-Graph builder

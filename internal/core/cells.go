@@ -391,21 +391,6 @@ func widenSummary(minV, maxV, v []float64) {
 	}
 }
 
-// sliceBelowOrEqual reports a ≤ b componentwise with equality in ≥1
-// dimension — the comparable-slice relation of §III-B including a == b.
-func sliceBelowOrEqual(a, b []int) bool {
-	anyEqual := false
-	for i := range a {
-		switch {
-		case a[i] > b[i]:
-			return false
-		case a[i] == b[i]:
-			anyEqual = true
-		}
-	}
-	return anyEqual
-}
-
 // populate records the first surviving tuple in a cell and marks every cell
 // strictly above it in all dimensions: any tuple of this cell strictly
 // improves on every point of those cells, so they can never contribute

@@ -5,6 +5,7 @@ import (
 
 	"progxe/internal/core/sched"
 	"progxe/internal/mapping"
+	"progxe/internal/preference"
 	"progxe/internal/relation"
 	"progxe/internal/smj"
 )
@@ -114,7 +115,7 @@ func TestExample3StaticCellMarking(t *testing.T) {
 	for _, c := range s.cellList {
 		dominated := false
 		for _, r := range regions {
-			if r.rect.UpperDominatesPoint(c.lower) {
+			if preference.DominatesMin(r.rect.Upper, c.lower) {
 				dominated = true
 				break
 			}

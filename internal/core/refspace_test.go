@@ -350,7 +350,7 @@ func differentialCheck(t *testing.T, p *smj.Problem, opts Options) {
 		t.Fatalf("optimized run: %v", err)
 	}
 
-	// 2. Set equality against the blocking oracle (JF-SL over BNL).
+	// 2. Set equality against the blocking oracle (JF-SL).
 	oracle, err := baseline.Oracle(p)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
@@ -561,4 +561,19 @@ func TestDifferentialFallbackPaths(t *testing.T) {
 		p := smokeProblem(t, 200, 2, datagen.AntiCorrelated, 0.05, 47)
 		differentialCheck(t, p, Options{})
 	})
+}
+
+// sliceBelowOrEqual reports a ≤ b componentwise with equality in ≥1
+// dimension — the comparable-slice relation of §III-B including a == b.
+func sliceBelowOrEqual(a, b []int) bool {
+	anyEqual := false
+	for i := range a {
+		switch {
+		case a[i] > b[i]:
+			return false
+		case a[i] == b[i]:
+			anyEqual = true
+		}
+	}
+	return anyEqual
 }

@@ -73,7 +73,7 @@ func TestDistributionSkylineShape(t *testing.T) {
 		for i, tu := range rel.Tuples {
 			pts[i] = tu.Vals
 		}
-		sizes[dist] = len(skyline.Compute(skyline.SFS, pts))
+		sizes[dist] = len(skyline.Compute(pts))
 	}
 	if !(sizes[Correlated] < sizes[Independent] && sizes[Independent] < sizes[AntiCorrelated]) {
 		t.Fatalf("skyline sizes out of order: %v", sizes)

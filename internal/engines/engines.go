@@ -10,7 +10,6 @@ import (
 
 	"progxe/internal/baseline"
 	"progxe/internal/core"
-	"progxe/internal/skyline"
 	"progxe/internal/smj"
 )
 
@@ -38,9 +37,9 @@ func New(name string, opts core.Options) (smj.Engine, error) {
 		opts.Partitioning = core.PartitionKD
 		return core.New(opts), nil
 	case "jfsl":
-		return &baseline.JFSL{Algorithm: skyline.SFS}, nil
+		return &baseline.JFSL{}, nil
 	case "jfsl+":
-		return &baseline.JFSL{Algorithm: skyline.SFS, PushThrough: true}, nil
+		return &baseline.JFSL{PushThrough: true}, nil
 	case "ssmj":
 		// The paper's faithful configuration: two-batch output with the
 		// documented §VII false-positive caveat, counted in the stats.

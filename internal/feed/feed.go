@@ -1,20 +1,14 @@
-// Package feed defines the change-stream connector layer for live queries:
-// a Change is one base-relation mutation (insert or delete), a Source
-// delivers Changes in order, and connectors adapt external systems to the
-// Source interface. The serve layer applies each change to its catalog —
-// stamping it with the catalog's monotonic sequence — and fans it out to
-// live subscriptions.
-//
-// Two connectors ship in-process: MemSource (a bounded in-memory queue for
-// tests and embedding) and TailSource (a CSV/NDJSON file tailer, so the
-// engine work is not blocked on a database integration).
+// Package feed defines the change stream of live queries: a Change is one
+// base-relation mutation (insert or delete) with its NDJSON/CSV line format,
+// and TailSource delivers the Changes appended to a file in order (so the
+// engine work is not blocked on a database integration). The serve layer
+// applies each change to its catalog — stamping it with the catalog's
+// monotonic sequence — and fans it out to live subscriptions.
 package feed
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 )
 
 // Op is the kind of a change.
@@ -95,73 +89,4 @@ func (c *Change) UnmarshalJSON(b []byte) error {
 	}
 	*c = Change{Seq: w.Seq, Relation: w.Relation, Op: op, ID: w.ID, Vals: w.Vals, JoinKey: w.JoinKey}
 	return nil
-}
-
-// Source is a connector delivering changes in order. Next blocks until a
-// change is available, the source is exhausted (io.EOF for finite sources),
-// or ctx is done (ctx.Err()).
-type Source interface {
-	Next(ctx context.Context) (Change, error)
-}
-
-// MemSource is an in-process Source: a FIFO queue fed by Append. It is safe
-// for one producer and one consumer goroutine.
-type MemSource struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Change
-	closed bool
-}
-
-// NewMemSource returns an empty in-process source.
-func NewMemSource() *MemSource {
-	s := &MemSource{}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// Append enqueues a change. Appending to a closed source panics.
-func (s *MemSource) Append(c Change) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		panic("feed: Append on closed MemSource")
-	}
-	s.queue = append(s.queue, c)
-	s.cond.Broadcast()
-}
-
-// Close marks the source exhausted: Next drains the queue then returns
-// ErrClosed.
-func (s *MemSource) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	s.cond.Broadcast()
-}
-
-// ErrClosed is returned by Next once a closed source is fully drained.
-var ErrClosed = fmt.Errorf("feed: source closed")
-
-// Next returns the next queued change, blocking until one arrives, the
-// source closes, or ctx is done.
-func (s *MemSource) Next(ctx context.Context) (Change, error) {
-	stop := context.AfterFunc(ctx, s.cond.Broadcast)
-	defer stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if len(s.queue) > 0 {
-			c := s.queue[0]
-			s.queue = s.queue[1:]
-			return c, nil
-		}
-		if s.closed {
-			return Change{}, ErrClosed
-		}
-		if err := ctx.Err(); err != nil {
-			return Change{}, err
-		}
-		s.cond.Wait()
-	}
 }

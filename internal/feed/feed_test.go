@@ -51,55 +51,6 @@ func TestParseLineCSV(t *testing.T) {
 	}
 }
 
-func TestMemSource(t *testing.T) {
-	s := NewMemSource()
-	s.Append(Change{ID: 1, Op: OpInsert})
-	s.Append(Change{ID: 2, Op: OpDelete})
-	ctx := context.Background()
-	for i, want := range []int64{1, 2} {
-		c, err := s.Next(ctx)
-		if err != nil || c.ID != want {
-			t.Fatalf("next %d: %v %v", i, c, err)
-		}
-	}
-	// Blocking Next wakes on Append.
-	done := make(chan Change, 1)
-	go func() {
-		c, _ := s.Next(ctx)
-		done <- c
-	}()
-	time.Sleep(10 * time.Millisecond)
-	s.Append(Change{ID: 3})
-	select {
-	case c := <-done:
-		if c.ID != 3 {
-			t.Fatalf("got %+v", c)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Next did not wake on Append")
-	}
-	// Cancellation unblocks.
-	cctx, cancel := context.WithCancel(ctx)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := s.Next(cctx)
-		errc <- err
-	}()
-	cancel()
-	select {
-	case err := <-errc:
-		if err != context.Canceled {
-			t.Fatalf("err = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Next did not unblock on cancel")
-	}
-	s.Close()
-	if _, err := s.Next(ctx); err != ErrClosed {
-		t.Fatalf("closed drain err = %v", err)
-	}
-}
-
 func TestTailSource(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "changes.ndjson")

@@ -6,6 +6,8 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+
+	"progxe/internal/preference"
 )
 
 // randRects draws n random rects. A small value pool forces corner ties and
@@ -39,7 +41,7 @@ func randRects(rng *rand.Rand, n, d, pool int) []Rect {
 // upper corner of some rect dominates p.
 func bruteDominatesPoint(rects []Rect, p []float64) bool {
 	for _, r := range rects {
-		if r.UpperDominatesPoint(p) {
+		if preference.DominatesMin(r.Upper, p) {
 			return true
 		}
 	}

@@ -47,26 +47,6 @@ func NewBounds(lo, hi []float64) (Bounds, error) {
 	return Bounds{Lo: l, Hi: h}, nil
 }
 
-// BoundsOf computes the bounding box of a non-empty point set.
-func BoundsOf(pts [][]float64) (Bounds, error) {
-	if len(pts) == 0 {
-		return Bounds{}, fmt.Errorf("grid: cannot bound an empty point set")
-	}
-	lo := slices.Clone(pts[0])
-	hi := slices.Clone(pts[0])
-	for _, p := range pts[1:] {
-		for i, v := range p {
-			if v < lo[i] {
-				lo[i] = v
-			}
-			if v > hi[i] {
-				hi[i] = v
-			}
-		}
-	}
-	return NewBounds(lo, hi)
-}
-
 // Dims returns the dimensionality of the bounds.
 func (b Bounds) Dims() int { return len(b.Lo) }
 
@@ -188,25 +168,6 @@ func (g *Grid) CellLower(coords []int, dst []float64) []float64 {
 	return dst
 }
 
-// CellUpper returns the upper corner point of the cell with the given
-// coordinates, writing into dst and returning it.
-func (g *Grid) CellUpper(coords []int, dst []float64) []float64 {
-	for i, c := range coords {
-		dst[i] = g.bounds.Lo[i] + float64(c+1)*g.width[i]
-	}
-	return dst
-}
-
-// CellRect returns the bounding box of the flat-indexed cell.
-func (g *Grid) CellRect(flat int) Rect {
-	coords := make([]int, g.Dims())
-	g.Coords(flat, coords)
-	r := Rect{Lower: make([]float64, g.Dims()), Upper: make([]float64, g.Dims())}
-	g.CellLower(coords, r.Lower)
-	g.CellUpper(coords, r.Upper)
-	return r
-}
-
 // CoordRange returns the inclusive coordinate range [loC, hiC] of the cells
 // that hold a point of the closed interval [lo, hi] along dimension i. An
 // upper endpoint exactly on a cell boundary includes the cell above it:
@@ -263,25 +224,6 @@ func StrictlyBelow(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// SliceBelow reports whether cell coordinates a are ≤ b in every dimension
-// with equality in at least one: a tuple in a may dominate tuples in b, but
-// is not guaranteed to (§III-B observation 3 / §V Set 3). a == b is excluded.
-func SliceBelow(a, b []int) bool {
-	equal := true
-	anyEqualDim := false
-	for i := range a {
-		switch {
-		case a[i] > b[i]:
-			return false
-		case a[i] == b[i]:
-			anyEqualDim = true
-		default:
-			equal = false
-		}
-	}
-	return anyEqualDim && !equal
 }
 
 // LeqAll reports whether a ≤ b in every dimension.

@@ -41,19 +41,6 @@ func TestBoundsValidation(t *testing.T) {
 	}
 }
 
-func TestBoundsOf(t *testing.T) {
-	b, err := BoundsOf([][]float64{{1, 5}, {3, 2}, {2, 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Lo[0] != 1 || b.Lo[1] != 2 || b.Hi[0] != 3 || b.Hi[1] != 8 {
-		t.Fatalf("BoundsOf = %+v", b)
-	}
-	if _, err := BoundsOf(nil); err == nil {
-		t.Fatal("empty point set must error")
-	}
-}
-
 func TestGridBasics(t *testing.T) {
 	g := mustGrid(t, mustBounds(t, []float64{0, 0}, []float64{10, 10}), 5)
 	if g.NumCells() != 25 || g.Dims() != 2 || g.CellsPerDim(0) != 5 {
@@ -98,13 +85,24 @@ func TestFlatCoordsRoundTrip(t *testing.T) {
 	}
 }
 
+// cellRect returns the bounding box of the flat-indexed cell: its upper
+// corner is the lower corner of the cell one step up in every dimension.
+func cellRect(g *Grid, flat int) Rect {
+	coords := make([]int, g.Dims())
+	g.Coords(flat, coords)
+	lower := g.CellLower(coords, make([]float64, g.Dims()))
+	for i := range coords {
+		coords[i]++
+	}
+	return Rect{Lower: lower, Upper: g.CellLower(coords, make([]float64, g.Dims()))}
+}
+
 func TestCellBoundsContainPoint(t *testing.T) {
 	g := mustGrid(t, mustBounds(t, []float64{0, 0}, []float64{8, 8}), 4)
 	r := rand.New(rand.NewPCG(1, 2))
 	f := func() bool {
 		p := []float64{r.Float64() * 8, r.Float64() * 8}
-		rect := g.CellRect(g.CellOf(p))
-		return rect.Contains(p)
+		return cellRect(g, g.CellOf(p)).Contains(p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -155,7 +153,7 @@ func TestCellsOverlapping(t *testing.T) {
 	}
 	// Every listed cell overlaps r; no other cell does.
 	for flat := 0; flat < g.NumCells(); flat++ {
-		c := g.CellRect(flat)
+		c := cellRect(g, flat)
 		overlaps := true
 		for i := range c.Lower {
 			if c.Upper[i] <= r.Lower[i] || c.Lower[i] >= r.Upper[i] {
@@ -175,45 +173,23 @@ func TestOrthantRelations(t *testing.T) {
 	if StrictlyBelow([]int{1, 2}, []int{2, 2}) {
 		t.Fatal("tie is not strictly below")
 	}
-	if !SliceBelow([]int{1, 2}, []int{2, 2}) {
-		t.Fatal("slice below: ≤ with one equality")
-	}
-	if SliceBelow([]int{2, 2}, []int{2, 2}) {
-		t.Fatal("equal coords are not slice below")
-	}
-	if SliceBelow([]int{1, 1}, []int{2, 2}) {
-		t.Fatal("strict orthant is not slice below")
-	}
-	if SliceBelow([]int{3, 1}, []int{2, 2}) {
-		t.Fatal("incomparable is not slice below")
-	}
 	if !LeqAll([]int{1, 2}, []int{1, 2}) || LeqAll([]int{2, 1}, []int{1, 2}) {
 		t.Fatal("LeqAll wrong")
 	}
 }
 
 func TestOrthantPartition(t *testing.T) {
-	// For any pair of coordinate vectors with a ≤ b, exactly one of
-	// (equal, strictly-below, slice-below) holds.
+	// The strict orthant is the part of the ≤ orthant with no tie: strictly
+	// below means below in every dimension, which implies ≤ one way only.
 	r := rand.New(rand.NewPCG(3, 4))
 	f := func() bool {
 		a := []int{r.IntN(4), r.IntN(4), r.IntN(4)}
 		b := []int{r.IntN(4), r.IntN(4), r.IntN(4)}
-		if !LeqAll(a, b) {
-			return !StrictlyBelow(a, b) && !SliceBelow(a, b) || true // relations only defined under ≤; just ensure no panic
+		strict := a[0] < b[0] && a[1] < b[1] && a[2] < b[2]
+		if StrictlyBelow(a, b) != strict {
+			return false
 		}
-		equal := a[0] == b[0] && a[1] == b[1] && a[2] == b[2]
-		n := 0
-		if equal {
-			n++
-		}
-		if StrictlyBelow(a, b) {
-			n++
-		}
-		if SliceBelow(a, b) {
-			n++
-		}
-		return n == 1
+		return !strict || LeqAll(a, b) && !LeqAll(b, a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
@@ -240,16 +216,10 @@ func TestRect(t *testing.T) {
 	if a.DominatesRect(c) {
 		t.Fatal("equal corner must not dominate")
 	}
-	if !a.Overlaps(c) || a.Overlaps(b) {
-		t.Fatal("overlap tests wrong")
-	}
 	u, _ := NewRect(a.Lower, a.Upper)
 	u.Extend(b)
 	if u.Lower[0] != 0 || u.Upper[1] != 4 || a.Upper[1] != 2 {
 		t.Fatalf("a extended by b = %s (a = %s)", u, a)
-	}
-	if !a.UpperDominatesPoint([]float64{3, 3}) {
-		t.Fatal("upper (2,2) dominates (3,3)")
 	}
 	if a.String() == "" {
 		t.Fatal("rect must render")

@@ -51,13 +51,6 @@ func (r Rect) DominatesRect(other Rect) bool {
 	return preference.DominatesMin(r.Upper, other.Lower)
 }
 
-// UpperDominatesPoint reports whether the upper corner of r dominates point
-// p in the Pareto sense (≤ everywhere, < somewhere). When r is guaranteed to
-// be populated, some real tuple u ≤ UPPER(r) exists and u dominates p too.
-func (r Rect) UpperDominatesPoint(p []float64) bool {
-	return preference.DominatesMin(r.Upper, p)
-}
-
 // Extend grows r in place to the smallest rectangle containing both r and
 // other. r must own its corner slices.
 func (r Rect) Extend(other Rect) {
@@ -65,16 +58,6 @@ func (r Rect) Extend(other Rect) {
 		r.Lower[i] = min(r.Lower[i], other.Lower[i])
 		r.Upper[i] = max(r.Upper[i], other.Upper[i])
 	}
-}
-
-// Overlaps reports whether the closed boxes intersect.
-func (r Rect) Overlaps(other Rect) bool {
-	for i := range r.Lower {
-		if r.Upper[i] < other.Lower[i] || other.Upper[i] < r.Lower[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the rectangle as [(l1,..,ld)(u1,..,ud)], the notation used

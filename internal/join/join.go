@@ -1,15 +1,10 @@
-// Package join provides the equi-join substrate: hash join and sort-merge
-// join over the int64 join keys of two relations, plus join-selectivity
-// estimation. The baselines consume whole-relation joins; the ProgXe core
+// Package join provides the equi-join substrate: a hash join over the int64
+// join keys of two relations, plus join-selectivity estimation. The baselines consume whole-relation joins; the ProgXe core
 // joins one input-partition pair at a time through its plan-resident key
 // index, which enumerates Hash's exact order.
 package join
 
-import (
-	"sort"
-
-	"progxe/internal/relation"
-)
+import "progxe/internal/relation"
 
 // Pair is one join result: indices into the left and right tuple slices the
 // join was computed over.
@@ -44,53 +39,6 @@ func Hash(left, right []relation.Tuple, emit Emit) int {
 		}
 	}
 	return n
-}
-
-// Merge performs a sort-merge equi-join, streaming matching index pairs.
-// It sorts index permutations, not the tuples themselves.
-func Merge(left, right []relation.Tuple, emit Emit) int {
-	li := sortedByKey(left)
-	ri := sortedByKey(right)
-	n := 0
-	i, j := 0, 0
-	for i < len(li) && j < len(ri) {
-		lk, rk := left[li[i]].JoinKey, right[ri[j]].JoinKey
-		switch {
-		case lk < rk:
-			i++
-		case lk > rk:
-			j++
-		default:
-			// Find the extent of the equal-key runs on both sides.
-			iEnd := i
-			for iEnd < len(li) && left[li[iEnd]].JoinKey == lk {
-				iEnd++
-			}
-			jEnd := j
-			for jEnd < len(ri) && right[ri[jEnd]].JoinKey == rk {
-				jEnd++
-			}
-			for a := i; a < iEnd; a++ {
-				for b := j; b < jEnd; b++ {
-					n++
-					if !emit(li[a], ri[b]) {
-						return n
-					}
-				}
-			}
-			i, j = iEnd, jEnd
-		}
-	}
-	return n
-}
-
-func sortedByKey(ts []relation.Tuple) []int {
-	idx := make([]int, len(ts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return ts[idx[a]].JoinKey < ts[idx[b]].JoinKey })
-	return idx
 }
 
 // Cardinality returns the exact number of equi-join results between the two

@@ -64,22 +64,6 @@ func TestHashMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestMergeMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewPCG(6, 7))
-	f := func() bool {
-		l := tuples(randKeys(r, r.IntN(30))...)
-		rt := tuples(randKeys(r, r.IntN(30))...)
-		got := collect(Merge, l, rt)
-		want := brute(l, rt)
-		sortPairs(got)
-		sortPairs(want)
-		return reflect.DeepEqual(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func randKeys(r *rand.Rand, n int) []int64 {
 	keys := make([]int64, n)
 	for i := range keys {
@@ -95,9 +79,6 @@ func TestEmptyInputs(t *testing.T) {
 	if n := Hash(tuples(1), nil, func(int, int) bool { return true }); n != 0 {
 		t.Fatal("empty right must produce nothing")
 	}
-	if n := Merge(nil, nil, func(int, int) bool { return true }); n != 0 {
-		t.Fatal("empty merge must produce nothing")
-	}
 }
 
 func TestEarlyStop(t *testing.T) {
@@ -110,14 +91,6 @@ func TestEarlyStop(t *testing.T) {
 	})
 	if n != 4 || seen != 4 {
 		t.Fatalf("early stop: n=%d seen=%d", n, seen)
-	}
-	seen = 0
-	n = Merge(l, r, func(int, int) bool {
-		seen++
-		return seen < 2
-	})
-	if n != 2 {
-		t.Fatalf("merge early stop: n=%d", n)
 	}
 }
 

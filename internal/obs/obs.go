@@ -249,21 +249,6 @@ func (p *Profiler) Report() Report {
 	return r
 }
 
-// SetupMillis totals the sequencer time of the plan-construction phases —
-// partition, region-build, and prune. A run served from a prepared-plan
-// cache skips all three, so its report reads ≈ 0 here; load tests and the
-// serve-layer cache assert exactly that.
-func (r Report) SetupMillis() float64 {
-	var t float64
-	for _, ph := range r.Phases {
-		switch ph.Phase {
-		case PhasePartition.String(), PhaseRegionBuild.String(), PhasePrune.String():
-			t += ph.SequencerMillis
-		}
-	}
-	return t
-}
-
 // String renders the report as one compact line ("commit=1.2ms determine=0.8ms …"),
 // the shape the per-run structured log attaches.
 func (r Report) String() string {

@@ -215,15 +215,3 @@ func DominatesOrEqualMin(a, b []float64) bool {
 	}
 	return true
 }
-
-// StrictlyLessMin reports whether a < b in every minimized dimension. A point
-// a with this property dominates every point ≥ b componentwise; it is the
-// test used for region- and cell-level elimination guarantees (§III-A).
-func StrictlyLessMin(a, b []float64) bool {
-	for i := range a {
-		if a[i] >= b[i] {
-			return false
-		}
-	}
-	return true
-}

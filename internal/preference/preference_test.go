@@ -152,12 +152,6 @@ func TestCompareConsistentWithDominates(t *testing.T) {
 }
 
 func TestStrictHelpers(t *testing.T) {
-	if !StrictlyLessMin([]float64{1, 1}, []float64{2, 2}) {
-		t.Fatal("strictly less all dims")
-	}
-	if StrictlyLessMin([]float64{1, 2}, []float64{2, 2}) {
-		t.Fatal("equality violates strictness")
-	}
 	if !DominatesOrEqualMin([]float64{1, 2}, []float64{1, 2}) {
 		t.Fatal("equal vectors are ≤")
 	}

@@ -130,28 +130,6 @@ func (r *Relation) Select(pred Predicate) *Relation {
 	return out
 }
 
-// Project returns, for each tuple, the values of the named attributes as a
-// fresh vector. It errs if any attribute is unknown.
-func (r *Relation) Project(attrs []string) ([][]float64, error) {
-	idx := make([]int, len(attrs))
-	for i, a := range attrs {
-		j := r.Schema.Index(a)
-		if j < 0 {
-			return nil, fmt.Errorf("relation %s: unknown attribute %q", r.Schema.Name, a)
-		}
-		idx[i] = j
-	}
-	out := make([][]float64, len(r.Tuples))
-	for i, t := range r.Tuples {
-		v := make([]float64, len(idx))
-		for k, j := range idx {
-			v[k] = t.Vals[j]
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // JoinKeys returns the set of distinct join-key values in the relation.
 func (r *Relation) JoinKeys() map[int64]int {
 	m := make(map[int64]int)

@@ -95,22 +95,6 @@ func TestSelectAndPredicates(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	r := New(MustSchema("R", []string{"a", "b"}, "j"))
-	r.MustAppend(Tuple{ID: 1, Vals: []float64{1, 2}})
-	r.MustAppend(Tuple{ID: 2, Vals: []float64{3, 4}})
-	got, err := r.Project([]string{"b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, [][]float64{{2}, {4}}) {
-		t.Fatalf("Project = %v", got)
-	}
-	if _, err := r.Project([]string{"zz"}); err == nil {
-		t.Fatal("unknown attribute must error")
-	}
-}
-
 func TestJoinKeys(t *testing.T) {
 	r := New(MustSchema("R", []string{"a"}, "j"))
 	r.MustAppend(Tuple{ID: 1, Vals: []float64{0}, JoinKey: 5})

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"net/http"
-	"sync"
 
 	"progxe/internal/feed"
 	"progxe/internal/relation"
@@ -28,82 +27,18 @@ const (
 	eventReplaced
 )
 
-// catalogEvent is one entry of the server-wide change ring. seq is the
-// catalog generation assigned to the mutation, so event order, catalog
-// versions, and plan-cache invalidation all advance on one counter.
+// catalogEvent is one entry of the server-wide change ring (Server.changes),
+// the bounded replay of recent catalog events that live subscriptions read:
+// the feed writer never waits for a subscription, and one that falls off the
+// tail is terminated with replay_truncated. seq is the catalog generation
+// assigned to the mutation, so event order, catalog versions, and plan-cache
+// invalidation all advance on one counter.
 type catalogEvent struct {
 	seq      uint64
 	relation string
 	kind     eventKind
 	change   feed.Change // valid for eventChange
 }
-
-// changeLog is the bounded ring of recent catalog events that live
-// subscriptions replay. Same discipline as the coalescer's replay ring: the
-// writer never waits for a reader; a subscription that falls off the tail is
-// terminated with replay_truncated instead of stalling the feed.
-type changeLog struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	ring  []catalogEvent
-	base  uint64 // absolute index of ring[0]
-	total uint64 // absolute events appended so far
-	max   int
-}
-
-func newChangeLog(max int) *changeLog {
-	l := &changeLog{max: max}
-	l.cond = sync.NewCond(&l.mu)
-	return l
-}
-
-// append publishes one event, evicting the oldest past the ring bound, and
-// wakes every waiting subscription.
-func (l *changeLog) append(ev catalogEvent) {
-	l.mu.Lock()
-	l.ring = append(l.ring, ev)
-	l.total++
-	if len(l.ring) > l.max {
-		drop := len(l.ring) - l.max
-		l.ring = append(l.ring[:0], l.ring[drop:]...)
-		l.base += uint64(drop)
-	}
-	l.mu.Unlock()
-	l.cond.Broadcast()
-}
-
-// cursor returns the absolute index one past the newest event: a
-// subscription starting here sees exactly the events published after the
-// call.
-func (l *changeLog) cursor() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
-
-// next blocks until events past cursor exist (or wake() is triggered by the
-// caller's context), then returns a copy of them and the advanced cursor.
-// truncated reports that cursor has fallen off the ring's tail; the batch is
-// empty in that case.
-func (l *changeLog) next(cursor uint64, stop func() bool) (batch []catalogEvent, nextCursor uint64, truncated bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for cursor >= l.total && !stop() {
-		l.cond.Wait()
-	}
-	if cursor < l.base {
-		return nil, cursor, true
-	}
-	if cursor >= l.total {
-		return nil, cursor, false // stopped
-	}
-	batch = append(batch, l.ring[cursor-l.base:l.total-l.base]...)
-	return batch, l.total, false
-}
-
-// wake broadcasts the ring's condition so parked subscriptions re-check
-// their stop condition; wired to context cancellation via context.AfterFunc.
-func (l *changeLog) wake() { l.cond.Broadcast() }
 
 // ApplyChange validates and applies one change-feed mutation to the catalog:
 // the named relation is replaced by a snapshot with the tuple inserted or

@@ -3,10 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"time"
 
+	"progxe/internal/core"
 	"progxe/internal/obs"
 	"progxe/internal/smj"
 )
@@ -15,8 +18,7 @@ import (
 // same compiled plan (engine, normalized query, relation versions) and same
 // run-shaping knobs. The wire format is deliberately absent — records are
 // JSON-encoded once per run and framed per subscriber, so NDJSON and SSE
-// clients share a group. Trace requests never coalesce (span retention is
-// per-run state a shared run cannot attribute to one client).
+// clients share a group.
 type coalesceKey struct {
 	plan          planKey
 	limit         int
@@ -24,67 +26,36 @@ type coalesceKey struct {
 	timeoutMillis int64
 }
 
-// groupRec is one stream record of a coalesced run, JSON-encoded exactly
-// once. Every subscriber writes these same bytes, which is what makes the
+// groupRec is one stream record of a run, JSON-encoded exactly once. Every
+// subscriber writes these same bytes, which is what makes the
 // byte-identical-streams guarantee trivial to uphold.
 type groupRec struct {
 	event string
 	data  []byte
 }
 
-// groupError replaces the stream when run setup fails before the head
-// record: every subscriber reports the same HTTP error.
-type groupError struct {
-	status int
-	code   string
-	msg    string
-}
-
-// runGroup is one single-flight engine run fanned out to N subscribers. The
-// run goroutine appends encoded records to a bounded replay ring; each
-// subscriber drains it at its own pace under its own write deadline. A
-// subscriber that falls off the ring's tail is terminated with a truncated-
-// replay error — the engine never waits for a slow client. The run is
-// canceled when the last subscriber detaches.
+// runGroup is how every /v1/query run reaches its sockets: one engine run
+// fanned out to N ≥ 1 subscribers (a lone request is a group of one). The run
+// goroutine appends encoded records to a bounded replay ring; each subscriber
+// drains it at its own pace under its own write deadline. A subscriber that
+// falls off the ring's tail is terminated with a truncated-replay error — the
+// engine never waits for a slow client. The run is canceled when the last
+// subscriber detaches.
 type runGroup struct {
 	key coalesceKey
+	// private marks a trace run: the coalescer never registers it, so no
+	// other request attaches — span retention is per-run state a shared run
+	// could not attribute to one client.
+	private bool
+	recs    *ring[groupRec]
 
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	recs   []groupRec // ring: recs[i] is absolute record base+i
-	base   int        // absolute index of recs[0]
-	total  int        // absolute records appended so far
-	maxBuf int
-
-	done   bool
-	preErr *groupError
-	subs   int // currently attached
-	fanout int // ever attached
+	mu     sync.Mutex
+	preErr *httpError // replaces the stream when run setup failed
+	subs   int        // currently attached
+	fanout int        // ever attached
 
 	cancel  context.CancelFunc // aborts the engine run
-	release func()             // admission slot, released once at run end
-}
-
-func newRunGroup(key coalesceKey, maxBuf int, release func()) *runGroup {
-	g := &runGroup{key: key, maxBuf: maxBuf, release: release}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-// append publishes one encoded record, evicting the oldest past the replay
-// bound, and wakes every subscriber.
-func (g *runGroup) append(event string, data []byte) {
-	g.mu.Lock()
-	g.recs = append(g.recs, groupRec{event: event, data: data})
-	g.total++
-	if len(g.recs) > g.maxBuf {
-		drop := len(g.recs) - g.maxBuf
-		g.recs = append(g.recs[:0], g.recs[drop:]...)
-		g.base += drop
-	}
-	g.mu.Unlock()
-	g.cond.Broadcast()
+	release func()             // admission slot; idempotent
 }
 
 // appendJSON marshals and publishes one record; marshal failures drop the
@@ -95,26 +66,16 @@ func (g *runGroup) appendJSON(event string, v any) {
 	if err != nil {
 		return
 	}
-	g.append(event, b)
+	g.recs.append(groupRec{event: event, data: b})
 }
 
 // failPre resolves the group into an HTTP error before any record was
-// published and wakes the subscribers to report it.
-func (g *runGroup) failPre(status int, code, msg string) {
+// published and wakes the subscribers to report it, all identically.
+func (g *runGroup) failPre(err *httpError) {
 	g.mu.Lock()
-	g.preErr = &groupError{status: status, code: code, msg: msg}
-	g.done = true
+	g.preErr = err
 	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-// finish marks the stream complete and wakes the subscribers to drain the
-// tail.
-func (g *runGroup) finish() {
-	g.mu.Lock()
-	g.done = true
-	g.mu.Unlock()
-	g.cond.Broadcast()
+	g.recs.close()
 }
 
 // coalescer deduplicates concurrent identical runs: the first request for a
@@ -134,33 +95,38 @@ func newCoalescer(replay int) *coalescer {
 
 // joinOrLead attaches the caller to the in-flight group for key, creating
 // one — with the caller as leader, holding a freshly acquired admission
-// slot — when none exists. Attaching never consumes an admission slot:
-// subscribers cost a replay cursor, not an engine run, which is exactly why
-// coalesced bursts larger than MaxConcurrentRuns are not shed. ok=false
-// means a would-be leader was rejected by admission (no group was created).
-func (co *coalescer) joinOrLead(key coalesceKey, adm *admission, onAttach func()) (g *runGroup, leader, ok bool) {
+// slot — when none exists or the request is private. Attaching never consumes
+// an admission slot: subscribers cost a replay cursor, not an engine run,
+// which is exactly why bursts of one query larger than MaxConcurrentRuns are
+// not shed. ok=false means a would-be leader was rejected by admission (no
+// group was created).
+func (co *coalescer) joinOrLead(key coalesceKey, private bool, adm *admission) (g *runGroup, leader, ok bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if g := co.groups[key]; g != nil {
+	if g := co.groups[key]; g != nil && !private {
 		g.mu.Lock()
 		g.subs++
 		g.fanout++
 		g.mu.Unlock()
-		onAttach()
 		return g, false, true
 	}
 	release, ok := adm.tryAcquire()
 	if !ok {
 		return nil, false, false
 	}
-	g = newRunGroup(key, co.replay, release)
-	g.subs, g.fanout = 1, 1
-	co.groups[key] = g
-	onAttach()
+	g = &runGroup{
+		key: key, private: private, release: release,
+		recs: newRing[groupRec](co.replay),
+		subs: 1, fanout: 1,
+	}
+	if !private {
+		co.groups[key] = g
+	}
 	return g, true, true
 }
 
-// remove deregisters a group (idempotent; only if still current).
+// remove deregisters a group (idempotent; only if still current — a private
+// group never is).
 func (co *coalescer) remove(g *runGroup) {
 	co.mu.Lock()
 	if co.groups[g.key] == g {
@@ -169,14 +135,13 @@ func (co *coalescer) remove(g *runGroup) {
 	co.mu.Unlock()
 }
 
-// detach drops one subscriber. When the last subscriber of a live run
-// leaves, the group deregisters and the engine run is canceled — exactly
-// the disconnect semantics an uncoalesced run has, generalized to N
-// clients.
+// detachGroup drops one subscriber. When the last one leaves, the group
+// deregisters and the engine run is canceled (a no-op once the run is over):
+// a client's disconnect ends its run, generalized to N clients.
 func (s *Server) detachGroup(g *runGroup) {
 	g.mu.Lock()
 	g.subs--
-	last := g.subs == 0 && !g.done
+	last := g.subs == 0
 	cancel := g.cancel
 	g.mu.Unlock()
 	if last {
@@ -195,41 +160,24 @@ func (s *Server) streamGroup(w http.ResponseWriter, r *http.Request, g *runGroup
 	defer s.detachGroup(g)
 
 	ctx := r.Context()
-	// Cond waits cannot observe context cancellation; a broadcast on
-	// disconnect wakes this subscriber (and harmlessly the others) so it
-	// can notice its client is gone.
-	defer context.AfterFunc(ctx, g.cond.Broadcast)()
+	defer context.AfterFunc(ctx, g.recs.wake)()
+	gone := func() bool { return ctx.Err() != nil }
 
-	sw := &streamWriter{
-		w: w, sse: sse,
-		rc:    http.NewResponseController(w),
-		stall: s.cfg.WriteStallTimeout,
-	}
-	sw.f, _ = w.(http.Flusher)
+	sw := s.newStreamWriter(w, sse, nil)
 	defer sw.end()
 
 	var (
-		began  bool
-		cursor int
-		batch  []groupRec
+		began     bool
+		cursor    uint64
+		batch     []groupRec
+		truncated bool
 	)
 	for {
-		g.mu.Lock()
-		for cursor >= g.total && !g.done && ctx.Err() == nil {
-			g.cond.Wait()
-		}
-		if g.preErr != nil {
-			pe := *g.preErr
-			g.mu.Unlock()
-			writeError(w, pe.status, pe.code, "%s", pe.msg)
+		batch, cursor, truncated = g.recs.next(cursor, batch[:0], gone)
+		if gone() {
 			return
 		}
-		if ctx.Err() != nil {
-			g.mu.Unlock()
-			return
-		}
-		if cursor < g.base {
-			g.mu.Unlock()
+		if truncated {
 			s.metrics.replayTruncation()
 			if began {
 				sw.record("error", newErrorRecord(errReplayTruncated,
@@ -240,11 +188,17 @@ func (s *Server) streamGroup(w http.ResponseWriter, r *http.Request, g *runGroup
 			}
 			return
 		}
-		batch = append(batch[:0], g.recs[cursor-g.base:g.total-g.base]...)
-		cursor = g.total
-		finished := g.done
-		g.mu.Unlock()
-
+		if len(batch) == 0 {
+			// Closed and drained. A stream that never began is a set-up
+			// failure, reported as the HTTP error it resolved into.
+			g.mu.Lock()
+			pe := g.preErr
+			g.mu.Unlock()
+			if pe != nil && !began {
+				writeError(w, pe.status, pe.code, "%s", pe.msg)
+			}
+			return
+		}
 		if !began {
 			sw.begin()
 			began = true
@@ -255,21 +209,26 @@ func (s *Server) streamGroup(w http.ResponseWriter, r *http.Request, g *runGroup
 				return
 			}
 		}
-		if finished {
-			return
-		}
 	}
 }
 
-// runCoalesced executes the group's single engine run, publishing the head,
-// result, and stats records to the replay ring. It runs detached from any
+// runSpec is what the run goroutine needs from leader setup.
+type runSpec struct {
+	runID, engineName, query string
+	cached                   bool
+	prof                     *obs.Profiler
+	tracer                   *core.TraceRecorder // nil unless the request asked for a trace
+	run                      func(smj.Sink) (smj.Stats, error)
+}
+
+// runGroupRun executes the group's one engine run, publishing the result
+// records and the trailer to the replay ring. It runs detached from any
 // subscriber's request context: its lifetime is bounded by the server's run
 // context, the shared timeout, the shared limit, and the last detach.
-func (s *Server) runCoalesced(g *runGroup, rs runSpec) {
-	defer g.release()
-	defer s.coal.remove(g)
-
-	s.metrics.coalescedRunStarted()
+func (s *Server) runGroupRun(g *runGroup, rs runSpec) {
+	if !g.private {
+		s.metrics.coalescedRunStarted()
+	}
 	s.metrics.runStarted()
 	start := time.Now()
 	timeline := obs.NewTimeline(start)
@@ -277,14 +236,8 @@ func (s *Server) runCoalesced(g *runGroup, rs runSpec) {
 		seq      int
 		ttfr     time.Duration
 		limitHit bool
-		finished bool
+		panicked bool
 	)
-	defer func() {
-		if !finished {
-			s.metrics.runFinished(runFailed, int64(seq))
-			g.finish()
-		}
-	}()
 	sink := smj.SinkFunc(func(res smj.Result) {
 		if limitHit {
 			return
@@ -300,12 +253,23 @@ func (s *Server) runCoalesced(g *runGroup, rs runSpec) {
 			LeftID: res.LeftID, RightID: res.RightID, Out: res.Out,
 			ElapsedMillis: float64(time.Since(start).Microseconds()) / 1000,
 		})
-		if rs.limit > 0 && seq >= rs.limit {
+		if g.key.limit > 0 && seq >= g.key.limit {
 			limitHit = true
 			g.cancel()
 		}
 	})
-	engineStats, runErr := rs.run(sink)
+	engineStats, runErr := func() (st smj.Stats, err error) {
+		// One bad run must not take down the process or perturb another
+		// run's stream: a panicking engine ends this run as failed.
+		defer func() {
+			if p := recover(); p != nil {
+				panicked = true
+				err = fmt.Errorf("engine panic: %v", p)
+				s.logger.Error("run panicked", "id", rs.runID, "panic", p, "stack", string(debug.Stack()))
+			}
+		}()
+		return rs.run(sink)
+	}()
 	elapsed := time.Since(start)
 
 	// Deregister before publishing the trailer: once the run is over, a new
@@ -315,16 +279,28 @@ func (s *Server) runCoalesced(g *runGroup, rs runSpec) {
 	g.mu.Lock()
 	fanout := g.fanout
 	g.mu.Unlock()
+	var trace []byte
+	if rs.tracer != nil {
+		spans, instants := rs.tracer.Spans()
+		trace, _ = obs.TraceJSON(append(rs.prof.Spans(), spans...), instants)
+	}
 	rec := s.finishRun(runResult{
 		runID: rs.runID, engineName: rs.engineName, query: rs.query,
-		exec:   rs.exec,
+		exec:   g.key.exec,
 		cached: rs.cached, fanout: fanout,
 		start: start, elapsed: elapsed, ttfr: ttfr,
 		seq: seq, limitHit: limitHit, runErr: runErr,
 		progress: timeline.Quantiles(), phases: rs.prof.Report(),
-		engineStats: engineStats,
+		engineStats: engineStats, trace: trace,
 	})
-	finished = true
-	g.appendJSON("stats", rec)
-	g.finish()
+	// The slot returns before the trailer is published, so a client that has
+	// read its trailer never finds its own finished run still holding one.
+	g.release()
+	if panicked {
+		g.appendJSON("error", newErrorRecord(errInternal,
+			"run %s failed with an internal error; see /v1/runs/%s", rs.runID, rs.runID))
+	} else {
+		g.appendJSON("stats", rec)
+	}
+	g.recs.close()
 }

@@ -33,7 +33,7 @@ const (
 	// errUnavailable: run setup was aborted by shutdown or timeout.
 	errUnavailable = "unavailable"
 	// errReplayTruncated: the client fell behind a bounded replay ring
-	// (coalesced run or subscription change feed).
+	// (a run's record stream or the subscription change feed).
 	errReplayTruncated = "replay_truncated"
 	// errRelationDropped: a subscribed relation was deleted mid-stream.
 	errRelationDropped = "relation_dropped"
@@ -43,7 +43,8 @@ const (
 	// errBadChange: a change-feed entry failed validation (arity, non-finite
 	// value, duplicate insert id, delete of a missing id, wrong relation).
 	errBadChange = "bad_change"
-	// errInternal: unexpected server-side failure.
+	// errInternal: unexpected server-side failure; as a terminal stream
+	// record, the run's engine panicked.
 	errInternal = "internal"
 )
 

@@ -33,9 +33,9 @@ type metrics struct {
 	// Plan-cache and run-coalescing counters. Hits and misses count
 	// getOrBuild consultations (deduplicated builders count one miss;
 	// sharers of an in-flight build count hits); coalescedRuns counts
-	// engine runs started on behalf of a subscriber group, and
-	// coalescedSubscribers every stream attached to one (leaders
-	// included), so fan-out = subscribers / runs. replayTruncated counts
+	// engine runs started on behalf of a shareable run group (every run
+	// but the private trace ones), and coalescedSubscribers every stream
+	// attached to one (leaders included), so fan-out = subscribers / runs. replayTruncated counts
 	// subscribers disconnected because they fell behind the bounded
 	// replay ring.
 	planCacheHits        int64
@@ -413,9 +413,9 @@ func (m *metrics) writePrometheus(w io.Writer) {
 	counter("progxe_results_streamed_total", "Results streamed to clients.", s.ResultsStreamed)
 	counter("progxe_plan_cache_hits_total", "Query requests served a cached compiled plan.", s.PlanCacheHits)
 	counter("progxe_plan_cache_misses_total", "Query requests that compiled and cached a plan.", s.PlanCacheMisses)
-	counter("progxe_coalesced_runs_total", "Engine runs started on behalf of coalesced subscriber groups.", s.CoalescedRuns)
-	counter("progxe_coalesced_subscribers_total", "Streams attached to coalesced runs (leaders included).", s.CoalescedSubscribers)
-	counter("progxe_replay_truncated_total", "Coalesced subscribers dropped after falling behind the replay ring.", s.ReplayTruncated)
+	counter("progxe_coalesced_runs_total", "Engine runs started on behalf of shareable run groups (every run but trace runs).", s.CoalescedRuns)
+	counter("progxe_coalesced_subscribers_total", "Streams attached to shareable run groups (leaders included).", s.CoalescedSubscribers)
+	counter("progxe_replay_truncated_total", "Subscribers dropped after falling behind a replay ring.", s.ReplayTruncated)
 	counter("progxe_subscriptions_started_total", "Live subscriptions admitted.", s.SubscriptionsStarted)
 	counter("progxe_subscription_changes_applied_total", "Catalog change events folded into live subscriptions and applied through the change feed.", s.SubscriptionChangesApplied)
 	counter("progxe_subscription_retractions_total", "Retract records streamed by live subscriptions.", s.SubscriptionRetractions)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -41,8 +42,8 @@ type QueryRequest struct {
 	// region spans, emission instants), retrievable afterwards from
 	// GET /v1/runs/{id}/trace and loadable in Perfetto. Off by default:
 	// span retention costs memory proportional to the region count. Trace
-	// runs bypass the plan cache and run coalescing — a trace documents one
-	// complete, private run.
+	// runs bypass the plan cache and share their run with no other request —
+	// a trace documents one complete, private run.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -85,9 +86,9 @@ type statsRecord struct {
 	Error         string  `json:"error,omitempty"`
 	// Cached reports plan-cache reuse (see runRecord.Cached).
 	Cached bool `json:"cached,omitempty"`
-	// Subscribers counts the clients this run's stream was fanned out to.
-	// Zero for uncoalesced runs; ≥ 1 when run coalescing served the run.
-	Subscribers int           `json:"subscribers,omitempty"`
+	// Subscribers counts the clients this run's stream was fanned out to:
+	// 1 for a lone request, more when identical requests shared the run.
+	Subscribers int           `json:"subscribers"`
 	Progress    obs.Quantiles `json:"progress"`
 	Phases      obs.Report    `json:"phases"`
 	EngineStats smj.Stats     `json:"engineStats"`
@@ -95,11 +96,11 @@ type statsRecord struct {
 
 // streamWriter abstracts the two wire formats (NDJSON lines, SSE frames).
 // Records are flushed individually: each result reaches the client socket
-// the moment the engine emits it. Each record write runs under a rolling
-// deadline (stall) so a connected-but-stalled reader cannot block the
-// handler — and thereby the engine run — indefinitely; the first failed
-// write reports through onFail (which cancels the run) and silences the
-// rest of the stream.
+// the moment its reader takes it off the ring. Each record write runs under
+// a rolling deadline (stall) so a connected-but-stalled reader cannot pin
+// its handler indefinitely; the first failed write reports through onFail
+// (a subscription cancels itself; a query stream just detaches) and
+// silences the rest of the stream.
 type streamWriter struct {
 	w      http.ResponseWriter
 	f      http.Flusher
@@ -108,6 +109,17 @@ type streamWriter struct {
 	onFail func()
 	sse    bool
 	fail   bool // a write failed; the client is gone or stalled
+}
+
+func (s *Server) newStreamWriter(w http.ResponseWriter, sse bool, onFail func()) *streamWriter {
+	sw := &streamWriter{
+		w: w, sse: sse,
+		rc:     http.NewResponseController(w),
+		stall:  s.cfg.WriteStallTimeout,
+		onFail: onFail,
+	}
+	sw.f, _ = w.(http.Flusher)
+	return sw
 }
 
 func (sw *streamWriter) begin() {
@@ -136,9 +148,9 @@ func (sw *streamWriter) record(event string, v any) {
 	sw.raw(event, b)
 }
 
-// raw writes one pre-encoded record and flushes it. Coalesced streams go
-// through this path: the run encodes each record once, every subscriber
-// writes the same bytes.
+// raw writes one pre-encoded record and flushes it. Query streams go through
+// this path: the run encodes each record once, every subscriber writes the
+// same bytes.
 func (sw *streamWriter) raw(event string, data []byte) {
 	if sw.fail {
 		return
@@ -240,13 +252,12 @@ func (s *Server) planFor(key planKey, engine smj.Engine, q *query.Query, left, r
 }
 
 // runResult gathers everything one finished engine run produced, for the
-// stats trailer, metrics, and the run log — shared by the solo and the
-// coalesced execution paths.
+// stats trailer, metrics, and the run log.
 type runResult struct {
 	runID, engineName, query string
 	exec                     ExecInfo
 	cached                   bool
-	fanout                   int // subscribers ever attached; 0 = uncoalesced
+	fanout                   int // subscribers ever attached, ≥ 1
 	start                    time.Time
 	elapsed, ttfr            time.Duration
 	seq                      int
@@ -316,15 +327,12 @@ func (s *Server) finishRun(res runResult) statsRecord {
 
 	logAttrs := []any{
 		"id", res.runID, "engine", res.engineName, "outcome", outcomeName,
-		"results", res.seq,
+		"results", res.seq, "subscribers", res.fanout,
 		"elapsedMs", rec.ElapsedMillis, "ttfrMs", rec.TTFRMillis,
 		"phases", res.phases.String(),
 	}
 	if res.cached {
 		logAttrs = append(logAttrs, "cached", true)
-	}
-	if res.fanout > 0 {
-		logAttrs = append(logAttrs, "subscribers", res.fanout)
 	}
 	if rec.Reason != "" {
 		logAttrs = append(logAttrs, "reason", rec.Reason)
@@ -341,43 +349,52 @@ func (s *Server) finishRun(res runResult) statsRecord {
 	return rec
 }
 
-// handleQuery admits, compiles, and executes one query, streaming results
-// progressively until the run completes, errors, hits the limit, times out,
-// or the client disconnects — the latter three through context cancellation
-// of the smj.ContextEngine contract. With coalescing enabled, concurrent
-// identical requests share one engine run (see coalesce.go); otherwise each
-// request runs privately.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
+// decodeRequest reads the request body /v1/query and /v1/subscribe share:
+// JSON decode, wire-format negotiation, query parse. It writes the 400 itself
+// and reports ok=false when the request cannot be served.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string) (req QueryRequest, q *query.Query, sse, ok bool) {
 	body := http.MaxBytesReader(w, r.Body, defaultMaxQueryBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, errBadRequest, "bad query request: %v", err)
-		return
+		writeError(w, http.StatusBadRequest, errBadRequest, "bad %s request: %v", what, err)
+		return req, nil, false, false
 	}
-
 	// An explicit format in the body wins; the Accept header only decides
 	// when the body names none.
 	if req.Format != "" && !strings.EqualFold(req.Format, "sse") && !strings.EqualFold(req.Format, "ndjson") {
 		writeError(w, http.StatusBadRequest, errBadFormat, "unknown format %q (want ndjson or sse)", req.Format)
+		return req, nil, false, false
+	}
+	sse = strings.EqualFold(req.Format, "sse") ||
+		(req.Format == "" && strings.Contains(r.Header.Get("Accept"), "text/event-stream"))
+	q, err := query.Parse(req.Query)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, errBadQuery, "%v", err)
+		return req, nil, false, false
+	}
+	return req, q, sse, true
+}
+
+// handleQuery serves one query through a run group: the first request for a
+// coalesce key leads (setting up and starting the engine run), concurrent
+// identical requests attach as subscribers, and every client streams the
+// same byte-identical records from the group's replay ring until the run
+// completes, errors, hits the limit, times out, or its last client
+// disconnects — the latter three through context cancellation of the
+// smj.ContextEngine contract. A lone request is a group of one; a trace
+// request leads a private group nothing else attaches to.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	req, q, sse, ok := decodeRequest(w, r, "query")
+	if !ok {
 		return
 	}
-	sse := strings.EqualFold(req.Format, "sse") ||
-		(req.Format == "" && strings.Contains(r.Header.Get("Accept"), "text/event-stream"))
-
 	engineName := req.Engine
 	if engineName == "" {
 		engineName = s.cfg.DefaultEngine
 	}
-	exec := s.resolveExec(&req)
 
-	// Parsing and catalog resolution precede admission: both are cheap (no
-	// relation-sized copies) and both are needed to name the plan — the
-	// relation versions pin exactly the snapshots this run will see.
-	q, err := query.Parse(req.Query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, errBadQuery, "%v", err)
-		return
-	}
+	// Catalog resolution precedes admission: it is cheap (no relation-sized
+	// copies) and needed to name the run — the relation versions pin exactly
+	// the snapshots it will see.
 	left, leftVer, ok := s.catalog.GetVersioned(q.From[0].Table)
 	if !ok {
 		writeError(w, http.StatusNotFound, errRelationNotFound, "relation %q is not in the catalog", q.From[0].Table)
@@ -389,23 +406,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	timeout := s.resolveTimeout(req.TimeoutMillis)
-	key := planKey{
-		engine: strings.ToLower(engineName), query: q.String(),
-		leftVer: leftVer, rightVer: rightVer,
+	key := coalesceKey{
+		plan: planKey{
+			engine: strings.ToLower(engineName), query: q.String(),
+			leftVer: leftVer, rightVer: rightVer,
+		},
+		limit: req.Limit, exec: s.resolveExec(&req),
+		timeoutMillis: int64(timeout / time.Millisecond),
 	}
-
-	if s.coal != nil && !req.Trace {
-		s.handleCoalesced(w, r, req, sse, engineName, q, key, left, right, timeout, exec)
-		return
-	}
-
-	// Solo path: one request, one engine run.
-	//
-	// Admission precedes compilation: Compile copies relation-sized data
-	// (selection push-down), so unadmitted requests must not reach it —
-	// otherwise a burst bypasses the resource bound the controller exists
-	// to provide.
-	release, ok := s.adm.tryAcquire()
+	g, leader, ok := s.coal.joinOrLead(key, req.Trace, s.adm)
 	if !ok {
 		s.metrics.runRejected()
 		w.Header().Set("Retry-After", "1")
@@ -413,16 +422,48 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			"all %d run slots are busy; retry shortly", s.adm.capacity())
 		return
 	}
-	defer release()
+	if !g.private {
+		s.metrics.coalescedAttach()
+	}
+	if leader {
+		s.startRun(g, req, engineName, q, left, right, timeout)
+	}
+	s.streamGroup(w, r, g, sse)
+}
+
+// startRun performs the leader-only setup of a run — engine construction,
+// plan resolution, context assembly — and hands the group to the run
+// goroutine. Admission precedes it: Compile copies relation-sized data
+// (selection push-down), so unadmitted requests must not reach it. Setup
+// failures resolve the group into a shared HTTP error: every subscriber (the
+// leader included) reports it identically.
+func (s *Server) startRun(g *runGroup, req QueryRequest, engineName string, q *query.Query,
+	left, right *relation.Relation, timeout time.Duration) {
+
+	// Until the run goroutine owns the group, every exit — error or panic —
+	// must resolve the group and return the admission slot it holds.
+	started := false
+	failure := httpErrorf(http.StatusInternalServerError, errInternal, "internal error during run setup")
+	defer func() {
+		if started {
+			return
+		}
+		if p := recover(); p != nil {
+			s.logger.Error("run setup panicked", "query", truncate(req.Query, 512), "panic", p, "stack", string(debug.Stack()))
+		}
+		s.coal.remove(g)
+		g.failPre(failure)
+		g.release()
+	}()
 
 	// Every run is profiled: the accumulators are a few atomic adds, and the
 	// phase breakdown feeds the run log, the stats trailer, and /metrics.
 	// Span retention and the event recorder are opt-in per request.
 	prof := obs.NewProfiler()
+	// Per-run parallelism, clamped by the server cap: the engine is built for
+	// this run alone, and the run record reports what was granted.
+	opts := core.Options{Workers: g.key.exec.Workers, Profiler: prof}
 	var tracer *core.TraceRecorder
-	// Per-request parallelism, clamped by the server cap: the engine is built
-	// for this request alone, and the run record reports what was granted.
-	opts := core.Options{Workers: exec.Workers, Profiler: prof}
 	if req.Trace {
 		prof.EnableSpans()
 		tracer = core.NewTraceRecorder(prof.Epoch())
@@ -430,184 +471,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	engine, err := s.cfg.NewEngine(engineName, opts)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, errUnknownEngine, "%v", err)
+		failure = httpErrorf(http.StatusBadRequest, errUnknownEngine, "%v", err)
 		return
 	}
-
 	// Trace runs bypass the plan cache: a cached plan was prepared by some
 	// earlier run, so reusing it would leave the trace without its setup
 	// spans — a trace documents one complete run.
-	entry, cached, err := s.planFor(key, engine, q, left, right, !req.Trace)
+	entry, cached, err := s.planFor(g.key.plan, engine, q, left, right, !req.Trace)
 	if err != nil {
 		status, code := http.StatusBadRequest, errBadQuery
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			status, code = http.StatusServiceUnavailable, errUnavailable
 		}
-		writeError(w, status, code, "%v", err)
+		failure = httpErrorf(status, code, "%v", err)
 		return
 	}
 
-	// The run context: client disconnect cancels it via r.Context();
-	// timeouts and the result limit cancel it explicitly.
-	ctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	ctx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	// Service shutdown aborts in-flight runs so graceful drains finish
-	// within their window instead of waiting out every stream.
-	defer context.AfterFunc(s.runCtx, cancelRun)()
-
-	sw := &streamWriter{
-		w: w, sse: sse,
-		rc:     http.NewResponseController(w),
-		stall:  s.cfg.WriteStallTimeout,
-		onFail: cancelRun,
-	}
-	runID := s.runlog.newID()
-	sw.f, _ = w.(http.Flusher)
-	defer sw.end()
-	sw.begin()
-	sw.record("run", runRecord{Type: "run", ID: runID, Engine: engine.Name(), Dims: entry.problem.Maps.Names(), Exec: exec, Cached: cached})
-
-	s.metrics.runStarted()
-	start := time.Now()
-	timeline := obs.NewTimeline(start)
-	var (
-		seq      int
-		ttfr     time.Duration
-		limitHit bool
-		finished bool
-	)
-	// Balance the runsActive gauge even if the engine panics (net/http
-	// recovers handler panics, so without this the gauge would leak).
-	defer func() {
-		if !finished {
-			s.metrics.runFinished(runFailed, int64(seq))
-		}
-	}()
-	sink := smj.SinkFunc(func(res smj.Result) {
-		if limitHit {
-			return
-		}
-		timeline.Observe()
-		seq++
-		if seq == 1 {
-			ttfr = time.Since(start)
-			s.metrics.observeTTFR(ttfr)
-		}
-		sw.record("result", resultRecord{
-			Type: "result", Seq: seq,
-			LeftID: res.LeftID, RightID: res.RightID, Out: res.Out,
-			ElapsedMillis: float64(time.Since(start).Microseconds()) / 1000,
-		})
-		if req.Limit > 0 && seq >= req.Limit {
-			limitHit = true
-			cancelRun()
-		}
-	})
-	var (
-		engineStats smj.Stats
-		runErr      error
-	)
-	if entry.plan != nil {
-		// Cache hit on a ProgXe-family engine: run straight from the plan
-		// snapshot, skipping partition / region-build / prune.
-		engineStats, runErr = engine.(planEngine).RunPlanContext(ctx, entry.plan, sink)
-	} else {
-		engineStats, runErr = smj.RunContext(ctx, engine, entry.problem, sink)
-	}
-	elapsed := time.Since(start)
-
-	var trace []byte
-	if tracer != nil {
-		spans, instants := tracer.Spans()
-		trace, _ = obs.TraceJSON(append(prof.Spans(), spans...), instants)
-	}
-	rec := s.finishRun(runResult{
-		runID: runID, engineName: engine.Name(), query: req.Query,
-		exec: exec, cached: cached,
-		start: start, elapsed: elapsed, ttfr: ttfr,
-		seq: seq, limitHit: limitHit, runErr: runErr,
-		progress: timeline.Quantiles(), phases: prof.Report(),
-		engineStats: engineStats, trace: trace,
-	})
-	finished = true
-	sw.record("stats", rec)
-}
-
-// handleCoalesced serves one request through the run coalescer: the first
-// request for a coalesce key leads (setting up and starting the shared
-// engine run), later identical requests attach as subscribers; every client
-// then streams the same byte-identical records from the group's replay ring.
-func (s *Server) handleCoalesced(w http.ResponseWriter, r *http.Request, req QueryRequest, sse bool,
-	engineName string, q *query.Query, key planKey,
-	left, right *relation.Relation, timeout time.Duration, exec ExecInfo) {
-
-	ckey := coalesceKey{
-		plan: key, limit: req.Limit, exec: exec,
-		timeoutMillis: int64(timeout / time.Millisecond),
-	}
-	g, leader, ok := s.coal.joinOrLead(ckey, s.adm, s.metrics.coalescedAttach)
-	if !ok {
-		s.metrics.runRejected()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, errBusy,
-			"all %d run slots are busy; retry shortly", s.adm.capacity())
-		return
-	}
-	if leader {
-		s.startCoalesced(g, req, engineName, q, key, left, right, timeout, exec)
-	}
-	s.streamGroup(w, r, g, sse)
-}
-
-// startCoalesced performs the leader-only setup of a coalesced run — engine
-// construction, plan resolution, context assembly — and hands the group to
-// the run goroutine. Setup failures resolve the group into a shared HTTP
-// error: every subscriber (the leader included) reports it identically.
-func (s *Server) startCoalesced(g *runGroup, req QueryRequest,
-	engineName string, q *query.Query, key planKey,
-	left, right *relation.Relation, timeout time.Duration, exec ExecInfo) {
-
-	// Until the run goroutine owns the group, every exit — error or panic —
-	// must resolve the group and return the admission slot it holds.
-	started := false
-	failStatus, failCode, failMsg := http.StatusInternalServerError, errInternal, "internal error during run setup"
-	defer func() {
-		if !started {
-			s.coal.remove(g)
-			g.failPre(failStatus, failCode, failMsg)
-			g.release()
-		}
-	}()
-	fail := func(status int, code, format string, args ...any) {
-		failStatus, failCode, failMsg = status, code, fmt.Sprintf(format, args...)
-	}
-
-	prof := obs.NewProfiler()
-	engine, err := s.cfg.NewEngine(engineName, core.Options{Workers: exec.Workers, Profiler: prof})
-	if err != nil {
-		fail(http.StatusBadRequest, errUnknownEngine, "%v", err)
-		return
-	}
-	entry, cached, err := s.planFor(key, engine, q, left, right, true)
-	if err != nil {
-		status, code := http.StatusBadRequest, errBadQuery
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status, code = http.StatusServiceUnavailable, errUnavailable
-		}
-		fail(status, code, "%v", err)
-		return
-	}
-
-	// The shared run's context descends from the server's run context, not
-	// the leader's request: the run must survive the leader's disconnect as
-	// long as other subscribers remain. Its lifetime is bounded by server
-	// shutdown, the shared timeout, the shared limit, and the last detach.
+	// The run's context descends from the server's run context, not the
+	// leader's request: the run must survive the leader's disconnect as long
+	// as other subscribers remain. Its lifetime is bounded by server
+	// shutdown (so graceful drains finish within their window), the timeout,
+	// the limit, and the last detach.
 	ctx := s.runCtx
 	var cancelT context.CancelFunc = func() {}
 	if timeout > 0 {
@@ -621,32 +505,23 @@ func (s *Server) startCoalesced(g *runGroup, req QueryRequest,
 	runID := s.runlog.newID()
 	g.appendJSON("run", runRecord{
 		Type: "run", ID: runID, Engine: engine.Name(), Dims: entry.problem.Maps.Names(),
-		Exec: exec, Cached: cached,
+		Exec: g.key.exec, Cached: cached,
 	})
-	go s.runCoalesced(g, runSpec{
+	go s.runGroupRun(g, runSpec{
 		runID: runID, engineName: engine.Name(), query: req.Query,
-		exec: exec, limit: req.Limit,
-		cached: cached, prof: prof,
+		cached: cached, prof: prof, tracer: tracer,
 		run: func(sink smj.Sink) (smj.Stats, error) {
 			defer cancelRun()
 			defer cancelT()
 			if entry.plan != nil {
+				// Cache hit on a ProgXe-family engine: run straight from the
+				// plan snapshot, skipping partition / region-build / prune.
 				return engine.(planEngine).RunPlanContext(ctx, entry.plan, sink)
 			}
 			return smj.RunContext(ctx, engine, entry.problem, sink)
 		},
 	})
 	started = true
-}
-
-// runSpec is what the coalesced run goroutine needs from leader setup.
-type runSpec struct {
-	runID, engineName, query string
-	exec                     ExecInfo
-	limit                    int
-	cached                   bool
-	prof                     *obs.Profiler
-	run                      func(smj.Sink) (smj.Stats, error)
 }
 
 // truncate caps a string kept in the run log.

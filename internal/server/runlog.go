@@ -34,7 +34,7 @@ type RunRecord struct {
 	// cache (partition / region-build / prune skipped).
 	Cached bool `json:"cached,omitempty"`
 	// Subscribers counts the clients the run's stream was fanned out to by
-	// the coalescer; zero for uncoalesced runs.
+	// its run group (≥ 1 for /v1/query runs); zero for subscriptions.
 	Subscribers int `json:"subscribers,omitempty"`
 	// Progress is the run's emission timeline reduced to the paper's
 	// milestones (TT-first/10%/50%/90%/last), measured from run start.

@@ -6,9 +6,10 @@
 // The service holds a concurrency-safe relation catalog (populated from
 // synthetic-data specs or CSV uploads), accepts queries in the paper's
 // PREFERRING dialect, and streams results as NDJSON or Server-Sent Events
-// with a trailing stats record. Engine runs are admission-controlled and
-// fully cancellable: a client that disconnects mid-stream aborts its run
-// through the smj.ContextEngine contract.
+// with a trailing stats record. Engine runs are admission-controlled, shared
+// by concurrent identical requests, and fully cancellable: the last client
+// to disconnect mid-stream aborts the run through the smj.ContextEngine
+// contract.
 //
 // Endpoints:
 //
@@ -60,9 +61,9 @@ const (
 	defaultMaxTotalRows      = 20_000_000
 	defaultRunLogSize        = 128
 	defaultPlanCacheSize     = 128
-	// DefaultCoalesceReplay is the replay-ring bound (records per coalesced
-	// run) the serve binary enables coalescing with; exported so the flag
-	// default and the Config documentation agree.
+	// DefaultCoalesceReplay is the default replay-ring bound (records per
+	// run); exported so the serve binary's flag default and the Config
+	// documentation agree.
 	DefaultCoalesceReplay = 16384
 	// defaultMaxSubscriptions bounds concurrent live subscriptions; they
 	// hold resident output-space state, so they are admitted separately from
@@ -149,15 +150,13 @@ type Config struct {
 	// a subscriber; one that falls off the ring's tail is terminated with
 	// replay_truncated. Default 16384 events.
 	ChangeLogSize int
-	// CoalesceReplay enables single-flight run coalescing: concurrent
-	// identical query requests (same plan key, limit, granted exec knobs,
-	// timeout; trace requests excluded) share one engine run,
-	// each subscriber replaying the same encoded record stream. The value
-	// bounds the per-run replay ring in records — a subscriber that falls
-	// further behind than this is terminated with a truncated-replay error
-	// rather than stalling the run. 0 (the default) disables coalescing,
-	// preserving run-per-request semantics; the serve binary enables it
-	// with DefaultCoalesceReplay.
+	// CoalesceReplay bounds the per-run replay ring in records. Every query
+	// run streams through a run group: concurrent identical requests (same
+	// plan key, limit, granted exec knobs, timeout; trace requests excluded)
+	// share one engine run, each subscriber replaying the same encoded record
+	// stream, and a lone request is a group of one. A subscriber that falls
+	// further behind than this bound is terminated with a truncated-replay
+	// error rather than stalling the run. Default DefaultCoalesceReplay.
 	CoalesceReplay int
 }
 
@@ -216,8 +215,8 @@ func (c Config) withDefaults() Config {
 	if c.PlanCacheSize < 0 {
 		c.PlanCacheSize = 0 // cache disabled
 	}
-	if c.CoalesceReplay < 0 {
-		c.CoalesceReplay = 0 // coalescing disabled (also the zero default)
+	if c.CoalesceReplay <= 0 {
+		c.CoalesceReplay = DefaultCoalesceReplay
 	}
 	if c.MaxSubscriptions == 0 {
 		c.MaxSubscriptions = defaultMaxSubscriptions
@@ -242,13 +241,13 @@ type Server struct {
 	runlog  *runLog
 	logger  *slog.Logger
 	plans   *planCache // nil when the plan cache is disabled
-	coal    *coalescer // nil when run coalescing is disabled
+	coal    *coalescer
 
 	// mutMu serializes catalog mutations with their change-ring publication,
 	// so the ring's event order matches the sequence of catalog states (and
 	// every event's seq is the catalog generation it produced).
 	mutMu   sync.Mutex
-	changes *changeLog
+	changes *ring[catalogEvent]
 	subAdm  *admission // subscription slots, separate from query-run slots
 
 	// runCtx is done once CancelRuns is called; every engine run's context
@@ -272,10 +271,8 @@ func New(cfg Config) *Server {
 	if s.cfg.PlanCacheSize > 0 {
 		s.plans = newPlanCache(s.cfg.PlanCacheSize, s.metrics.planHit, s.metrics.planMiss)
 	}
-	if s.cfg.CoalesceReplay > 0 {
-		s.coal = newCoalescer(s.cfg.CoalesceReplay)
-	}
-	s.changes = newChangeLog(s.cfg.ChangeLogSize)
+	s.coal = newCoalescer(s.cfg.CoalesceReplay)
+	s.changes = newRing[catalogEvent](s.cfg.ChangeLogSize)
 	if s.cfg.MaxSubscriptions > 0 {
 		s.subAdm = newAdmission(s.cfg.MaxSubscriptions)
 	}

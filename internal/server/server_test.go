@@ -238,8 +238,9 @@ func TestQueryValidationErrors(t *testing.T) {
 }
 
 // TestAdmissionControl verifies load shedding: with one slot held by a
-// blocked run, the next query is rejected with 429 and counted, and after
-// release the service admits again.
+// blocked run, the next query — a different one; an identical one would share
+// the held run — is rejected with 429 and counted, and after release the
+// service admits again.
 func TestAdmissionControl(t *testing.T) {
 	g := newGatedEngine()
 	srv, ts := newTestServer(t, Config{
@@ -257,7 +258,7 @@ func TestAdmissionControl(t *testing.T) {
 	}()
 	<-g.started // the slot is now provably held
 
-	resp := postQuery(t, ts, QueryRequest{Query: tinyQuery})
+	resp := postQuery(t, ts, QueryRequest{Query: tinyQuery, Limit: 1})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second query: status %d, want 429", resp.StatusCode)
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"strings"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"progxe/internal/core"
 	"progxe/internal/feed"
 	"progxe/internal/mapping"
-	"progxe/internal/query"
 	"progxe/internal/relation"
 	"progxe/internal/smj"
 )
@@ -85,18 +83,10 @@ func (ls *liveStreamSink) Retract(leftID, rightID int64) {
 // serial by design (each change's repair work is tiny), so the echoed exec
 // object reports zero workers.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	body := http.MaxBytesReader(w, r.Body, defaultMaxQueryBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, errBadRequest, "bad subscribe request: %v", err)
+	req, q, sse, ok := decodeRequest(w, r, "subscribe")
+	if !ok {
 		return
 	}
-	if req.Format != "" && !strings.EqualFold(req.Format, "sse") && !strings.EqualFold(req.Format, "ndjson") {
-		writeError(w, http.StatusBadRequest, errBadFormat, "unknown format %q (want ndjson or sse)", req.Format)
-		return
-	}
-	sse := strings.EqualFold(req.Format, "sse") ||
-		(req.Format == "" && strings.Contains(r.Header.Get("Accept"), "text/event-stream"))
 	if req.Trace {
 		writeError(w, http.StatusBadRequest, errBadRequest, "subscriptions do not record traces")
 		return
@@ -108,11 +98,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if req.Engine != "" && !strings.EqualFold(req.Engine, "live") {
 		writeError(w, http.StatusBadRequest, errUnknownEngine,
 			"subscriptions run the live maintenance engine; engine %q is not selectable here", req.Engine)
-		return
-	}
-	q, err := query.Parse(req.Query)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, errBadQuery, "%v", err)
 		return
 	}
 
@@ -175,13 +160,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// broadcast wakes this subscription (and harmlessly the others).
 	defer context.AfterFunc(ctx, s.changes.wake)()
 
-	sw := &streamWriter{
-		w: w, sse: sse,
-		rc:     http.NewResponseController(w),
-		stall:  s.cfg.WriteStallTimeout,
-		onFail: cancel,
-	}
-	sw.f, _ = w.(http.Flusher)
+	sw := s.newStreamWriter(w, sse, cancel)
 	defer sw.end()
 	sw.begin()
 
@@ -209,11 +188,16 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	checkpoint(maxVer)
 	snapshot := time.Since(start)
 
-	var endRec *errorRecord
-	applied := int64(0)
+	var (
+		endRec    *errorRecord
+		applied   int64
+		batch     []catalogEvent
+		truncated bool
+	)
+	gone := func() bool { return ctx.Err() != nil }
 loop:
 	for {
-		batch, next, truncated := s.changes.next(cursor, func() bool { return ctx.Err() != nil })
+		batch, cursor, truncated = s.changes.next(cursor, batch[:0], gone)
 		if truncated {
 			rec := newErrorRecord(errReplayTruncated,
 				"change ring truncated: subscription fell too far behind the feed")
@@ -221,10 +205,9 @@ loop:
 			s.metrics.replayTruncation()
 			break
 		}
-		if ctx.Err() != nil {
+		if gone() {
 			break
 		}
-		cursor = next
 		for _, ev := range batch {
 			side := -1
 			for i, tbl := range plan.Tables {

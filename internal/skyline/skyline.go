@@ -1,92 +1,28 @@
-// Package skyline implements single-set skyline (Pareto-maxima) algorithms
-// used as substrates by the query engines: Block-Nested-Loops (BNL,
-// Börzsönyi et al. [1]), Sort-Filter-Skyline (SFS), and the divide & conquer
-// maxima algorithm of Kung, Luccio and Preparata [2]. It also provides the
-// Bentley/Buchta estimate of the expected skyline size used by the paper's
-// benefit model (Equation 1).
+// Package skyline implements the single-set skyline (Pareto-maxima) pass the
+// blocking baselines run — Sort-Filter-Skyline — and the Bentley/Buchta
+// estimate of the expected skyline size used by the paper's benefit model
+// (Equation 1).
 //
-// All algorithms operate in canonical minimized space: a point a dominates b
+// Everything operates in canonical minimized space: a point a dominates b
 // iff a ≤ b componentwise with at least one strict inequality.
 package skyline
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"progxe/internal/preference"
 )
 
-// Algorithm selects a skyline implementation.
-type Algorithm int8
-
-// Available algorithms.
-const (
-	BNL Algorithm = iota
-	SFS
-	DC
-)
-
-// String returns the algorithm's conventional name.
-func (a Algorithm) String() string {
-	switch a {
-	case BNL:
-		return "BNL"
-	case SFS:
-		return "SFS"
-	case DC:
-		return "D&C"
-	default:
-		return "unknown"
-	}
-}
-
 // Compute returns the indices (into pts) of the skyline of pts under
-// minimizing dominance, using the selected algorithm. The returned indices
-// are in ascending order. Duplicate points are all retained (none dominates
-// another).
-func Compute(alg Algorithm, pts [][]float64) []int {
-	switch alg {
-	case SFS:
-		return sfs(pts)
-	case DC:
-		return divideConquer(pts)
-	default:
-		return bnl(pts)
-	}
-}
-
-// bnl is the classic block-nested-loops skyline with an unbounded window.
-func bnl(pts [][]float64) []int {
-	window := make([]int, 0, 64)
-	for i, p := range pts {
-		dominated := false
-		keep := window[:0]
-		for _, j := range window {
-			switch relate(pts[j], p) {
-			case preference.LeftDominates:
-				dominated = true
-			case preference.RightDominates:
-				continue // drop j from the window
-			}
-			keep = append(keep, j)
-			if dominated {
-				// p cannot remove later window entries once dominated.
-				keep = append(keep, window[len(keep):]...)
-				break
-			}
-		}
-		window = keep
-		if !dominated {
-			window = append(window, i)
-		}
-	}
-	sort.Ints(window)
-	return window
-}
-
-// sfs sorts by an entropy-style monotone score first so that no point can be
-// dominated by a later point; every window survivor is final immediately.
-func sfs(pts [][]float64) []int {
+// minimizing dominance, in ascending order. Duplicate points are all
+// retained (none dominates another). It is Sort-Filter-Skyline: sorting by a
+// monotone score first means no point can be dominated by a later one, so
+// every window survivor is final immediately. Floating-point sums can tie
+// where the exact ones would not; ties order lexicographically, which still
+// puts a dominator first.
+func Compute(pts [][]float64) []int {
 	order := make([]int, len(pts))
 	for i := range order {
 		order[i] = i
@@ -99,7 +35,10 @@ func sfs(pts [][]float64) []int {
 		}
 		score[i] = s
 	}
-	sort.SliceStable(order, func(a, b int) bool { return score[order[a]] < score[order[b]] })
+	sort.SliceStable(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		return score[i] < score[j] || score[i] == score[j] && slices.Compare(pts[i], pts[j]) < 0
+	})
 
 	window := make([]int, 0, 64)
 	for _, i := range order {
@@ -116,30 +55,6 @@ func sfs(pts [][]float64) []int {
 	}
 	sort.Ints(window)
 	return window
-}
-
-// relate classifies dominance between two equal-length minimized vectors.
-func relate(a, b []float64) preference.Relation {
-	aBetter, bBetter := false, false
-	for i := range a {
-		switch {
-		case a[i] < b[i]:
-			aBetter = true
-		case a[i] > b[i]:
-			bBetter = true
-		}
-		if aBetter && bBetter {
-			return preference.Incomparable
-		}
-	}
-	switch {
-	case aBetter:
-		return preference.LeftDominates
-	case bBetter:
-		return preference.RightDominates
-	default:
-		return preference.Equal
-	}
 }
 
 // Filter returns the subset of candidate indices not dominated by any point

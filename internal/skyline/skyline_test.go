@@ -43,84 +43,85 @@ func randomPoints(r *rand.Rand, n, d, domain int) [][]float64 {
 
 func TestAlgorithmsAgreeWithNaive(t *testing.T) {
 	r := rand.New(rand.NewPCG(10, 20))
-	for _, alg := range []Algorithm{BNL, SFS, DC} {
-		for _, d := range []int{1, 2, 3, 4} {
-			for _, n := range []int{0, 1, 2, 17, 100} {
-				pts := randomPoints(r, n, d, 6) // small domain forces ties/duplicates
-				want := naive(pts)
-				got := Compute(alg, pts)
-				if want == nil {
-					want = []int{}
-				}
-				if got == nil {
-					got = []int{}
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s d=%d n=%d: got %v want %v", alg, d, n, got, want)
-				}
+	for _, d := range []int{1, 2, 3, 4} {
+		for _, n := range []int{0, 1, 2, 17, 100} {
+			pts := randomPoints(r, n, d, 6) // small domain forces ties/duplicates
+			want := naive(pts)
+			got := Compute(pts)
+			if want == nil {
+				want = []int{}
 			}
+			if got == nil {
+				got = []int{}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("d=%d n=%d: got %v want %v", d, n, got, want)
+			}
+		}
+	}
+}
+
+// TestComputeRoundedSumTie: a point whose float sum ties with its
+// dominator's must still lose, whichever comes first in the input.
+func TestComputeRoundedSumTie(t *testing.T) {
+	lo, hi := []float64{1e16, 0}, []float64{1e16, 1} // 1e16+1 rounds to 1e16
+	for _, pts := range [][][]float64{{lo, hi}, {hi, lo}} {
+		if got, want := Compute(pts), naive(pts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Compute(%v) = %v, want %v", pts, got, want)
 		}
 	}
 }
 
 func TestSkylinePropertyNonDominated(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 6))
-	for _, alg := range []Algorithm{BNL, SFS, DC} {
-		f := func() bool {
-			pts := randomPoints(r, 40, 3, 5)
-			sky := Compute(alg, pts)
-			inSky := map[int]bool{}
-			for _, i := range sky {
-				inSky[i] = true
-			}
-			for _, i := range sky {
-				for j := range pts {
-					if i != j && preference.DominatesMin(pts[j], pts[i]) {
-						return false // skyline member dominated
-					}
-				}
-			}
-			for i := range pts {
-				if inSky[i] {
-					continue
-				}
-				dominated := false
-				for j := range pts {
-					if i != j && preference.DominatesMin(pts[j], pts[i]) {
-						dominated = true
-						break
-					}
-				}
-				if !dominated {
-					return false // non-member that nothing dominates
-				}
-			}
-			return true
+	f := func() bool {
+		pts := randomPoints(r, 40, 3, 5)
+		sky := Compute(pts)
+		inSky := map[int]bool{}
+		for _, i := range sky {
+			inSky[i] = true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-			t.Fatalf("%s: %v", alg, err)
+		for _, i := range sky {
+			for j := range pts {
+				if i != j && preference.DominatesMin(pts[j], pts[i]) {
+					return false // skyline member dominated
+				}
+			}
 		}
+		for i := range pts {
+			if inSky[i] {
+				continue
+			}
+			dominated := false
+			for j := range pts {
+				if i != j && preference.DominatesMin(pts[j], pts[i]) {
+					dominated = true
+					break
+				}
+			}
+			if !dominated {
+				return false // non-member that nothing dominates
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestDuplicatesAllRetained(t *testing.T) {
 	pts := [][]float64{{1, 1}, {1, 1}, {2, 2}}
-	for _, alg := range []Algorithm{BNL, SFS, DC} {
-		got := Compute(alg, pts)
-		if !reflect.DeepEqual(got, []int{0, 1}) {
-			t.Fatalf("%s: duplicates: got %v", alg, got)
-		}
+	if got := Compute(pts); !reflect.DeepEqual(got, []int{0, 1}) {
+		t.Fatalf("duplicates: got %v", got)
 	}
 }
 
 func TestComputeSortedOutput(t *testing.T) {
 	r := rand.New(rand.NewPCG(77, 88))
 	pts := randomPoints(r, 200, 3, 50)
-	for _, alg := range []Algorithm{BNL, SFS, DC} {
-		got := Compute(alg, pts)
-		if !sort.IntsAreSorted(got) {
-			t.Fatalf("%s: output not sorted: %v", alg, got)
-		}
+	if got := Compute(pts); !sort.IntsAreSorted(got) {
+		t.Fatalf("output not sorted: %v", got)
 	}
 }
 
@@ -169,15 +170,6 @@ func TestKungAlpha(t *testing.T) {
 	}
 }
 
-func TestAlgorithmString(t *testing.T) {
-	if BNL.String() != "BNL" || SFS.String() != "SFS" || DC.String() != "D&C" {
-		t.Fatal("algorithm names wrong")
-	}
-	if Algorithm(9).String() != "unknown" {
-		t.Fatal("unknown algorithm must render as unknown")
-	}
-}
-
 func TestAntiCorrelatedLargeSkyline(t *testing.T) {
 	// On an anti-diagonal in 2D every point is in the skyline.
 	n := 50
@@ -185,9 +177,7 @@ func TestAntiCorrelatedLargeSkyline(t *testing.T) {
 	for i := range pts {
 		pts[i] = []float64{float64(i), float64(n - i)}
 	}
-	for _, alg := range []Algorithm{BNL, SFS, DC} {
-		if got := Compute(alg, pts); len(got) != n {
-			t.Fatalf("%s: got %d of %d anti-diagonal points", alg, len(got), n)
-		}
+	if got := Compute(pts); len(got) != n {
+		t.Fatalf("got %d of %d anti-diagonal points", len(got), n)
 	}
 }

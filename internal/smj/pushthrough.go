@@ -66,19 +66,14 @@ func PushThroughContext(rel *relation.Relation, maps *mapping.Set, side mapping.
 	return out, pruned
 }
 
-// GroupSkylines partitions the relation's tuples by join key and computes
-// the group-level skyline of each group under the mapping monotonicity plan
-// — the LS(N) lists maintained by SSMJ (§VI-A). If the plan is unavailable
-// (mixed monotonicity) every tuple is its own group skyline member.
-// The result maps each join key to the indices of its group-skyline tuples.
-func GroupSkylines(rel *relation.Relation, maps *mapping.Set, side mapping.Side) map[int64][]int {
-	return GroupSkylinesContext(rel, maps, side, nil)
-}
-
-// GroupSkylinesContext is GroupSkylines polling cancel (which may be nil)
-// inside the per-group dominance scans. Once canceled the remaining groups
-// keep their unfiltered index lists — unusable, but the caller aborts right
-// after.
+// GroupSkylinesContext partitions the relation's tuples by join key and
+// computes the group-level skyline of each group under the mapping
+// monotonicity plan — the LS(N) lists maintained by SSMJ (§VI-A). If the plan
+// is unavailable (mixed monotonicity) every tuple is its own group skyline
+// member. The result maps each join key to the indices of its group-skyline
+// tuples. cancel (which may be nil) is polled inside the per-group dominance
+// scans; once canceled the remaining groups keep their unfiltered index
+// lists — unusable, but the caller aborts right after.
 func GroupSkylinesContext(rel *relation.Relation, maps *mapping.Set, side mapping.Side, cancel *Canceler) map[int64][]int {
 	groups := make(map[int64][]int)
 	for i, t := range rel.Tuples {

@@ -176,7 +176,7 @@ func TestGroupSkylines(t *testing.T) {
 		mapping.Func{Name: "x", Expr: mapping.Sum(mapping.A(mapping.Left, 0, ""), mapping.A(mapping.Right, 0, ""))},
 		mapping.Func{Name: "y", Expr: mapping.Sum(mapping.A(mapping.Left, 1, ""), mapping.A(mapping.Right, 1, ""))},
 	)
-	groups := GroupSkylines(l, maps, mapping.Left)
+	groups := GroupSkylinesContext(l, maps, mapping.Left, nil)
 	if len(groups[1]) != 2 || len(groups[2]) != 1 {
 		t.Fatalf("group skylines = %v", groups)
 	}

@@ -46,7 +46,6 @@ import (
 	"progxe/internal/preference"
 	"progxe/internal/query"
 	"progxe/internal/relation"
-	"progxe/internal/skyline"
 	"progxe/internal/smj"
 )
 
@@ -169,7 +168,7 @@ func New(opts Options) Engine { return core.New(opts) }
 // NewJFSL returns the blocking join-first skyline-later baseline;
 // pushThrough selects the JF-SL+ variant.
 func NewJFSL(pushThrough bool) Engine {
-	return &baseline.JFSL{Algorithm: skyline.SFS, PushThrough: pushThrough}
+	return &baseline.JFSL{PushThrough: pushThrough}
 }
 
 // NewSSMJ returns the Skyline-Sort-Merge-Join baseline of Jin et al.;
