@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"progxe/internal/mapping"
@@ -39,6 +40,13 @@ func (p Partitioning) String() string {
 // grid partitioner it returns exactly-sized partitions with tight bounding
 // boxes and, on the right side, key indexes; unlike it, partition populations
 // are near-uniform even on heavily skewed inputs.
+//
+// A leaf is a member set, not an order: each level takes the widest used
+// dimension, selects the members' ⌊n/2⌋-th smallest value p on it — one order
+// statistic, never a sort — and keeps v ≤ p left, so equal values are never
+// separated and the leaves hold disjoint ranges. Both sides keep the order
+// they had, which makes a leaf's rows the relation's order (the right side is
+// then regrouped by join key, as for the grid).
 func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Side, maxParts int) ([]*inputPartition, error) {
 	if len(rel.Tuples) == 0 {
 		return nil, nil
@@ -72,17 +80,11 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 	for i := range idx {
 		idx[i] = i
 	}
-	// The split sorts (value, position) keys, position being the member's
-	// place in the order the previous level left: the keys are distinct, so
-	// any sort lands on the one order a stable sort by value gives — which
-	// the leaves' member order, and through it the join enumeration order of
-	// every region, is defined by.
-	type splitKey struct {
-		v   float64
-		pos int32
-		m   int32
-	}
-	keys := make([]splitKey, len(idx))
+	// One level's scratch, reused by every level: the members' values on the
+	// split dimension, a second copy for the selection to reorder, and the
+	// members that move right.
+	vals, sel := make([]float64, len(idx)), make([]float64, len(idx))
+	spill := make([]int, 0, (len(idx)+1)/2) // the left side keeps at least half
 	var leaves [][]int
 	var split func(members []int, budget int)
 	split = func(members []int, budget int) {
@@ -113,36 +115,28 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 			leaves = append(leaves, members)
 			return
 		}
-		ks := keys[:len(members)]
+		vs := vals[:len(members)]
 		for i, m := range members {
-			ks[i] = splitKey{v: rel.Tuples[m].Vals[bestDim], pos: int32(i), m: int32(m)}
+			vs[i] = rel.Tuples[m].Vals[bestDim]
 		}
-		slices.SortFunc(ks, func(a, b splitKey) int {
-			if a.v < b.v {
-				return -1
+		// The cut is the lower half's largest value (±0 are one value).
+		p := kthSmallest(sel[:copy(sel, vs)], len(members)/2-1, 2*bits.Len(uint(len(members))))
+		left, right := 0, spill[:0]
+		for i, m := range members {
+			if vs[i] <= p {
+				members[left] = m
+				left++
+			} else {
+				right = append(right, m)
 			}
-			if a.v > b.v {
-				return 1
-			}
-			return int(a.pos - b.pos)
-		})
-		for i, k := range ks {
-			members[i] = int(k.m)
 		}
-		mid := len(members) / 2
-		// Never split between equal key values: move the cut to the first
-		// strictly larger value so partitions hold disjoint ranges.
-		cut := mid
-		for cut < len(members) &&
-			rel.Tuples[members[cut]].Vals[bestDim] == rel.Tuples[members[mid-1]].Vals[bestDim] {
-			cut++
-		}
-		if cut >= len(members) {
+		if len(right) == 0 {
 			leaves = append(leaves, members)
 			return
 		}
-		split(members[:cut], budget/2)
-		split(members[cut:], budget-budget/2)
+		copy(members[left:], right)
+		split(members[:left], budget/2)
+		split(members[left:], budget-budget/2)
 	}
 	split(idx, maxParts)
 
@@ -157,4 +151,50 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 		}
 	}
 	return finishPartitions(out, side), nil
+}
+
+// kthSmallest returns the k-th smallest value of s (k from 0), reordering s.
+// It is Hoare's selection with a median-of-three pivot — no randomness, so a
+// run is reproducible — and at most rounds partitioning passes: an input
+// built to defeat the pivot rule falls back to sorting what is left, which
+// bounds the work at O(n log n). s holds no NaN.
+func kthSmallest(s []float64, k, rounds int) float64 {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		if rounds == 0 {
+			slices.Sort(s[lo : hi+1])
+			break
+		}
+		rounds--
+		// Median of three: the middle element clamped between the ends.
+		a, c := s[lo], s[hi]
+		if a > c {
+			a, c = c, a
+		}
+		pivot := min(max(s[lo+(hi-lo)/2], a), c)
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for s[j] > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] ≤ pivot ≤ s[i..hi], and anything between j and i equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
+	}
+	return s[k]
 }

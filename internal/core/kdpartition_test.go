@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"progxe/internal/baseline"
@@ -70,8 +72,16 @@ func TestKDPartitionDegenerate(t *testing.T) {
 }
 
 // TestKDEngineAgreesWithOracle runs the full engine with kd partitioning
-// across the distribution matrix.
+// across the distribution matrix — auto-sized, coarse and deep splits,
+// push-through, and the prefetch path — and compares the result set, ids and
+// output vectors, with the oracle's.
 func TestKDEngineAgreesWithOracle(t *testing.T) {
+	byIDs := func(rs []smj.Result) []smj.Result {
+		slices.SortFunc(rs, func(a, b smj.Result) int {
+			return cmp.Or(cmp.Compare(a.LeftID, b.LeftID), cmp.Compare(a.RightID, b.RightID))
+		})
+		return rs
+	}
 	for _, dist := range []datagen.Distribution{datagen.Independent, datagen.Correlated, datagen.AntiCorrelated} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			p := smokeProblem(t, 150, 3, dist, 0.05, seed)
@@ -79,17 +89,19 @@ func TestKDEngineAgreesWithOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if len(byIDs(oracle)) == 0 {
+				t.Fatalf("%s seed %d: empty skyline, the comparison is vacuous", dist, seed)
+			}
 			for _, opts := range []Options{
 				{Partitioning: PartitionKD},
 				{Partitioning: PartitionKD, InputCells: 2},
+				{Partitioning: PartitionKD, InputCells: 4},
 				{Partitioning: PartitionKD, PushThrough: true},
+				{Partitioning: PartitionKD, Workers: 2},
 			} {
-				var sink smj.Collector
-				if _, err := New(opts).Run(p, &sink); err != nil {
-					t.Fatalf("%s seed %d: %v", dist, seed, err)
-				}
-				if len(sink.Results) != len(oracle) {
-					t.Fatalf("%s seed %d %+v: %d vs oracle %d", dist, seed, opts, len(sink.Results), len(oracle))
+				got, _ := recordRun(t, p, opts)
+				if !sameRuns(byIDs(got), oracle) {
+					t.Fatalf("%s seed %d %+v: %d results differ from the oracle's %d", dist, seed, opts, len(got), len(oracle))
 				}
 			}
 		}

@@ -18,8 +18,8 @@ import (
 )
 
 // This file holds one oracle per look-ahead pass that has a faster
-// realization in the engine — static cell marking, the kd split's member
-// order, box coverage, region pairing, the Line 9 sweep — plus the
+// realization in the engine — static cell marking, the kd split's leaves,
+// box coverage, region pairing, the Line 9 sweep — plus the
 // fine_lookahead-shaped micro-benchmarks and the growth guard of the
 // frontier's dominance tests. The oracles are the plain loops the passes
 // replaced; they live here and nowhere else.
@@ -217,9 +217,11 @@ func TestBoxCoverageMatchesCellLists(t *testing.T) {
 	})
 }
 
-// kdLeavesStable is the kd partitioner's split with the sort it used to run
-// — sort.SliceStable by the split dimension — returning the leaves' member
-// indices in order.
+// kdLeavesStable is the kd split as a sort: sort.SliceStable by the split
+// dimension at every level, the cut moved past values equal to the lower
+// half's last. It returns the leaves' member indices (sorted on the last
+// split dimension) — the partitioner selects instead and must find the same
+// leaves.
 func kdLeavesStable(rel *relation.Relation, used []int, maxParts int) [][]int {
 	idx := make([]int, len(rel.Tuples))
 	for i := range idx {
@@ -265,11 +267,56 @@ func kdLeavesStable(rel *relation.Relation, used []int, maxParts int) [][]int {
 	return leaves
 }
 
-// TestKDMemberOrderMatchesStableSort: the leaves' member order feeds the
-// join enumeration order of every region, so the keyed sort must land on
-// exactly the stable sort's order — on duplicate-heavy values (ties fall
-// back to the previous level's order), a constant dimension, ±0, and
-// continuous values alike.
+// requireKDLeaves checks one side's kd partitioning against kdLeavesStable:
+// the same number of leaves in the same order, each with the reference leaf's
+// member set and bounding box, its members in ascending relation position
+// (IDs are positions in these fixtures).
+func requireKDLeaves(tb testing.TB, rel *relation.Relation, maps *mapping.Set, maxParts int) {
+	tb.Helper()
+	parts, err := partitionInputKD(rel, maps, mapping.Left, maxParts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	leaves := kdLeavesStable(rel, maps.UsedAttrs(mapping.Left), maxParts)
+	if len(parts) != len(leaves) {
+		tb.Fatalf("n=%d parts=%d: %d partitions, stable-sort reference has %d leaves", len(rel.Tuples), maxParts, len(parts), len(leaves))
+	}
+	total := 0
+	for li, members := range leaves {
+		slices.Sort(members)
+		want := make([]int64, len(members))
+		lo, hi := slices.Clone(rel.Tuples[members[0]].Vals), slices.Clone(rel.Tuples[members[0]].Vals)
+		for i, m := range members {
+			want[i] = rel.Tuples[m].ID
+			for j, v := range rel.Tuples[m].Vals {
+				lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
+			}
+		}
+		pt := parts[li]
+		if !slices.Equal(pt.ids, want) {
+			tb.Fatalf("n=%d parts=%d leaf %d: members %v, reference set in relation order %v", len(rel.Tuples), maxParts, li, pt.ids, want)
+		}
+		if !slices.Equal(pt.rect.Lower, lo) || !slices.Equal(pt.rect.Upper, hi) {
+			tb.Fatalf("n=%d parts=%d leaf %d: rect %v, reference [%v %v]", len(rel.Tuples), maxParts, li, pt.rect, lo, hi)
+		}
+		for i := range pt.ids {
+			if !pt.rect.Contains(pt.row(i)) {
+				tb.Fatalf("n=%d parts=%d leaf %d: row %v outside rect %v", len(rel.Tuples), maxParts, li, pt.row(i), pt.rect)
+			}
+		}
+		total += pt.len()
+	}
+	if total != len(rel.Tuples) {
+		tb.Fatalf("n=%d parts=%d: leaves hold %d tuples", len(rel.Tuples), maxParts, total)
+	}
+}
+
+// TestKDMemberOrderMatchesStableSort: splitting by selection yields the
+// stable-sort split's leaves — same count and order, same member sets, same
+// rects — with the members of a leaf in relation order, on duplicate-heavy
+// values (the cut moves past equal ones), a constant dimension, ±0,
+// continuous values, one long duplicated run, a split dimension that is all
+// one value, and relations too small to split.
 func TestKDMemberOrderMatchesStableSort(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -292,35 +339,28 @@ func TestKDMemberOrderMatchesStableSort(t *testing.T) {
 			}
 			return rng.Float64()
 		}},
+		// Dimension 0 is the widest but holds two values, nearly all of them
+		// the larger: the first split's right side is empty or a sliver.
+		{"all-equal split dimension", func(rng *rand.Rand, dim int) float64 {
+			if dim == 0 && rng.IntN(200) > 0 {
+				return 100
+			}
+			return float64(rng.IntN(3))
+		}},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(41, uint64(len(sh.name))))
-			for trial := 0; trial < 25; trial++ {
+			for trial := 0; trial < 28; trial++ {
 				n := 1 + rng.IntN(900)
+				if trial >= 25 {
+					n = trial - 24 // 1, 2, 3
+				}
 				p := emptyProblem(t, n, 1) // two used attributes per side
 				for i := range p.Left.Tuples {
 					p.Left.Tuples[i].Vals = []float64{sh.val(rng, 0), sh.val(rng, 1)}
 				}
-				maxParts := []int{2, 7, 16, 64}[rng.IntN(4)]
-				parts, err := partitionInputKD(p.Left, p.Maps, mapping.Left, maxParts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				leaves := kdLeavesStable(p.Left, p.Maps.UsedAttrs(mapping.Left), maxParts)
-				if len(parts) != len(leaves) {
-					t.Fatalf("trial %d: %d partitions, stable-sort reference has %d leaves", trial, len(parts), len(leaves))
-				}
-				for li, members := range leaves {
-					got := parts[li].ids
-					want := make([]int64, len(members))
-					for i, m := range members {
-						want[i] = p.Left.Tuples[m].ID
-					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("trial %d (n=%d parts=%d) leaf %d: member order %v, stable sort %v", trial, n, maxParts, li, got, want)
-					}
-				}
+				requireKDLeaves(t, p.Left, p.Maps, []int{2, 7, 16, 64}[rng.IntN(4)])
 			}
 		})
 	}

@@ -93,6 +93,18 @@ type regionJob struct {
 	budgeted bool          // claimed by a worker holding an in-flight slot
 	buf      *candBuf
 	n        int // candidates materialized (== reg.joinCard unless canceled)
+	panicked any // the building worker's panic, parked for the sequencer
+}
+
+// wait blocks until the job's stream is built. A panic that ended the
+// build on a worker is raised again here, on the sequencer — the goroutine
+// the caller's recover guards — so a faulty run fails alone instead of
+// taking the process down.
+func (j *regionJob) wait() {
+	<-j.done
+	if j.panicked != nil {
+		panic(j.panicked)
+	}
 }
 
 // pool runs parallel region processing for one engine run.
@@ -249,19 +261,33 @@ func (p *pool) prefetchWorker(lane int) {
 			return
 		}
 		j.budgeted = true
-		if par.YieldHook != nil {
-			par.YieldHook()
-		}
-		j.buf = p.getBuf()
-		t0 := p.prof.Clock()
-		j.n = p.mapStream(j.reg, j.buf, cancel)
-		p.prof.EndWorker(obs.PhasePrefetch, lane, t0)
-		j.state.Store(jobDone)
-		close(j.done)
-		if cancel.Now() != nil {
+		p.prefetch(j, lane, cancel)
+		if j.panicked != nil || cancel.Now() != nil {
 			return
 		}
 	}
+}
+
+// prefetch builds one claimed job's stream on a worker and publishes it. A
+// build that panics parks the panic on the job for wait to raise on the
+// sequencer and gives its slot back here, because no finish will follow; the
+// job is published either way, so nothing waits on it forever.
+func (p *pool) prefetch(j *regionJob, lane int, cancel *smj.Canceler) {
+	defer func() {
+		if j.panicked = recover(); j.panicked != nil {
+			j.budgeted = false
+			<-p.sem
+		}
+		j.state.Store(jobDone)
+		close(j.done)
+	}()
+	if par.YieldHook != nil {
+		par.YieldHook()
+	}
+	j.buf = p.getBuf()
+	t0 := p.prof.Clock()
+	j.n = p.mapStream(j.reg, j.buf, cancel)
+	p.prof.EndWorker(obs.PhasePrefetch, lane, t0)
 }
 
 // take hands the sequencer a region's candidate stream: prefetched if a
@@ -275,7 +301,7 @@ func (p *pool) take(reg *region, cancel *smj.Canceler) (*candBuf, int) {
 		j.state.Store(jobDone)
 		close(j.done)
 	} else {
-		<-j.done
+		j.wait()
 	}
 	return j.buf, j.n
 }
@@ -301,7 +327,7 @@ func (p *pool) drop(reg *region) {
 	if j.state.CompareAndSwap(jobUnclaimed, jobConsumed) {
 		return
 	}
-	<-j.done
+	j.wait()
 	p.finish(reg)
 }
 

@@ -222,6 +222,80 @@ func TestParallelCancellation(t *testing.T) {
 	}
 }
 
+// TestPrefetchWorkerPanicIsContained injects a panic on a prefetch worker —
+// the first worker yield after the run's first result — and requires the fault
+// to stay inside its run: the panic surfaces on the caller's goroutine (where
+// the serve layer recovers it) after a prefix of the stream, the pool's
+// workers are gone when it does, a serial neighbour held in flight on the same
+// Prepared plan throughout and a parallel run after it both reproduce the solo
+// stream.
+func TestPrefetchWorkerPanicIsContained(t *testing.T) {
+	pl := preparePlan(t, smokeProblem(t, 600, 3, datagen.AntiCorrelated, 0.05, 77), Options{})
+	runPlan := func(workers int, into *[]smj.Result, onResult func()) {
+		_, err := New(Options{Workers: workers}).RunPlanContext(context.Background(), pl, smj.SinkFunc(func(r smj.Result) {
+			*into = append(*into, smj.Result{LeftID: r.LeftID, RightID: r.RightID, Out: slices.Clone(r.Out)})
+			onResult()
+		}))
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	var solo []smj.Result
+	runPlan(2, &solo, func() {})
+	before := runtime.NumGoroutine()
+
+	// The neighbour is serial, so it never reads the hook installed below.
+	var neighbour []smj.Result
+	held, release, finished := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(finished)
+		runPlan(0, &neighbour, func() {
+			if len(neighbour) == 1 {
+				close(held)
+				<-release
+			}
+		})
+	}()
+	<-held
+
+	var armed, fired atomic.Bool
+	par.YieldHook = func() {
+		if armed.Load() && fired.CompareAndSwap(false, true) {
+			panic("injected worker fault")
+		}
+	}
+	t.Cleanup(func() { par.YieldHook = nil })
+	var partial []smj.Result
+	fault := func() (v any) {
+		defer func() { v = recover() }()
+		runPlan(2, &partial, func() { armed.Store(true) })
+		return nil
+	}()
+	par.YieldHook = nil
+	if fault != "injected worker fault" {
+		t.Fatalf("the faulty run ended with %v after %d of %d results, want the worker's panic on this goroutine", fault, len(partial), len(solo))
+	}
+	if len(partial) == 0 || len(partial) >= len(solo) || !sameRuns(partial, solo[:len(partial)]) {
+		t.Fatalf("the faulty run emitted %d results, want a proper prefix of the solo stream's %d", len(partial), len(solo))
+	}
+
+	close(release)
+	<-finished
+	if !sameRuns(neighbour, solo) {
+		t.Fatal("the neighbour's stream diverges from the solo run")
+	}
+	var after []smj.Result
+	if runPlan(2, &after, func() {}); !sameRuns(after, solo) {
+		t.Fatal("a run of the plan after the fault diverges from the solo run")
+	}
+	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+	}
+}
+
 // TestParallelNegativeWorkersUsesGOMAXPROCS smoke-checks the Workers < 0
 // convention.
 func TestParallelNegativeWorkersUsesGOMAXPROCS(t *testing.T) {

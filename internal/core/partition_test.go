@@ -84,8 +84,8 @@ func columnsProblem(n int, leftUsed bool, key func(*rand.Rand, int) int64, rng *
 // TestPartitionColumns checks the column layout both partitioners produce,
 // on both sides, through the dense and the map cell table: the rows are the
 // relation's tuples (each once, values copied, never aliased), every
-// partition's box is tight, grid partitions ascend in cell order with
-// members in relation order, and a right partition is a sequence of
+// partition's box is tight, members are in relation order, grid partitions
+// ascend in cell order, and a right partition is a sequence of
 // contiguous key groups — groups in first-appearance order, build order
 // within — that its index's slots describe exactly.
 func TestPartitionColumns(t *testing.T) {
@@ -186,19 +186,17 @@ func checkColumns(t *testing.T, rel *relation.Relation, parts []*inputPartition,
 			t.Fatalf("partition %d: box %v, tight box [%v %v]", pi, p.rect, lo, hi)
 		}
 
-		// Build order is relation order for the grid; the kd leaves' member
-		// order and its grouping have their own oracles
-		// (TestKDMemberOrderMatchesStableSort, TestKDGroupsInLeafOrder).
+		// Build order is relation order, for grid cells and kd leaves alike.
 		order := make([]int, len(rows)) // relation positions, stored order
 		for i, row := range rows {
 			order[i] = byID[row.ID]
 		}
 		if side == mapping.Left {
-			if method == PartitionGrid && !slices.IsSorted(order) {
+			if !slices.IsSorted(order) {
 				t.Fatalf("left partition %d is not in relation order: %v", pi, order)
 			}
 		} else {
-			checkGroups(t, pi, p, rows, order, method)
+			checkGroups(t, pi, p, rows, order)
 		}
 
 		if method == PartitionGrid && len(used) > 0 {
@@ -224,7 +222,7 @@ func checkColumns(t *testing.T, rel *relation.Relation, parts []*inputPartition,
 // checkGroups verifies a right partition's key-group order against its
 // index: the slots tile the rows, each group holds one key, groups appear
 // in the order of their first member's build position, members ascend.
-func checkGroups(t *testing.T, pi int, p *inputPartition, rows []relation.Tuple, order []int, method Partitioning) {
+func checkGroups(t *testing.T, pi int, p *inputPartition, rows []relation.Tuple, order []int) {
 	t.Helper()
 	var groups []keySlot
 	for _, s := range p.keys.slots {
@@ -251,15 +249,13 @@ func checkGroups(t *testing.T, pi int, p *inputPartition, rows []relation.Tuple,
 		if lo, hi := p.keys.lookup(g.key); lo != g.lo || hi != g.hi {
 			t.Fatalf("partition %d: lookup(%d) = %d:%d, slot %d:%d", pi, g.key, lo, hi, g.lo, g.hi)
 		}
-		if method == PartitionGrid {
-			if !slices.IsSorted(order[g.lo:g.hi]) {
-				t.Fatalf("partition %d group %d is not in build order: %v", pi, g.key, order[g.lo:g.hi])
-			}
-			if order[g.lo] < lastFirst {
-				t.Fatalf("partition %d: group %d appears before its predecessor's first member", pi, g.key)
-			}
-			lastFirst = order[g.lo]
+		if !slices.IsSorted(order[g.lo:g.hi]) {
+			t.Fatalf("partition %d group %d is not in build order: %v", pi, g.key, order[g.lo:g.hi])
 		}
+		if order[g.lo] < lastFirst {
+			t.Fatalf("partition %d: group %d appears before its predecessor's first member", pi, g.key)
+		}
+		lastFirst = order[g.lo]
 	}
 	if int(next) != len(rows) {
 		t.Fatalf("partition %d: groups cover %d of %d rows", pi, next, len(rows))
@@ -288,10 +284,9 @@ func gridCellOf(rel *relation.Relation, used []int, k int, vals []float64) int {
 	return flat
 }
 
-// TestKDGroupsInLeafOrder closes the gap checkGroups leaves for kd
-// partitions, whose build order is the splits' leaf order rather than the
-// relation's: the right side's groups must be the stable key-grouping of the
-// left-side (ungrouped) partitioning of the same relation.
+// TestKDGroupsInLeafOrder ties the two sides' kd partitionings together: the
+// right side's rows must be the stable key-grouping of the left-side
+// (ungrouped) partitioning of the same relation, leaf by leaf.
 func TestKDGroupsInLeafOrder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(29, 1))
 	p := columnsProblem(600, true, keyShapes[0].key, rng)
