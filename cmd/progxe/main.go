@@ -47,8 +47,8 @@ func run(args []string) error {
 		queryStr  = fs.String("query", "", "SkyMapJoin query in the PREFERRING dialect")
 		queryFile = fs.String("query-file", "", "read the query from a file instead")
 		engine    = fs.String("engine", "progxe", "engine: "+strings.Join(engines.Names(), " | "))
-		inCells   = fs.Int("input-cells", 0, "input grid cells per dimension (0 = auto)")
-		outCells  = fs.Int("output-cells", 0, "output grid cells per dimension (0 = auto)")
+		inCells   = fs.Int("input-cells", 0, "input grid cells per used dimension (0 = auto); a grid of more than 2^21 cells in all is refused")
+		outCells  = fs.Int("output-cells", 0, "output grid cells per dimension (0 = auto); a grid of more than 2^21 cells in all (k^d) is refused")
 		workers   = fs.Int("workers", 0, "parallel region-processing workers (ProgXe engines; 0 = serial, -1 = GOMAXPROCS); results are identical at any count")
 		stats     = fs.Bool("stats", false, "print run statistics to stderr")
 		quiet     = fs.Bool("quiet", false, "suppress per-result output (timing only)")

@@ -47,7 +47,7 @@ type cell struct {
 	emitted   bool      // survivors already reported
 	activeIdx int       // position in space.active, -1 if not active
 	visited   int32     // cellIndex epoch stamp (bucket-union dedup)
-	key       uint64    // packed coordinate key (valid when the index is packed)
+	key       uint64    // g.Key(coords), for one-subtraction ≤ tests
 	// minV/maxV are the componentwise min/max over the current survivors —
 	// the survivor summary. A cell can hold a dominator of t only if
 	// minV ≤ t everywhere, and a victim of t only if maxV ≥ t everywhere,
@@ -124,9 +124,6 @@ func (a *vecArena) get() []float64 {
 type space struct {
 	d int
 	g *grid.Grid
-	// cells is the flat-id lookup of the fallback mode only (grids above
-	// denseLimit); nil otherwise — the index's dense table holds the cells.
-	cells map[int]*cell
 	// cellList is the deterministic iteration order (ascending flat index).
 	cellList []*cell
 	// idx accelerates flat-id resolution, comparable-slice enumeration and
@@ -139,10 +136,8 @@ type space struct {
 	// coordinates, so progCount answers "any blocking active cell in this
 	// closed lower orthant?" as one cumulative count instead of an active-
 	// set scan. Built lazily by the first progCount call over the scan
-	// budget, and only when fenEligible (a graph-ordered run on a grid
-	// within fenCellLimit); nil otherwise.
-	fen         *grid.Fenwick
-	fenEligible bool
+	// budget (see progCount); nil until then.
+	fen *grid.Fenwick
 	// soloScratch is progCount's reusable cell buffer.
 	soloScratch []*cell
 	stats       *smj.Stats
@@ -161,12 +156,7 @@ type space struct {
 }
 
 // cellAt returns the covered cell with the given flat index, or nil.
-func (s *space) cellAt(flat int) *cell {
-	if s.idx.dense != nil {
-		return s.idx.dense[flat]
-	}
-	return s.cells[flat]
-}
+func (s *space) cellAt(flat int) *cell { return s.idx.dense[flat] }
 
 // dims lists the output grid's per-dimension cell counts.
 func (s *space) dims() []int {
@@ -231,7 +221,7 @@ func (s *space) insertSum(c *cell, leftID, rightID int64, v []float64, sum float
 	// cells sit in the flat-id prefix of each bucket (componentwise ≤
 	// implies flat ≤); the packed-key test rejects incomparable cells in
 	// one comparison before any pointer chase.
-	packed := s.idx.packed
+	g := s.g
 	epoch := s.idx.stamp(c)
 	if s.dominatedWithin(c, v, sum) {
 		return nil, false
@@ -240,11 +230,7 @@ func (s *space) insertSum(c *cell, leftID, rightID int64, v []float64, sum float
 		b := s.idx.buckets[i][c.coords[i]]
 		for j := bucketSplit(b, c.flat) - 1; j >= 0; j-- {
 			e := &b[j]
-			if packed {
-				if !keyLeq(e.key, c.key) {
-					continue
-				}
-			} else if !grid.LeqAll(e.c.coords, c.coords) {
+			if !g.Leq(e.key, c.key) {
 				continue
 			}
 			p := e.c
@@ -264,18 +250,14 @@ func (s *space) insertSum(c *cell, leftID, rightID int64, v []float64, sum float
 // to be undominated: evict survivors it dominates (cells in the flat-id
 // suffix of each bucket), then commit it to the arena.
 func (s *space) commitSurvivor(c *cell, leftID, rightID int64, v []float64, sum float64) []float64 {
-	packed := s.idx.packed
+	g := s.g
 	epoch := s.idx.stamp(c)
 	s.evictDominated(c, v, sum)
 	for i := 0; i < s.d; i++ {
 		b := s.idx.buckets[i][c.coords[i]]
 		for j := bucketSplit(b, c.flat+1); j < len(b); j++ {
 			e := &b[j]
-			if packed {
-				if !keyLeq(c.key, e.key) {
-					continue
-				}
-			} else if !grid.LeqAll(c.coords, e.c.coords) {
+			if !g.Leq(c.key, e.key) {
 				continue
 			}
 			p := e.c
@@ -395,32 +377,20 @@ func widenSummary(minV, maxV, v []float64) {
 // strictly above it in all dimensions: any tuple of this cell strictly
 // improves on every point of those cells, so they can never contribute
 // (§III-B observation 2, maintained dynamically). The strict upper orthant
-// is enumerated as a coordinate box over the dense index when that is
-// cheaper than sweeping the covered-cell list.
+// is enumerated as a coordinate box over the flat table, in ascending flat
+// order.
 func (s *space) populate(c *cell) {
 	c.populated = true
 	s.idx.addPopulated(c)
-	vol := s.idx.strictUpperBoxVolume(c.coords)
-	if vol == 0 {
+	if s.idx.strictUpperBoxVolume(c.coords) == 0 {
 		// No covered cell lies strictly above in every dimension.
 		return
 	}
-	if s.idx.dense != nil && vol < len(s.cellList) {
-		s.idx.eachInStrictUpperBox(c.coords, func(q *cell) {
-			if !q.marked {
-				s.mark(q)
-			}
-		})
-		return
-	}
-	for _, q := range s.cellList {
-		if q.marked || q == c {
-			continue
-		}
-		if grid.StrictlyBelow(c.coords, q.coords) {
+	s.idx.eachInStrictUpperBox(c.coords, func(q *cell) {
+		if !q.marked {
 			s.mark(q)
 		}
-	}
+	})
 }
 
 // regionDone decrements RegCount for every cell of a processed or discarded
@@ -501,25 +471,16 @@ func (s *space) consider(c *cell) {
 // findBlocker returns the smallest-flat active cell within the closed lower
 // orthant of c (componentwise ≤), or nil if none remains. When the
 // coordinate box is small relative to the active set it is enumerated
-// directly over the dense index; otherwise the active set is scanned. Both
-// paths return the same cell, keeping the watch graph deterministic.
+// directly over the flat table; otherwise the active set is scanned (≈ 2%
+// of the calls on the fine_lookahead benchmark workload). Both paths return
+// the same cell, keeping the watch graph deterministic.
 func (s *space) findBlocker(c *cell) *cell {
-	if s.idx.dense != nil {
-		if vol := s.idx.lowerBoxVolume(c.coords); vol <= 4*len(s.active)+4 {
-			return s.idx.firstActiveInLowerBox(c.coords)
-		}
+	if vol := s.idx.lowerBoxVolume(c.coords); vol <= 4*len(s.active)+4 {
+		return s.idx.firstActiveInLowerBox(c.coords)
 	}
 	var best *cell
-	if s.idx.packed {
-		for _, q := range s.active {
-			if keyLeq(q.key, c.key) && (best == nil || q.flat < best.flat) {
-				best = q
-			}
-		}
-		return best
-	}
 	for _, q := range s.active {
-		if grid.LeqAll(q.coords, c.coords) && (best == nil || q.flat < best.flat) {
+		if s.g.Leq(q.key, c.key) && (best == nil || q.flat < best.flat) {
 			best = q
 		}
 	}

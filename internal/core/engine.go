@@ -6,8 +6,10 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 
 	"progxe/internal/core/sched"
+	"progxe/internal/grid"
 	"progxe/internal/mapping"
 	"progxe/internal/obs"
 	"progxe/internal/preference"
@@ -127,6 +129,16 @@ func (e *Engine) outputCells(d int) int {
 		return e.opts.OutputCells
 	}
 	return autoOutputCells(d)
+}
+
+// checkOutputGrid refuses an output grid of more than grid.MaxCells cells —
+// k^d, which the auto resolution exceeds from d = 22 on.
+func (e *Engine) checkOutputGrid(d int) error {
+	k := e.outputCells(d)
+	if _, err := grid.Size(slices.Repeat([]int{k}, d)); err != nil {
+		return fmt.Errorf("core: output grid of %d cells per dimension over %d dimensions: %w", k, d, err)
+	}
+	return nil
 }
 
 // Name identifies the configured variant using the paper's naming.
@@ -331,7 +343,6 @@ func (r *runState) loop() error {
 	case OrderArrival:
 		r.sched = sched.NewFixed(len(r.regions), nil)
 	default:
-		r.space.fenEligible = r.space.g.NumCells() <= fenCellLimit
 		// The ranker handed to the scheduler is the engine's only influence
 		// on ProgOrder's decisions.
 		r.sched = sched.NewProgressive(schedBoxes(r.regions), r.space.dims(), r.rankRegion, r.workers())

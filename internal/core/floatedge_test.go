@@ -71,18 +71,13 @@ func TestBatchRoundedSumTie(t *testing.T) {
 // TestBatchFloatEdges is the batch twin of TestLiveSpaceFloatEdges:
 // relations drawn from a small pool of awkward values — signed zeros,
 // duplicates, exact ties, magnitudes at which coordinate sums lose
-// precision — must give the naive skyline through every pipeline, with one
-// region and with several. (The live test's ±4e307 entries are left out:
-// against values 2⁵³ times smaller they show a different defect, see the
-// pool.)
+// precision, and ±4e307, on whose wide grids the nominal cell edge
+// lo + c·w can lie above values Grid.Coord puts in that cell — must give the
+// naive skyline through every pipeline, with one region and with several.
 func TestBatchFloatEdges(t *testing.T) {
 	pool := []float64{
 		0, math.Copysign(0, -1), 1, 1, 2, 3, 0.1, 0.2, 0.30000000000000004,
-		1e16, 1e16, 1e16 + 2, -1e16, 1e-300, 5e15, 5e15 + 1,
-		// Not ±4e307: on a grid spanning 1e308, Grid.Coord absorbs a value
-		// like -5e15 into the cell whose CellLower is 0, so a cell's LOWER
-		// stops being a lower bound of its members and static marking drops
-		// a skyline member. That is cell arithmetic, not a sum cutoff.
+		1e16, 1e16, 1e16 + 2, -1e16, 1e-300, 5e15, 5e15 + 1, 4e307, -4e307,
 	}
 	seeds := uint64(48)
 	if testing.Short() {

@@ -6,17 +6,6 @@ import (
 	"progxe/internal/grid"
 )
 
-// denseLimit caps the size of the flat-id → *cell lookup array. Grids above
-// the cap (possible only with extreme manual OutputCells choices) fall back
-// to the space's cell map and to whole-list scans, trading speed for memory.
-// A variable (not const) so the differential tests can force the fallback
-// paths on small grids.
-var denseLimit = 1 << 21
-
-// keyLeq is grid.KeyLeq (the canonical lane-packed comparison), wrapped
-// thinly so the hot paths keep their inlinable local name.
-func keyLeq(a, b uint64) bool { return grid.KeyLeq(a, b) }
-
 // bucketEntry is one populated cell in a coordinate bucket, carrying the
 // cell's flat id and packed coordinate key inline so the comparability
 // filter runs without chasing the cell pointer.
@@ -29,7 +18,8 @@ type bucketEntry struct {
 // cellIndex accelerates the three hot queries of tuple-level processing and
 // progressive determination:
 //
-//   - flat-id → cell resolution (dense array instead of a map lookup),
+//   - flat-id → cell resolution (one flat table over the output grid, which
+//     grid.MaxCells bounds),
 //   - "populated cells comparable to X" (per-dimension coordinate buckets:
 //     a cell is slice-comparable to X iff it shares a coordinate with X in
 //     some dimension and is componentwise ≤ or ≥, so the union of the d
@@ -39,7 +29,10 @@ type bucketEntry struct {
 //     victim candidates in the suffix above it),
 //   - coordinate-box enumeration (the closed lower orthant for blocker
 //     checks, the strict upper orthant for dynamic marking) via row-major
-//     odometer walks over the dense array.
+//     odometer walks over the flat table.
+//
+// Every covered cell carries its Grid.Key; one Grid.Leq decides whether two
+// cells are componentwise ≤.
 //
 // Buckets hold populated cells only: cells are never un-populated, and
 // empty-buffer or marked cells are skipped by the caller.
@@ -47,13 +40,9 @@ type cellIndex struct {
 	g     *grid.Grid
 	d     int
 	all   []*cell // every covered cell, ascending flat id (epoch-wrap stamp clearing)
-	dense []*cell // flat id → cell; nil for uncovered cells. nil slice = fallback mode.
+	dense []*cell // flat id → cell; nil for uncovered cells
 	minC  []int   // componentwise min coordinate over covered cells
 	maxC  []int   // componentwise max coordinate over covered cells
-	// packed reports whether coordinates fit 8-bit lanes (d ≤ 8, every
-	// dimension ≤ 128 cells) so keyLeq applies; otherwise comparability
-	// falls back to grid.LeqAll over the coordinate slices.
-	packed bool
 	// buckets[i][v] lists populated cells whose i-th coordinate equals v,
 	// ascending by flat id.
 	buckets [][][]bucketEntry
@@ -65,18 +54,12 @@ type cellIndex struct {
 func (x *cellIndex) init(g *grid.Grid) {
 	x.g = g
 	x.d = g.Dims()
-	if g.NumCells() <= denseLimit {
-		x.dense = make([]*cell, g.NumCells())
-	}
+	x.dense = make([]*cell, g.NumCells())
 	x.minC = make([]int, x.d)
 	x.maxC = make([]int, x.d)
-	x.packed = x.d <= 8
 	for i := range x.minC {
 		x.minC[i] = g.CellsPerDim(i)
 		x.maxC[i] = -1
-		if g.CellsPerDim(i) > 128 {
-			x.packed = false
-		}
 	}
 	x.buckets = make([][][]bucketEntry, x.d)
 	for i := range x.buckets {
@@ -84,15 +67,11 @@ func (x *cellIndex) init(g *grid.Grid) {
 	}
 }
 
-// add registers a newly created covered cell: its slot in the dense table,
+// add registers a newly created covered cell: its slot in the flat table,
 // its packed coordinate key, and the covered bounding box.
 func (x *cellIndex) add(c *cell) {
-	if x.dense != nil {
-		x.dense[c.flat] = c
-	}
-	if x.packed {
-		c.key = packKey(c.coords)
-	}
+	x.dense[c.flat] = c
+	c.key = x.g.Key(c.coords)
 	for i, v := range c.coords {
 		if v < x.minC[i] {
 			x.minC[i] = v
@@ -102,9 +81,6 @@ func (x *cellIndex) add(c *cell) {
 		}
 	}
 }
-
-// packKey is grid.PackKey under the index's local name.
-func packKey(coords []int) uint64 { return grid.PackKey(coords) }
 
 // addPopulated registers a newly populated cell in every dimension bucket,
 // keeping buckets sorted by flat id.
@@ -161,7 +137,7 @@ func (x *cellIndex) lowerBoxVolume(coords []int) int {
 
 // firstActiveInLowerBox returns the active cell with the smallest flat id
 // inside the closed lower orthant of coords, enumerating the coordinate box
-// in ascending flat order over the dense array. Requires dense mode.
+// in ascending flat order over the flat table.
 func (x *cellIndex) firstActiveInLowerBox(coords []int) *cell {
 	// Row-major odometer starting at minC; the first active hit has the
 	// smallest flat id because flat order is lexicographic in coords.
@@ -203,7 +179,7 @@ func (x *cellIndex) strictUpperBoxVolume(coords []int) int {
 }
 
 // eachInStrictUpperBox calls fn for every covered cell strictly above coords
-// in all dimensions. Requires dense mode and a non-empty box.
+// in all dimensions. Requires a non-empty box.
 func (x *cellIndex) eachInStrictUpperBox(coords []int, fn func(*cell)) {
 	cur := make([]int, 0, 8)
 	for i := range coords {

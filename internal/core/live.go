@@ -218,8 +218,8 @@ type LiveSpace struct {
 	d int
 	g *grid.Grid
 
-	cells    map[int]*liveCell
-	cellList []*liveCell
+	cells    []*liveCell // flat id → populated cell, nil elsewhere
+	cellList []*liveCell // populated cells in creation order
 
 	base    [2]map[int64]relation.Tuple // resident base tuples per side
 	byKey   [2]map[int64][]int64        // join key → base IDs, per side
@@ -230,7 +230,8 @@ type LiveSpace struct {
 }
 
 // liveGridCells caps the per-dimension resolution of the maintenance grid so
-// the cell count stays bounded at any dimensionality. The cap is deliberately
+// the cell count stays near 4096 up to d = 12; from there on the grid is 2^d
+// cells, and past d = 21 grid.MaxCells refuses it. The cap is deliberately
 // coarse: every populated cell carries fixed per-scan overhead (adjacency
 // walk, binary-search cutoff), so fat cells with effective summary refutation
 // beat many near-empty ones.
@@ -353,10 +354,9 @@ func StageLive(p *smj.Problem) (*LiveStage, error) {
 // newLiveSpace returns the empty space of p, whose canonical form is cp.
 func newLiveSpace(p, cp *smj.Problem) *LiveSpace {
 	ls := &LiveSpace{
-		pref:  p.Pref,
-		maps:  cp.Maps,
-		d:     cp.Maps.Dims(),
-		cells: make(map[int]*liveCell),
+		pref: p.Pref,
+		maps: cp.Maps,
+		d:    cp.Maps.Dims(),
 	}
 	for s, rel := range [2]*relation.Relation{cp.Left, cp.Right} {
 		ls.base[s] = make(map[int64]relation.Tuple, len(rel.Tuples))
@@ -367,10 +367,11 @@ func newLiveSpace(p, cp *smj.Problem) *LiveSpace {
 }
 
 // setGrid lays the maintenance grid over the box [lo, hi] of the initial
-// mapped outputs (an empty join leaves lo > hi: any finite box works). Later
-// inserts may fall outside it: grid.Coord clamps monotonically, so
-// componentwise vector order still implies componentwise cell-coordinate
-// order and every orthant scan stays sound.
+// mapped outputs (an empty join leaves lo > hi: any finite box works) and
+// sizes the flat cell table over it. Later inserts may fall outside it:
+// grid.Coord clamps monotonically, so componentwise vector order still
+// implies componentwise cell-coordinate order and every orthant scan stays
+// sound.
 func (ls *LiveSpace) setGrid(lo, hi []float64) error {
 	for i := range lo {
 		if lo[i] > hi[i] {
@@ -382,13 +383,17 @@ func (ls *LiveSpace) setGrid(lo, hi []float64) error {
 		return err
 	}
 	ls.g, err = grid.Uniform(b, liveGridCells(ls.d))
-	return err
+	if err != nil {
+		return fmt.Errorf("live: output grid: %w", err)
+	}
+	ls.cells = make([]*liveCell, ls.g.NumCells())
+	return nil
 }
 
 // denseGridCells is the largest grid for which Build links the cell
-// adjacency lists through a flat-index table; liveGridCells keeps every grid
-// of up to 12 dimensions within it. Larger grids leave the lists to domCells
-// and vicCells.
+// adjacency lists by walking coordinate boxes of the flat table;
+// liveGridCells keeps every grid of up to 12 dimensions within it. Larger
+// grids leave the lists to domCells and vicCells.
 const denseGridCells = 1 << 12
 
 // Build places every staged tuple and returns the settled space. Survivors
@@ -475,14 +480,10 @@ func (st *LiveStage) Build(sink LiveSink) *LiveSpace {
 
 // linkCells builds the dom and vic lists of every cell at once. A cell's
 // dominator cells fill the coordinate box between the origin and the cell,
-// so walking that box through a flat-index table finds them without testing
+// so walking that box through the flat cell table finds them without testing
 // every pair of cells; the vic lists are the transpose, filled in cellList
 // order — the order the lazy vicCells keeps, which eviction sweeps retract in.
 func (ls *LiveSpace) linkCells() {
-	byFlat := make([]*liveCell, ls.g.NumCells())
-	for _, c := range ls.cellList {
-		byFlat[c.flat] = c
-	}
 	at := make([]int, ls.d)
 	vics := make([]int, len(ls.cellList))
 	var box []*liveCell
@@ -490,7 +491,7 @@ func (ls *LiveSpace) linkCells() {
 		box = box[:0]
 		clear(at)
 		for flat, dim := 0, 0; dim >= 0; {
-			if n := byFlat[flat]; n != nil {
+			if n := ls.cells[flat]; n != nil {
 				box = append(box, n)
 				vics[n.pos]++
 			}
@@ -534,7 +535,7 @@ func (ls *LiveSpace) Has(side mapping.Side, id int64) bool {
 // cellFor returns (creating if needed) the cell containing canonical vector v.
 func (ls *LiveSpace) cellFor(v []float64) *liveCell {
 	flat := ls.g.CellOf(v)
-	if c, ok := ls.cells[flat]; ok {
+	if c := ls.cells[flat]; c != nil {
 		return c
 	}
 	c := &liveCell{

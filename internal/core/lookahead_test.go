@@ -59,7 +59,7 @@ func planSpace(tb testing.TB, pl *Prepared, outCells, workers int) ([]*region, *
 
 // lookAheadShapes are the randomized plans the coverage and marking oracles
 // sweep: every distribution, grid and kd partitions, d = 2…4, coarse and
-// fine output grids, and the index's map-fallback mode.
+// fine output grids.
 var lookAheadShapes = []struct {
 	name     string
 	n, d     int
@@ -67,23 +67,17 @@ var lookAheadShapes = []struct {
 	seed     uint64
 	opts     Options
 	outCells int
-	fallback bool // force the > denseLimit cell map
 }{
-	{"anti d=3 kd", 600, 3, datagen.AntiCorrelated, 5, Options{Partitioning: PartitionKD, InputCells: 3}, 0, false},
-	{"indep d=4", 500, 4, datagen.Independent, 6, Options{InputCells: 3}, 0, false},
-	{"corr d=2 kd", 700, 2, datagen.Correlated, 7, Options{Partitioning: PartitionKD, InputCells: 4}, 0, false},
-	{"anti d=2 fine grid", 500, 2, datagen.AntiCorrelated, 8, Options{InputCells: 5}, 48, false},
-	{"corr d=3 coarse", 500, 3, datagen.Correlated, 9, Options{InputCells: 3}, 5, false},
-	{"indep d=2 map fallback", 400, 2, datagen.Independent, 10, Options{InputCells: 3}, 0, true},
+	{"anti d=3 kd", 600, 3, datagen.AntiCorrelated, 5, Options{Partitioning: PartitionKD, InputCells: 3}, 0},
+	{"indep d=4", 500, 4, datagen.Independent, 6, Options{InputCells: 3}, 0},
+	{"corr d=2 kd", 700, 2, datagen.Correlated, 7, Options{Partitioning: PartitionKD, InputCells: 4}, 0},
+	{"anti d=2 fine grid", 500, 2, datagen.AntiCorrelated, 8, Options{InputCells: 5}, 48},
+	{"corr d=3 coarse", 500, 3, datagen.Correlated, 9, Options{InputCells: 3}, 5},
 }
 
 func forEachLookAheadShape(t *testing.T, fn func(t *testing.T, pl *Prepared, outCells int)) {
 	for _, sh := range lookAheadShapes {
 		t.Run(sh.name, func(t *testing.T) {
-			if sh.fallback {
-				defer func(old int) { denseLimit = old }(denseLimit)
-				denseLimit = 256
-			}
 			fn(t, preparePlan(t, smokeProblem(t, sh.n, sh.d, sh.dist, 0.02, sh.seed), sh.opts), sh.outCells)
 		})
 	}

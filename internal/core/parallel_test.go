@@ -296,6 +296,75 @@ func TestPrefetchWorkerPanicIsContained(t *testing.T) {
 	}
 }
 
+// TestParForPanicIsContained injects a panic into a par.For chunk — the
+// first chunk to yield in buildSpace's coverage pass at Workers: 2 — and
+// requires it to end only its run: the panic reaches the caller's goroutine
+// (where the serve layer recovers it) before any result, no goroutine is
+// left behind, and a serial neighbour held in flight on the same Prepared
+// plan streams the solo run's results.
+func TestParForPanicIsContained(t *testing.T) {
+	pl := preparePlan(t, smokeProblem(t, 800, 3, datagen.Independent, 0.05, 77), Options{Partitioning: PartitionKD, InputCells: 4})
+	if live, _ := pl.Regions(); live < par.Min {
+		t.Fatalf("fixture has %d regions; par.For stays inline below %d", live, par.Min)
+	}
+	runPlan := func(workers int, into *[]smj.Result, onResult func()) {
+		_, err := New(Options{Workers: workers, Partitioning: PartitionKD, InputCells: 4}).RunPlanContext(context.Background(), pl, smj.SinkFunc(func(r smj.Result) {
+			*into = append(*into, smj.Result{LeftID: r.LeftID, RightID: r.RightID, Out: slices.Clone(r.Out)})
+			onResult()
+		}))
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	var solo []smj.Result
+	runPlan(0, &solo, func() {})
+	before := runtime.NumGoroutine()
+
+	// The neighbour is serial: its par.For loops run inline and never yield.
+	var neighbour []smj.Result
+	held, release, finished := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(finished)
+		runPlan(0, &neighbour, func() {
+			if len(neighbour) == 1 {
+				close(held)
+				<-release
+			}
+		})
+	}()
+	<-held
+
+	var fired atomic.Bool
+	par.YieldHook = func() {
+		if fired.CompareAndSwap(false, true) {
+			panic("injected chunk fault")
+		}
+	}
+	t.Cleanup(func() { par.YieldHook = nil })
+	var partial []smj.Result
+	fault := func() (v any) {
+		defer func() { v = recover() }()
+		runPlan(2, &partial, func() {})
+		return nil
+	}()
+	par.YieldHook = nil
+	if fault != "injected chunk fault" || len(partial) != 0 {
+		t.Fatalf("the faulty run ended with %v after %d results, want the chunk's panic on this goroutine before any result", fault, len(partial))
+	}
+
+	close(release)
+	<-finished
+	if !sameRuns(neighbour, solo) {
+		t.Fatal("the neighbour's stream diverges from the solo run")
+	}
+	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+	}
+}
+
 // TestParallelNegativeWorkersUsesGOMAXPROCS smoke-checks the Workers < 0
 // convention.
 func TestParallelNegativeWorkersUsesGOMAXPROCS(t *testing.T) {

@@ -7,7 +7,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"progxe/internal/grid"
 	"progxe/internal/mapping"
@@ -190,18 +189,11 @@ func partitionInput(rel *relation.Relation, maps *mapping.Set, side mapping.Side
 		return nil, fmt.Errorf("core: partitioning %s input: %w", side, err)
 	}
 
-	// Populated cells are numbered from 1 in first-appearance order while
-	// their members are counted: through a flat table when the grid is small
-	// enough to afford one (as cellIndex does), a map otherwise.
-	var dense []int32
-	var sparse map[int]int32
-	if g.NumCells() <= denseLimit {
-		dense = make([]int32, g.NumCells())
-	} else {
-		sparse = make(map[int]int32)
-	}
-	var flats, counts []int
-	ordOf := make([]int32, len(rel.Tuples)) // its cell's ordinal - 1
+	// Count members through a flat table over the grid, then walk it in
+	// cell order, turning each populated cell's count into its partition id:
+	// partition ids ascend with the grid cell.
+	perCell := make([]int32, g.NumCells())
+	cellOf := make([]int32, len(rel.Tuples))
 	pt := make([]float64, len(used))
 	for i := range rel.Tuples {
 		vals := rel.Tuples[i].Vals
@@ -209,39 +201,20 @@ func partitionInput(rel *relation.Relation, maps *mapping.Set, side mapping.Side
 			pt[j] = vals[a]
 		}
 		flat := g.CellOf(pt)
-		var ord int32
-		if dense != nil {
-			ord = dense[flat]
-		} else {
-			ord = sparse[flat]
-		}
-		if ord == 0 {
-			flats, counts = append(flats, flat), append(counts, 0)
-			ord = int32(len(flats))
-			if dense != nil {
-				dense[flat] = ord
-			} else {
-				sparse[flat] = ord
-			}
-		}
-		counts[ord-1]++
-		ordOf[i] = ord - 1
+		cellOf[i] = int32(flat)
+		perCell[flat]++
 	}
-
-	// Partition ids ascend with the grid cell: rank the populated cells.
-	byCell := make([]int32, len(flats))
-	for i := range byCell {
-		byCell[i] = int32(i)
-	}
-	slices.SortFunc(byCell, func(a, b int32) int { return flats[a] - flats[b] })
-	rank, sizes := make([]int32, len(flats)), make([]int, len(flats))
-	for k, ord := range byCell {
-		rank[ord], sizes[k] = int32(k), counts[ord]
+	var sizes []int
+	for flat, n := range perCell {
+		if n > 0 {
+			perCell[flat] = int32(len(sizes))
+			sizes = append(sizes, int(n))
+		}
 	}
 	out := newPartitions(rel.Schema.Arity(), sizes)
 	next := make([]int32, len(out)) // unfilled row of each partition
 	for i := range rel.Tuples {
-		k := rank[ordOf[i]]
+		k := perCell[cellOf[i]]
 		out[k].set(int(next[k]), &rel.Tuples[i])
 		next[k]++
 	}

@@ -82,7 +82,7 @@ func columnsProblem(n int, leftUsed bool, key func(*rand.Rand, int) int64, rng *
 }
 
 // TestPartitionColumns checks the column layout both partitioners produce,
-// on both sides, through the dense and the map cell table: the rows are the
+// on both sides: the rows are the
 // relation's tuples (each once, values copied, never aliased), every
 // partition's box is tight, members are in relation order, grid partitions
 // ascend in cell order, and a right partition is a sequence of
@@ -95,23 +95,17 @@ func TestPartitionColumns(t *testing.T) {
 		n        int
 		leftUsed bool
 		key      func(*rand.Rand, int) int64
-		dense    bool
 	}{
-		{"few keys", 700, true, few, true},
-		{"few keys, map cell table", 700, true, few, false},
-		{"hot key", 500, true, hot, true},
-		{"left side unused", 300, false, few, true},
-		{"one tuple", 1, true, few, true},
-		{"empty", 0, true, few, true},
+		{"few keys", 700, true, few},
+		{"hot key", 500, true, hot},
+		{"left side unused", 300, false, few},
+		{"one tuple", 1, true, few},
+		{"empty", 0, true, few},
 	}
 	for _, c := range cases {
 		for _, method := range []Partitioning{PartitionGrid, PartitionKD} {
 			for _, side := range []mapping.Side{mapping.Left, mapping.Right} {
 				t.Run(fmt.Sprintf("%s/%s/%s", c.name, method, side), func(t *testing.T) {
-					if !c.dense {
-						defer func(old int) { denseLimit = old }(denseLimit)
-						denseLimit = 0
-					}
 					p := columnsProblem(c.n, c.leftUsed, c.key, rand.New(rand.NewPCG(23, uint64(c.n))))
 					rel := p.Left
 					if side == mapping.Right {

@@ -121,12 +121,16 @@ func (e *Engine) prepare(cancel *smj.Canceler, p *smj.Problem, stats *smj.Stats)
 }
 
 // preparePartitions is prepare up to the partitioned inputs: problem
-// validation, partial push-through and input partitioning under the
-// configured method. The returned plan has no regions yet.
+// validation (the output grid's size included), partial push-through and
+// input partitioning under the configured method — an input grid above
+// grid.MaxCells fails there. The returned plan has no regions yet.
 func (e *Engine) preparePartitions(cancel *smj.Canceler, p *smj.Problem, stats *smj.Stats) (*Prepared, error) {
 	prof := e.opts.Profiler
 	cp, d, err := checkProblem(p)
 	if err != nil {
+		return nil, err
+	}
+	if err := e.checkOutputGrid(d); err != nil {
 		return nil, err
 	}
 	left, right := cp.Left, cp.Right

@@ -534,31 +534,18 @@ func TestDifferentialEngineVariants(t *testing.T) {
 	}
 }
 
-// TestDifferentialFallbackPaths forces the index's degraded modes — the
-// unpacked coordinate comparison (a dimension with more than 128 cells, or
-// more than 8 output dimensions) and the dense-array fallback to the
-// construction map (grids above denseLimit) — and re-runs the bit-for-bit
-// differential check through them.
+// TestDifferentialFallbackPaths re-runs the bit-for-bit differential check
+// on the two grid shapes that once fell back to comparing coordinate slices
+// (a dimension of more than 128 cells; more than 8 output dimensions). Both
+// now run on the per-grid packed keys: 8 value bits per lane at k = 150,
+// nine lanes of one value bit at d = 9.
 func TestDifferentialFallbackPaths(t *testing.T) {
 	t.Run("unpacked/k=150", func(t *testing.T) {
-		// 150 cells per dimension exceeds the 8-bit lane range: packed=false,
-		// exercising the grid.LeqAll branches of insert/findBlocker/progCount.
 		p := smokeProblem(t, 200, 2, datagen.AntiCorrelated, 0.05, 41)
 		differentialCheck(t, p, Options{OutputCells: 150})
 	})
 	t.Run("unpacked/d=9", func(t *testing.T) {
-		// More than 8 output dimensions also disables packing.
 		p := smokeProblem(t, 120, 9, datagen.Independent, 0.1, 43)
-		differentialCheck(t, p, Options{})
-	})
-	t.Run("mapFallback", func(t *testing.T) {
-		// Shrink the dense cap so the auto grid (64² cells for d=2) exceeds
-		// it: cellAt falls back to the map, findBlocker to the active scan,
-		// and populate to the cell-list marking sweep.
-		old := denseLimit
-		denseLimit = 256
-		defer func() { denseLimit = old }()
-		p := smokeProblem(t, 200, 2, datagen.AntiCorrelated, 0.05, 47)
 		differentialCheck(t, p, Options{})
 	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -141,7 +140,7 @@ func buildRegions(left, right []*inputPartition, maps *mapping.Set, prof *obs.Pr
 // so the built space is identical for any worker count.
 func buildSpace(regions []*region, front *grid.Frontier, d, outputCells int, stats *smj.Stats, workers int) (*space, error) {
 	if len(regions) == 0 {
-		return &space{d: d, cells: map[int]*cell{}, stats: stats}, nil
+		return &space{d: d, stats: stats}, nil
 	}
 	bounds := grid.Rect{Lower: slices.Clone(regions[0].rect.Lower), Upper: slices.Clone(regions[0].rect.Upper)}
 	for _, r := range regions[1:] {
@@ -157,9 +156,6 @@ func buildSpace(regions []*region, front *grid.Frontier, d, outputCells int, sta
 	}
 	s := &space{d: d, g: g, stats: stats}
 	s.idx.init(g)
-	if s.idx.dense == nil {
-		s.cells = make(map[int]*cell)
-	}
 
 	// Coverage: which regions can deposit tuples into which cells. Each
 	// region's coordinate box and cell list depend only on the region; the
@@ -198,17 +194,10 @@ func buildSpace(regions []*region, front *grid.Frontier, d, outputCells int, sta
 		}
 	}
 	s.cellList = make([]*cell, 0, created)
-	if s.idx.dense != nil {
-		for _, c := range s.idx.dense {
-			if c != nil {
-				s.cellList = append(s.cellList, c)
-			}
-		}
-	} else {
-		for _, c := range s.cells {
+	for _, c := range s.idx.dense {
+		if c != nil {
 			s.cellList = append(s.cellList, c)
 		}
-		slices.SortFunc(s.cellList, func(a, b *cell) int { return cmp.Compare(a.flat, b.flat) })
 	}
 	s.idx.all = s.cellList
 	s.arena.d = d
@@ -251,9 +240,6 @@ func (s *space) addCell(flat int) *cell {
 	s.g.CellLower(coords, lower)
 	c := &cell{flat: flat, coords: coords, lower: lower, activeIdx: -1}
 	s.idx.add(c)
-	if s.idx.dense == nil {
-		s.cells[flat] = c
-	}
 	return c
 }
 
@@ -262,18 +248,12 @@ func (s *space) addCell(flat int) *cell {
 // Maintaining the tree costs one point update per later finalization, so
 // construction is deferred until the first progCount call that actually
 // exceeds the scan budget (see progCount) — runs whose regions stay small
-// never pay for it. Eligibility is gated by fenCellLimit (the tree is
-// sized by the grid's total cell count); on the (impossible under that
-// cap) constructor failure the space stays in scan mode.
+// never pay for it. The tree has one int32 per output cell, within
+// grid.MaxCells like the grid itself.
 func (s *space) buildActiveTree() {
-	s.fenEligible = false
-	dims := make([]int, s.d)
-	for i := range dims {
-		dims[i] = s.g.CellsPerDim(i)
-	}
-	fen, err := grid.NewFenwick(dims)
+	fen, err := grid.NewFenwick(s.dims())
 	if err != nil {
-		return
+		panic(err) // unreachable: the output grid passed the same bound
 	}
 	s.fen = fen
 	for _, c := range s.active {
@@ -295,15 +275,12 @@ func schedBoxes(regions []*region) []sched.Box {
 // progCountScanBudget is the solos×active product above which progCount
 // prefers the Fenwick orthant counts over the direct active-set scan. Both
 // paths are exact — the dispatch trades constant factors, never fidelity —
-// so the choice cannot affect ranks or schedules.
+// so the choice cannot affect ranks or schedules. The tree earns its place
+// on the paper's figures: no benchmark workload builds it, but Figs 10–13
+// build it 30 times, and scanning instead makes their ordered ProgXe runs
+// 14% slower summed (1,749 → 1,989 ms) and ProgXe+ on Fig 10d at σ = 0.1
+// go from ≈ 4 to 33 ms (2-vCPU host, two alternating runs).
 const progCountScanBudget = 1 << 20
-
-// fenCellLimit caps the grid size the active-cell tree will mirror (int32
-// per cell: 64 MiB at the cap). It deliberately exceeds denseLimit so the
-// map-fallback index mode keeps bounded rankings; past it — the extreme
-// tail of manual OutputCells choices — progCount stays an exact scan,
-// consistent with that mode's documented speed-for-memory trade.
-var fenCellLimit = 1 << 24
 
 // progCount implements Definition 2 exactly: the number of the region's
 // cells that can neither be eliminated nor have output dependencies on
@@ -329,10 +306,10 @@ func progCount(s *space, r *region) int {
 	}
 	s.soloScratch = solos[:0]
 	count := 0
-	if s.fenEligible && len(solos)*len(s.active) > progCountScanBudget {
-		s.buildActiveTree()
-	}
-	if s.fen != nil && len(solos)*len(s.active) > progCountScanBudget {
+	if len(solos)*len(s.active) > progCountScanBudget {
+		if s.fen == nil {
+			s.buildActiveTree()
+		}
 		for _, c := range solos {
 			s.fen.Add(c.coords, -1)
 		}
@@ -347,21 +324,14 @@ func progCount(s *space, r *region) int {
 		s.stats.FenwickUpdates += 2 * len(solos)
 		return count
 	}
-	packed := s.idx.packed
+	g := s.g
 	for _, c := range solos {
 		if c.marked {
 			continue
 		}
 		free := true
 		for _, q := range s.active {
-			if q == c {
-				continue
-			}
-			if packed {
-				if !keyLeq(q.key, c.key) {
-					continue
-				}
-			} else if !grid.LeqAll(q.coords, c.coords) {
+			if q == c || !g.Leq(q.key, c.key) {
 				continue
 			}
 			if remainingExcluding(q, r) != 0 {

@@ -65,7 +65,6 @@ func TestProgCountExactOnLargeRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.fenEligible = true
 	strideRegime := false
 	for _, r := range regions {
 		if len(r.cells)*len(s.active) > 1<<21 {

@@ -123,9 +123,9 @@ func NewBoxIndex(src, dst [][]int, k []int, fenLimit int) *BoxIndex {
 }
 
 // packKey packs coordinates into 8-bit lanes under the per-dimension coarse
-// shift. With all shifts zero this is PackKey and the key is exact; otherwise
-// the map is monotone per lane, so key-≤ is a necessary condition for
-// coordinate-≤ and survivors need the slice compare.
+// shift. With all shifts zero the key is exact; otherwise the map is
+// monotone per lane, so key-≤ is a necessary condition for coordinate-≤ and
+// survivors need the slice compare.
 func (ix *BoxIndex) packKey(coords []int) uint64 {
 	var key uint64
 	for i, v := range coords {

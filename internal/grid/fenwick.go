@@ -14,24 +14,22 @@ type Fenwick struct {
 	tree   []int32
 }
 
-// NewFenwick returns an empty tree over the given per-dimension sizes.
+// NewFenwick returns an empty tree over the given per-dimension sizes, at
+// most MaxCells points in all.
 func NewFenwick(dims []int) (*Fenwick, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("grid: fenwick needs at least one dimension")
 	}
-	f := &Fenwick{dims: append([]int(nil), dims...), stride: make([]int, len(dims))}
-	total := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		if dims[i] <= 0 {
-			return nil, fmt.Errorf("grid: fenwick dimension %d has size %d", i, dims[i])
-		}
-		f.stride[i] = total
-		if total > 1<<26/dims[i] {
-			return nil, fmt.Errorf("grid: fenwick too large (>%d cells)", 1<<26)
-		}
-		total *= dims[i]
+	total, err := Size(dims)
+	if err != nil {
+		return nil, err
 	}
-	f.tree = make([]int32, total)
+	f := &Fenwick{dims: append([]int(nil), dims...), stride: make([]int, len(dims)), tree: make([]int32, total)}
+	s := 1
+	for i := len(dims) - 1; i >= 0; i-- {
+		f.stride[i] = s
+		s *= dims[i]
+	}
 	return f, nil
 }
 

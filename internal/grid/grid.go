@@ -7,14 +7,37 @@
 // Cells are half-open boxes [lower, upper) except along the top boundary of
 // the space, where the last cell is closed so every point of the bounded
 // space belongs to exactly one cell. Cell coordinates are integer vectors;
-// a flat index linearizes them row-major.
+// a flat index linearizes them row-major. Every grid holds at most MaxCells
+// cells, so a flat-indexed table over any grid is bounded too.
 package grid
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"strconv"
 )
+
+// MaxCells bounds the cell count of every grid and Fenwick tree: at the
+// bound a flat table of pointers over the cells is 16 MiB.
+const MaxCells = 1 << 21
+
+// Size returns the cell count of a grid with cells[i] cells along dimension
+// i, refusing a count below 1 and a product above MaxCells.
+func Size(cells []int) (int, error) {
+	n := 1.0 // exact while it matters: every product up to 2⁵³ is
+	for i, k := range cells {
+		if k <= 0 {
+			return 0, fmt.Errorf("grid: dimension %d has %d cells; need ≥ 1", i, k)
+		}
+		n *= float64(k)
+	}
+	if n > MaxCells {
+		return 0, fmt.Errorf("grid: %s cells exceed the bound of %d (2^21)", strconv.FormatFloat(n, 'f', -1, 64), MaxCells)
+	}
+	return int(n), nil
+}
 
 // Bounds is the bounding box of a d-dimensional space.
 type Bounds struct {
@@ -23,8 +46,8 @@ type Bounds struct {
 }
 
 // NewBounds validates and returns a bounding box. Hi must be ≥ Lo in every
-// dimension; zero-width dimensions are widened by a small epsilon so that the
-// grid always has positive cell volume.
+// dimension; zero-width dimensions are widened by a small epsilon (and by at
+// least one float step) so that the grid always has positive cell volume.
 func NewBounds(lo, hi []float64) (Bounds, error) {
 	if len(lo) != len(hi) {
 		return Bounds{}, fmt.Errorf("grid: bounds dimension mismatch: %d vs %d", len(lo), len(hi))
@@ -41,7 +64,7 @@ func NewBounds(lo, hi []float64) (Bounds, error) {
 			return Bounds{}, fmt.Errorf("grid: bounds dimension %d inverted: [%g, %g]", i, l[i], h[i])
 		}
 		if h[i] == l[i] {
-			h[i] = l[i] + 1e-9
+			h[i] = max(l[i]+1e-9, math.Nextafter(l[i], math.Inf(1)))
 		}
 	}
 	return Bounds{Lo: l, Hi: h}, nil
@@ -54,51 +77,115 @@ func (b Bounds) Dims() int { return len(b.Lo) }
 // cells-per-dimension k[i] half-open boxes.
 type Grid struct {
 	bounds Bounds
-	cells  []int     // cells per dimension
-	width  []float64 // cell width per dimension
-	stride []int     // row-major strides
-	total  int       // total number of cells
+	cells  []int       // cells per dimension
+	width  []float64   // cell width per dimension
+	edges  [][]float64 // k[i]+1 exact cell edges per dimension (see cellEdges)
+	stride []int       // row-major strides
+	total  int         // total number of cells
+	shift  []uint      // bit offset of each dimension's lane in a Key
+	guard  uint64      // the guard bit above every lane
 }
 
-// New returns a grid over bounds with cells[i] cells along dimension i.
+// New returns a grid over bounds with cells[i] cells along dimension i, at
+// most MaxCells in all.
 func New(bounds Bounds, cells []int) (*Grid, error) {
 	if len(cells) != bounds.Dims() {
 		return nil, fmt.Errorf("grid: %d cell counts for %d dimensions", len(cells), bounds.Dims())
 	}
+	total, err := Size(cells)
+	if err != nil {
+		return nil, err
+	}
+	d := bounds.Dims()
 	g := &Grid{
 		bounds: bounds,
 		cells:  slices.Clone(cells),
-		width:  make([]float64, bounds.Dims()),
-		stride: make([]int, bounds.Dims()),
+		width:  make([]float64, d),
+		edges:  make([][]float64, d),
+		stride: make([]int, d),
+		total:  total,
+		shift:  make([]uint, d),
 	}
-	total := 1
+	var at uint
 	for i, k := range cells {
-		if k <= 0 {
-			return nil, fmt.Errorf("grid: dimension %d has %d cells; need ≥ 1", i, k)
-		}
-		if total > 1<<26/k {
-			return nil, fmt.Errorf("grid: too many cells (>%d)", 1<<26)
-		}
-		total *= k
 		g.width[i] = (bounds.Hi[i] - bounds.Lo[i]) / float64(k)
+		g.edges[i] = g.cellEdges(i)
+		g.shift[i] = at
+		if k > 1 {
+			w := uint(bits.Len(uint(k - 1)))
+			g.guard |= 1 << (at + w)
+			at += w + 1
+		}
 	}
-	g.total = total
 	// Row-major strides: last dimension varies fastest.
 	s := 1
-	for i := bounds.Dims() - 1; i >= 0; i-- {
+	for i := d - 1; i >= 0; i-- {
 		g.stride[i] = s
 		s *= cells[i]
 	}
 	return g, nil
 }
 
+// reach is Coord's cell formula before clamping, in floating point so that
+// no value converts out of range.
+func (g *Grid) reach(i int, v float64) float64 {
+	return math.Floor((v - g.bounds.Lo[i]) / g.width[i])
+}
+
+// cellEdges returns the k+1 cell edges of dimension i: the bounds at 0 and
+// k, and in between edge c = the smallest value of the bounds that reach
+// maps to c or above. Since reach is monotone, Coord puts v in cell c
+// exactly when edge c ≤ v < edge c+1 (below the top cell). The nominal
+// lo + c·w is that value unless rounding moved the boundary (on a grid
+// spanning ±4e307, −5e15 lands in the cell whose nominal edge is 0), and
+// then bisection over the ordered floats finds it.
+func (g *Grid) cellEdges(i int) []float64 {
+	k, lo, hi := g.cells[i], g.bounds.Lo[i], g.bounds.Hi[i]
+	edges := make([]float64, k+1)
+	edges[0], edges[k] = lo, hi
+	for c := 1; c < k; c++ {
+		at := float64(c)
+		e := lo + at*g.width[i]
+		if e <= hi && g.reach(i, e) >= at && !(g.reach(i, math.Nextafter(e, math.Inf(-1))) >= at) {
+			edges[c] = e
+			continue
+		}
+		// Bisect: reach(a) < c (a = lo reaches 0) and reach(b) ≥ c, as
+		// reach(hi) ≥ k−1 unless the width is degenerate (then edge c = hi).
+		a, b := floatOrd(lo), floatOrd(hi)
+		for b-a > 1 {
+			m := a + (b-a)/2
+			if g.reach(i, ordFloat(m)) >= at {
+				b = m
+			} else {
+				a = m
+			}
+		}
+		edges[c] = ordFloat(b)
+	}
+	return edges
+}
+
+// floatOrd maps a float to a uint64 in the same order (−0 just below +0).
+func floatOrd(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b>>63 == 1 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// ordFloat inverts floatOrd.
+func ordFloat(u uint64) float64 {
+	if u>>63 == 1 {
+		return math.Float64frombits(u &^ (1 << 63))
+	}
+	return math.Float64frombits(^u)
+}
+
 // Uniform returns a grid with k cells along every dimension.
 func Uniform(bounds Bounds, k int) (*Grid, error) {
-	cells := make([]int, bounds.Dims())
-	for i := range cells {
-		cells[i] = k
-	}
-	return New(bounds, cells)
+	return New(bounds, slices.Repeat([]int{k}, bounds.Dims()))
 }
 
 // Dims returns the dimensionality of the grid.
@@ -160,13 +247,32 @@ func (g *Grid) Flat(coords []int) int {
 }
 
 // CellLower returns the lower corner point of the cell with the given
-// coordinates, writing into dst and returning it.
+// coordinates, writing into dst and returning it. It is exact (see
+// cellEdges): a LOWER that bounds every member of the cell. A coordinate
+// may be k[i], giving the upper bound.
 func (g *Grid) CellLower(coords []int, dst []float64) []float64 {
 	for i, c := range coords {
-		dst[i] = g.bounds.Lo[i] + float64(c)*g.width[i]
+		dst[i] = g.edges[i][c]
 	}
 	return dst
 }
+
+// Key packs cell coordinates into one uint64 under the grid's own lanes:
+// dimension i takes bits.Len(k[i]−1) value bits and a guard bit, and a
+// one-cell dimension none. As ⌈log₂k⌉+1 ≤ 2·log₂k for k ≥ 2, a grid within
+// MaxCells needs at most 42 bits.
+func (g *Grid) Key(coords []int) uint64 {
+	var key uint64
+	for i, c := range coords {
+		key |= uint64(c) << g.shift[i]
+	}
+	return key
+}
+
+// Leq reports componentwise a ≤ b for two keys of this grid in one
+// subtraction: each lane of (b|guard)−a keeps its guard bit exactly when
+// that lane of a does not exceed b's, and never borrows out of the lane.
+func (g *Grid) Leq(a, b uint64) bool { return ((b|g.guard)-a)&g.guard == g.guard }
 
 // CoordRange returns the inclusive coordinate range [loC, hiC] of the cells
 // that hold a point of the closed interval [lo, hi] along dimension i. An

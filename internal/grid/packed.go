@@ -1,9 +1,9 @@
 package grid
 
-// Packed coordinate keys: cell (or region-corner) coordinates packed into
-// 8-bit lanes of one uint64 so componentwise comparisons run as a single
-// subtraction. Shared by the output-space cell index and the scheduler
-// layer's EL-Graph index — one canonical copy of the lane arithmetic.
+// Fixed 8-bit coordinate lanes: BoxIndex packs region corners into one
+// uint64, dimension i in bits 8i..8i+7, so a componentwise comparison runs
+// as a single subtraction. (Grid cell keys size their lanes per grid instead;
+// see Grid.Key.)
 
 // laneHi has the high bit of every 8-bit lane set — the borrow detector of
 // the packed-coordinate comparison.
@@ -11,18 +11,8 @@ const laneHi = 0x8080808080808080
 
 // KeyLeq reports componentwise a ≤ b over packed 8-bit coordinate lanes in
 // one subtraction: (b|hi)-a keeps each lane's high bit set exactly when
-// that lane of a does not exceed b. Valid for keys built by PackKey from
-// values ≤ 127, plus a-lanes of exactly 128 (a coordinate+1 at the top of a
-// 128-cell dimension): such a lane borrows within itself only — (b|0x80)
-// ≥ 0x80 — and correctly reports "not ≤".
+// that lane of a does not exceed b. Valid for lanes holding values ≤ 127,
+// plus a-lanes of exactly 128 (a coordinate+1 at the top of a 128-cell
+// dimension): such a lane borrows within itself only — (b|0x80) ≥ 0x80 —
+// and correctly reports "not ≤".
 func KeyLeq(a, b uint64) bool { return ((b|laneHi)-a)&laneHi == laneHi }
-
-// PackKey packs coordinates into 8-bit lanes (dimension i in bits
-// 8i..8i+7). Callers gate on ≤ 8 dimensions of ≤ 128 cells each.
-func PackKey(coords []int) uint64 {
-	var k uint64
-	for i, v := range coords {
-		k |= uint64(v) << (8 * i)
-	}
-	return k
-}

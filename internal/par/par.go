@@ -22,6 +22,10 @@ var YieldHook func()
 // fn must confine its writes to the indices of its chunk (and data derivable
 // only from them), which makes the combined result independent of
 // scheduling.
+//
+// A panic in a chunk does not kill the process: For recovers it, waits for
+// the other chunks, and panics again on the caller's goroutine with the
+// value of the lowest chunk that panicked, so the outcome is deterministic.
 func For(n, workers int, fn func(lo, hi int)) {
 	if workers <= 1 || n < Min {
 		fn(0, n)
@@ -31,20 +35,27 @@ func For(n, workers int, fn func(lo, hi int)) {
 		workers = n
 	}
 	chunk := (n + workers - 1) / workers
+	panics := make([]any, (n+chunk-1)/chunk)
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
+	for c, lo := 0, 0; lo < n; c, lo = c+1, lo+chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(c, lo, hi int) {
 			defer wg.Done()
+			defer func() { panics[c] = recover() }()
 			if YieldHook != nil {
 				YieldHook()
 			}
 			fn(lo, hi)
-		}(lo, hi)
+		}(c, lo, hi)
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }

@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -471,6 +474,38 @@ func TestSubscribeStagingFailureIsStructured(t *testing.T) {
 	sub := openSubscribe(t, ts, QueryRequest{Query: tinyQuery})
 	if run := sub.next(t); run["type"] != "run" {
 		t.Fatalf("head record = %v", run)
+	}
+}
+
+// TestOverBoundQueryIsRefused sends a 22-attribute PREFERRING query, whose
+// output grid (2²² cells, both the batch engine's and the live one's) is
+// past grid.MaxCells: /v1/query and /v1/subscribe answer 400 bad_query with
+// a message naming the grid's cell count and the bound, stream no record,
+// and start no run.
+func TestOverBoundQueryIsRefused(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	var sel, pref []string
+	for i := 0; i < 22; i++ {
+		sel = append(sel, fmt.Sprintf("(L.price + R.cost + %d) AS x%d", i, i))
+		pref = append(pref, fmt.Sprintf("LOWEST(x%d)", i))
+	}
+	q := "SELECT " + strings.Join(sel, ", ") + " FROM L L, R R WHERE L.region = R.region PREFERRING " + strings.Join(pref, " AND ")
+	for _, path := range []string{"/v1/query", "/v1/subscribe"} {
+		b, _ := json.Marshal(QueryRequest{Query: q})
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var e errorRecord
+		if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusBadRequest || e.Code != errBadQuery ||
+			!strings.Contains(e.Message, "4194304 cells") || !strings.Contains(e.Message, "2097152") {
+			t.Fatalf("%s: status %d body %s, want 400 %s naming 4194304 cells and the 2097152 bound", path, resp.StatusCode, body, errBadQuery)
+		}
+	}
+	if st := srv.Stats(); st.RunsStarted != 0 || st.SubscriptionsStarted != 0 {
+		t.Fatalf("refused queries started %d runs and %d subscriptions", st.RunsStarted, st.SubscriptionsStarted)
 	}
 }
 
