@@ -36,10 +36,8 @@ type JSONRun struct {
 	JoinResults      int     `json:"join_results"`
 	// Regions records the run's output-region count (live + pruned), the
 	// scheduling load of the cell.
-	Regions int `json:"regions,omitempty"`
-	// SchedEdges records the EL-Graph size the scheduler managed.
-	SchedEdges int    `json:"sched_edges,omitempty"`
-	Error      string `json:"error,omitempty"`
+	Regions int    `json:"regions,omitempty"`
+	Error   string `json:"error,omitempty"`
 	// Serve-path metrics, populated by the load harness (cmd/progxe-loadgen)
 	// when the run was measured through the HTTP serve layer rather than by
 	// driving the engine directly: client-observed time-to-first-result
@@ -87,7 +85,6 @@ func (r *JSONReport) AddFigure(f Figure, runs []RunResult) {
 			DomComparisons: run.Stats.DomComparisons,
 			JoinResults:    run.Stats.JoinResults,
 			Regions:        run.Stats.Regions,
-			SchedEdges:     run.Stats.SchedEdges,
 		}
 		if tt := run.FractionTime(0.5); tt >= 0 {
 			jr.TT50MS = float64(tt) / float64(time.Millisecond)

@@ -81,12 +81,7 @@ func runSchedSetup(f Figure, w io.Writer, repeats int) []RunResult {
 			Engine:   v.name,
 			Workload: f.Workload,
 			Total:    best,
-			Stats: smj.Stats{
-				Regions:            counters.Regions,
-				SchedEdges:         counters.Edges,
-				SchedRankRefreshes: counters.RankRefreshes,
-				FenwickUpdates:     counters.FenwickUpdates,
-			},
+			Stats:    smj.Stats{Regions: counters.Regions},
 		})
 		fmt.Fprintf(w, "%-26s setup+release=%-12v regions=%d edges=%d refreshes=%d\n",
 			v.name, best.Round(time.Microsecond), counters.Regions, counters.Edges, counters.RankRefreshes)

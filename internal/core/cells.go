@@ -47,6 +47,7 @@ type cell struct {
 	emitted   bool      // survivors already reported
 	activeIdx int       // position in space.active, -1 if not active
 	visited   int32     // cellIndex epoch stamp (bucket-union dedup)
+	owner     int32     // id of the one region covering the cell, when regCount was 1 at build
 	key       uint64    // g.Key(coords), for one-subtraction ≤ tests
 	// minV/maxV are the componentwise min/max over the current survivors —
 	// the survivor summary. A cell can hold a dominator of t only if
@@ -132,16 +133,8 @@ type space struct {
 	// active lists counted cells that have not yet finalized — the cells
 	// that can still block emission (swap-removed as they finalize).
 	active []*cell
-	// fen mirrors the active set as a d-dimensional Fenwick tree of cell
-	// coordinates, so progCount answers "any blocking active cell in this
-	// closed lower orthant?" as one cumulative count instead of an active-
-	// set scan. Built lazily by the first progCount call over the scan
-	// budget (see progCount); nil until then.
-	fen *grid.Fenwick
-	// soloScratch is progCount's reusable cell buffer.
-	soloScratch []*cell
-	stats       *smj.Stats
-	arena       vecArena
+	stats  *smj.Stats
+	arena  vecArena
 	// pendingFree holds vectors evicted or dropped during the current
 	// region's tuple processing. Recycling is deferred until the region
 	// completes because runState.roundNew still references round survivors
@@ -394,16 +387,16 @@ func (s *space) populate(c *cell) {
 }
 
 // regionDone decrements RegCount for every cell of a processed or discarded
-// region, finalizing cells that can no longer receive tuples — the entry
-// point of ProgDetermine (Algorithm 2).
-func (s *space) regionDone(cellIDs []int) {
-	for _, flat := range cellIDs {
-		c := s.cellAt(flat)
+// region — its coordinate box, in ascending flat order — finalizing cells
+// that can no longer receive tuples: the entry point of ProgDetermine
+// (Algorithm 2).
+func (s *space) regionDone(r *region) {
+	s.idx.eachInBox(r.minC, r.maxC, func(c *cell) {
 		c.regCount--
 		if c.regCount == 0 && !c.finalized {
 			s.finalize(c)
 		}
-	}
+	})
 }
 
 // finalize handles a cell whose tuple generation has completed: it leaves
@@ -423,8 +416,7 @@ func (s *space) finalize(c *cell) {
 	}
 }
 
-// deactivate removes the cell from the active set (swap removal) and from
-// the cumulative active-cell tree.
+// deactivate removes the cell from the active set (swap removal).
 func (s *space) deactivate(c *cell) {
 	if c.activeIdx < 0 {
 		return
@@ -435,10 +427,6 @@ func (s *space) deactivate(c *cell) {
 	moved.activeIdx = c.activeIdx
 	s.active = s.active[:last]
 	c.activeIdx = -1
-	if s.fen != nil {
-		s.fen.Add(c.coords, -1)
-		s.stats.FenwickUpdates++
-	}
 }
 
 // consider attempts emission of a candidate cell under Principle 1: the

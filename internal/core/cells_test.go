@@ -131,7 +131,7 @@ func TestFinalizeEmissionLifecycle(t *testing.T) {
 	if len(emitted) != 0 {
 		t.Fatal("nothing may be emitted before finalization")
 	}
-	s.regionDone(r.cells)
+	s.regionDone(r)
 	if len(emitted) != 1 {
 		t.Fatalf("finalizing the only region must emit the survivor, got %d", len(emitted))
 	}

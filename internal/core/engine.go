@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -22,8 +23,8 @@ import (
 type Ordering int8
 
 const (
-	// OrderProgressive is ProgOrder (Algorithm 1): EL-Graph roots ranked by
-	// Benefit/Cost in an inverted priority queue.
+	// OrderProgressive is ProgOrder (Algorithm 1): regions in descending
+	// Benefit/Cost rank (Equation 8), ranked once before the first pick.
 	OrderProgressive Ordering = iota
 	// OrderRandom picks live regions uniformly at random — the paper's
 	// "ProgXe (No-Order)" configuration (§VI-B).
@@ -296,7 +297,7 @@ type runState struct {
 	d        int
 	outCells int
 
-	sched  sched.Scheduler
+	sched  *sched.Fixed
 	cancel *smj.Canceler
 	pool   *pool // non-nil when parallel region processing is enabled
 
@@ -306,7 +307,8 @@ type runState struct {
 	// regions processed since the last sweep (flagged in processed — the
 	// sweep reads no region struct) are squeezed out as it passes them.
 	// lowers holds every region's LOWER corner (d values at id·d), lowerSums
-	// its coordinate sum, roundMin the sweep's componentwise-minimum scratch.
+	// its coordinate sum, roundMin the sweep's componentwise-minimum scratch;
+	// all four are built by trackLive at the first sweep.
 	live      []int32
 	processed []bool
 	lowers    []float64
@@ -318,15 +320,15 @@ type runState struct {
 }
 
 // loop repeats pick → tuple-level processing → progressive determination
-// until no live regions remain (Fig. 2's cycle). Region selection is
-// delegated to the scheduler layer; the engine supplies the benefit/cost
-// ranker and reports completions and discards back.
+// until no live regions remain (Fig. 2's cycle). The region order is fixed
+// before the first pick — by rank, or by the ablation policies — and the
+// scheduler skips the regions discarded along the way.
 func (r *runState) loop() error {
 	if len(r.regions) == 0 {
 		return nil
 	}
 	r.mapBuf = make([]float64, r.d)
-	r.trackLive()
+	r.processed = make([]bool, len(r.regions))
 	opts := r.engine.opts
 	prof := opts.Profiler
 
@@ -343,19 +345,8 @@ func (r *runState) loop() error {
 	case OrderArrival:
 		r.sched = sched.NewFixed(len(r.regions), nil)
 	default:
-		// The ranker handed to the scheduler is the engine's only influence
-		// on ProgOrder's decisions.
-		r.sched = sched.NewProgressive(schedBoxes(r.regions), r.space.dims(), r.rankRegion, r.workers())
+		r.sched = sched.NewFixed(len(r.regions), r.rankOrder())
 	}
-	// Construction-time counters land in the stats immediately, and the
-	// running refresh tally is folded in on every exit path, so canceled
-	// runs report the scheduler work they actually did.
-	c := r.sched.Counters()
-	r.stats.SchedEdges = c.Edges
-	r.stats.FenwickUpdates += c.FenwickUpdates
-	defer func() {
-		r.stats.SchedRankRefreshes = r.sched.Counters().RankRefreshes
-	}()
 	if r.pool != nil {
 		r.pool.start(r.sched.PrefetchOrder())
 	}
@@ -366,41 +357,44 @@ func (r *runState) loop() error {
 			return err
 		}
 		tNext := prof.Clock()
-		id, rank, ok := r.sched.Next()
+		id, _, ok := r.sched.Next()
 		prof.EndSequencer(obs.PhaseSched, tNext)
 		if !ok {
-			break
+			return nil
 		}
 		reg := r.regions[id]
-		r.emitTrace(Event{Kind: EventRegionChosen, Region: reg.id, Rank: rank})
+		r.emitTrace(Event{Kind: EventRegionChosen, Region: reg.id, Rank: reg.rank})
 		if err := r.process(reg); err != nil {
 			return err
 		}
 	}
-	c = r.sched.Counters() // the deferred fold persists these into stats
-	r.emitTrace(Event{
-		Kind:           EventSchedulerStats,
-		Edges:          c.Edges,
-		RankRefreshes:  c.RankRefreshes,
-		FenwickUpdates: r.stats.FenwickUpdates,
-	})
-	return nil
 }
 
-// workers reports the pool's worker count (0 when serial).
-func (r *runState) workers() int {
-	if r.pool == nil {
-		return 0
+// rankOrder is ProgOrder (Algorithm 1) as one sort: every region is ranked
+// once by analyse-Cost-vs-Benefit in the state before the first pick, and
+// the order is best rank first, ties by ascending id — the order ProgOrder's
+// queue pops regions of equal standing in. Its EL-Graph decides only a
+// handful of picks per run, so the sort reproduces its schedule but for
+// the order of regions whose build-time rank is 0.
+func (r *runState) rankOrder() []int {
+	type ranked struct {
+		rank float64
+		id   int
 	}
-	return r.pool.workers
-}
-
-// rankRegion is the scheduler's Ranker: procedure analyse-Cost-vs-Benefit
-// of Algorithm 1, invoked lazily at queue-pop time.
-func (r *runState) rankRegion(id int) float64 {
-	reg := r.regions[id]
-	analyse(r.space, reg, r.d, r.outCells)
-	return reg.rank
+	counts := progCounts(r.space, len(r.regions))
+	keys := make([]ranked, len(r.regions))
+	for i, reg := range r.regions {
+		analyse(reg, counts[i], r.d, r.outCells)
+		keys[i] = ranked{reg.rank, i}
+	}
+	slices.SortFunc(keys, func(a, b ranked) int {
+		return cmp.Or(cmp.Compare(b.rank, a.rank), cmp.Compare(a.id, b.id))
+	})
+	order := make([]int, len(keys))
+	for i, k := range keys {
+		order[i] = k.id
+	}
+	return order
 }
 
 // process runs tuple-level processing (§III-B) for one region, then the
@@ -432,15 +426,11 @@ func (r *runState) process(reg *region) error {
 	// Progressive result determination (Algorithm 2) over this region.
 	prof := r.engine.opts.Profiler
 	tDetermine := prof.Clock()
-	r.space.regionDone(reg.cells)
+	r.space.regionDone(reg)
 
 	// Algorithm 1, Line 9: discard live regions now dominated by tuples
 	// generated in this round.
 	r.discardDominated()
-
-	// Algorithm 1, Lines 10–19: release out-edges, dirty-mark queued
-	// targets for the lazy pop-time refresh, enqueue new roots.
-	r.sched.Complete(reg.id)
 
 	// roundNew is consumed; vectors evicted this round can now be recycled.
 	r.space.flushFree()
@@ -448,17 +438,20 @@ func (r *runState) process(reg *region) error {
 	return nil
 }
 
-// trackLive sets up discardDominated's view of the regions: all live, their
-// LOWER corners and corner sums flat.
+// trackLive sets up discardDominated's view of the regions: their LOWER
+// corners and corner sums flat, and every region Line 9 may discard — those
+// not processed yet — live. It runs at the first sweep with survivors, not
+// in front of the first result.
 func (r *runState) trackLive() {
 	n := len(r.regions)
 	r.roundMin = make([]float64, r.d)
-	r.live = make([]int32, n)
-	r.processed = make([]bool, n)
+	r.live = make([]int32, 0, n)
 	r.lowers = make([]float64, 0, n*r.d)
 	r.lowerSums = make([]float64, n)
 	for i, reg := range r.regions {
-		r.live[i] = int32(i)
+		if reg.state == regionLive {
+			r.live = append(r.live, int32(i))
+		}
 		r.lowers = append(r.lowers, reg.rect.Lower...)
 		for _, x := range reg.rect.Lower {
 			r.lowerSums[i] += x
@@ -476,6 +469,9 @@ func (r *runState) trackLive() {
 func (r *runState) discardDominated() {
 	if len(r.roundNew) == 0 {
 		return
+	}
+	if r.lowers == nil {
+		r.trackLive()
 	}
 	d := r.d
 	minV, minSum := r.roundMin, math.Inf(1)
@@ -585,7 +581,7 @@ func (r *runState) processPooled(reg *region) {
 }
 
 // discard eliminates a live region without processing it: its cells'
-// RegCounts drain (possibly finalizing them) and its graph edges release.
+// RegCounts drain (possibly finalizing them) and the scheduler skips it.
 func (r *runState) discard(reg *region) {
 	if reg.state != regionLive {
 		return
@@ -596,6 +592,6 @@ func (r *runState) discard(reg *region) {
 	if r.pool != nil {
 		r.pool.drop(reg)
 	}
-	r.space.regionDone(reg.cells)
+	r.space.regionDone(reg)
 	r.sched.Discard(reg.id)
 }

@@ -13,8 +13,8 @@ import (
 
 // Plan summarizes what the output-space look-ahead would do for a problem
 // without performing any tuple-level work: partition counts, region counts
-// and pruning, output-grid shape, cell marking, and the EL-Graph profile.
-// It is the "EXPLAIN" view of a ProgXe execution.
+// and pruning, output-grid shape and cell marking. It is the "EXPLAIN" view
+// of a ProgXe execution.
 type Plan struct {
 	LeftPartitions  int
 	RightPartitions int
@@ -24,8 +24,6 @@ type Plan struct {
 	RegionsPruned   int // eliminated by look-ahead alone
 	CoveredCells    int
 	MarkedCells     int // statically marked non-contributing
-	Roots           int // EL-Graph roots
-	Edges           int // EL-Graph edges
 	OutputBounds    grid.Rect
 	EstimatedJoin   int // total join results across live regions
 }
@@ -44,8 +42,8 @@ func (e *Engine) lookAhead(p *smj.Problem) (*Prepared, []*region, *space, error)
 	return pl, regions, s, err
 }
 
-// Explain runs the look-ahead phases of the engine (§III-A and the EL-Graph
-// construction of §IV) and reports the resulting plan.
+// Explain runs the look-ahead phases of the engine (§III-A) and reports the
+// resulting plan.
 func Explain(p *smj.Problem, opts Options) (Plan, error) {
 	var plan Plan
 	e := New(opts)
@@ -73,9 +71,6 @@ func Explain(p *smj.Problem, opts Options) (Plan, error) {
 	if len(regions) > 0 {
 		b := s.g.Bounds()
 		plan.OutputBounds = grid.Rect{Lower: b.Lo, Upper: b.Hi}
-		c := sched.NewProgressive(schedBoxes(regions), s.dims(), func(int) float64 { return 0 }, e.workers()).Counters()
-		plan.Edges = c.Edges
-		plan.Roots = c.Roots
 	}
 	return plan, nil
 }
@@ -113,7 +108,6 @@ func (p Plan) String() string {
 	fmt.Fprintf(&sb, "regions:           %d live, %d pruned by look-ahead\n", p.Regions, p.RegionsPruned)
 	fmt.Fprintf(&sb, "estimated joins:   %d\n", p.EstimatedJoin)
 	fmt.Fprintf(&sb, "output grid:       k=%d over %s\n", p.OutputCells, p.OutputBounds)
-	fmt.Fprintf(&sb, "covered cells:     %d (%d marked non-contributing)\n", p.CoveredCells, p.MarkedCells)
-	fmt.Fprintf(&sb, "EL-graph:          %d edges, %d roots", p.Edges, p.Roots)
+	fmt.Fprintf(&sb, "covered cells:     %d (%d marked non-contributing)", p.CoveredCells, p.MarkedCells)
 	return sb.String()
 }

@@ -28,8 +28,8 @@ type bucketEntry struct {
 //     dominator candidates live in the bucket prefix below X's flat id and
 //     victim candidates in the suffix above it),
 //   - coordinate-box enumeration (the closed lower orthant for blocker
-//     checks, the strict upper orthant for dynamic marking) via row-major
-//     odometer walks over the flat table.
+//     checks, the strict upper orthant for dynamic marking, a region's box
+//     when it completes) via row-major odometer walks over the flat table.
 //
 // Every covered cell carries its Grid.Key; one Grid.Leq decides whether two
 // cells are componentwise ≤.
@@ -181,10 +181,18 @@ func (x *cellIndex) strictUpperBoxVolume(coords []int) int {
 // eachInStrictUpperBox calls fn for every covered cell strictly above coords
 // in all dimensions. Requires a non-empty box.
 func (x *cellIndex) eachInStrictUpperBox(coords []int, fn func(*cell)) {
-	cur := make([]int, 0, 8)
-	for i := range coords {
-		cur = append(cur, coords[i]+1)
+	lo := make([]int, 0, 8)
+	for _, c := range coords {
+		lo = append(lo, c+1)
 	}
+	x.eachInBox(lo, x.maxC, fn)
+}
+
+// eachInBox calls fn for every covered cell of the inclusive coordinate box
+// lo..hi, in ascending flat order. Requires a non-empty box.
+func (x *cellIndex) eachInBox(lo, hi []int, fn func(*cell)) {
+	cur := make([]int, 0, 8)
+	cur = append(cur, lo...)
 	flat := x.g.Flat(cur)
 	for {
 		if c := x.dense[flat]; c != nil {
@@ -194,11 +202,11 @@ func (x *cellIndex) eachInStrictUpperBox(coords []int, fn func(*cell)) {
 		for ; i >= 0; i-- {
 			cur[i]++
 			flat += x.g.Stride(i)
-			if cur[i] <= x.maxC[i] {
+			if cur[i] <= hi[i] {
 				break
 			}
-			flat -= (cur[i] - coords[i] - 1) * x.g.Stride(i)
-			cur[i] = coords[i] + 1
+			flat -= (cur[i] - lo[i]) * x.g.Stride(i)
+			cur[i] = lo[i]
 		}
 		if i < 0 {
 			return

@@ -76,15 +76,25 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 		return singlePartition(rel, side), nil
 	}
 
-	idx := make([]int, len(rel.Tuples))
+	// The used columns, copied flat once: the value of used attribute j of
+	// row m is cols[j·n+m], one indexed load instead of a tuple pointer chase.
+	n := len(rel.Tuples)
+	cols := make([]float64, len(used)*n)
+	for m := range rel.Tuples {
+		for j, a := range used {
+			cols[j*n+m] = rel.Tuples[m].Vals[a]
+		}
+	}
+	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	// One level's scratch, reused by every level: the members' values on the
 	// split dimension, a second copy for the selection to reorder, and the
-	// members that move right.
-	vals, sel := make([]float64, len(idx)), make([]float64, len(idx))
-	spill := make([]int, 0, (len(idx)+1)/2) // the left side keeps at least half
+	// members that move right — at most ⌈n/2⌉, as the left side keeps at
+	// least half, plus the one slot the pass below writes past them.
+	vals, sel := make([]float64, n), make([]float64, n)
+	spill := make([]int, (n+1)/2+1)
 	var leaves [][]int
 	var split func(members []int, budget int)
 	split = func(members []int, budget int) {
@@ -93,11 +103,13 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 			return
 		}
 		// Pick the used dimension with the widest spread among members.
-		bestDim, bestSpread := -1, -1.0
-		for _, a := range used {
-			lo, hi := rel.Tuples[members[0]].Vals[a], rel.Tuples[members[0]].Vals[a]
+		var best []float64
+		bestSpread := -1.0
+		for j := range used {
+			col := cols[j*n : (j+1)*n]
+			lo, hi := col[members[0]], col[members[0]]
 			for _, m := range members[1:] {
-				v := rel.Tuples[m].Vals[a]
+				v := col[m]
 				if v < lo {
 					lo = v
 				}
@@ -107,7 +119,7 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 			}
 			if hi-lo > bestSpread {
 				bestSpread = hi - lo
-				bestDim = a
+				best = col
 			}
 		}
 		if bestSpread <= 0 {
@@ -117,24 +129,29 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 		}
 		vs := vals[:len(members)]
 		for i, m := range members {
-			vs[i] = rel.Tuples[m].Vals[bestDim]
+			vs[i] = best[m]
 		}
 		// The cut is the lower half's largest value (±0 are one value).
 		p := kthSmallest(sel[:copy(sel, vs)], len(members)/2-1, 2*bits.Len(uint(len(members))))
-		left, right := 0, spill[:0]
+		// A stable two-way pass without a branch on the comparison: every
+		// member is written to both sides' next slot and only the side it
+		// belongs to advances (members[left] never overtakes the read).
+		left, right := 0, 0
 		for i, m := range members {
+			members[left] = m
+			spill[right] = m
+			keep := 0
 			if vs[i] <= p {
-				members[left] = m
-				left++
-			} else {
-				right = append(right, m)
+				keep = 1
 			}
+			left += keep
+			right += 1 - keep
 		}
-		if len(right) == 0 {
+		if right == 0 {
 			leaves = append(leaves, members)
 			return
 		}
-		copy(members[left:], right)
+		copy(members[left:], spill[:right])
 		split(members[:left], budget/2)
 		split(members[left:], budget-budget/2)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"progxe/internal/datagen"
-	"progxe/internal/grid"
 	"progxe/internal/join"
 	"progxe/internal/mapping"
 	"progxe/internal/preference"
@@ -166,35 +165,18 @@ func TestStaticMarkAtCellBoundary(t *testing.T) {
 	}
 }
 
-// TestBoxCoverageMatchesCellLists: a region covers a cell iff the cell lies
-// in its coordinate box — for every (region, cell) of a plan the box test
-// agrees with membership in the region's cell list, the list is ascending,
-// and RegCounts are the covering-region counts.
+// TestBoxCoverageMatchesCellLists: the coverage table — a difference array
+// over the regions' boxes — creates exactly the cells that listing every
+// box's cells finds, in ascending flat order, each with the number of lists
+// that hold it as its RegCount and, when one list holds it, that region's id.
 func TestBoxCoverageMatchesCellLists(t *testing.T) {
 	forEachLookAheadShape(t, func(t *testing.T, pl *Prepared, outCells int) {
 		regions, s, _ := planSpace(t, pl, outCells, 0)
-		covering := make(map[int]int)
+		covering, owner := make(map[int]int), make(map[int]int)
 		for _, r := range regions {
-			if !slices.IsSorted(r.cells) {
-				t.Fatalf("region %d: cell list not ascending", r.id)
-			}
-			in := make(map[int]bool, len(r.cells))
-			for _, flat := range r.cells {
-				in[flat] = true
+			for _, flat := range boxCells(s.g, r) {
 				covering[flat]++
-			}
-			for _, c := range s.cellList {
-				box := grid.LeqAll(r.minC, c.coords) && grid.LeqAll(c.coords, r.maxC)
-				if box != in[c.flat] {
-					t.Fatalf("region %d box %v..%v, cell %v: box test %v, cell list %v", r.id, r.minC, r.maxC, c.coords, box, in[c.flat])
-				}
-				if want := c.regCount; in[c.flat] {
-					if got := remainingExcluding(c, r); got != want-1 {
-						t.Fatalf("remainingExcluding(cell %d, covering region %d) = %d, want %d", c.flat, r.id, got, want-1)
-					}
-				} else if got := remainingExcluding(c, r); got != want {
-					t.Fatalf("remainingExcluding(cell %d, non-covering region %d) = %d, want %d", c.flat, r.id, got, want)
-				}
+				owner[flat] = r.id
 			}
 		}
 		if len(covering) != len(s.cellList) {
@@ -203,6 +185,9 @@ func TestBoxCoverageMatchesCellLists(t *testing.T) {
 		for i, c := range s.cellList {
 			if c.regCount != covering[c.flat] || s.cellAt(c.flat) != c {
 				t.Fatalf("cell %d: regCount %d (covered by %d)", c.flat, c.regCount, covering[c.flat])
+			}
+			if c.regCount == 1 && int(c.owner) != owner[c.flat] {
+				t.Fatalf("cell %d: owner %d, covered by region %d alone", c.flat, c.owner, owner[c.flat])
 			}
 			if i > 0 && s.cellList[i-1].flat >= c.flat {
 				t.Fatal("cell list not in ascending flat order")
@@ -447,7 +432,7 @@ func TestDiscardSweepMatchesNaiveLoop(t *testing.T) {
 		opts Options
 	}{
 		{"corr d=3 kd", smokeProblem(t, 600, 3, datagen.Correlated, 0.02, 4), Options{Partitioning: PartitionKD, InputCells: 3}},
-		{"indep d=4 grid", smokeProblem(t, 600, 4, datagen.Independent, 0.02, 2), Options{InputCells: 4}},
+		{"indep d=4 grid", smokeProblem(t, 600, 4, datagen.Independent, 0.02, 11), Options{InputCells: 4}},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			_, events, _ := runRecorded(t, fx.p, fx.opts)
@@ -521,6 +506,19 @@ func BenchmarkBuildSpace(b *testing.B) {
 	}
 }
 
+// BenchmarkRankRegions measures the region order of a cached fine_lookahead
+// plan: the one-pass progCounts over the output grid, one analyse per region
+// and the sort — what the first pick waits for after the space is built.
+func BenchmarkRankRegions(b *testing.B) {
+	pl := preparePlan(b, fineProblem(b, 10000), fineOpts)
+	regions, s, _ := planSpace(b, pl, 0, 0)
+	r := &runState{space: s, regions: regions, d: pl.d, outCells: autoOutputCells(pl.d)}
+	b.ReportAllocs()
+	for b.Loop() {
+		r.rankOrder()
+	}
+}
+
 // BenchmarkDiscardScan measures one Line 9 sweep over the live regions of a
 // fine_lookahead plan, with a round of survivors that dominates nothing (a
 // few regions' own UPPER corners: a corner that dominated a LOWER would have
@@ -528,7 +526,7 @@ func BenchmarkBuildSpace(b *testing.B) {
 func BenchmarkDiscardScan(b *testing.B) {
 	pl := preparePlan(b, fineProblem(b, 10000), fineOpts)
 	regions := pl.materialize()
-	r := &runState{regions: regions, d: pl.d}
+	r := &runState{regions: regions, d: pl.d, processed: make([]bool, len(regions))}
 	r.trackLive()
 	for i := 0; i < 8; i++ {
 		r.roundNew = append(r.roundNew, regions[i*len(regions)/8].rect.Upper)

@@ -126,44 +126,6 @@ func TestExample3StaticCellMarking(t *testing.T) {
 	}
 }
 
-// TestELGraphEdges checks the §IV-B edge rule on an asymmetric overlap: the
-// lower region eliminates part of the upper one but not vice versa, so only
-// the lower is a root (Fig. 7's shaded-root structure in miniature).
-func TestELGraphEdges(t *testing.T) {
-	left := []*inputPartition{
-		mkPart(0, []float64{0, 0}, []float64{2.4, 2.5}),
-		mkPart(1, []float64{2, 0}, []float64{4.5, 2.5}),
-	}
-	right := []*inputPartition{mkPart(2, []float64{0, 0}, []float64{0, 0})}
-	regions, pruned, front := buildRegions(left, right, sumMaps2(), nil)
-	if pruned != 0 || len(regions) != 2 {
-		t.Fatalf("pruned=%d regions=%d", pruned, len(regions))
-	}
-	var stats smj.Stats
-	if _, err := buildSpace(regions, front, 2, 9, &stats, 0); err != nil {
-		t.Fatal(err)
-	}
-	// a = [(0,0),(2.4,2.5)] ends inside x-cell 4 = [2, 2.5), where b =
-	// [(2,0),(4.5,2.5)] begins. (An a reaching x = 2.5 exactly would own a
-	// point of cell 5, which b's cell-4 tuples can eliminate: a mutual edge.)
-	a, b := regions[0], regions[1]
-	boxA := sched.Box{Min: a.minC, Max: a.maxC}
-	boxB := sched.Box{Min: b.minC, Max: b.maxC}
-	if !sched.Eliminates(boxA, boxB) {
-		t.Fatal("low region must have an elimination edge to the overlapping higher region")
-	}
-	if sched.Eliminates(boxB, boxA) {
-		t.Fatal("higher region must not eliminate the lower one")
-	}
-	c := sched.NewProgressive(schedBoxes(regions), []int{9, 9}, func(int) float64 { return 0 }, 0).Counters()
-	if c.Edges != 1 || c.Roots != 1 {
-		t.Fatalf("EL-graph edges=%d roots=%d, want 1/1", c.Edges, c.Roots)
-	}
-	if sched.CompletelyEliminates(boxA, boxB) {
-		t.Fatal("overlap is only partial elimination")
-	}
-}
-
 // TestCompleteElimination checks Fig. 6.a's complete-elimination condition.
 func TestCompleteElimination(t *testing.T) {
 	left := []*inputPartition{
@@ -213,17 +175,18 @@ func TestProgCountDefinition2(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := regions[0], regions[1]
+	requireProgCounts(t, "before A", s, regions)
 	pcA := progCount(s, a)
 	pcB := progCount(s, b)
 	if pcA == 0 {
 		t.Fatal("independent low region must have positive ProgCount")
 	}
-	if pcB >= len(b.cells) {
-		t.Fatalf("dependent region reports full ProgCount %d of %d", pcB, len(b.cells))
+	if pcB >= b.volume() {
+		t.Fatalf("dependent region reports full ProgCount %d of %d", pcB, b.volume())
 	}
 	// Simulate processing A: its cells finalize, dependencies clear.
 	a.state = regionProcessed
-	s.regionDone(a.cells)
+	s.regionDone(a)
 	pcB2 := progCount(s, b)
 	if pcB2 < pcB {
 		t.Fatalf("ProgCount(B) fell from %d to %d after clearing its dependency", pcB, pcB2)
@@ -235,7 +198,7 @@ func TestProgCountDefinition2(t *testing.T) {
 
 func liveUnmarked(s *space, r *region) []int {
 	var out []int
-	for _, flat := range r.cells {
+	for _, flat := range boxCells(s.g, r) {
 		c := s.cellAt(flat)
 		if !c.marked && !c.emitted && remainingExcluding(c, r) == 0 {
 			out = append(out, flat)
@@ -259,8 +222,9 @@ func TestAnalyseRankOrdersByBenefitPerCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := regions[0], regions[1]
-	analyse(s, a, 2, 8)
-	analyse(s, b, 2, 8)
+	counts := progCounts(s, len(regions))
+	analyse(a, counts[a.id], 2, 8)
+	analyse(b, counts[b.id], 2, 8)
 	if a.cost <= 0 || b.cost <= 0 {
 		t.Fatal("costs must be positive")
 	}

@@ -75,7 +75,7 @@ func (pl *Prepared) Regions() (live, pruned int) { return len(pl.blueprints), pl
 
 // materialize clones the blueprints into fresh per-run region structs: one
 // backing allocation, live state, ids in blueprint order. Cell coverage
-// (cells/minC/maxC) is left nil for buildSpace to fill, exactly like regions
+// (minC/maxC) is left nil for buildSpace to fill, exactly like regions
 // arriving straight from buildRegions.
 func (pl *Prepared) materialize() []*region {
 	backing := make([]region, len(pl.blueprints))

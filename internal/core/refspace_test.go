@@ -446,7 +446,7 @@ func differentialCheck(t *testing.T, p *smj.Problem, opts Options) {
 			return true
 		})
 		refEvents = append(refEvents, refEvent{kind: EventRegionProcessed, region: reg.id})
-		ref.regionDone(reg.cells)
+		ref.regionDone(boxCells(ref.g, reg))
 		noteCellEvents()
 		if len(roundNew) > 0 {
 			for _, other := range regions {
@@ -457,7 +457,7 @@ func differentialCheck(t *testing.T, p *smj.Problem, opts Options) {
 					if preference.DominatesMin(v, other.rect.Lower) {
 						live[other.id] = false
 						refEvents = append(refEvents, refEvent{kind: EventRegionDiscarded, region: other.id})
-						ref.regionDone(other.cells)
+						ref.regionDone(boxCells(ref.g, other))
 						noteCellEvents()
 						break
 					}

@@ -30,17 +30,26 @@ type region struct {
 	a, b *inputPartition // a from Left, b from Right
 	rect grid.Rect       // output-space enclosure from interval propagation
 
-	cells      []int // flat ids of covered output cells, ascending
-	minC, maxC []int // coordinate box of the covered cells
+	// minC..maxC is the inclusive coordinate box of the output cells the
+	// region covers — its whole coverage: the region covers a cell iff the
+	// cell lies in the box.
+	minC, maxC []int
 
 	joinCard int // exact join cardinality |IRa ⋈ ITb| (σ·n_a·n_b in Eq. 4–5)
 	state    regionState
 
-	// EL-Graph membership, queueing, and edge release live in the
-	// scheduler layer (internal/core/sched), keyed by region id.
 	benefit float64
 	cost    float64
-	rank    float64 // Equation 8: Benefit / Cost, as of the last analyse
+	rank    float64 // Equation 8: Benefit / Cost, as of analyse
+}
+
+// volume returns the number of cells in the region's coordinate box.
+func (r *region) volume() int {
+	n := 1
+	for i, lo := range r.minC {
+		n *= r.maxC[i] - lo + 1
+	}
+	return n
 }
 
 // pairRegions pairs the input partitions and keeps pairs that produce at
@@ -126,18 +135,17 @@ func buildRegions(left, right []*inputPartition, maps *mapping.Set, prof *obs.Pr
 }
 
 // buildSpace lays the output grid over the union of the live regions'
-// enclosures, computes cell coverage and RegCounts, applies static cell
-// marking (Example 3), and initializes the Dom/Dependent counters. A
-// region's covered cells are the full coordinate box minC..maxC, listed in
-// ascending flat order (grid.BoxCells); nothing else records coverage —
-// "does r cover c" is the box test (see remainingExcluding). Cells are
-// created straight into the index's flat-id table. Static marking asks front
-// — the frontier of the plan's candidate upper corners, which is also the
-// frontier of the live regions' — one question per cell. The per-region
-// coverage enumeration and the per-cell marking verdicts fan out across
-// workers — both write only region-local (resp. index-local) state — while
-// cell creation and the mark sweep stay serial and in deterministic order,
-// so the built space is identical for any worker count.
+// enclosures, creates the covered cells with their RegCounts, applies static
+// cell marking (Example 3), and initializes the Dom/Dependent counters. A
+// region covers exactly the cells of its coordinate box minC..maxC, and
+// nothing else records coverage: the boxes' difference array (coverage)
+// gives every cell its RegCount. Static marking asks front — the frontier of
+// the plan's candidate upper corners, which is also the frontier of the live
+// regions' — one question per cell. The boxes and the per-cell marking
+// verdicts fan out across workers — both write only region-local (resp.
+// cell-local) state — while cell creation and the mark sweep stay serial and
+// in deterministic order, so the built space is identical for any worker
+// count.
 func buildSpace(regions []*region, front *grid.Frontier, d, outputCells int, stats *smj.Stats, workers int) (*space, error) {
 	if len(regions) == 0 {
 		return &space{d: d, stats: stats}, nil
@@ -154,53 +162,16 @@ func buildSpace(regions []*region, front *grid.Frontier, d, outputCells int, sta
 	if err != nil {
 		return nil, fmt.Errorf("core: output grid: %w", err)
 	}
-	s := &space{d: d, g: g, stats: stats}
-	s.idx.init(g)
-
-	// Coverage: which regions can deposit tuples into which cells. Each
-	// region's coordinate box and cell list depend only on the region; the
-	// boxes are sized first so that every list is carved out of one array.
 	corners := make([]int, 2*d*len(regions))
-	volume := make([]int, len(regions))
 	par.For(len(regions), workers, func(lo, hi int) {
 		for ri := lo; ri < hi; ri++ {
 			r, at := regions[ri], 2*d*ri
 			r.minC, r.maxC = corners[at:at+d:at+d], corners[at+d:at+2*d:at+2*d]
-			volume[ri] = g.CellBox(r.rect, r.minC, r.maxC)
+			g.CellBox(r.rect, r.minC, r.maxC)
 		}
 	})
-	total := 0
-	for _, n := range volume {
-		total += n
-	}
-	lists := make([]int, total)
-	for ri, r := range regions {
-		r.cells, lists = lists[:0:volume[ri]], lists[volume[ri]:]
-	}
-	par.For(len(regions), workers, func(lo, hi int) {
-		for _, r := range regions[lo:hi] {
-			r.cells = g.BoxCells(r.minC, r.maxC, r.cells)
-		}
-	})
-	created := 0
-	for _, r := range regions {
-		for _, flat := range r.cells {
-			c := s.cellAt(flat)
-			if c == nil {
-				c = s.addCell(flat)
-				created++
-			}
-			c.regCount++
-		}
-	}
-	s.cellList = make([]*cell, 0, created)
-	for _, c := range s.idx.dense {
-		if c != nil {
-			s.cellList = append(s.cellList, c)
-		}
-	}
-	s.idx.all = s.cellList
-	s.arena.d = d
+	s := newSpace(g, stats)
+	s.addCells(coverage(g, regions))
 
 	// Static marking: cells whose LOWER point is dominated by the UPPER
 	// point of any guaranteed-populated region are non-contributing. The
@@ -217,10 +188,134 @@ func buildSpace(regions []*region, front *grid.Frontier, d, outputCells int, sta
 			s.mark(c)
 		}
 	}
+	s.activate()
+	return s, nil
+}
 
-	// Counted (unmarked-at-build) cells form the initial active set: until
-	// they finalize they can block emission of cells above them — the
-	// Dom/Dependent bookkeeping of §V in its amortized realization.
+// newSpace returns an empty output space over g.
+func newSpace(g *grid.Grid, stats *smj.Stats) *space {
+	s := &space{d: g.Dims(), g: g, stats: stats, arena: vecArena{d: g.Dims()}}
+	s.idx.init(g)
+	return s
+}
+
+// cover is one cell's entry in the coverage table: how many regions' boxes
+// hold the cell, and the sum of those regions' ids — with one covering
+// region, its id. Both add up in wrapping int32 arithmetic, which is exact
+// for the count and, when the count is one, for the id.
+type cover struct{ n, ids int32 }
+
+// coverage returns the coverage table of the regions' boxes, indexed by
+// flat cell. Each box enters a d-dimensional difference array — (1, id) at
+// its lower corner and at each corner that steps one past its upper edge in
+// some dimensions, negated once per such step — and one orthant prefix sum
+// turns the differences into per-cell totals: O(regions·2^d + d·cells)
+// instead of a walk over every box. A corner past the grid's top edge is
+// dropped (no prefix sum carries it back into the grid), and a box with
+// more corners inside the grid than cells — a small box in many dimensions
+// — adds its cells directly after the sum.
+func coverage(g *grid.Grid, regions []*region) []cover {
+	tab := make([]cover, g.NumCells())
+	var direct []*region
+	step := make([]int, g.Dims())
+	for _, r := range regions {
+		open := 0 // dimensions whose one-past-upper corner lies inside the grid
+		for i, hi := range r.maxC {
+			if hi+1 < g.CellsPerDim(i) {
+				step[open] = (hi + 1 - r.minC[i]) * g.Stride(i)
+				open++
+			}
+		}
+		if 1<<open > r.volume() {
+			direct = append(direct, r)
+			continue
+		}
+		base, id := g.Flat(r.minC), int32(r.id)
+		for mask := 0; mask < 1<<open; mask++ {
+			flat, sign := base, int32(1)
+			for j := range open {
+				if mask>>j&1 == 1 {
+					flat += step[j]
+					sign = -sign
+				}
+			}
+			tab[flat].n += sign
+			tab[flat].ids += sign * id
+		}
+	}
+	orthantScan(g, tab, func(into *cover, from cover) {
+		into.n += from.n
+		into.ids += from.ids
+	})
+	var flats []int
+	for _, r := range direct {
+		flats = g.BoxCells(r.minC, r.maxC, flats[:0])
+		for _, flat := range flats {
+			tab[flat].n++
+			tab[flat].ids += int32(r.id)
+		}
+	}
+	return tab
+}
+
+// orthantScan folds every entry of a flat table over g with the entries of
+// its closed lower orthant: one pass per dimension, each joining a cell's
+// predecessor along it into the cell. Row-major order visits the
+// predecessor first, so after pass i every entry holds the join over its
+// orthant in dimensions 0..i.
+func orthantScan[T any](g *grid.Grid, tab []T, join func(into *T, from T)) {
+	for i := range g.Dims() {
+		stride := g.Stride(i)
+		span := stride * g.CellsPerDim(i)
+		for base := 0; base < len(tab); base += span {
+			for f := base + stride; f < base+span; f++ {
+				join(&tab[f], tab[f-stride])
+			}
+		}
+	}
+}
+
+// addCells creates every cell the coverage table counts, in ascending flat
+// order, out of one slab of cells and one each of coordinates and corners,
+// with its RegCount and — when one region covers it — that region's id.
+func (s *space) addCells(tab []cover) {
+	n := 0
+	for _, cv := range tab {
+		if cv.n > 0 {
+			n++
+		}
+	}
+	d := s.d
+	cells := make([]cell, n)
+	coords := make([]int, n*d)
+	lowers := make([]float64, n*d)
+	s.cellList = make([]*cell, n)
+	k := 0
+	for flat, cv := range tab {
+		if cv.n == 0 {
+			continue
+		}
+		at := k * d
+		c := &cells[k]
+		*c = cell{
+			flat:      flat,
+			coords:    s.g.Coords(flat, coords[at:at+d:at+d]),
+			regCount:  int(cv.n),
+			owner:     cv.ids,
+			activeIdx: -1,
+		}
+		c.lower = s.g.CellLower(c.coords, lowers[at:at+d:at+d])
+		s.idx.add(c)
+		s.cellList[k] = c
+		k++
+	}
+	s.idx.all = s.cellList
+}
+
+// activate makes the counted cells — those unmarked at build — the initial
+// active set: until they finalize they can block emission of cells above
+// them, the Dom/Dependent bookkeeping of §V in its amortized realization.
+func (s *space) activate() {
 	for _, c := range s.cellList {
 		c.counted = !c.marked
 		if c.counted {
@@ -228,38 +323,6 @@ func buildSpace(regions []*region, front *grid.Frontier, d, outputCells int, sta
 			s.active = append(s.active, c)
 		}
 	}
-	return s, nil
-}
-
-// addCell creates the covered cell with the given flat id and registers it
-// with the index.
-func (s *space) addCell(flat int) *cell {
-	coords := make([]int, s.d)
-	s.g.Coords(flat, coords)
-	lower := make([]float64, s.d)
-	s.g.CellLower(coords, lower)
-	c := &cell{flat: flat, coords: coords, lower: lower, activeIdx: -1}
-	s.idx.add(c)
-	return c
-}
-
-// buildActiveTree installs the cumulative active-cell tree behind
-// progCount's orthant queries, mirroring the current active set.
-// Maintaining the tree costs one point update per later finalization, so
-// construction is deferred until the first progCount call that actually
-// exceeds the scan budget (see progCount) — runs whose regions stay small
-// never pay for it. The tree has one int32 per output cell, within
-// grid.MaxCells like the grid itself.
-func (s *space) buildActiveTree() {
-	fen, err := grid.NewFenwick(s.dims())
-	if err != nil {
-		panic(err) // unreachable: the output grid passed the same bound
-	}
-	s.fen = fen
-	for _, c := range s.active {
-		s.fen.Add(c.coords, 1)
-	}
-	s.stats.FenwickUpdates += len(s.active)
 }
 
 // schedBoxes projects the regions' coordinate boxes into the scheduler
@@ -272,100 +335,48 @@ func schedBoxes(regions []*region) []sched.Box {
 	return boxes
 }
 
-// progCountScanBudget is the solos×active product above which progCount
-// prefers the Fenwick orthant counts over the direct active-set scan. Both
-// paths are exact — the dispatch trades constant factors, never fidelity —
-// so the choice cannot affect ranks or schedules. The tree earns its place
-// on the paper's figures: no benchmark workload builds it, but Figs 10–13
-// build it 30 times, and scanning instead makes their ordered ProgXe runs
-// 14% slower summed (1,749 → 1,989 ms) and ProgXe+ on Fig 10d at σ = 0.1
-// go from ≈ 4 to 33 ms (2-vCPU host, two alternating runs).
-const progCountScanBudget = 1 << 20
-
-// progCount implements Definition 2 exactly: the number of the region's
-// cells that can neither be eliminated nor have output dependencies on
-// cells belonging to other still-unprocessed regions — the cells whose
-// early output depends solely on this region's own tuple-level processing.
-// Requires a live region.
-//
-// For a live region the candidate cells and the non-blocking active cells
-// coincide: both are the region's "solo" cells — active cells covered by no
-// other unprocessed region (RegCount 1). A candidate is counted when its
-// closed lower orthant holds no active cell outside that solo set. Small
-// instances answer that with a direct scan of the active set (early-exit on
-// the first blocker); large ones through the cumulative active-cell
-// Fenwick: retract the solos, and a candidate is free iff its orthant count
-// reads zero. The retraction is restored before returning, so the tree
-// stays the exact image of the active set.
-func progCount(s *space, r *region) int {
-	solos := s.soloScratch[:0]
-	for _, flat := range r.cells {
-		if c := s.cellAt(flat); c.activeIdx >= 0 && c.regCount == 1 {
-			solos = append(solos, c)
+// progCounts returns every region's progCount — Definition 2: the number of
+// its cells whose early output depends on its own tuple-level processing
+// alone — in the space's build state, from one pass over the output grid.
+// Those cells are the region's solo cells (active, covered by it alone)
+// whose closed lower orthant holds no active cell that awaits another
+// region, i.e. every active cell there is a solo cell of the same region.
+// Each active cell is tagged with the range [owner, owner] when solo and
+// [−1, MaxInt32] when shared, the empty range elsewhere; after an orthant
+// scan of range unions, a solo cell counts iff its range is one point.
+func progCounts(s *space, regions int) []int {
+	type span struct{ lo, hi int32 }
+	tags := make([]span, s.g.NumCells())
+	for i := range tags {
+		tags[i] = span{math.MaxInt32, -1}
+	}
+	for _, c := range s.active {
+		if c.regCount == 1 {
+			tags[c.flat] = span{c.owner, c.owner}
+		} else {
+			tags[c.flat] = span{-1, math.MaxInt32}
 		}
 	}
-	s.soloScratch = solos[:0]
-	count := 0
-	if len(solos)*len(s.active) > progCountScanBudget {
-		if s.fen == nil {
-			s.buildActiveTree()
-		}
-		for _, c := range solos {
-			s.fen.Add(c.coords, -1)
-		}
-		for _, c := range solos {
-			if !c.marked && s.fen.Count(c.coords) == 0 {
-				count++
-			}
-		}
-		for _, c := range solos {
-			s.fen.Add(c.coords, 1)
-		}
-		s.stats.FenwickUpdates += 2 * len(solos)
-		return count
-	}
-	g := s.g
-	for _, c := range solos {
-		if c.marked {
-			continue
-		}
-		free := true
-		for _, q := range s.active {
-			if q == c || !g.Leq(q.key, c.key) {
-				continue
-			}
-			if remainingExcluding(q, r) != 0 {
-				free = false
-				break
-			}
-		}
-		if free {
-			count++
+	orthantScan(s.g, tags, func(into *span, from span) {
+		into.lo = min(into.lo, from.lo)
+		into.hi = max(into.hi, from.hi)
+	})
+	counts := make([]int, regions)
+	for _, c := range s.active {
+		if t := tags[c.flat]; c.regCount == 1 && t.lo == t.hi {
+			counts[c.owner]++
 		}
 	}
-	return count
+	return counts
 }
 
-// remainingExcluding returns how many unprocessed regions other than r still
-// cover the cell. r covers exactly the cells of its coordinate box.
-func remainingExcluding(c *cell, r *region) int {
-	n := c.regCount
-	if r.state == regionLive && grid.LeqAll(r.minC, c.coords) && grid.LeqAll(c.coords, r.maxC) {
-		n--
-	}
-	return n
-}
-
-// analyse recomputes the benefit (Eq. 2), cost (Eq. 7) and rank (Eq. 8) of a
-// region — procedure analyse-Cost-vs-Benefit of Algorithm 1.
-func analyse(s *space, r *region, d, outputCells int) {
+// analyse computes the benefit (Eq. 2), cost (Eq. 7) and rank (Eq. 8) of a
+// region with the given progCount — procedure analyse-Cost-vs-Benefit of
+// Algorithm 1.
+func analyse(r *region, progCount, d, outputCells int) {
 	card := skyline.EstimateCardinality(float64(r.joinCard), d)
-	pc := progCount(s, r)
-	total := len(r.cells)
-	if total == 0 {
-		total = 1
-	}
-	r.benefit = float64(pc) / float64(total) * card
+	total := r.volume()
+	r.benefit = float64(progCount) / float64(total) * card
 	r.cost = analyseCost(r, d, outputCells, total)
 	r.rank = r.benefit / r.cost
 }

@@ -1,28 +1,30 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"progxe/internal/datagen"
 	"progxe/internal/grid"
-	"progxe/internal/mapping"
 	"progxe/internal/smj"
 )
 
-// progCountOracle is Definition 2 verbatim, with no index machinery: a cell
-// of r counts iff it is unmarked, unemitted, covered by no other
-// unprocessed region, and no active cell in its closed lower orthant still
-// awaits tuples from a region other than r.
-func progCountOracle(s *space, r *region) int {
+// progCount is Definition 2 for one region: the region's solo cells (active,
+// RegCount 1) whose closed lower orthant holds no active cell still awaiting
+// another unprocessed region, found by scanning the active set per cell. It
+// reads the live state, so it also answers mid-run. It is the oracle of
+// progCounts.
+func progCount(s *space, r *region) int {
 	count := 0
-	for _, flat := range r.cells {
+	for _, flat := range boxCells(s.g, r) {
 		c := s.cellAt(flat)
-		if c.marked || c.emitted || remainingExcluding(c, r) != 0 {
+		if c.activeIdx < 0 || c.regCount != 1 || c.marked {
 			continue
 		}
 		free := true
 		for _, q := range s.active {
-			if q != c && grid.LeqAll(q.coords, c.coords) && remainingExcluding(q, r) != 0 {
+			if q != c && s.g.Leq(q.key, c.key) && remainingExcluding(q, r) != 0 {
 				free = false
 				break
 			}
@@ -34,74 +36,146 @@ func progCountOracle(s *space, r *region) int {
 	return count
 }
 
-// TestProgCountExactOnLargeRegions checks progCount against the Definition
-// 2 oracle on a space big enough that the seed's budgeted stride sampler
-// would have engaged (cells×active beyond its 2²¹ budget) — the regime
-// where sampling used to distort ranks — and asserts the Fenwick orthant
-// path actually ran. The check repeats mid-run, after regions complete and
-// cells finalize, so the retract-and-restore protocol is exercised against
-// a mutated active set.
-func TestProgCountExactOnLargeRegions(t *testing.T) {
-	p := smokeProblem(t, 600, 2, datagen.AntiCorrelated, 0.05, 17)
-	cp, d, err := checkProblem(p)
-	if err != nil {
-		t.Fatal(err)
+// remainingExcluding returns how many unprocessed regions other than r still
+// cover the cell. r covers exactly the cells of its coordinate box.
+func remainingExcluding(c *cell, r *region) int {
+	n := c.regCount
+	if r.state == regionLive && grid.LeqAll(r.minC, c.coords) && grid.LeqAll(c.coords, r.maxC) {
+		n--
 	}
-	e := New(Options{InputCells: 2, OutputCells: 64})
-	lparts, err := e.partition(cp.Left, cp.Maps, mapping.Left)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rparts, err := e.partition(cp.Right, cp.Maps, mapping.Right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regions, _, front := buildRegions(lparts, rparts, cp.Maps, nil)
-	if len(regions) < 2 {
-		t.Fatalf("fixture built only %d regions", len(regions))
-	}
-	var stats smj.Stats
-	s, err := buildSpace(regions, front, d, 64, &stats, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strideRegime := false
+	return n
+}
+
+// boxCells lists the flat ids of the region's coordinate box, ascending.
+func boxCells(g *grid.Grid, r *region) []int {
+	return g.BoxCells(r.minC, r.maxC, nil)
+}
+
+// requireProgCounts checks the one-pass rank's counts against the per-region
+// oracle on a freshly built space and returns their sum.
+func requireProgCounts(tb testing.TB, label string, s *space, regions []*region) int {
+	tb.Helper()
+	got := progCounts(s, len(regions))
+	total := 0
 	for _, r := range regions {
-		if len(r.cells)*len(s.active) > 1<<21 {
-			strideRegime = true
+		if want := progCount(s, r); got[r.id] != want {
+			tb.Fatalf("%s: progCounts[%d] = %d, per-region progCount %d (box %v..%v)", label, r.id, got[r.id], want, r.minC, r.maxC)
+		}
+		total += got[r.id]
+	}
+	return total
+}
+
+// TestProgCountsMatchPerRegion: one pass over the output grid gives every
+// region the progCount the per-region scan gives it — on the golden
+// problems, on grid and kd plans at d = 2…5, and on a few large regions over
+// a fine output grid (solos × active cells past 2²¹).
+func TestProgCountsMatchPerRegion(t *testing.T) {
+	type shape struct {
+		name     string
+		p        *smj.Problem
+		opts     Options
+		outCells int
+	}
+	var shapes []shape
+	for _, part := range []Partitioning{PartitionGrid, PartitionKD} {
+		shapes = append(shapes,
+			shape{fmt.Sprintf("golden anti d=3 %s", part), smokeProblem(t, 1500, 3, datagen.AntiCorrelated, 0.02, 2301), Options{Partitioning: part}, 0},
+			shape{fmt.Sprintf("golden indep d=4 %s", part), smokeProblem(t, 1500, 4, datagen.Independent, 0.02, 2302), Options{Partitioning: part}, 0})
+		for d := 2; d <= 5; d++ {
+			shapes = append(shapes, shape{fmt.Sprintf("anti d=%d %s", d, part), smokeProblem(t, 800, d, datagen.AntiCorrelated, 0.02, uint64(40+d)), Options{Partitioning: part, InputCells: 3}, 0})
 		}
 	}
-	if !strideRegime {
-		t.Fatal("fixture too small: the seed's stride sampler would not have engaged")
+	shapes = append(shapes, shape{"large regions", smokeProblem(t, 600, 2, datagen.AntiCorrelated, 0.05, 17), Options{InputCells: 2}, 64})
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			regions, s, _ := planSpace(t, preparePlan(t, sh.p, sh.opts), sh.outCells, 0)
+			if requireProgCounts(t, sh.name, s, regions) == 0 {
+				t.Fatal("every count is zero; the comparison is vacuous")
+			}
+		})
 	}
+}
 
-	check := func(stage string) {
-		t.Helper()
+// FuzzProgCounts decodes bytes into a small grid (d ≤ 4, ≤ 6 cells per
+// dimension), up to 20 random region boxes and random static marks, and
+// checks the coverage table against counting boxes and the one-pass rank
+// against the per-region progCount.
+func FuzzProgCounts(f *testing.F) {
+	for _, seed := range [][]byte{
+		{},
+		{1, 5, 5, 0, 0, 3, 30, 0, 4, 1, 2, 3, 1, 0, 0, 4},
+		{3, 2, 2, 2, 2, 19, 50, 0, 1, 1, 0, 0, 1, 1, 1, 0},
+		{2, 5, 5, 5, 5, 7, 0, 2, 3, 0, 5, 4, 1, 1, 0, 9, 9},
+		{0, 3, 0, 0, 0, 12, 90, 1, 2, 0, 1, 2, 2, 0, 0},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			return int(data[i%len(data)])
+		}
+		d := 1 + at(0)%4
+		k := make([]int, d)
+		lo, hi := make([]float64, d), make([]float64, d)
+		for i := range k {
+			k[i], hi[i] = 1+at(1+i)%6, 1
+		}
+		n, markPct := 1+at(5)%20, at(6)%100
+		b, err := grid.NewBounds(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := grid.New(b, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos := 7
+		regions := make([]*region, n)
+		for id := range regions {
+			r := &region{id: id, minC: make([]int, d), maxC: make([]int, d)}
+			for i := range d {
+				r.minC[i] = at(pos) % k[i]
+				r.maxC[i] = r.minC[i] + at(pos+1)%(k[i]-r.minC[i])
+				pos += 2
+			}
+			regions[id] = r
+		}
+		var stats smj.Stats
+		s := newSpace(g, &stats)
+		s.addCells(coverage(g, regions))
+
+		covering := make([]int, g.NumCells())
 		for _, r := range regions {
-			if r.state != regionLive {
-				continue
-			}
-			before := stats.FenwickUpdates
-			got := progCount(s, r)
-			usedFenwick := stats.FenwickUpdates != before
-			if want := progCountOracle(s, r); got != want {
-				t.Fatalf("%s: progCount(region %d) = %d, oracle %d (fenwick=%v)", stage, r.id, got, want, usedFenwick)
+			for _, flat := range boxCells(g, r) {
+				covering[flat]++
 			}
 		}
-	}
-	check("initial")
+		created := 0
+		for flat, want := range covering {
+			c := s.cellAt(flat)
+			switch {
+			case want == 0 && c != nil:
+				t.Fatalf("cell %d covered by no box exists", flat)
+			case want > 0 && (c == nil || c.regCount != want):
+				t.Fatalf("cell %d: covered by %d boxes, cell %+v", flat, want, c)
+			case want > 0:
+				created++
+			}
+		}
+		if created != len(s.cellList) || !slices.IsSortedFunc(s.cellList, func(a, b *cell) int { return a.flat - b.flat }) {
+			t.Fatalf("%d covered cells, cell list of %d not in flat order", created, len(s.cellList))
+		}
 
-	fenwickBefore := stats.FenwickUpdates
-	// Complete half the regions (no tuple work needed: progCount reads only
-	// coverage and the active set) and re-verify against the mutated space.
-	for i, r := range regions {
-		if i%2 == 0 {
-			r.state = regionProcessed
-			s.regionDone(r.cells)
+		for ci, c := range s.cellList {
+			if at(pos+ci)%100 < markPct {
+				s.mark(c)
+			}
 		}
-	}
-	check("mid-run")
-	if s.fen == nil || stats.FenwickUpdates == fenwickBefore {
-		t.Fatal("no progCount call took the Fenwick path; fixture lost its point")
-	}
+		s.activate()
+		requireProgCounts(t, fmt.Sprintf("d=%d k=%v", d, k), s, regions)
+	})
 }

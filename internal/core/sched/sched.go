@@ -16,6 +16,11 @@
 // refreshes happen at fixed protocol points — which is what lets the
 // engine's differential harness demand byte-identical schedules for any
 // worker count.
+//
+// The engine itself runs Fixed only: ranking every region once and sorting
+// reproduces ProgOrder's schedule on the committed inputs, so Progressive
+// stays for the scheduler figure (internal/bench) and the benchmark's sched
+// cells, which measure it on the engine's region boxes.
 package sched
 
 import (
@@ -289,9 +294,10 @@ func (p *Progressive) PrefetchOrder() []int32 {
 // Counters implements Scheduler.
 func (p *Progressive) Counters() Counters { return p.c }
 
-// Fixed processes regions in a predetermined order — construction order
-// (the arrival ablation) or a seeded shuffle (the paper's "No-Order"
-// configuration) — skipping regions discarded along the way. Ranks are 0.
+// Fixed processes regions in a predetermined order — the engine's rank
+// order, construction order (the arrival ablation) or a seeded shuffle (the
+// paper's "No-Order" configuration) — skipping regions discarded along the
+// way. Ranks are 0.
 type Fixed struct {
 	order []int32
 	pos   int

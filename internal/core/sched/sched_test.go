@@ -192,6 +192,32 @@ func TestEliminatesPredicates(t *testing.T) {
 	}
 }
 
+// TestELGraphEdges checks the §IV-B edge rule on an asymmetric overlap: the
+// lower region eliminates part of the upper one but not vice versa, so only
+// the lower is a root (Fig. 7's shaded-root structure in miniature). The
+// boxes are the output cells, on a 9×9 grid over [0, 4.5]×[0, 2.5], of the
+// rectangles a = [(0,0),(2.4,2.5)] and b = [(2,0),(4.5,2.5)]: a ends inside
+// x-cell 4 = [2, 2.5), where b begins. (An a reaching x = 2.5 exactly would
+// own a point of cell 5, which b's cell-4 tuples can eliminate: a mutual
+// edge.)
+func TestELGraphEdges(t *testing.T) {
+	a := Box{Min: []int{0, 0}, Max: []int{4, 8}}
+	b := Box{Min: []int{4, 0}, Max: []int{8, 8}}
+	if !Eliminates(a, b) {
+		t.Fatal("low region must have an elimination edge to the overlapping higher region")
+	}
+	if Eliminates(b, a) {
+		t.Fatal("higher region must not eliminate the lower one")
+	}
+	c := NewProgressive([]Box{a, b}, []int{9, 9}, func(int) float64 { return 0 }, 0).Counters()
+	if c.Edges != 1 || c.Roots != 1 {
+		t.Fatalf("EL-graph edges=%d roots=%d, want 1/1", c.Edges, c.Roots)
+	}
+	if CompletelyEliminates(a, b) {
+		t.Fatal("overlap is only partial elimination")
+	}
+}
+
 // TestFixedOrder covers the arrival/random policies: predetermined order,
 // discard skipping, rank always zero.
 func TestFixedOrder(t *testing.T) {

@@ -18,9 +18,6 @@ const (
 	// EventCellEmitted fires when ProgDetermine releases a cell's
 	// survivors to the sink.
 	EventCellEmitted
-	// EventSchedulerStats fires once after the framework loop drains,
-	// reporting the scheduler layer's work counters.
-	EventSchedulerStats
 )
 
 // String names the event kind.
@@ -34,8 +31,6 @@ func (k EventKind) String() string {
 		return "region-discarded"
 	case EventCellEmitted:
 		return "cell-emitted"
-	case EventSchedulerStats:
-		return "scheduler-stats"
 	default:
 		return fmt.Sprintf("EventKind(%d)", int8(k))
 	}
@@ -47,7 +42,8 @@ type Event struct {
 	Kind EventKind
 	// Region is the region id for region events.
 	Region int
-	// Rank is the region's Benefit/Cost rank at selection time.
+	// Rank is the region's Benefit/Cost rank (region-chosen; 0 under the
+	// random and arrival orderings, which rank nothing).
 	Rank float64
 	// JoinResults is the number of join results the region produced
 	// (region-processed only).
@@ -57,11 +53,6 @@ type Event struct {
 	Survivors int
 	// Cell is the flat output-cell index (cell-emitted only).
 	Cell int
-	// Edges, RankRefreshes and FenwickUpdates are the scheduler layer's
-	// work counters (scheduler-stats only).
-	Edges          int
-	RankRefreshes  int
-	FenwickUpdates int
 }
 
 // String renders the event compactly for logs.
@@ -75,8 +66,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("%s region=%d", e.Kind, e.Region)
 	case EventCellEmitted:
 		return fmt.Sprintf("%s cell=%d results=%d", e.Kind, e.Cell, e.Survivors)
-	case EventSchedulerStats:
-		return fmt.Sprintf("%s edges=%d refreshes=%d fenwick=%d", e.Kind, e.Edges, e.RankRefreshes, e.FenwickUpdates)
 	default:
 		return e.Kind.String()
 	}

@@ -97,19 +97,13 @@ func TestExplain(t *testing.T) {
 	if plan.Regions == 0 || plan.CoveredCells == 0 {
 		t.Fatalf("plan has no regions/cells: %+v", plan)
 	}
-	// Anti-correlated regions overlap along the anti-diagonal, so the
-	// EL-graph may be fully cyclic (no roots) — but then it must have
-	// edges; an edgeless graph always has roots.
-	if plan.Roots == 0 && plan.Edges == 0 && plan.Regions > 0 {
-		t.Fatalf("EL-graph has neither roots nor edges: %+v", plan)
-	}
 	if plan.OutputCells != autoOutputCells(3) {
 		t.Fatalf("auto output cells = %d", plan.OutputCells)
 	}
 	if plan.EstimatedJoin == 0 {
 		t.Fatal("estimated join must be positive")
 	}
-	if !strings.Contains(plan.String(), "EL-graph") {
+	if !strings.Contains(plan.String(), "covered cells:") {
 		t.Fatalf("plan render = %q", plan.String())
 	}
 

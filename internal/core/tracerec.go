@@ -54,8 +54,7 @@ func (r *TraceRecorder) Len() int { return len(r.events) }
 // Spans reduces the recording to trace-export form. Region processing
 // windows open at region-chosen and close at the matching region-processed;
 // regions discarded without processing render as instants (their
-// elimination has no duration of its own), as do cell emissions and the
-// final scheduler counters.
+// elimination has no duration of its own), as do cell emissions.
 func (r *TraceRecorder) Spans() ([]obs.Span, []obs.Instant) {
 	var spans []obs.Span
 	var instants []obs.Instant
@@ -94,17 +93,6 @@ func (r *TraceRecorder) Spans() ([]obs.Span, []obs.Instant) {
 				Name:  fmt.Sprintf("cell %d", te.ev.Cell),
 				Ts:    time.Duration(te.nanos),
 				Args:  map[string]any{"results": te.ev.Survivors},
-			})
-		case EventSchedulerStats:
-			instants = append(instants, obs.Instant{
-				Track: "sequencer",
-				Name:  "scheduler-stats",
-				Ts:    time.Duration(te.nanos),
-				Args: map[string]any{
-					"edges":          te.ev.Edges,
-					"rankRefreshes":  te.ev.RankRefreshes,
-					"fenwickUpdates": te.ev.FenwickUpdates,
-				},
 			})
 		}
 	}

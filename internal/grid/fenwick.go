@@ -4,10 +4,9 @@ import "fmt"
 
 // Fenwick is a d-dimensional binary indexed tree over an integer coordinate
 // box [0, dims[0]) × … × [0, dims[d-1]): point add plus closed-lower-orthant
-// count, both in O(∏ log dims[i]). The engine uses it twice — cumulative
-// active-cell counts per orthant make ProgCount (Definition 2) exact without
-// scans, and cumulative region-corner counts give the EL-Graph in-degrees
-// without the all-pairs edge scan.
+// count, both in O(∏ log dims[i]). BoxIndex uses it for cumulative
+// region-corner counts, which give the EL-Graph in-degrees without the
+// all-pairs edge scan.
 type Fenwick struct {
 	dims   []int
 	stride []int

@@ -44,8 +44,8 @@ const (
 	// PhaseSpaceBuild covers output grid construction, cell coverage,
 	// index construction, and static cell marking.
 	PhaseSpaceBuild
-	// PhaseSched covers the scheduler layer: EL-Graph construction, region
-	// selection at the top of every round, and lazy rank refreshes.
+	// PhaseSched covers the scheduler layer: ranking the regions once
+	// before the first pick, and region selection at the top of every round.
 	PhaseSched
 	// PhasePrefetch covers candidate-stream materialization (join matching,
 	// mapping, cell routing, coordinate sums). On worker lanes this is the

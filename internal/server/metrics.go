@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"progxe/internal/obs"
-	"progxe/internal/smj"
 )
 
 // ttfrBuckets are the upper bounds (seconds) of the time-to-first-result
@@ -55,10 +54,6 @@ type metrics struct {
 	ttfrCounts   []int64 // len(ttfrBuckets)+1; last is +Inf
 	ttfrSum      float64 // seconds
 	ttfrObserved int64
-	// Scheduler-layer engine counters, accumulated across runs.
-	schedEdges         int64
-	schedRankRefreshes int64
-	fenwickUpdates     int64
 	// progress holds per-engine, per-milestone histograms of the run
 	// progressiveness quantiles (TT-first/10%/50%/90%/last), over the same
 	// bucket bounds as the TTFR histogram.
@@ -192,16 +187,6 @@ func (m *metrics) subChangesApplied(n int64) {
 	m.mu.Unlock()
 }
 
-// observeEngineStats folds one run's engine counters into the service
-// totals (currently the scheduler-layer triple).
-func (m *metrics) observeEngineStats(st smj.Stats) {
-	m.mu.Lock()
-	m.schedEdges += int64(st.SchedEdges)
-	m.schedRankRefreshes += int64(st.SchedRankRefreshes)
-	m.fenwickUpdates += int64(st.FenwickUpdates)
-	m.mu.Unlock()
-}
-
 // observeProgress folds one run's progressiveness quantiles into the
 // per-engine labeled histograms. Runs without results record nothing.
 func (m *metrics) observeProgress(engine string, q obs.Quantiles) {
@@ -293,11 +278,6 @@ type Snapshot struct {
 	TTFRObserved               int64    `json:"ttfrObserved"`
 	TTFRSumSeconds             float64  `json:"ttfrSumSeconds"`
 	TTFR                       []Bucket `json:"ttfr"`
-	// Scheduler-layer totals across runs (ProgXe engines with graph
-	// ordering; zero for baselines and fixed orders).
-	SchedEdges         int64 `json:"schedEdges"`
-	SchedRankRefreshes int64 `json:"schedRankRefreshes"`
-	FenwickUpdates     int64 `json:"fenwickUpdates"`
 	// Progress summarizes the per-engine progressiveness milestones
 	// (count and summed seconds per series; the full bucket vectors are
 	// exposed on /metrics).
@@ -345,10 +325,6 @@ func (m *metrics) snapshot() Snapshot {
 		SubscriptionRetractions:    m.subRetracts,
 		TTFRObserved:               m.ttfrObserved,
 		TTFRSumSeconds:             m.ttfrSum,
-
-		SchedEdges:         m.schedEdges,
-		SchedRankRefreshes: m.schedRankRefreshes,
-		FenwickUpdates:     m.fenwickUpdates,
 	}
 	cum := int64(0)
 	for i, le := range ttfrBuckets {
@@ -419,9 +395,6 @@ func (m *metrics) writePrometheus(w io.Writer) {
 	counter("progxe_subscriptions_started_total", "Live subscriptions admitted.", s.SubscriptionsStarted)
 	counter("progxe_subscription_changes_applied_total", "Catalog change events folded into live subscriptions and applied through the change feed.", s.SubscriptionChangesApplied)
 	counter("progxe_subscription_retractions_total", "Retract records streamed by live subscriptions.", s.SubscriptionRetractions)
-	counter("progxe_sched_edges_total", "EL-Graph edges installed by region schedulers.", s.SchedEdges)
-	counter("progxe_sched_rank_refreshes_total", "Lazy benefit/cost rank refreshes at queue-pop.", s.SchedRankRefreshes)
-	counter("progxe_sched_fenwick_updates_total", "Point updates on active-cell and in-degree Fenwick trees.", s.FenwickUpdates)
 	fmt.Fprintf(w, "# HELP progxe_runs_active Engine runs currently executing.\n# TYPE progxe_runs_active gauge\nprogxe_runs_active %d\n", s.RunsActive)
 	fmt.Fprintf(w, "# HELP progxe_subscriptions_live Live subscriptions currently attached.\n# TYPE progxe_subscriptions_live gauge\nprogxe_subscriptions_live %d\n", s.SubscriptionsLive)
 	fmt.Fprintf(w, "# HELP progxe_ttfr_seconds Time to first streamed result.\n# TYPE progxe_ttfr_seconds histogram\n")

@@ -273,7 +273,6 @@ type runResult struct {
 // metrics counters, the run-log record, and the structured log line. It
 // returns the stats trailer for the caller to put on the wire.
 func (s *Server) finishRun(res runResult) statsRecord {
-	s.metrics.observeEngineStats(res.engineStats)
 	rec := statsRecord{
 		Type: "stats", RunID: res.runID, Engine: res.engineName, Results: res.seq,
 		ElapsedMillis: float64(res.elapsed.Microseconds()) / 1000,

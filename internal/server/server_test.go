@@ -504,43 +504,3 @@ func fmtRecords(recs []map[string]any) string {
 	}
 	return sb.String()
 }
-
-// TestSchedulerCountersExposed pins the scheduler-layer observability: a
-// ProgXe run's stats record must carry the scheduler counters, and the
-// service must accumulate them into /v1/stats and /metrics.
-func TestSchedulerCountersExposed(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp := postQuery(t, ts, QueryRequest{Query: tinyQuery})
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, key := range []string{`"SchedEdges"`, `"SchedRankRefreshes"`, `"FenwickUpdates"`} {
-		if !strings.Contains(string(body), key) {
-			t.Fatalf("stats record missing %s in:\n%s", key, body)
-		}
-	}
-
-	var snap Snapshot
-	getJSON(t, ts.URL+"/v1/stats", &snap)
-	// The tiny fixture yields at least one region, whose root rank is
-	// refreshed once, and a populated output grid backing the active-cell
-	// tree — both counters must be non-zero after one ProgXe run.
-	if snap.SchedRankRefreshes == 0 || snap.FenwickUpdates == 0 {
-		t.Fatalf("scheduler counters not accumulated: %+v", snap)
-	}
-
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	b, _ := io.ReadAll(mresp.Body)
-	for _, want := range []string{
-		"progxe_sched_edges_total",
-		"progxe_sched_rank_refreshes_total",
-		"progxe_sched_fenwick_updates_total",
-	} {
-		if !strings.Contains(string(b), want) {
-			t.Fatalf("/metrics missing %q in:\n%s", want, b)
-		}
-	}
-}

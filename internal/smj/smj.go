@@ -152,11 +152,10 @@ type Stats struct {
 	CellsMarked     int // output cells marked non-contributing (ProgXe engines)
 	PushPruned      int // source tuples removed by partial push-through
 
-	// Scheduler-layer counters (ProgXe engines with graph ordering).
-	SchedEdges         int // EL-Graph edges installed by the scheduler
-	SchedRankRefreshes int // lazy benefit/cost refreshes at queue-pop
-	FenwickUpdates     int // point updates on the active-cell and in-degree Fenwick trees
-
+	// FenwickUpdates is inert (no engine counts into it: the region order
+	// needs no Fenwick tree); it stays while the benchmark reports it as
+	// core.fenwick_updates.
+	FenwickUpdates int
 }
 
 // Engine evaluates a SkyMapJoin problem, streaming results to sink.
