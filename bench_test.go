@@ -23,7 +23,6 @@ import (
 	"progxe/internal/core"
 	"progxe/internal/datagen"
 	"progxe/internal/join"
-	"progxe/internal/mapping"
 	"progxe/internal/relation"
 	"progxe/internal/server"
 	"progxe/internal/skyline"
@@ -373,21 +372,4 @@ func BenchmarkServeTTFR(b *testing.B) {
 			reportFirstMS(b, firstSum, firstMin)
 		})
 	}
-}
-
-// BenchmarkMapping measures mapping-function evaluation and interval
-// propagation (the per-tuple and per-region costs of the Map operator).
-func BenchmarkMapping(b *testing.B) {
-	maps := mapping.MustSet(
-		mapping.Func{Name: "x", Expr: mapping.Sum(mapping.A(mapping.Left, 0, ""), mapping.A(mapping.Right, 0, ""))},
-		mapping.Func{Name: "y", Expr: mapping.Sum(mapping.Scale{Factor: 2, Of: mapping.A(mapping.Left, 1, "")}, mapping.A(mapping.Right, 1, ""))},
-	)
-	l := []float64{3, 4}
-	r := []float64{5, 6}
-	dst := make([]float64, 2)
-	b.Run("Map", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			maps.Map(l, r, dst)
-		}
-	})
 }

@@ -222,13 +222,13 @@ func TestParallelCancellation(t *testing.T) {
 	}
 }
 
-// TestPrefetchWorkerPanicIsContained injects a panic on a prefetch worker —
-// the first worker yield after the run's first result — and requires the fault
-// to stay inside its run: the panic surfaces on the caller's goroutine (where
-// the serve layer recovers it) after a prefix of the stream, the pool's
-// workers are gone when it does, a serial neighbour held in flight on the same
-// Prepared plan throughout and a parallel run after it both reproduce the solo
-// stream.
+// TestPrefetchWorkerPanicIsContained injects a panic on a prefetch worker
+// between the run's first and last result and requires the fault to stay
+// inside its run: the panic surfaces on the caller's goroutine (where the
+// serve layer recovers it) after a proper prefix of the stream, the pool's
+// workers are gone when it does, a serial neighbour held in flight on the
+// same Prepared plan throughout and a parallel run after it both reproduce
+// the solo stream.
 func TestPrefetchWorkerPanicIsContained(t *testing.T) {
 	pl := preparePlan(t, smokeProblem(t, 600, 3, datagen.AntiCorrelated, 0.05, 77), Options{})
 	runPlan := func(workers int, into *[]smj.Result, onResult func()) {
@@ -242,6 +242,31 @@ func TestPrefetchWorkerPanicIsContained(t *testing.T) {
 	}
 	var solo []smj.Result
 	runPlan(2, &solo, func() {})
+
+	// The injection below relies on two properties of the plan: its first
+	// result comes out of the first region's own determination, before any
+	// discard, and results still follow the third region chosen.
+	var chosen, discarded, firstChosen, firstDiscarded, lastChosen int
+	trace := func(ev Event) {
+		switch ev.Kind {
+		case EventRegionChosen:
+			chosen++
+		case EventRegionDiscarded:
+			discarded++
+		}
+	}
+	results := 0
+	if _, err := New(Options{Trace: trace}).RunPlanContext(context.Background(), pl, smj.SinkFunc(func(smj.Result) {
+		if results++; results == 1 {
+			firstChosen, firstDiscarded = chosen, discarded
+		}
+		lastChosen = chosen
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if firstChosen != 1 || firstDiscarded != 0 || lastChosen < 3 {
+		t.Fatalf("fixture: first result after %d regions chosen and %d discarded, last after %d chosen; want 1, 0 and ≥ 3", firstChosen, firstDiscarded, lastChosen)
+	}
 	before := runtime.NumGoroutine()
 
 	// The neighbour is serial, so it never reads the hook installed below.
@@ -258,9 +283,25 @@ func TestPrefetchWorkerPanicIsContained(t *testing.T) {
 	}()
 	<-held
 
-	var armed, fired atomic.Bool
+	// One worker calls the hook in the order it claims jobs, and it claims
+	// them in prefetch order, so only its first call can be building the
+	// first region: the one job the sequencer needs before the first result.
+	// Every later call waits at the gate, which the first result opens, and
+	// that result holds the sequencer until a call has fired. A call always
+	// comes: the worker holds at most one unconsumed job of its three slots,
+	// and the held sequencer claims nothing. The call that fires builds the
+	// region at prefetch position 1 or 2, which the sequencer meets no later
+	// than its third region.
+	var calls atomic.Int32
+	var firing atomic.Bool
+	gate, fired := make(chan struct{}), make(chan struct{})
 	par.YieldHook = func() {
-		if armed.Load() && fired.CompareAndSwap(false, true) {
+		if calls.Add(1) == 1 {
+			return
+		}
+		<-gate
+		if firing.CompareAndSwap(false, true) {
+			close(fired)
 			panic("injected worker fault")
 		}
 	}
@@ -268,7 +309,12 @@ func TestPrefetchWorkerPanicIsContained(t *testing.T) {
 	var partial []smj.Result
 	fault := func() (v any) {
 		defer func() { v = recover() }()
-		runPlan(2, &partial, func() { armed.Store(true) })
+		runPlan(1, &partial, func() {
+			if len(partial) == 1 {
+				close(gate)
+				<-fired
+			}
+		})
 		return nil
 	}()
 	par.YieldHook = nil

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -123,21 +124,25 @@ func TestIntervalSoundness(t *testing.T) {
 	}
 }
 
+// dirOf is the combined monotonicity direction of one source attribute
+// across all of the set's functions.
+func dirOf(s *Set, ref AttrRef) Direction { return s.dirs[ref] }
+
 func TestDirections(t *testing.T) {
 	s := q1Maps(t)
-	if d := s.DirectionOf(AttrRef{Left, 0}); d != StrictInc {
+	if d := dirOf(s, AttrRef{Left, 0}); d != StrictInc {
 		t.Fatalf("uPrice direction = %s", d)
 	}
-	if d := s.DirectionOf(AttrRef{Right, 1}); d != StrictInc {
+	if d := dirOf(s, AttrRef{Right, 1}); d != StrictInc {
 		t.Fatalf("shipTime direction = %s", d)
 	}
-	if d := s.DirectionOf(AttrRef{Left, 5}); d != Unused {
+	if d := dirOf(s, AttrRef{Left, 5}); d != Unused {
 		t.Fatalf("unused attribute direction = %s", d)
 	}
 
 	// Negative scaling flips direction.
 	neg := MustSet(Func{Name: "x", Expr: Scale{Factor: -2, Of: A(Left, 0, "")}})
-	if d := neg.DirectionOf(AttrRef{Left, 0}); d != StrictDec {
+	if d := dirOf(neg, AttrRef{Left, 0}); d != StrictDec {
 		t.Fatalf("negated direction = %s", d)
 	}
 
@@ -146,19 +151,19 @@ func TestDirections(t *testing.T) {
 		Func{Name: "x", Expr: A(Left, 0, "")},
 		Func{Name: "y", Expr: Scale{Factor: -1, Of: A(Left, 0, "")}},
 	)
-	if d := mixed.DirectionOf(AttrRef{Left, 0}); d != Mixed {
+	if d := dirOf(mixed, AttrRef{Left, 0}); d != Mixed {
 		t.Fatalf("mixed direction = %s", d)
 	}
 
 	// Min/Max weaken strictness.
 	weak := MustSet(Func{Name: "x", Expr: Min{A(Left, 0, ""), A(Left, 1, "")}})
-	if d := weak.DirectionOf(AttrRef{Left, 0}); d != NonDec {
+	if d := dirOf(weak, AttrRef{Left, 0}); d != NonDec {
 		t.Fatalf("min direction = %s", d)
 	}
 
 	// Subtraction decreases in the right operand.
 	sub := MustSet(Func{Name: "x", Expr: Sub{L: A(Left, 0, ""), R: A(Left, 1, "")}})
-	if d := sub.DirectionOf(AttrRef{Left, 1}); d != StrictDec {
+	if d := dirOf(sub, AttrRef{Left, 1}); d != StrictDec {
 		t.Fatalf("sub rhs direction = %s", d)
 	}
 }
@@ -222,11 +227,13 @@ func TestPushThroughPlan(t *testing.T) {
 	}
 }
 
+// TestIdentity maps through bare attributes — a shape Map evaluates by its
+// tree, because the compiled loop's 0.0 seed would turn a -0 into +0.
 func TestIdentity(t *testing.T) {
-	s := Identity(Left, []string{"a", "b"})
-	out := s.Map([]float64{7, 8}, nil, make([]float64, 2))
-	if out[0] != 7 || out[1] != 8 {
-		t.Fatalf("identity map = %v", out)
+	s := MustSet(Func{Name: "a", Expr: A(Left, 0, "a")}, Func{Name: "b", Expr: A(Left, 1, "b")})
+	out := s.Map([]float64{7, math.Copysign(0, -1)}, nil, make([]float64, 2))
+	if out[0] != 7 || !math.Signbit(out[1]) {
+		t.Fatalf("identity map = %v, want [7 -0]", out)
 	}
 }
 

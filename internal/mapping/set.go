@@ -21,10 +21,66 @@ type Func struct {
 type Set struct {
 	funcs []Func
 	dirs  map[AttrRef]Direction
+	kerns []kernel // funcs[j] compiled for Map
+}
+
+// term is one summand of a compiled function: coef · src[side][col], where
+// src is the (left, right) pair of attribute vectors.
+type term struct {
+	side uint8 // 0 left, 1 right; Map reads side&1, which needs no bounds check
+	col  int
+	coef float64
+}
+
+// kernel is one mapping function as Map evaluates it. A linear function —
+// an Add whose terms are attributes or constant multiples of one, possibly
+// under one outer Scale — runs as one multiply-add loop over terms, then
+// the outer factor if scaled. Every other shape keeps its tree in expr.
+//
+// The loop reproduces Eval bit for bit: the accumulator starts at 0.0 as
+// Add.Eval's does (so a lone -0 term sums to +0 in both), an unscaled
+// attribute is the exact product 1·x, the outer factor stays a separate
+// final multiply (-1·(0 + 0) is -0, 0 + -1·0 is +0), and every product is
+// rounded by float64() so that no target fuses it into the add.
+type kernel struct {
+	terms  []term
+	scaled bool // a factor of 0 is a factor, so this is not outer != 0
+	outer  float64
+	expr   Expr // non-nil: not linear, evaluate the tree
+}
+
+// compile lowers one mapping function to its kernel.
+func compile(e Expr) kernel {
+	var k kernel
+	body := e
+	if s, ok := e.(Scale); ok {
+		body, k.scaled, k.outer = s.Of, true, s.Factor
+	}
+	sum, ok := body.(Add)
+	if !ok {
+		return kernel{expr: e}
+	}
+	k.terms = make([]term, 0, len(sum))
+	for _, t := range sum {
+		coef := 1.0
+		if s, ok := t.(Scale); ok {
+			coef, t = s.Factor, s.Of
+		}
+		a, ok := t.(Attr)
+		if !ok {
+			return kernel{expr: e}
+		}
+		side := uint8(0)
+		if a.Ref.Side != Left {
+			side = 1
+		}
+		k.terms = append(k.terms, term{side: side, col: a.Ref.Index, coef: coef})
+	}
+	return k
 }
 
 // NewSet builds a mapping set from named functions, pre-computing the
-// monotonicity analysis.
+// monotonicity analysis and compiling each function for Map.
 func NewSet(funcs ...Func) (*Set, error) {
 	if len(funcs) == 0 {
 		return nil, fmt.Errorf("mapping: need at least one mapping function")
@@ -44,8 +100,11 @@ func NewSet(funcs ...Func) (*Set, error) {
 		seen[f.Name] = true
 		f.Expr.directions(dirs)
 	}
-	s := &Set{funcs: make([]Func, len(funcs)), dirs: dirs}
+	s := &Set{funcs: make([]Func, len(funcs)), dirs: dirs, kerns: make([]kernel, len(funcs))}
 	copy(s.funcs, funcs)
+	for j, f := range funcs {
+		s.kerns[j] = compile(f.Expr)
+	}
 	return s, nil
 }
 
@@ -56,17 +115,6 @@ func MustSet(funcs ...Func) *Set {
 		panic(err)
 	}
 	return s
-}
-
-// Identity returns the mapping set that passes through the first d
-// attributes of the given side unchanged — used to express plain
-// skyline-over-join queries without mapping.
-func Identity(side Side, names []string) *Set {
-	funcs := make([]Func, len(names))
-	for i, n := range names {
-		funcs[i] = Func{Name: n, Expr: A(side, i, n)}
-	}
-	return MustSet(funcs...)
 }
 
 // Dims returns the number of output dimensions k.
@@ -86,9 +134,23 @@ func (s *Set) Func(j int) Func { return s.funcs[j] }
 
 // Map evaluates all mapping functions over one join result, writing the
 // output point into dst (which must have length Dims()) and returning it.
+// Each coordinate equals its function's Expr.Eval bit for bit.
 func (s *Set) Map(left, right []float64, dst []float64) []float64 {
-	for j, f := range s.funcs {
-		dst[j] = f.Expr.Eval(left, right)
+	src := [2][]float64{left, right}
+	for j := range s.kerns {
+		k := &s.kerns[j]
+		if k.expr != nil {
+			dst[j] = k.expr.Eval(left, right)
+			continue
+		}
+		acc := 0.0
+		for _, t := range k.terms {
+			acc += float64(t.coef * src[t.side&1][t.col])
+		}
+		if k.scaled {
+			acc = k.outer * acc
+		}
+		dst[j] = acc
 	}
 	return dst
 }
@@ -105,10 +167,6 @@ func (s *Set) MapRegion(left, right grid.Rect) grid.Rect {
 	}
 	return grid.Rect{Lower: lo, Upper: hi}
 }
-
-// DirectionOf returns the combined monotonicity direction of the given
-// source attribute across all mapping functions.
-func (s *Set) DirectionOf(ref AttrRef) Direction { return s.dirs[ref] }
 
 // UsedAttrs returns the indices of the side's attributes referenced by any
 // mapping function, ascending.
