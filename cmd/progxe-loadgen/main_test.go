@@ -196,6 +196,20 @@ func TestReportGatesFail(t *testing.T) {
 	}
 }
 
+// readReport decodes the JSON report written at path.
+func readReport(t *testing.T, path string) *bench.JSONReport {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep bench.JSONReport
+	if err := json.Unmarshal(b, &rep); err != nil {
+		t.Fatal(err)
+	}
+	return &rep
+}
+
 // TestWriteJSONSchema pins the -json report shape: downstream trajectory
 // tooling parses these files, so key names and figure identity must stay
 // stable.
@@ -206,15 +220,7 @@ func TestWriteJSONSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rep, err := bench.ReadJSON(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := readReport(t, path)
 	if len(rep.Figures) != 1 || len(rep.Figures[0].Runs) != 1 {
 		t.Fatalf("report shape: %+v", rep)
 	}
@@ -236,15 +242,7 @@ func TestWriteJSONSchema(t *testing.T) {
 	if err := writeJSON(cfg, 0, 0, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	f2, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	rep2, err := bench.ReadJSON(f2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := readReport(t, path)
 	if rep2.Figures[0].Kind != "serve-mix" {
 		t.Fatalf("open-loop kind = %q, want serve-mix", rep2.Figures[0].Kind)
 	}
@@ -306,15 +304,7 @@ func TestLoadgenBurstEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("burst run failed: %v", err)
 	}
-	f, err := os.Open(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rep, err := bench.ReadJSON(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := readReport(t, jsonPath)
 	if len(rep.Figures) != 1 || rep.Figures[0].Kind != "serve-burst" {
 		t.Fatalf("-json report shape: %+v", rep)
 	}

@@ -133,14 +133,6 @@ func TestSAJEarlyTermination(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSame(t, "SAJ", sink.Results, oracle)
-	full := 0
-	for _, tu := range p.Left.JoinKeys() {
-		for _, tv := range p.Right.JoinKeys() {
-			_ = tu
-			_ = tv
-		}
-	}
-	_ = full
 	// The threshold must have cut off part of the join work.
 	maxJoin := len(p.Left.Tuples) * len(p.Right.Tuples) / 5 // σ=0.2
 	if stats.JoinResults >= maxJoin {

@@ -11,8 +11,8 @@ import (
 
 func TestFiguresRegistry(t *testing.T) {
 	figs := Figures()
-	if len(figs) != 20 {
-		t.Fatalf("figure count = %d, want 20 (10a-f, 11a-f, 12a-b, 13a-c, S1, S2, L1)", len(figs))
+	if len(figs) != 19 {
+		t.Fatalf("figure count = %d, want 19 (10a-f, 11a-f, 12a-b, 13a-c, S2, L1)", len(figs))
 	}
 	seen := map[string]bool{}
 	for _, f := range figs {
@@ -23,7 +23,7 @@ func TestFiguresRegistry(t *testing.T) {
 		if f.Caption == "" || f.Expect == "" {
 			t.Fatalf("figure %s incomplete", f.ID)
 		}
-		if len(f.Engines) == 0 && f.Kind != SchedSetup && f.Kind != PruneSetup && f.Kind != LiveApply {
+		if len(f.Engines) == 0 && f.Kind != PruneSetup && f.Kind != LiveApply {
 			t.Fatalf("figure %s has no engines", f.ID)
 		}
 		if f.Kind == TotalTime && len(f.Sweep) == 0 {
@@ -36,9 +36,6 @@ func TestFiguresRegistry(t *testing.T) {
 	}
 	if _, err := FigureByID("99z"); err == nil {
 		t.Fatal("unknown figure must error")
-	}
-	if len(FigureIDs()) != len(figs) {
-		t.Fatal("FigureIDs length mismatch")
 	}
 }
 

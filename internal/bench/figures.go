@@ -21,14 +21,9 @@ const (
 	// TotalTime figures plot total execution time against join selectivity
 	// (Figs. 10d–f, 13).
 	TotalTime
-	// SchedSetup figures compare scheduler-layer setup+release time
-	// (incremental EL-Graph vs the batch O(n²) builder) on a fine-partition
-	// region set — a scaling experiment beyond the paper's evaluation.
-	SchedSetup
 	// PruneSetup figures compare region-level domination pruning time (the
 	// upper-corner frontier vs the retained O(n²) scan) on a fine-partition
-	// candidate set — the companion scaling experiment for the look-ahead's
-	// other quadratic pass.
+	// candidate set — a scaling experiment beyond the paper's evaluation.
 	PruneSetup
 	// LiveApply figures compare incremental maintenance against recompute:
 	// single-tuple insert/delete apply latency on a resident LiveSpace vs a
@@ -42,8 +37,6 @@ func (k Kind) String() string {
 	switch k {
 	case TotalTime:
 		return "total-time"
-	case SchedSetup:
-		return "sched-setup"
 	case PruneSetup:
 		return "prune-setup"
 	case LiveApply:
@@ -63,9 +56,9 @@ type Figure struct {
 	Workload Workload
 	Sweep    []float64 // σ values when Kind == TotalTime
 	Engines  []EngineSpec
-	// SchedOpts configures the look-ahead of a SchedSetup figure (nil on
+	// PruneOpts configures the look-ahead of a PruneSetup figure (nil on
 	// other kinds).
-	SchedOpts *core.Options
+	PruneOpts *core.Options
 	Expect    string // the paper's claim, quoted in EXPERIMENTS.md
 }
 
@@ -158,25 +151,15 @@ func Figures() []Figure {
 			Expect:   "ProgXe total time competitive everywhere and far ahead on anti-correlated data",
 		})
 	}
-	// S1: scheduler-layer scaling on the fine-partition region set (beyond
-	// the paper's evaluation; §IV time-complexity remark made measurable).
+	// S2: region-pruning scaling on the fine-partition candidate set — the
+	// look-ahead's O(n²) pass, answered by the upper-corner frontier.
 	fineOpts := FinePartitionOptions()
-	figs = append(figs, Figure{
-		ID:        "S1",
-		Caption:   "Scheduler setup+release at ≥10⁴ regions: incremental EL-Graph vs batch O(n²) builder (fine-partition)",
-		Kind:      SchedSetup,
-		Workload:  FinePartitionWorkload(),
-		SchedOpts: &fineOpts,
-		Expect:    "incremental graph construction + lazy release at least 5× faster than the batch builder",
-	})
-	// S2: region-pruning scaling on the same candidate set — the look-ahead's
-	// other O(n²) pass, answered by the upper-corner frontier.
 	figs = append(figs, Figure{
 		ID:        "S2",
 		Caption:   "Region-level domination pruning at ≥10⁴ candidates: upper-corner frontier vs O(n²) scan (fine-partition)",
 		Kind:      PruneSetup,
 		Workload:  FinePartitionWorkload(),
-		SchedOpts: &fineOpts,
+		PruneOpts: &fineOpts,
 		Expect:    "frontier pruning at least 5× faster than the all-pairs scan",
 	})
 	// L1: incremental maintenance vs recompute on the Fig 11f cell — the
@@ -201,16 +184,6 @@ func FigureByID(id string) (Figure, error) {
 	return Figure{}, fmt.Errorf("bench: unknown figure %q", id)
 }
 
-// FigureIDs lists all figure ids in order.
-func FigureIDs() []string {
-	figs := Figures()
-	ids := make([]string, len(figs))
-	for i, f := range figs {
-		ids[i] = f.ID
-	}
-	return ids
-}
-
 // RunFigure executes the figure and writes its series to w. For Progress
 // figures it prints each engine's summary and downsampled curve; for
 // TotalTime figures it prints one row per σ with a column per engine.
@@ -224,8 +197,6 @@ func RunFigure(f Figure, w io.Writer, series bool, repeats int) []RunResult {
 	switch f.Kind {
 	case TotalTime:
 		return runTotalTime(f, w, repeats)
-	case SchedSetup:
-		return runSchedSetup(f, w, repeats)
 	case PruneSetup:
 		return runPruneSetup(f, w, repeats)
 	case LiveApply:

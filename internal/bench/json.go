@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"runtime"
 	"time"
@@ -110,13 +109,4 @@ func (r *JSONReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ReadJSON parses a report previously written by WriteJSON.
-func ReadJSON(rd io.Reader) (*JSONReport, error) {
-	var r JSONReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("bench: parsing report: %w", err)
-	}
-	return &r, nil
 }

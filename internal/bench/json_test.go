@@ -2,7 +2,7 @@ package bench
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 )
 
@@ -25,8 +25,8 @@ func TestJSONReportRoundTrip(t *testing.T) {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
+	var got JSONReport
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.GoMaxProcs == 0 {
@@ -35,9 +35,6 @@ func TestJSONReportRoundTrip(t *testing.T) {
 	run := got.Figures[0].Runs[0]
 	if run.Workers != 4 || run.Engine != "ProgXe" {
 		t.Fatalf("round-trip run: %+v", run)
-	}
-	if _, err := ReadJSON(strings.NewReader("{broken")); err == nil {
-		t.Fatal("broken report must error")
 	}
 }
 

@@ -28,8 +28,8 @@ func runPruneSetup(f Figure, w io.Writer, repeats int) []RunResult {
 		return nil
 	}
 	opts := FinePartitionOptions()
-	if f.SchedOpts != nil {
-		opts = *f.SchedOpts
+	if f.PruneOpts != nil {
+		opts = *f.PruneOpts
 	}
 	rects, err := core.PlanRects(p, opts)
 	if err != nil {

@@ -37,7 +37,7 @@ func TestPruneSetupFigureSmoke(t *testing.T) {
 	}
 
 	f := Figure{ID: "S2", Kind: PruneSetup, Workload: wl,
-		SchedOpts: &core.Options{Partitioning: core.PartitionKD, InputCells: 3}}
+		PruneOpts: &core.Options{Partitioning: core.PartitionKD, InputCells: 3}}
 	runs := runPruneSetup(f, io.Discard, 1)
 	if len(runs) != 2 ||
 		runs[0].Stats.Regions != runs[1].Stats.Regions ||
@@ -122,5 +122,26 @@ func TestObsOverheadGate(t *testing.T) {
 	}
 	if _, _, err := ObsOverhead("nope", 1); err == nil {
 		t.Fatal("unknown figure must error")
+	}
+}
+
+// TestFinePartitionRegionFloor pins the committed S2 workload's scale: the
+// kd fanout must pair into at least 10⁴ candidate regions, the range the
+// pruning acceptance gates on.
+func TestFinePartitionRegionFloor(t *testing.T) {
+	f, err := FigureByID("S2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := f.Workload.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rects, err := core.PlanRects(p, *f.PruneOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rects) < 10000 {
+		t.Fatalf("fine-partition workload pairs into %d candidate regions, want ≥ 10⁴", len(rects))
 	}
 }

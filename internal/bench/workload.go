@@ -126,10 +126,10 @@ func ComparisonEngines() []EngineSpec {
 	}
 }
 
-// FinePartitionWorkload is the scheduler-stress configuration: kd-partition
-// fanout driven far past the auto-sized partition budgets so the region
-// count reaches the 10⁴–10⁵ range where the batch O(n²) EL-Graph builder
-// stops scaling. Anti-correlated data keeps most partition pairs populated
+// FinePartitionWorkload is the look-ahead-stress configuration: kd-partition
+// fanout driven far past the auto-sized partition budgets so the candidate
+// region count reaches the 10⁴–10⁵ range where the O(n²) pruning scan stops
+// scaling. Anti-correlated data keeps most partition pairs populated
 // (near-complete pairing) while spreading the regions along the
 // anti-diagonal shell, the regime the look-ahead machinery targets.
 func FinePartitionWorkload() Workload {

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"slices"
 
-	"progxe/internal/core/sched"
 	"progxe/internal/grid"
 	"progxe/internal/mapping"
 	"progxe/internal/obs"
@@ -297,20 +296,24 @@ type runState struct {
 	d        int
 	outCells int
 
-	sched  *sched.Fixed
 	cancel *smj.Canceler
 	pool   *pool // non-nil when parallel region processing is enabled
+
+	// order is the schedule, every region id once in pick order, and pos
+	// its cursor; the loop skips the regions Line 9 discarded. state is every
+	// region's lifecycle, by id.
+	order []int32
+	pos   int
+	state []regionState
 
 	mapBuf   []float64
 	roundNew [][]float64 // surviving vectors inserted by the current region
 	// live lists, ascending, the ids of the regions Line 9 may still discard;
-	// regions processed since the last sweep (flagged in processed — the
-	// sweep reads no region struct) are squeezed out as it passes them.
-	// lowers holds every region's LOWER corner (d values at id·d), lowerSums
-	// its coordinate sum, roundMin the sweep's componentwise-minimum scratch;
-	// all four are built by trackLive at the first sweep.
+	// regions processed since the last sweep are squeezed out as it passes
+	// them. lowers holds every region's LOWER corner (d values at id·d),
+	// lowerSums its coordinate sum, roundMin the sweep's componentwise-minimum
+	// scratch; all four are built by trackLive at the first sweep.
 	live      []int32
-	processed []bool
 	lowers    []float64
 	lowerSums []float64
 	roundMin  []float64
@@ -320,49 +323,49 @@ type runState struct {
 }
 
 // loop repeats pick → tuple-level processing → progressive determination
-// until no live regions remain (Fig. 2's cycle). The region order is fixed
-// before the first pick — by rank, or by the ablation policies — and the
-// scheduler skips the regions discarded along the way.
+// until the order is exhausted (Fig. 2's cycle). The order is fixed before
+// the first pick — by rank, or by the ablation policies — and the regions
+// discarded along the way are skipped.
 func (r *runState) loop() error {
 	if len(r.regions) == 0 {
 		return nil
 	}
 	r.mapBuf = make([]float64, r.d)
-	r.processed = make([]bool, len(r.regions))
+	r.state = make([]regionState, len(r.regions))
 	opts := r.engine.opts
 	prof := opts.Profiler
 
 	tSched := prof.Clock()
 	switch opts.Ordering {
-	case OrderRandom:
-		order := make([]int, len(r.regions))
-		for i := range order {
-			order[i] = i
+	case OrderRandom, OrderArrival:
+		r.order = make([]int32, len(r.regions))
+		for i := range r.order {
+			r.order[i] = int32(i)
 		}
-		rng := rand.New(rand.NewPCG(opts.Seed, opts.Seed^0x9e3779b97f4a7c15))
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		r.sched = sched.NewFixed(len(r.regions), order)
-	case OrderArrival:
-		r.sched = sched.NewFixed(len(r.regions), nil)
+		if opts.Ordering == OrderRandom {
+			rng := rand.New(rand.NewPCG(opts.Seed, opts.Seed^0x9e3779b97f4a7c15))
+			rng.Shuffle(len(r.order), func(i, j int) { r.order[i], r.order[j] = r.order[j], r.order[i] })
+		}
 	default:
-		r.sched = sched.NewFixed(len(r.regions), r.rankOrder())
-	}
-	if r.pool != nil {
-		r.pool.start(r.sched.PrefetchOrder())
+		r.order = r.rankOrder()
 	}
 	prof.EndSequencer(obs.PhaseSched, tSched)
+	if r.pool != nil {
+		r.pool.start(r.order)
+	}
 
 	for {
 		if err := r.cancel.Now(); err != nil {
 			return err
 		}
-		tNext := prof.Clock()
-		id, _, ok := r.sched.Next()
-		prof.EndSequencer(obs.PhaseSched, tNext)
-		if !ok {
+		for r.pos < len(r.order) && r.state[r.order[r.pos]] != regionLive {
+			r.pos++
+		}
+		if r.pos == len(r.order) {
 			return nil
 		}
-		reg := r.regions[id]
+		reg := r.regions[r.order[r.pos]]
+		r.pos++
 		r.emitTrace(Event{Kind: EventRegionChosen, Region: reg.id, Rank: reg.rank})
 		if err := r.process(reg); err != nil {
 			return err
@@ -376,33 +379,25 @@ func (r *runState) loop() error {
 // queue pops regions of equal standing in. Its EL-Graph decides only a
 // handful of picks per run, so the sort reproduces its schedule but for
 // the order of regions whose build-time rank is 0.
-func (r *runState) rankOrder() []int {
-	type ranked struct {
-		rank float64
-		id   int
-	}
+func (r *runState) rankOrder() []int32 {
 	counts := progCounts(r.space, len(r.regions))
-	keys := make([]ranked, len(r.regions))
+	ranks := make([]float64, len(r.regions))
+	order := make([]int32, len(r.regions))
 	for i, reg := range r.regions {
 		analyse(reg, counts[i], r.d, r.outCells)
-		keys[i] = ranked{reg.rank, i}
+		ranks[i], order[i] = reg.rank, int32(i)
 	}
-	slices.SortFunc(keys, func(a, b ranked) int {
-		return cmp.Or(cmp.Compare(b.rank, a.rank), cmp.Compare(a.id, b.id))
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(ranks[b], ranks[a]), cmp.Compare(a, b))
 	})
-	order := make([]int, len(keys))
-	for i, k := range keys {
-		order[i] = k.id
-	}
 	return order
 }
 
 // process runs tuple-level processing (§III-B) for one region, then the
-// progressive determination cascade and the Algorithm 1 graph updates. A
+// progressive determination cascade and Algorithm 1's Line 9 discards. A
 // non-nil error means the run was canceled mid-region and must abort.
 func (r *runState) process(reg *region) error {
-	reg.state = regionProcessed
-	r.processed[reg.id] = true
+	r.state[reg.id] = regionProcessed
 	r.roundNew = r.roundNew[:0]
 	joinedBefore := r.stats.JoinResults
 
@@ -449,7 +444,7 @@ func (r *runState) trackLive() {
 	r.lowers = make([]float64, 0, n*r.d)
 	r.lowerSums = make([]float64, n)
 	for i, reg := range r.regions {
-		if reg.state == regionLive {
+		if r.state[i] == regionLive {
 			r.live = append(r.live, int32(i))
 		}
 		r.lowers = append(r.lowers, reg.rect.Lower...)
@@ -486,8 +481,8 @@ func (r *runState) discardDominated() {
 	}
 	keep := r.live[:0]
 	for _, id := range r.live {
-		if r.processed[id] {
-			continue
+		if r.state[id] != regionLive {
+			continue // processed since the last sweep
 		}
 		if r.lowerSums[id] >= minSum && r.roundDominates(r.lowers[int(id)*d:int(id)*d+d]) {
 			r.discard(r.regions[id])
@@ -581,17 +576,13 @@ func (r *runState) processPooled(reg *region) {
 }
 
 // discard eliminates a live region without processing it: its cells'
-// RegCounts drain (possibly finalizing them) and the scheduler skips it.
+// RegCounts drain (possibly finalizing them) and the loop skips it.
 func (r *runState) discard(reg *region) {
-	if reg.state != regionLive {
-		return
-	}
-	reg.state = regionDiscarded
+	r.state[reg.id] = regionDiscarded
 	r.stats.RegionsDropped++
 	r.emitTrace(Event{Kind: EventRegionDiscarded, Region: reg.id})
 	if r.pool != nil {
 		r.pool.drop(reg)
 	}
 	r.space.regionDone(reg)
-	r.sched.Discard(reg.id)
 }

@@ -76,16 +76,21 @@ func Explain(p *smj.Problem, opts Options) (Plan, error) {
 }
 
 // PlanBoxes runs the look-ahead phases (§III-A) and returns the live
-// regions' coordinate boxes on the output grid together with the grid's
-// per-dimension cell counts — the scheduler layer's exact input. Benchmarks
-// use it to measure scheduler construction and edge release in isolation
-// from tuple-level work.
+// regions' coordinate boxes on the output grid (aliasing, read-only) together
+// with the grid's per-dimension cell counts — the input of sched.Progressive,
+// the EL-Graph scheduler the engine no longer runs. Benchmarks use it to
+// measure scheduler construction and edge release in isolation from
+// tuple-level work.
 func PlanBoxes(p *smj.Problem, opts Options) ([]sched.Box, []int, error) {
 	_, regions, s, err := New(opts).lookAhead(p)
 	if err != nil || len(regions) == 0 {
 		return nil, nil, err
 	}
-	return schedBoxes(regions), s.dims(), nil
+	boxes := make([]sched.Box, len(regions))
+	for i, r := range regions {
+		boxes[i] = sched.Box{Min: r.minC, Max: r.maxC}
+	}
+	return boxes, s.dims(), nil
 }
 
 // PlanRects runs the look-ahead pairing of §III-A and returns every

@@ -57,7 +57,7 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 	}
 	if maxParts <= 0 {
 		// Auto-sizing keeps n << N (§IV): ≈ 1 partition per 48 tuples, at
-		// most 64 per source, like the grid partitioner's autoCells.
+		// most 64 per source.
 		maxParts = int(float64(len(rel.Tuples)) / 48)
 		if maxParts > 64 {
 			maxParts = 64
@@ -67,7 +67,7 @@ func partitionInputKD(rel *relation.Relation, maps *mapping.Set, side mapping.Si
 		maxParts = 1
 	}
 	// An explicit budget may exceed the auto cap — the fine-partition
-	// scheduler workloads drive fanouts of 10⁴–10⁵ region pairs — but is
+	// look-ahead workloads drive fanouts of 10⁴–10⁵ region pairs — but is
 	// still bounded to keep split recursion and region pairing sane.
 	if maxParts > 4096 {
 		maxParts = 4096

@@ -379,8 +379,8 @@ func TestPairRegionsMatchesPerPairJoin(t *testing.T) {
 			}
 			var got []pair
 			for i, r := range pairRegions(left, right, maps) {
-				if r.id != i || r.state != regionLive {
-					t.Fatalf("%s trial %d: region %d has id %d, state %d", shape.name, trial, i, r.id, r.state)
+				if r.id != i {
+					t.Fatalf("%s trial %d: region %d has id %d", shape.name, trial, i, r.id)
 				}
 				if want := maps.MapRegion(r.a.rect, r.b.rect); !slices.Equal(r.rect.Lower, want.Lower) || !slices.Equal(r.rect.Upper, want.Upper) {
 					t.Fatalf("%s trial %d: region %d enclosure %v, want %v", shape.name, trial, i, r.rect, want)
@@ -526,7 +526,7 @@ func BenchmarkRankRegions(b *testing.B) {
 func BenchmarkDiscardScan(b *testing.B) {
 	pl := preparePlan(b, fineProblem(b, 10000), fineOpts)
 	regions := pl.materialize()
-	r := &runState{regions: regions, d: pl.d, processed: make([]bool, len(regions))}
+	r := &runState{regions: regions, d: pl.d, state: make([]regionState, len(regions))}
 	r.trackLive()
 	for i := 0; i < 8; i++ {
 		r.roundNew = append(r.roundNew, regions[i*len(regions)/8].rect.Upper)

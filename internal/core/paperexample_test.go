@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"progxe/internal/core/sched"
+	"progxe/internal/grid"
 	"progxe/internal/mapping"
 	"progxe/internal/preference"
 	"progxe/internal/relation"
@@ -141,14 +141,13 @@ func TestCompleteElimination(t *testing.T) {
 	if _, err := buildSpace(regions, front, 2, 10, &stats, 0); err != nil {
 		t.Fatal(err)
 	}
+	// Complete elimination: minC(a) < minC(b) in every dimension.
 	a, b := regions[0], regions[1]
-	boxA := sched.Box{Min: a.minC, Max: a.maxC}
-	boxB := sched.Box{Min: b.minC, Max: b.maxC}
-	if !sched.CompletelyEliminates(boxA, boxB) {
+	if !grid.StrictlyBelow(a.minC, b.minC) {
 		t.Fatalf("region %v (cells %v-%v) must completely eliminate %v (cells %v-%v)",
 			a.rect, a.minC, a.maxC, b.rect, b.minC, b.maxC)
 	}
-	if sched.CompletelyEliminates(boxB, boxA) {
+	if grid.StrictlyBelow(b.minC, a.minC) {
 		t.Fatal("elimination cannot be mutual")
 	}
 }
@@ -185,7 +184,6 @@ func TestProgCountDefinition2(t *testing.T) {
 		t.Fatalf("dependent region reports full ProgCount %d of %d", pcB, b.volume())
 	}
 	// Simulate processing A: its cells finalize, dependencies clear.
-	a.state = regionProcessed
 	s.regionDone(a)
 	pcB2 := progCount(s, b)
 	if pcB2 < pcB {

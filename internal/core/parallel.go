@@ -157,9 +157,9 @@ func newPool(ctx context.Context, workers int, s *space, regions []*region, maps
 }
 
 // start launches the prefetch workers on profiler lanes 1..workers (lane 0
-// is the sequencer's). order lists region ids in descending scheduling
-// urgency; prefetching a region that is later discarded wastes only the
-// stream construction, never correctness.
+// is the sequencer's). order is the run's schedule, which nothing writes
+// once the workers start; prefetching a region that is later discarded
+// wastes only the stream construction, never correctness.
 func (p *pool) start(order []int32) {
 	p.order = order
 	p.wg.Add(p.workers)

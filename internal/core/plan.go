@@ -18,10 +18,10 @@ import (
 // substrate every run of the plan probes), and the surviving region
 // blueprints after output-space look-ahead pruning. Everything a Plan holds
 // is immutable once prepared — the partitions' columns and key indexes are
-// never written during a run and the per-run mutable region state (lifecycle,
-// scheduler ranks, cell coverage) lives in fresh region structs materialized
-// per run — so one Plan can back any number of concurrent RunPlanContext
-// calls.
+// never written during a run and the per-run mutable region state (ranks and
+// cell coverage in fresh region structs materialized per run, the lifecycle
+// in the run's own table) — so one Plan can back any number of concurrent
+// RunPlanContext calls.
 //
 // A Prepared plan is only valid for engines whose plan-affecting options (InputCells,
 // PushThrough, Partitioning) match the preparing engine's; RunPlanContext
@@ -74,7 +74,7 @@ func (pl *Prepared) Problem() *smj.Problem { return pl.problem }
 func (pl *Prepared) Regions() (live, pruned int) { return len(pl.blueprints), pl.pruned }
 
 // materialize clones the blueprints into fresh per-run region structs: one
-// backing allocation, live state, ids in blueprint order. Cell coverage
+// backing allocation, ids in blueprint order. Cell coverage
 // (minC/maxC) is left nil for buildSpace to fill, exactly like regions
 // arriving straight from buildRegions.
 func (pl *Prepared) materialize() []*region {
@@ -84,7 +84,7 @@ func (pl *Prepared) materialize() []*region {
 		bp := &pl.blueprints[i]
 		backing[i] = region{
 			id: i, a: bp.a, b: bp.b, rect: bp.rect,
-			joinCard: bp.joinCard, state: regionLive,
+			joinCard: bp.joinCard,
 		}
 		out[i] = &backing[i]
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"progxe/internal/core/sched"
 	"progxe/internal/grid"
 	"progxe/internal/mapping"
 	"progxe/internal/obs"
@@ -36,7 +35,6 @@ type region struct {
 	minC, maxC []int
 
 	joinCard int // exact join cardinality |IRa ⋈ ITb| (σ·n_a·n_b in Eq. 4–5)
-	state    regionState
 
 	benefit float64
 	cost    float64
@@ -75,7 +73,6 @@ func pairRegions(left, right []*inputPartition, maps *mapping.Set) []*region {
 				b:        b,
 				rect:     maps.MapRegion(a.rect, b.rect),
 				joinCard: card[bi],
-				state:    regionLive,
 			})
 		}
 	}
@@ -323,16 +320,6 @@ func (s *space) activate() {
 			s.active = append(s.active, c)
 		}
 	}
-}
-
-// schedBoxes projects the regions' coordinate boxes into the scheduler
-// layer's representation (aliasing, read-only).
-func schedBoxes(regions []*region) []sched.Box {
-	boxes := make([]sched.Box, len(regions))
-	for i, r := range regions {
-		boxes[i] = sched.Box{Min: r.minC, Max: r.maxC}
-	}
-	return boxes
 }
 
 // progCounts returns every region's progCount — Definition 2: the number of

@@ -37,10 +37,11 @@ func progCount(s *space, r *region) int {
 }
 
 // remainingExcluding returns how many unprocessed regions other than r still
-// cover the cell. r covers exactly the cells of its coordinate box.
+// cover the cell. r is unprocessed and covers exactly the cells of its
+// coordinate box.
 func remainingExcluding(c *cell, r *region) int {
 	n := c.regCount
-	if r.state == regionLive && grid.LeqAll(r.minC, c.coords) && grid.LeqAll(c.coords, r.maxC) {
+	if grid.LeqAll(r.minC, c.coords) && grid.LeqAll(c.coords, r.maxC) {
 		n--
 	}
 	return n

@@ -61,7 +61,10 @@ func TestLookAheadPrunesWork(t *testing.T) {
 	// The pruning must translate into skipped join work: fewer join results
 	// materialized than the full σ·N² expectation.
 	full := 0
-	counts := p.Left.JoinKeys()
+	counts := map[int64]int{}
+	for _, tu := range p.Left.Tuples {
+		counts[tu.JoinKey]++
+	}
 	for _, tu := range p.Right.Tuples {
 		full += counts[tu.JoinKey]
 	}

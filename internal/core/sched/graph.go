@@ -30,14 +30,6 @@ type elGraph interface {
 	release(x int32, fn func(y int32))
 }
 
-// Eliminates reports the §IV-B edge predicate: region x can partially or
-// completely eliminate region y, i.e. minC(x) < maxC(y) in every dimension.
-func Eliminates(x, y Box) bool { return grid.StrictlyBelow(x.Min, y.Max) }
-
-// CompletelyEliminates reports Fig. 6.a's condition: every partition of y is
-// dominated by some partition of x, i.e. minC(x) < minC(y) everywhere.
-func CompletelyEliminates(x, y Box) bool { return grid.StrictlyBelow(x.Min, y.Min) }
-
 // fenLimit caps the cell count of the Fenwick tree used for in-degree
 // construction; larger grids fall back to the bucket-scan path. A variable
 // (not const) so the differential tests can force the fallback on small

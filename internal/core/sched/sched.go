@@ -1,32 +1,23 @@
-// Package sched is the region-scheduling layer of the ProgXe engine: it
-// owns the EL-Graph of §IV-B, the inverted priority queue of Algorithm 1,
-// and the benefit/cost ranking protocol, behind a policy interface so the
-// engine is agnostic to how the next region is picked (ProgOrder, arrival,
-// random, or future rankers).
+// Package sched is the EL-Graph scheduler of §IV-B: ProgOrder (Algorithm 1)
+// over an incremental elimination graph, with an inverted priority queue and
+// lazy benefit/cost rank refresh. The engine no longer runs it — it ranks
+// every region once and runs the sorted order — so the package exists only
+// for the benchmark's sched.* cells, which drive Progressive over the
+// engine's region boxes (core.PlanBoxes), and goes with them.
 //
-// The progressive policy keeps the graph incremental: in-degrees come from
-// orthant counts over the regions' coordinate-box corners instead of the
-// all-pairs O(n²) edge scan, out-edges are enumerated from per-dimension
-// grid buckets only at release time (never materialized), and benefit/cost
-// ranks refresh lazily at queue-pop — a region dirtied by k edge releases
-// between two pops is re-ranked once, not k times. Every decision is a
-// deterministic function of the complete/discard call sequence and the
-// ranker's values: the heap order is total (rank desc, id asc), release
-// enumeration order never reaches an order-sensitive consumer, and rank
-// refreshes happen at fixed protocol points — which is what lets the
-// engine's differential harness demand byte-identical schedules for any
-// worker count.
-//
-// The engine itself runs Fixed only: ranking every region once and sorting
-// reproduces ProgOrder's schedule on the committed inputs, so Progressive
-// stays for the scheduler figure (internal/bench) and the benchmark's sched
-// cells, which measure it on the engine's region boxes.
+// The graph is incremental: in-degrees come from orthant counts over the
+// regions' coordinate-box corners instead of the all-pairs O(n²) edge scan,
+// out-edges are enumerated from per-dimension grid buckets only at release
+// time (never materialized), and benefit/cost ranks refresh lazily at
+// queue-pop — a region dirtied by k edge releases between two pops is
+// re-ranked once, not k times. Every decision is a deterministic function of
+// the complete call sequence and the ranker's values: the heap order is total
+// (rank desc, id asc), release enumeration order never reaches an
+// order-sensitive consumer, and rank refreshes happen at fixed protocol
+// points.
 package sched
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Box is one region's inclusive coordinate box on the output grid: the
 // componentwise minimum and maximum cell coordinates of the cells it covers
@@ -38,12 +29,10 @@ type Box struct {
 // Ranker computes the current Benefit/Cost rank of a region (Equation 8).
 // The scheduler calls it lazily — when a dirty region reaches a queue-pop,
 // and at most once per region for the cycle-breaking fallback — always from
-// the goroutine driving Next, so implementations may read engine state
-// without synchronization.
+// the goroutine driving Next.
 type Ranker func(id int) float64
 
-// Counters reports the scheduler's work, for Stats, trace events and the
-// service metrics.
+// Counters reports the scheduler's work.
 type Counters struct {
 	Regions        int // regions under management
 	Edges          int // EL-Graph edges at construction
@@ -52,35 +41,10 @@ type Counters struct {
 	FenwickUpdates int // point updates on the in-degree Fenwick tree
 }
 
-// Scheduler picks regions for tuple-level processing. The protocol is:
-// Next hands out a live region (at most once each); the engine processes it
-// and calls Complete, which releases its elimination edges; Discard
-// eliminates a live region without processing. All methods must be called
-// from a single goroutine.
-type Scheduler interface {
-	// Next selects the region for the upcoming tuple-level processing round
-	// and its rank at selection time. ok is false when no live region
-	// remains.
-	Next() (id int, rank float64, ok bool)
-	// Complete releases the out-edges of a region previously returned by
-	// Next (Algorithm 1, Lines 10–19).
-	Complete(id int)
-	// Discard eliminates a live region without processing it, releasing its
-	// edges. Discarding a non-live region is a no-op.
-	Discard(id int)
-	// PrefetchOrder ranks all regions by expected scheduling order, for the
-	// parallel runner's prefetch workers. A misprediction costs pipeline
-	// overlap, never correctness.
-	PrefetchOrder() []int32
-	// Counters reports the scheduler's work counters.
-	Counters() Counters
-}
-
 // region lifecycle states.
 const (
 	stLive int8 = iota
 	stProcessed
-	stDiscarded
 )
 
 // Progressive is ProgOrder (Algorithm 1) over an elGraph: EL-Graph roots
@@ -179,10 +143,11 @@ func (p *Progressive) refresh() {
 	p.dirtyIDs = p.dirtyIDs[:0]
 }
 
-// Next implements Scheduler: refresh dirty ranks, pop the best root, or —
-// when the queue is empty but live regions remain (the EL-Graph may contain
-// cycles of mutual partial elimination) — break the cycle by the
-// best-ranked live region from the fallback queue.
+// Next selects the region for the upcoming round and its rank at selection
+// time, or ok = false when no live region remains: refresh dirty ranks, pop
+// the best root, or — when the queue is empty but live regions remain (the
+// EL-Graph may contain cycles of mutual partial elimination) — break the
+// cycle by the best-ranked live region from the fallback queue.
 func (p *Progressive) Next() (int, float64, bool) {
 	if p.live == 0 {
 		return -1, 0, false
@@ -230,20 +195,9 @@ func (p *Progressive) Next() (int, float64, bool) {
 	}
 }
 
-// Complete implements Scheduler.
+// Complete releases the out-edges of a region Next returned (Algorithm 1,
+// Lines 10–19).
 func (p *Progressive) Complete(id int) { p.release(int32(id)) }
-
-// Discard implements Scheduler.
-func (p *Progressive) Discard(id int) {
-	if p.state[id] != stLive {
-		return
-	}
-	p.state[id] = stDiscarded
-	p.live--
-	p.q.remove(int32(id))
-	p.g.retire(int32(id))
-	p.release(int32(id))
-}
 
 // release removes the region's out-edges from the graph: queued targets are
 // dirty-marked for the next queue-pop refresh, targets whose in-degree
@@ -269,86 +223,5 @@ func (p *Progressive) release(x int32) {
 	})
 }
 
-// PrefetchOrder implements Scheduler: the initial roots by descending rank
-// (refreshing them first, exactly the work the first Next would do), then
-// the remaining regions by id. (rank, id) is a total order, so the sorted
-// prefix is unique — prefetch order stays deterministic.
-func (p *Progressive) PrefetchOrder() []int32 {
-	p.refresh()
-	order := make([]int32, 0, len(p.state))
-	order = append(order, p.q.items...)
-	slices.SortFunc(order, func(a, b int32) int { // edgeless graphs root everything
-		if p.q.before(a, b) {
-			return -1
-		}
-		return 1
-	})
-	for id := int32(0); int(id) < len(p.state); id++ {
-		if p.inDeg[id] != 0 {
-			order = append(order, id)
-		}
-	}
-	return order
-}
-
-// Counters implements Scheduler.
+// Counters reports the scheduler's work counters.
 func (p *Progressive) Counters() Counters { return p.c }
-
-// Fixed processes regions in a predetermined order — the engine's rank
-// order, construction order (the arrival ablation) or a seeded shuffle (the
-// paper's "No-Order" configuration) — skipping regions discarded along the
-// way. Ranks are 0.
-type Fixed struct {
-	order []int32
-	pos   int
-	state []int8
-	live  int
-	c     Counters
-}
-
-// NewFixed returns a fixed-order scheduler over n regions. A nil order
-// means construction order (arrival).
-func NewFixed(n int, order []int) *Fixed {
-	f := &Fixed{state: make([]int8, n), live: n, c: Counters{Regions: n}}
-	f.order = make([]int32, n)
-	for i := range f.order {
-		f.order[i] = int32(i)
-	}
-	for i, id := range order {
-		f.order[i] = int32(id)
-	}
-	return f
-}
-
-// Next implements Scheduler.
-func (f *Fixed) Next() (int, float64, bool) {
-	for f.pos < len(f.order) {
-		id := f.order[f.pos]
-		f.pos++
-		if f.state[id] == stLive {
-			f.state[id] = stProcessed
-			f.live--
-			return int(id), 0, true
-		}
-	}
-	return -1, 0, false
-}
-
-// Complete implements Scheduler (fixed orders release nothing).
-func (f *Fixed) Complete(int) {}
-
-// Discard implements Scheduler.
-func (f *Fixed) Discard(id int) {
-	if f.state[id] == stLive {
-		f.state[id] = stDiscarded
-		f.live--
-	}
-}
-
-// PrefetchOrder implements Scheduler: the fixed order itself.
-func (f *Fixed) PrefetchOrder() []int32 {
-	return append([]int32(nil), f.order...)
-}
-
-// Counters implements Scheduler.
-func (f *Fixed) Counters() Counters { return f.c }

@@ -70,6 +70,22 @@ func checkGraphEquivalence(t *testing.T, boxes []Box, k []int, workers int) {
 	}
 }
 
+// discard eliminates a live region without popping it (Algorithm 1, Line 9):
+// it leaves the queues and releases its edges. The differential drive
+// discards at random so the two graphs are compared on releases of
+// never-popped regions too; those draws also fix the next trial's shape,
+// and with it the subtest names.
+func discard(p *Progressive, id int) {
+	if p.state[id] != stLive {
+		return
+	}
+	p.state[id] = stProcessed
+	p.live--
+	p.q.remove(int32(id))
+	p.g.retire(int32(id))
+	p.release(int32(id))
+}
+
 // driveEquivalence replays one randomized complete/discard sequence through
 // the incremental scheduler and the batch oracle, demanding identical pop
 // order, pop-time ranks, discard outcomes and counters. The ranker is a
@@ -115,13 +131,10 @@ func driveEquivalence(t *testing.T, rng *rand.Rand, boxes []Box, k []int, worker
 			id := rng.IntN(len(boxes))
 			if alive[id] {
 				alive[id] = false
-				inc.Discard(id)
-				batch.Discard(id)
+				discard(inc, id)
+				discard(batch, id)
 			}
 		}
-		// Discarding non-live regions must be a no-op.
-		inc.Discard(ia)
-		batch.Discard(ia)
 		inc.Complete(ia)
 		batch.Complete(ia)
 	}
@@ -173,22 +186,25 @@ func TestSchedulerEquivalence(t *testing.T) {
 	}
 }
 
-// TestEliminatesPredicates pins the §IV-B box predicates.
+// edges builds the EL-Graph over the boxes on a k×k grid and reports its
+// edge and root counts.
+func edges(k int, boxes ...Box) (int, int) {
+	c := NewProgressive(boxes, []int{k, k}, func(int) float64 { return 0 }, 0).Counters()
+	return c.Edges, c.Roots
+}
+
+// TestEliminatesPredicates pins the §IV-B edge predicate, minC(X) < maxC(Y)
+// in every dimension: overlapping boxes eliminate each other, and an equal
+// coordinate in one dimension is not strict.
 func TestEliminatesPredicates(t *testing.T) {
 	a := Box{Min: []int{0, 0}, Max: []int{2, 2}}
 	b := Box{Min: []int{1, 1}, Max: []int{3, 3}}
-	if !Eliminates(a, b) {
-		t.Fatal("minC(a) < maxC(b) everywhere must be an edge")
-	}
-	if !Eliminates(b, a) {
-		t.Fatal("overlapping boxes eliminate mutually")
-	}
-	if !CompletelyEliminates(a, b) || CompletelyEliminates(b, a) {
-		t.Fatal("complete elimination must be one-directional here")
+	if e, r := edges(5, a, b); e != 2 || r != 0 {
+		t.Fatalf("overlapping boxes: %d edges, %d roots; want a mutual pair", e, r)
 	}
 	c := Box{Min: []int{2, 0}, Max: []int{4, 2}}
-	if Eliminates(c, a) {
-		t.Fatal("equal coordinate in one dimension is not strict")
+	if e, r := edges(5, a, c); e != 1 || r != 1 {
+		t.Fatalf("a, c: %d edges, %d roots; want only a → c", e, r)
 	}
 }
 
@@ -203,46 +219,12 @@ func TestEliminatesPredicates(t *testing.T) {
 func TestELGraphEdges(t *testing.T) {
 	a := Box{Min: []int{0, 0}, Max: []int{4, 8}}
 	b := Box{Min: []int{4, 0}, Max: []int{8, 8}}
-	if !Eliminates(a, b) {
-		t.Fatal("low region must have an elimination edge to the overlapping higher region")
+	if e, r := edges(9, a, b); e != 1 || r != 1 {
+		t.Fatalf("EL-graph edges=%d roots=%d, want 1/1", e, r)
 	}
-	if Eliminates(b, a) {
-		t.Fatal("higher region must not eliminate the lower one")
-	}
-	c := NewProgressive([]Box{a, b}, []int{9, 9}, func(int) float64 { return 0 }, 0).Counters()
-	if c.Edges != 1 || c.Roots != 1 {
-		t.Fatalf("EL-graph edges=%d roots=%d, want 1/1", c.Edges, c.Roots)
-	}
-	if CompletelyEliminates(a, b) {
-		t.Fatal("overlap is only partial elimination")
-	}
-}
-
-// TestFixedOrder covers the arrival/random policies: predetermined order,
-// discard skipping, rank always zero.
-func TestFixedOrder(t *testing.T) {
-	f := NewFixed(5, []int{3, 1, 4, 0, 2})
-	f.Discard(4)
-	f.Discard(4) // no-op
-	var got []int
-	for {
-		id, rank, ok := f.Next()
-		if !ok {
-			break
-		}
-		if rank != 0 {
-			t.Fatalf("fixed rank = %g", rank)
-		}
-		got = append(got, id)
-	}
-	if want := []int{3, 1, 0, 2}; !slices.Equal(got, want) {
-		t.Fatalf("order = %v, want %v", got, want)
-	}
-	if want := []int32{3, 1, 4, 0, 2}; !slices.Equal(f.PrefetchOrder(), want) {
-		t.Fatalf("prefetch order = %v", f.PrefetchOrder())
-	}
-	if c := f.Counters(); c.Regions != 5 || c.Edges != 0 {
-		t.Fatalf("counters = %+v", c)
+	p := NewProgressive([]Box{a, b}, []int{9, 9}, func(int) float64 { return 0 }, 0)
+	if id, _, ok := p.Next(); !ok || id != 0 {
+		t.Fatalf("first pick = %d, want the root a", id)
 	}
 }
 

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
+	"progxe/internal/core/sched"
 	"progxe/internal/datagen"
 	"progxe/internal/smj"
 )
@@ -167,5 +170,121 @@ func TestExplainMatchesPrepared(t *testing.T) {
 				t.Fatalf("explain partitions %d × %d, prepared plan %d × %d", plan.LeftPartitions, plan.RightPartitions, len(pl.lparts), len(pl.rparts))
 			}
 		})
+	}
+}
+
+// TestRegionOrder pins the run loop's schedule under every ordering policy,
+// on an input where Line 9 discards regions: every live region is chosen or
+// discarded exactly once, the chosen ids are the policy's order with the
+// discarded ones skipped, and a run with prefetch workers chooses the same
+// sequence.
+func TestRegionOrder(t *testing.T) {
+	p := smokeProblem(t, 2000, 3, datagen.Independent, 0.01, 5)
+	const seed = 11
+	for _, ord := range []Ordering{OrderProgressive, OrderRandom, OrderArrival} {
+		t.Run(ord.String(), func(t *testing.T) {
+			opts := Options{Ordering: ord, Seed: seed}
+			pl := preparePlan(t, p, opts)
+			regions, s, _ := planSpace(t, pl, 0, 0)
+			var want []int32
+			switch ord {
+			case OrderProgressive:
+				want = (&runState{space: s, regions: regions, d: pl.d, outCells: autoOutputCells(pl.d)}).rankOrder()
+			default:
+				for i := range regions {
+					want = append(want, int32(i))
+				}
+				if ord == OrderRandom {
+					rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+					rng.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+				}
+			}
+
+			run := func(workers int) (chosen, discarded []int) {
+				opts := opts
+				opts.Workers = workers
+				opts.Trace = func(ev Event) {
+					switch ev.Kind {
+					case EventRegionChosen:
+						chosen = append(chosen, ev.Region)
+					case EventRegionDiscarded:
+						discarded = append(discarded, ev.Region)
+					}
+				}
+				var sink smj.Collector
+				if _, err := New(opts).RunPlanContext(context.Background(), pl, &sink); err != nil {
+					t.Fatal(err)
+				}
+				return chosen, discarded
+			}
+			chosen, discarded := run(0)
+			if len(discarded) == 0 {
+				t.Fatal("no region discarded; the skip is untested")
+			}
+			gone := map[int]bool{}
+			for _, id := range discarded {
+				if gone[id] {
+					t.Fatalf("region %d discarded twice", id)
+				}
+				gone[id] = true
+			}
+			var follow []int
+			for _, id := range want {
+				if !gone[int(id)] {
+					follow = append(follow, int(id))
+				}
+			}
+			if !slices.Equal(chosen, follow) {
+				t.Fatalf("chosen %d regions %v…, want the order without the %d discarded: %v…", len(chosen), head(chosen), len(discarded), head(follow))
+			}
+			if len(chosen)+len(discarded) != len(regions) {
+				t.Fatalf("%d chosen + %d discarded of %d regions", len(chosen), len(discarded), len(regions))
+			}
+			t.Logf("%d regions: %d chosen, %d discarded", len(regions), len(chosen), len(discarded))
+			pc, pd := run(2)
+			if !slices.Equal(pc, chosen) || !slices.Equal(pd, discarded) {
+				t.Fatalf("workers=2 chose %v… and discarded %v…, serial %v… and %v…", head(pc), head(pd), head(chosen), head(discarded))
+			}
+		})
+	}
+}
+
+func head(ids []int) []int { return ids[:min(len(ids), 8)] }
+
+// TestPlanBoxesProgressiveMatchesBatch drives the EL-Graph scheduler and its
+// batch O(n²) builder over the engine-built region boxes of a shrunken
+// fine-partition problem: both must agree on the edge total and the
+// complete pop sequence over real geometry — the randomized property test's
+// complement with production boxes.
+func TestPlanBoxesProgressiveMatchesBatch(t *testing.T) {
+	p := smokeProblem(t, 2000, 3, datagen.AntiCorrelated, 0.001, 41)
+	boxes, dims, err := PlanBoxes(p, Options{Partitioning: PartitionKD, InputCells: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(boxes) < 200 {
+		t.Fatalf("fixture produced only %d regions", len(boxes))
+	}
+	ranker := func(id int) float64 { // collision-rich, forcing id tie-breaks
+		x := uint64(id)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
+		x ^= x >> 29
+		return float64(x % (1 << 20))
+	}
+	inc := sched.NewProgressive(boxes, dims, ranker, 0)
+	batch := sched.NewBatch(boxes, dims, ranker, 0)
+	for {
+		ia, ra, oka := inc.Next()
+		ib, rb, okb := batch.Next()
+		if ia != ib || ra != rb || oka != okb {
+			t.Fatalf("pop diverges on engine-built boxes: (%d,%g,%v) vs (%d,%g,%v)", ia, ra, oka, ib, rb, okb)
+		}
+		if !oka {
+			break
+		}
+		inc.Complete(ia)
+		batch.Complete(ib)
+	}
+	if ci, cb := inc.Counters(), batch.Counters(); ci.Edges != cb.Edges || ci.Edges == 0 {
+		t.Fatalf("edge totals: incremental %d, batch %d", ci.Edges, cb.Edges)
 	}
 }

@@ -3,6 +3,7 @@ package feed
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -44,11 +45,52 @@ func TestParseLineCSV(t *testing.T) {
 	if c.Op != OpDelete || c.ID != 12 || c.Relation != "flights" {
 		t.Fatalf("got %+v", c)
 	}
-	for _, bad := range []string{"", "insert", "insert,r", "insert,r,x,1,2", "delete,r,1,extra", "insert,r,1,k", "insert,r,1,1,nanx"} {
+	for _, bad := range []string{"", "insert", "insert,r", "insert,r,x,1,2", "delete,r,1,extra", "insert,r,1,k", "insert,r,1,1,nanx", "delete,\x92,0"} {
 		if _, err := ParseLine(bad); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
 	}
+}
+
+// FuzzParseLine feeds arbitrary lines to ParseLine, the decoder of every
+// line POST /v1/relations/{name}/changes and the -follow tailer read: it must
+// never panic, and a change it accepts with finite values must come back
+// equal through MarshalJSON → ParseLine.
+func FuzzParseLine(f *testing.F) {
+	for _, seed := range []string{
+		"insert, hotels, 7, 4, 0.2, 0.3",
+		"delete,flights,12",
+		"", "insert", "insert,r", "insert,r,x,1,2", "delete,r,1,extra", "insert,r,1,k", "insert,r,1,1,nanx",
+		`{"seq":9,"relation":"hotels","op":"insert","id":41,"vals":[0.25,0.5],"joinKey":3}`,
+		`{"op":"upsert","id":1}`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		c, err := ParseLine(line)
+		if err != nil {
+			return
+		}
+		for _, v := range c.Vals {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return
+			}
+		}
+		b, err := c.MarshalJSON()
+		if err != nil {
+			t.Fatalf("ParseLine(%q) = %+v, which does not marshal: %v", line, c, err)
+		}
+		back, err := ParseLine(string(b))
+		if err != nil {
+			t.Fatalf("ParseLine(%q) = %+v, marshaled as %s, which does not parse: %v", line, c, b, err)
+		}
+		if len(c.Vals) == 0 {
+			c.Vals = nil // the wire omits empty values
+		}
+		if !reflect.DeepEqual(back, c) {
+			t.Fatalf("ParseLine(%q) = %+v, round trip through %s gives %+v", line, c, b, back)
+		}
+	})
 }
 
 func TestTailSource(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // DefaultPollInterval is how often TailSource re-checks the file for
@@ -135,8 +136,12 @@ func (s *TailSource) nextLine(ctx context.Context) ([]byte, bool, error) {
 }
 
 // ParseLine parses one change-log line in either wire format: NDJSON when it
-// starts with '{', CSV (op,relation,id,joinKey,vals...) otherwise.
+// starts with '{', CSV (op,relation,id,joinKey,vals...) otherwise. A line
+// must be UTF-8 text, so that every change it yields renders back to it.
 func ParseLine(line string) (Change, error) {
+	if !utf8.ValidString(line) {
+		return Change{}, fmt.Errorf("change line is not valid UTF-8: %q", line)
+	}
 	line = strings.TrimSpace(line)
 	if strings.HasPrefix(line, "{") {
 		var c Change

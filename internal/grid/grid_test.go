@@ -140,10 +140,7 @@ func TestCoordRangeHalfOpen(t *testing.T) {
 
 func TestCellsOverlapping(t *testing.T) {
 	g := mustGrid(t, mustBounds(t, []float64{0, 0}, []float64{10, 10}), 5)
-	r, err := NewRect([]float64{1, 1}, []float64{5, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Rect{Lower: []float64{1, 1}, Upper: []float64{5, 3}}
 	loC, hiC := make([]int, 2), make([]int, 2)
 	n := g.CellBox(r, loC, hiC)
 	cells := g.BoxCells(loC, hiC, nil)
@@ -197,14 +194,8 @@ func TestOrthantPartition(t *testing.T) {
 }
 
 func TestRect(t *testing.T) {
-	if _, err := NewRect([]float64{0, 0}, []float64{1}); err == nil {
-		t.Fatal("corner arity mismatch must error")
-	}
-	if _, err := NewRect([]float64{2}, []float64{1}); err == nil {
-		t.Fatal("inverted rect must error")
-	}
-	a, _ := NewRect([]float64{0, 0}, []float64{2, 2})
-	b, _ := NewRect([]float64{3, 3}, []float64{4, 4})
+	a := Rect{Lower: []float64{0, 0}, Upper: []float64{2, 2}}
+	b := Rect{Lower: []float64{3, 3}, Upper: []float64{4, 4}}
 	if !a.DominatesRect(b) {
 		t.Fatal("a's upper dominates b's lower")
 	}
@@ -212,11 +203,11 @@ func TestRect(t *testing.T) {
 		t.Fatal("b cannot dominate a")
 	}
 	// Touching rects: upper == lower has no strict dimension.
-	c, _ := NewRect([]float64{2, 2}, []float64{4, 4})
+	c := Rect{Lower: []float64{2, 2}, Upper: []float64{4, 4}}
 	if a.DominatesRect(c) {
 		t.Fatal("equal corner must not dominate")
 	}
-	u, _ := NewRect(a.Lower, a.Upper)
+	u := Rect{Lower: slices.Clone(a.Lower), Upper: slices.Clone(a.Upper)}
 	u.Extend(b)
 	if u.Lower[0] != 0 || u.Upper[1] != 4 || a.Upper[1] != 2 {
 		t.Fatalf("a extended by b = %s (a = %s)", u, a)

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"fmt"
-	"slices"
 
 	"progxe/internal/preference"
 )
@@ -13,19 +12,6 @@ import (
 type Rect struct {
 	Lower []float64
 	Upper []float64
-}
-
-// NewRect returns a rectangle after validating corner ordering.
-func NewRect(lower, upper []float64) (Rect, error) {
-	if len(lower) != len(upper) {
-		return Rect{}, fmt.Errorf("grid: rect corner dimension mismatch: %d vs %d", len(lower), len(upper))
-	}
-	for i := range lower {
-		if upper[i] < lower[i] {
-			return Rect{}, fmt.Errorf("grid: rect dimension %d inverted: [%g, %g]", i, lower[i], upper[i])
-		}
-	}
-	return Rect{Lower: slices.Clone(lower), Upper: slices.Clone(upper)}, nil
 }
 
 // Dims returns the rectangle's dimensionality.

@@ -44,8 +44,8 @@ const (
 	// PhaseSpaceBuild covers output grid construction, cell coverage,
 	// index construction, and static cell marking.
 	PhaseSpaceBuild
-	// PhaseSched covers the scheduler layer: ranking the regions once
-	// before the first pick, and region selection at the top of every round.
+	// PhaseSched covers the region order: ranking every region once and
+	// sorting, before the first pick.
 	PhaseSched
 	// PhasePrefetch covers candidate-stream materialization (join matching,
 	// mapping, cell routing, coordinate sums). On worker lanes this is the
@@ -60,9 +60,8 @@ const (
 	// dominance check, eviction and buffer insertion, whatever the worker
 	// count. In serial runs this includes the fused join+map+insert loop.
 	PhaseCommit
-	// PhaseDetermine covers the progressive result determination cascade,
-	// dominance discards of live regions, and the scheduler graph updates
-	// after each round.
+	// PhaseDetermine covers the progressive result determination cascade
+	// and the dominance discards of live regions after each round.
 	PhaseDetermine
 	// PhaseEmit covers sink delivery of emitted cells. Emission happens
 	// inside the determination cascade, so this phase is a subset of

@@ -92,7 +92,8 @@ func (p *Pareto) String() string {
 
 // Canonical reports whether every dimension is minimized. Engines that only
 // reason in minimized space (the grid machinery) require canonical
-// preferences; use Canonicalize to convert vectors.
+// preferences; smj.Canonicalized converts a problem by negating its HIGHEST
+// mapping functions.
 func (p *Pareto) Canonical() bool {
 	for _, a := range p.attrs {
 		if a.Order != Lowest {
@@ -100,18 +101,6 @@ func (p *Pareto) Canonical() bool {
 		}
 	}
 	return true
-}
-
-// Canonicalize rewrites v in place so that dominance under p over the
-// original vector equals minimizing dominance over the rewritten vector
-// (HIGHEST dimensions are negated). It returns v.
-func (p *Pareto) Canonicalize(v []float64) []float64 {
-	for i, a := range p.attrs {
-		if a.Order == Highest {
-			v[i] = -v[i]
-		}
-	}
-	return v
 }
 
 // Dominates reports whether vector a dominates vector b under p

@@ -88,11 +88,18 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestCanonicalize: dominance under a preference with HIGHEST dimensions is
+// minimizing dominance once those dimensions are negated — the rewrite
+// smj.Canonicalized applies to the mapping functions.
 func TestCanonicalize(t *testing.T) {
 	p := NewPareto(Attribute{"a", Lowest}, Attribute{"b", Highest})
-	v := p.Canonicalize([]float64{3, 4})
-	if v[0] != 3 || v[1] != -4 {
-		t.Fatalf("Canonicalize = %v", v)
+	neg := func(v []float64) []float64 { return []float64{v[0], -v[1]} }
+	r := rand.New(rand.NewPCG(7, 8))
+	for range 500 {
+		a, b := vec3(r)[:2], vec3(r)[:2]
+		if got, want := p.Dominates(a, b), DominatesMin(neg(a), neg(b)); got != want {
+			t.Fatalf("Dominates(%v, %v) = %v, minimizing dominance of the negated vectors %v", a, b, got, want)
+		}
 	}
 }
 

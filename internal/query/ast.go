@@ -113,13 +113,6 @@ func (n CallNode) render(sb *strings.Builder) {
 	sb.WriteByte(')')
 }
 
-// String renders an expression tree back to dialect syntax.
-func Render(n Node) string {
-	var sb strings.Builder
-	n.render(&sb)
-	return sb.String()
-}
-
 // String reproduces the query in canonical dialect form.
 func (q *Query) String() string {
 	var sb strings.Builder

@@ -52,7 +52,7 @@ func TestParseFactorEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Render(q.Select[0].Expr); !strings.Contains(got, "-1 * R.a") {
+	if got := q.String(); !strings.Contains(got, "-1 * R.a") {
 		t.Fatalf("unary minus render = %q", got)
 	}
 	// MIN with a single argument.

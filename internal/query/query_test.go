@@ -65,8 +65,8 @@ func TestParseExpressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Render(q.Select[0].Expr)
-	if got != "((MIN(R.a, T.b) + (2 * R.a)) - 1)" {
+	got := q.String()
+	if !strings.HasPrefix(got, "SELECT ((MIN(R.a, T.b) + (2 * R.a)) - 1) AS score, ") {
 		t.Fatalf("precedence render = %q", got)
 	}
 }

@@ -130,15 +130,6 @@ func (r *Relation) Select(pred Predicate) *Relation {
 	return out
 }
 
-// JoinKeys returns the set of distinct join-key values in the relation.
-func (r *Relation) JoinKeys() map[int64]int {
-	m := make(map[int64]int)
-	for _, t := range r.Tuples {
-		m[t.JoinKey]++
-	}
-	return m
-}
-
 // Predicate is a boolean condition over a single tuple.
 type Predicate interface {
 	Eval(s *Schema, t Tuple) bool

@@ -95,17 +95,6 @@ func TestSelectAndPredicates(t *testing.T) {
 	}
 }
 
-func TestJoinKeys(t *testing.T) {
-	r := New(MustSchema("R", []string{"a"}, "j"))
-	r.MustAppend(Tuple{ID: 1, Vals: []float64{0}, JoinKey: 5})
-	r.MustAppend(Tuple{ID: 2, Vals: []float64{0}, JoinKey: 5})
-	r.MustAppend(Tuple{ID: 3, Vals: []float64{0}, JoinKey: 6})
-	keys := r.JoinKeys()
-	if keys[5] != 2 || keys[6] != 1 {
-		t.Fatalf("JoinKeys = %v", keys)
-	}
-}
-
 func TestTupleClone(t *testing.T) {
 	a := Tuple{ID: 1, Vals: []float64{1, 2}, JoinKey: 3}
 	b := a.Clone()
