@@ -1,11 +1,7 @@
-// Benchmarks regenerating the paper's evaluation (one per figure, Figs.
-// 10–13) plus ablations over the framework's design choices. Workloads are
-// miniaturized so `go test -bench=.` completes quickly; use cmd/progxe-bench
-// (optionally with PROGXE_BENCH_SCALE) for full-size series.
-//
-// Progress-figure benchmarks additionally report first-ms — the latency of
-// the first progressively emitted result — which is the quantity the paper's
-// progressiveness plots are about.
+// Benchmarks over the framework's design choices (ablations), the skyline
+// and join substrates, and time-to-first-result through the serve layer.
+// The paper's figures (Figs. 10–13) run through cmd/progxe-bench, and the
+// gated benchmark is `go run ./benchmark`.
 package progxe_test
 
 import (
@@ -13,7 +9,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -29,46 +24,6 @@ import (
 	"progxe/internal/smj"
 )
 
-// benchProgress benchmarks every engine of a progress figure on a
-// miniaturized workload (one full engine run per iteration).
-func benchProgress(b *testing.B, figID string, n int) {
-	f, err := bench.FigureByID(figID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wl := f.Workload
-	wl.N = n
-	p, err := wl.Problem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, spec := range f.Engines {
-		b.Run(spec.Name, func(b *testing.B) {
-			var firstSum, firstMin time.Duration
-			for i := 0; i < b.N; i++ {
-				e := spec.New()
-				start := time.Now()
-				var first time.Duration
-				got := false
-				_, err := e.Run(p, smj.SinkFunc(func(smj.Result) {
-					if !got {
-						got = true
-						first = time.Since(start)
-					}
-				}))
-				if err != nil {
-					b.Fatal(err)
-				}
-				firstSum += first
-				if i == 0 || first < firstMin {
-					firstMin = first
-				}
-			}
-			reportFirstMS(b, firstSum, firstMin)
-		})
-	}
-}
-
 // reportFirstMS reports first-result latency across all b.N iterations —
 // the mean and the min — rather than whatever the last iteration happened
 // to measure.
@@ -79,94 +34,9 @@ func reportFirstMS(b *testing.B, sum, min time.Duration) {
 	b.ReportMetric(float64(min.Microseconds())/1000, "first-min-ms")
 }
 
-// benchTotalTime benchmarks every engine × σ cell of a total-time figure.
-func benchTotalTime(b *testing.B, figID string, n int) {
-	f, err := bench.FigureByID(figID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, sigma := range f.Sweep {
-		wl := f.Workload
-		wl.N = n
-		wl.Sigma = sigma
-		p, err := wl.Problem()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, spec := range f.Engines {
-			b.Run(fmt.Sprintf("%s/sigma=%g", spec.Name, sigma), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := spec.New().Run(p, discard{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 type discard struct{}
 
 func (discard) Emit(smj.Result) {}
-
-// Figure 10 a–c: progressiveness of the four ProgXe variants (σ=0.001).
-func BenchmarkFig10a(b *testing.B) { benchProgress(b, "10a", 1200) }
-func BenchmarkFig10b(b *testing.B) { benchProgress(b, "10b", 1200) }
-func BenchmarkFig10c(b *testing.B) { benchProgress(b, "10c", 1200) }
-
-// Figure 10 d–f: total execution time of the variants vs join selectivity.
-func BenchmarkFig10d(b *testing.B) { benchTotalTime(b, "10d", 500) }
-func BenchmarkFig10e(b *testing.B) { benchTotalTime(b, "10e", 500) }
-func BenchmarkFig10f(b *testing.B) { benchTotalTime(b, "10f", 500) }
-
-// Figure 11 a–c: ProgXe vs SSMJ progressiveness at σ=0.01.
-func BenchmarkFig11a(b *testing.B) { benchProgress(b, "11a", 1000) }
-func BenchmarkFig11b(b *testing.B) { benchProgress(b, "11b", 1000) }
-func BenchmarkFig11c(b *testing.B) { benchProgress(b, "11c", 1000) }
-
-// Figure 11 d–f: the same at σ=0.1.
-func BenchmarkFig11d(b *testing.B) { benchProgress(b, "11d", 600) }
-func BenchmarkFig11e(b *testing.B) { benchProgress(b, "11e", 600) }
-func BenchmarkFig11f(b *testing.B) { benchProgress(b, "11f", 600) }
-
-// Figure 12 a–b: d=5 at σ=0.1; anti-correlated is where SSMJ collapses.
-func BenchmarkFig12a(b *testing.B) { benchProgress(b, "12a", 500) }
-func BenchmarkFig12b(b *testing.B) { benchProgress(b, "12b", 500) }
-
-// BenchmarkParallelWorkers sweeps the parallel region-processing fan-out on
-// the Fig. 11f workload (the one with the largest tuple-level share). Every
-// sub-benchmark reports the workers and gomaxprocs it ran with, so recorded
-// series are comparable across machines; the emission stream is identical
-// at every worker count by construction.
-func BenchmarkParallelWorkers(b *testing.B) {
-	f, err := bench.FigureByID("11f")
-	if err != nil {
-		b.Fatal(err)
-	}
-	wl := f.Workload
-	wl.N = 600
-	p, err := wl.Problem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := progxe.New(progxe.Options{Workers: workers})
-				if _, err := e.Run(p, discard{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(workers), "workers")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-		})
-	}
-}
-
-// Figure 13 a–c: total execution time vs SSMJ across σ.
-func BenchmarkFig13a(b *testing.B) { benchTotalTime(b, "13a", 500) }
-func BenchmarkFig13b(b *testing.B) { benchTotalTime(b, "13b", 500) }
-func BenchmarkFig13c(b *testing.B) { benchTotalTime(b, "13c", 500) }
 
 // ----- Ablations (design choices called out in DESIGN.md §6) -----
 

@@ -1,15 +1,15 @@
 // Command progxe-bench regenerates the paper's evaluation figures
 // (Figs. 10–13): for each figure it runs the corresponding engines over the
-// corresponding workload and prints the series (results-over-time curves or
-// total-time-vs-selectivity tables).
+// corresponding workload and prints one summary line per engine (first /
+// 50% / 90% / 100% of the results) or a total-time-vs-selectivity table.
 //
 // Usage:
 //
 //	progxe-bench                  # run every figure at the default scale
 //	progxe-bench -figure 11c      # one figure
 //	progxe-bench -list            # list figure ids and captions
-//	progxe-bench -series          # include full downsampled curves
 //	progxe-bench -json out.json   # machine-readable results
+//	progxe-bench -check           # evaluate the paper's qualitative claims
 //	PROGXE_BENCH_SCALE=4 progxe-bench -figure 13c   # larger workloads
 //
 // Workload sizes default to laptop scale (the paper used N = 500K on a
@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -39,10 +38,7 @@ func run(args []string) error {
 	var (
 		figID    = fs.String("figure", "", "run selected figures, comma-separated (e.g. 11f or 11f,13c)")
 		list     = fs.Bool("list", false, "list available figures")
-		series   = fs.Bool("series", false, "print downsampled progress curves")
-		plot     = fs.Bool("plot", false, "render progress figures as ASCII charts")
 		check    = fs.Bool("check", false, "evaluate the paper's qualitative claims against the runs")
-		csvDir   = fs.String("csv", "", "write per-figure series as CSV files into this directory")
 		jsonPath = fs.String("json", "", "write machine-readable per-figure results (engine, total-ms, first-ms, DomComparisons) to this file")
 		workers  = fs.Int("workers", 0, "additionally run each ProgXe engine with this many parallel workers (adds \"(w=N)\" variants)")
 		repeat   = fs.Int("repeat", 1, "run each cell this many times and keep the fastest")
@@ -82,17 +78,9 @@ func run(args []string) error {
 		if *workers > 0 {
 			f.Engines = bench.AddWorkerVariants(f.Engines, *workers)
 		}
-		runs := bench.RunFigure(f, os.Stdout, *series, *repeat)
-		if *plot && f.Kind == bench.Progress {
-			bench.Plot(os.Stdout, runs, 64, 16)
-		}
+		runs := bench.RunFigure(f, os.Stdout, *repeat)
 		if *check {
 			verdicts = append(verdicts, bench.CheckFigure(f, runs)...)
-		}
-		if *csvDir != "" {
-			if err := writeCSV(*csvDir, f, runs); err != nil {
-				return err
-			}
 		}
 		if *jsonPath != "" || *summary != "" {
 			report.AddFigure(f, runs)
@@ -161,21 +149,4 @@ func writeJSON(path string, report *bench.JSONReport) error {
 		return err
 	}
 	return out.Close()
-}
-
-// writeCSV stores one figure's series under dir as fig<ID>.csv.
-func writeCSV(dir string, f bench.Figure, runs []bench.RunResult) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "fig"+f.ID+".csv")
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	if f.Kind == bench.TotalTime {
-		return bench.WriteTotalsCSV(out, f.ID, runs)
-	}
-	return bench.WriteSeriesCSV(out, f.ID, runs)
 }

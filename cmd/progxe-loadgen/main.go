@@ -39,12 +39,12 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"progxe/internal/bench"
 	"progxe/internal/datagen"
 	"progxe/internal/obs"
 	"progxe/internal/server"
@@ -525,28 +525,69 @@ func report(cfg config, results []reqResult, window time.Duration, before, after
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
+// loadReport is the -json document. It keeps the layout and key names of
+// the figure report progxe-bench -json writes, so one reader parses both:
+// a single "serve-load" figure holding one run. The engine-side keys a
+// figure run fills (sigma, total_ms, first_ms, results, dom_comparisons,
+// join_results) are always present and zero here.
+type loadReport struct {
+	Scale      float64      `json:"scale"` // always 1: -rows sizes the workload
+	GoMaxProcs int          `json:"gomaxprocs,omitempty"`
+	Figures    []loadFigure `json:"figures"`
+}
+
+type loadFigure struct {
+	Figure  string    `json:"figure"`
+	Caption string    `json:"caption"`
+	Kind    string    `json:"kind"`
+	Runs    []loadRun `json:"runs"`
+}
+
+// loadRun is the one run of a loadReport: the workload, then the
+// client-observed time-to-first-result quantiles, sustained
+// completed-request throughput, the plan-cache hit rate over the measured
+// window, and the mean subscriber fan-out per coalesced engine run.
+type loadRun struct {
+	Engine         string  `json:"engine"`
+	N              int     `json:"n"`
+	Dims           int     `json:"dims"`
+	Dist           string  `json:"dist"`
+	Sigma          float64 `json:"sigma"`
+	TotalMS        float64 `json:"total_ms"`
+	FirstMS        float64 `json:"first_ms"`
+	Results        int     `json:"results"`
+	DomComparisons int     `json:"dom_comparisons"`
+	JoinResults    int     `json:"join_results"`
+	ServeTTFRP50MS float64 `json:"serve_ttfr_p50_ms,omitempty"`
+	ServeTTFRP99MS float64 `json:"serve_ttfr_p99_ms,omitempty"`
+	ThroughputRPS  float64 `json:"throughput_rps,omitempty"`
+	CacheHitRate   float64 `json:"cache_hit_rate,omitempty"`
+	CoalesceFanout float64 `json:"coalesce_fanout,omitempty"`
+}
+
 func writeJSON(cfg config, p50, p99 time.Duration, throughput, hitRate, fanout float64) error {
-	rep := &bench.JSONReport{}
 	kind := "serve-mix"
 	if cfg.burst > 0 {
 		kind = "serve-burst"
 	}
-	rep.Figures = append(rep.Figures, bench.JSONFigure{
+	rep := loadReport{Scale: 1, GoMaxProcs: runtime.GOMAXPROCS(0), Figures: []loadFigure{{
 		Figure:  "serve-load",
 		Caption: "Serve-path load test (plan cache + run coalescing)",
 		Kind:    kind,
-		Runs: []bench.JSONRun{{
+		Runs: []loadRun{{
 			Engine: "progxe", N: cfg.rows, Dims: cfg.dims, Dist: "anti-correlated",
 			ServeTTFRP50MS: ms(p50), ServeTTFRP99MS: ms(p99),
 			ThroughputRPS: throughput, CacheHitRate: hitRate, CoalesceFanout: fanout,
 		}},
-	})
+	}}}
 	f, err := os.Create(cfg.jsonPath)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return rep.WriteJSON(f)
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
 }
 
 func writeSummary(cfg config, mode string, ok, failed int, p50, p99 time.Duration, throughput, hitRate float64, runs int64, fanout float64) error {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"progxe/internal/bench"
 	"progxe/internal/server"
 )
 
@@ -197,13 +196,13 @@ func TestReportGatesFail(t *testing.T) {
 }
 
 // readReport decodes the JSON report written at path.
-func readReport(t *testing.T, path string) *bench.JSONReport {
+func readReport(t *testing.T, path string) *loadReport {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep bench.JSONReport
+	var rep loadReport
 	if err := json.Unmarshal(b, &rep); err != nil {
 		t.Fatal(err)
 	}

@@ -55,31 +55,26 @@ func TestWorkloadProblem(t *testing.T) {
 
 func TestRunRecordsProgress(t *testing.T) {
 	w := Workload{N: 400, Dims: 3, Dist: datagen.AntiCorrelated, Sigma: 0.05, Seed: 2}
-	r := Run(ProgXeEngines()[0], w)
+	p, err := w.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := runOn(ProgXeEngines()[0], w, p, obsFigure)
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	if r.Results == 0 || len(r.Points) != r.Results {
-		t.Fatalf("progress curve: %d points for %d results", len(r.Points), r.Results)
+	q := r.Progress
+	if r.Results == 0 || q.Count != int64(r.Results) {
+		t.Fatalf("progress curve: count %d for %d results", q.Count, r.Results)
 	}
-	// Curve is monotone in both time and count.
-	for i := 1; i < len(r.Points); i++ {
-		if r.Points[i].Elapsed < r.Points[i-1].Elapsed || r.Points[i].Count != r.Points[i-1].Count+1 {
-			t.Fatalf("non-monotone curve at %d: %+v -> %+v", i, r.Points[i-1], r.Points[i])
-		}
+	// The milestones are monotone along the curve and end within the run.
+	total := float64(r.Total) / float64(time.Millisecond)
+	if !(0 < q.FirstMillis && q.FirstMillis <= q.P10Millis && q.P10Millis <= q.P50Millis &&
+		q.P50Millis <= q.P90Millis && q.P90Millis <= q.LastMillis && q.LastMillis <= total) {
+		t.Fatalf("milestones %+v out of order (total %.3fms)", q, total)
 	}
-	if r.CountAt(r.Total) != r.Results {
-		t.Fatalf("CountAt(total) = %d, want %d", r.CountAt(r.Total), r.Results)
-	}
-	if r.CountAt(0) != 0 {
-		t.Fatal("CountAt(0) must be 0")
-	}
-	if ft := r.FractionTime(1.0); ft <= 0 || ft > r.Total {
-		t.Fatalf("FractionTime(1.0) = %v", ft)
-	}
-	ds := r.Downsample(10)
-	if len(ds) > 11 || ds[len(ds)-1] != r.Points[len(r.Points)-1] {
-		t.Fatalf("downsample wrong: %d points", len(ds))
+	if r.First != millisDuration(q.FirstMillis) {
+		t.Fatalf("First = %v, timeline first %.6fms", r.First, q.FirstMillis)
 	}
 	if !strings.Contains(r.Summary(), "ProgXe") {
 		t.Fatalf("summary = %q", r.Summary())
@@ -96,22 +91,17 @@ func TestOrderingProducesEarlierResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	engines := ProgXeEngines()
-	ordered := RunOn(engines[0], w, p) // ProgXe
-	random := RunOn(engines[2], w, p)  // ProgXe (No-Order)
+	ordered := runOn(engines[0], w, p, obsFigure) // ProgXe
+	random := runOn(engines[2], w, p, obsFigure)  // ProgXe (No-Order)
 	if ordered.Err != nil || random.Err != nil {
 		t.Fatalf("errs: %v, %v", ordered.Err, random.Err)
 	}
 	if ordered.Results != random.Results {
 		t.Fatalf("result counts differ: %d vs %d", ordered.Results, random.Results)
 	}
-	// At the moment the random variant emitted its first result, the
-	// ordered variant must already be ahead.
-	atRandomFirst := ordered.CountAt(random.First)
-	if atRandomFirst < 1 {
-		t.Fatalf("ordered variant had %d results when random emitted its first (ordered first at %v, random at %v)",
-			atRandomFirst, ordered.First, random.First)
-	}
-	if ordered.First > random.First {
+	// By the time the random variant emits its first result, the ordered
+	// variant must already have emitted.
+	if ordered.Results == 0 || ordered.First > random.First {
 		t.Fatalf("ordered first result (%v) later than random (%v)", ordered.First, random.First)
 	}
 }
@@ -126,8 +116,8 @@ func TestAntiCorrelatedBeatsSSMJ(t *testing.T) {
 		t.Fatal(err)
 	}
 	engines := ComparisonEngines()
-	progxe := RunOn(engines[0], w, p)
-	ssmj := RunOn(engines[2], w, p)
+	progxe := runOn(engines[0], w, p, obsFigure)
+	ssmj := runOn(engines[2], w, p, obsFigure)
 	if progxe.Err != nil || ssmj.Err != nil {
 		t.Fatalf("errs: %v %v", progxe.Err, ssmj.Err)
 	}
@@ -146,7 +136,7 @@ func TestRunFigureSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := RunFigure(f, &buf, true, 1)
+	runs := RunFigure(f, &buf, 1)
 	if len(runs) != len(f.Engines) {
 		t.Fatalf("got %d runs", len(runs))
 	}
@@ -160,7 +150,7 @@ func TestRunFigureSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	runs = RunFigure(f13, &buf, false, 1)
+	runs = RunFigure(f13, &buf, 1)
 	if len(runs) != len(f13.Engines)*len(f13.Sweep) {
 		t.Fatalf("sweep runs = %d", len(runs))
 	}
@@ -179,7 +169,7 @@ func TestRunLiveApplySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	runs := RunFigure(f, &buf, false, 1)
+	runs := RunFigure(f, &buf, 1)
 	if len(runs) != 3 {
 		t.Fatalf("got %d runs, want recompute + insert + delete:\n%s", len(runs), buf.String())
 	}

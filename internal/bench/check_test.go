@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -26,53 +24,10 @@ func sampleRuns(t *testing.T) (Figure, []RunResult) {
 	}
 	var runs []RunResult
 	for _, spec := range f.Engines {
-		runs = append(runs, RunOn(spec, f.Workload, p))
+		runs = append(runs, runOn(spec, f.Workload, p, obsFigure))
 	}
 	return f, runs
 }
-
-func TestPlot(t *testing.T) {
-	_, runs := sampleRuns(t)
-	var buf bytes.Buffer
-	Plot(&buf, runs, 40, 10)
-	out := buf.String()
-	if !strings.Contains(out, "ProgXe") || !strings.Contains(out, "SSMJ") {
-		t.Fatalf("plot legend missing:\n%s", out)
-	}
-	if !strings.Contains(out, "*") {
-		t.Fatalf("plot has no curve points:\n%s", out)
-	}
-	if len(strings.Split(out, "\n")) < 12 {
-		t.Fatalf("plot too short:\n%s", out)
-	}
-}
-
-func TestPlotDegenerate(t *testing.T) {
-	var buf bytes.Buffer
-	Plot(&buf, nil, 0, 0)
-	if !strings.Contains(buf.String(), "nothing to plot") {
-		t.Fatalf("empty plot output = %q", buf.String())
-	}
-	// Runs with errors and zero results are listed, not plotted.
-	buf.Reset()
-	Plot(&buf, []RunResult{
-		{Engine: "broken", Err: errFake},
-		{Engine: "empty", Total: time.Second, Results: 0},
-		{Engine: "fine", Total: time.Second, Results: 2, Points: []ProgressPoint{
-			{Elapsed: time.Millisecond, Count: 1}, {Elapsed: time.Second, Count: 2},
-		}},
-	}, 30, 8)
-	out := buf.String()
-	if !strings.Contains(out, "error") || !strings.Contains(out, "no results") {
-		t.Fatalf("degenerate runs not annotated:\n%s", out)
-	}
-}
-
-type fakeErr struct{}
-
-func (fakeErr) Error() string { return "fake" }
-
-var errFake = fakeErr{}
 
 func TestCheckFigure(t *testing.T) {
 	f, runs := sampleRuns(t)
@@ -143,8 +98,7 @@ func TestCheckFigureOrdering(t *testing.T) {
 	}
 
 	run := func(name string, first time.Duration) RunResult {
-		return RunResult{Engine: name, Workload: f.Workload, First: first, Total: time.Second, Results: 10,
-			Points: []ProgressPoint{{Elapsed: first, Count: 10}}}
+		return RunResult{Engine: name, Workload: f.Workload, First: first, Total: time.Second, Results: 10}
 	}
 	for _, c := range []struct {
 		ordered, random time.Duration
@@ -167,10 +121,8 @@ func TestCheckDetectsViolation(t *testing.T) {
 	}
 	// Fabricate runs where SSMJ wins: the check must fail.
 	runs := []RunResult{
-		{Engine: "ProgXe", Workload: f.Workload, First: time.Second, Total: 2 * time.Second, Results: 10,
-			Points: []ProgressPoint{{Elapsed: time.Second, Count: 10}}},
-		{Engine: "SSMJ", Workload: f.Workload, First: time.Millisecond, Total: time.Second, Results: 10,
-			Points: []ProgressPoint{{Elapsed: time.Millisecond, Count: 10}}},
+		{Engine: "ProgXe", Workload: f.Workload, First: time.Second, Total: 2 * time.Second, Results: 10},
+		{Engine: "SSMJ", Workload: f.Workload, First: time.Millisecond, Total: time.Second, Results: 10},
 	}
 	verdicts := CheckFigure(f, runs)
 	anyFailed := false

@@ -185,12 +185,12 @@ func FigureByID(id string) (Figure, error) {
 }
 
 // RunFigure executes the figure and writes its series to w. For Progress
-// figures it prints each engine's summary and downsampled curve; for
-// TotalTime figures it prints one row per σ with a column per engine.
+// figures it prints each engine's summary line; for TotalTime figures it
+// prints one row per σ with a column per engine.
 // It returns every individual run. repeats > 1 executes each cell that
 // many times and keeps the fastest run — the noise-robust estimator
 // (single-shot few-ms totals swing widely).
-func RunFigure(f Figure, w io.Writer, series bool, repeats int) []RunResult {
+func RunFigure(f Figure, w io.Writer, repeats int) []RunResult {
 	fmt.Fprintf(w, "# Figure %s — %s\n", f.ID, f.Caption)
 	fmt.Fprintf(w, "# workload: %s (paper: N=500K)\n", f.Workload)
 	fmt.Fprintf(w, "# paper expectation: %s\n", f.Expect)
@@ -202,22 +202,22 @@ func RunFigure(f Figure, w io.Writer, series bool, repeats int) []RunResult {
 	case LiveApply:
 		return runLiveApply(f, w, repeats)
 	default:
-		return runProgress(f, w, series, repeats)
+		return runProgress(f, w, repeats)
 	}
 }
 
 // runBest executes the cell repeats times and returns the fastest run.
 func runBest(spec EngineSpec, wl Workload, p *smj.Problem, repeats int) RunResult {
-	best := RunOn(spec, wl, p)
+	best := runOn(spec, wl, p, obsFigure)
 	for i := 1; i < repeats; i++ {
-		if r := RunOn(spec, wl, p); r.Err == nil && (best.Err != nil || r.Total < best.Total) {
+		if r := runOn(spec, wl, p, obsFigure); r.Err == nil && (best.Err != nil || r.Total < best.Total) {
 			best = r
 		}
 	}
 	return best
 }
 
-func runProgress(f Figure, w io.Writer, series bool, repeats int) []RunResult {
+func runProgress(f Figure, w io.Writer, repeats int) []RunResult {
 	p, err := f.Workload.Problem()
 	if err != nil {
 		fmt.Fprintf(w, "! workload error: %v\n", err)
@@ -228,11 +228,6 @@ func runProgress(f Figure, w io.Writer, series bool, repeats int) []RunResult {
 		r := runBest(spec, f.Workload, p, repeats)
 		out = append(out, r)
 		fmt.Fprintln(w, r.Summary())
-		if series && r.Err == nil {
-			for _, pt := range r.Downsample(16) {
-				fmt.Fprintf(w, "  %s\t%.3fms\t%d\n", r.Engine, float64(pt.Elapsed.Microseconds())/1000, pt.Count)
-			}
-		}
 	}
 	return out
 }

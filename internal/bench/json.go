@@ -21,7 +21,9 @@ type JSONRun struct {
 	TotalMS float64 `json:"total_ms"`
 	FirstMS float64 `json:"first_ms"`
 	// TT50MS/TT90MS are the progressiveness milestones: the time by which
-	// 50% / 90% of the final result set had been emitted.
+	// 50% / 90% of the final result set had been emitted, read off the
+	// run's obs.Timeline (within one emission up to 4,096 results, within one
+	// decimation stride beyond).
 	TT50MS float64 `json:"tt50_ms,omitempty"`
 	TT90MS float64 `json:"tt90_ms,omitempty"`
 	// Phase attribution from the run's profiler (ProgXe-family engines):
@@ -37,17 +39,6 @@ type JSONRun struct {
 	// scheduling load of the cell.
 	Regions int    `json:"regions,omitempty"`
 	Error   string `json:"error,omitempty"`
-	// Serve-path metrics, populated by the load harness (cmd/progxe-loadgen)
-	// when the run was measured through the HTTP serve layer rather than by
-	// driving the engine directly: client-observed time-to-first-result
-	// quantiles, sustained completed-request throughput, the plan-cache hit
-	// rate over the measured window, and the mean subscriber fan-out per
-	// coalesced engine run.
-	ServeTTFRP50MS float64 `json:"serve_ttfr_p50_ms,omitempty"`
-	ServeTTFRP99MS float64 `json:"serve_ttfr_p99_ms,omitempty"`
-	ThroughputRPS  float64 `json:"throughput_rps,omitempty"`
-	CacheHitRate   float64 `json:"cache_hit_rate,omitempty"`
-	CoalesceFanout float64 `json:"coalesce_fanout,omitempty"`
 }
 
 // JSONFigure groups the runs of one reproduced figure.
@@ -79,17 +70,13 @@ func (r *JSONReport) AddFigure(f Figure, runs []RunResult) {
 			Sigma:          run.Workload.Sigma,
 			Workers:        run.Workers,
 			TotalMS:        float64(run.Total) / float64(time.Millisecond),
-			FirstMS:        float64(run.First) / float64(time.Millisecond),
+			FirstMS:        run.Progress.FirstMillis,
+			TT50MS:         run.Progress.P50Millis,
+			TT90MS:         run.Progress.P90Millis,
 			Results:        run.Results,
 			DomComparisons: run.Stats.DomComparisons,
 			JoinResults:    run.Stats.JoinResults,
 			Regions:        run.Stats.Regions,
-		}
-		if tt := run.FractionTime(0.5); tt >= 0 {
-			jr.TT50MS = float64(tt) / float64(time.Millisecond)
-		}
-		if tt := run.FractionTime(0.9); tt >= 0 {
-			jr.TT90MS = float64(tt) / float64(time.Millisecond)
 		}
 		jr.SeqMS = run.Phases.SequencerMillis
 		jr.WorkerMS = run.Phases.WorkerMillis

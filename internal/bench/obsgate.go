@@ -3,10 +3,6 @@ package bench
 import (
 	"fmt"
 	"time"
-
-	"progxe/internal/core"
-	"progxe/internal/obs"
-	"progxe/internal/smj"
 )
 
 // ObsOverhead measures the observability tax on one figure's workload: the
@@ -40,15 +36,15 @@ func ObsOverhead(figID string, repeats int) (onMS, offMS float64, err error) {
 
 	// Warm-up round outside the measurement, so neither arm pays the
 	// first-touch cost.
-	RunOnUnobserved(spec, f.Workload, p)
+	runOn(spec, f.Workload, p, obsOff)
 
 	var bestOff, bestOn time.Duration
 	for i := 0; i < repeats; i++ {
-		off := RunOnUnobserved(spec, f.Workload, p)
+		off := runOn(spec, f.Workload, p, obsOff)
 		if off.Err != nil {
 			return 0, 0, off.Err
 		}
-		on := runFullyObserved(spec, f.Workload, p)
+		on := runOn(spec, f.Workload, p, obsFull)
 		if on.Err != nil {
 			return 0, 0, on.Err
 		}
@@ -61,37 +57,4 @@ func ObsOverhead(figID string, repeats int) (onMS, offMS float64, err error) {
 	}
 	return float64(bestOn) / float64(time.Millisecond),
 		float64(bestOff) / float64(time.Millisecond), nil
-}
-
-// runFullyObserved runs the spec with every observability surface on — the
-// heaviest configuration a serve request can ask for.
-func runFullyObserved(spec EngineSpec, w Workload, p *smj.Problem) RunResult {
-	res := RunResult{Engine: spec.Name, Workload: w, Workers: spec.Workers}
-	prof := obs.NewProfiler()
-	prof.EnableSpans()
-	rec := core.NewTraceRecorder(prof.Epoch())
-	o := *spec.opts
-	o.Profiler = prof
-	o.Trace = rec.Observe
-	e := core.New(o)
-
-	start := time.Now()
-	tl := obs.NewTimeline(start)
-	count := 0
-	sink := smj.SinkFunc(func(smj.Result) {
-		tl.Observe()
-		count++
-		el := time.Since(start)
-		if count == 1 {
-			res.First = el
-		}
-		res.Points = append(res.Points, ProgressPoint{Elapsed: el, Count: count})
-	})
-	stats, err := e.Run(p, sink)
-	res.Total = time.Since(start)
-	res.Results = count
-	res.Stats = stats
-	res.Phases = prof.Report()
-	res.Err = err
-	return res
 }

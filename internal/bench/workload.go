@@ -1,8 +1,8 @@
 // Package bench is the experiment harness for the paper's performance study
-// (§VI): workload construction, progressive-output recording, per-figure
-// experiment specifications, and series rendering. Every figure of the
-// evaluation (Figs. 10–13) has an entry in Figures; cmd/progxe-bench and the
-// repository-level benchmarks drive them.
+// (§VI): workload construction, per-figure experiment specifications, and
+// runs that record their results-over-time curve into an obs.Timeline.
+// Every figure of the evaluation (Figs. 10–13) has an entry in Figures;
+// cmd/progxe-bench drives them.
 package bench
 
 import (

@@ -375,8 +375,8 @@ func differentialCheck(t *testing.T, p *smj.Problem, opts Options) {
 	}
 	left, right := cp.Left, cp.Right
 	if e.opts.PushThrough {
-		left, _ = smj.PushThrough(left, cp.Maps, mapping.Left)
-		right, _ = smj.PushThrough(right, cp.Maps, mapping.Right)
+		left, _ = smj.PushThroughContext(left, cp.Maps, mapping.Left, nil)
+		right, _ = smj.PushThroughContext(right, cp.Maps, mapping.Right, nil)
 	}
 	lparts, err := e.partition(left, cp.Maps, mapping.Left)
 	if err != nil {

@@ -58,7 +58,8 @@ func validName(name string) bool {
 // Register installs rel under its schema name, replacing any previous
 // relation of that name.
 func (c *Catalog) Register(rel *relation.Relation) error {
-	return c.RegisterCapped(rel, 0, 0)
+	_, _, err := c.RegisterCappedVersioned(rel, 0, 0)
+	return err
 }
 
 // ErrCatalogFull reports a registration rejected by a catalog resource cap.
@@ -66,20 +67,13 @@ type ErrCatalogFull struct{ Reason string }
 
 func (e ErrCatalogFull) Error() string { return "catalog: " + e.Reason }
 
-// RegisterCapped is Register refusing registrations that would push the
-// catalog past maxEntries relations or maxRows total resident rows (0
-// disables either cap) — together they bound the memory network clients can
-// pin. Replacing an existing name is allowed as long as the row budget
+// RegisterCappedVersioned is Register refusing registrations that would
+// push the catalog past maxEntries relations or maxRows total resident rows
+// (0 disables either cap) — together they bound the memory network clients
+// can pin. Replacing an existing name is allowed as long as the row budget
 // still holds. The checks and the insert run under one lock, so concurrent
-// registrations cannot overshoot.
-func (c *Catalog) RegisterCapped(rel *relation.Relation, maxEntries, maxRows int) error {
-	_, _, err := c.RegisterCappedVersioned(rel, maxEntries, maxRows)
-	return err
-}
-
-// RegisterCappedVersioned is RegisterCapped additionally reporting the
-// generation assigned to the registration and whether it replaced an
-// existing entry. The serve layer's change feed stamps catalog events with
+// registrations cannot overshoot. It reports the generation assigned to the
+// registration and whether it replaced an existing entry. The serve layer's change feed stamps catalog events with
 // the generation, so event order and version order advance on one counter.
 func (c *Catalog) RegisterCappedVersioned(rel *relation.Relation, maxEntries, maxRows int) (ver uint64, replaced bool, err error) {
 	if rel == nil || rel.Schema == nil {

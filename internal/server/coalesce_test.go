@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"progxe/internal/core"
+	"progxe/internal/engines"
 	"progxe/internal/obs"
 	"progxe/internal/smj"
 )
@@ -351,7 +352,7 @@ func (e *throttledEngine) RunContext(ctx context.Context, p *smj.Problem, sink s
 // registry engines in a shared throttledEngine shell.
 func newThrottledSeam(te *throttledEngine) func(string, core.Options) (smj.Engine, error) {
 	return func(name string, opts core.Options) (smj.Engine, error) {
-		inner, err := NewEngine(name, opts)
+		inner, err := engines.New(name, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -47,13 +47,11 @@ type metrics struct {
 	// subChanges counts catalog change events folded into resident output
 	// spaces across all subscriptions plus changes applied through the feed
 	// endpoint; subRetracts counts retract records streamed.
-	subsStarted  int64
-	subsLive     int64
-	subChanges   int64
-	subRetracts  int64
-	ttfrCounts   []int64 // len(ttfrBuckets)+1; last is +Inf
-	ttfrSum      float64 // seconds
-	ttfrObserved int64
+	subsStarted int64
+	subsLive    int64
+	subChanges  int64
+	subRetracts int64
+	ttfr        *histogram
 	// progress holds per-engine, per-milestone histograms of the run
 	// progressiveness quantiles (TT-first/10%/50%/90%/last), over the same
 	// bucket bounds as the TTFR histogram.
@@ -81,6 +79,10 @@ type histogram struct {
 	n      int64
 }
 
+func newHistogram() *histogram {
+	return &histogram{counts: make([]int64, len(ttfrBuckets)+1)}
+}
+
 func (h *histogram) observe(s float64) {
 	i := 0
 	for i < len(ttfrBuckets) && s > ttfrBuckets[i] {
@@ -91,9 +93,24 @@ func (h *histogram) observe(s float64) {
 	h.n++
 }
 
+// buckets returns the cumulative buckets, +Inf last.
+func (h *histogram) buckets() []Bucket {
+	out := make([]Bucket, len(h.counts))
+	cum := int64(0)
+	for i, c := range h.counts {
+		cum += c
+		if i < len(ttfrBuckets) {
+			out[i] = Bucket{LE: ttfrBuckets[i], Count: cum}
+		} else {
+			out[i] = Bucket{Inf: true, Count: cum}
+		}
+	}
+	return out
+}
+
 func newMetrics() *metrics {
 	return &metrics{
-		ttfrCounts:   make([]int64, len(ttfrBuckets)+1),
+		ttfr:         newHistogram(),
 		progress:     make(map[progressKey]*histogram),
 		phaseSeconds: make(map[phaseKey]float64),
 	}
@@ -207,7 +224,7 @@ func (m *metrics) observeProgress(engine string, q obs.Quantiles) {
 		k := progressKey{engine: engine, milestone: ms.name}
 		h := m.progress[k]
 		if h == nil {
-			h = &histogram{counts: make([]int64, len(ttfrBuckets)+1)}
+			h = newHistogram()
 			m.progress[k] = h
 		}
 		h.observe(ms.millis / 1000)
@@ -235,15 +252,8 @@ func (m *metrics) observePhases(rep obs.Report) {
 
 // observeTTFR records the time-to-first-result of one run.
 func (m *metrics) observeTTFR(d time.Duration) {
-	s := d.Seconds()
 	m.mu.Lock()
-	m.ttfrObserved++
-	m.ttfrSum += s
-	i := 0
-	for i < len(ttfrBuckets) && s > ttfrBuckets[i] {
-		i++
-	}
-	m.ttfrCounts[i]++
+	m.ttfr.observe(d.Seconds())
 	m.mu.Unlock()
 }
 
@@ -252,6 +262,14 @@ type Bucket struct {
 	LE    float64 `json:"le"` // upper bound in seconds; +Inf encoded as 0 with Inf=true
 	Inf   bool    `json:"inf,omitempty"`
 	Count int64   `json:"count"` // cumulative
+}
+
+// label renders the bucket's upper bound as a Prometheus le label.
+func (b Bucket) label() string {
+	if b.Inf {
+		return "+Inf"
+	}
+	return fmt.Sprintf("%g", b.LE)
 }
 
 // Snapshot is a point-in-time view of the service counters, shaped for the
@@ -323,16 +341,10 @@ func (m *metrics) snapshot() Snapshot {
 		SubscriptionsLive:          m.subsLive,
 		SubscriptionChangesApplied: m.subChanges,
 		SubscriptionRetractions:    m.subRetracts,
-		TTFRObserved:               m.ttfrObserved,
-		TTFRSumSeconds:             m.ttfrSum,
+		TTFRObserved:               m.ttfr.n,
+		TTFRSumSeconds:             m.ttfr.sum,
+		TTFR:                       m.ttfr.buckets(),
 	}
-	cum := int64(0)
-	for i, le := range ttfrBuckets {
-		cum += m.ttfrCounts[i]
-		s.TTFR = append(s.TTFR, Bucket{LE: le, Count: cum})
-	}
-	cum += m.ttfrCounts[len(ttfrBuckets)]
-	s.TTFR = append(s.TTFR, Bucket{Inf: true, Count: cum})
 	for k, h := range m.progress {
 		s.Progress = append(s.Progress, ProgressStat{
 			Engine: k.engine, Milestone: k.milestone, Count: h.n, SumSeconds: h.sum,
@@ -399,11 +411,7 @@ func (m *metrics) writePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP progxe_subscriptions_live Live subscriptions currently attached.\n# TYPE progxe_subscriptions_live gauge\nprogxe_subscriptions_live %d\n", s.SubscriptionsLive)
 	fmt.Fprintf(w, "# HELP progxe_ttfr_seconds Time to first streamed result.\n# TYPE progxe_ttfr_seconds histogram\n")
 	for _, b := range s.TTFR {
-		le := "+Inf"
-		if !b.Inf {
-			le = fmt.Sprintf("%g", b.LE)
-		}
-		fmt.Fprintf(w, "progxe_ttfr_seconds_bucket{le=%q} %d\n", le, b.Count)
+		fmt.Fprintf(w, "progxe_ttfr_seconds_bucket{le=%q} %d\n", b.label(), b.Count)
 	}
 	fmt.Fprintf(w, "progxe_ttfr_seconds_sum %g\n", s.TTFRSumSeconds)
 	fmt.Fprintf(w, "progxe_ttfr_seconds_count %d\n", s.TTFRObserved)
@@ -443,13 +451,9 @@ func (m *metrics) writePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# HELP progxe_run_progress_seconds Time to progressiveness milestones (first/p10/p50/p90/last emitted result), per engine.\n# TYPE progxe_run_progress_seconds histogram\n")
 		for _, k := range pkeys {
 			h := hists[k]
-			cum := int64(0)
-			for i, le := range ttfrBuckets {
-				cum += h.counts[i]
-				fmt.Fprintf(w, "progxe_run_progress_seconds_bucket{engine=%q,milestone=%q,le=%q} %d\n", k.engine, k.milestone, fmt.Sprintf("%g", le), cum)
+			for _, b := range h.buckets() {
+				fmt.Fprintf(w, "progxe_run_progress_seconds_bucket{engine=%q,milestone=%q,le=%q} %d\n", k.engine, k.milestone, b.label(), b.Count)
 			}
-			cum += h.counts[len(ttfrBuckets)]
-			fmt.Fprintf(w, "progxe_run_progress_seconds_bucket{engine=%q,milestone=%q,le=\"+Inf\"} %d\n", k.engine, k.milestone, cum)
 			fmt.Fprintf(w, "progxe_run_progress_seconds_sum{engine=%q,milestone=%q} %g\n", k.engine, k.milestone, h.sum)
 			fmt.Fprintf(w, "progxe_run_progress_seconds_count{engine=%q,milestone=%q} %d\n", k.engine, k.milestone, h.n)
 		}

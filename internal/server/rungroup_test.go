@@ -17,6 +17,7 @@ import (
 
 	"progxe/internal/baseline"
 	"progxe/internal/core"
+	"progxe/internal/engines"
 	"progxe/internal/query"
 	"progxe/internal/smj"
 )
@@ -238,7 +239,7 @@ func TestPanickingRunIsContained(t *testing.T) {
 			switch name {
 			case "boom":
 				boomRuns.Add(1)
-				inner, err := NewEngine("progxe", opts)
+				inner, err := engines.New("progxe", opts)
 				return &panicEngine{inner: inner.(smj.ContextEngine), after: k}, err
 			case "boom-setup":
 				panic("injected set-up fault")

@@ -44,6 +44,7 @@ import (
 
 	"progxe/internal/core"
 	"progxe/internal/datagen"
+	"progxe/internal/engines"
 	"progxe/internal/relation"
 	"progxe/internal/smj"
 )
@@ -121,7 +122,7 @@ type Config struct {
 	// DefaultEngine is used when a query request names none. Default "progxe".
 	DefaultEngine string
 	// NewEngine overrides engine construction — a seam for tests to inject
-	// slow or failing engines. Default NewEngine.
+	// slow or failing engines. Default engines.New.
 	NewEngine func(name string, opts core.Options) (smj.Engine, error)
 	// Logger receives the per-run structured log lines (one Info line per
 	// finished run; Warn for slow runs). Default: discard.
@@ -198,7 +199,7 @@ func (c Config) withDefaults() Config {
 		c.DefaultEngine = defaultEngine
 	}
 	if c.NewEngine == nil {
-		c.NewEngine = NewEngine
+		c.NewEngine = engines.New
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -280,7 +281,7 @@ func New(cfg Config) *Server {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.mux.HandleFunc("GET /v1/engines", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"engines": EngineNames(), "default": s.cfg.DefaultEngine})
+		writeJSON(w, http.StatusOK, map[string]any{"engines": engines.Names(), "default": s.cfg.DefaultEngine})
 	})
 	s.mux.HandleFunc("GET /v1/relations", s.handleListRelations)
 	s.mux.HandleFunc("POST /v1/relations", s.handleGenerateRelation)

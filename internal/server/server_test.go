@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"progxe/internal/core"
+	"progxe/internal/engines"
 	"progxe/internal/relation"
 	"progxe/internal/smj"
 )
@@ -279,7 +280,7 @@ func TestAdmissionControl(t *testing.T) {
 	}
 
 	// Slot released: a real engine run is admitted now.
-	srv.cfg.NewEngine = NewEngine
+	srv.cfg.NewEngine = engines.New
 	resp = postQuery(t, ts, QueryRequest{Query: tinyQuery})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -330,13 +331,13 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 		t.Fatalf("healthz = %v", health)
 	}
 
-	var engines struct {
+	var listed struct {
 		Engines []string `json:"engines"`
 		Default string   `json:"default"`
 	}
-	getJSON(t, ts.URL+"/v1/engines", &engines)
-	if engines.Default != "progxe" || len(engines.Engines) != len(EngineNames()) {
-		t.Fatalf("engines = %+v", engines)
+	getJSON(t, ts.URL+"/v1/engines", &listed)
+	if listed.Default != "progxe" || len(listed.Engines) != len(engines.Names()) {
+		t.Fatalf("engines = %+v", listed)
 	}
 }
 

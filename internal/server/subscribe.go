@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -33,6 +35,11 @@ type checkpointRecord struct {
 	Live          int     `json:"live"` // net result-set size at this point
 	ElapsedMillis float64 `json:"elapsedMillis"`
 }
+
+// applyHook, when non-nil, runs before a subscription applies each catalog
+// change, with the subscription's run id. Tests set it to inject a fault
+// into the apply loop.
+var applyHook func(runID string)
 
 // liveStreamSink adapts the subscription's stream writer to core.LiveSink,
 // numbering results and stamping elapsed time like the query path does.
@@ -236,23 +243,36 @@ loop:
 			c := ev.change
 			sink.seq = ev.seq
 			sd := mapping.Side(side)
-			var applyErr error
-			switch c.Op {
-			case feed.OpInsert:
-				t := relation.Tuple{ID: c.ID, Vals: c.Vals, JoinKey: c.JoinKey}
-				if pred := plan.Preds[side]; pred != nil && !pred.Eval(rels[ev.relation].Schema, t) {
-					// Filtered out by the query's selections: the change is
-					// applied (it advances the checkpoint) but contributes
-					// nothing to the output space.
-				} else {
-					applyErr = space.ApplyInsert(sd, t, sink)
+			applyErr := func() (err error) {
+				// A panic while applying ends only this subscription, as
+				// a failed run with a terminal internal error record.
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic: %v", p)
+						s.logger.Error("subscription panicked", "id", runID, "panic", p, "stack", string(debug.Stack()))
+					}
+				}()
+				if applyHook != nil {
+					applyHook(runID)
 				}
-			case feed.OpDelete:
-				if space.Has(sd, c.ID) {
-					applyErr = space.ApplyDelete(sd, c.ID, sink)
+				switch c.Op {
+				case feed.OpInsert:
+					t := relation.Tuple{ID: c.ID, Vals: c.Vals, JoinKey: c.JoinKey}
+					if pred := plan.Preds[side]; pred != nil && !pred.Eval(rels[ev.relation].Schema, t) {
+						// Filtered out by the query's selections: the change
+						// is applied (it advances the checkpoint) but
+						// contributes nothing to the output space.
+						return nil
+					}
+					return space.ApplyInsert(sd, t, sink)
+				case feed.OpDelete:
+					if space.Has(sd, c.ID) {
+						return space.ApplyDelete(sd, c.ID, sink)
+					}
+					// else: the tuple never passed this subscription's filters.
 				}
-				// else: the tuple never passed this subscription's filters.
-			}
+				return nil
+			}()
 			if applyErr != nil {
 				rec := newErrorRecord(errInternal, "applying change seq %d: %v", ev.seq, applyErr)
 				endRec = &rec

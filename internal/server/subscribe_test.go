@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -332,6 +333,85 @@ func TestSubscribeSurvivesUnrelatedMutations(t *testing.T) {
 			break
 		}
 	}
+}
+
+// TestPanickingSubscriptionIsContained: a panic while a subscription applies
+// a change ends that subscription only — a terminal internal error record, a
+// failed run-log entry, its slot back — while a second subscription on the
+// same catalog keeps streaming a net result set equal to a fresh /v1/query.
+func TestPanickingSubscriptionIsContained(t *testing.T) {
+	var doomedID atomic.Value // run id of the subscription whose applies panic
+	applyHook = func(runID string) {
+		if runID == doomedID.Load() {
+			panic("injected apply fault")
+		}
+	}
+	t.Cleanup(func() { applyHook = nil }) // runs after the server has closed
+	srv, ts := newTestServer(t, Config{MaxSubscriptions: 2})
+
+	subscribe := func() (*subStream, string, map[pair]bool) {
+		sub := openSubscribe(t, ts, QueryRequest{Query: tinyQuery})
+		run := sub.next(t)
+		if run["type"] != "run" {
+			t.Fatalf("head record = %v", run)
+		}
+		net := map[pair]bool{}
+		sub.drainTo(t, 0, net)
+		return sub, run["id"].(string), net
+	}
+	matchesQuery := func(what string, net map[pair]bool) {
+		t.Helper()
+		want := queryPairs(t, ts, tinyQuery)
+		if len(want) != len(net) {
+			t.Fatalf("%s: net set %v, fresh query %v", what, net, want)
+		}
+		for p := range want {
+			if !net[p] {
+				t.Fatalf("%s: pair %v of the fresh query missing from the net set", what, p)
+			}
+		}
+	}
+	insert := func(id int64, vals ...float64) uint64 {
+		return postChanges(t, ts, "L", []feed.Change{
+			{Relation: "L", Op: feed.OpInsert, ID: id, Vals: vals, JoinKey: 1},
+		}).LastSeq
+	}
+
+	doomed, id, _ := subscribe()
+	survivor, _, net := subscribe()
+	doomedID.Store(id)
+	seq := insert(500, 1, 1)
+
+	rec := doomed.next(t)
+	if rec == nil || rec["type"] != "error" || rec["code"] != errInternal ||
+		!strings.Contains(rec["message"].(string), "injected apply fault") {
+		t.Fatalf("record after the faulty change = %v, want a terminal internal error", rec)
+	}
+	if rec := doomed.next(t); rec != nil {
+		t.Fatalf("stream kept going after the terminal error: %v", rec)
+	}
+	waitFor(t, "the failed run record", func() bool {
+		for _, rr := range srv.runlog.list() {
+			if rr.ID == id {
+				return rr.Engine == "live" && rr.Outcome == "failed" && strings.Contains(rr.Error, "injected apply fault")
+			}
+		}
+		return false
+	})
+
+	survivor.drainTo(t, seq, net)
+	matchesQuery("after the fault", net)
+	survivor.drainTo(t, insert(501, 0, 0), net)
+	matchesQuery("after a further change", net)
+
+	// The doomed subscription's slot is free again: of two slots, the
+	// survivor holds one, so a new subscription is admitted only if the
+	// doomed one gave its slot back.
+	waitForStats(t, srv, "the doomed subscription to detach", func(s Snapshot) bool { return s.SubscriptionsLive == 1 })
+	third, _, _ := subscribe()
+	survivor.resp.Body.Close()
+	third.resp.Body.Close()
+	waitForStats(t, srv, "every subscription to detach", func(s Snapshot) bool { return s.SubscriptionsLive == 0 })
 }
 
 // TestSubscribeValidation covers the subscribe-specific reject paths and the

@@ -57,25 +57,6 @@ func Compute(pts [][]float64) []int {
 	return window
 }
 
-// Filter returns the subset of candidate indices not dominated by any point
-// in pts[ref] for ref in refs; candidates are not compared to each other.
-func Filter(pts [][]float64, candidates, refs []int) []int {
-	out := candidates[:0:0]
-	for _, c := range candidates {
-		dominated := false
-		for _, r := range refs {
-			if preference.DominatesMin(pts[r], pts[c]) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // EstimateCardinality returns the Bentley [13] / Buchta [14] estimate of the
 // expected number of maxima among n independently distributed d-dimensional
 // points: (ln n)^(d-1) / (d-1)!  (Equation 1 of the paper). It returns at

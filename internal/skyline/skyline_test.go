@@ -125,14 +125,6 @@ func TestComputeSortedOutput(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	pts := [][]float64{{1, 1}, {2, 2}, {0, 3}, {3, 0}}
-	got := Filter(pts, []int{1, 2, 3}, []int{0})
-	if !reflect.DeepEqual(got, []int{2, 3}) {
-		t.Fatalf("Filter = %v", got)
-	}
-}
-
 func TestEstimateCardinality(t *testing.T) {
 	if EstimateCardinality(0, 3) != 0 || EstimateCardinality(-1, 3) != 0 {
 		t.Fatal("non-positive n must estimate 0")

@@ -5,24 +5,19 @@ import (
 	"progxe/internal/relation"
 )
 
-// PushThrough applies skyline partial push-through [1][10] to one source:
-// within each join-key group, tuples dominated by another tuple of the same
-// group under the mapping monotonicity plan cannot contribute any
+// PushThroughContext applies skyline partial push-through [1][10] to one
+// source: within each join-key group, tuples dominated by another tuple of
+// the same group under the mapping monotonicity plan cannot contribute any
 // undominated output for any join partner and are removed. Pruning across
 // groups is unsound (the join partner differs), and pruning is skipped
 // entirely when the mapping's monotonicity is mixed on this side (the
 // soundness condition of mapping.Set.PushThrough).
 //
 // It returns the (possibly shared) pruned relation and the number of tuples
-// removed.
-func PushThrough(rel *relation.Relation, maps *mapping.Set, side mapping.Side) (*relation.Relation, int) {
-	return PushThroughContext(rel, maps, side, nil)
-}
-
-// PushThroughContext is PushThrough polling cancel (which may be nil) inside
-// the per-group dominance scans — the scan is quadratic per join-key group,
-// so a canceled run must not have to wait it out. Once canceled it returns
-// the input untouched; the caller aborts right after.
+// removed. cancel (which may be nil) is polled inside the per-group
+// dominance scans — the scan is quadratic per join-key group, so a canceled
+// run must not have to wait it out. Once canceled it returns the input
+// untouched; the caller aborts right after.
 func PushThroughContext(rel *relation.Relation, maps *mapping.Set, side mapping.Side, cancel *Canceler) (*relation.Relation, int) {
 	plan, err := maps.PushThrough(side)
 	if err != nil || len(plan.Attrs) == 0 {

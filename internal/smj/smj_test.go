@@ -137,7 +137,7 @@ func TestPushThroughKeepsSkylineContributors(t *testing.T) {
 		mapping.Func{Name: "x", Expr: mapping.Sum(mapping.A(mapping.Left, 0, ""), mapping.A(mapping.Right, 0, ""))},
 		mapping.Func{Name: "y", Expr: mapping.Sum(mapping.A(mapping.Left, 1, ""), mapping.A(mapping.Right, 1, ""))},
 	)
-	out, pruned := PushThrough(l, maps, mapping.Left)
+	out, pruned := PushThroughContext(l, maps, mapping.Left, nil)
 	if pruned != 1 || out.Len() != 2 {
 		t.Fatalf("pruned %d, kept %d", pruned, out.Len())
 	}
@@ -146,7 +146,7 @@ func TestPushThroughKeepsSkylineContributors(t *testing.T) {
 		t.Fatalf("kept %v, want [1 3]", ids)
 	}
 	// No pruning possible: relation returned unchanged (shared).
-	same, n := PushThrough(out, maps, mapping.Left)
+	same, n := PushThroughContext(out, maps, mapping.Left, nil)
 	if n != 0 || same != out {
 		t.Fatal("no-op pruning must return the input")
 	}
@@ -160,7 +160,7 @@ func TestPushThroughMixedMonotonicityIsNoop(t *testing.T) {
 		mapping.Func{Name: "x", Expr: mapping.A(mapping.Left, 0, "")},
 		mapping.Func{Name: "y", Expr: mapping.Scale{Factor: -1, Of: mapping.A(mapping.Left, 0, "")}},
 	)
-	out, n := PushThrough(l, maps, mapping.Left)
+	out, n := PushThroughContext(l, maps, mapping.Left, nil)
 	if n != 0 || out != l {
 		t.Fatal("mixed monotonicity must disable pruning")
 	}

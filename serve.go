@@ -3,6 +3,7 @@ package progxe
 import (
 	"net/http"
 
+	"progxe/internal/engines"
 	"progxe/internal/server"
 )
 
@@ -37,6 +38,6 @@ type (
 func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
 
 // ServerEngineNames returns the engine names accepted by the query endpoint.
-func ServerEngineNames() []string { return server.EngineNames() }
+func ServerEngineNames() []string { return engines.Names() }
 
 var _ http.Handler = (*Server)(nil)
