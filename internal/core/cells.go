@@ -189,23 +189,10 @@ func (s *space) mark(c *cell) {
 // this cell), and incomparable corners are skipped entirely (Fig. 4). The
 // comparable set is enumerated through the per-dimension coordinate buckets
 // of the cell index, each candidate cell is pre-filtered in O(d) against
-// its survivor summary, and buffer scans stop at the SFS sum cutoff.
+// its survivor summary, and buffer scans stop at the SFS sum cutoff, for
+// which the caller passes v's coordinate sum (candidate streams carry it).
 // On survival it returns the committed (arena-backed) vector and true.
-func (s *space) insert(c *cell, leftID, rightID int64, v []float64) ([]float64, bool) {
-	if c.marked {
-		s.stats.MappedDiscarded++
-		return nil, false
-	}
-	sum := 0.0
-	for _, x := range v {
-		sum += x
-	}
-	return s.insertSum(c, leftID, rightID, v, sum)
-}
-
-// insertSum is insert with the coordinate sum precomputed by the caller
-// (the parallel runner materializes sums in its candidate streams).
-func (s *space) insertSum(c *cell, leftID, rightID int64, v []float64, sum float64) ([]float64, bool) {
+func (s *space) insert(c *cell, leftID, rightID int64, v []float64, sum float64) ([]float64, bool) {
 	if c.marked {
 		s.stats.MappedDiscarded++
 		return nil, false

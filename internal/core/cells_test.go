@@ -27,7 +27,7 @@ func mkSpace(t *testing.T, outputCells int) (*space, *region) {
 
 // insertVec drives the tuple-level protocol with a throwaway id pair.
 func insertVec(s *space, c *cell, v ...float64) bool {
-	_, ok := s.insert(c, 1, 1, v)
+	_, ok := s.insert(c, 1, 1, v, sumOf(v))
 	return ok
 }
 

@@ -67,11 +67,12 @@ type Options struct {
 	// Partitioning selects the input space-partitioning structure
 	// (uniform grid by default; kd median splits adapt to skew).
 	Partitioning Partitioning
-	// Workers enables parallel region processing. 0 (the default) runs the
-	// fully serial engine; n ≥ 1 runs n candidate-prefetch workers alongside
-	// the sequencer; negative picks GOMAXPROCS. Any value yields a run
-	// (emissions, trace events, every counter) byte-identical to the serial
-	// engine — parallelism changes wall-clock, never output.
+	// Workers is the number of candidate-prefetch goroutines that build
+	// region streams ahead of the sequencer. 0 (the default) starts none:
+	// the sequencer builds each stream inline at the region's turn. Negative
+	// picks GOMAXPROCS. Any value yields a run (emissions, trace events,
+	// every counter) byte-identical to the serial one — parallelism changes
+	// wall-clock, never output.
 	Workers int
 	// Committers is inert (no code reads it); the next [benchmark] PR drops it with core.par.total_ms.wc.
 	Committers int
@@ -258,12 +259,9 @@ func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared
 		d:        d,
 		outCells: outCells,
 		cancel:   cancel,
+		pool:     newPool(ctx, workers, s, regions, cp.Maps),
 	}
-	if workers > 0 && len(regions) > 0 {
-		run.pool = newPool(ctx, workers, s, regions, cp.Maps)
-		run.pool.prof = prof
-		defer run.pool.stop()
-	}
+	defer run.pool.stop()
 	if e.opts.Trace != nil {
 		s.traceEmit = func(c *cell, n int) {
 			run.emitTrace(Event{Kind: EventCellEmitted, Cell: c.flat, Survivors: n})
@@ -297,7 +295,7 @@ type runState struct {
 	outCells int
 
 	cancel *smj.Canceler
-	pool   *pool // non-nil when parallel region processing is enabled
+	pool   *pool // builds every region's candidate stream
 
 	// order is the schedule, every region id once in pick order, and pos
 	// its cursor; the loop skips the regions Line 9 discarded. state is every
@@ -306,7 +304,6 @@ type runState struct {
 	pos   int
 	state []regionState
 
-	mapBuf   []float64
 	roundNew [][]float64 // surviving vectors inserted by the current region
 	// live lists, ascending, the ids of the regions Line 9 may still discard;
 	// regions processed since the last sweep are squeezed out as it passes
@@ -330,7 +327,6 @@ func (r *runState) loop() error {
 	if len(r.regions) == 0 {
 		return nil
 	}
-	r.mapBuf = make([]float64, r.d)
 	r.state = make([]regionState, len(r.regions))
 	opts := r.engine.opts
 	prof := opts.Profiler
@@ -350,9 +346,7 @@ func (r *runState) loop() error {
 		r.order = r.rankOrder()
 	}
 	prof.EndSequencer(obs.PhaseSched, tSched)
-	if r.pool != nil {
-		r.pool.start(r.order)
-	}
+	r.pool.start(r.order)
 
 	for {
 		if err := r.cancel.Now(); err != nil {
@@ -401,11 +395,7 @@ func (r *runState) process(reg *region) error {
 	r.roundNew = r.roundNew[:0]
 	joinedBefore := r.stats.JoinResults
 
-	if r.pool != nil {
-		r.processPooled(reg)
-	} else {
-		r.processSerial(reg)
-	}
+	r.commit(reg)
 
 	if err := r.cancel.Now(); err != nil {
 		return err
@@ -509,64 +499,29 @@ func (r *runState) roundDominates(lower []float64) bool {
 	return false
 }
 
-// processSerial is the in-line tuple-level processing path: probe the right
-// partition's key index with each left tuple, then map and insert one result
-// at a time on the sequencer goroutine — join.Hash's order (left outer,
-// right build order inner) with no table build and no per-region allocation.
-// The whole fused probe+map+insert loop reports as commit time — serial runs
-// have no separate prefetch stage to attribute.
-func (r *runState) processSerial(reg *region) {
-	prof := r.engine.opts.Profiler
-	defer prof.EndSequencer(obs.PhaseCommit, prof.Clock())
-	a, b := reg.a, reg.b
-	maps, s := r.problem.Maps, r.space
-	n := 0
-probe:
-	for li, key := range a.jkeys {
-		lo, hi := b.keys.lookup(key)
-		lv, lid := a.row(li), a.ids[li]
-		for k := int(lo); k < int(hi); k++ {
-			n++
-			if r.cancel.Check() != nil {
-				break probe
-			}
-			v := maps.Map(lv, b.row(k), r.mapBuf)
-			c := s.cellAt(s.g.CellOf(v))
-			if c == nil {
-				r.uncovered++
-				continue
-			}
-			if cv, ok := s.insert(c, lid, b.ids[k], v); ok {
-				r.roundNew = append(r.roundNew, cv)
-			}
-		}
-	}
-	r.stats.JoinResults += n
-}
-
-// processPooled consumes the region's (prefetched or inline-built)
-// candidate stream: the sequencer commits each candidate in the canonical
-// stream order through the same insertSum protocol processSerial reaches via
-// insert, so the whole observable run — every comparison included — is
-// identical to processSerial's.
-func (r *runState) processPooled(reg *region) {
+// commit takes the region's candidate stream — prefetched by a worker or
+// built inline — and runs the tuple-level protocol on each candidate in the
+// canonical stream order, so the observable run is the same for any worker
+// count. Stream construction reports as prefetch time, the protocol as
+// commit time.
+func (r *runState) commit(reg *region) {
 	prof := r.engine.opts.Profiler
 	tTake := prof.Clock()
 	buf, n := r.pool.take(reg, r.cancel)
 	prof.EndSequencer(obs.PhasePrefetch, tTake)
-	cands := buf.cands[:n]
 	tCommit := prof.Clock()
-	for k := range cands {
+	s, d := r.space, r.d
+	for k := range buf.cands[:n] {
 		if r.cancel.Check() != nil {
 			break
 		}
-		cd := &cands[k]
-		c := r.space.cellAt(cd.flat)
+		cd := &buf.cands[k]
+		c := s.cellAt(cd.flat)
 		if c == nil {
 			r.uncovered++
 			continue
 		}
-		if cv, ok := r.space.insertSum(c, cd.leftID, cd.rightID, cd.v, cd.sum); ok {
+		if cv, ok := s.insert(c, cd.leftID, cd.rightID, buf.block[k*d:(k+1)*d], cd.sum); ok {
 			r.roundNew = append(r.roundNew, cv)
 		}
 	}
@@ -581,8 +536,6 @@ func (r *runState) discard(reg *region) {
 	r.state[reg.id] = regionDiscarded
 	r.stats.RegionsDropped++
 	r.emitTrace(Event{Kind: EventRegionDiscarded, Region: reg.id})
-	if r.pool != nil {
-		r.pool.drop(reg)
-	}
+	r.pool.drop(reg)
 	r.space.regionDone(reg)
 }

@@ -215,8 +215,9 @@ type LiveSpace struct {
 	maps interface {
 		Map(left, right, dst []float64) []float64
 	} // canonical mapping set (HIGHEST dims pre-negated)
-	d int
-	g *grid.Grid
+	d     int
+	arity [2]int // attributes per base tuple, per side
+	g     *grid.Grid
 
 	cells    []*liveCell // flat id → populated cell, nil elsewhere
 	cellList []*liveCell // populated cells in creation order
@@ -359,6 +360,7 @@ func newLiveSpace(p, cp *smj.Problem) *LiveSpace {
 		d:    cp.Maps.Dims(),
 	}
 	for s, rel := range [2]*relation.Relation{cp.Left, cp.Right} {
+		ls.arity[s] = rel.Schema.Arity()
 		ls.base[s] = make(map[int64]relation.Tuple, len(rel.Tuples))
 		ls.byKey[s] = make(map[int64][]int64)
 		ls.byBase[s] = make(map[int64][]*liveTuple, len(rel.Tuples))
@@ -703,9 +705,12 @@ func (ls *LiveSpace) retract(t *liveTuple, sink LiveSink) {
 }
 
 // register validates base tuple t and makes it resident on side, returning
-// the resident copy: values must be finite, and a duplicate ID on the side
-// is rejected.
+// the resident copy: values must match the side's arity and be finite, and
+// a duplicate ID on the side is rejected.
 func (ls *LiveSpace) register(side mapping.Side, t relation.Tuple) (relation.Tuple, error) {
+	if len(t.Vals) != ls.arity[side] {
+		return t, fmt.Errorf("live: tuple %d has %d values, the %v side has %d attributes", t.ID, len(t.Vals), side, ls.arity[side])
+	}
 	for _, v := range t.Vals {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return t, fmt.Errorf("live: non-finite value in tuple %d", t.ID)

@@ -243,6 +243,18 @@ func TestLiveSpaceChangeValidation(t *testing.T) {
 	if err := ls.ApplyInsert(mapping.Left, bad, nil); err == nil {
 		t.Fatal("NaN insert accepted")
 	}
+	// Off-arity tuples are refused before they become resident: on a side
+	// with join partners, a short one would otherwise index past its values
+	// in the mapping, and a long one would be kept silently.
+	for _, vals := range [][]float64{{0.5}, {0.5, 0.5, 0.5}} {
+		off := relation.Tuple{ID: 778, Vals: vals, JoinKey: existing.JoinKey}
+		if err := ls.ApplyInsert(mapping.Left, off, nil); err == nil {
+			t.Fatalf("%d-value insert on a 2-attribute side accepted", len(vals))
+		}
+		if ls.Has(mapping.Left, off.ID) {
+			t.Fatalf("refused %d-value insert became resident", len(vals))
+		}
+	}
 	if !ls.Has(mapping.Left, existing.ID) {
 		t.Fatal("Has lost an existing tuple")
 	}

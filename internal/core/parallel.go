@@ -24,13 +24,14 @@ import (
 //     populate marking, progressive determination) reads and mutates shared
 //     bookkeeping whose order defines the emission stream.
 //
-// The pool below parallelizes (1) across regions: prefetch workers
-// materialize candidate streams into per-job arenas while earlier regions
-// commit. Stage (2) stays on the sequencer goroutine, which runs the serial
-// engine's protocol on each candidate in the serial engine's order, so the
+// Every run builds (1) through the pool below, which parallelizes it across
+// regions: prefetch workers materialize candidate streams into per-job
+// arenas while earlier regions commit; with no workers the sequencer builds
+// each stream inline at its turn. Stage (2) stays on the sequencer goroutine,
+// which commits each candidate in the canonical stream order, so the
 // externally observable run — emissions, trace events and every counter —
-// is byte-identical to the serial engine regardless of GOMAXPROCS, worker
-// count, or goroutine scheduling.
+// is byte-identical regardless of GOMAXPROCS, worker count, or goroutine
+// scheduling.
 //
 // A cell-sharded space with per-cell locks was considered and rejected:
 // phase-1/phase-2 scans cross cells, so insert outcomes under concurrent
@@ -43,19 +44,19 @@ import (
 // comparison — single-owner instead.
 
 // cand is one mapped join result awaiting the tuple-level protocol: the
-// joined pair, its canonical output vector (backed by the job's block),
-// the coordinate sum, and the flat id of its output cell.
+// joined pair, the coordinate sum, and the flat id of its output cell. Its
+// canonical output vector is the k-th d-wide slice of the stream's block.
 type cand struct {
 	leftID, rightID int64
 	sum             float64
 	flat            int
-	v               []float64
 }
 
-// candBuf is the reusable per-job arena for one region's candidate stream.
-// Vectors are carved out of one backing block; both slices are recycled
-// through the pool's free list, so a warm pool materializes streams without
-// per-tuple (or even per-region) heap allocations.
+// candBuf is the reusable arena for one region's candidate stream. Vectors
+// are carved out of one backing block; workers recycle theirs through the
+// pool's free list and the sequencer keeps one of its own, so a warm pool
+// materializes streams without per-tuple (or even per-region) heap
+// allocations.
 type candBuf struct {
 	cands []cand
 	block []float64
@@ -75,24 +76,22 @@ func (b *candBuf) ensure(n, d int) {
 	}
 }
 
-// Job lifecycle: a worker (or the sequencer, inline) claims an unclaimed
-// job, materializes the stream, and marks it done; the sequencer consumes
-// it when the region's turn comes (or drops it on region discard).
+// Job lifecycle: a job is idle until the sequencer publishes it onto the
+// feed, and published until it is taken — by a worker, to build its stream,
+// or by the sequencer, to build it inline at the region's turn or to drop it
+// on discard. A job the sequencer takes while idle is never published.
 const (
-	jobUnclaimed int32 = iota
-	jobClaimed
-	jobDone
-	jobConsumed
+	jobIdle int32 = iota
+	jobPublished
+	jobTaken
 )
 
 // regionJob tracks the prefetch state of one region's candidate stream.
 type regionJob struct {
 	state    atomic.Int32
-	reg      *region
-	done     chan struct{} // closed when state reaches jobDone
-	budgeted bool          // claimed by a worker holding an in-flight slot
+	done     chan struct{} // made at publish; closed when a worker's build ends
 	buf      *candBuf
-	n        int // candidates materialized (== reg.joinCard unless canceled)
+	n        int // candidates materialized (== joinCard unless canceled)
 	panicked any // the building worker's panic, parked for the sequencer
 }
 
@@ -107,72 +106,110 @@ func (j *regionJob) wait() {
 	}
 }
 
-// pool runs parallel region processing for one engine run.
+// pool runs tuple-level stream construction for one engine run. The
+// sequencer alone reads the run's order: it publishes the next region ids
+// onto feed and keeps at most window published streams unconsumed, so
+// memory stays proportional to the worker count rather than the whole join.
+// Workers only receive ids. With no workers the window is 0: nothing is
+// published and every stream is built inline, into the sequencer's own
+// buffer.
 type pool struct {
 	workers int
 	d       int
 	maps    *mapping.Set
 	g       *grid.Grid
 	ctx     context.Context
+	regions []*region
+	jobs    []regionJob
 
-	jobs   []regionJob
-	order  []int32 // prefetch priority: region ids, most-urgent first
-	cursor atomic.Int32
+	// Sequencer-owned: order is the run's schedule, next the first position
+	// not yet considered for publishing, inflight the published jobs the
+	// sequencer has not finished with (at most window), inline the arena for
+	// streams built at their turn.
+	order    []int32
+	next     int
+	window   int
+	inflight int
+	inline   candBuf
 
-	sem  chan struct{} // bounds claimed-but-unconsumed prefetch jobs
-	quit chan struct{}
-	wg   sync.WaitGroup
-
+	// feed has room for every region: an id is published at most once, so a
+	// send never blocks, however many ids the sequencer took first still sit
+	// in it. nil without workers; closed by stop.
+	feed    chan int32
+	wg      sync.WaitGroup
 	bufFree chan *candBuf
 
 	// prof attributes worker-side stream construction to worker lanes
-	// (nil-safe; set by the engine before start).
+	// (nil-safe).
 	prof *obs.Profiler
 }
 
 // newPool sizes the pool for a run over the given regions. It does not
-// start any goroutine; the sequencer calls start once the prefetch order is
-// known.
+// start any goroutine; the sequencer calls start once the order is known.
 func newPool(ctx context.Context, workers int, s *space, regions []*region, maps *mapping.Set) *pool {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	inflight := workers + 2
 	p := &pool{
 		workers: workers,
 		d:       s.d,
 		maps:    maps,
 		g:       s.g,
 		ctx:     ctx,
+		regions: regions,
 		jobs:    make([]regionJob, len(regions)),
-		sem:     make(chan struct{}, inflight),
-		quit:    make(chan struct{}),
-		bufFree: make(chan *candBuf, inflight+workers+1),
+		prof:    s.prof,
 	}
-	for i := range p.jobs {
-		p.jobs[i].reg = regions[i]
-		p.jobs[i].done = make(chan struct{})
+	// The inline arena is sized once, for the largest stream, rather than
+	// regrown each time a larger region comes up.
+	maxCard := 0
+	for _, reg := range regions {
+		maxCard = max(maxCard, reg.joinCard)
+	}
+	p.inline.ensure(maxCard, s.d)
+	if workers > 0 {
+		p.window = workers + 2
+		p.feed = make(chan int32, len(regions))
+		p.bufFree = make(chan *candBuf, p.window+workers+1)
 	}
 	return p
 }
 
 // start launches the prefetch workers on profiler lanes 1..workers (lane 0
-// is the sequencer's). order is the run's schedule, which nothing writes
-// once the workers start; prefetching a region that is later discarded
-// wastes only the stream construction, never correctness.
+// is the sequencer's) and publishes the first window of the order.
+// Prefetching a region that is later discarded wastes only the stream
+// construction, never correctness.
 func (p *pool) start(order []int32) {
 	p.order = order
 	p.wg.Add(p.workers)
 	for i := 0; i < p.workers; i++ {
 		go p.prefetchWorker(1 + i)
 	}
+	p.publish()
 }
 
-// stop terminates the workers and waits for them; safe to call once even if
-// start never ran.
+// stop closes the feed and waits for the workers to drain it and exit; safe
+// to call once even if start never ran. Ids still on the feed at a normal
+// end are all taken, so the workers skip them.
 func (p *pool) stop() {
-	close(p.quit)
+	if p.feed != nil {
+		close(p.feed)
+	}
 	p.wg.Wait()
+}
+
+// publish tops up the prefetch window from the order, skipping regions the
+// sequencer already took.
+func (p *pool) publish() {
+	for p.inflight < p.window && p.next < len(p.order) {
+		id := p.order[p.next]
+		p.next++
+		j := &p.jobs[id]
+		if j.state.Load() != jobIdle {
+			continue
+		}
+		j.done = make(chan struct{})
+		j.state.Store(jobPublished)
+		p.inflight++
+		p.feed <- id
+	}
 }
 
 func (p *pool) getBuf() *candBuf {
@@ -193,10 +230,10 @@ func (p *pool) putBuf(b *candBuf) {
 
 // mapStream materializes the region's candidate stream into buf by probing
 // the right partition's plan-resident key index in the canonical order —
-// left tuples outer, right build order inner — which is exactly the serial
-// path's, so the sequencer's commits replay the serial engine verbatim.
-// Returns the number of candidates written (short only when canceled
-// mid-stream, in which case the run is aborting anyway).
+// left tuples outer, right build order inner, join.Hash's order — so the
+// sequencer's commits are the same whoever built the stream. Returns the
+// number of candidates written (short only when canceled mid-stream, in
+// which case the run is aborting anyway).
 func (p *pool) mapStream(reg *region, buf *candBuf, cancel *smj.Canceler) int {
 	a, b := reg.a, reg.b
 	buf.ensure(reg.joinCard, p.d)
@@ -219,7 +256,6 @@ func (p *pool) mapStream(reg *region, buf *candBuf, cancel *smj.Canceler) int {
 				rightID: b.ids[ri],
 				sum:     sum,
 				flat:    p.g.CellOf(v),
-				v:       v,
 			}
 			k++
 		}
@@ -227,58 +263,29 @@ func (p *pool) mapStream(reg *region, buf *candBuf, cancel *smj.Canceler) int {
 	return k
 }
 
-// claimNext claims the most urgent unclaimed job, or nil when none remain.
-func (p *pool) claimNext() *regionJob {
-	for {
-		i := p.cursor.Load()
-		if int(i) >= len(p.order) {
-			return nil
-		}
-		j := &p.jobs[p.order[i]]
-		claimed := j.state.CompareAndSwap(jobUnclaimed, jobClaimed)
-		p.cursor.CompareAndSwap(i, i+1)
-		if claimed {
-			return j
-		}
-	}
-}
-
-// prefetchWorker materializes candidate streams ahead of the sequencer,
-// bounded by the in-flight budget so memory stays proportional to the
-// worker count rather than the whole join.
+// prefetchWorker builds the streams of the ids it receives from the feed,
+// skipping any the sequencer took first.
 func (p *pool) prefetchWorker(lane int) {
 	defer p.wg.Done()
 	cancel := smj.NewCanceler(p.ctx)
-	for {
-		select {
-		case <-p.quit:
-			return
-		case p.sem <- struct{}{}:
+	for id := range p.feed {
+		j := &p.jobs[id]
+		if !j.state.CompareAndSwap(jobPublished, jobTaken) {
+			continue
 		}
-		j := p.claimNext()
-		if j == nil {
-			<-p.sem
-			return
-		}
-		j.budgeted = true
-		p.prefetch(j, lane, cancel)
+		p.prefetch(j, p.regions[id], lane, cancel)
 		if j.panicked != nil || cancel.Now() != nil {
 			return
 		}
 	}
 }
 
-// prefetch builds one claimed job's stream on a worker and publishes it. A
+// prefetch builds one taken job's stream on a worker and closes done. A
 // build that panics parks the panic on the job for wait to raise on the
-// sequencer and gives its slot back here, because no finish will follow; the
-// job is published either way, so nothing waits on it forever.
-func (p *pool) prefetch(j *regionJob, lane int, cancel *smj.Canceler) {
+// sequencer; done is closed either way, so nothing waits on it forever.
+func (p *pool) prefetch(j *regionJob, reg *region, lane int, cancel *smj.Canceler) {
 	defer func() {
-		if j.panicked = recover(); j.panicked != nil {
-			j.budgeted = false
-			<-p.sem
-		}
-		j.state.Store(jobDone)
+		j.panicked = recover()
 		close(j.done)
 	}()
 	if par.YieldHook != nil {
@@ -286,48 +293,44 @@ func (p *pool) prefetch(j *regionJob, lane int, cancel *smj.Canceler) {
 	}
 	j.buf = p.getBuf()
 	t0 := p.prof.Clock()
-	j.n = p.mapStream(j.reg, j.buf, cancel)
+	j.n = p.mapStream(reg, j.buf, cancel)
 	p.prof.EndWorker(obs.PhasePrefetch, lane, t0)
 }
 
 // take hands the sequencer a region's candidate stream: prefetched if a
-// worker got there first, computed inline otherwise. The sequencer must
-// pair every take with finish.
+// worker took the job first, built inline into the sequencer's own buffer
+// otherwise. The sequencer must pair every take with finish.
 func (p *pool) take(reg *region, cancel *smj.Canceler) (*candBuf, int) {
 	j := &p.jobs[reg.id]
-	if j.state.CompareAndSwap(jobUnclaimed, jobClaimed) {
-		j.buf = p.getBuf()
-		j.n = p.mapStream(reg, j.buf, cancel)
-		j.state.Store(jobDone)
-		close(j.done)
-	} else {
+	if j.state.Swap(jobTaken) == jobTaken {
 		j.wait()
+		return j.buf, j.n
 	}
-	return j.buf, j.n
+	return &p.inline, p.mapStream(reg, &p.inline, cancel)
 }
 
-// finish releases a consumed job's arena and in-flight slot.
+// finish releases a job the sequencer is done with: its arena returns to the
+// free list, its place in the window to the next unpublished region.
 func (p *pool) finish(reg *region) {
 	j := &p.jobs[reg.id]
-	j.state.Store(jobConsumed)
+	if j.done == nil {
+		return // never published
+	}
 	if j.buf != nil {
 		p.putBuf(j.buf)
 		j.buf = nil
 	}
-	if j.budgeted {
-		<-p.sem
-	}
+	p.inflight--
+	p.publish()
 }
 
 // drop releases the job of a discarded region. A stream already in flight
-// is waited out (bounded by one region's construction) so its slot and
-// arena return to the pool instead of leaking for the rest of the run.
+// is waited out (bounded by one region's construction) so its arena returns
+// to the pool instead of leaking for the rest of the run.
 func (p *pool) drop(reg *region) {
-	j := &p.jobs[reg.id]
-	if j.state.CompareAndSwap(jobUnclaimed, jobConsumed) {
-		return
+	if j := &p.jobs[reg.id]; j.state.Swap(jobTaken) == jobTaken {
+		j.wait()
 	}
-	j.wait()
 	p.finish(reg)
 }
 

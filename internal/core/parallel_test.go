@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"progxe/internal/datagen"
 	"progxe/internal/mapping"
@@ -142,29 +143,31 @@ func TestWorkerStreamSteadyStateZeroAlloc(t *testing.T) {
 
 // TestMapStreamMatchesSerialOrder verifies the canonical stream order: the
 // pool's candidate stream must replay join.Hash's emission order with the
-// exact vectors and sums the serial path computes.
+// exact vectors, sums and cells of an independent replay.
 func TestMapStreamMatchesSerialOrder(t *testing.T) {
 	p, reg, s := parallelFixture(t)
 	buf := &candBuf{}
 	n := p.mapStream(reg, buf, smj.NewCanceler(context.Background()))
 
 	var want []cand
+	var wantV [][]float64
 	mapBuf := make([]float64, 2)
 	lt, rt := tuplesOf(reg.a), tuplesOf(reg.b)
 	joinHashReplay(lt, rt, func(li, ri int) {
 		v := sumMaps2().Map(lt[li].Vals, rt[ri].Vals, mapBuf)
 		want = append(want, cand{
 			leftID: lt[li].ID, rightID: rt[ri].ID,
-			sum: sumOf(v), flat: s.g.CellOf(v), v: slices.Clone(v),
+			sum: sumOf(v), flat: s.g.CellOf(v),
 		})
+		wantV = append(wantV, slices.Clone(v))
 	})
 	if n != len(want) {
 		t.Fatalf("stream has %d candidates, want %d", n, len(want))
 	}
 	for k := 0; k < n; k++ {
-		g, w := buf.cands[k], want[k]
-		if g.leftID != w.leftID || g.rightID != w.rightID || g.sum != w.sum || g.flat != w.flat || !slices.Equal(g.v, w.v) {
-			t.Fatalf("candidate %d diverges: %+v vs %+v", k, g, w)
+		g, v := buf.cands[k], buf.block[k*2:(k+1)*2]
+		if g != want[k] || !slices.Equal(v, wantV[k]) {
+			t.Fatalf("candidate %d diverges: %+v %v vs %+v %v", k, g, v, want[k], wantV[k])
 		}
 	}
 }
@@ -214,12 +217,7 @@ func TestParallelCancellation(t *testing.T) {
 	}
 	// The deferred pool.stop ran before RunContext returned; give the
 	// runtime a moment to retire worker stacks, then compare.
-	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-		runtime.Gosched()
-	}
-	if after := runtime.NumGoroutine(); after > before+1 {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
-	}
+	waitGoroutines(t, before, before+1)
 }
 
 // TestPrefetchWorkerPanicIsContained injects a panic on a prefetch worker
@@ -283,15 +281,15 @@ func TestPrefetchWorkerPanicIsContained(t *testing.T) {
 	}()
 	<-held
 
-	// One worker calls the hook in the order it claims jobs, and it claims
-	// them in prefetch order, so only its first call can be building the
-	// first region: the one job the sequencer needs before the first result.
-	// Every later call waits at the gate, which the first result opens, and
-	// that result holds the sequencer until a call has fired. A call always
-	// comes: the worker holds at most one unconsumed job of its three slots,
-	// and the held sequencer claims nothing. The call that fires builds the
-	// region at prefetch position 1 or 2, which the sequencer meets no later
-	// than its third region.
+	// One worker calls the hook in the order it claims jobs, and it receives
+	// them in the order the sequencer publishes them, so only its first call
+	// can be building the first region: the one job the sequencer needs
+	// before the first result. Every later call waits at the gate, which the
+	// first result opens, and that result holds the sequencer until a call
+	// has fired. A call always comes: the sequencer publishes a window of
+	// three regions before its first take and claims only the first region
+	// itself. The call that fires builds the region at prefetch position 1 or
+	// 2, which the sequencer meets no later than its third region.
 	var calls atomic.Int32
 	var firing atomic.Bool
 	gate, fired := make(chan struct{}), make(chan struct{})
@@ -334,12 +332,7 @@ func TestPrefetchWorkerPanicIsContained(t *testing.T) {
 	if runPlan(2, &after, func() {}); !sameRuns(after, solo) {
 		t.Fatal("a run of the plan after the fault diverges from the solo run")
 	}
-	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-		runtime.Gosched()
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
-	}
+	waitGoroutines(t, before, before)
 }
 
 // TestParForPanicIsContained injects a panic into a par.For chunk — the
@@ -403,11 +396,54 @@ func TestParForPanicIsContained(t *testing.T) {
 	if !sameRuns(neighbour, solo) {
 		t.Fatal("the neighbour's stream diverges from the solo run")
 	}
-	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-		runtime.Gosched()
+	waitGoroutines(t, before, before)
+}
+
+// waitGoroutines polls until at most max goroutines are alive and fails with
+// every goroutine's stack once a deadline passes: a goroutine that has
+// signalled it is done may still be exiting when the test looks.
+func waitGoroutines(t *testing.T, before, max int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > max {
+		if time.Now().After(deadline) {
+			stacks := make([]byte, 1<<20)
+			stacks = stacks[:runtime.Stack(stacks, true)]
+			t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, runtime.NumGoroutine(), stacks)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+}
+
+// TestSerialRunIsThePoolWithoutWorkers pins what a Workers: 0 run adds to
+// its tuple work: held inside its sink, the run has started no goroutine;
+// its pool publishes nothing, so no job gets a channel, and it builds every
+// stream into the sequencer's own buffer, never one off the free list.
+func TestSerialRunIsThePoolWithoutWorkers(t *testing.T) {
+	p := smokeProblem(t, 500, 3, datagen.AntiCorrelated, 0.05, 1234)
+	before, during := runtime.NumGoroutine(), -1
+	if _, err := New(Options{}).Run(p, smj.SinkFunc(func(smj.Result) {
+		if during < 0 {
+			during = runtime.NumGoroutine()
+		}
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if during != before {
+		t.Fatalf("a serial run held in its sink has %d goroutines, %d before it started", during, before)
+	}
+
+	_, reg, s := parallelFixture(t)
+	pl := newPool(context.Background(), 0, s, []*region{reg}, sumMaps2())
+	defer pl.stop()
+	pl.start([]int32{int32(reg.id)})
+	buf, n := pl.take(reg, smj.NewCanceler(context.Background()))
+	if buf != &pl.inline || n != reg.joinCard {
+		t.Fatalf("take built %d candidates into %p, want %d into the sequencer's buffer %p", n, buf, reg.joinCard, &pl.inline)
+	}
+	pl.finish(reg)
+	if j := &pl.jobs[reg.id]; j.done != nil || j.buf != nil || pl.feed != nil || pl.bufFree != nil || pl.inflight != 0 {
+		t.Fatalf("a pool without workers published or pooled: done=%v buf=%v feed=%v bufFree=%v inflight=%d", j.done, j.buf, pl.feed, pl.bufFree, pl.inflight)
 	}
 }
 
@@ -423,9 +459,9 @@ func TestParallelNegativeWorkersUsesGOMAXPROCS(t *testing.T) {
 }
 
 // TestPoolDropReleasesInflight exercises the discard path: a workload with
-// region drops must still terminate with every in-flight slot returned
-// (the run would wedge its prefetch pipeline otherwise) and an identical
-// stream. The fixture was picked for a non-zero RegionsDropped count.
+// region drops must still terminate with every published place in the
+// window returned (the run would stop prefetching otherwise) and an
+// identical stream. The fixture was picked for a non-zero RegionsDropped count.
 func TestPoolDropReleasesInflight(t *testing.T) {
 	p := smokeProblem(t, 350, 3, datagen.Correlated, 0.01, 301)
 	serial, serialStats := recordRun(t, p, Options{})

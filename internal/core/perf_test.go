@@ -49,7 +49,7 @@ func BenchmarkInsert(b *testing.B) {
 	vecs := perfVectors(4096)
 	for _, v := range vecs { // warm the space with the initial front
 		if c := s.cellAt(s.g.CellOf(v)); c != nil {
-			s.insert(c, 1, 1, v)
+			s.insert(c, 1, 1, v, sumOf(v))
 		}
 	}
 	s.flushFree()
@@ -66,7 +66,7 @@ func BenchmarkInsert(b *testing.B) {
 			v[1] = 0
 		}
 		if c := s.cellAt(s.g.CellOf(v)); c != nil {
-			s.insert(c, 1, 1, v)
+			s.insert(c, 1, 1, v, sumOf(v))
 		}
 		if i%256 == 255 {
 			s.flushFree()
@@ -85,7 +85,7 @@ func BenchmarkPopulate(b *testing.B) {
 		b.StartTimer()
 		for _, v := range vecs {
 			if c := s.cellAt(s.g.CellOf(v)); c != nil {
-				s.insert(c, 1, 1, v)
+				s.insert(c, 1, 1, v, sumOf(v))
 			}
 		}
 	}
@@ -105,7 +105,7 @@ func TestInsertSteadyStateZeroAlloc(t *testing.T) {
 	// and let pendingFree/free reach steady capacity.
 	for i := 0; i < 8; i++ {
 		v[0], v[1] = v[0]-1e-6, v[1]-1e-6
-		if _, ok := s.insert(c, 1, 1, v); !ok {
+		if _, ok := s.insert(c, 1, 1, v, sumOf(v)); !ok {
 			t.Fatal("warmup insert must survive")
 		}
 		s.flushFree()
@@ -114,7 +114,7 @@ func TestInsertSteadyStateZeroAlloc(t *testing.T) {
 		// Each insert strictly dominates the sole survivor: the old vector
 		// is evicted to pendingFree and recycled by flushFree.
 		v[0], v[1] = v[0]-1e-6, v[1]-1e-6
-		if _, ok := s.insert(c, 1, 1, v); !ok {
+		if _, ok := s.insert(c, 1, 1, v, sumOf(v)); !ok {
 			t.Fatal("steady-state insert must survive")
 		}
 		s.flushFree()
@@ -125,7 +125,7 @@ func TestInsertSteadyStateZeroAlloc(t *testing.T) {
 	// Rejected tuples must also be allocation-free.
 	reject := []float64{4.5, 4.5}
 	allocs = testing.AllocsPerRun(200, func() {
-		if _, ok := s.insert(c, 1, 1, reject); ok {
+		if _, ok := s.insert(c, 1, 1, reject, sumOf(reject)); ok {
 			t.Fatal("dominated insert must be rejected")
 		}
 	})

@@ -51,14 +51,14 @@ const (
 	// mapping, cell routing, coordinate sums). On worker lanes this is the
 	// prefetch workers' stream construction — the only work that runs off
 	// the sequencer; on the sequencer lane it is the time spent waiting for
-	// (or inline-building) the stream at a region's turn. Serial runs fold
-	// this work into PhaseCommit.
+	// (or inline-building) the stream at a region's turn. Serial runs build
+	// every stream inline, so all of it lands on the sequencer lane.
 	PhasePrefetch
 	// PhasePrecheck is inert (the precheck stage is gone, nothing records it, so core.par.precheck_ms reads 0); the next [benchmark] PR drops it.
 	PhasePrecheck
 	// PhaseCommit covers the tuple-level protocol on the sequencer — every
 	// dominance check, eviction and buffer insertion, whatever the worker
-	// count. In serial runs this includes the fused join+map+insert loop.
+	// count.
 	PhaseCommit
 	// PhaseDetermine covers the progressive result determination cascade
 	// and the dominance discards of live regions after each round.

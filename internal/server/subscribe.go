@@ -36,9 +36,9 @@ type checkpointRecord struct {
 	ElapsedMillis float64 `json:"elapsedMillis"`
 }
 
-// applyHook, when non-nil, runs before a subscription applies each catalog
-// change, with the subscription's run id. Tests set it to inject a fault
-// into the apply loop.
+// applyHook, when non-nil, runs before a subscription builds its snapshot
+// and before it applies each catalog change, with the subscription's run id.
+// Tests set it to inject a fault into the snapshot build or the apply loop.
 var applyHook func(runID string)
 
 // liveStreamSink adapts the subscription's stream writer to core.LiveSink,
@@ -181,10 +181,20 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// The dominance pass streams the snapshot: each survivor is written the
 	// moment it is proven, in ascending coordinate-sum order, and is final.
 	sink := &liveStreamSink{sw: sw, start: start}
-	space := stage.Build(sink)
-	maxVer := sideVer[0]
-	if sideVer[1] > maxVer {
-		maxVer = sideVer[1]
+	// contain runs one step on the subscription's state. A panic in it ends
+	// only this subscription, as a failed run with a terminal internal error
+	// record.
+	contain := func(step func() error) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic: %v", p)
+				s.logger.Error("subscription panicked", "id", runID, "panic", p, "stack", string(debug.Stack()))
+			}
+		}()
+		if applyHook != nil {
+			applyHook(runID)
+		}
+		return step()
 	}
 	checkpoint := func(seq uint64) {
 		sw.record("checkpoint", checkpointRecord{
@@ -192,18 +202,26 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			ElapsedMillis: float64(time.Since(start).Microseconds()) / 1000,
 		})
 	}
-	checkpoint(maxVer)
-	snapshot := time.Since(start)
-
 	var (
 		endRec    *errorRecord
 		applied   int64
 		batch     []catalogEvent
 		truncated bool
+		space     *core.LiveSpace
+		snapshot  time.Duration
 	)
+
+	if err := contain(func() error { space = stage.Build(sink); return nil }); err != nil {
+		rec := newErrorRecord(errInternal, "building the snapshot: %v", err)
+		endRec = &rec
+	} else {
+		checkpoint(max(sideVer[0], sideVer[1]))
+		snapshot = time.Since(start)
+	}
+
 	gone := func() bool { return ctx.Err() != nil }
 loop:
-	for {
+	for endRec == nil {
 		batch, cursor, truncated = s.changes.next(cursor, batch[:0], gone)
 		if truncated {
 			rec := newErrorRecord(errReplayTruncated,
@@ -243,18 +261,7 @@ loop:
 			c := ev.change
 			sink.seq = ev.seq
 			sd := mapping.Side(side)
-			applyErr := func() (err error) {
-				// A panic while applying ends only this subscription, as
-				// a failed run with a terminal internal error record.
-				defer func() {
-					if p := recover(); p != nil {
-						err = fmt.Errorf("panic: %v", p)
-						s.logger.Error("subscription panicked", "id", runID, "panic", p, "stack", string(debug.Stack()))
-					}
-				}()
-				if applyHook != nil {
-					applyHook(runID)
-				}
+			applyErr := contain(func() error {
 				switch c.Op {
 				case feed.OpInsert:
 					t := relation.Tuple{ID: c.ID, Vals: c.Vals, JoinKey: c.JoinKey}
@@ -272,7 +279,7 @@ loop:
 					// else: the tuple never passed this subscription's filters.
 				}
 				return nil
-			}()
+			})
 			if applyErr != nil {
 				rec := newErrorRecord(errInternal, "applying change seq %d: %v", ev.seq, applyErr)
 				endRec = &rec
@@ -300,7 +307,10 @@ loop:
 	case s.runCtx.Err() != nil:
 		reason = "shutdown"
 	}
-	st := space.Stats()
+	var st core.LiveStats
+	if space != nil {
+		st = space.Stats()
+	}
 	s.runlog.add(RunRecord{
 		ID: runID, Engine: "live", Query: truncate(req.Query, 512),
 		Start: start, ElapsedMillis: float64(elapsed.Microseconds()) / 1000,

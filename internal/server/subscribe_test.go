@@ -335,6 +335,71 @@ func TestSubscribeSurvivesUnrelatedMutations(t *testing.T) {
 	}
 }
 
+// subscribeTiny opens a subscription to tinyQuery and drains its snapshot,
+// returning the stream, its run id and its net result set.
+func subscribeTiny(t *testing.T, ts *httptest.Server) (*subStream, string, map[pair]bool) {
+	t.Helper()
+	sub := openSubscribe(t, ts, QueryRequest{Query: tinyQuery})
+	run := sub.next(t)
+	if run["type"] != "run" {
+		t.Fatalf("head record = %v", run)
+	}
+	net := map[pair]bool{}
+	sub.drainTo(t, 0, net)
+	return sub, run["id"].(string), net
+}
+
+// requireFreshQuery fails unless net is the result set of a fresh
+// /v1/query run of tinyQuery.
+func requireFreshQuery(t *testing.T, ts *httptest.Server, what string, net map[pair]bool) {
+	t.Helper()
+	want := queryPairs(t, ts, tinyQuery)
+	if len(want) != len(net) {
+		t.Fatalf("%s: net set %v, fresh query %v", what, net, want)
+	}
+	for p := range want {
+		if !net[p] {
+			t.Fatalf("%s: pair %v of the fresh query missing from the net set", what, p)
+		}
+	}
+}
+
+// insertL posts one insert into L and returns its catalog seq.
+func insertL(t *testing.T, ts *httptest.Server, id int64, vals ...float64) uint64 {
+	t.Helper()
+	return postChanges(t, ts, "L", []feed.Change{
+		{Relation: "L", Op: feed.OpInsert, ID: id, Vals: vals, JoinKey: 1},
+	}).LastSeq
+}
+
+// requireFailedRun waits for the run log to record the run as a failed live
+// run whose error names fault.
+func requireFailedRun(t *testing.T, srv *Server, id, fault string) {
+	t.Helper()
+	waitFor(t, "the failed run record", func() bool {
+		for _, rr := range srv.runlog.list() {
+			if rr.ID == id {
+				return rr.Engine == "live" && rr.Outcome == "failed" && strings.Contains(rr.Error, fault)
+			}
+		}
+		return false
+	})
+}
+
+// requireTerminalInternal reads the doomed stream's next record, which must
+// be a terminal internal error naming fault, and then the stream's end.
+func requireTerminalInternal(t *testing.T, doomed *subStream, fault string) {
+	t.Helper()
+	rec := doomed.next(t)
+	if rec == nil || rec["type"] != "error" || rec["code"] != errInternal ||
+		!strings.Contains(rec["message"].(string), fault) {
+		t.Fatalf("record after the fault = %v, want a terminal internal error", rec)
+	}
+	if rec := doomed.next(t); rec != nil {
+		t.Fatalf("stream kept going after the terminal error: %v", rec)
+	}
+}
+
 // TestPanickingSubscriptionIsContained: a panic while a subscription applies
 // a change ends that subscription only — a terminal internal error record, a
 // failed run-log entry, its slot back — while a second subscription on the
@@ -349,66 +414,61 @@ func TestPanickingSubscriptionIsContained(t *testing.T) {
 	t.Cleanup(func() { applyHook = nil }) // runs after the server has closed
 	srv, ts := newTestServer(t, Config{MaxSubscriptions: 2})
 
-	subscribe := func() (*subStream, string, map[pair]bool) {
-		sub := openSubscribe(t, ts, QueryRequest{Query: tinyQuery})
-		run := sub.next(t)
-		if run["type"] != "run" {
-			t.Fatalf("head record = %v", run)
-		}
-		net := map[pair]bool{}
-		sub.drainTo(t, 0, net)
-		return sub, run["id"].(string), net
-	}
-	matchesQuery := func(what string, net map[pair]bool) {
-		t.Helper()
-		want := queryPairs(t, ts, tinyQuery)
-		if len(want) != len(net) {
-			t.Fatalf("%s: net set %v, fresh query %v", what, net, want)
-		}
-		for p := range want {
-			if !net[p] {
-				t.Fatalf("%s: pair %v of the fresh query missing from the net set", what, p)
-			}
-		}
-	}
-	insert := func(id int64, vals ...float64) uint64 {
-		return postChanges(t, ts, "L", []feed.Change{
-			{Relation: "L", Op: feed.OpInsert, ID: id, Vals: vals, JoinKey: 1},
-		}).LastSeq
-	}
-
-	doomed, id, _ := subscribe()
-	survivor, _, net := subscribe()
+	doomed, id, _ := subscribeTiny(t, ts)
+	survivor, _, net := subscribeTiny(t, ts)
 	doomedID.Store(id)
-	seq := insert(500, 1, 1)
+	seq := insertL(t, ts, 500, 1, 1)
 
-	rec := doomed.next(t)
-	if rec == nil || rec["type"] != "error" || rec["code"] != errInternal ||
-		!strings.Contains(rec["message"].(string), "injected apply fault") {
-		t.Fatalf("record after the faulty change = %v, want a terminal internal error", rec)
-	}
-	if rec := doomed.next(t); rec != nil {
-		t.Fatalf("stream kept going after the terminal error: %v", rec)
-	}
-	waitFor(t, "the failed run record", func() bool {
-		for _, rr := range srv.runlog.list() {
-			if rr.ID == id {
-				return rr.Engine == "live" && rr.Outcome == "failed" && strings.Contains(rr.Error, "injected apply fault")
-			}
-		}
-		return false
-	})
+	requireTerminalInternal(t, doomed, "injected apply fault")
+	requireFailedRun(t, srv, id, "injected apply fault")
 
 	survivor.drainTo(t, seq, net)
-	matchesQuery("after the fault", net)
-	survivor.drainTo(t, insert(501, 0, 0), net)
-	matchesQuery("after a further change", net)
+	requireFreshQuery(t, ts, "after the fault", net)
+	survivor.drainTo(t, insertL(t, ts, 501, 0, 0), net)
+	requireFreshQuery(t, ts, "after a further change", net)
 
 	// The doomed subscription's slot is free again: of two slots, the
 	// survivor holds one, so a new subscription is admitted only if the
 	// doomed one gave its slot back.
 	waitForStats(t, srv, "the doomed subscription to detach", func(s Snapshot) bool { return s.SubscriptionsLive == 1 })
-	third, _, _ := subscribe()
+	third, _, _ := subscribeTiny(t, ts)
+	survivor.resp.Body.Close()
+	third.resp.Body.Close()
+	waitForStats(t, srv, "every subscription to detach", func(s Snapshot) bool { return s.SubscriptionsLive == 0 })
+}
+
+// TestPanickingSnapshotIsContained: a panic while a subscription builds its
+// snapshot ends that subscription only — its run record, then a terminal
+// internal error record, a failed run-log entry, the live gauge and its slot
+// back — while a subscription already streaming on the same catalog keeps
+// maintaining a net result set equal to a fresh /v1/query.
+func TestPanickingSnapshotIsContained(t *testing.T) {
+	var armed atomic.Bool // the next snapshot build or apply panics
+	applyHook = func(string) {
+		if armed.CompareAndSwap(true, false) {
+			panic("injected snapshot fault")
+		}
+	}
+	t.Cleanup(func() { applyHook = nil }) // runs after the server has closed
+	srv, ts := newTestServer(t, Config{MaxSubscriptions: 2})
+
+	survivor, _, net := subscribeTiny(t, ts)
+	armed.Store(true)
+	doomed := openSubscribe(t, ts, QueryRequest{Query: tinyQuery})
+	run := doomed.next(t)
+	if run["type"] != "run" {
+		t.Fatalf("head record = %v", run)
+	}
+	requireTerminalInternal(t, doomed, "injected snapshot fault")
+	requireFailedRun(t, srv, run["id"].(string), "injected snapshot fault")
+	waitForStats(t, srv, "the doomed subscription to detach", func(s Snapshot) bool { return s.SubscriptionsLive == 1 })
+
+	survivor.drainTo(t, insertL(t, ts, 500, 1, 1), net)
+	requireFreshQuery(t, ts, "after the fault", net)
+
+	// Of two slots the survivor holds one, so a new subscription is
+	// admitted only if the doomed one gave its slot back.
+	third, _, _ := subscribeTiny(t, ts)
 	survivor.resp.Body.Close()
 	third.resp.Body.Close()
 	waitForStats(t, srv, "every subscription to detach", func(s Snapshot) bool { return s.SubscriptionsLive == 0 })
