@@ -39,12 +39,15 @@ import (
 // join in ascending (sum, seq) order and every dominator of a tuple has
 // either been visited already or sits in the tuple's own run of equal sums:
 // a tuple that no alive tuple and no later member of its run dominates can
-// never be dominated by anything still to come, so it is appended to its
-// cell's alive buffer and handed to the sink at once, final; a dominated one
-// is appended to the dead buffer under the witness that beat it. Nothing is
-// inserted mid-buffer, retracted or re-checked (sort-filter-skyline, the
-// order the batch cells use too). Delete promotion walks its candidates in
-// the same order for the same reason.
+// never be dominated by anything still to come, so it joins its cell's alive
+// buffer and is handed to the sink at once, final; a dominated one is
+// attached to the witness that beat it. Nothing is retracted or re-checked
+// (sort-filter-skyline, the order the batch cells use too). Delete promotion
+// is the same walk over its candidates, for the same reason: settle is both.
+//
+// Cells index survivors only. A dead tuple is reached through byBase (when
+// one of its base tuples is deleted) and through its referee's deps (when
+// the referee leaves the alive set) — the only two events that concern it.
 
 // LiveSink receives the incremental output of a LiveSpace. Result delivers a
 // tuple entering the net result set; Retract withdraws a previously
@@ -79,6 +82,7 @@ type liveTuple struct {
 	sum             float64
 	seq             int64 // arrival order, tiebreak for equal sums
 	alive           bool
+	cell            *liveCell // home cell; holds the tuple only while alive
 
 	ref    *liveTuple   // alive dominator refereeing this dead tuple
 	refIdx int          // index of this tuple in ref.deps
@@ -106,20 +110,16 @@ func detach(u *liveTuple) {
 	u.ref = nil
 }
 
-// liveCell is one populated output-space cell. The alive (skyline) and dead
-// (dominated) populations live in separate buffers, each sorted ascending by
-// (sum, seq): alive scans (dominance checks, eviction sweeps, promotion
-// re-checks) never step over the dead majority, and dead scans (promotion
-// candidate sweeps) never step over survivors. Componentwise min/max
-// summaries over the alive buffer give O(d) scan refutation.
+// liveCell is one populated output-space cell. It buffers its survivors
+// only, sorted ascending by (sum, seq), so dominance checks, eviction sweeps
+// and promotion re-checks never step over the dead majority. Componentwise
+// min/max summaries over the buffer give O(d) scan refutation.
 type liveCell struct {
-	flat   int
 	pos    int // index in LiveSpace.cellList
 	coords []int
 	minV   []float64 // over alive tuples; valid when len(alive) > 0
 	maxV   []float64
 	alive  []*liveTuple
-	dead   []*liveTuple
 	// dom/vic cache the cell-level dominance adjacency: dom holds every cell
 	// whose coords are ≤ ours componentwise (where dominators can live), vic
 	// every cell with coords ≥ ours (where victims and promotion candidates
@@ -133,7 +133,7 @@ type liveCell struct {
 }
 
 // byRank orders tuples ascending by (sum, seq), the order of every cell
-// buffer, of the snapshot, and of delete promotion.
+// buffer and of settle.
 func byRank(a, b *liveTuple) int {
 	if c := cmp.Compare(a.sum, b.sum); c != 0 {
 		return c
@@ -205,8 +205,9 @@ func (c *liveCell) widen(t *liveTuple, d int) {
 }
 
 // LiveSpace is the resident incremental-maintenance state for one query: the
-// base relations, their join index, and the output-space cells holding every
-// mapped tuple that has ever survived or been dominated.
+// base relations, their join index, every mapped join output (dead ones
+// reached through byBase and their referees), and the output-space cells
+// holding the survivors.
 //
 // LiveSpace is not safe for concurrent use; the serve layer runs one
 // goroutine per subscription.
@@ -236,17 +237,11 @@ type LiveSpace struct {
 // coarse: every populated cell carries fixed per-scan overhead (adjacency
 // walk, binary-search cutoff), so fat cells with effective summary refutation
 // beat many near-empty ones.
-func liveGridCells(d int) int {
-	k := 16
-	for k > 2 && math.Pow(float64(k), float64(d)) > 1<<12 {
-		k--
-	}
-	return k
-}
+func liveGridCells(d int) int { return min(autoOutputCells(d), 16) }
 
 // NewLiveSpace builds the settled resident state for p: StageLive followed by
 // the dominance pass with no sink. The initial net result set is available
-// via Results or Snapshot.
+// via Results.
 func NewLiveSpace(p *smj.Problem) (*LiveSpace, error) {
 	st, err := StageLive(p)
 	if err != nil {
@@ -408,9 +403,8 @@ func (st *LiveStage) Build(sink LiveSink) *LiveSpace {
 
 	// Cells are created in seq order, as a replay would create them: an
 	// eviction sweep retracts in cellList order.
-	home := make([]*liveCell, len(all))
-	for i, t := range all {
-		home[i] = ls.cellFor(t.v)
+	for _, t := range all {
+		t.cell = ls.cellFor(t.v)
 	}
 	if ls.g.NumCells() <= denseGridCells {
 		ls.linkCells()
@@ -437,47 +431,60 @@ func (st *LiveStage) Build(sink LiveSink) *LiveSpace {
 	for i, k := range keys {
 		order[i] = all[k.idx]
 	}
+	ls.settle(order, make([]*liveTuple, len(ls.cellList)), sink)
+	ls.stats = LiveStats{Results: ls.stats.Results} // the build is not feed work
+	return ls
+}
 
-	// last[c.pos] is the witness that most recently killed a tuple homed in
-	// c. Neighbours in sum order tend to die to the same survivor, so it is
-	// tried before the dominator cells are walked; nothing is evicted during
-	// the pass, so it is still alive.
-	last := make([]*liveTuple, len(ls.cellList))
-	var orphans []*liveTuple // dead to a later member of their run; referee pending
+// settle decides every tuple of order — dead, detached, and sorted by
+// (sum, seq) — against the alive set, in that order: a tuple some alive tuple
+// dominates is attached to it and stays dead; one that a later member of its
+// run of equal sums dominates is an orphan, attached once the run is done
+// (the run's survivors are all alive then, and the top of its chain of
+// dominators within the run is one of them); any other joins the alive set
+// and is emitted, final. Build settles the whole join, delete promotion the
+// dependents of the survivors it removed.
+//
+// last, when non-nil, caches per cell (by pos) the witness that most recently
+// killed a tuple homed there. Neighbours in sum order tend to die to the same
+// survivor, so it is tried before the dominator cells are walked. It is
+// sound only while nothing is evicted, as in Build.
+func (ls *LiveSpace) settle(order, last []*liveTuple, sink LiveSink) {
+	var orphans []*liveTuple
 	for i := 0; i < len(order); {
 		j := runEnd(order, i)
 		for x := i; x < j; x++ {
 			t := order[x]
-			c := home[t.seq]
-			w := last[c.pos]
+			c := t.cell
+			var w *liveTuple
+			if last != nil {
+				w = last[c.pos]
+			}
 			if w == nil || !preference.DominatesMin(w.v, t.v) {
 				w = ls.dominated(c, t.v, t.sum)
 			}
 			switch {
 			case w != nil:
 				attach(w, t)
-				last[c.pos] = w
-				c.dead = append(c.dead, t)
+				if last != nil {
+					last[c.pos] = w
+				}
 			case dominatedBy(order[x+1:j], t):
 				orphans = append(orphans, t)
-				c.dead = append(c.dead, t)
 			default:
 				t.alive = true
-				c.alive = append(c.alive, t)
+				ls.stats.Promotions++
+				c.alive = insertByRank(c.alive, t)
 				c.widen(t, ls.d)
 				ls.emit(t, sink)
 			}
 		}
-		// The run's survivors are all alive now, and one of them dominates
-		// each orphan: the top of its chain of dominators within the run.
 		for _, t := range orphans {
-			attach(ls.dominated(home[t.seq], t.v, t.sum), t)
+			attach(ls.dominated(t.cell, t.v, t.sum), t)
 		}
 		orphans = orphans[:0]
 		i = j
 	}
-	ls.stats = LiveStats{Results: ls.stats.Results} // the build is not feed work
-	return ls
 }
 
 // linkCells builds the dom and vic lists of every cell at once. A cell's
@@ -522,9 +529,6 @@ func (ls *LiveSpace) linkCells() {
 	}
 }
 
-// Dims returns the output-space dimensionality.
-func (ls *LiveSpace) Dims() int { return ls.d }
-
 // Stats returns the work counters accumulated since construction.
 func (ls *LiveSpace) Stats() LiveStats { return ls.stats }
 
@@ -541,7 +545,6 @@ func (ls *LiveSpace) cellFor(v []float64) *liveCell {
 		return c
 	}
 	c := &liveCell{
-		flat:   flat,
 		pos:    len(ls.cellList),
 		coords: ls.g.Coords(flat, make([]int, ls.d)),
 		minV:   make([]float64, ls.d),
@@ -642,41 +645,28 @@ cells:
 				t.alive = false
 				demoted = true
 				ls.retract(t, sink)
-			}
-		}
-		if demoted {
-			var victims []*liveTuple
-			c.alive = slices.DeleteFunc(c.alive, func(t *liveTuple) bool {
-				if t.alive {
-					return false
-				}
-				victims = append(victims, t)
-				return true
-			})
-			for _, t := range victims {
 				for _, u := range t.deps {
-					u.ref = nt
-					u.refIdx = len(nt.deps)
-					nt.deps = append(nt.deps, u)
+					attach(nt, u)
 				}
 				t.deps = nil
 				attach(nt, t)
-				c.dead = insertByRank(c.dead, t)
 			}
+		}
+		if demoted {
+			c.alive = slices.DeleteFunc(c.alive, func(t *liveTuple) bool { return !t.alive })
 			c.refresh(ls.d)
 		}
 	}
 }
 
-// place routes one freshly mapped tuple through the insert protocol: it dies
-// into its cell if dominated, otherwise it evicts its victims, joins the
-// alive set, and is emitted.
+// place routes one freshly mapped tuple through the insert protocol: if
+// dominated it stays dead under its dominator, otherwise it evicts its
+// victims, joins its cell's alive set, and is emitted.
 func (ls *LiveSpace) place(t *liveTuple, sink LiveSink) {
 	c := ls.cellFor(t.v)
+	t.cell = c
 	if w := ls.dominated(c, t.v, t.sum); w != nil {
-		t.alive = false
 		attach(w, t)
-		c.dead = insertByRank(c.dead, t)
 		return
 	}
 	ls.evict(c, t, sink)
@@ -766,13 +756,13 @@ func (ls *LiveSpace) ApplyInsert(side mapping.Side, t relation.Tuple, sink LiveS
 
 // ApplyDelete removes the base tuple with the given ID from side. Every
 // mapped tuple it participates in is withdrawn (alive ones retracted), and
-// dead tuples whose referees were among the removed survivors are re-checked
-// and promoted back into the result set when no alive dominator remains.
+// dead tuples whose referees were among the removed survivors are settled
+// again: promoted back into the result set when no alive dominator remains.
 //
 // Candidate completeness: a dead tuple needs promotion only if it lost its
 // last alive dominator, and its referee is an alive dominator — so if the
 // referee survived the delete, the tuple stays correctly dead, and otherwise
-// it appears in a removed survivor's dependent list. Candidates are processed
+// it appears in a removed survivor's dependent list. Candidates are settled
 // in ascending (sum, seq) order, like the initial build: each is re-checked
 // against the current alive set (earlier promotions included) and against the
 // later members of its run of equal sums. Any other dominator of a candidate
@@ -791,29 +781,27 @@ func (ls *LiveSpace) ApplyDelete(side mapping.Side, id int64, sink LiveSink) err
 	}
 	ls.stats.Deletes++
 	delete(ls.base[side], id)
-	ids := ls.byKey[side][t.JoinKey]
-	if i := slices.Index(ids, id); i >= 0 {
-		ls.byKey[side][t.JoinKey] = slices.Delete(ids, i, i+1)
+	if ids := slices.DeleteFunc(ls.byKey[side][t.JoinKey], func(x int64) bool { return x == id }); len(ids) > 0 {
+		ls.byKey[side][t.JoinKey] = ids
+	} else {
+		delete(ls.byKey[side], t.JoinKey)
 	}
 
 	removed := ls.byBase[side][id]
 	delete(ls.byBase[side], id)
-	if len(removed) == 0 {
-		return nil
-	}
-	gone := make(map[*liveTuple]bool, len(removed))
+	// Withdraw every removed mapped tuple: retract the survivors, detach the
+	// dead from their referees (removed or not, so no removed tuple is left
+	// in a deps list), and drop each from the opposite side's byBase list.
 	var survivors []*liveTuple
-	for _, mt := range removed {
-		gone[mt] = true
-		if mt.alive {
-			survivors = append(survivors, mt)
-			ls.retract(mt, sink)
-		}
-	}
-	// Drop every removed mapped tuple from its cell and from the opposite
-	// side's byBase lists.
 	other := mapping.Right - side
 	for _, mt := range removed {
+		if mt.alive {
+			mt.alive = false
+			survivors = append(survivors, mt)
+			ls.retract(mt, sink)
+		} else {
+			detach(mt)
+		}
 		oid := mt.rightID
 		if side == mapping.Right {
 			oid = mt.leftID
@@ -823,66 +811,25 @@ func (ls *LiveSpace) ApplyDelete(side mapping.Side, id int64, sink LiveSink) err
 			ls.byBase[other][oid] = slices.Delete(lst, i, i+1)
 		}
 	}
-	touched := make(map[int]bool)
-	for _, mt := range removed {
-		c := ls.cells[ls.g.CellOf(mt.v)]
-		if !touched[c.flat] {
-			c.alive = slices.DeleteFunc(c.alive, func(x *liveTuple) bool { return gone[x] })
-			c.dead = slices.DeleteFunc(c.dead, func(x *liveTuple) bool { return gone[x] })
-			c.refresh(ls.d)
-			touched[c.flat] = true
-		}
-	}
-
-	// Detach removed dead tuples from surviving referees, then collect the
-	// promotion candidates: each removed survivor's dependents. A dead
-	// tuple has exactly one referee, so the lists are disjoint — no dedup.
+	// Take the survivors out of their cells (a cell shared by several is
+	// filtered by the first), then settle their dependents — the promotion
+	// candidates. A dead tuple has exactly one referee, so the lists are
+	// disjoint.
 	var cands []*liveTuple
-	for _, mt := range removed {
-		if !mt.alive && mt.ref != nil && !gone[mt.ref] {
-			detach(mt)
-		}
-	}
 	for _, r := range survivors {
+		c := r.cell
+		n := len(c.alive)
+		if c.alive = slices.DeleteFunc(c.alive, func(x *liveTuple) bool { return !x.alive }); len(c.alive) < n {
+			c.refresh(ls.d)
+		}
 		for _, u := range r.deps {
-			if gone[u] {
-				continue
-			}
 			u.ref = nil
 			cands = append(cands, u)
 		}
 		r.deps = nil
 	}
 	slices.SortFunc(cands, byRank)
-	var orphans []*liveTuple // dead to a later member of their run; referee pending
-	for i := 0; i < len(cands); {
-		j := runEnd(cands, i)
-		for x := i; x < j; x++ {
-			u := cands[x]
-			c := ls.cells[ls.g.CellOf(u.v)]
-			if w := ls.dominated(c, u.v, u.sum); w != nil {
-				attach(w, u) // stays dead under a new referee
-				continue
-			}
-			if dominatedBy(cands[x+1:j], u) {
-				orphans = append(orphans, u)
-				continue
-			}
-			u.alive = true
-			ls.stats.Promotions++
-			if at := slices.Index(c.dead, u); at >= 0 {
-				c.dead = slices.Delete(c.dead, at, at+1)
-			}
-			c.alive = insertByRank(c.alive, u)
-			c.widen(u, ls.d)
-			ls.emit(u, sink)
-		}
-		for _, u := range orphans {
-			attach(ls.dominated(ls.cells[ls.g.CellOf(u.v)], u.v, u.sum), u)
-		}
-		orphans = orphans[:0]
-		i = j
-	}
+	ls.settle(cands, nil, sink)
 	return nil
 }
 
@@ -907,17 +854,4 @@ func (ls *LiveSpace) Results() []smj.Result {
 		return cmp.Compare(a.RightID, b.RightID)
 	})
 	return out
-}
-
-// Snapshot delivers the current net result set to sink in ascending
-// (sum, seq) order — the order Build delivers it in.
-func (ls *LiveSpace) Snapshot(sink LiveSink) {
-	var alive []*liveTuple
-	for _, c := range ls.cellList {
-		alive = append(alive, c.alive...)
-	}
-	slices.SortFunc(alive, byRank)
-	for _, t := range alive {
-		ls.emit(t, sink)
-	}
 }

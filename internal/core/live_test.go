@@ -117,12 +117,12 @@ func TestLiveSpaceDifferential(t *testing.T) {
 
 func testLiveDifferential(t *testing.T, dist datagen.Distribution, d int) {
 	p := liveProblem(t, 40, d, dist, 0.05, uint64(100*d)+uint64(dist))
-	ls, err := NewLiveSpace(p)
+	stage, err := StageLive(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := newNetSink(t)
-	ls.Snapshot(sink)
+	ls := stage.Build(sink)
 
 	// cur mirrors the base relations the LiveSpace holds; the oracle runs
 	// on it after every batch.
@@ -192,12 +192,12 @@ func TestLiveSpaceHighestOrientation(t *testing.T) {
 	attrs[1].Order = preference.Highest
 	p.Pref = preference.NewPareto(attrs...)
 
-	ls, err := NewLiveSpace(p)
+	st, err := StageLive(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := newNetSink(t)
-	ls.Snapshot(sink)
+	ls := st.Build(sink)
 	cur := [2]*relation.Relation{cloneRelation(p.Left), cloneRelation(p.Right)}
 	rng := rand.New(rand.NewPCG(7, 11))
 	for i := int64(0); i < 20; i++ {
@@ -260,5 +260,30 @@ func TestLiveSpaceChangeValidation(t *testing.T) {
 	}
 	if ls.Has(mapping.Right, 999_999) {
 		t.Fatal("Has invented a tuple")
+	}
+}
+
+// TestLiveSpaceForgetsEmptiedKeys pins that the join-key index holds only
+// keys some resident tuple carries: a feed that keeps bringing new keys and
+// deleting them again must not grow it.
+func TestLiveSpaceForgetsEmptiedKeys(t *testing.T) {
+	p := liveProblem(t, 10, 2, datagen.Independent, 0.1, 3)
+	ls, err := NewLiveSpace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := [2]int{len(ls.byKey[mapping.Left]), len(ls.byKey[mapping.Right])}
+	for i := int64(0); i < 200; i++ {
+		side := mapping.Side(i % 2)
+		tup := relation.Tuple{ID: 1_000_000 + i, Vals: []float64{0.5, 0.5}, JoinKey: 1<<40 + i}
+		if err := ls.ApplyInsert(side, tup, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.ApplyDelete(side, tup.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := [2]int{len(ls.byKey[mapping.Left]), len(ls.byKey[mapping.Right])}; after != before {
+		t.Fatalf("join keys per side: %v before churning fresh keys, %v after", before, after)
 	}
 }

@@ -205,17 +205,21 @@ func (g *Grid) Stride(i int) int { return g.stride[i] }
 func (g *Grid) Bounds() Bounds { return g.bounds }
 
 // Coord returns the cell coordinate of value v along dimension i, clamping
-// to the valid range so boundary and slightly-out-of-range points fall into
-// the nearest cell.
+// to the valid range so boundary and out-of-range points fall into the
+// nearest cell. The clamp is taken in floating point: converting a quotient
+// beyond the int range (a far outlier, or ±Inf) to int is
+// implementation-defined. A NaN quotient — bounds spanning more than
+// MaxFloat64 give an infinite width, and Inf/Inf where v−lo overflows too —
+// goes to cell 0, where every point of such a dimension lies.
 func (g *Grid) Coord(i int, v float64) int {
-	c := int(math.Floor((v - g.bounds.Lo[i]) / g.width[i]))
-	if c < 0 {
-		c = 0
+	c := g.reach(i, v)
+	switch {
+	case !(c >= 0):
+		return 0
+	case c >= float64(g.cells[i]):
+		return g.cells[i] - 1
 	}
-	if c >= g.cells[i] {
-		c = g.cells[i] - 1
-	}
-	return c
+	return int(c)
 }
 
 // CellOf returns the flat index of the cell containing point p.

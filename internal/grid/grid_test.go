@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -67,10 +68,29 @@ func TestCellOfBoundaries(t *testing.T) {
 	if coords[0] != 4 || coords[1] != 4 {
 		t.Fatalf("boundary coords = %v", coords)
 	}
-	// Out-of-range points clamp.
-	g.Coords(g.CellOf([]float64{-5, 99}), coords)
-	if coords[0] != 0 || coords[1] != 4 {
-		t.Fatalf("clamped coords = %v", coords)
+	// Out-of-range points clamp, however far out: a quotient beyond the int
+	// range must not wrap to the other edge.
+	for _, c := range []struct {
+		p    []float64
+		want [2]int
+	}{
+		{[]float64{-5, 99}, [2]int{0, 4}},
+		{[]float64{4e307, -4e307}, [2]int{4, 0}},
+		{[]float64{math.Inf(-1), math.Inf(1)}, [2]int{0, 4}},
+	} {
+		g.Coords(g.CellOf(c.p), coords)
+		if coords[0] != c.want[0] || coords[1] != c.want[1] {
+			t.Fatalf("%v: clamped coords = %v, want %v", c.p, coords, c.want)
+		}
+	}
+	// Bounds spanning more than MaxFloat64 have an infinite cell width, and
+	// where v−lo overflows too the quotient is NaN: every point is in cell 0.
+	wide := mustGrid(t, mustBounds(t, []float64{-1e308, -1e308}, []float64{1e308, 1e308}), 5)
+	for _, p := range [][]float64{{1e308, -1e308}, {0, 9e307}, {math.Inf(1), math.Inf(-1)}} {
+		flat := wide.CellOf(p)
+		if flat != 0 {
+			t.Fatalf("%v on an infinite-width grid: cell %d, want 0", p, flat)
+		}
 	}
 }
 
