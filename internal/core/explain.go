@@ -77,10 +77,10 @@ func Explain(p *smj.Problem, opts Options) (Plan, error) {
 
 // PlanBoxes runs the look-ahead phases (§III-A) and returns the live
 // regions' coordinate boxes on the output grid (aliasing, read-only) together
-// with the grid's per-dimension cell counts — the input of sched.Progressive,
-// the EL-Graph scheduler the engine no longer runs. Benchmarks use it to
-// measure scheduler construction and edge release in isolation from
-// tuple-level work.
+// with the grid's per-dimension cell counts — the input of
+// sched.NewProgressive, the EL-Graph scheduler the engine no longer runs. The
+// benchmark's sched.* cells drive it over these boxes; the core package
+// imports sched only for this return type.
 func PlanBoxes(p *smj.Problem, opts Options) ([]sched.Box, []int, error) {
 	_, regions, s, err := New(opts).lookAhead(p)
 	if err != nil || len(regions) == 0 {

@@ -1,23 +1,25 @@
 // Package sched is the EL-Graph scheduler of §IV-B: ProgOrder (Algorithm 1)
-// over an incremental elimination graph, with an inverted priority queue and
-// lazy benefit/cost rank refresh. The engine no longer runs it — it ranks
-// every region once and runs the sorted order — so the package exists only
-// for the benchmark's sched.* cells, which drive Progressive over the
-// engine's region boxes (core.PlanBoxes), and goes with them.
+// with an inverted priority queue and lazy benefit/cost rank refresh. The
+// engine no longer runs it — it ranks every region once and runs the sorted
+// order — so the package exists only for the benchmark's sched.* cells,
+// which drive Progressive over the engine's region boxes (core.PlanBoxes),
+// and goes with them.
 //
-// The graph is incremental: in-degrees come from orthant counts over the
-// regions' coordinate-box corners instead of the all-pairs O(n²) edge scan,
-// out-edges are enumerated from per-dimension grid buckets only at release
-// time (never materialized), and benefit/cost ranks refresh lazily at
-// queue-pop — a region dirtied by k edge releases between two pops is
-// re-ranked once, not k times. Every decision is a deterministic function of
-// the complete call sequence and the ranker's values: the heap order is total
-// (rank desc, id asc), release enumeration order never reaches an
-// order-sensitive consumer, and rank refreshes happen at fixed protocol
+// The graph is the §IV-B edge predicate itself, with no stored adjacency:
+// in-degrees come from one all-pairs count at construction, and a release
+// finds its targets by scanning the boxes in ascending id. Ranks refresh
+// lazily at queue-pop — a region dirtied by k edge releases between two pops
+// is re-ranked once, not k times. Every decision is a deterministic function
+// of the complete call sequence and the ranker's values: the heap order is
+// total (rank desc, id asc), and rank refreshes happen at fixed protocol
 // points.
 package sched
 
-import "fmt"
+import (
+	"fmt"
+
+	"progxe/internal/grid"
+)
 
 // Box is one region's inclusive coordinate box on the output grid: the
 // componentwise minimum and maximum cell coordinates of the cells it covers
@@ -34,11 +36,10 @@ type Ranker func(id int) float64
 
 // Counters reports the scheduler's work.
 type Counters struct {
-	Regions        int // regions under management
-	Edges          int // EL-Graph edges at construction
-	Roots          int // initial roots (in-degree 0)
-	RankRefreshes  int // lazy benefit/cost recomputations
-	FenwickUpdates int // point updates on the in-degree Fenwick tree
+	Regions       int // regions under management
+	Edges         int // EL-Graph edges at construction
+	Roots         int // initial roots (in-degree 0)
+	RankRefreshes int // lazy benefit/cost recomputations
 }
 
 // region lifecycle states.
@@ -47,11 +48,11 @@ const (
 	stProcessed
 )
 
-// Progressive is ProgOrder (Algorithm 1) over an elGraph: EL-Graph roots
-// ranked by Benefit/Cost in an inverted priority queue, with lazy rank
-// refresh and graph-cycle breaking by best-ranked live region.
+// Progressive is ProgOrder (Algorithm 1): EL-Graph roots ranked by
+// Benefit/Cost in an inverted priority queue, with lazy rank refresh and
+// graph-cycle breaking by best-ranked live region.
 type Progressive struct {
-	g      elGraph
+	boxes  []Box
 	ranker Ranker
 
 	state  []int8
@@ -78,44 +79,33 @@ type Progressive struct {
 	c    Counters
 }
 
-// NewProgressive returns the incremental-graph ProgOrder scheduler over the
-// given region boxes. k lists the output grid's cells per dimension;
-// workers bounds the parallelism of the in-degree construction pass (0 or 1
-// = serial), which is deterministic for any value.
+// NewProgressive returns the ProgOrder scheduler over the given region
+// boxes. k lists the output grid's cells per dimension (the all-pairs graph
+// does not read it); workers bounds the parallelism of the in-degree count
+// (0 or 1 = serial), whose result is the same for any value.
 func NewProgressive(boxes []Box, k []int, ranker Ranker, workers int) *Progressive {
-	p := &Progressive{ranker: ranker}
-	p.init(boxes, newIncGraph(boxes, k, workers, &p.c.FenwickUpdates))
-	return p
-}
-
-// NewBatch is NewProgressive over the retained batch O(n²) graph builder —
-// the differential oracle and benchmark baseline. Scheduling decisions are
-// identical to the incremental scheduler's.
-func NewBatch(boxes []Box, k []int, ranker Ranker, workers int) *Progressive {
-	p := &Progressive{ranker: ranker}
-	p.init(boxes, newBatchGraph(boxes, workers))
-	return p
-}
-
-func (p *Progressive) init(boxes []Box, g elGraph) {
 	n := len(boxes)
-	p.g = g
-	p.state = make([]int8, n)
-	p.rank = make([]float64, n)
-	p.ranked = make([]bool, n)
-	p.dirty = make([]bool, n)
-	p.inDeg = append([]int32(nil), g.inDegrees()...)
+	p := &Progressive{
+		boxes:  boxes,
+		ranker: ranker,
+		state:  make([]int8, n),
+		rank:   make([]float64, n),
+		ranked: make([]bool, n),
+		dirty:  make([]bool, n),
+		inDeg:  inDegrees(boxes, workers),
+		live:   n,
+	}
 	p.q = newIDHeap(p.rank, n)
-	p.live = n
-	for id := 0; id < n; id++ {
-		if p.inDeg[id] == 0 {
+	for id, d := range p.inDeg {
+		p.c.Edges += int(d)
+		if d == 0 {
 			p.q.push(int32(id))
 			p.markDirty(int32(id))
 		}
 	}
 	p.c.Regions = n
-	p.c.Edges = g.edges()
 	p.c.Roots = p.q.len()
+	return p
 }
 
 func (p *Progressive) markDirty(id int32) {
@@ -156,7 +146,6 @@ func (p *Progressive) Next() (int, float64, bool) {
 	if id := p.q.pop(); id >= 0 {
 		p.state[id] = stProcessed
 		p.live--
-		p.g.retire(id)
 		return int(id), p.rank[id], true
 	}
 	if !p.fbBuilt {
@@ -190,7 +179,6 @@ func (p *Progressive) Next() (int, float64, bool) {
 		}
 		p.state[id] = stProcessed
 		p.live--
-		p.g.retire(id)
 		return int(id), p.rank[id], true
 	}
 }
@@ -199,18 +187,22 @@ func (p *Progressive) Next() (int, float64, bool) {
 // Lines 10–19).
 func (p *Progressive) Complete(id int) { p.release(int32(id)) }
 
-// release removes the region's out-edges from the graph: queued targets are
+// release removes the region's out-edges from the graph, scanning the boxes
+// in ascending id for live targets (x itself is no longer live, and a dead
+// region's in-degree is never consulted again): queued targets are
 // dirty-marked for the next queue-pop refresh, targets whose in-degree
 // drains to zero become roots (pushed dirty, ranked before the next pop).
 // A promoted root leaves the fallback queue: its rank is about to be
 // refreshed through the shared rank slice, and mutating a key under a
 // heap's feet would break the fallback's argmax contract.
 func (p *Progressive) release(x int32) {
-	p.g.release(x, func(y int32) {
-		p.inDeg[y]--
-		if p.state[y] != stLive {
-			return
+	src := p.boxes[x].Min
+	for i, b := range p.boxes {
+		y := int32(i)
+		if p.state[y] != stLive || !grid.StrictlyBelow(src, b.Max) {
+			continue
 		}
+		p.inDeg[y]--
 		if p.q.contains(y) {
 			p.markDirty(y)
 		} else if p.inDeg[y] == 0 {
@@ -220,7 +212,7 @@ func (p *Progressive) release(x int32) {
 				p.fb.remove(y)
 			}
 		}
-	})
+	}
 }
 
 // Counters reports the scheduler's work counters.

@@ -5,6 +5,9 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+
+	"progxe/internal/grid"
+	"progxe/internal/par"
 )
 
 // randBoxes generates a random region set over a random grid shape.
@@ -27,54 +30,8 @@ func randBoxes(rng *rand.Rand, n, d, kMax int) ([]Box, []int) {
 	return boxes, k
 }
 
-// collectEdges enumerates a graph's full edge set as sorted (x, y) pairs.
-// Release enumeration order is deliberately unspecified, so comparisons
-// sort first. Self-pairs are filtered: the scheduler retires a region from
-// the index before releasing it, so production releases never see the
-// source itself — here every region is still live.
-func collectEdges(g elGraph, n int) [][2]int32 {
-	var edges [][2]int32
-	for x := int32(0); int(x) < n; x++ {
-		g.release(x, func(y int32) {
-			if y != x {
-				edges = append(edges, [2]int32{x, y})
-			}
-		})
-	}
-	slices.SortFunc(edges, func(a, b [2]int32) int {
-		if a[0] != b[0] {
-			return int(a[0] - b[0])
-		}
-		return int(a[1] - b[1])
-	})
-	return edges
-}
-
-// checkGraphEquivalence asserts the incremental index and the batch builder
-// agree on in-degrees, edge totals and the complete edge set.
-func checkGraphEquivalence(t *testing.T, boxes []Box, k []int, workers int) {
-	t.Helper()
-	var fen int
-	inc := newIncGraph(boxes, k, workers, &fen)
-	batch := newBatchGraph(boxes, workers)
-	if !slices.Equal(inc.inDegrees(), batch.inDegrees()) {
-		t.Fatalf("in-degrees diverge:\nincremental %v\nbatch       %v", inc.inDegrees(), batch.inDegrees())
-	}
-	if inc.edges() != batch.edges() {
-		t.Fatalf("edge totals diverge: incremental %d, batch %d", inc.edges(), batch.edges())
-	}
-	incEdges := collectEdges(inc, len(boxes))
-	batchEdges := collectEdges(newBatchGraph(boxes, workers), len(boxes))
-	if !slices.Equal(incEdges, batchEdges) {
-		t.Fatalf("edge sets diverge: incremental %d edges, batch %d", len(incEdges), len(batchEdges))
-	}
-}
-
 // discard eliminates a live region without popping it (Algorithm 1, Line 9):
-// it leaves the queues and releases its edges. The differential drive
-// discards at random so the two graphs are compared on releases of
-// never-popped regions too; those draws also fix the next trial's shape,
-// and with it the subtest names.
+// it leaves the queues and releases its edges.
 func discard(p *Progressive, id int) {
 	if p.state[id] != stLive {
 		return
@@ -82,15 +39,236 @@ func discard(p *Progressive, id int) {
 	p.state[id] = stProcessed
 	p.live--
 	p.q.remove(int32(id))
-	p.g.retire(int32(id))
 	p.release(int32(id))
 }
 
-// driveEquivalence replays one randomized complete/discard sequence through
-// the incremental scheduler and the batch oracle, demanding identical pop
-// order, pop-time ranks, discard outcomes and counters. The ranker is a
-// pure function of (region, pops so far), so both sides see identical
-// values iff their refresh sets coincide at every protocol point.
+// bruteForcePick is ProgOrder's choice from first principles: the best
+// (rank desc, id asc) live region with no live in-edge, or — when every live
+// region has one (a cycle) — the best live region. -1 when none is live.
+func bruteForcePick(boxes []Box, alive []bool, rank func(int) float64) int {
+	better := func(a, b int) bool {
+		return b < 0 || rank(a) > rank(b) || rank(a) == rank(b) && a < b
+	}
+	root, best := -1, -1
+	for y := range boxes {
+		if !alive[y] {
+			continue
+		}
+		if better(y, best) {
+			best = y
+		}
+		isRoot := true
+		for x := range boxes {
+			if x != y && alive[x] && grid.StrictlyBelow(boxes[x].Min, boxes[y].Max) {
+				isRoot = false
+				break
+			}
+		}
+		if isRoot && better(y, root) {
+			root = y
+		}
+	}
+	if root >= 0 {
+		return root
+	}
+	return best
+}
+
+// TestScheduleMatchesBruteForce is the scheduler's property test: random
+// region sets and random complete/discard sequences, with every Next checked
+// against bruteForcePick. The ranker depends on the id only, so a lazy
+// refresh never changes a rank and the brute-force pick is well defined.
+func TestScheduleMatchesBruteForce(t *testing.T) {
+	shapes := []struct{ d, kMax int }{{1, 12}, {2, 8}, {3, 16}, {5, 8}, {2, 200}, {9, 4}}
+	rank := func(id int) float64 {
+		x := uint64(id) * 0x9e3779b97f4a7c15
+		x ^= x >> 29
+		return float64(x % 16) // coarse buckets force id tie-breaks
+	}
+	for _, sh := range shapes {
+		t.Run(fmt.Sprintf("d=%d/k<%d", sh.d, sh.kMax+1), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(uint64(sh.d)*77+uint64(sh.kMax), 99))
+			for trial := 0; trial < 25; trial++ {
+				boxes, k := randBoxes(rng, 1+rng.IntN(120), sh.d, sh.kMax)
+				p := NewProgressive(boxes, k, rank, 0)
+				alive := make([]bool, len(boxes))
+				for i := range alive {
+					alive[i] = true
+				}
+				for pops := 0; ; pops++ {
+					want := bruteForcePick(boxes, alive, rank)
+					id, r, ok := p.Next()
+					if !ok {
+						if want >= 0 {
+							t.Fatalf("trial %d pop %d: scheduler done, brute force picks %d", trial, pops, want)
+						}
+						break
+					}
+					if id != want || r != rank(id) {
+						t.Fatalf("trial %d pop %d: picked %d (rank %g), brute force %d (rank %g)", trial, pops, id, r, want, rank(want))
+					}
+					alive[id] = false
+					// Discard a few live regions mid-round, as tuple-level
+					// domination would (Algorithm 1, Line 9).
+					for tries := rng.IntN(3); tries > 0; tries-- {
+						if d := rng.IntN(len(boxes)); alive[d] {
+							alive[d] = false
+							discard(p, d)
+						}
+					}
+					p.Complete(id)
+				}
+			}
+		})
+	}
+}
+
+// refSched is ProgOrder written out plainly, the reference of
+// TestSchedulerEquivalence: the EL-Graph as adjacency lists built from the
+// all-pairs predicate, every pick a linear argmax over (rank desc, id asc),
+// and Progressive's refresh protocol — a queued region dirtied by releases is
+// re-ranked once at the next Next, and the first cycle break ranks every
+// live region once and then picks by those frozen ranks.
+type refSched struct {
+	ranker                       Ranker
+	out                          [][]int
+	inDeg                        []int
+	rank                         []float64
+	alive, queued, dirty, ranked []bool
+	fbBuilt                      bool
+	c                            Counters
+}
+
+func newRefSched(boxes []Box, ranker Ranker) *refSched {
+	n := len(boxes)
+	r := &refSched{
+		ranker: ranker, out: make([][]int, n), inDeg: make([]int, n), rank: make([]float64, n),
+		alive: make([]bool, n), queued: make([]bool, n), dirty: make([]bool, n), ranked: make([]bool, n),
+	}
+	for x := range boxes {
+		for y := range boxes {
+			if x != y && grid.StrictlyBelow(boxes[x].Min, boxes[y].Max) {
+				r.out[x] = append(r.out[x], y)
+				r.inDeg[y]++
+				r.c.Edges++
+			}
+		}
+	}
+	for y := range boxes {
+		r.alive[y] = true
+		if r.inDeg[y] == 0 {
+			r.queued[y], r.dirty[y] = true, true
+			r.c.Roots++
+		}
+	}
+	r.c.Regions = n
+	return r
+}
+
+// best is the (rank desc, id asc) argmax over the live regions whose queued
+// flag equals queued, or -1.
+func (r *refSched) best(queued bool) int {
+	pick := -1
+	for y := range r.alive {
+		if r.alive[y] && r.queued[y] == queued &&
+			(pick < 0 || r.rank[y] > r.rank[pick]) {
+			pick = y
+		}
+	}
+	return pick
+}
+
+func (r *refSched) Next() (int, float64, bool) {
+	for y := range r.dirty {
+		if r.dirty[y] && r.alive[y] && r.queued[y] {
+			r.rank[y] = r.ranker(y)
+			r.ranked[y] = true
+			r.c.RankRefreshes++
+		}
+		r.dirty[y] = false
+	}
+	id := r.best(true)
+	if id < 0 {
+		if !r.fbBuilt {
+			r.fbBuilt = true
+			for y := range r.alive {
+				if r.alive[y] && !r.ranked[y] {
+					r.rank[y] = r.ranker(y)
+					r.ranked[y] = true
+					r.c.RankRefreshes++
+				}
+			}
+		}
+		if id = r.best(false); id < 0 {
+			return -1, 0, false
+		}
+	}
+	r.alive[id], r.queued[id] = false, false
+	return id, r.rank[id], true
+}
+
+// release is Complete, and the second half of a discard.
+func (r *refSched) release(x int) {
+	for _, y := range r.out[x] {
+		if !r.alive[y] {
+			continue
+		}
+		r.inDeg[y]--
+		if r.queued[y] {
+			r.dirty[y] = true
+		} else if r.inDeg[y] == 0 {
+			r.queued[y], r.dirty[y] = true, true
+		}
+	}
+}
+
+func (r *refSched) discard(id int) {
+	if r.alive[id] {
+		r.alive[id], r.queued[id] = false, false
+		r.release(id)
+	}
+}
+
+// TestSchedulerEquivalence is the differential test of the scheduler's
+// protocol: random region sets and complete/discard sequences through
+// Progressive and refSched, with a ranker that depends on the pops so far
+// (so a missed or extra lazy refresh changes a rank), demanding the same
+// in-degrees, pop order, pop-time ranks and counters. The mode names are
+// those of the incremental box index the scheduler used before its graph
+// became the all-pairs predicate; each now stands for its grid shape, and
+// the two fallback modes, which differed from their shape's first mode only
+// in that index's Fenwick cap, replay the same trials.
+func TestSchedulerEquivalence(t *testing.T) {
+	modes := []struct {
+		name    string
+		d, kMax int
+	}{
+		{"packed/fenwick", 3, 16},
+		{"packed/d=5", 5, 8},
+		{"unpacked/k=200", 2, 200},
+		{"unpacked/d=9", 9, 4},
+		{"fenwick-fallback", 3, 16},
+		{"unpacked+fallback", 2, 200},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(uint64(m.d)*77+uint64(m.kMax), 99))
+			for trial := 0; trial < 25; trial++ {
+				n := 1 + rng.IntN(120)
+				workers := rng.IntN(3) * 2 // 0, 2, 4 — construction must not depend on it
+				boxes, k := randBoxes(rng, n, m.d, m.kMax)
+				label := fmt.Sprintf("trial %d (n=%d d=%d k=%v workers=%d)", trial, n, m.d, k, workers)
+				t.Run(label, func(t *testing.T) {
+					driveEquivalence(t, rng, boxes, k, workers)
+				})
+			}
+		})
+	}
+}
+
+// driveEquivalence replays one random complete/discard sequence through
+// Progressive and refSched. Its random draws also fix the next trial's
+// shape, and with it the subtest names.
 func driveEquivalence(t *testing.T, rng *rand.Rand, boxes []Box, k []int, workers int) {
 	t.Helper()
 	pops := 0
@@ -101,88 +279,54 @@ func driveEquivalence(t *testing.T, rng *rand.Rand, boxes []Box, k []int, worker
 		// Coarse buckets force rank ties, exercising id tie-breaking.
 		return float64(x % 16)
 	}
-	inc := NewProgressive(boxes, k, ranker, workers)
-	batch := NewBatch(boxes, k, ranker, workers)
-
-	alive := make([]bool, len(boxes))
-	for i := range alive {
-		alive[i] = true
+	p := NewProgressive(boxes, k, ranker, workers)
+	ref := newRefSched(boxes, ranker)
+	for y, d := range p.inDeg {
+		if int(d) != ref.inDeg[y] {
+			t.Fatalf("in-degree of %d: %d, reference %d", y, d, ref.inDeg[y])
+		}
 	}
-	var order []int
 	for {
-		ia, ra, oka := inc.Next()
-		ib, rb, okb := batch.Next()
+		ia, ra, oka := p.Next()
+		ib, rb, okb := ref.Next()
 		if oka != okb || ia != ib || ra != rb {
-			t.Fatalf("pop %d diverges: incremental (%d, %g, %v), batch (%d, %g, %v)",
+			t.Fatalf("pop %d diverges: scheduler (%d, %g, %v), reference (%d, %g, %v)",
 				pops, ia, ra, oka, ib, rb, okb)
 		}
 		if !oka {
 			break
 		}
 		pops++
-		if !alive[ia] {
-			t.Fatalf("pop %d returned dead region %d", pops, ia)
-		}
-		alive[ia] = false
-		order = append(order, ia)
 		// Discard a random batch of live regions mid-round, as tuple-level
 		// domination would (Algorithm 1, Line 9).
 		for tries := rng.IntN(3); tries > 0; tries-- {
-			id := rng.IntN(len(boxes))
-			if alive[id] {
-				alive[id] = false
-				discard(inc, id)
-				discard(batch, id)
+			if id := rng.IntN(len(boxes)); ref.alive[id] {
+				discard(p, id)
+				ref.discard(id)
 			}
 		}
-		inc.Complete(ia)
-		batch.Complete(ia)
+		p.Complete(ia)
+		ref.release(ia)
 	}
-	if len(order) == 0 && len(boxes) > 0 {
+	if pops == 0 && len(boxes) > 0 {
 		t.Fatal("nothing scheduled")
 	}
-	ci, cb := inc.Counters(), batch.Counters()
-	ci.FenwickUpdates, cb.FenwickUpdates = 0, 0 // batch builds no tree
-	if ci != cb {
-		t.Fatalf("counters diverge: incremental %+v, batch %+v", ci, cb)
+	if c, rc := p.Counters(), ref.c; c != rc {
+		t.Fatalf("counters diverge: scheduler %+v, reference %+v", c, rc)
 	}
 }
 
-// TestSchedulerEquivalence is the differential property test: randomized
-// region sets and discard/complete sequences through the incremental
-// scheduler vs the retained batch O(n²) builder, across the index's
-// operating modes — packed keys with the Fenwick in-degree pass (the
-// default), unpacked keys (a dimension wider than 128 cells), and the
-// bucket-scan fallback for grids above the Fenwick cap.
-func TestSchedulerEquivalence(t *testing.T) {
-	modes := []struct {
-		name     string
-		d, kMax  int
-		fenLimit int
-	}{
-		{"packed/fenwick", 3, 16, 1 << 21},
-		{"packed/d=5", 5, 8, 1 << 21},
-		{"unpacked/k=200", 2, 200, 1 << 21},
-		{"unpacked/d=9", 9, 4, 1 << 21},
-		{"fenwick-fallback", 3, 16, 8},
-		{"unpacked+fallback", 2, 200, 8},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			defer func(old int) { fenLimit = old }(fenLimit)
-			fenLimit = m.fenLimit
-			rng := rand.New(rand.NewPCG(uint64(m.d)*77+uint64(m.kMax), 99))
-			for trial := 0; trial < 25; trial++ {
-				n := 1 + rng.IntN(120)
-				workers := rng.IntN(3) * 2 // 0, 2, 4 — construction must not depend on it
-				boxes, k := randBoxes(rng, n, m.d, m.kMax)
-				label := fmt.Sprintf("trial %d (n=%d d=%d k=%v workers=%d)", trial, n, m.d, k, workers)
-				t.Run(label, func(t *testing.T) {
-					checkGraphEquivalence(t, boxes, k, workers)
-					driveEquivalence(t, rng, boxes, k, workers)
-				})
-			}
-		})
+// TestInDegreesIndependentOfWorkers checks the parallel all-pairs count on a
+// region set large enough to fan out: every worker count gives the serial
+// in-degrees.
+func TestInDegreesIndependentOfWorkers(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	boxes, _ := randBoxes(rng, 3*par.Min, 3, 12)
+	want := inDegrees(boxes, 0)
+	for _, w := range []int{2, 3, 8} {
+		if got := inDegrees(boxes, w); !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: in-degrees differ from serial", w)
+		}
 	}
 }
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -251,12 +254,13 @@ func TestRegionOrder(t *testing.T) {
 
 func head(ids []int) []int { return ids[:min(len(ids), 8)] }
 
-// TestPlanBoxesProgressiveMatchesBatch drives the EL-Graph scheduler and its
-// batch O(n²) builder over the engine-built region boxes of a shrunken
-// fine-partition problem: both must agree on the edge total and the
-// complete pop sequence over real geometry — the randomized property test's
-// complement with production boxes.
-func TestPlanBoxesProgressiveMatchesBatch(t *testing.T) {
+// TestPlanBoxesSchedule pins the EL-Graph scheduler's decisions over the
+// engine-built region boxes of a shrunken fine-partition problem — the
+// randomized brute-force test's complement with production geometry. The
+// edge and root totals, the rank refreshes and an FNV-1a digest of the
+// (id, rank) pop sequence cover what the benchmark's sched.* cells read; a
+// change to any of them is a change of the scheduler's decisions.
+func TestPlanBoxesSchedule(t *testing.T) {
 	p := smokeProblem(t, 2000, 3, datagen.AntiCorrelated, 0.001, 41)
 	boxes, dims, err := PlanBoxes(p, Options{Partitioning: PartitionKD, InputCells: 3})
 	if err != nil {
@@ -270,21 +274,25 @@ func TestPlanBoxesProgressiveMatchesBatch(t *testing.T) {
 		x ^= x >> 29
 		return float64(x % (1 << 20))
 	}
-	inc := sched.NewProgressive(boxes, dims, ranker, 0)
-	batch := sched.NewBatch(boxes, dims, ranker, 0)
+	s := sched.NewProgressive(boxes, dims, ranker, 0)
+	h := fnv.New64a()
+	var buf [12]byte
+	pops := 0
 	for {
-		ia, ra, oka := inc.Next()
-		ib, rb, okb := batch.Next()
-		if ia != ib || ra != rb || oka != okb {
-			t.Fatalf("pop diverges on engine-built boxes: (%d,%g,%v) vs (%d,%g,%v)", ia, ra, oka, ib, rb, okb)
-		}
-		if !oka {
+		id, rank, ok := s.Next()
+		if !ok {
 			break
 		}
-		inc.Complete(ia)
-		batch.Complete(ib)
+		binary.LittleEndian.PutUint32(buf[:4], uint32(id))
+		binary.LittleEndian.PutUint64(buf[4:], math.Float64bits(rank))
+		h.Write(buf[:])
+		pops++
+		s.Complete(id)
 	}
-	if ci, cb := inc.Counters(), batch.Counters(); ci.Edges != cb.Edges || ci.Edges == 0 {
-		t.Fatalf("edge totals: incremental %d, batch %d", ci.Edges, cb.Edges)
+	c := s.Counters()
+	got := [5]uint64{uint64(pops), uint64(c.Edges), uint64(c.Roots), uint64(c.RankRefreshes), h.Sum64()}
+	want := [5]uint64{719, 238948, 0, 721, 0x9619afdb7de31603}
+	if got != want {
+		t.Fatalf("pops, edges, roots, rank refreshes, pop digest = %v (digest %#x), want %v (digest %#x)", got, got[4], want, want[4])
 	}
 }

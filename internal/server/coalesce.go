@@ -284,6 +284,10 @@ func (s *Server) runGroupRun(g *runGroup, rs runSpec) {
 		spans, instants := rs.tracer.Spans()
 		trace, _ = obs.TraceJSON(append(rs.prof.Spans(), spans...), instants)
 	}
+	// The slot returns before the run's end is visible — the run record and
+	// the stats trailer — so a client that has seen either never finds its
+	// own finished run still holding one.
+	g.release()
 	rec := s.finishRun(runResult{
 		runID: rs.runID, engineName: rs.engineName, query: rs.query,
 		exec:   g.key.exec,
@@ -293,9 +297,6 @@ func (s *Server) runGroupRun(g *runGroup, rs runSpec) {
 		progress: timeline.Quantiles(), phases: rs.prof.Report(),
 		engineStats: engineStats, trace: trace,
 	})
-	// The slot returns before the trailer is published, so a client that has
-	// read its trailer never finds its own finished run still holding one.
-	g.release()
 	if panicked {
 		g.appendJSON("error", newErrorRecord(errInternal,
 			"run %s failed with an internal error; see /v1/runs/%s", rs.runID, rs.runID))

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"progxe/internal/baseline"
 	"progxe/internal/core"
@@ -315,4 +317,42 @@ func TestPanickingRunIsContained(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 	ts.CloseClientConnections()
 	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= idle })
+}
+
+// TestQueryEndVisibleAfterSlotRelease pins the order of a run's end: once
+// its client can see the end — the /v1/runs record and runsActive back at 0
+// — the admission slot is free, so an immediate new run on a one-slot
+// server is admitted, whether the client read its trailer or vanished.
+func TestQueryEndVisibleAfterSlotRelease(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxConcurrentRuns: 1})
+	b, _ := json.Marshal(QueryRequest{Query: tinyQuery})
+	cycles := 500
+	if testing.Short() {
+		cycles = 100
+	}
+	last := ""
+	for i := 0; i < cycles; i++ {
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			io.Copy(io.Discard, resp.Body) // read to the trailer
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cycle %d: new run after a visible end: status %d", i, resp.StatusCode)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if recs := srv.runlog.list(); len(recs) > 0 && recs[0].ID != last && srv.Stats().RunsActive == 0 {
+				last = recs[0].ID
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: run never ended: %+v", i, srv.Stats())
+			}
+			runtime.Gosched()
+		}
+	}
 }

@@ -293,6 +293,10 @@ loop:
 		}
 	}
 
+	// The slot returns before the end becomes visible — the error record,
+	// subscriptionsLive and the /v1/runs record — so a client that has seen
+	// its subscription end never finds it still holding the slot.
+	release()
 	if endRec != nil && !sw.fail {
 		sw.record("error", *endRec)
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -696,5 +697,40 @@ func TestSubscribeVanishedClientReleasesSlot(t *testing.T) {
 	sub := openSubscribe(t, ts, QueryRequest{Query: tinyQuery})
 	if run := sub.next(t); run["type"] != "run" {
 		t.Fatalf("head record = %v", run)
+	}
+}
+
+// TestSubscribeEndVisibleAfterSlotRelease pins the order of a
+// subscription's end: once its client can see the end — the /v1/runs record
+// and subscriptionsLive back at 0 — the slot is free, so an immediate
+// resubscribe on a one-slot server is admitted, cycle after cycle.
+func TestSubscribeEndVisibleAfterSlotRelease(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxSubscriptions: 1})
+	b, _ := json.Marshal(QueryRequest{Query: tinyQuery})
+	cycles := 500
+	if testing.Short() {
+		cycles = 100
+	}
+	last := ""
+	for i := 0; i < cycles; i++ {
+		resp, err := http.Post(ts.URL+"/v1/subscribe", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() // vanish
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cycle %d: resubscribe after a visible end: status %d", i, resp.StatusCode)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if recs := srv.runlog.list(); len(recs) > 0 && recs[0].ID != last && srv.Stats().SubscriptionsLive == 0 {
+				last = recs[0].ID
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: subscription never ended: %+v", i, srv.Stats())
+			}
+			runtime.Gosched()
+		}
 	}
 }

@@ -152,9 +152,8 @@ type Stats struct {
 	CellsMarked     int // output cells marked non-contributing (ProgXe engines)
 	PushPruned      int // source tuples removed by partial push-through
 
-	// FenwickUpdates is inert (no engine counts into it: the region order
-	// needs no Fenwick tree); it stays while the benchmark reports it as
-	// core.fenwick_updates.
+	// FenwickUpdates is inert: nothing counts into it. It stays while the
+	// benchmark reports it as core.fenwick_updates.
 	FenwickUpdates int
 }
 
