@@ -42,7 +42,7 @@ func runPruneSetup(f Figure, w io.Writer, repeats int) []RunResult {
 		name string
 		run  func() []bool
 	}{
-		{"Prune (frontier)", func() []bool { return grid.DominatedRects(rects) }},
+		{"Prune (frontier)", func() []bool { d, _ := grid.DominatedRects(rects); return d }},
 		{"Prune (O(n²) oracle)", func() []bool { return grid.DominatedRectsQuadratic(rects, 0) }},
 	}
 	var out []RunResult

@@ -28,7 +28,7 @@ func TestPruneSetupFigureSmoke(t *testing.T) {
 	if len(rects) < 200 {
 		t.Fatalf("fixture produced only %d candidates", len(rects))
 	}
-	idx := grid.DominatedRects(rects)
+	idx, _ := grid.DominatedRects(rects)
 	orc := grid.DominatedRectsQuadratic(rects, 0)
 	for i := range idx {
 		if idx[i] != orc[i] {

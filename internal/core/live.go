@@ -555,22 +555,12 @@ func (ls *LiveSpace) cellFor(v []float64) *liveCell {
 	return c
 }
 
-// coordsLE reports a ≤ b componentwise.
-func coordsLE(a, b []int) bool {
-	for i, av := range a {
-		if av > b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // domCells returns the cells where dominators of tuples in c can live (coords
 // ≤ c's, including c itself), extending the cached list over cells created
 // since it was last current.
 func (ls *LiveSpace) domCells(c *liveCell) []*liveCell {
 	for _, n := range ls.cellList[c.domN:] {
-		if coordsLE(n.coords, c.coords) {
+		if grid.LeqAll(n.coords, c.coords) {
 			c.dom = append(c.dom, n)
 		}
 	}
@@ -583,7 +573,7 @@ func (ls *LiveSpace) domCells(c *liveCell) []*liveCell {
 // like domCells.
 func (ls *LiveSpace) vicCells(c *liveCell) []*liveCell {
 	for _, n := range ls.cellList[c.vicN:] {
-		if coordsLE(c.coords, n.coords) {
+		if grid.LeqAll(c.coords, n.coords) {
 			c.vic = append(c.vic, n)
 		}
 	}

@@ -132,7 +132,7 @@ func TestPrunedRegionSetsMatch(t *testing.T) {
 	if len(all) < 8 {
 		t.Fatalf("fixture paired only %d regions", len(all))
 	}
-	idx, _ := prunedRegions(all)
+	idx, _ := grid.DominatedRects(regionRects(all))
 	orc := grid.DominatedRectsQuadratic(regionRects(all), 2)
 	if !slices.Equal(idx, orc) {
 		t.Fatalf("verdicts diverge:\nfrontier %v\noracle   %v", idx, orc)

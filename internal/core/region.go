@@ -79,24 +79,6 @@ func pairRegions(left, right []*inputPartition, maps *mapping.Set) []*region {
 	return all
 }
 
-// prunedRegions marks every candidate region whose enclosure is dominated
-// by another candidate's enclosure: X is eliminated if some
-// guaranteed-populated region's UPPER point dominates LOWER(X) (Example 2).
-// Pruning by a region that is itself pruned stays sound: the domination
-// relation over enclosures is a strict partial order and chains down to a
-// surviving witness region. The verdicts are read off the frontier of the
-// candidates' upper corners (grid.Frontier), which is returned with them: a
-// pruned region's upper corner is never Pareto-minimal, so the same frontier
-// serves buildSpace's static cell marking over the survivors.
-func prunedRegions(all []*region) ([]bool, *grid.Frontier) {
-	front := grid.NewFrontier(regionRects(all))
-	dominated := make([]bool, len(all))
-	for i, r := range all {
-		dominated[i] = front.Dominates(r.rect.Lower)
-	}
-	return dominated, front
-}
-
 // regionRects lists the regions' enclosures.
 func regionRects(all []*region) []grid.Rect {
 	rects := make([]grid.Rect, len(all))
@@ -117,7 +99,13 @@ func buildRegions(left, right []*inputPartition, maps *mapping.Set, prof *obs.Pr
 	all := pairRegions(left, right, maps)
 	prof.EndSequencer(obs.PhaseRegionBuild, t0)
 	t1 := prof.Clock()
-	dominated, front := prunedRegions(all)
+	// A region X is eliminated if some guaranteed-populated region's UPPER
+	// point dominates LOWER(X) (Example 2). Pruning by a region that is
+	// itself pruned stays sound: domination over enclosures is a strict
+	// partial order and chains down to a surviving witness. The frontier of
+	// all upper corners is that of the survivors too, so buildSpace marks
+	// cells with it.
+	dominated, front := grid.DominatedRects(regionRects(all))
 	prof.EndSequencer(obs.PhasePrune, t1)
 	for i, r := range all {
 		if dominated[i] {

@@ -73,7 +73,8 @@ type Spec struct {
 
 // JoinDomain returns the join-key domain size realizing σ: keys are drawn
 // uniformly from [0, JoinDomain), so two random tuples share a key with
-// probability 1/JoinDomain ≈ σ.
+// probability 1/JoinDomain ≈ σ. A σ so small (or NaN) that ⌈1/σ⌉ does not
+// fit in an int64 saturates at math.MaxInt64.
 func (s Spec) JoinDomain() int64 {
 	if s.Selectivity <= 0 {
 		return 1 << 30 // effectively no matches
@@ -81,7 +82,11 @@ func (s Spec) JoinDomain() int64 {
 	if s.Selectivity >= 1 {
 		return 1
 	}
-	return int64(math.Ceil(1 / s.Selectivity))
+	d := math.Ceil(1 / s.Selectivity)
+	if !(d < math.MaxInt64) { // float64(MaxInt64) is 2⁶³, the first value past the range
+		return math.MaxInt64
+	}
+	return int64(d)
 }
 
 // Generate produces the relation described by the spec. Attribute columns

@@ -114,6 +114,30 @@ func TestJoinDomain(t *testing.T) {
 	}
 }
 
+// TestJoinDomainSaturates: a σ whose ⌈1/σ⌉ is past the int64 range (every
+// 0 < σ ≲ 1.1e-19, and NaN) saturates the domain instead of wrapping it
+// negative, so Generate draws keys instead of panicking; a σ whose domain
+// fits keeps its exact domain.
+func TestJoinDomainSaturates(t *testing.T) {
+	for _, sigma := range []float64{1e-300, 5e-324, 1e-19, 1.0 / (1 << 63), math.NaN()} {
+		if got := (Spec{Selectivity: sigma}).JoinDomain(); got != math.MaxInt64 {
+			t.Errorf("σ=%g: domain %d, want MaxInt64", sigma, got)
+		}
+		rel, err := Generate(Spec{N: 5, Dims: 2, Selectivity: sigma, Seed: 1})
+		if err != nil || rel.Len() != 5 {
+			t.Fatalf("σ=%g: generate %v, %v", sigma, rel, err)
+		}
+		for _, tp := range rel.Tuples {
+			if tp.JoinKey < 0 {
+				t.Fatalf("σ=%g: negative join key %d", sigma, tp.JoinKey)
+			}
+		}
+	}
+	if got := (Spec{Selectivity: 1.2e-19}).JoinDomain(); got != int64(math.Ceil(1/1.2e-19)) {
+		t.Fatalf("σ=1.2e-19: domain %d, want the exact ⌈1/σ⌉", got)
+	}
+}
+
 func TestGeneratePairIndependence(t *testing.T) {
 	r, s, err := GeneratePair(Spec{N: 100, Dims: 2, Selectivity: 0.1, Seed: 3})
 	if err != nil {

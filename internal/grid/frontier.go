@@ -104,17 +104,18 @@ func (f *Frontier) Probe(p []float64) (dominated bool, tests int) {
 
 // DominatedRects reports, for every rect, whether another rect's upper
 // corner dominates its lower corner — the region-level pruning verdict of
-// Output Space Look-Ahead step 1. A rect never dominates itself (Lower ≤
+// Output Space Look-Ahead step 1 — and returns the frontier of the upper
+// corners it read the verdicts off. A rect never dominates itself (Lower ≤
 // Upper leaves no strict dimension), and a dominated rect's upper corner is
 // never Pareto-minimal, so the frontier of all the rects is also the
 // frontier of the survivors.
-func DominatedRects(rects []Rect) []bool {
+func DominatedRects(rects []Rect) ([]bool, *Frontier) {
 	f := NewFrontier(rects)
 	dominated := make([]bool, len(rects))
 	for i, r := range rects {
 		dominated[i] = f.Dominates(r.Lower)
 	}
-	return dominated
+	return dominated, f
 }
 
 // DominatedRectsQuadratic is the all-pairs pruning scan — the differential

@@ -76,7 +76,7 @@ func TestRectIndexMatchesOracle(t *testing.T) {
 				workers := rng.IntN(3) * 2
 				rects := randRects(rng, n, m.d, m.pool)
 				t.Run(fmt.Sprintf("trial %d (n=%d w=%d)", trial, n, workers), func(t *testing.T) {
-					got := DominatedRects(rects)
+					got, _ := DominatedRects(rects)
 					want := DominatedRectsQuadratic(rects, workers)
 					if !slices.Equal(got, want) {
 						t.Fatalf("dominated sets diverge:\nfrontier %v\noracle   %v", got, want)
@@ -106,7 +106,7 @@ func TestRectIndexStrictness(t *testing.T) {
 		{Lower: []float64{1, 1}, Upper: []float64{2, 2}}, // UPPER ties 0's LOWER... but LOWER too: no strict dim
 	}
 	want := []bool{false, false, true, false}
-	if got := DominatedRects(rects); !slices.Equal(got, want) {
+	if got, _ := DominatedRects(rects); !slices.Equal(got, want) {
 		t.Fatalf("DominatedRects = %v, want %v", got, want)
 	}
 	if got := DominatedRectsQuadratic(rects, 0); !slices.Equal(got, want) {
@@ -214,7 +214,7 @@ func TestFrontierEmpty(t *testing.T) {
 	if NewFrontier(nil).Dominates([]float64{1, 2}) {
 		t.Fatal("empty frontier dominates")
 	}
-	if got := DominatedRects(nil); len(got) != 0 {
+	if got, _ := DominatedRects(nil); len(got) != 0 {
 		t.Fatalf("DominatedRects(nil) = %v", got)
 	}
 }

@@ -11,81 +11,61 @@ import (
 	"progxe/internal/relation"
 )
 
-// eventKind classifies one catalog event on the change ring.
-type eventKind int8
-
-const (
-	// eventChange is a single-tuple insert or delete applied through the
-	// change feed; subscriptions fold it into their resident output space.
-	eventChange eventKind = iota
-	// eventDropped is a wholesale DELETE of a relation; subscriptions on it
-	// terminate with relation_dropped.
-	eventDropped
-	// eventReplaced is a wholesale re-registration (upload/generate) of an
-	// existing name; subscriptions on it terminate with relation_replaced —
-	// their snapshot has diverged beyond incremental repair.
-	eventReplaced
-)
-
-// catalogEvent is one entry of the server-wide change ring (Server.changes),
-// the bounded replay of recent catalog events that live subscriptions read:
-// the feed writer never waits for a subscription, and one that falls off the
-// tail is terminated with replay_truncated. seq is the catalog generation
-// assigned to the mutation, so event order, catalog versions, and plan-cache
-// invalidation all advance on one counter.
-type catalogEvent struct {
-	seq      uint64
-	relation string
-	kind     eventKind
-	change   feed.Change // valid for eventChange
-}
-
 // ApplyChange validates and applies one change-feed mutation to the catalog:
 // the named relation is replaced by a snapshot with the tuple inserted or
 // deleted, the catalog version advances (invalidating cached plans by key
-// miss, exactly like an upload), and the stamped change — Seq set to the new
-// catalog generation — is published to live subscriptions. Returns the
-// stamped change.
-//
-// Mutations are serialized (one writer at a time), so the change ring's
-// event order matches the sequence of catalog states.
+// miss, exactly like an upload), and the change — Seq set to the new catalog
+// generation — is published to live subscriptions. Returns the stamped
+// change.
 func (s *Server) ApplyChange(c feed.Change) (feed.Change, error) {
-	s.mutMu.Lock()
-	defer s.mutMu.Unlock()
-	rel, ok := s.catalog.Get(c.Relation)
+	c, err := s.catalog.apply(c, s.cfg.MaxRelations, s.cfg.MaxTotalRows)
+	if err != nil {
+		return feed.Change{}, err
+	}
+	s.metrics.subChangesApplied(1)
+	return c, nil
+}
+
+// apply is the catalog's change-feed mutation (see ApplyChange). Writers are
+// serialized for the whole call, so the copy starts from the latest relation;
+// the copy runs outside mu, so readers never wait on it.
+func (c *Catalog) apply(ch feed.Change, maxEntries, maxRows int) (feed.Change, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	rel, ok := c.rels[ch.Relation]
 	if !ok {
 		return feed.Change{}, httpErrorf(http.StatusNotFound, errRelationNotFound,
-			"relation %q is not in the catalog", c.Relation)
+			"relation %q is not in the catalog", ch.Relation)
 	}
 	next := relation.New(rel.Schema)
-	switch c.Op {
+	switch ch.Op {
 	case feed.OpInsert:
-		if len(c.Vals) != rel.Schema.Arity() {
+		if len(ch.Vals) != rel.Schema.Arity() {
 			return feed.Change{}, httpErrorf(http.StatusBadRequest, errBadChange,
-				"insert into %q has %d values, schema has %d", c.Relation, len(c.Vals), rel.Schema.Arity())
+				"insert into %q has %d values, schema has %d", ch.Relation, len(ch.Vals), rel.Schema.Arity())
 		}
-		for i, v := range c.Vals {
+		for i, v := range ch.Vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return feed.Change{}, httpErrorf(http.StatusBadRequest, errBadChange,
-					"insert into %q: value %d is not finite", c.Relation, i)
+					"insert into %q: value %d is not finite", ch.Relation, i)
 			}
 		}
 		for _, t := range rel.Tuples {
-			if t.ID == c.ID {
+			if t.ID == ch.ID {
 				return feed.Change{}, httpErrorf(http.StatusBadRequest, errBadChange,
-					"insert into %q: id %d already exists", c.Relation, c.ID)
+					"insert into %q: id %d already exists", ch.Relation, ch.ID)
 			}
 		}
 		next.Tuples = make([]relation.Tuple, len(rel.Tuples), len(rel.Tuples)+1)
 		copy(next.Tuples, rel.Tuples)
 		next.Tuples = append(next.Tuples, relation.Tuple{
-			ID: c.ID, Vals: append([]float64(nil), c.Vals...), JoinKey: c.JoinKey,
+			ID: ch.ID, Vals: append([]float64(nil), ch.Vals...), JoinKey: ch.JoinKey,
 		})
 	case feed.OpDelete:
 		found := false
 		next.Tuples = make([]relation.Tuple, 0, len(rel.Tuples))
 		for _, t := range rel.Tuples {
-			if t.ID == c.ID {
+			if t.ID == ch.ID {
 				found = true
 				continue
 			}
@@ -93,30 +73,16 @@ func (s *Server) ApplyChange(c feed.Change) (feed.Change, error) {
 		}
 		if !found {
 			return feed.Change{}, httpErrorf(http.StatusBadRequest, errBadChange,
-				"delete from %q: id %d does not exist", c.Relation, c.ID)
+				"delete from %q: id %d does not exist", ch.Relation, ch.ID)
 		}
 	default:
-		return feed.Change{}, httpErrorf(http.StatusBadRequest, errBadChange, "unknown op %d", c.Op)
+		return feed.Change{}, httpErrorf(http.StatusBadRequest, errBadChange, "unknown op %d", ch.Op)
 	}
-	ver, _, err := s.catalog.RegisterCappedVersioned(next, s.cfg.MaxRelations, s.cfg.MaxTotalRows)
-	switch {
-	case err == nil:
-	case errors.As(err, &ErrCatalogFull{}):
+	if _, err := c.fits(ch.Relation, next.Len(), maxEntries, maxRows); err != nil {
 		return feed.Change{}, httpErrorf(http.StatusConflict, errCatalogFull, "%v", err)
-	default:
-		return feed.Change{}, httpErrorf(http.StatusBadRequest, errBadChange, "%v", err)
 	}
-	c.Seq = ver
-	s.changes.append(catalogEvent{seq: ver, relation: c.Relation, kind: eventChange, change: c})
-	s.metrics.subChangesApplied(1)
-	return c, nil
-}
-
-// publishCatalogEvent records a wholesale catalog mutation (drop or replace)
-// on the change ring so live subscriptions on the relation terminate
-// deterministically instead of serving a stale snapshot.
-func (s *Server) publishCatalogEvent(seq uint64, name string, kind eventKind) {
-	s.changes.append(catalogEvent{seq: seq, relation: name, kind: kind})
+	ch.Seq = c.swap(catalogEvent{relation: ch.Relation, kind: eventChange, change: ch}, next, true)
+	return ch, nil
 }
 
 // ChangesResponse is the body of a successful POST /v1/relations/{name}/changes.

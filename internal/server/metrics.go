@@ -23,7 +23,6 @@ var ttfrBuckets = []float64{
 type metrics struct {
 	mu              sync.Mutex
 	runsStarted     int64
-	runsActive      int64
 	runsCompleted   int64
 	runsCanceled    int64
 	runsFailed      int64
@@ -42,13 +41,12 @@ type metrics struct {
 	coalescedRuns        int64
 	coalescedSubscribers int64
 	replayTruncated      int64
-	// Live-subscription counters. subsLive gauges currently attached
-	// subscriptions; subsStarted counts every subscription admitted;
+	// Live-subscription counters. subsStarted counts every subscription
+	// that staged its output space;
 	// subChanges counts catalog change events folded into resident output
 	// spaces across all subscriptions plus changes applied through the feed
 	// endpoint; subRetracts counts retract records streamed.
 	subsStarted int64
-	subsLive    int64
 	subChanges  int64
 	subRetracts int64
 	ttfr        *histogram
@@ -119,7 +117,6 @@ func newMetrics() *metrics {
 func (m *metrics) runStarted() {
 	m.mu.Lock()
 	m.runsStarted++
-	m.runsActive++
 	m.mu.Unlock()
 }
 
@@ -134,7 +131,6 @@ const (
 
 func (m *metrics) runFinished(o runOutcome, results int64) {
 	m.mu.Lock()
-	m.runsActive--
 	switch o {
 	case runCompleted:
 		m.runsCompleted++
@@ -186,13 +182,11 @@ func (m *metrics) replayTruncation() {
 func (m *metrics) subStarted() {
 	m.mu.Lock()
 	m.subsStarted++
-	m.subsLive++
 	m.mu.Unlock()
 }
 
 func (m *metrics) subFinished(applied, retractions int64) {
 	m.mu.Lock()
-	m.subsLive--
 	m.subChanges += applied
 	m.subRetracts += retractions
 	m.mu.Unlock()
@@ -276,7 +270,7 @@ func (b Bucket) label() string {
 // JSON stats endpoint.
 type Snapshot struct {
 	RunsStarted     int64 `json:"runsStarted"`
-	RunsActive      int64 `json:"runsActive"`
+	RunsActive      int64 `json:"runsActive"` // query runs admitted: run slots held
 	RunsCompleted   int64 `json:"runsCompleted"`
 	RunsCanceled    int64 `json:"runsCanceled"`
 	RunsFailed      int64 `json:"runsFailed"`
@@ -290,7 +284,7 @@ type Snapshot struct {
 	ReplayTruncated      int64 `json:"replayTruncated"`
 	// Live-subscription counters; see metrics for semantics.
 	SubscriptionsStarted       int64    `json:"subscriptionsStarted"`
-	SubscriptionsLive          int64    `json:"subscriptionsLive"`
+	SubscriptionsLive          int64    `json:"subscriptionsLive"` // subscription slots held
 	SubscriptionChangesApplied int64    `json:"subscriptionChangesApplied"`
 	SubscriptionRetractions    int64    `json:"subscriptionRetractions"`
 	TTFRObserved               int64    `json:"ttfrObserved"`
@@ -319,12 +313,12 @@ type PhaseStat struct {
 	Seconds float64 `json:"seconds"`
 }
 
+// snapshot reads the counters; Server.Stats fills the gauges.
 func (m *metrics) snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := Snapshot{
 		RunsStarted:     m.runsStarted,
-		RunsActive:      m.runsActive,
 		RunsCompleted:   m.runsCompleted,
 		RunsCanceled:    m.runsCanceled,
 		RunsFailed:      m.runsFailed,
@@ -338,7 +332,6 @@ func (m *metrics) snapshot() Snapshot {
 		ReplayTruncated:      m.replayTruncated,
 
 		SubscriptionsStarted:       m.subsStarted,
-		SubscriptionsLive:          m.subsLive,
 		SubscriptionChangesApplied: m.subChanges,
 		SubscriptionRetractions:    m.subRetracts,
 		TTFRObserved:               m.ttfr.n,
@@ -386,10 +379,9 @@ func milestoneOrder(m string) int {
 	}
 }
 
-// writePrometheus renders the counters in the Prometheus text exposition
-// format (stdlib only — no client library dependency).
-func (m *metrics) writePrometheus(w io.Writer) {
-	s := m.snapshot()
+// writePrometheus renders s and the histograms in the Prometheus text
+// exposition format (stdlib only — no client library dependency).
+func (m *metrics) writePrometheus(w io.Writer, s Snapshot) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
@@ -407,8 +399,8 @@ func (m *metrics) writePrometheus(w io.Writer) {
 	counter("progxe_subscriptions_started_total", "Live subscriptions admitted.", s.SubscriptionsStarted)
 	counter("progxe_subscription_changes_applied_total", "Catalog change events folded into live subscriptions and applied through the change feed.", s.SubscriptionChangesApplied)
 	counter("progxe_subscription_retractions_total", "Retract records streamed by live subscriptions.", s.SubscriptionRetractions)
-	fmt.Fprintf(w, "# HELP progxe_runs_active Engine runs currently executing.\n# TYPE progxe_runs_active gauge\nprogxe_runs_active %d\n", s.RunsActive)
-	fmt.Fprintf(w, "# HELP progxe_subscriptions_live Live subscriptions currently attached.\n# TYPE progxe_subscriptions_live gauge\nprogxe_subscriptions_live %d\n", s.SubscriptionsLive)
+	fmt.Fprintf(w, "# HELP progxe_runs_active Query runs currently admitted (run slots held).\n# TYPE progxe_runs_active gauge\nprogxe_runs_active %d\n", s.RunsActive)
+	fmt.Fprintf(w, "# HELP progxe_subscriptions_live Live subscriptions currently admitted (subscription slots held).\n# TYPE progxe_subscriptions_live gauge\nprogxe_subscriptions_live %d\n", s.SubscriptionsLive)
 	fmt.Fprintf(w, "# HELP progxe_ttfr_seconds Time to first streamed result.\n# TYPE progxe_ttfr_seconds histogram\n")
 	for _, b := range s.TTFR {
 		fmt.Fprintf(w, "progxe_ttfr_seconds_bucket{le=%q} %d\n", b.label(), b.Count)

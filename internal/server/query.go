@@ -394,21 +394,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Catalog resolution precedes admission: it is cheap (no relation-sized
 	// copies) and needed to name the run — the relation versions pin exactly
 	// the snapshots it will see.
-	left, leftVer, ok := s.catalog.GetVersioned(q.From[0].Table)
-	if !ok {
-		writeError(w, http.StatusNotFound, errRelationNotFound, "relation %q is not in the catalog", q.From[0].Table)
-		return
-	}
-	right, rightVer, ok := s.catalog.GetVersioned(q.From[1].Table)
-	if !ok {
-		writeError(w, http.StatusNotFound, errRelationNotFound, "relation %q is not in the catalog", q.From[1].Table)
+	snap, missing := s.catalog.snapshot([2]string{q.From[0].Table, q.From[1].Table})
+	if missing != "" {
+		writeError(w, http.StatusNotFound, errRelationNotFound, "relation %q is not in the catalog", missing)
 		return
 	}
 	timeout := s.resolveTimeout(req.TimeoutMillis)
 	key := coalesceKey{
 		plan: planKey{
 			engine: strings.ToLower(engineName), query: q.String(),
-			leftVer: leftVer, rightVer: rightVer,
+			leftVer: snap.vers[0], rightVer: snap.vers[1],
 		},
 		limit: req.Limit, exec: s.resolveExec(&req),
 		timeoutMillis: int64(timeout / time.Millisecond),
@@ -425,7 +420,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.metrics.coalescedAttach()
 	}
 	if leader {
-		s.startRun(g, req, engineName, q, left, right, timeout)
+		s.startRun(g, req, engineName, q, snap.rels[0], snap.rels[1], timeout)
 	}
 	s.streamGroup(w, r, g, sse)
 }

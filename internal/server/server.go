@@ -39,7 +39,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"progxe/internal/core"
@@ -70,7 +69,7 @@ const (
 	// hold resident output-space state, so they are admitted separately from
 	// (and do not compete with) one-shot query runs.
 	defaultMaxSubscriptions = 32
-	// defaultChangeLogSize bounds the server-wide change ring subscriptions
+	// defaultChangeLogSize bounds the catalog's change log subscriptions
 	// replay; a subscription that falls further behind is terminated with
 	// replay_truncated rather than stalling the feed.
 	defaultChangeLogSize = 16384
@@ -146,10 +145,10 @@ type Config struct {
 	// is a memory bound as much as a concurrency one. Default 32; negative
 	// disables subscriptions (every subscribe is rejected).
 	MaxSubscriptions int
-	// ChangeLogSize bounds the server-wide ring of recent catalog change
-	// events that live subscriptions replay. The feed writer never waits for
-	// a subscriber; one that falls off the ring's tail is terminated with
-	// replay_truncated. Default 16384 events.
+	// ChangeLogSize bounds the catalog's log of recent change events that
+	// live subscriptions replay. A writer never waits for a subscriber; one
+	// that falls off the log's tail is terminated with replay_truncated.
+	// Default 16384 events.
 	ChangeLogSize int
 	// CoalesceReplay bounds the per-run replay ring in records. Every query
 	// run streams through a run group: concurrent identical requests (same
@@ -243,12 +242,6 @@ type Server struct {
 	logger  *slog.Logger
 	plans   *planCache // nil when the plan cache is disabled
 	coal    *coalescer
-
-	// mutMu serializes catalog mutations with their change-ring publication,
-	// so the ring's event order matches the sequence of catalog states (and
-	// every event's seq is the catalog generation it produced).
-	mutMu   sync.Mutex
-	changes *ring[catalogEvent]
 	subAdm  *admission // subscription slots, separate from query-run slots
 
 	// runCtx is done once CancelRuns is called; every engine run's context
@@ -261,10 +254,10 @@ type Server struct {
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg.withDefaults(),
-		catalog: NewCatalog(),
 		metrics: newMetrics(),
 		mux:     http.NewServeMux(),
 	}
+	s.catalog = newCatalog(s.cfg.ChangeLogSize)
 	s.runCtx, s.stopRuns = context.WithCancel(context.Background())
 	s.adm = newAdmission(s.cfg.MaxConcurrentRuns)
 	s.runlog = newRunLog(s.cfg.RunLogSize)
@@ -273,7 +266,6 @@ func New(cfg Config) *Server {
 		s.plans = newPlanCache(s.cfg.PlanCacheSize, s.metrics.planHit, s.metrics.planMiss)
 	}
 	s.coal = newCoalescer(s.cfg.CoalesceReplay)
-	s.changes = newRing[catalogEvent](s.cfg.ChangeLogSize)
 	if s.cfg.MaxSubscriptions > 0 {
 		s.subAdm = newAdmission(s.cfg.MaxSubscriptions)
 	}
@@ -292,7 +284,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/subscribe", s.handleSubscribe)
 	s.mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.metrics.snapshot())
+		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	s.mux.HandleFunc("GET /v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"runs": s.runlog.list()})
@@ -317,7 +309,7 @@ func New(cfg Config) *Server {
 	})
 	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.metrics.writePrometheus(w)
+		s.metrics.writePrometheus(w, s.Stats())
 	})
 	return s
 }
@@ -326,11 +318,20 @@ func New(cfg Config) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Catalog exposes the relation registry, e.g. for preloading datasets at
-// startup.
+// startup. Its mutations reach live subscriptions exactly like the HTTP
+// ones: replacing or removing a subscribed relation ends the subscription.
 func (s *Server) Catalog() *Catalog { return s.catalog }
 
-// Stats returns a snapshot of the service counters.
-func (s *Server) Stats() Snapshot { return s.metrics.snapshot() }
+// Stats returns a snapshot of the service counters. The two gauges read the
+// admission slots held at the moment of the call.
+func (s *Server) Stats() Snapshot {
+	st := s.metrics.snapshot()
+	st.RunsActive = int64(len(s.adm.slots))
+	if s.subAdm != nil {
+		st.SubscriptionsLive = int64(len(s.subAdm.slots))
+	}
+	return st
+}
 
 // CancelRuns aborts every in-flight engine run (each stream still emits its
 // stats trailer) and makes future runs abort immediately. Call it before
@@ -406,18 +407,9 @@ func (s *Server) handleGenerateRelation(w http.ResponseWriter, r *http.Request) 
 }
 
 // registerCapped registers a network-supplied relation against the catalog
-// entry cap, writing the HTTP error itself on failure. A registration that
-// replaces an existing name publishes a relation_replaced event so live
-// subscriptions on it terminate — their resident snapshot has diverged
-// beyond incremental repair.
+// caps, writing the HTTP error itself on failure.
 func (s *Server) registerCapped(w http.ResponseWriter, rel *relation.Relation) bool {
-	s.mutMu.Lock()
-	ver, replaced, err := s.catalog.RegisterCappedVersioned(rel, s.cfg.MaxRelations, s.cfg.MaxTotalRows)
-	if err == nil && replaced {
-		s.publishCatalogEvent(ver, rel.Schema.Name, eventReplaced)
-	}
-	s.mutMu.Unlock()
-	switch {
+	switch err := s.catalog.register(rel, s.cfg.MaxRelations, s.cfg.MaxTotalRows); {
 	case err == nil:
 		return true
 	case errors.As(err, &ErrCatalogFull{}):
@@ -470,15 +462,7 @@ func (s *Server) handleDownloadRelation(w http.ResponseWriter, r *http.Request) 
 
 func (s *Server) handleDeleteRelation(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	s.mutMu.Lock()
-	ver, ok := s.catalog.RemoveVersioned(name)
-	if ok {
-		// Terminate live subscriptions on the dropped relation; in-flight
-		// one-shot runs keep their admission-time snapshot, as before.
-		s.publishCatalogEvent(ver, name, eventDropped)
-	}
-	s.mutMu.Unlock()
-	if !ok {
+	if !s.catalog.Remove(name) {
 		writeError(w, http.StatusNotFound, errRelationNotFound, "relation %q is not in the catalog", name)
 		return
 	}

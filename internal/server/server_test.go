@@ -202,6 +202,26 @@ func TestGenerateRelationEndpoint(t *testing.T) {
 	}
 }
 
+// TestGenerateHostileSelectivity: a selectivity whose join domain is past
+// the int64 range answers with a JSON response — the relation, or a 400 —
+// never a dropped connection.
+func TestGenerateHostileSelectivity(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, sel := range []string{"1e-300", "5e-324", "1e-19"} {
+		body := `{"name":"G","rows":5,"dims":2,"selectivity":` + sel + `}`
+		resp, err := http.Post(ts.URL+"/v1/relations", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("selectivity %s: %v", sel, err)
+		}
+		var rec map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&rec)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("selectivity %s: status %d, body %v (%v); want a JSON 201 or 400", sel, resp.StatusCode, rec, err)
+		}
+	}
+}
+
 // TestQueryValidationErrors pins the one structured error shape every HTTP
 // error body carries: {"type":"error","code":<stable-slug>,"message":...},
 // with the code identifying the failure class.

@@ -84,7 +84,7 @@ func (ls *liveStreamSink) Retract(leftID, rightID int64) {
 // retract records for killed ones, and a checkpoint record after each
 // applied change. The stream ends when the client disconnects, the server
 // shuts down, a subscribed relation is dropped or wholesale-replaced, or the
-// subscription falls off the bounded change ring (replay_truncated).
+// subscription falls off the bounded change log (replay_truncated).
 //
 // Exec parallelism knobs are accepted but not granted: live maintenance is
 // serial by design (each change's repair work is tiny), so the echoed exec
@@ -126,23 +126,14 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// The subscription's clock covers staging: elapsedMillis on every record
 	// is what the client has waited since its request was admitted.
 	start := time.Now()
-	// The change-ring cursor is taken BEFORE the snapshots: an event
-	// published after the cursor but before GetVersioned is both in the
-	// snapshot and on the ring, and the per-side seq check below skips it.
-	// (Catalog mutations register before publishing, so the converse — an
-	// event missed by both — cannot happen.)
-	cursor := s.changes.cursor()
-	vers := map[string]uint64{}
-	rels := map[string]*relation.Relation{}
-	for _, f := range []string{q.From[0].Table, q.From[1].Table} {
-		rel, ver, ok := s.catalog.GetVersioned(f)
-		if !ok {
-			writeError(w, http.StatusNotFound, errRelationNotFound, "relation %q is not in the catalog", f)
-			return
-		}
-		rels[f], vers[f] = rel, ver
+	// The snapshot and the change-log cursor are one read: every event from
+	// the cursor on is a mutation the snapshot does not hold.
+	snap, missing := s.catalog.snapshot([2]string{q.From[0].Table, q.From[1].Table})
+	if missing != "" {
+		writeError(w, http.StatusNotFound, errRelationNotFound, "relation %q is not in the catalog", missing)
+		return
 	}
-	plan, err := q.CompileLive(rels[q.From[0].Table], rels[q.From[1].Table])
+	plan, err := q.CompileLive(snap.rels[0], snap.rels[1])
 	if err != nil {
 		writeError(w, http.StatusBadRequest, errBadQuery, "%v", err)
 		return
@@ -156,16 +147,16 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	staged := time.Since(start)
-	sideVer := [2]uint64{vers[plan.Tables[0]], vers[plan.Tables[1]]}
+	schemas := [2]*relation.Schema{plan.Problem.Left.Schema, plan.Problem.Right.Schema}
 
 	// Subscription lifetime: client disconnect or server shutdown. No
 	// timeout — the stream is meant to outlive any single run.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	defer context.AfterFunc(s.runCtx, cancel)()
-	// Parked cond-waits on the change ring cannot observe cancellation; a
+	// Parked cond-waits on the change log cannot observe cancellation; a
 	// broadcast wakes this subscription (and harmlessly the others).
-	defer context.AfterFunc(ctx, s.changes.wake)()
+	defer context.AfterFunc(ctx, s.catalog.log.wake)()
 
 	sw := s.newStreamWriter(w, sse, cancel)
 	defer sw.end()
@@ -215,14 +206,14 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		rec := newErrorRecord(errInternal, "building the snapshot: %v", err)
 		endRec = &rec
 	} else {
-		checkpoint(max(sideVer[0], sideVer[1]))
+		checkpoint(max(snap.vers[0], snap.vers[1]))
 		snapshot = time.Since(start)
 	}
 
 	gone := func() bool { return ctx.Err() != nil }
 loop:
 	for endRec == nil {
-		batch, cursor, truncated = s.changes.next(cursor, batch[:0], gone)
+		batch, snap.cursor, truncated = s.catalog.log.next(snap.cursor, batch[:0], gone)
 		if truncated {
 			rec := newErrorRecord(errReplayTruncated,
 				"change ring truncated: subscription fell too far behind the feed")
@@ -234,13 +225,7 @@ loop:
 			break
 		}
 		for _, ev := range batch {
-			side := -1
-			for i, tbl := range plan.Tables {
-				if tbl == ev.relation {
-					side = i
-				}
-			}
-			if side < 0 {
+			if plan.Tables[0] != ev.relation && plan.Tables[1] != ev.relation {
 				continue // a relation this subscription does not read
 			}
 			switch ev.kind {
@@ -255,30 +240,24 @@ loop:
 				endRec = &rec
 				break loop
 			}
-			if ev.seq <= sideVer[side] {
-				continue // already part of this side's admission snapshot
-			}
-			c := ev.change
 			sink.seq = ev.seq
-			sd := mapping.Side(side)
-			applyErr := contain(func() error {
-				switch c.Op {
-				case feed.OpInsert:
-					t := relation.Tuple{ID: c.ID, Vals: c.Vals, JoinKey: c.JoinKey}
-					if pred := plan.Preds[side]; pred != nil && !pred.Eval(rels[ev.relation].Schema, t) {
-						// Filtered out by the query's selections: the change
-						// is applied (it advances the checkpoint) but
-						// contributes nothing to the output space.
-						return nil
+			c := ev.change
+			applyErr := contain(func() (err error) {
+				// A change reaches every side bound to its relation: both
+				// sides of a self-join. An insert a side's selections filter
+				// out, or a delete of a tuple the side never held, leaves it
+				// as is but still advances the checkpoint.
+				for i, tbl := range plan.Tables {
+					sd, t := mapping.Side(i), relation.Tuple{ID: c.ID, Vals: c.Vals, JoinKey: c.JoinKey}
+					switch {
+					case tbl != ev.relation || err != nil:
+					case c.Op == feed.OpInsert && (plan.Preds[i] == nil || plan.Preds[i].Eval(schemas[i], t)):
+						err = space.ApplyInsert(sd, t, sink)
+					case c.Op == feed.OpDelete && space.Has(sd, c.ID):
+						err = space.ApplyDelete(sd, c.ID, sink)
 					}
-					return space.ApplyInsert(sd, t, sink)
-				case feed.OpDelete:
-					if space.Has(sd, c.ID) {
-						return space.ApplyDelete(sd, c.ID, sink)
-					}
-					// else: the tuple never passed this subscription's filters.
 				}
-				return nil
+				return err
 			})
 			if applyErr != nil {
 				rec := newErrorRecord(errInternal, "applying change seq %d: %v", ev.seq, applyErr)
@@ -293,9 +272,9 @@ loop:
 		}
 	}
 
-	// The slot returns before the end becomes visible — the error record,
-	// subscriptionsLive and the /v1/runs record — so a client that has seen
-	// its subscription end never finds it still holding the slot.
+	// The slot returns before the end becomes visible — the error record and
+	// the /v1/runs record; subscriptionsLive reads the slots — so a client
+	// that has seen its subscription end never finds it still holding one.
 	release()
 	if endRec != nil && !sw.fail {
 		sw.record("error", *endRec)

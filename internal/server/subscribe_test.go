@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"progxe/internal/feed"
+	"progxe/internal/relation"
 )
 
 // subStream is one open /v1/subscribe connection with its records pumped
@@ -354,7 +355,14 @@ func subscribeTiny(t *testing.T, ts *httptest.Server) (*subStream, string, map[p
 // /v1/query run of tinyQuery.
 func requireFreshQuery(t *testing.T, ts *httptest.Server, what string, net map[pair]bool) {
 	t.Helper()
-	want := queryPairs(t, ts, tinyQuery)
+	requireFresh(t, ts, tinyQuery, what, net)
+}
+
+// requireFresh fails unless net is the result set of a fresh /v1/query run
+// of q.
+func requireFresh(t *testing.T, ts *httptest.Server, q, what string, net map[pair]bool) {
+	t.Helper()
+	want := queryPairs(t, ts, q)
 	if len(want) != len(net) {
 		t.Fatalf("%s: net set %v, fresh query %v", what, net, want)
 	}
@@ -731,6 +739,94 @@ func TestSubscribeEndVisibleAfterSlotRelease(t *testing.T) {
 				t.Fatalf("cycle %d: subscription never ended: %+v", i, srv.Stats())
 			}
 			runtime.Gosched()
+		}
+	}
+}
+
+// selfJoinQuery joins L with itself: every change to L reaches both sides.
+const selfJoinQuery = `SELECT (a.price + b.price) AS total, (a.speed + b.speed) AS lag
+	FROM L a, L b WHERE a.region = b.region
+	PREFERRING LOWEST(total) AND LOWEST(lag)`
+
+// TestSubscribeSelfJoinDifferential is TestSubscribeDifferential on a
+// self-join: a change to L is a change to both sides of the join, so after
+// every randomized insert/delete batch the subscription's net set must equal
+// a fresh /v1/query — routing a change to only one side leaves the pairs
+// it forms with itself and with the other side's old tuples out.
+func TestSubscribeSelfJoinDifferential(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	sub := openSubscribe(t, ts, QueryRequest{Query: selfJoinQuery})
+	if run := sub.next(t); run["type"] != "run" {
+		t.Fatalf("head record = %v", run)
+	}
+	net := map[pair]bool{}
+	sub.drainTo(t, 0, net)
+	requireFresh(t, ts, selfJoinQuery, "snapshot", net)
+
+	ids := []int64{1, 2, 3}
+	rng := rand.New(rand.NewPCG(40, 2))
+	nextID := int64(100)
+	for round := 0; round < 12; round++ {
+		var batch []feed.Change
+		for n := 1 + rng.IntN(3); n > 0; n-- {
+			if rng.Float64() < 0.4 && len(ids) > 1 {
+				i := rng.IntN(len(ids))
+				batch = append(batch, feed.Change{Relation: "L", Op: feed.OpDelete, ID: ids[i]})
+				ids = append(ids[:i], ids[i+1:]...)
+				continue
+			}
+			batch = append(batch, feed.Change{
+				Relation: "L", Op: feed.OpInsert, ID: nextID,
+				Vals:    []float64{float64(rng.IntN(25)), float64(rng.IntN(10))},
+				JoinKey: int64(1 + rng.IntN(2)),
+			})
+			ids = append(ids, nextID)
+			nextID++
+		}
+		cp := sub.drainTo(t, postChanges(t, ts, "L", batch).LastSeq, net)
+		if live := int(cp["live"].(float64)); live != len(net) {
+			t.Fatalf("round %d: checkpoint live=%d, client net set %d", round, live, len(net))
+		}
+		requireFresh(t, ts, selfJoinQuery, fmt.Sprintf("round %d", round), net)
+	}
+}
+
+// TestCatalogRegisterEndsSubscription: replacing a subscribed relation
+// through the library's Catalog().Register — not only through an upload —
+// ends the stream with relation_replaced instead of leaving it to apply
+// later changes to a snapshot the catalog no longer holds.
+func TestCatalogRegisterEndsSubscription(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	sub, _, _ := subscribeTiny(t, ts)
+
+	rel, err := relation.ReadCSV("L", strings.NewReader(tinyLeftCSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Catalog().Register(rel); err != nil {
+		t.Fatal(err)
+	}
+	// A change after the replacement: a stream still serving the old
+	// snapshot would checkpoint it instead of ending.
+	seq := insertL(t, ts, 500, 1, 1)
+	for {
+		rec := sub.next(t)
+		if rec == nil {
+			t.Fatalf("stream ended without a terminal error record")
+		}
+		switch rec["type"] {
+		case "checkpoint":
+			if uint64(rec["seq"].(float64)) >= seq {
+				t.Fatalf("stream kept serving a replaced relation: %v", rec)
+			}
+		case "error":
+			if rec["code"] != errRelationReplaced {
+				t.Fatalf("terminal record = %v, want code relation_replaced", rec)
+			}
+			if rec := sub.next(t); rec != nil {
+				t.Fatalf("stream kept going after the terminal error: %v", rec)
+			}
+			return
 		}
 	}
 }

@@ -34,7 +34,10 @@ type (
 //	srv.Catalog().Register(myRelation)
 //	log.Fatal(http.ListenAndServe(":8080", srv))
 //
-// See cmd/progxe-serve for the standalone binary.
+// Catalog() is the registry the HTTP endpoints share: a Register that
+// replaces a relation, or a Remove, ends the live subscriptions reading it
+// (relation_replaced / relation_dropped) exactly as an upload or DELETE
+// does. See cmd/progxe-serve for the standalone binary.
 func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
 
 // ServerEngineNames returns the engine names accepted by the query endpoint.
