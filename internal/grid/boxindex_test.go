@@ -33,43 +33,40 @@ func randCorners(rng *rand.Rand, n, d, kMax int) (src, dst [][]int, k []int) {
 func bruteEdge(src, dst [][]int, x, y int) bool { return LeqAll(src[x], dst[y]) }
 
 // TestBoxIndexMatchesBruteForce is the index's differential property test:
-// randomized corner sets across the operating modes — exact packed keys,
-// the coarse-key prefilter (a dimension wider than 128 values), the slice
-// compare (d > 8), and the Fenwick vs bucket-scan paths of InDegrees —
-// against the all-pairs evaluation of the relation.
+// randomized corner sets against the all-pairs evaluation of the relation.
+// The mode names and seeds date from the index's Fenwick and packed-key
+// paths, kept so the trial labels stay the same: "slice/d=9" is the
+// coordinate-slice compare over many narrow dimensions and
+// "fenwick-fallback" the bucket walk of InDegrees, both now the only paths.
 func TestBoxIndexMatchesBruteForce(t *testing.T) {
 	modes := []struct {
-		name     string
-		d, kMax  int
-		fenLimit int
+		name    string
+		d, kMax int
+		seed    uint64
 	}{
-		{"packed/fenwick", 3, 16, BoxIndexFenLimit},
-		{"packed/d=5", 5, 8, BoxIndexFenLimit},
-		{"coarse/k=300", 2, 300, BoxIndexFenLimit},
-		{"coarse/fallback", 2, 300, 8},
-		{"slice/d=9", 9, 4, BoxIndexFenLimit},
+		{"slice/d=9", 9, 4, 1 << 21},
 		{"fenwick-fallback", 3, 16, 1},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			rng := rand.New(rand.NewPCG(uint64(m.d)*131+uint64(m.kMax), uint64(m.fenLimit)))
+			rng := rand.New(rand.NewPCG(uint64(m.d)*131+uint64(m.kMax), m.seed))
 			for trial := 0; trial < 20; trial++ {
 				n := 1 + rng.IntN(90)
 				workers := rng.IntN(3) * 2 // 0, 2, 4 — counts must not depend on it
 				src, dst, k := randCorners(rng, n, m.d, m.kMax)
 				label := fmt.Sprintf("trial %d (n=%d k=%v w=%d)", trial, n, k, workers)
 				t.Run(label, func(t *testing.T) {
-					checkBoxIndex(t, rng, src, dst, k, m.fenLimit, workers)
+					checkBoxIndex(t, rng, src, dst, k, workers)
 				})
 			}
 		})
 	}
 }
 
-func checkBoxIndex(t *testing.T, rng *rand.Rand, src, dst [][]int, k []int, fenLimit, workers int) {
+func checkBoxIndex(t *testing.T, rng *rand.Rand, src, dst [][]int, k []int, workers int) {
 	t.Helper()
 	n := len(src)
-	ix := NewBoxIndex(src, dst, k, fenLimit)
+	ix := NewBoxIndex(src, dst, k)
 
 	// Bulk predecessor counts, self included.
 	inDeg := ix.InDegrees(workers)

@@ -19,8 +19,8 @@ import (
 	"strconv"
 )
 
-// MaxCells bounds the cell count of every grid and Fenwick tree: at the
-// bound a flat table of pointers over the cells is 16 MiB.
+// MaxCells bounds the cell count of every grid: at the bound a flat table
+// of pointers over the cells is 16 MiB.
 const MaxCells = 1 << 21
 
 // Size returns the cell count of a grid with cells[i] cells along dimension

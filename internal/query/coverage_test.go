@@ -45,6 +45,44 @@ func TestLexerTokens(t *testing.T) {
 	}
 }
 
+// TestLexerIdentifiersByRune pins that identifiers are read rune by rune:
+// a non-ASCII letter is accepted whatever its UTF-8 bytes, an error names
+// the real character at its byte position, and invalid UTF-8 is refused.
+func TestLexerIdentifiersByRune(t *testing.T) {
+	cases := []struct {
+		in, err string // err empty: in lexes as one identifier
+	}{
+		{in: "ê"},
+		{in: "é"},
+		{in: "ü"},
+		{in: "名"},
+		{in: "preço"},
+		{in: "_x9名"},
+		{in: "\xc3", err: "position 0: invalid UTF-8 byte 0xc3"},
+		{in: "ab\xc3", err: "position 2: invalid UTF-8 byte 0xc3"},
+		{in: "é €", err: `position 3: unexpected character "€"`},
+		{in: "a ©", err: `position 2: unexpected character "©"`},
+	}
+	for _, c := range cases {
+		toks, err := lex(c.in)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("lex(%q): %v", c.in, err)
+		case c.err == "" && (len(toks) != 2 || toks[0].kind != tokIdent || toks[0].text != c.in):
+			t.Errorf("lex(%q) = %v, want one identifier", c.in, toks)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("lex(%q) error = %v, want %q", c.in, err, c.err)
+		}
+	}
+	q, err := Parse("SELECT (R.preço + 名.b) AS é FROM X R, Y 名 WHERE R.k = 名.k PREFERRING LOWEST(é)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Preferring[0].Name != "é" || q.From[1].Alias != "名" {
+		t.Fatalf("non-ASCII identifiers parsed as %+v", q)
+	}
+}
+
 // TestParseFactorEdges covers the remaining factor forms.
 func TestParseFactorEdges(t *testing.T) {
 	// Unary minus compiles to a -1 scale.

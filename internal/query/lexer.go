@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer tokens.
@@ -172,15 +173,25 @@ func lex(input string) ([]token, error) {
 			}
 			toks = append(toks, token{tokNumber, input[i:j], i})
 			i = j
-		case isIdentStart(rune(c)):
-			j := i
-			for j < n && isIdentPart(rune(input[j])) {
-				j++
+		default:
+			// Anything else must start an identifier, read rune by rune.
+			r, size := utf8.DecodeRuneInString(input[i:])
+			switch {
+			case r == utf8.RuneError && size == 1:
+				return nil, fmt.Errorf("query: position %d: invalid UTF-8 byte %#x", i, c)
+			case !isIdentStart(r):
+				return nil, fmt.Errorf("query: position %d: unexpected character %q", i, string(r))
+			}
+			j := i + size
+			for j < n {
+				r, size := utf8.DecodeRuneInString(input[j:])
+				if !isIdentPart(r) {
+					break
+				}
+				j += size
 			}
 			toks = append(toks, token{tokIdent, input[i:j], i})
 			i = j
-		default:
-			return nil, fmt.Errorf("query: position %d: unexpected character %q", i, string(c))
 		}
 	}
 	toks = append(toks, token{tokEOF, "", n})

@@ -68,6 +68,8 @@ func TestParseNoPanicOnGarbage(t *testing.T) {
 		"SELECT (R.a) AS x FROM X R, Y T WHERE R.k = T.k AND " +
 			strings.Repeat("R.a >= 1 AND ", 2000) + "R.b <= 2 PREFERRING LOWEST(x)",
 		"SELECT (1e999999 * R.a) AS x " + validTail,
+		"SELECT R.",
+		"SELECT (R.a) AS x FROM X R, Y T WHERE R.k",
 	}
 	for _, s := range inputs {
 		func() {
@@ -118,18 +120,34 @@ func TestCompileUnknownBindings(t *testing.T) {
 	}
 }
 
-// FuzzParse asserts the no-panic property over generated inputs; `go test`
-// runs the seed corpus, `go test -fuzz=FuzzParse` explores further.
+// FuzzParse asserts, over generated inputs, that Parse never panics and
+// that an accepted query's String() re-parses and renders to the same text;
+// `go test` runs the seed corpus, `go test -fuzz=FuzzParse` explores further.
 func FuzzParse(f *testing.F) {
 	f.Add("SELECT (R.a + T.b) AS x FROM X R, Y T WHERE R.k = T.k PREFERRING LOWEST(x)")
 	f.Add("SELECT (MIN(R.a, 2 * T.b)) AS m " + validTail)
 	f.Add("PREFERRING PREFERRING PREFERRING")
 	f.Add("SELECT (((")
 	f.Add("")
+	f.Add("SELECT (-R.a - -2.5e-3) AS x, R.id FROM X R, Y T WHERE R.k = T.k AND T.v <= 1e21 PREFERRING HIGHEST(x)")
+	f.Add("SELECT (ü.preço) AS é FROM X ü, Y 名 WHERE ü.k = 名.k PREFERRING LOWEST(é)")
+	f.Add("SELECT (R.a) AS ê, (T.b) AS x " + validTail)
+	f.Add("SELECT (R.a) AS x\xc3 " + validTail)
 	f.Fuzz(func(t *testing.T, s string) {
 		q, err := Parse(s)
-		if err == nil && q == nil {
+		if err != nil {
+			return
+		}
+		if q == nil {
 			t.Fatal("nil query without error")
+		}
+		text := q.String()
+		q2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its rendering %q fails: %v", s, text, err)
+		}
+		if again := q2.String(); again != text {
+			t.Fatalf("rendering of %q does not re-render to itself:\n%q\n%q", s, text, again)
 		}
 	})
 }

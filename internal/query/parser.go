@@ -114,7 +114,7 @@ func (p *parser) parseQuery() (*Query, error) {
 func (p *parser) parseSelectItem() (SelectItem, error) {
 	// Plain column reference: IDENT '.' IDENT not followed by arithmetic.
 	if p.cur().kind == tokIdent && !isKeyword(p.cur(), "MIN") && !isKeyword(p.cur(), "MAX") &&
-		p.toks[p.i+1].kind == tokDot {
+		p.toks[p.i+1].kind == tokDot && p.toks[p.i+2].kind == tokIdent {
 		after := p.toks[p.i+3].kind
 		if after == tokComma || isKeyword(p.toks[p.i+3], "FROM") {
 			alias := p.next().text
@@ -194,6 +194,11 @@ func (p *parser) parseFactor() (Node, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A negated literal is a negative literal, so the rendered
+		// "(-1 * x)" parses back to the node it came from.
+		if num, ok := inner.(NumNode); ok {
+			return -num, nil
+		}
 		return BinNode{Op: '*', L: NumNode(-1), R: inner}, nil
 	case t.kind == tokLParen:
 		p.next()
@@ -272,7 +277,7 @@ func (p *parser) parseWhere(q *Query) error {
 		if err != nil {
 			return err
 		}
-		opTok := p.next()
+		opTok := p.cur()
 		var op relation.CmpOp
 		switch opTok.kind {
 		case tokEQ:
@@ -290,6 +295,7 @@ func (p *parser) parseWhere(q *Query) error {
 		default:
 			return p.errf("expected a comparison operator, found %s", opTok.kind)
 		}
+		p.next()
 		// Join condition: alias.attr = alias2.attr2.
 		if op == relation.EQ && p.cur().kind == tokIdent && p.toks[p.i+1].kind == tokDot {
 			if haveJoin {

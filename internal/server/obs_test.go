@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 // readStream consumes an NDJSON query response to EOF and returns the
@@ -386,5 +387,29 @@ func TestPrometheusExpositionValid(t *testing.T) {
 		if !strings.Contains(string(b), want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, b)
 		}
+	}
+}
+
+// TestRunLogQueryCutOnRuneBoundary posts a query whose 512th byte falls
+// inside a two-byte letter: the run log must keep a valid UTF-8 prefix of
+// the query, not a split character that JSON turns into U+FFFD.
+func TestRunLogQueryCutOnRuneBoundary(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := strings.ReplaceAll(tinyQuery, "total", "ê")
+	q := strings.Repeat(" ", 511-strings.Index(body, "ê")) + body // ê spans bytes 511 and 512
+	readStream(t, postQuery(t, ts, QueryRequest{Query: q}))
+
+	var runs struct{ Runs []RunRecord }
+	getJSON(t, ts.URL+"/v1/runs", &runs)
+	if len(runs.Runs) != 1 {
+		t.Fatalf("/v1/runs returned %d records", len(runs.Runs))
+	}
+	got := runs.Runs[0].Query
+	kept, cut := strings.CutSuffix(got, "…")
+	if !cut || !utf8.ValidString(got) || !strings.HasPrefix(q, kept) {
+		t.Fatalf("run-log query %q is not a valid UTF-8 prefix of the posted query", got)
+	}
+	if len(kept) != 511 {
+		t.Fatalf("kept %d bytes, want the 511 before the split letter", len(kept))
 	}
 }

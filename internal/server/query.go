@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"progxe/internal/core"
 	"progxe/internal/obs"
@@ -518,10 +519,14 @@ func (s *Server) startRun(g *runGroup, req QueryRequest, engineName string, q *q
 	started = true
 }
 
-// truncate caps a string kept in the run log.
+// truncate caps a string kept in the run log at n bytes, cutting on a rune
+// boundary so the kept prefix stays valid UTF-8.
 func truncate(s string, n int) string {
 	if len(s) <= n {
 		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
 	}
 	return s[:n] + "…"
 }
