@@ -214,10 +214,12 @@ func run(args []string, ready chan<- string) error {
 	}
 
 	// Graceful shutdown: stop accepting, let streams drain briefly.
+	// The handler is installed before the listener reports ready, so a
+	// signal that follows readiness always drains instead of killing.
 	idle := make(chan error, 1)
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 		stopFollow()     // stop the change tails before the catalog drains
 		srv.CancelRuns() // abort in-flight streams so the drain can finish

@@ -362,28 +362,34 @@ func widenSummary(minV, maxV, v []float64) {
 func (s *space) populate(c *cell) {
 	c.populated = true
 	s.idx.addPopulated(c)
-	if s.idx.strictUpperBoxVolume(c.coords) == 0 {
+	lo := make([]int, 0, 8)
+	for _, v := range c.coords {
+		lo = append(lo, v+1)
+	}
+	if grid.BoxVolume(lo, s.idx.maxC) == 0 {
 		// No covered cell lies strictly above in every dimension.
 		return
 	}
-	s.idx.eachInStrictUpperBox(c.coords, func(q *cell) {
-		if !q.marked {
+	for flat := range s.g.Box(lo, s.idx.maxC) {
+		if q := s.idx.dense[flat]; q != nil && !q.marked {
 			s.mark(q)
 		}
-	})
+	}
 }
 
 // regionDone decrements RegCount for every cell of a processed or discarded
-// region — its coordinate box, in ascending flat order — finalizing cells
+// region — its coordinate box, every cell of which is covered, in ascending
+// flat order — finalizing cells
 // that can no longer receive tuples: the entry point of ProgDetermine
 // (Algorithm 2).
 func (s *space) regionDone(r *region) {
-	s.idx.eachInBox(r.minC, r.maxC, func(c *cell) {
+	for flat := range s.g.Box(r.minC, r.maxC) {
+		c := s.idx.dense[flat]
 		c.regCount--
 		if c.regCount == 0 && !c.finalized {
 			s.finalize(c)
 		}
-	})
+	}
 }
 
 // finalize handles a cell whose tuple generation has completed: it leaves
@@ -450,9 +456,26 @@ func (s *space) consider(c *cell) {
 // of the calls on the fine_lookahead benchmark workload). Both paths return
 // the same cell, keeping the watch graph deterministic.
 func (s *space) findBlocker(c *cell) *cell {
-	if vol := s.idx.lowerBoxVolume(c.coords); vol <= 4*len(s.active)+4 {
-		return s.idx.firstActiveInLowerBox(c.coords)
+	if grid.BoxVolume(s.idx.minC, c.coords) <= 4*len(s.active)+4 {
+		return s.firstActiveInLowerBox(c)
 	}
+	return s.firstActiveBelow(c)
+}
+
+// firstActiveInLowerBox walks c's closed lower orthant, clamped to the
+// covered box, in ascending flat order and returns its first active cell.
+func (s *space) firstActiveInLowerBox(c *cell) *cell {
+	for flat := range s.g.Box(s.idx.minC, c.coords) {
+		if q := s.idx.dense[flat]; q != nil && q.activeIdx >= 0 {
+			return q
+		}
+	}
+	return nil
+}
+
+// firstActiveBelow scans the active set for the smallest-flat cell
+// componentwise ≤ c.
+func (s *space) firstActiveBelow(c *cell) *cell {
 	var best *cell
 	for _, q := range s.active {
 		if s.g.Leq(q.key, c.key) && (best == nil || q.flat < best.flat) {

@@ -160,3 +160,60 @@ func TestSliceBelowOrEqual(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockerPathsAgree pins findBlocker's two paths against each other: at
+// every consider of a ProgDetermine drain over a fine_lookahead plan — every
+// counted cell holding a survivor, the regions drained in rank order — the
+// lower-box walk and the active-set scan return the same cell.
+func TestBlockerPathsAgree(t *testing.T) {
+	pl := preparePlan(t, fineProblem(t, 2000), fineOpts)
+	regions, s, _ := planSpace(t, pl, 0, 1)
+	s.emit = func(outTuple) {}
+	for _, c := range s.active {
+		c.tuples = []outTuple{{}}
+	}
+	coordsOf := func(c *cell) []int {
+		if c == nil {
+			return nil
+		}
+		return c.coords
+	}
+	var considers, blocked int
+	consider := func(c *cell) {
+		box, scan := s.firstActiveInLowerBox(c), s.firstActiveBelow(c)
+		if box != scan {
+			t.Fatalf("cell %v: the lower-box walk finds %v, the active-set scan %v", c.coords, coordsOf(box), coordsOf(scan))
+		}
+		considers++
+		if box != nil {
+			blocked++
+		}
+		s.consider(c)
+	}
+	order := (&runState{space: s, regions: regions, d: pl.d, outCells: autoOutputCells(pl.d)}).rankOrder()
+	for _, id := range order {
+		// regionDone and finalize, checking before every consider.
+		r := regions[id]
+		for flat := range s.g.Box(r.minC, r.maxC) {
+			c := s.idx.dense[flat]
+			if c.regCount--; c.regCount > 0 || c.finalized {
+				continue
+			}
+			c.finalized = true
+			s.deactivate(c)
+			consider(c)
+			watchers := c.watchers
+			c.watchers = nil
+			for _, w := range watchers {
+				consider(w)
+			}
+		}
+	}
+	if left := s.unemitted(); len(left) > 0 {
+		t.Fatalf("%d cells left unemitted", len(left))
+	}
+	if blocked == 0 || blocked == considers {
+		t.Fatalf("%d of %d considers blocked: the drain does not exercise both answers", blocked, considers)
+	}
+	t.Logf("%d regions, %d considers, %d blocked", len(regions), considers, blocked)
+}

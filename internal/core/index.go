@@ -27,9 +27,10 @@ type bucketEntry struct {
 //     bucket is sorted by flat id, and componentwise ≤ implies flat ≤, so
 //     dominator candidates live in the bucket prefix below X's flat id and
 //     victim candidates in the suffix above it),
-//   - coordinate-box enumeration (the closed lower orthant for blocker
-//     checks, the strict upper orthant for dynamic marking, a region's box
-//     when it completes) via row-major odometer walks over the flat table.
+//   - the covered bounding box minC..maxC, which clamps the orthant boxes
+//     the space walks with Grid.Box over the flat table (the closed lower
+//     orthant for blocker checks, the strict upper orthant for dynamic
+//     marking).
 //
 // Every covered cell carries its Grid.Key; one Grid.Leq decides whether two
 // cells are componentwise ≤.
@@ -123,93 +124,4 @@ func (x *cellIndex) stamp(c *cell) int32 {
 	x.epoch++
 	c.visited = x.epoch
 	return x.epoch
-}
-
-// lowerBoxVolume returns the number of grid cells in the closed box
-// [minC, coords], the candidate count of a lower-orthant enumeration.
-func (x *cellIndex) lowerBoxVolume(coords []int) int {
-	v := 1
-	for i, c := range coords {
-		v *= c - x.minC[i] + 1
-	}
-	return v
-}
-
-// firstActiveInLowerBox returns the active cell with the smallest flat id
-// inside the closed lower orthant of coords, enumerating the coordinate box
-// in ascending flat order over the flat table.
-func (x *cellIndex) firstActiveInLowerBox(coords []int) *cell {
-	// Row-major odometer starting at minC; the first active hit has the
-	// smallest flat id because flat order is lexicographic in coords.
-	cur := make([]int, 0, 8)
-	cur = append(cur, x.minC[:x.d]...)
-	flat := x.g.Flat(cur)
-	for {
-		if c := x.dense[flat]; c != nil && c.activeIdx >= 0 {
-			return c
-		}
-		i := x.d - 1
-		for ; i >= 0; i-- {
-			cur[i]++
-			flat += x.g.Stride(i)
-			if cur[i] <= coords[i] {
-				break
-			}
-			flat -= (cur[i] - x.minC[i]) * x.g.Stride(i)
-			cur[i] = x.minC[i]
-		}
-		if i < 0 {
-			return nil
-		}
-	}
-}
-
-// strictUpperBoxVolume returns the number of grid cells strictly above
-// coords in every dimension, clamped to the covered bounding box.
-func (x *cellIndex) strictUpperBoxVolume(coords []int) int {
-	v := 1
-	for i, c := range coords {
-		span := x.maxC[i] - c
-		if span <= 0 {
-			return 0
-		}
-		v *= span
-	}
-	return v
-}
-
-// eachInStrictUpperBox calls fn for every covered cell strictly above coords
-// in all dimensions. Requires a non-empty box.
-func (x *cellIndex) eachInStrictUpperBox(coords []int, fn func(*cell)) {
-	lo := make([]int, 0, 8)
-	for _, c := range coords {
-		lo = append(lo, c+1)
-	}
-	x.eachInBox(lo, x.maxC, fn)
-}
-
-// eachInBox calls fn for every covered cell of the inclusive coordinate box
-// lo..hi, in ascending flat order. Requires a non-empty box.
-func (x *cellIndex) eachInBox(lo, hi []int, fn func(*cell)) {
-	cur := make([]int, 0, 8)
-	cur = append(cur, lo...)
-	flat := x.g.Flat(cur)
-	for {
-		if c := x.dense[flat]; c != nil {
-			fn(c)
-		}
-		i := x.d - 1
-		for ; i >= 0; i-- {
-			cur[i]++
-			flat += x.g.Stride(i)
-			if cur[i] <= hi[i] {
-				break
-			}
-			flat -= (cur[i] - lo[i]) * x.g.Stride(i)
-			cur[i] = lo[i]
-		}
-		if i < 0 {
-			return
-		}
-	}
 }

@@ -176,32 +176,26 @@ func dominatedBy(run []*liveTuple, t *liveTuple) bool {
 }
 
 // refresh recomputes the alive-subset summaries from scratch.
-func (c *liveCell) refresh(d int) {
+func (c *liveCell) refresh() {
 	for n, t := range c.alive {
 		if n == 0 {
 			copy(c.minV, t.v)
 			copy(c.maxV, t.v)
 			continue
 		}
-		for i := 0; i < d; i++ {
-			c.minV[i] = math.Min(c.minV[i], t.v[i])
-			c.maxV[i] = math.Max(c.maxV[i], t.v[i])
-		}
+		widenSummary(c.minV, c.maxV, t.v)
 	}
 }
 
 // widen grows the alive summaries to cover t (which must already be counted
 // in c.alive).
-func (c *liveCell) widen(t *liveTuple, d int) {
+func (c *liveCell) widen(t *liveTuple) {
 	if len(c.alive) == 1 {
 		copy(c.minV, t.v)
 		copy(c.maxV, t.v)
 		return
 	}
-	for i := 0; i < d; i++ {
-		c.minV[i] = math.Min(c.minV[i], t.v[i])
-		c.maxV[i] = math.Max(c.maxV[i], t.v[i])
-	}
+	widenSummary(c.minV, c.maxV, t.v)
 }
 
 // LiveSpace is the resident incremental-maintenance state for one query: the
@@ -475,7 +469,7 @@ func (ls *LiveSpace) settle(order, last []*liveTuple, sink LiveSink) {
 				t.alive = true
 				ls.stats.Promotions++
 				c.alive = insertByRank(c.alive, t)
-				c.widen(t, ls.d)
+				c.widen(t)
 				ls.emit(t, sink)
 			}
 		}
@@ -493,26 +487,15 @@ func (ls *LiveSpace) settle(order, last []*liveTuple, sink LiveSink) {
 // every pair of cells; the vic lists are the transpose, filled in cellList
 // order — the order the lazy vicCells keeps, which eviction sweeps retract in.
 func (ls *LiveSpace) linkCells() {
-	at := make([]int, ls.d)
+	origin := make([]int, ls.d)
 	vics := make([]int, len(ls.cellList))
 	var box []*liveCell
 	for _, c := range ls.cellList {
 		box = box[:0]
-		clear(at)
-		for flat, dim := 0, 0; dim >= 0; {
+		for flat := range ls.g.Box(origin, c.coords) {
 			if n := ls.cells[flat]; n != nil {
 				box = append(box, n)
 				vics[n.pos]++
-			}
-			// Odometer step through the box, last dimension fastest.
-			for dim = ls.d - 1; dim >= 0; dim-- {
-				if at[dim] < c.coords[dim] {
-					at[dim]++
-					flat += ls.g.Stride(dim)
-					break
-				}
-				flat -= at[dim] * ls.g.Stride(dim)
-				at[dim] = 0
 			}
 		}
 		c.dom = slices.Clone(box)
@@ -644,7 +627,7 @@ cells:
 		}
 		if demoted {
 			c.alive = slices.DeleteFunc(c.alive, func(t *liveTuple) bool { return !t.alive })
-			c.refresh(ls.d)
+			c.refresh()
 		}
 	}
 }
@@ -662,7 +645,7 @@ func (ls *LiveSpace) place(t *liveTuple, sink LiveSink) {
 	ls.evict(c, t, sink)
 	t.alive = true
 	c.alive = insertByRank(c.alive, t)
-	c.widen(t, ls.d)
+	c.widen(t)
 	ls.emit(t, sink)
 }
 
@@ -810,7 +793,7 @@ func (ls *LiveSpace) ApplyDelete(side mapping.Side, id int64, sink LiveSink) err
 		c := r.cell
 		n := len(c.alive)
 		if c.alive = slices.DeleteFunc(c.alive, func(x *liveTuple) bool { return !x.alive }); len(c.alive) < n {
-			c.refresh(ls.d)
+			c.refresh()
 		}
 		for _, u := range r.deps {
 			u.ref = nil

@@ -193,6 +193,44 @@ func TestLiveBuildMatchesReplay(t *testing.T) {
 	}
 }
 
+// TestLinkCellsMatchesLazyLists pins Build's bulk adjacency links against
+// the lists domCells and vicCells build from empty: dom holds the same cells,
+// and vic the same cells in the same order — the order eviction sweeps
+// retract in.
+func TestLinkCellsMatchesLazyLists(t *testing.T) {
+	for ci, bc := range buildCases {
+		t.Run(bc.name, func(t *testing.T) {
+			ls, err := NewLiveSpace(bc.problem(t, uint64(1000+ci)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := ls.g.NumCells(); n > denseGridCells {
+				t.Fatalf("a %d-cell grid is not linked in bulk", n)
+			}
+			byPos := func(a, b *liveCell) int { return a.pos - b.pos }
+			for _, c := range ls.cellList {
+				lazy := &liveCell{coords: c.coords}
+				dom, vic := ls.domCells(lazy), ls.vicCells(lazy)
+				if got := slices.SortedFunc(slices.Values(c.dom), byPos); !slices.Equal(got, dom) {
+					t.Fatalf("cell %v: bulk dom %v, lazy dom %v", c.coords, cellPositions(got), cellPositions(dom))
+				}
+				if !slices.Equal(c.vic, vic) {
+					t.Fatalf("cell %v: bulk vic %v, lazy vic %v", c.coords, cellPositions(c.vic), cellPositions(vic))
+				}
+			}
+		})
+	}
+}
+
+// cellPositions lists the cells' creation positions.
+func cellPositions(cells []*liveCell) []int {
+	pos := make([]int, len(cells))
+	for i, c := range cells {
+		pos[i] = c.pos
+	}
+	return pos
+}
+
 func sameResults(t *testing.T, label string, got, want []smj.Result) {
 	t.Helper()
 	if len(got) != len(want) {

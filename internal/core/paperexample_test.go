@@ -180,8 +180,8 @@ func TestProgCountDefinition2(t *testing.T) {
 	if pcA == 0 {
 		t.Fatal("independent low region must have positive ProgCount")
 	}
-	if pcB >= b.volume() {
-		t.Fatalf("dependent region reports full ProgCount %d of %d", pcB, b.volume())
+	if vol := grid.BoxVolume(b.minC, b.maxC); pcB >= vol {
+		t.Fatalf("dependent region reports full ProgCount %d of %d", pcB, vol)
 	}
 	// Simulate processing A: its cells finalize, dependencies clear.
 	s.regionDone(a)

@@ -41,15 +41,6 @@ type region struct {
 	rank    float64 // Equation 8: Benefit / Cost, as of analyse
 }
 
-// volume returns the number of cells in the region's coordinate box.
-func (r *region) volume() int {
-	n := 1
-	for i, lo := range r.minC {
-		n *= r.maxC[i] - lo + 1
-	}
-	return n
-}
-
 // pairRegions pairs the input partitions and keeps pairs that produce at
 // least one join result — read off the right side's key directory, one probe
 // per left tuple for all of its partition's pairs — so a kept pair is
@@ -211,7 +202,7 @@ func coverage(g *grid.Grid, regions []*region) []cover {
 				open++
 			}
 		}
-		if 1<<open > r.volume() {
+		if 1<<open > grid.BoxVolume(r.minC, r.maxC) {
 			direct = append(direct, r)
 			continue
 		}
@@ -232,10 +223,8 @@ func coverage(g *grid.Grid, regions []*region) []cover {
 		into.n += from.n
 		into.ids += from.ids
 	})
-	var flats []int
 	for _, r := range direct {
-		flats = g.BoxCells(r.minC, r.maxC, flats[:0])
-		for _, flat := range flats {
+		for flat := range g.Box(r.minC, r.maxC) {
 			tab[flat].n++
 			tab[flat].ids += int32(r.id)
 		}
@@ -350,7 +339,7 @@ func progCounts(s *space, regions int) []int {
 // Algorithm 1.
 func analyse(r *region, progCount, d, outputCells int) {
 	card := skyline.EstimateCardinality(float64(r.joinCard), d)
-	total := r.volume()
+	total := grid.BoxVolume(r.minC, r.maxC)
 	r.benefit = float64(progCount) / float64(total) * card
 	r.cost = analyseCost(r, d, outputCells, total)
 	r.rank = r.benefit / r.cost

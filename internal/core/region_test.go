@@ -49,7 +49,7 @@ func remainingExcluding(c *cell, r *region) int {
 
 // boxCells lists the flat ids of the region's coordinate box, ascending.
 func boxCells(g *grid.Grid, r *region) []int {
-	return g.BoxCells(r.minC, r.maxC, nil)
+	return slices.Collect(g.Box(r.minC, r.maxC))
 }
 
 // requireProgCounts checks the one-pass rank's counts against the per-region

@@ -146,6 +146,29 @@ func TestTailSource(t *testing.T) {
 		t.Fatalf("change after malformed line: %+v %v", c, err)
 	}
 
+	// A log renamed away and recreated: the tail delivers what the writer
+	// still appended to the old file, then the new file from its top.
+	old, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path, path+".1"); err != nil {
+		t.Fatal(err)
+	}
+	old.WriteString("insert,r,6,0,0.5\n")
+	old.Close()
+	if err := os.WriteFile(path, []byte("insert,r,7,0,0.5\ndelete,r,6\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []int64{6, 7, 6} {
+		rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+		c, err = s.Next(rctx)
+		cancel()
+		if err != nil || c.ID != want {
+			t.Fatalf("after the rename: %+v %v, want id %d", c, err, want)
+		}
+	}
+
 	// Cancellation unblocks an idle tail.
 	cctx, cancel2 := context.WithCancel(context.Background())
 	errc := make(chan error, 1)

@@ -24,8 +24,10 @@ const DefaultPollInterval = 50 * time.Millisecond
 //
 // Blank lines and #-comments are skipped. Only complete (newline-terminated)
 // lines are consumed, so a writer appending a line in multiple writes is
-// never seen half-way. A file that shrinks (truncation/rotation) restarts
-// the tail from the top. TailSource is single-consumer.
+// never seen half-way. A file that shrinks (truncated in place) restarts
+// the tail from the top; once the open file is read to its end and the path
+// names another file (renamed away and recreated), the tail follows the new
+// file from its top. TailSource is single-consumer.
 type TailSource struct {
 	path string
 	poll time.Duration
@@ -118,6 +120,12 @@ func (s *TailSource) nextLine(ctx context.Context) ([]byte, bool, error) {
 		s.buf = nil
 	}
 	if st.Size() == s.offset {
+		// Read to its end: if the path now names another file, the log was
+		// renamed away, and the next poll opens the new one from its top.
+		if cur, err := os.Stat(s.path); err == nil && !os.SameFile(st, cur) {
+			s.Close()
+			s.buf = nil
+		}
 		return nil, false, nil
 	}
 	chunk := make([]byte, st.Size()-s.offset)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -30,9 +31,11 @@ var fuzzEnds = []float64{0, math.Copysign(0, -1), 1, -1, 1e16, -1e16, 4e307, -4e
 // FuzzGridCell maps bytes to a grid of 1–24 dimensions and checks the
 // invariants the engine builds on: New refuses exactly the grids of more
 // than MaxCells cells; an accepted grid's key layout fits in 42 bits and its
-// packed ≤ agrees with LeqAll; and CellLower is exact — every value lies
-// between the lower edge of the cell Coord puts it in and, below the top
-// cell, the lower edge of the next.
+// packed ≤ agrees with LeqAll; Box walks a box of up to 4096 cells in
+// ascending order, its cells and no others, BoxVolume counts them, and a
+// break stops the walk; and CellLower is exact — every value lies between
+// the lower edge of the cell Coord puts it in and, below the top cell, the
+// lower edge of the next.
 func FuzzGridCell(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
@@ -97,6 +100,64 @@ func FuzzGridCell(f *testing.F) {
 			ka, kb := g.Key(a), g.Key(b)
 			if g.Leq(ka, kb) != LeqAll(a, b) || g.Leq(kb, ka) != LeqAll(b, a) {
 				t.Fatalf("cells %v: a %v b %v: packed ≤ %v/%v, LeqAll %v/%v", cells, a, b, g.Leq(ka, kb), g.Leq(kb, ka), LeqAll(a, b), LeqAll(b, a))
+			}
+		}
+
+		// Box walks against brute force: on a grid of at most 4096 cells the
+		// cells whose coordinates lie in the box, in flat order; on a larger
+		// one, yields that lie in the box and strictly ascend, as many as the
+		// box has cells (so every one of them).
+		boxLo, boxHi := make([]int, d), make([]int, d)
+		vol := 1
+		for i := range boxLo {
+			boxLo[i] = coord(i)
+			span := min(int(in.next())%4, cells[i]-1-boxLo[i], 4096/vol-1)
+			boxHi[i] = boxLo[i] + span
+			vol *= span + 1
+		}
+		if n := BoxVolume(boxLo, boxHi); n != vol {
+			t.Fatalf("cells %v: BoxVolume(%v, %v) = %d, want %d", cells, boxLo, boxHi, n, vol)
+		}
+		inBox := func(flat int) bool {
+			c := g.Coords(flat, make([]int, d))
+			return LeqAll(boxLo, c) && LeqAll(c, boxHi)
+		}
+		got := slices.Collect(g.Box(boxLo, boxHi))
+		if g.NumCells() <= 4096 {
+			var want []int
+			for flat := range g.NumCells() {
+				if inBox(flat) {
+					want = append(want, flat)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("cells %v: Box(%v, %v) = %v, want %v", cells, boxLo, boxHi, got, want)
+			}
+		}
+		for j, flat := range got {
+			if !inBox(flat) || j > 0 && flat <= got[j-1] {
+				t.Fatalf("cells %v: Box(%v, %v) yields %v", cells, boxLo, boxHi, got)
+			}
+		}
+		if len(got) != vol {
+			t.Fatalf("cells %v: Box(%v, %v) yields %d cells, want %d", cells, boxLo, boxHi, len(got), vol)
+		}
+		stop, walked := 1+int(in.next())%vol, 0
+		for range g.Box(boxLo, boxHi) {
+			if walked++; walked == stop {
+				break
+			}
+		}
+		if walked != stop {
+			t.Fatalf("cells %v: Box(%v, %v) walked %d cells past a break at %d", cells, boxLo, boxHi, walked, stop)
+		}
+		for i := range boxLo {
+			if boxLo[i] > 0 {
+				boxHi[i] = boxLo[i] - 1
+				if n := BoxVolume(boxLo, boxHi); n != 0 {
+					t.Fatalf("cells %v: BoxVolume(%v, %v) = %d, want 0", cells, boxLo, boxHi, n)
+				}
+				break
 			}
 		}
 

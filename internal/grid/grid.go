@@ -13,6 +13,7 @@ package grid
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
 	"slices"
@@ -290,36 +291,47 @@ func (g *Grid) CoordRange(i int, lo, hi float64) (int, int) {
 // that hold a point of the closed rectangle r — CellOf of every point of r
 // lies in it — and returns the number of cells in it.
 func (g *Grid) CellBox(r Rect, loC, hiC []int) int {
-	n := 1
 	for i := range loC {
 		loC[i], hiC[i] = g.CoordRange(i, r.Lower[i], r.Upper[i])
-		n *= hiC[i] - loC[i] + 1
+	}
+	return BoxVolume(loC, hiC)
+}
+
+// BoxVolume returns the number of cells in the inclusive coordinate box
+// lo..hi, 0 when the box is empty (hi < lo in some dimension).
+func BoxVolume(lo, hi []int) int {
+	n := 1
+	for i, l := range lo {
+		if hi[i] < l {
+			return 0
+		}
+		n *= hi[i] - l + 1
 	}
 	return n
 }
 
-// BoxCells appends to dst the flat indices of the cells of the inclusive
-// coordinate box loC..hiC, in ascending order, and returns dst.
-func (g *Grid) BoxCells(loC, hiC []int, dst []int) []int {
-	coords := make([]int, 0, 8)
-	coords = append(coords, loC...)
-	flat := g.Flat(coords)
-	for {
-		dst = append(dst, flat)
-		// Odometer increment, last dimension fastest: row-major order is
-		// ascending flat order.
-		i := len(coords) - 1
-		for ; i >= 0; i-- {
-			coords[i]++
-			flat += g.stride[i]
-			if coords[i] <= hiC[i] {
-				break
+// Box yields the flat indices of the cells of the non-empty inclusive
+// coordinate box lo..hi in ascending order: an odometer over the
+// coordinates, last dimension fastest, so row-major order is flat order.
+func (g *Grid) Box(lo, hi []int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		at := make([]int, 0, 8)
+		at = append(at, lo...)
+		flat := g.Flat(at)
+		for yield(flat) {
+			i := len(at) - 1
+			for ; i >= 0; i-- {
+				at[i]++
+				flat += g.stride[i]
+				if at[i] <= hi[i] {
+					break
+				}
+				flat -= (at[i] - lo[i]) * g.stride[i]
+				at[i] = lo[i]
 			}
-			flat -= (coords[i] - loC[i]) * g.stride[i]
-			coords[i] = loC[i]
-		}
-		if i < 0 {
-			return dst
+			if i < 0 {
+				return
+			}
 		}
 	}
 }

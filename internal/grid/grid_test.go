@@ -163,10 +163,10 @@ func TestCellsOverlapping(t *testing.T) {
 	r := Rect{Lower: []float64{1, 1}, Upper: []float64{5, 3}}
 	loC, hiC := make([]int, 2), make([]int, 2)
 	n := g.CellBox(r, loC, hiC)
-	cells := g.BoxCells(loC, hiC, nil)
+	cells := slices.Collect(g.Box(loC, hiC))
 	// x cells 0..2, y cells 0..1 -> 6 cells, row-major.
 	if want := []int{0, 1, 5, 6, 10, 11}; n != 6 || !slices.Equal(cells, want) {
-		t.Fatalf("CellBox = %d cells %v..%v, BoxCells = %v, want %v", n, loC, hiC, cells, want)
+		t.Fatalf("CellBox = %d cells %v..%v, Box = %v, want %v", n, loC, hiC, cells, want)
 	}
 	// Every listed cell overlaps r; no other cell does.
 	for flat := 0; flat < g.NumCells(); flat++ {

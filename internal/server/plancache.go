@@ -3,11 +3,16 @@ package server
 import (
 	"container/list"
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 
 	"progxe/internal/core"
 	"progxe/internal/smj"
 )
+
+// errPlanPanic is the error the sharers of a plan build that panicked get.
+var errPlanPanic = errors.New("plan build panicked")
 
 // planKey identifies one compiled plan: the engine (whose registry name
 // fixes every plan-affecting option), the normalized query text, and the
@@ -77,7 +82,8 @@ func newPlanCache(max int, hits, misses func()) *planCache {
 // hits — they skipped a compilation). Concurrent callers of the same
 // missing key block until the one builder finishes and share its result;
 // build errors are not cached — the failed node is removed so a later
-// request retries.
+// request retries. A build that panics fails its sharers with
+// errPlanPanic, is removed the same way, and re-panics in the builder.
 func (pc *planCache) getOrBuild(key planKey, build func() (*planEntry, error)) (entry *planEntry, hit bool, err error) {
 	pc.mu.Lock()
 	if el, ok := pc.entries[key]; ok {
@@ -102,17 +108,28 @@ func (pc *planCache) getOrBuild(key planKey, build func() (*planEntry, error)) (
 	pc.mu.Unlock()
 	pc.misses()
 
-	node.value, node.err = build()
-	close(node.ready)
-	if node.err != nil {
+	// Drop the failed node so the error is not served forever — but only if
+	// it is still ours (eviction + reinsertion may have replaced it).
+	drop := func() {
 		pc.mu.Lock()
-		// Drop the failed node so the error is not served forever — but only
-		// if it is still ours (eviction + reinsertion may have replaced it).
 		if cur, ok := pc.entries[key]; ok && cur == el {
 			pc.lru.Remove(el)
 			delete(pc.entries, key)
 		}
 		pc.mu.Unlock()
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			node.err = fmt.Errorf("%w: %v", errPlanPanic, p)
+			close(node.ready)
+			drop()
+			panic(p)
+		}
+	}()
+	node.value, node.err = build()
+	close(node.ready)
+	if node.err != nil {
+		drop()
 		return nil, false, node.err
 	}
 	return node.value, false, nil

@@ -475,8 +475,11 @@ func (s *Server) startRun(g *runGroup, req QueryRequest, engineName string, q *q
 	entry, cached, err := s.planFor(g.key.plan, engine, q, left, right, !req.Trace)
 	if err != nil {
 		status, code := http.StatusBadRequest, errBadQuery
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		switch {
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			status, code = http.StatusServiceUnavailable, errUnavailable
+		case errors.Is(err, errPlanPanic):
+			status, code = http.StatusInternalServerError, errInternal
 		}
 		failure = httpErrorf(status, code, "%v", err)
 		return

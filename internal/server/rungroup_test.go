@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -317,6 +318,97 @@ func TestPanickingRunIsContained(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 	ts.CloseClientConnections()
 	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= idle })
+}
+
+// prepPanicEngine is a ProgXe engine whose plan preparation panics.
+type prepPanicEngine struct{ *core.Engine }
+
+func (prepPanicEngine) PrepareContext(context.Context, *smj.Problem) (*core.Prepared, error) {
+	panic("injected plan fault")
+}
+
+// TestPanickingPlanBuildIsContained: a panic while the plan cache builds a
+// plan is a structured 500 that leaves no node behind, so an identical
+// request builds afresh — and fails the same way — instead of waiting on the
+// first build forever while it holds an admission slot.
+func TestPanickingPlanBuildIsContained(t *testing.T) {
+	srv, ts := newTestServer(t, Config{
+		MaxConcurrentRuns: 1,
+		NewEngine: func(name string, opts core.Options) (smj.Engine, error) {
+			e, err := engines.New(name, opts)
+			if err != nil {
+				return nil, err
+			}
+			return prepPanicEngine{e.(*core.Engine)}, nil
+		},
+	})
+	client := &http.Client{Timeout: 5 * time.Second}
+	b, _ := json.Marshal(QueryRequest{Query: tinyQuery})
+	for attempt := 1; attempt <= 2; attempt++ {
+		resp, err := client.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("attempt %d: %v", attempt, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(body, []byte(`"code":"internal"`)) {
+			t.Fatalf("attempt %d: status %d body %s, want a structured 500", attempt, resp.StatusCode, body)
+		}
+		// A node left behind would hold the next request (and the test's
+		// server close) forever: fail here instead.
+		if n := srv.plans.len(); n != 0 {
+			t.Fatalf("attempt %d: the plan cache kept %d node(s) of the failed build", attempt, n)
+		}
+	}
+	var st Snapshot
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	if st.RunsActive != 0 {
+		t.Fatalf("runsActive = %d after both failures, want 0", st.RunsActive)
+	}
+}
+
+// TestPlanBuildPanicFailsSharers: a request waiting on a plan build that
+// panics gets errPlanPanic, the builder's goroutine gets the panic back, and
+// the cache keeps no node of the build.
+func TestPlanBuildPanicFailsSharers(t *testing.T) {
+	waiting := make(chan struct{})
+	pc := newPlanCache(4, func() { close(waiting) }, func() {})
+	key := planKey{engine: "progxe", query: "q"}
+	started, release := make(chan struct{}), make(chan struct{})
+	repanic := make(chan any, 1)
+	go func() {
+		defer func() { repanic <- recover() }()
+		pc.getOrBuild(key, func() (*planEntry, error) {
+			close(started)
+			<-release
+			panic("injected plan fault")
+		})
+	}()
+	<-started
+	shared := make(chan error, 1)
+	go func() {
+		_, hit, err := pc.getOrBuild(key, func() (*planEntry, error) { t.Error("the sharer built"); return nil, nil })
+		if !hit {
+			t.Error("the sharer counted a miss")
+		}
+		shared <- err
+	}()
+	<-waiting // the sharer counted its hit and waits on the build
+	close(release)
+	if p := <-repanic; p != "injected plan fault" {
+		t.Fatalf("the builder recovered %v, want the build's panic", p)
+	}
+	select {
+	case err := <-shared:
+		if !errors.Is(err, errPlanPanic) {
+			t.Fatalf("the sharer got %v, want errPlanPanic", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sharer is still waiting on the failed build")
+	}
+	if n := pc.len(); n != 0 {
+		t.Fatalf("the cache kept %d node(s) of the failed build", n)
+	}
 }
 
 // TestQueryEndVisibleAfterSlotRelease pins the order of a run's end: once
