@@ -177,35 +177,16 @@ func (e *SSMJ) emit(p *smj.Problem, sink smj.Sink, c *ssmjCand, stats *smj.Stats
 
 // sourceSkyline computes LS(S): the indices of tuples not dominated by any
 // other tuple of the same source under the mapping monotonicity plan,
-// ignoring join keys. With mixed monotonicity no pruning is possible and
-// every tuple is in the list. The O(n²) scan polls cancel and returns a
-// truncated (unusable) list once canceled — the caller aborts right after.
+// ignoring join keys — one group for smj.PruneGroups, whose cancellation
+// contract it keeps.
 func sourceSkyline(rel *relation.Relation, maps *mapping.Set, side mapping.Side, cancel *smj.Canceler) []int {
-	plan, err := maps.PushThrough(side)
-	if err != nil || len(plan.Attrs) == 0 {
-		all := make([]int, rel.Len())
-		for i := range all {
-			all[i] = i
-		}
-		return all
+	all := make([]int, rel.Len())
+	for i := range all {
+		all[i] = i
 	}
-	var out []int
-	for i := range rel.Tuples {
-		if cancel.Check() != nil {
-			return out
-		}
-		dominated := false
-		for j := range rel.Tuples {
-			if i != j && plan.Dominates(rel.Tuples[j].Vals, rel.Tuples[i].Vals) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out
+	one := map[int64][]int{0: all}
+	smj.PruneGroups(rel, maps, side, one, cancel)
+	return one[0]
 }
 
 type picked struct {

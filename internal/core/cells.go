@@ -3,24 +3,15 @@ package core
 import (
 	"progxe/internal/grid"
 	"progxe/internal/obs"
-	"progxe/internal/preference"
 	"progxe/internal/smj"
 )
 
 // outTuple is a surviving intermediate result held in an output cell's
-// buffer until ProgDetermine proves it safe to emit. sum caches the
-// coordinate sum of v; buffers are kept sorted ascending by it (SFS order),
-// so dominance scans are cut off by sum. A dominator's float sum is ≤ its
-// victim's — float addition is monotone, but sums that differ only below the
-// rounding step tie — so every cutoff is tie-inclusive: dominators end at the
-// first entry whose sum is larger, victims start at the first whose sum is
-// not smaller.
-type outTuple struct {
-	leftID  int64
-	rightID int64
-	v       []float64 // canonical (minimized) output vector, arena-backed
-	sum     float64
-}
+// buffer until ProgDetermine proves it safe to emit; v is arena-backed.
+type outTuple = survivor[pair]
+
+// pair identifies the join result an outTuple maps.
+type pair struct{ leftID, rightID int64 }
 
 // cell is the runtime state of one output partition Oh (§V).
 //
@@ -49,49 +40,10 @@ type cell struct {
 	visited   int32     // cellIndex epoch stamp (bucket-union dedup)
 	owner     int32     // id of the one region covering the cell, when regCount was 1 at build
 	key       uint64    // g.Key(coords), for one-subtraction ≤ tests
-	// minV/maxV are the componentwise min/max over the current survivors —
-	// the survivor summary. A cell can hold a dominator of t only if
-	// minV ≤ t everywhere, and a victim of t only if maxV ≥ t everywhere,
-	// so whole cells refute in O(d) before any tuple is touched. Valid only
-	// while len(tuples) > 0; maintained exactly on insert and eviction.
-	minV []float64
-	maxV []float64
-	// tuples is sorted ascending by (sum, arrival): SFS order with stable
-	// ties. Emission reports survivors in this order.
-	tuples   []outTuple
+	// buf is sorted ascending by (sum, arrival): SFS order with stable ties.
+	// Emission reports survivors in this order.
+	buf      survivors[pair]
 	watchers []*cell // pending cells whose current blocker is this cell
-}
-
-// firstNotBelow returns the index of the first buffered tuple whose sum is
-// ≥ s — the start of the victim range for an eviction scan (everything
-// before it cannot be dominated by a tuple of sum s).
-func (c *cell) firstNotBelow(s float64) int {
-	lo, hi := 0, len(c.tuples)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.tuples[mid].sum < s {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// firstAbove returns the index of the first buffered tuple whose sum is > s
-// — the cutoff for dominator scans (everything from here on cannot dominate
-// a tuple of sum s) and the stable insertion point for a tuple of sum s.
-func (c *cell) firstAbove(s float64) int {
-	lo, hi := 0, len(c.tuples)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.tuples[mid].sum <= s {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // vecArena hands out fixed-length float vectors for surviving tuples from
@@ -173,10 +125,10 @@ func (s *space) mark(c *cell) {
 		return
 	}
 	c.marked = true
-	for i := range c.tuples {
-		s.pendingFree = append(s.pendingFree, c.tuples[i].v)
+	for _, t := range c.buf.ts {
+		s.pendingFree = append(s.pendingFree, t.v)
 	}
-	c.tuples = nil
+	c.buf.ts = nil
 	s.stats.CellsMarked++
 }
 
@@ -203,7 +155,7 @@ func (s *space) insert(c *cell, leftID, rightID int64, v []float64, sum float64)
 	// one comparison before any pointer chase.
 	g := s.g
 	epoch := s.idx.stamp(c)
-	if s.dominatedWithin(c, v, sum) {
+	if c.buf.dominator(v, sum, &s.stats.DomComparisons) >= 0 {
 		return nil, false
 	}
 	for i := 0; i < s.d; i++ {
@@ -214,11 +166,11 @@ func (s *space) insert(c *cell, leftID, rightID int64, v []float64, sum float64)
 				continue
 			}
 			p := e.c
-			if p.visited == epoch || len(p.tuples) == 0 {
+			if p.visited == epoch || len(p.buf.ts) == 0 {
 				continue
 			}
 			p.visited = epoch
-			if s.dominatedWithin(p, v, sum) {
+			if p.buf.dominator(v, sum, &s.stats.DomComparisons) >= 0 {
 				return nil, false
 			}
 		}
@@ -241,7 +193,7 @@ func (s *space) commitSurvivor(c *cell, leftID, rightID int64, v []float64, sum 
 				continue
 			}
 			p := e.c
-			if p.visited == epoch || len(p.tuples) == 0 || p.emitted {
+			if p.visited == epoch || len(p.buf.ts) == 0 || p.emitted {
 				continue
 			}
 			p.visited = epoch
@@ -250,107 +202,19 @@ func (s *space) commitSurvivor(c *cell, leftID, rightID int64, v []float64, sum 
 	}
 	cv := s.arena.get()
 	copy(cv, v)
-	s.bufferInsert(c, outTuple{leftID: leftID, rightID: rightID, v: cv, sum: sum})
+	c.buf.insert(c.buf.firstAbove(sum), outTuple{v: cv, sum: sum, p: pair{leftID, rightID}})
 	if !c.populated {
 		s.populate(c)
 	}
 	return cv
 }
 
-// dominatedWithin reports whether any survivor of p dominates the candidate
-// vector, counting comparisons into the run stats. The survivor summary
-// refutes whole cells in O(d); otherwise the scan walks the SFS-sorted
-// buffer up to the sum cutoff (a dominator's sum is at most the candidate's).
-func (s *space) dominatedWithin(p *cell, v []float64, sum float64) bool {
-	if len(p.tuples) == 0 {
-		return false
-	}
-	for i, m := range p.minV {
-		if m > v[i] {
-			return false
-		}
-	}
-	end := p.firstAbove(sum)
-	for j := 0; j < end; j++ {
-		s.stats.DomComparisons++
-		if preference.DominatesMin(p.tuples[j].v, v) {
-			return true
-		}
-	}
-	return false
-}
-
 // evictDominated removes every survivor of p dominated by the candidate
-// vector, keeping the buffer sorted and the survivor summary exact. Evicted
-// vectors go to pendingFree (see space). Only the suffix of sums not below the
-// candidate's can contain victims; the kept prefix contributes to the summary
-// without dominance tests.
+// vector; evicted vectors go to pendingFree (see space).
 func (s *space) evictDominated(p *cell, v []float64, sum float64) {
-	if len(p.tuples) == 0 {
-		return
-	}
-	// Refute the whole cell when some dimension of the candidate exceeds
-	// every survivor (no tuple can be componentwise ≥ the candidate).
-	for i, m := range p.maxV {
-		if v[i] > m {
-			return
-		}
-	}
-	start := p.firstNotBelow(sum)
-	keep := p.tuples[:start]
-	evicted := false
-	for j := start; j < len(p.tuples); j++ {
-		u := p.tuples[j]
-		s.stats.DomComparisons++
-		if preference.DominatesMin(v, u.v) {
-			evicted = true
-			s.pendingFree = append(s.pendingFree, u.v)
-			continue
-		}
-		keep = append(keep, u)
-	}
-	if !evicted {
-		return
-	}
-	p.tuples = keep
-	if len(p.tuples) > 0 {
-		copy(p.minV, p.tuples[0].v)
-		copy(p.maxV, p.tuples[0].v)
-		for j := 1; j < len(p.tuples); j++ {
-			widenSummary(p.minV, p.maxV, p.tuples[j].v)
-		}
-	}
-}
-
-// bufferInsert places t into the cell's buffer keeping SFS order (stable on
-// equal sums) and widens the survivor summary.
-func (s *space) bufferInsert(c *cell, t outTuple) {
-	if c.minV == nil {
-		buf := make([]float64, 2*s.d)
-		c.minV, c.maxV = buf[:s.d:s.d], buf[s.d:]
-	}
-	if len(c.tuples) == 0 {
-		copy(c.minV, t.v)
-		copy(c.maxV, t.v)
-	} else {
-		widenSummary(c.minV, c.maxV, t.v)
-	}
-	pos := c.firstAbove(t.sum)
-	c.tuples = append(c.tuples, outTuple{})
-	copy(c.tuples[pos+1:], c.tuples[pos:])
-	c.tuples[pos] = t
-}
-
-// widenSummary grows the min/max summary vectors to cover v.
-func widenSummary(minV, maxV, v []float64) {
-	for i, x := range v {
-		if x < minV[i] {
-			minV[i] = x
-		}
-		if x > maxV[i] {
-			maxV[i] = x
-		}
-	}
+	p.buf.evict(v, sum, &s.stats.DomComparisons, func(t outTuple) {
+		s.pendingFree = append(s.pendingFree, t.v)
+	})
 }
 
 // populate records the first surviving tuple in a cell and marks every cell
@@ -427,7 +291,7 @@ func (s *space) deactivate(c *cell) {
 // remain in its closed lower orthant. If a blocker exists the candidate
 // watches it and is reconsidered when the blocker finalizes.
 func (s *space) consider(c *cell) {
-	if c.emitted || c.marked || !c.finalized || len(c.tuples) == 0 {
+	if c.emitted || c.marked || !c.finalized || len(c.buf.ts) == 0 {
 		return
 	}
 	if b := s.findBlocker(c); b != nil {
@@ -439,13 +303,13 @@ func (s *space) consider(c *cell) {
 	// over the cell's whole buffer keep the emit phase observable without
 	// per-tuple overhead.
 	tEmit := s.prof.Clock()
-	for _, t := range c.tuples {
+	for _, t := range c.buf.ts {
 		s.emit(t)
 	}
 	s.prof.EndSequencer(obs.PhaseEmit, tEmit)
-	s.stats.ResultCount += len(c.tuples)
+	s.stats.ResultCount += len(c.buf.ts)
 	if s.traceEmit != nil {
-		s.traceEmit(c, len(c.tuples))
+		s.traceEmit(c, len(c.buf.ts))
 	}
 }
 
@@ -490,7 +354,7 @@ func (s *space) firstActiveBelow(c *cell) *cell {
 func (s *space) unemitted() []*cell {
 	var out []*cell
 	for _, c := range s.cellList {
-		if !c.emitted && !c.marked && len(c.tuples) > 0 {
+		if !c.emitted && !c.marked && len(c.buf.ts) > 0 {
 			out = append(out, c)
 		}
 	}

@@ -43,8 +43,8 @@ func TestInsertDominanceWithinCell(t *testing.T) {
 	if !insertVec(s, c, 0.5, 0.5) {
 		t.Fatal("dominating tuple must survive")
 	}
-	if len(c.tuples) != 1 || c.tuples[0].v[0] != 0.5 {
-		t.Fatalf("dominated survivor must be evicted: %v", c.tuples)
+	if len(c.buf.ts) != 1 || c.buf.ts[0].v[0] != 0.5 {
+		t.Fatalf("dominated survivor must be evicted: %v", c.buf.ts)
 	}
 }
 
@@ -54,8 +54,8 @@ func TestInsertTiesBothSurvive(t *testing.T) {
 	if !insertVec(s, c, 2, 2) || !insertVec(s, c, 2, 2) {
 		t.Fatal("equal tuples must both survive")
 	}
-	if len(c.tuples) != 2 {
-		t.Fatalf("want 2 survivors, got %d", len(c.tuples))
+	if len(c.buf.ts) != 2 {
+		t.Fatalf("want 2 survivors, got %d", len(c.buf.ts))
 	}
 }
 
@@ -111,8 +111,8 @@ func TestInsertCrossCellEviction(t *testing.T) {
 	if !insertVec(s, lo, 2, 1) {
 		t.Fatal("dominating tuple must survive")
 	}
-	if len(hi.tuples) != 0 {
-		t.Fatalf("dominated cross-cell tuple must be evicted: %v", hi.tuples)
+	if len(hi.buf.ts) != 0 {
+		t.Fatalf("dominated cross-cell tuple must be evicted: %v", hi.buf.ts)
 	}
 	// And the reverse: a dominated newcomer in a slice-above cell dies.
 	if insertVec(s, hi, 8, 1) {
@@ -170,7 +170,7 @@ func TestBlockerPathsAgree(t *testing.T) {
 	regions, s, _ := planSpace(t, pl, 0, 1)
 	s.emit = func(outTuple) {}
 	for _, c := range s.active {
-		c.tuples = []outTuple{{}}
+		c.buf.ts = []outTuple{{}}
 	}
 	coordsOf := func(c *cell) []int {
 		if c == nil {

@@ -247,7 +247,7 @@ func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared
 				out[j] = -out[j]
 			}
 		}
-		sink.Emit(smj.Result{LeftID: t.leftID, RightID: t.rightID, Out: out})
+		sink.Emit(smj.Result{LeftID: t.p.leftID, RightID: t.p.rightID, Out: out})
 	}
 
 	run := &runState{
@@ -449,7 +449,7 @@ func (r *runState) trackLive() {
 // region id — discard runs the determination cascade and trace events, and
 // both follow that order. Only the live list is walked, and a region is
 // refuted in O(d) where it can be: a dominator's coordinate sum is ≤ the
-// corner's (tie-inclusive, see outTuple), and it is componentwise ≤ the
+// corner's (tie-inclusive, see survivors), and it is componentwise ≤ the
 // corner only if the round's componentwise minimum is.
 func (r *runState) discardDominated() {
 	if len(r.roundNew) == 0 {

@@ -29,11 +29,9 @@ import (
 // by at least one alive tuple: true when it dies (it was beaten by a
 // survivor), and preserved when its dominator w is itself evicted by a new
 // v, since DominatesMin is transitive (v ≤ w ≤ u with strictness inherited).
-// (2) A dominator's coordinate sum is never larger than its victim's: it is
-// all-≤ and floating-point addition rounds monotonically. In exact
-// arithmetic the sum is strictly smaller, but rounding can erase the gap —
-// (1e16, 0) dominates (1e16, 1) and both sum to 1e16 — so every cutoff on
-// the sum-sorted cell buffers is tie-inclusive.
+// (2) A dominator's coordinate sum is never larger than its victim's, though
+// rounding can make the two equal; survivors.go states the tie rule every
+// cutoff on the sum-sorted cell buffers follows.
 //
 // Invariant (2) is why the initial build needs no eviction. Visit the mapped
 // join in ascending (sum, seq) order and every dominator of a tuple has
@@ -112,14 +110,11 @@ func detach(u *liveTuple) {
 
 // liveCell is one populated output-space cell. It buffers its survivors
 // only, sorted ascending by (sum, seq), so dominance checks, eviction sweeps
-// and promotion re-checks never step over the dead majority. Componentwise
-// min/max summaries over the buffer give O(d) scan refutation.
+// and promotion re-checks never step over the dead majority.
 type liveCell struct {
 	pos    int // index in LiveSpace.cellList
 	coords []int
-	minV   []float64 // over alive tuples; valid when len(alive) > 0
-	maxV   []float64
-	alive  []*liveTuple
+	buf    survivors[*liveTuple]
 	// dom/vic cache the cell-level dominance adjacency: dom holds every cell
 	// whose coords are ≤ ours componentwise (where dominators can live), vic
 	// every cell with coords ≥ ours (where victims and promotion candidates
@@ -139,18 +134,6 @@ func byRank(a, b *liveTuple) int {
 		return c
 	}
 	return cmp.Compare(a.seq, b.seq)
-}
-
-// firstSumNotBelow returns the index of the first tuple in ts with sum ≥ s.
-func firstSumNotBelow(ts []*liveTuple, s float64) int {
-	at, _ := slices.BinarySearchFunc(ts, s, func(t *liveTuple, s float64) int { return cmp.Compare(t.sum, s) })
-	return at
-}
-
-// insertByRank adds t to the (sum, seq)-sorted buffer ts.
-func insertByRank(ts []*liveTuple, t *liveTuple) []*liveTuple {
-	at, _ := slices.BinarySearchFunc(ts, t, byRank)
-	return slices.Insert(ts, at, t)
 }
 
 // runEnd returns the end of the run of equal sums that starts at ts[i].
@@ -175,29 +158,6 @@ func dominatedBy(run []*liveTuple, t *liveTuple) bool {
 	return false
 }
 
-// refresh recomputes the alive-subset summaries from scratch.
-func (c *liveCell) refresh() {
-	for n, t := range c.alive {
-		if n == 0 {
-			copy(c.minV, t.v)
-			copy(c.maxV, t.v)
-			continue
-		}
-		widenSummary(c.minV, c.maxV, t.v)
-	}
-}
-
-// widen grows the alive summaries to cover t (which must already be counted
-// in c.alive).
-func (c *liveCell) widen(t *liveTuple) {
-	if len(c.alive) == 1 {
-		copy(c.minV, t.v)
-		copy(c.maxV, t.v)
-		return
-	}
-	widenSummary(c.minV, c.maxV, t.v)
-}
-
 // LiveSpace is the resident incremental-maintenance state for one query: the
 // base relations, their join index, every mapped join output (dead ones
 // reached through byBase and their referees), and the output-space cells
@@ -211,7 +171,8 @@ type LiveSpace struct {
 		Map(left, right, dst []float64) []float64
 	} // canonical mapping set (HIGHEST dims pre-negated)
 	d     int
-	arity [2]int // attributes per base tuple, per side
+	arity [2]int   // attributes per base tuple, per side
+	used  [2][]int // attributes some mapping function reads, per side
 	g     *grid.Grid
 
 	cells    []*liveCell // flat id → populated cell, nil elsewhere
@@ -255,8 +216,8 @@ type LiveStage struct {
 }
 
 // StageLive validates p, registers both relations under ApplyInsert's checks
-// (finite values, no duplicate ID on a side), maps the join once and bounds
-// the output grid from the mapped outputs.
+// (finite mapped values, no duplicate ID on a side), maps the join once and
+// bounds the output grid from the mapped outputs.
 //
 // The join is enumerated in the order a replay of the relations through
 // ApplyInsert would take — left side first (no partners yet), then every
@@ -350,6 +311,7 @@ func newLiveSpace(p, cp *smj.Problem) *LiveSpace {
 	}
 	for s, rel := range [2]*relation.Relation{cp.Left, cp.Right} {
 		ls.arity[s] = rel.Schema.Arity()
+		ls.used[s] = cp.Maps.UsedAttrs(mapping.Side(s))
 		ls.base[s] = make(map[int64]relation.Tuple, len(rel.Tuples))
 		ls.byKey[s] = make(map[int64][]int64)
 		ls.byBase[s] = make(map[int64][]*liveTuple, len(rel.Tuples))
@@ -466,11 +428,8 @@ func (ls *LiveSpace) settle(order, last []*liveTuple, sink LiveSink) {
 			case dominatedBy(order[x+1:j], t):
 				orphans = append(orphans, t)
 			default:
-				t.alive = true
 				ls.stats.Promotions++
-				c.alive = insertByRank(c.alive, t)
-				c.widen(t)
-				ls.emit(t, sink)
+				ls.admit(t, sink)
 			}
 		}
 		for _, t := range orphans {
@@ -530,8 +489,6 @@ func (ls *LiveSpace) cellFor(v []float64) *liveCell {
 	c := &liveCell{
 		pos:    len(ls.cellList),
 		coords: ls.g.Coords(flat, make([]int, ls.d)),
-		minV:   make([]float64, ls.d),
-		maxV:   make([]float64, ls.d),
 	}
 	ls.cells[flat] = c
 	ls.cellList = append(ls.cellList, c)
@@ -566,29 +523,11 @@ func (ls *LiveSpace) vicCells(c *liveCell) []*liveCell {
 
 // dominated returns an alive tuple dominating canonical vector v (sum s,
 // living in cell home), or nil — the witness becomes the referee when the
-// caller demotes. Candidate cells are home's cached dominator cells; within a
-// cell the alive-min summary refutes in O(d) and the sum-sorted buffer is
-// scanned only while sums stay at or below s (a dominator's sum is never
-// larger).
+// caller demotes. Candidate cells are home's cached dominator cells.
 func (ls *LiveSpace) dominated(home *liveCell, v []float64, s float64) *liveTuple {
-cells:
 	for _, c := range ls.domCells(home) {
-		if len(c.alive) == 0 {
-			continue
-		}
-		for i := 0; i < ls.d; i++ {
-			if c.minV[i] > v[i] {
-				continue cells // no alive tuple here can be ≤ v everywhere
-			}
-		}
-		for _, t := range c.alive {
-			if t.sum > s {
-				break
-			}
-			ls.stats.Comparisons++
-			if preference.DominatesMin(t.v, v) {
-				return t
-			}
+		if j := c.buf.dominator(v, s, &ls.stats.Comparisons); j >= 0 {
+			return c.buf.ts[j].p
 		}
 	}
 	return nil
@@ -597,38 +536,19 @@ cells:
 // evict retracts every alive tuple the new tuple nt dominates, demoting each
 // to dead with nt as referee; each victim's own dependents transfer to nt
 // (transitivity keeps their referee a dominator). Victim cells are home's
-// cached victim cells; within a cell the alive-max summary refutes and only
-// tuples with sum ≥ nt.sum are candidates.
+// cached victim cells, swept in order.
 func (ls *LiveSpace) evict(home *liveCell, nt *liveTuple, sink LiveSink) {
-	v, s := nt.v, nt.sum
-cells:
 	for _, c := range ls.vicCells(home) {
-		if len(c.alive) == 0 {
-			continue
-		}
-		for i := 0; i < ls.d; i++ {
-			if v[i] > c.maxV[i] {
-				continue cells // v exceeds every alive tuple here somewhere
+		c.buf.evict(nt.v, nt.sum, &ls.stats.Comparisons, func(e survivor[*liveTuple]) {
+			t := e.p
+			t.alive = false
+			ls.retract(t, sink)
+			for _, u := range t.deps {
+				attach(nt, u)
 			}
-		}
-		demoted := false
-		for _, t := range c.alive[firstSumNotBelow(c.alive, s):] {
-			ls.stats.Comparisons++
-			if preference.DominatesMin(v, t.v) {
-				t.alive = false
-				demoted = true
-				ls.retract(t, sink)
-				for _, u := range t.deps {
-					attach(nt, u)
-				}
-				t.deps = nil
-				attach(nt, t)
-			}
-		}
-		if demoted {
-			c.alive = slices.DeleteFunc(c.alive, func(t *liveTuple) bool { return !t.alive })
-			c.refresh()
-		}
+			t.deps = nil
+			attach(nt, t)
+		})
 	}
 }
 
@@ -643,9 +563,16 @@ func (ls *LiveSpace) place(t *liveTuple, sink LiveSink) {
 		return
 	}
 	ls.evict(c, t, sink)
+	ls.admit(t, sink)
+}
+
+// admit makes t alive: it joins its cell's buffer at its (sum, seq) rank — a
+// promotion re-inserts an old seq among equal sums — and is emitted.
+func (ls *LiveSpace) admit(t *liveTuple, sink LiveSink) {
 	t.alive = true
-	c.alive = insertByRank(c.alive, t)
-	c.widen(t)
+	b := &t.cell.buf
+	at, _ := slices.BinarySearchFunc(b.ts, t, func(e survivor[*liveTuple], t *liveTuple) int { return byRank(e.p, t) })
+	b.insert(at, survivor[*liveTuple]{v: t.v, sum: t.sum, p: t})
 	ls.emit(t, sink)
 }
 
@@ -668,14 +595,15 @@ func (ls *LiveSpace) retract(t *liveTuple, sink LiveSink) {
 }
 
 // register validates base tuple t and makes it resident on side, returning
-// the resident copy: values must match the side's arity and be finite, and
-// a duplicate ID on the side is rejected.
+// the resident copy: values must match the side's arity, those a mapping
+// function reads must be finite (the batch engine's rule), and a duplicate
+// ID on the side is rejected.
 func (ls *LiveSpace) register(side mapping.Side, t relation.Tuple) (relation.Tuple, error) {
 	if len(t.Vals) != ls.arity[side] {
 		return t, fmt.Errorf("live: tuple %d has %d values, the %v side has %d attributes", t.ID, len(t.Vals), side, ls.arity[side])
 	}
-	for _, v := range t.Vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+	for _, a := range ls.used[side] {
+		if v := t.Vals[a]; math.IsNaN(v) || math.IsInf(v, 0) {
 			return t, fmt.Errorf("live: non-finite value in tuple %d", t.ID)
 		}
 	}
@@ -691,8 +619,8 @@ func (ls *LiveSpace) register(side mapping.Side, t relation.Tuple) (relation.Tup
 // ApplyInsert adds base tuple t to side, maps it against every join partner
 // on the opposite side, and routes each mapped output through the dominance
 // protocol — emitting results for survivors and retracts for the tuples they
-// evict. Values must be finite and match the side's arity; a duplicate ID on
-// the side is rejected.
+// evict. Values must match the side's arity and be finite where a mapping
+// function reads them; a duplicate ID on the side is rejected.
 func (ls *LiveSpace) ApplyInsert(side mapping.Side, t relation.Tuple, sink LiveSink) error {
 	if side != mapping.Left && side != mapping.Right {
 		return fmt.Errorf("live: invalid side %d", side)
@@ -790,11 +718,7 @@ func (ls *LiveSpace) ApplyDelete(side mapping.Side, id int64, sink LiveSink) err
 	// disjoint.
 	var cands []*liveTuple
 	for _, r := range survivors {
-		c := r.cell
-		n := len(c.alive)
-		if c.alive = slices.DeleteFunc(c.alive, func(x *liveTuple) bool { return !x.alive }); len(c.alive) < n {
-			c.refresh()
-		}
+		r.cell.buf.deleteFunc(func(x *liveTuple) bool { return !x.alive })
 		for _, u := range r.deps {
 			u.ref = nil
 			cands = append(cands, u)
@@ -812,7 +736,8 @@ func (ls *LiveSpace) ApplyDelete(side mapping.Side, id int64, sink LiveSink) err
 func (ls *LiveSpace) Results() []smj.Result {
 	var out []smj.Result
 	for _, c := range ls.cellList {
-		for _, t := range c.alive {
+		for _, e := range c.buf.ts {
+			t := e.p
 			out = append(out, smj.Result{
 				LeftID:  t.leftID,
 				RightID: t.rightID,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -345,6 +346,43 @@ func TestLiveBuildRejectsBadRelations(t *testing.T) {
 		if st, err := StageLive(p); err == nil {
 			t.Fatalf("%s: staged (%d pairs)", c.name, len(st.all))
 		}
+	}
+}
+
+// TestLiveAcceptsNonFiniteUnreadValues pins the batch engine's input rule on
+// the live path: a NaN or infinite value in an attribute no mapping function
+// reads is accepted — by staging, with the batch run's result set, and by
+// ApplyInsert — while one in a read attribute is still refused.
+func TestLiveAcceptsNonFiniteUnreadValues(t *testing.T) {
+	p := liveProblem(t, 40, 3, datagen.Independent, 0.2, 11)
+	p.Maps = mapping.MustSet(
+		mapping.Func{Name: "x", Expr: mapping.Sum(mapping.A(mapping.Left, 0, ""), mapping.A(mapping.Right, 0, ""))},
+		mapping.Func{Name: "y", Expr: mapping.Sum(mapping.A(mapping.Left, 1, ""), mapping.A(mapping.Right, 1, ""))},
+	)
+	p.Pref = preference.AllLowest(2)
+	p.Left.Tuples[0].Vals[2] = math.NaN()
+	p.Right.Tuples[1].Vals[2] = math.Inf(-1)
+
+	var batch smj.Collector
+	if _, err := New(Options{}).Run(p, &batch); err != nil || len(batch.Results) == 0 {
+		t.Fatalf("batch run: %d results, %v", len(batch.Results), err)
+	}
+	slices.SortFunc(batch.Results, func(a, b smj.Result) int {
+		return cmp.Or(cmp.Compare(a.LeftID, b.LeftID), cmp.Compare(a.RightID, b.RightID))
+	})
+	st, err := StageLive(p)
+	if err != nil {
+		t.Fatalf("staging refused a non-finite value no mapping reads: %v", err)
+	}
+	ls := st.Build(nil)
+	sameResults(t, "build", ls.Results(), batch.Results)
+
+	key := p.Right.Tuples[0].JoinKey
+	if err := ls.ApplyInsert(mapping.Left, relation.Tuple{ID: 1 << 20, Vals: []float64{0.5, 0.5, math.NaN()}, JoinKey: key}, nil); err != nil {
+		t.Fatalf("insert with a NaN no mapping reads: %v", err)
+	}
+	if err := ls.ApplyInsert(mapping.Right, relation.Tuple{ID: 1 << 20, Vals: []float64{0.5, math.Inf(1), 0.5}, JoinKey: key}, nil); err == nil {
+		t.Fatal("insert with an infinite value a mapping reads accepted")
 	}
 }
 

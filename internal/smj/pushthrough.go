@@ -1,6 +1,8 @@
 package smj
 
 import (
+	"slices"
+
 	"progxe/internal/mapping"
 	"progxe/internal/relation"
 )
@@ -9,44 +11,22 @@ import (
 // source: within each join-key group, tuples dominated by another tuple of
 // the same group under the mapping monotonicity plan cannot contribute any
 // undominated output for any join partner and are removed. Pruning across
-// groups is unsound (the join partner differs), and pruning is skipped
-// entirely when the mapping's monotonicity is mixed on this side (the
-// soundness condition of mapping.Set.PushThrough).
+// groups is unsound (the join partner differs).
 //
 // It returns the (possibly shared) pruned relation and the number of tuples
-// removed. cancel (which may be nil) is polled inside the per-group
-// dominance scans — the scan is quadratic per join-key group, so a canceled
-// run must not have to wait it out. Once canceled it returns the input
-// untouched; the caller aborts right after.
+// removed. cancel (which may be nil) is polled as in PruneGroups. Once
+// canceled it returns the input untouched; the caller aborts right after.
 func PushThroughContext(rel *relation.Relation, maps *mapping.Set, side mapping.Side, cancel *Canceler) (*relation.Relation, int) {
-	plan, err := maps.PushThrough(side)
-	if err != nil || len(plan.Attrs) == 0 {
+	groups := GroupSkylinesContext(rel, maps, side, cancel)
+	if cancel.Now() != nil {
 		return rel, 0
 	}
-	groups := make(map[int64][]int)
-	for i, t := range rel.Tuples {
-		groups[t.JoinKey] = append(groups[t.JoinKey], i)
-	}
 	keep := make([]bool, len(rel.Tuples))
+	pruned := len(rel.Tuples)
 	for _, idxs := range groups {
+		pruned -= len(idxs)
 		for _, i := range idxs {
-			if cancel.Check() != nil {
-				return rel, 0
-			}
-			dominated := false
-			for _, j := range idxs {
-				if i != j && plan.Dominates(rel.Tuples[j].Vals, rel.Tuples[i].Vals) {
-					dominated = true
-					break
-				}
-			}
-			keep[i] = !dominated
-		}
-	}
-	pruned := 0
-	for _, k := range keep {
-		if !k {
-			pruned++
+			keep[i] = true
 		}
 	}
 	if pruned == 0 {
@@ -63,39 +43,42 @@ func PushThroughContext(rel *relation.Relation, maps *mapping.Set, side mapping.
 
 // GroupSkylinesContext partitions the relation's tuples by join key and
 // computes the group-level skyline of each group under the mapping
-// monotonicity plan — the LS(N) lists maintained by SSMJ (§VI-A). If the plan
-// is unavailable (mixed monotonicity) every tuple is its own group skyline
-// member. The result maps each join key to the indices of its group-skyline
-// tuples. cancel (which may be nil) is polled inside the per-group dominance
-// scans; once canceled the remaining groups keep their unfiltered index
-// lists — unusable, but the caller aborts right after.
+// monotonicity plan — the LS(N) lists maintained by SSMJ (§VI-A). The result
+// maps each join key to the indices of its group-skyline tuples. cancel
+// (which may be nil) is polled as in PruneGroups.
 func GroupSkylinesContext(rel *relation.Relation, maps *mapping.Set, side mapping.Side, cancel *Canceler) map[int64][]int {
 	groups := make(map[int64][]int)
 	for i, t := range rel.Tuples {
 		groups[t.JoinKey] = append(groups[t.JoinKey], i)
 	}
+	PruneGroups(rel, maps, side, groups, cancel)
+	return groups
+}
+
+// PruneGroups narrows every index list of groups, in order, to the tuples of
+// rel that no other tuple of the same list dominates under the side's
+// push-through plan. With mixed monotonicity (the soundness condition of
+// mapping.Set.PushThrough) or no used attribute the lists stay whole. cancel
+// (which may be nil) is polled before each tuple is tested — the scan is
+// quadratic per list, so a canceled run must not have to wait it out. Once
+// canceled it returns with the remaining lists unfiltered — unusable, but
+// the caller aborts right after.
+func PruneGroups(rel *relation.Relation, maps *mapping.Set, side mapping.Side, groups map[int64][]int, cancel *Canceler) {
 	plan, err := maps.PushThrough(side)
 	if err != nil || len(plan.Attrs) == 0 {
-		return groups
+		return
 	}
+	ts := rel.Tuples
 	for key, idxs := range groups {
 		var keep []int
 		for _, i := range idxs {
 			if cancel.Check() != nil {
-				return groups
+				return
 			}
-			dominated := false
-			for _, j := range idxs {
-				if i != j && plan.Dominates(rel.Tuples[j].Vals, rel.Tuples[i].Vals) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
+			if !slices.ContainsFunc(idxs, func(j int) bool { return j != i && plan.Dominates(ts[j].Vals, ts[i].Vals) }) {
 				keep = append(keep, i)
 			}
 		}
 		groups[key] = keep
 	}
-	return groups
 }
