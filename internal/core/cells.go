@@ -37,6 +37,7 @@ type cell struct {
 	finalized bool      // regCount reached zero: no future tuples can map here
 	emitted   bool      // survivors already reported
 	activeIdx int       // position in space.active, -1 if not active
+	pendIdx   int       // position in space.pending, -1 if not pending
 	visited   int32     // cellIndex epoch stamp (bucket-union dedup)
 	owner     int32     // id of the one region covering the cell, when regCount was 1 at build
 	key       uint64    // g.Key(coords), for one-subtraction ≤ tests
@@ -85,8 +86,13 @@ type space struct {
 	// active lists counted cells that have not yet finalized — the cells
 	// that can still block emission (swap-removed as they finalize).
 	active []*cell
-	stats  *smj.Stats
-	arena  vecArena
+	// pending lists the cells holding survivors that are neither emitted
+	// nor marked — the survivors waiting on a release, which closure picks
+	// choose among: a cell joins when it gains its first survivor and
+	// leaves (swap removal) when it emits, is marked or loses its last.
+	pending []pendingCell
+	stats   *smj.Stats
+	arena   vecArena
 	// pendingFree holds vectors evicted or dropped during the current
 	// region's tuple processing. Recycling is deferred until the region
 	// completes because runState.roundNew still references round survivors
@@ -125,6 +131,7 @@ func (s *space) mark(c *cell) {
 		return
 	}
 	c.marked = true
+	s.dropPending(c)
 	for _, t := range c.buf.ts {
 		s.pendingFree = append(s.pendingFree, t.v)
 	}
@@ -205,6 +212,8 @@ func (s *space) commitSurvivor(c *cell, leftID, rightID int64, v []float64, sum 
 	c.buf.insert(c.buf.firstAbove(sum), outTuple{v: cv, sum: sum, p: pair{leftID, rightID}})
 	if !c.populated {
 		s.populate(c)
+	} else if c.pendIdx < 0 {
+		s.addPending(c)
 	}
 	return cv
 }
@@ -215,6 +224,9 @@ func (s *space) evictDominated(p *cell, v []float64, sum float64) {
 	p.buf.evict(v, sum, &s.stats.DomComparisons, func(t outTuple) {
 		s.pendingFree = append(s.pendingFree, t.v)
 	})
+	if len(p.buf.ts) == 0 {
+		s.dropPending(p)
+	}
 }
 
 // populate records the first surviving tuple in a cell and marks every cell
@@ -225,6 +237,7 @@ func (s *space) evictDominated(p *cell, v []float64, sum float64) {
 // order.
 func (s *space) populate(c *cell) {
 	c.populated = true
+	s.addPending(c)
 	s.idx.addPopulated(c)
 	lo := make([]int, 0, 8)
 	for _, v := range c.coords {
@@ -273,6 +286,35 @@ func (s *space) finalize(c *cell) {
 	}
 }
 
+// pendingCell is a pending cell with what a closure pick costs it by, kept
+// in the list so that costing touches no cell: its packed key, and its
+// cost once costed (see closure.go).
+type pendingCell struct {
+	c      *cell
+	key    uint64
+	cost   int64
+	costed bool
+}
+
+// addPending appends the cell to the pending list.
+func (s *space) addPending(c *cell) {
+	c.pendIdx = len(s.pending)
+	s.pending = append(s.pending, pendingCell{c: c, key: c.key})
+}
+
+// dropPending removes the cell from the pending list (swap removal).
+func (s *space) dropPending(c *cell) {
+	if c.pendIdx < 0 {
+		return
+	}
+	last := len(s.pending) - 1
+	moved := s.pending[last]
+	s.pending[c.pendIdx] = moved
+	moved.c.pendIdx = c.pendIdx
+	s.pending = s.pending[:last]
+	c.pendIdx = -1
+}
+
 // deactivate removes the cell from the active set (swap removal).
 func (s *space) deactivate(c *cell) {
 	if c.activeIdx < 0 {
@@ -299,6 +341,7 @@ func (s *space) consider(c *cell) {
 		return
 	}
 	c.emitted = true
+	s.dropPending(c)
 	// One span per emitted cell, not per result: two clock reads amortized
 	// over the cell's whole buffer keep the emit phase observable without
 	// per-tuple overhead.

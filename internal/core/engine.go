@@ -23,7 +23,10 @@ type Ordering int8
 
 const (
 	// OrderProgressive is ProgOrder (Algorithm 1): regions in descending
-	// Benefit/Cost rank (Equation 8), ranked once before the first pick.
+	// Benefit/Cost rank (Equation 8), ranked once before the first pick,
+	// until a result waits on a release; from then on closure picks front
+	// the regions that block the pending cell with the most survivors per
+	// blocking join row (see closure.go).
 	OrderProgressive Ordering = iota
 	// OrderRandom picks live regions uniformly at random — the paper's
 	// "ProgXe (No-Order)" configuration (§VI-B).
@@ -214,6 +217,32 @@ func (e *Engine) workers() int {
 // RunContext or served from a cache.
 func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared, sink smj.Sink, workers int) (smj.Stats, error) {
 	var stats smj.Stats
+	run, err := e.newRun(ctx, cancel, pl, sink, workers, &stats)
+	if err != nil {
+		return stats, err
+	}
+	defer run.pool.stop()
+	if err := run.loop(); err != nil {
+		return stats, err
+	}
+	// A region's cell cover contains the cell of every row it joins; a row
+	// outside it was dropped, so the stream is short.
+	if run.uncovered > 0 {
+		return stats, fmt.Errorf("core: %d join results mapped outside their region's cell cover (invariant violation)", run.uncovered)
+	}
+
+	// Completeness check: with all regions resolved, every unmarked
+	// populated cell must have been emitted by the finalize cascade.
+	if leftovers := run.space.unemitted(); len(leftovers) > 0 {
+		return stats, fmt.Errorf("core: %d output cells retained unemitted survivors (invariant violation)", len(leftovers))
+	}
+	return stats, nil
+}
+
+// newRun materializes the plan's regions, lays the output space and sets up
+// the run's state and prefetch pool, counting into stats; the caller stops
+// the pool.
+func (e *Engine) newRun(ctx context.Context, cancel *smj.Canceler, pl *Prepared, sink smj.Sink, workers int, stats *smj.Stats) (*runState, error) {
 	prof := e.opts.Profiler
 	cp, d := pl.problem, pl.d
 	regions := pl.materialize()
@@ -222,9 +251,9 @@ func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared
 	stats.RegionsPruned = pl.pruned
 	outCells := e.outputCells(d)
 	tSpace := prof.Clock()
-	s, err := buildSpace(regions, pl.frontier, d, outCells, &stats, workers)
+	s, err := buildSpace(regions, pl.frontier, d, outCells, stats, workers)
 	if err != nil {
-		return stats, err
+		return nil, err
 	}
 	prof.EndSequencer(obs.PhaseSpaceBuild, tSpace)
 	s.prof = prof
@@ -255,33 +284,18 @@ func (e *Engine) runPlan(ctx context.Context, cancel *smj.Canceler, pl *Prepared
 		problem:  cp,
 		space:    s,
 		regions:  regions,
-		stats:    &stats,
+		stats:    stats,
 		d:        d,
 		outCells: outCells,
 		cancel:   cancel,
 		pool:     newPool(ctx, workers, s, regions, cp.Maps),
 	}
-	defer run.pool.stop()
 	if e.opts.Trace != nil {
 		s.traceEmit = func(c *cell, n int) {
 			run.emitTrace(Event{Kind: EventCellEmitted, Cell: c.flat, Survivors: n})
 		}
 	}
-	if err := run.loop(); err != nil {
-		return stats, err
-	}
-	// A region's cell cover contains the cell of every row it joins; a row
-	// outside it was dropped, so the stream is short.
-	if run.uncovered > 0 {
-		return stats, fmt.Errorf("core: %d join results mapped outside their region's cell cover (invariant violation)", run.uncovered)
-	}
-
-	// Completeness check: with all regions resolved, every unmarked
-	// populated cell must have been emitted by the finalize cascade.
-	if leftovers := s.unemitted(); len(leftovers) > 0 {
-		return stats, fmt.Errorf("core: %d output cells retained unemitted survivors (invariant violation)", len(leftovers))
-	}
-	return stats, nil
+	return run, nil
 }
 
 // runState carries the per-run mutable state of the framework loop.
@@ -299,10 +313,14 @@ type runState struct {
 
 	// order is the schedule, every region id once in pick order, and pos
 	// its cursor; the loop skips the regions Line 9 discarded. state is every
-	// region's lifecycle, by id.
-	order []int32
-	pos   int
-	state []regionState
+	// region's lifecycle, by id. choose makes the closure picks that reorder
+	// the rest of order (closurePick; nil under the ablation orderings), and
+	// closure is their state.
+	order   []int32
+	pos     int
+	state   []regionState
+	choose  func() (*cell, []int)
+	closure closure
 
 	roundNew [][]float64 // surviving vectors inserted by the current region
 	// live lists, ascending, the ids of the regions Line 9 may still discard;
@@ -320,13 +338,18 @@ type runState struct {
 }
 
 // loop repeats pick → tuple-level processing → progressive determination
-// until the order is exhausted (Fig. 2's cycle). The order is fixed before
-// the first pick — by rank, or by the ablation policies — and the regions
-// discarded along the way are skipped.
+// until the order is exhausted (Fig. 2's cycle).
 func (r *runState) loop() error {
 	if len(r.regions) == 0 {
 		return nil
 	}
+	r.begin()
+	return r.drain()
+}
+
+// begin lays out the schedule — by rank, or by the ablation policies — and
+// starts the prefetch pool on it.
+func (r *runState) begin() {
 	r.state = make([]regionState, len(r.regions))
 	opts := r.engine.opts
 	prof := opts.Profiler
@@ -344,10 +367,17 @@ func (r *runState) loop() error {
 		}
 	default:
 		r.order = r.rankOrder()
+		r.choose = r.closurePick
 	}
 	prof.EndSequencer(obs.PhaseSched, tSched)
 	r.pool.start(r.order)
+}
 
+// drain processes the schedule's regions until none is left, skipping the
+// ones Line 9 discarded; under closure picks the rest of the schedule is
+// decided as it goes.
+func (r *runState) drain() error {
+	prof := r.engine.opts.Profiler
 	for {
 		if err := r.cancel.Now(); err != nil {
 			return err
@@ -357,6 +387,11 @@ func (r *runState) loop() error {
 		}
 		if r.pos == len(r.order) {
 			return nil
+		}
+		if r.choose != nil && len(r.space.pending) > 0 {
+			tSched := prof.Clock()
+			r.schedule()
+			prof.EndSequencer(obs.PhaseSched, tSched)
 		}
 		reg := r.regions[r.order[r.pos]]
 		r.pos++
@@ -370,9 +405,9 @@ func (r *runState) loop() error {
 // rankOrder is ProgOrder (Algorithm 1) as one sort: every region is ranked
 // once by analyse-Cost-vs-Benefit in the state before the first pick, and
 // the order is best rank first, ties by ascending id — the order ProgOrder's
-// queue pops regions of equal standing in. Its EL-Graph decides only a
-// handful of picks per run, so the sort reproduces its schedule but for
-// the order of regions whose build-time rank is 0.
+// queue pops regions of equal standing in. It fixes the first region and
+// fills the gaps between closure picks, which reorder the rest of it from
+// the first pending cell on.
 func (r *runState) rankOrder() []int32 {
 	counts := progCounts(r.space, len(r.regions))
 	ranks := make([]float64, len(r.regions))
@@ -392,6 +427,7 @@ func (r *runState) rankOrder() []int32 {
 // non-nil error means the run was canceled mid-region and must abort.
 func (r *runState) process(reg *region) error {
 	r.state[reg.id] = regionProcessed
+	r.leaveMass(reg.id)
 	r.roundNew = r.roundNew[:0]
 	joinedBefore := r.stats.JoinResults
 
@@ -534,6 +570,7 @@ func (r *runState) commit(reg *region) {
 // RegCounts drain (possibly finalizing them) and the loop skips it.
 func (r *runState) discard(reg *region) {
 	r.state[reg.id] = regionDiscarded
+	r.leaveMass(reg.id)
 	r.stats.RegionsDropped++
 	r.emitTrace(Event{Kind: EventRegionDiscarded, Region: reg.id})
 	r.pool.drop(reg)

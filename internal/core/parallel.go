@@ -79,7 +79,9 @@ func (b *candBuf) ensure(n, d int) {
 // Job lifecycle: a job is idle until the sequencer publishes it onto the
 // feed, and published until it is taken — by a worker, to build its stream,
 // or by the sequencer, to build it inline at the region's turn or to drop it
-// on discard. A job the sequencer takes while idle is never published.
+// on discard — or until a reorder takes it back to idle (see rewind). A job
+// the sequencer takes while idle is never published; a taken job stays
+// taken, so its stream is built at most once.
 const (
 	jobIdle int32 = iota
 	jobPublished
@@ -88,7 +90,10 @@ const (
 
 // regionJob tracks the prefetch state of one region's candidate stream.
 type regionJob struct {
-	state    atomic.Int32
+	state atomic.Int32
+	// queued is set while the job's id sits on the feed: from the send until
+	// a worker receives it.
+	queued   atomic.Bool
 	done     chan struct{} // made at publish; closed when a worker's build ends
 	buf      *candBuf
 	n        int // candidates materialized (== joinCard unless canceled)
@@ -122,19 +127,22 @@ type pool struct {
 	regions []*region
 	jobs    []regionJob
 
-	// Sequencer-owned: order is the run's schedule, next the first position
-	// not yet considered for publishing, inflight the published jobs the
-	// sequencer has not finished with (at most window), inline the arena for
-	// streams built at their turn.
+	// Sequencer-owned: order is the run's schedule (the sequencer reorders
+	// the part from next on in place, after a rewind), next the first
+	// position not yet considered for publishing, inflight the published jobs
+	// the sequencer has not finished with (at most window), inline the arena
+	// for streams built at their turn.
 	order    []int32
 	next     int
 	window   int
 	inflight int
 	inline   candBuf
 
-	// feed has room for every region: an id is published at most once, so a
-	// send never blocks, however many ids the sequencer took first still sit
-	// in it. nil without workers; closed by stop.
+	// feed has room for every region, and holds each id at most once: a
+	// publish sends the id only if it is not queued already (a job taken
+	// back to idle and published again can still sit on the feed), so a send
+	// never blocks, however many reorders the workers fall behind. nil
+	// without workers; closed by stop.
 	feed    chan int32
 	wg      sync.WaitGroup
 	bufFree chan *candBuf
@@ -208,8 +216,27 @@ func (p *pool) publish() {
 		j.done = make(chan struct{})
 		j.state.Store(jobPublished)
 		p.inflight++
-		p.feed <- id
+		if !j.queued.Swap(true) {
+			p.feed <- id
+		}
 	}
+}
+
+// rewind takes back to idle every job published from position from of the
+// order on that no worker has taken yet — it leaves the window and the feed
+// skips it — and restarts publishing at from. The sequencer calls it before
+// it reorders order[from:], and publish after.
+func (p *pool) rewind(from int) {
+	if p.next <= from {
+		return
+	}
+	for _, id := range p.order[from:p.next] {
+		if j := &p.jobs[id]; j.state.CompareAndSwap(jobPublished, jobIdle) {
+			j.done = nil
+			p.inflight--
+		}
+	}
+	p.next = from
 }
 
 func (p *pool) getBuf() *candBuf {
@@ -270,6 +297,7 @@ func (p *pool) prefetchWorker(lane int) {
 	cancel := smj.NewCanceler(p.ctx)
 	for id := range p.feed {
 		j := &p.jobs[id]
+		j.queued.Store(false)
 		if !j.state.CompareAndSwap(jobPublished, jobTaken) {
 			continue
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -493,4 +494,119 @@ func sumOf(v []float64) float64 {
 		s += x
 	}
 	return s
+}
+
+// TestPoolRewindUnderReorders drives the prefetch pool the way closure picks
+// do — rewind at a position ahead of the sequencer, reorder the rest,
+// publish again — with 2 to 4 workers prefetching, and checks four things:
+// published streams not yet consumed never exceed the window; every region's
+// stream is built exactly once (worker builds plus inline builds equal the
+// regions committed); every arena is back on the free list at the end; and
+// re-publishing never blocks, even with every worker held inside a build
+// while the sequencer reorders many times the region count over.
+func TestPoolRewindUnderReorders(t *testing.T) {
+	pl := preparePlan(t, fineProblem(t, 1000), fineOpts)
+	for _, workers := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			regions, s, _ := planSpace(t, pl, 0, 0)
+			s.emit = func(outTuple) {}
+			p := newPool(context.Background(), workers, s, regions, pl.problem.Maps)
+			defer p.stop()
+
+			var builds, held atomic.Int64
+			release := make(chan struct{})
+			par.YieldHook = func() {
+				builds.Add(1)
+				select {
+				case <-release:
+				default:
+					held.Add(1)
+					<-release
+				}
+			}
+			defer func() { par.YieldHook = nil }()
+
+			order := make([]int32, len(regions))
+			for i := range order {
+				order[i] = int32(i)
+			}
+			rng := rand.New(rand.NewPCG(uint64(workers), 7))
+			reorder := func(from int) {
+				p.rewind(from)
+				tail := order[from:]
+				rng.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
+				p.publish()
+			}
+			consumed := make([]bool, len(regions))
+			checkWindow := func(label string) {
+				t.Helper()
+				open := 0
+				for id := range p.jobs {
+					if j := &p.jobs[id]; !consumed[id] && j.done != nil && j.state.Load() != jobIdle {
+						open++
+					}
+				}
+				if p.inflight > p.window || open > p.window {
+					t.Fatalf("%s: %d published streams unconsumed (inflight %d), window %d", label, open, p.inflight, p.window)
+				}
+			}
+
+			// Hold every worker inside a build, then reorder far more often
+			// than the feed has room for ids.
+			p.start(order)
+			for held.Load() < int64(workers) {
+				runtime.Gosched()
+			}
+			reorders := make(chan struct{})
+			go func() {
+				defer close(reorders)
+				for range 3 * len(regions) {
+					reorder(0)
+				}
+			}()
+			select {
+			case <-reorders:
+			case <-time.After(30 * time.Second):
+				t.Fatal("re-publishing blocked while the workers were held")
+			}
+			checkWindow("held")
+			close(release)
+
+			// Commit every region in turn, reordering the uncommitted rest
+			// often, a few positions ahead of the cursor.
+			cancel := smj.NewCanceler(context.Background())
+			inline, arenas := 0, map[*candBuf]bool{}
+			for pos := range order {
+				if rng.IntN(3) == 0 {
+					reorder(min(pos+rng.IntN(p.window+2), len(order)))
+					checkWindow(fmt.Sprintf("reorder at %d", pos))
+				}
+				reg := regions[order[pos]]
+				buf, n := p.take(reg, cancel)
+				if n != reg.joinCard {
+					t.Fatalf("region %d: %d candidates, joinCard %d", reg.id, n, reg.joinCard)
+				}
+				if buf == &p.inline {
+					inline++
+				} else {
+					arenas[buf] = true
+				}
+				consumed[reg.id] = true
+				p.finish(reg)
+				checkWindow(fmt.Sprintf("commit %d", pos))
+			}
+			if got := int(builds.Load()) + inline; got != len(regions) {
+				t.Fatalf("%d worker builds + %d inline builds for %d regions", builds.Load(), inline, len(regions))
+			}
+			for id := range p.jobs {
+				if p.jobs[id].buf != nil {
+					t.Fatalf("region %d still holds its arena", id)
+				}
+			}
+			if want := min(len(arenas), cap(p.bufFree)); len(p.bufFree) != want {
+				t.Fatalf("%d arenas on the free list, want %d of the %d the workers filled", len(p.bufFree), want, len(arenas))
+			}
+			t.Logf("%d regions: %d built by workers, %d inline, %d arenas", len(regions), builds.Load(), inline, len(arenas))
+		})
+	}
 }

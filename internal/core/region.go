@@ -277,6 +277,7 @@ func (s *space) addCells(tab []cover) {
 			regCount:  int(cv.n),
 			owner:     cv.ids,
 			activeIdx: -1,
+			pendIdx:   -1,
 		}
 		c.lower = s.g.CellLower(c.coords, lowers[at:at+d:at+d])
 		s.idx.add(c)

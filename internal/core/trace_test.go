@@ -178,9 +178,10 @@ func TestExplainMatchesPrepared(t *testing.T) {
 
 // TestRegionOrder pins the run loop's schedule under every ordering policy,
 // on an input where Line 9 discards regions: every live region is chosen or
-// discarded exactly once, the chosen ids are the policy's order with the
-// discarded ones skipped, and a run with prefetch workers chooses the same
-// sequence.
+// discarded exactly once; the chosen ids are the ablation policy's order
+// with the discarded ones skipped, or, under closure picks, those of a
+// replay whose every pick is brutePick's; and runs with 1, 2 and 4 prefetch
+// workers choose the same sequence.
 func TestRegionOrder(t *testing.T) {
 	p := smokeProblem(t, 2000, 3, datagen.Independent, 0.01, 5)
 	const seed = 11
@@ -188,11 +189,24 @@ func TestRegionOrder(t *testing.T) {
 		t.Run(ord.String(), func(t *testing.T) {
 			opts := Options{Ordering: ord, Seed: seed}
 			pl := preparePlan(t, p, opts)
-			regions, s, _ := planSpace(t, pl, 0, 0)
+			regions, _, _ := planSpace(t, pl, 0, 0)
 			var want []int32
 			switch ord {
 			case OrderProgressive:
-				want = (&runState{space: s, regions: regions, d: pl.d, outCells: autoOutputCells(pl.d)}).rankOrder()
+				opts := opts
+				opts.Trace = func(ev Event) {
+					if ev.Kind == EventRegionChosen {
+						want = append(want, int32(ev.Region))
+					}
+				}
+				r := newTestRun(t, pl, opts, smj.SinkFunc(func(smj.Result) {}))
+				r.choose = func() (*cell, []int) { return brutePick(r) }
+				if err := r.drain(); err != nil {
+					t.Fatal(err)
+				}
+				if r.closure.forced == 0 {
+					t.Fatal("the replay made no closure pick")
+				}
 			default:
 				for i := range regions {
 					want = append(want, int32(i))
@@ -244,9 +258,11 @@ func TestRegionOrder(t *testing.T) {
 				t.Fatalf("%d chosen + %d discarded of %d regions", len(chosen), len(discarded), len(regions))
 			}
 			t.Logf("%d regions: %d chosen, %d discarded", len(regions), len(chosen), len(discarded))
-			pc, pd := run(2)
-			if !slices.Equal(pc, chosen) || !slices.Equal(pd, discarded) {
-				t.Fatalf("workers=2 chose %v… and discarded %v…, serial %v… and %v…", head(pc), head(pd), head(chosen), head(discarded))
+			for _, workers := range []int{1, 2, 4} {
+				pc, pd := run(workers)
+				if !slices.Equal(pc, chosen) || !slices.Equal(pd, discarded) {
+					t.Fatalf("workers=%d chose %v… and discarded %v…, serial %v… and %v…", workers, head(pc), head(pd), head(chosen), head(discarded))
+				}
 			}
 		})
 	}

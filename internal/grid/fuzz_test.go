@@ -98,6 +98,13 @@ func FuzzGridCell(f *testing.F) {
 				}
 			}
 			ka, kb := g.Key(a), g.Key(b)
+			mask := int64(0)
+			if LeqAll(a, b) {
+				mask = -1
+			}
+			if g.LeqMask(ka, kb) != mask {
+				t.Fatalf("cells %v: a %v b %v: LeqMask %#x, LeqAll %v", cells, a, b, g.LeqMask(ka, kb), LeqAll(a, b))
+			}
 			if g.Leq(ka, kb) != LeqAll(a, b) || g.Leq(kb, ka) != LeqAll(b, a) {
 				t.Fatalf("cells %v: a %v b %v: packed ≤ %v/%v, LeqAll %v/%v", cells, a, b, g.Leq(ka, kb), g.Leq(kb, ka), LeqAll(a, b), LeqAll(b, a))
 			}

@@ -279,6 +279,13 @@ func (g *Grid) Key(coords []int) uint64 {
 // that lane of a does not exceed b's, and never borrows out of the lane.
 func (g *Grid) Leq(a, b uint64) bool { return ((b|g.guard)-a)&g.guard == g.guard }
 
+// LeqMask is Leq as an arithmetic mask, for branch-free sums over many keys:
+// all ones when a ≤ b componentwise, 0 otherwise.
+func (g *Grid) LeqMask(a, b uint64) int64 {
+	t := ((b|g.guard)-a)&g.guard ^ g.guard // 0 exactly when a ≤ b
+	return -int64((t - 1) >> 63)
+}
+
 // CoordRange returns the inclusive coordinate range [loC, hiC] of the cells
 // that hold a point of the closed interval [lo, hi] along dimension i. An
 // upper endpoint exactly on a cell boundary includes the cell above it:

@@ -14,9 +14,14 @@ import (
 // groups is unsound (the join partner differs).
 //
 // It returns the (possibly shared) pruned relation and the number of tuples
-// removed. cancel (which may be nil) is polled as in PruneGroups. Once
-// canceled it returns the input untouched; the caller aborts right after.
+// removed. A side without a push-through plan (mixed monotonicity or no used
+// attribute) returns the input before any grouping. cancel (which may be
+// nil) is polled as in PruneGroups. Once canceled it returns the input
+// untouched; the caller aborts right after.
 func PushThroughContext(rel *relation.Relation, maps *mapping.Set, side mapping.Side, cancel *Canceler) (*relation.Relation, int) {
+	if plan, err := maps.PushThrough(side); err != nil || len(plan.Attrs) == 0 {
+		return rel, 0
+	}
 	groups := GroupSkylinesContext(rel, maps, side, cancel)
 	if cancel.Now() != nil {
 		return rel, 0

@@ -166,6 +166,51 @@ func TestPushThroughMixedMonotonicityIsNoop(t *testing.T) {
 	}
 }
 
+// TestPushThroughWithoutPlanSkipsGrouping pins the early return of a side
+// with no push-through plan — mixed monotonicity, or no attribute the
+// mappings use: the input comes back as is, and the call allocates about
+// as often at 100K rows as at 10K, so no key-group map is built.
+func TestPushThroughWithoutPlanSkipsGrouping(t *testing.T) {
+	rel := func(n int) *relation.Relation {
+		r := relation.New(relation.MustSchema("L", []string{"a", "b"}, "k"))
+		for i := range n {
+			r.MustAppend(relation.Tuple{ID: int64(i), Vals: []float64{float64(i % 97), float64(i % 89)}, JoinKey: int64(i % 1000)})
+		}
+		return r
+	}
+	small, large := rel(10_000), rel(100_000)
+	for _, c := range []struct {
+		name string
+		maps *mapping.Set
+	}{
+		{"mixed monotonicity", mapping.MustSet(
+			mapping.Func{Name: "x", Expr: mapping.A(mapping.Left, 0, "")},
+			mapping.Func{Name: "y", Expr: mapping.Scale{Factor: -1, Of: mapping.A(mapping.Left, 0, "")}},
+		)},
+		{"no used attribute", mapping.MustSet(
+			mapping.Func{Name: "x", Expr: mapping.A(mapping.Right, 0, "")},
+		)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if plan, err := c.maps.PushThrough(mapping.Left); err == nil && len(plan.Attrs) > 0 {
+				t.Fatal("fixture has a push-through plan")
+			}
+			allocs := func(r *relation.Relation) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if out, n := PushThroughContext(r, c.maps, mapping.Left, nil); out != r || n != 0 {
+						t.Fatalf("got %d pruned and a new relation, want the input back", n)
+					}
+				})
+			}
+			// Grouping allocates thousands of times at either size; the
+			// race detector moves the counts of the early return by a few.
+			if a, b := allocs(small), allocs(large); b > a+100 {
+				t.Fatalf("allocations grow with the input: %.0f at 10K rows, %.0f at 100K", a, b)
+			}
+		})
+	}
+}
+
 func TestGroupSkylines(t *testing.T) {
 	l := relation.New(relation.MustSchema("L", []string{"a", "b"}, "k"))
 	l.MustAppend(relation.Tuple{ID: 0, Vals: []float64{1, 1}, JoinKey: 1})
