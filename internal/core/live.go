@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -205,32 +206,26 @@ func NewLiveSpace(p *smj.Problem) (*LiveSpace, error) {
 	return st.Build(nil), nil
 }
 
-// LiveStage is a LiveSpace whose base relations are registered and whose
-// join is mapped, but whose tuples are not yet placed. Everything that can
-// fail has happened by the time a stage exists, so a server can commit to a
-// response before calling Build and stream the survivors as Build proves
-// them.
+// LiveStage is a LiveSpace whose base relations are registered and checked
+// but not yet joined. Everything that can refuse the query has happened by
+// the time a stage exists, so a server can commit to a response before
+// calling Build, which maps the join, bounds the grid and places the tuples.
 type LiveStage struct {
-	ls  *LiveSpace
-	all []*liveTuple // every mapped join pair, in seq order
+	ls          *LiveSpace
+	left, right []relation.Tuple // the canonical relations, registered
 }
 
-// StageLive validates p, registers both relations under ApplyInsert's checks
-// (finite mapped values, no duplicate ID on a side), maps the join once and
-// bounds the output grid from the mapped outputs.
-//
-// The join is enumerated in the order a replay of the relations through
-// ApplyInsert would take — left side first (no partners yet), then every
-// right tuple in relation order against its left partners by ascending ID —
-// so seq numbers, byBase lists and (in Build) cell creation order are exactly
-// the replay's, and with them the retract order of every later apply.
+// StageLive validates p and decides everything that can refuse it without
+// mapping the join: it registers both relations under ApplyInsert's checks
+// (arity, finite values where a mapping function reads, no duplicate ID on a
+// side), checks that every mapped output will be finite, and that the
+// maintenance grid is within grid.MaxCells.
 func StageLive(p *smj.Problem) (*LiveStage, error) {
 	cp, err := p.Canonicalized()
 	if err != nil {
 		return nil, err
 	}
 	ls := newLiveSpace(p, cp)
-	d := ls.d
 	left, right := cp.Left.Tuples, cp.Right.Tuples
 	for s, ts := range [2][]relation.Tuple{left, right} {
 		for _, t := range ts {
@@ -239,8 +234,55 @@ func StageLive(p *smj.Problem) (*LiveStage, error) {
 			}
 		}
 	}
+	if err := ls.checkFinite(cp.Maps, left, right); err != nil {
+		return nil, err
+	}
+	if _, err := grid.Size(slices.Repeat([]int{liveGridCells(ls.d)}, ls.d)); err != nil {
+		return nil, fmt.Errorf("live: output grid: %w", err)
+	}
+	return &LiveStage{ls: ls, left: left, right: right}, nil
+}
 
-	// Left partners per join key, as indexes into left, by ascending ID.
+// checkFinite refuses a join some pair of which maps to a NaN or infinite
+// output. Interval propagation over each side's attribute bounds settles it
+// without a pair when every subexpression stays finite over the boxes;
+// otherwise every join pair is mapped and checked, so a join whose outputs
+// are all finite is never refused.
+func (ls *LiveSpace) checkFinite(maps *mapping.Set, left, right []relation.Tuple) error {
+	if len(left) == 0 || len(right) == 0 {
+		return nil
+	}
+	var box [2]grid.Rect
+	for s, ts := range [2][]relation.Tuple{left, right} {
+		lo, hi := make([]float64, ls.arity[s]), make([]float64, ls.arity[s])
+		for _, a := range ls.used[s] {
+			lo[a], hi[a] = math.Inf(1), math.Inf(-1)
+			for _, t := range ts {
+				lo[a], hi[a] = min(lo[a], t.Vals[a]), max(hi[a], t.Vals[a])
+			}
+		}
+		box[s] = grid.Rect{Lower: lo, Upper: hi}
+	}
+	if maps.Bounded(box[mapping.Left], box[mapping.Right]) {
+		return nil
+	}
+	v := make([]float64, ls.d)
+	partners := ls.joinPartners(left)
+	for _, rt := range right {
+		for _, li := range partners[rt.JoinKey] {
+			for _, x := range maps.Map(left[li].Vals, rt.Vals, v) {
+				if x-x != 0 { // NaN, ±Inf
+					return fmt.Errorf("live: left tuple %d and right tuple %d map to a non-finite output", left[li].ID, rt.ID)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// joinPartners indexes the registered left relation by join key: the
+// positions of each key's tuples, by ascending ID.
+func (ls *LiveSpace) joinPartners(left []relation.Tuple) map[int64][]int {
 	partners := make(map[int64][]int, len(ls.byKey[mapping.Left]))
 	for i, lt := range left {
 		partners[lt.JoinKey] = append(partners[lt.JoinKey], i)
@@ -248,27 +290,46 @@ func StageLive(p *smj.Problem) (*LiveStage, error) {
 	for _, ps := range partners {
 		slices.SortFunc(ps, func(a, b int) int { return cmp.Compare(left[a].ID, left[b].ID) })
 	}
+	return partners
+}
+
+// mapJoin maps every join pair once and returns the pairs in seq order with
+// the componentwise bounds of their outputs, polling ctx every buildPoll
+// pairs.
+//
+// The join is enumerated in the order a replay of the relations through
+// ApplyInsert would take — left side first (no partners yet), then every
+// right tuple in relation order against its left partners by ascending ID —
+// so seq numbers, byBase lists and (in Build) cell creation order are exactly
+// the replay's, and with them the retract order of every later apply.
+func (ls *LiveSpace) mapJoin(ctx context.Context, left, right []relation.Tuple) (all []*liveTuple, lo, hi []float64, err error) {
+	d := ls.d
+	partners := ls.joinPartners(left)
 	n := 0
 	for _, rt := range right {
 		n += len(partners[rt.JoinKey])
 	}
-
-	// The grid is bounded by the mapped outputs; min and max propagate NaN,
-	// so a non-finite output fails setGrid.
-	lo := make([]float64, d)
-	hi := make([]float64, d)
+	lo = make([]float64, d)
+	hi = make([]float64, d)
 	for i := range lo {
 		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
 	}
 	// Each byBase list gets its own exactly sized allocation: a list carved
 	// out of a shared backing array would keep the mapped tuples of a deleted
 	// base tuple reachable for as long as any neighbour lives.
-	all := make([]*liveTuple, 0, n)
+	all = make([]*liveTuple, 0, n)
 	leftLists := make([][]*liveTuple, len(left))
+	next := buildPoll
 	for _, rt := range right {
 		ps := partners[rt.JoinKey]
 		if len(ps) == 0 {
 			continue
+		}
+		if len(all) >= next {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, nil, err
+			}
+			next = len(all) + buildPoll
 		}
 		fanout := len(ls.byKey[mapping.Right][rt.JoinKey])
 		mine := make([]*liveTuple, 0, len(ps))
@@ -295,11 +356,7 @@ func StageLive(p *smj.Problem) (*LiveStage, error) {
 		}
 	}
 	ls.nextSeq = int64(len(all))
-
-	if err := ls.setGrid(lo, hi); err != nil {
-		return nil, err
-	}
-	return &LiveStage{ls: ls, all: all}, nil
+	return all, lo, hi, nil
 }
 
 // newLiveSpace returns the empty space of p, whose canonical form is cp.
@@ -349,13 +406,33 @@ func (ls *LiveSpace) setGrid(lo, hi []float64) error {
 // grids leave the lists to domCells and vicCells.
 const denseGridCells = 1 << 12
 
-// Build places every staged tuple and returns the settled space. Survivors
-// are delivered to sink (which may be nil) in ascending (sum, seq) order, each
-// the moment it is proven — see the file comment for why each is final. The
-// stage must not be used again.
+// buildPoll is how many tuples BuildContext maps or settles between two
+// looks at its context.
+const buildPoll = 4096
+
+// Build is BuildContext without cancellation, which cannot fail.
 func (st *LiveStage) Build(sink LiveSink) *LiveSpace {
-	ls, all := st.ls, st.all
-	st.ls, st.all = nil, nil
+	ls, _ := st.BuildContext(context.Background(), sink)
+	return ls
+}
+
+// BuildContext maps the join, lays the grid over the box of the mapped
+// outputs, places every tuple and returns the settled space. Survivors are
+// delivered to sink (which may be nil) in ascending (sum, seq) order, each
+// the moment it is proven — see the file comment for why each is final. It
+// looks at ctx every buildPoll tuples of the mapping and of the dominance
+// pass and gives up with ctx's error once it is done. The stage must not be
+// used again.
+func (st *LiveStage) BuildContext(ctx context.Context, sink LiveSink) (*LiveSpace, error) {
+	ls, left, right := st.ls, st.left, st.right
+	st.ls, st.left, st.right = nil, nil, nil
+	all, lo, hi, err := ls.mapJoin(ctx, left, right)
+	if err != nil {
+		return nil, err
+	}
+	if err := ls.setGrid(lo, hi); err != nil {
+		return nil, err
+	}
 
 	// Cells are created in seq order, as a replay would create them: an
 	// eviction sweep retracts in cellList order.
@@ -387,9 +464,22 @@ func (st *LiveStage) Build(sink LiveSink) *LiveSpace {
 	for i, k := range keys {
 		order[i] = all[k.idx]
 	}
-	ls.settle(order, make([]*liveTuple, len(ls.cellList)), sink)
+	// Settle in chunks that end on a run boundary, so every run of equal
+	// sums is decided within one call, looking at ctx between chunks.
+	last := make([]*liveTuple, len(ls.cellList))
+	for i := 0; i < len(order); {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		j := min(i+buildPoll, len(order))
+		for j < len(order) && order[j].sum == order[j-1].sum {
+			j++
+		}
+		ls.settle(order[i:j], last, sink)
+		i = j
+	}
 	ls.stats = LiveStats{Results: ls.stats.Results} // the build is not feed work
-	return ls
+	return ls, nil
 }
 
 // settle decides every tuple of order — dead, detached, and sorted by

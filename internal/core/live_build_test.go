@@ -2,6 +2,8 @@ package core
 
 import (
 	"cmp"
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -343,8 +345,81 @@ func TestLiveBuildRejectsBadRelations(t *testing.T) {
 	} {
 		p := liveProblem(t, 10, 2, datagen.Independent, 0.2, 5)
 		c.mutate(p)
-		if st, err := StageLive(p); err == nil {
-			t.Fatalf("%s: staged (%d pairs)", c.name, len(st.all))
+		if _, err := StageLive(p); err == nil {
+			t.Fatalf("%s: staged", c.name)
+		}
+	}
+}
+
+// TestLiveStageAcceptsFiniteJoinPastBounds pins the fallback of staging's
+// finite-output check: attribute bounds whose corners overflow prove
+// nothing, so every pair is mapped, and a join none of whose pairs
+// overflows is staged and builds the result set a replay builds. (The batch
+// engine refuses this input: its output grid is bounded by the corners.)
+func TestLiveStageAcceptsFiniteJoinPastBounds(t *testing.T) {
+	p := liveProblem(t, 40, 2, datagen.Independent, 0.2, 5)
+	// Two huge tuples whose sum overflows, under join keys nothing else has:
+	// they pair with nothing.
+	p.Left.Tuples[0].Vals[0], p.Left.Tuples[0].JoinKey = math.MaxFloat64, 1<<40
+	p.Right.Tuples[0].Vals[0], p.Right.Tuples[0].JoinKey = math.MaxFloat64, 1<<41
+	st, err := StageLive(p)
+	if err != nil {
+		t.Fatalf("staging refused a join whose outputs are all finite: %v", err)
+	}
+	sameResults(t, "build", st.Build(nil).Results(), replayLiveSpace(t, p).Results())
+
+	// Give the right one the left one's key: now a pair overflows.
+	p.Right.Tuples[0].JoinKey = p.Left.Tuples[0].JoinKey
+	if _, err := StageLive(p); err == nil {
+		t.Fatal("staged a join with an overflowing pair")
+	}
+}
+
+// pollCtx is a context whose Err counts its calls and reports Canceled from
+// call cancelAt on (never when cancelAt is 0).
+type pollCtx struct {
+	context.Context
+	calls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	c.calls++
+	if c.cancelAt > 0 && c.calls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestLiveBuildPollsContext pins that a build gives up once its context is
+// done: it looks at the context at least once per buildPoll tuples over the
+// mapping and the dominance pass together, and a cancellation seen at its
+// first, a middle or its last look ends the build with the context's error.
+func TestLiveBuildPollsContext(t *testing.T) {
+	p := liveProblem(t, 1200, 3, datagen.Independent, 0.02, 9)
+	st, err := StageLive(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := &pollCtx{Context: context.Background()}
+	ls, err := st.BuildContext(full, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := int(ls.nextSeq)
+	if rows < 4*buildPoll || full.calls < rows/buildPoll {
+		t.Fatalf("%d looks at the context over %d join rows; want ≥ %d", full.calls, rows, rows/buildPoll)
+	}
+	for _, at := range []int{1, full.calls / 2, full.calls} {
+		st, err := StageLive(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &pollCtx{Context: context.Background(), cancelAt: at}
+		if ls, err := st.BuildContext(ctx, nil); ls != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled at look %d of %d: space %v, error %v", at, full.calls, ls != nil, err)
+		}
+		if ctx.calls != at {
+			t.Fatalf("canceled at look %d, the build looked %d times", at, ctx.calls)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"progxe/internal/grid"
 )
 
 // kernelArity is the attribute count of each side in the kernel tests.
@@ -178,6 +180,63 @@ func BenchmarkMap(b *testing.B) {
 		for b.Loop() {
 			for j, f := range funcs {
 				dst[j] = f.Expr.Eval(left, right)
+			}
+		}
+	})
+}
+
+// FuzzBounded is Bounded's soundness oracle: when it holds over two boxes,
+// Map sends every point inside them — corners and interior points alike —
+// to finite outputs, over random trees and boxes whose ends are signed
+// zeros, subnormals and values near ±1e308.
+func FuzzBounded(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 1, 2, 3})
+	f.Add(uint64(2), []byte{5, 4, 8, 0, 2, 7, 3})
+	f.Add(uint64(3), []byte{6, 9, 1, 4, 5, 0, 1})
+	f.Add(uint64(4), []byte{4, 7, 0, 1, 12, 3, 3})
+	// A min whose finite interval hides an overflowing argument: checking
+	// only each function's own interval calls it bounded.
+	f.Add(uint64(4), []byte("7190A910000A90110012120$22A10100000072A911010000A9000012000000090000900a"))
+	f.Fuzz(func(t *testing.T, seed uint64, shape []byte) {
+		g := &treeGen{shape: shape, rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+		funcs := make([]Func, 1+g.pick(4))
+		for j := range funcs {
+			funcs[j] = Func{Name: string(rune('a' + j)), Expr: g.expr(0)}
+		}
+		s := MustSet(funcs...)
+		var box [2]grid.Rect
+		for i := range box {
+			box[i] = grid.Rect{Lower: make([]float64, kernelArity), Upper: make([]float64, kernelArity)}
+			for a := range kernelArity {
+				lo, hi := g.value(), g.value()
+				box[i].Lower[a], box[i].Upper[a] = min(lo, hi), max(lo, hi)
+			}
+		}
+		if !s.Bounded(box[0], box[1]) {
+			return
+		}
+		point := func(b grid.Rect) []float64 {
+			p := make([]float64, kernelArity)
+			for a := range p {
+				switch u := g.rng.Float64(); g.rng.IntN(3) {
+				case 0:
+					p[a] = b.Lower[a]
+				case 1:
+					p[a] = b.Upper[a]
+				default:
+					p[a] = min(max(b.Lower[a]*(1-u)+b.Upper[a]*u, b.Lower[a]), b.Upper[a])
+				}
+			}
+			return p
+		}
+		out := make([]float64, len(funcs))
+		for range 16 {
+			left, right := point(box[0]), point(box[1])
+			for j, v := range s.Map(left, right, out) {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s is bounded over L%v R%v but maps L%v R%v to %v",
+						funcs[j].Expr, box[0], box[1], left, right, v)
+				}
 			}
 		}
 	})

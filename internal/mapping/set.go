@@ -168,6 +168,45 @@ func (s *Set) MapRegion(left, right grid.Rect) grid.Rect {
 	return grid.Rect{Lower: lo, Upper: hi}
 }
 
+// Bounded reports whether every subexpression of every function has a
+// finite interval over the boxes left and right. Then every point inside
+// them maps to finite outputs: rounding is monotone, so each node's value
+// lies in its interval. A false answer proves nothing about the points.
+func (s *Set) Bounded(left, right grid.Rect) bool {
+	var bounded func(e Expr) bool
+	bounded = func(e Expr) bool {
+		lo, hi := e.Interval(left.Lower, left.Upper, right.Lower, right.Upper)
+		if lo-lo != 0 || hi-hi != 0 { // NaN, ±Inf
+			return false
+		}
+		var kids []Expr
+		switch e := e.(type) {
+		case Add:
+			kids = e
+		case Min:
+			kids = e
+		case Max:
+			kids = e
+		case Scale:
+			kids = []Expr{e.Of}
+		case Sub:
+			kids = []Expr{e.L, e.R}
+		}
+		for _, k := range kids {
+			if !bounded(k) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, f := range s.funcs {
+		if !bounded(f.Expr) {
+			return false
+		}
+	}
+	return true
+}
+
 // UsedAttrs returns the indices of the side's attributes referenced by any
 // mapping function, ascending.
 func (s *Set) UsedAttrs(side Side) []int {

@@ -26,8 +26,13 @@ type RunRecord struct {
 	Error         string    `json:"error,omitempty"`
 	Results       int       `json:"results"`
 	// StageMillis and SnapshotMillis are set on subscriptions only: the time
-	// from admission until the response was committed (join, mapping, grid
-	// bounds), and until the snapshot's checkpoint was written.
+	// from admission until the response was committed — the checks that can
+	// refuse the subscription (compilation, the register pass, finite mapped
+	// outputs, the grid's size) and the plan-cache lookup of its batch plan —
+	// and until the snapshot ended: its checkpoint written, or the snapshot
+	// abandoned. A subscription's Cached, Progress and Phases describe its
+	// snapshot: the plan-cache hit, the snapshot's emission milestones from
+	// admission, and the batch run's phases.
 	StageMillis    float64 `json:"stageMillis,omitempty"`
 	SnapshotMillis float64 `json:"snapshotMillis,omitempty"`
 	// Cached reports that the run reused a compiled plan from the plan

@@ -1,16 +1,21 @@
 package server
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"time"
 
 	"progxe/internal/core"
 	"progxe/internal/feed"
 	"progxe/internal/mapping"
+	"progxe/internal/obs"
+	"progxe/internal/query"
 	"progxe/internal/relation"
 	"progxe/internal/smj"
 )
@@ -36,10 +41,19 @@ type checkpointRecord struct {
 	ElapsedMillis float64 `json:"elapsedMillis"`
 }
 
-// applyHook, when non-nil, runs before a subscription builds its snapshot
-// and before it applies each catalog change, with the subscription's run id.
-// Tests set it to inject a fault into the snapshot build or the apply loop.
-var applyHook func(runID string)
+// Test seams. applyHook, when non-nil, runs before a subscription streams
+// its snapshot and before it applies each catalog change, with the
+// subscription's run id; tests set it to inject a fault into the snapshot or
+// the apply loop. buildHook, when non-nil, runs on the goroutine that builds
+// a subscription's space beside its batch snapshot, with the subscription's
+// context, just before the build. snapshotHook, when non-nil, wraps the sink
+// a batch snapshot run streams into; tests set it to make the stream and the
+// space disagree.
+var (
+	applyHook    func(runID string)
+	buildHook    func(ctx context.Context)
+	snapshotHook func(smj.Sink) smj.Sink
+)
 
 // liveStreamSink adapts the subscription's stream writer to core.LiveSink,
 // numbering results and stamping elapsed time like the query path does.
@@ -72,23 +86,197 @@ func (ls *liveStreamSink) Retract(leftID, rightID int64) {
 	})
 }
 
+// snapshotSink streams the snapshot through the subscription's sink and
+// keeps what the snapshot checks and reports: the pairs it streamed and when.
+type snapshotSink struct {
+	*liveStreamSink
+	pairs    [][2]int64
+	timeline *obs.Timeline
+}
+
+func (ss *snapshotSink) Result(r smj.Result) {
+	ss.pairs = append(ss.pairs, r.Key())
+	ss.timeline.Observe()
+	ss.liveStreamSink.Result(r)
+}
+
+// snapshotPlan is the batch plan a subscription streams its snapshot from,
+// with the engine that runs it and that engine's profiler.
+type snapshotPlan struct {
+	engine planEngine
+	plan   *core.Prepared
+	prof   *obs.Profiler
+	cached bool
+}
+
+// resolveSnapshotPlan resolves the ProgXe plan of q through the plan cache,
+// under the key a /v1/query of q with the default engine over the same
+// relation versions uses, so a plan a query already prepared serves the
+// snapshot. It returns nil when the default engine prepares no plans, the
+// plan cache is off, or the plan cannot be prepared; the space's build then
+// streams the snapshot itself.
+func (s *Server) resolveSnapshotPlan(q *query.Query, snap catalogSnapshot) *snapshotPlan {
+	prof := obs.NewProfiler()
+	engine, err := s.cfg.NewEngine(s.cfg.DefaultEngine, core.Options{Profiler: prof})
+	pe, ok := engine.(planEngine)
+	if err != nil || !ok || s.plans == nil {
+		return nil
+	}
+	key := planKey{
+		engine: strings.ToLower(s.cfg.DefaultEngine), query: q.String(),
+		leftVer: snap.vers[0], rightVer: snap.vers[1],
+	}
+	entry, hit, err := s.planFor(key, engine, q, snap.rels[0], snap.rels[1], true)
+	if err != nil {
+		return nil
+	}
+	return &snapshotPlan{engine: pe, plan: entry.plan, prof: prof, cached: hit}
+}
+
+// streamSnapshot streams the subscription's snapshot to ss and builds the
+// space that maintains it. With a batch plan the two run at once: this
+// goroutine runs the plan serially, streaming each result as ProgXe releases
+// it, final, and at the first result a second goroutine starts the build
+// (before it the two would share the CPU the first result needs); a failed
+// build cancels the stream and a failed stream the build. Without a plan, or
+// when the batch engine refuses it before streaming a result (it bounds its
+// output grid by the regions' corners, the live space by the mapped outputs,
+// so it accepts less), the build streams the survivors it proves. Either way
+// the snapshot stands only if the streamed pairs are exactly the space's
+// alive set. Each step runs contained, so the build goroutine is always
+// joined. The error is ctx's when ctx ended the snapshot, and a failure
+// otherwise.
+func (s *Server) streamSnapshot(ctx context.Context, cancel context.CancelFunc, runID string,
+	stage *core.LiveStage, bp *snapshotPlan, ss *snapshotSink) (*core.LiveSpace, error) {
+
+	var (
+		space            *core.LiveSpace
+		buildErr, runErr error
+		started          bool
+		built            = make(chan struct{})
+	)
+	build := func() {
+		if started {
+			return
+		}
+		started = true
+		go func() {
+			defer close(built)
+			buildErr = s.containStep(runID, func() (err error) {
+				if buildHook != nil {
+					buildHook(ctx)
+				}
+				space, err = stage.BuildContext(ctx, nil)
+				return err
+			})
+			if buildErr != nil {
+				cancel()
+			}
+		}()
+	}
+	fallback := bp == nil
+	if bp != nil {
+		runErr = s.containStep(runID, func() error {
+			var sink smj.Sink = smj.SinkFunc(func(r smj.Result) {
+				ss.Result(r)
+				build()
+			})
+			if snapshotHook != nil {
+				sink = snapshotHook(sink)
+			}
+			_, err := bp.engine.RunPlanContext(ctx, bp.plan, sink)
+			return err
+		})
+		switch {
+		case runErr == nil:
+			build() // a run without results starts it only now
+		case !started && ctx.Err() == nil && !errors.Is(runErr, errPanicked):
+			s.logger.Warn("the batch engine refused the snapshot plan; the build streams the snapshot",
+				"id", runID, "error", runErr)
+			runErr, fallback = nil, true
+		default:
+			cancel()
+		}
+		if started {
+			<-built
+		}
+	}
+	if fallback {
+		buildErr = s.containStep(runID, func() (err error) {
+			space, err = stage.BuildContext(ctx, ss)
+			return err
+		})
+	}
+
+	ended := func(err error) bool {
+		return ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
+	}
+	for _, err := range []error{buildErr, runErr} {
+		if err != nil && !ended(err) {
+			return nil, err
+		}
+	}
+	if buildErr != nil || runErr != nil {
+		return nil, ctx.Err()
+	}
+	return space, sameAlive(ss.pairs, space)
+}
+
+// sameAlive reports whether the streamed pairs are exactly the alive set of
+// space: each alive pair streamed once, and nothing else.
+func sameAlive(streamed [][2]int64, space *core.LiveSpace) error {
+	alive := space.Results() // sorted by (LeftID, RightID)
+	want := make([][2]int64, len(alive))
+	for i, r := range alive {
+		want[i] = r.Key()
+	}
+	slices.SortFunc(streamed, func(a, b [2]int64) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	if !slices.Equal(streamed, want) {
+		return fmt.Errorf("the streamed snapshot does not match the live space: %d pairs streamed, %d alive", len(streamed), len(want))
+	}
+	return nil
+}
+
+// errPanicked marks the error of a subscription step that panicked.
+var errPanicked = errors.New("panic")
+
+// containStep runs one step of subscription runID. A panic in it becomes
+// its error, wrapping errPanicked, so it ends only this subscription.
+func (s *Server) containStep(runID string, step func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%w: %v", errPanicked, p)
+			s.logger.Error("subscription panicked", "id", runID, "panic", p, "stack", string(debug.Stack()))
+		}
+	}()
+	return step()
+}
+
 // handleSubscribe is POST /v1/subscribe: a never-ending live query. The body
 // is the QueryRequest schema shared with /v1/query (same exec object); trace
-// and limit are meaningless on an unbounded stream and rejected. The handler
-// stages the query's output space (join, mapping, grid — every step that can
-// fail), commits to the response, and
-// streams the snapshot as the dominance pass proves it: result records in
-// ascending coordinate-sum order, each one final, closed by a checkpoint. It
-// then holds the space resident and folds in every catalog change to the
-// subscribed relations — emitting result records for new skyline members,
-// retract records for killed ones, and a checkpoint record after each
-// applied change. The stream ends when the client disconnects, the server
-// shuts down, a subscribed relation is dropped or wholesale-replaced, or the
-// subscription falls off the bounded change log (replay_truncated).
+// and limit are meaningless on an unbounded stream and rejected.
 //
-// Exec parallelism knobs are accepted but not granted: live maintenance is
-// serial by design (each change's repair work is tiny), so the echoed exec
-// object reports zero workers.
+// Before the response header only what can refuse the subscription runs:
+// compilation, StageLive's register pass and its finite-output and grid-size
+// checks, and the resolution of the query's batch plan through the plan
+// cache, under the key a /v1/query of it uses. A refusal is a structured 4xx
+// body, never a half-open stream. After the header the snapshot streams from
+// that plan's serial run, each result record final, in ProgXe release order,
+// while the resident space is built beside it; one checkpoint closes the
+// snapshot once both are done and the streamed pairs are exactly the space's
+// survivors. The handler then holds the space resident and folds in every
+// catalog change to the subscribed relations — emitting result records for
+// new skyline members, retract records for killed ones, and a checkpoint
+// record after each applied change. The stream ends when the client
+// disconnects, the server shuts down, a subscribed relation is dropped or
+// wholesale-replaced, or the subscription falls off the bounded change log
+// (replay_truncated).
+//
+// Exec parallelism knobs are accepted but not granted: the snapshot run and
+// live maintenance are serial (each change's repair work is tiny), so the
+// echoed exec object reports zero workers.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	req, q, sse, ok := decodeRequest(w, r, "subscribe")
 	if !ok {
@@ -138,14 +326,15 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errBadQuery, "%v", err)
 		return
 	}
-	// Everything that can fail happens in staging, before the response is
-	// committed: a bad relation gets the structured 4xx body, never a
-	// half-open stream.
+	// Everything that can refuse the subscription happens here, before the
+	// response is committed: a bad relation gets the structured 4xx body,
+	// never a half-open stream.
 	stage, err := core.StageLive(plan.Problem)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, errBadQuery, "%v", err)
 		return
 	}
+	bp := s.resolveSnapshotPlan(q, snap)
 	staged := time.Since(start)
 	schemas := [2]*relation.Schema{plan.Problem.Left.Schema, plan.Problem.Right.Schema}
 
@@ -166,26 +355,20 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.metrics.subStarted()
 	sw.record("run", runRecord{
 		Type: "run", ID: runID, Engine: "live",
-		Dims: plan.Problem.Maps.Names(),
+		Dims: plan.Problem.Maps.Names(), Cached: bp != nil && bp.cached,
 	})
 
-	// The dominance pass streams the snapshot: each survivor is written the
-	// moment it is proven, in ascending coordinate-sum order, and is final.
 	sink := &liveStreamSink{sw: sw, start: start}
 	// contain runs one step on the subscription's state. A panic in it ends
 	// only this subscription, as a failed run with a terminal internal error
 	// record.
-	contain := func(step func() error) (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("panic: %v", p)
-				s.logger.Error("subscription panicked", "id", runID, "panic", p, "stack", string(debug.Stack()))
+	contain := func(step func() error) error {
+		return s.containStep(runID, func() error {
+			if applyHook != nil {
+				applyHook(runID)
 			}
-		}()
-		if applyHook != nil {
-			applyHook(runID)
-		}
-		return step()
+			return step()
+		})
 	}
 	checkpoint := func(seq uint64) {
 		sw.record("checkpoint", checkpointRecord{
@@ -198,16 +381,21 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		applied   int64
 		batch     []catalogEvent
 		truncated bool
-		space     *core.LiveSpace
-		snapshot  time.Duration
 	)
 
-	if err := contain(func() error { space = stage.Build(sink); return nil }); err != nil {
+	var space *core.LiveSpace
+	ss := &snapshotSink{liveStreamSink: sink, timeline: obs.NewTimeline(start)}
+	err = contain(func() (err error) {
+		space, err = s.streamSnapshot(ctx, cancel, runID, stage, bp, ss)
+		return err
+	})
+	snapshot, progress := time.Since(start), ss.timeline.Quantiles()
+	switch {
+	case err == nil:
+		checkpoint(max(snap.vers[0], snap.vers[1]))
+	case ctx.Err() == nil || !errors.Is(err, ctx.Err()):
 		rec := newErrorRecord(errInternal, "building the snapshot: %v", err)
 		endRec = &rec
-	} else {
-		checkpoint(max(snap.vers[0], snap.vers[1]))
-		snapshot = time.Since(start)
 	}
 
 	gone := func() bool { return ctx.Err() != nil }
@@ -294,14 +482,19 @@ loop:
 	if space != nil {
 		st = space.Stats()
 	}
-	s.runlog.add(RunRecord{
+	rr := RunRecord{
 		ID: runID, Engine: "live", Query: truncate(req.Query, 512),
 		Start: start, ElapsedMillis: float64(elapsed.Microseconds()) / 1000,
 		Outcome: outcome, Reason: reason, Error: errMsg,
 		Results:        sink.n,
 		StageMillis:    float64(staged.Microseconds()) / 1000,
 		SnapshotMillis: float64(snapshot.Microseconds()) / 1000,
-	}, nil)
+		Progress:       progress,
+	}
+	if bp != nil {
+		rr.Cached, rr.Phases = bp.cached, bp.prof.Report()
+	}
+	s.runlog.add(rr, nil)
 	s.logger.Info("subscription",
 		"id", runID, "outcome", outcome, "results", sink.n,
 		"retractions", sink.retr, "changesApplied", applied,
