@@ -12,7 +12,10 @@ func mkSpace(t *testing.T, outputCells int) (*space, *region) {
 	t.Helper()
 	left := []*inputPartition{mkPart(0, []float64{0, 0}, []float64{5, 5})}
 	right := []*inputPartition{mkPart(1, []float64{0, 0}, []float64{5, 5})}
-	regions, pruned, front := buildRegions(left, right, sumMaps2(), nil)
+	regions, pruned, front, err := buildRegions(left, right, sumMaps2(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pruned != 0 || len(regions) != 1 {
 		t.Fatalf("setup: pruned=%d regions=%d", pruned, len(regions))
 	}

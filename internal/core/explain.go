@@ -103,7 +103,11 @@ func PlanRects(p *smj.Problem, opts Options) ([]grid.Rect, error) {
 	if err != nil {
 		return nil, err
 	}
-	return regionRects(pairRegions(pl.lparts, pl.rparts, pl.problem.Maps)), nil
+	all, err := pairRegions(pl.lparts, pl.rparts, pl.problem.Maps)
+	if err != nil {
+		return nil, err
+	}
+	return regionRects(all), nil
 }
 
 // String renders the plan as a multi-line report.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -110,7 +111,10 @@ func TestLiveGoldenDigest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pr.name, err)
 		}
-		ls := st.Build(sink)
+		ls, err := st.BuildContext(context.Background(), sink)
+		if err != nil {
+			t.Fatal(err)
+		}
 		built := sink.results
 
 		ids := [2][]int64{}

@@ -196,30 +196,28 @@ type LiveSpace struct {
 func liveGridCells(d int) int { return min(autoOutputCells(d), 16) }
 
 // NewLiveSpace builds the settled resident state for p: StageLive followed by
-// the dominance pass with no sink. The initial net result set is available
-// via Results.
+// BuildContext with no sink. The initial net result set is available via
+// Results.
 func NewLiveSpace(p *smj.Problem) (*LiveSpace, error) {
 	st, err := StageLive(p)
 	if err != nil {
 		return nil, err
 	}
-	return st.Build(nil), nil
+	return st.BuildContext(context.Background(), nil)
 }
 
 // LiveStage is a LiveSpace whose base relations are registered and checked
-// but not yet joined. Everything that can refuse the query has happened by
-// the time a stage exists, so a server can commit to a response before
-// calling Build, which maps the join, bounds the grid and places the tuples.
+// but not yet joined. BuildContext maps the join, bounds the grid and places
+// the tuples; a pair that maps to a non-finite output fails it.
 type LiveStage struct {
 	ls          *LiveSpace
 	left, right []relation.Tuple // the canonical relations, registered
 }
 
-// StageLive validates p and decides everything that can refuse it without
-// mapping the join: it registers both relations under ApplyInsert's checks
-// (arity, finite values where a mapping function reads, no duplicate ID on a
-// side), checks that every mapped output will be finite, and that the
-// maintenance grid is within grid.MaxCells.
+// StageLive validates p and decides what can refuse it without mapping the
+// join: it registers both relations under ApplyInsert's checks (arity,
+// finite values where a mapping function reads, no duplicate ID on a side)
+// and checks that the maintenance grid is within grid.MaxCells.
 func StageLive(p *smj.Problem) (*LiveStage, error) {
 	cp, err := p.Canonicalized()
 	if err != nil {
@@ -229,13 +227,11 @@ func StageLive(p *smj.Problem) (*LiveStage, error) {
 	left, right := cp.Left.Tuples, cp.Right.Tuples
 	for s, ts := range [2][]relation.Tuple{left, right} {
 		for _, t := range ts {
-			if _, err := ls.register(mapping.Side(s), t); err != nil {
+			if err := ls.check(mapping.Side(s), t); err != nil {
 				return nil, err
 			}
+			ls.add(mapping.Side(s), t)
 		}
-	}
-	if err := ls.checkFinite(cp.Maps, left, right); err != nil {
-		return nil, err
 	}
 	if _, err := grid.Size(slices.Repeat([]int{liveGridCells(ls.d)}, ls.d)); err != nil {
 		return nil, fmt.Errorf("live: output grid: %w", err)
@@ -243,59 +239,9 @@ func StageLive(p *smj.Problem) (*LiveStage, error) {
 	return &LiveStage{ls: ls, left: left, right: right}, nil
 }
 
-// checkFinite refuses a join some pair of which maps to a NaN or infinite
-// output. Interval propagation over each side's attribute bounds settles it
-// without a pair when every subexpression stays finite over the boxes;
-// otherwise every join pair is mapped and checked, so a join whose outputs
-// are all finite is never refused.
-func (ls *LiveSpace) checkFinite(maps *mapping.Set, left, right []relation.Tuple) error {
-	if len(left) == 0 || len(right) == 0 {
-		return nil
-	}
-	var box [2]grid.Rect
-	for s, ts := range [2][]relation.Tuple{left, right} {
-		lo, hi := make([]float64, ls.arity[s]), make([]float64, ls.arity[s])
-		for _, a := range ls.used[s] {
-			lo[a], hi[a] = math.Inf(1), math.Inf(-1)
-			for _, t := range ts {
-				lo[a], hi[a] = min(lo[a], t.Vals[a]), max(hi[a], t.Vals[a])
-			}
-		}
-		box[s] = grid.Rect{Lower: lo, Upper: hi}
-	}
-	if maps.Bounded(box[mapping.Left], box[mapping.Right]) {
-		return nil
-	}
-	v := make([]float64, ls.d)
-	partners := ls.joinPartners(left)
-	for _, rt := range right {
-		for _, li := range partners[rt.JoinKey] {
-			for _, x := range maps.Map(left[li].Vals, rt.Vals, v) {
-				if x-x != 0 { // NaN, ±Inf
-					return fmt.Errorf("live: left tuple %d and right tuple %d map to a non-finite output", left[li].ID, rt.ID)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// joinPartners indexes the registered left relation by join key: the
-// positions of each key's tuples, by ascending ID.
-func (ls *LiveSpace) joinPartners(left []relation.Tuple) map[int64][]int {
-	partners := make(map[int64][]int, len(ls.byKey[mapping.Left]))
-	for i, lt := range left {
-		partners[lt.JoinKey] = append(partners[lt.JoinKey], i)
-	}
-	for _, ps := range partners {
-		slices.SortFunc(ps, func(a, b int) int { return cmp.Compare(left[a].ID, left[b].ID) })
-	}
-	return partners
-}
-
 // mapJoin maps every join pair once and returns the pairs in seq order with
 // the componentwise bounds of their outputs, polling ctx every buildPoll
-// pairs.
+// pairs. A pair that maps to a non-finite output is an error.
 //
 // The join is enumerated in the order a replay of the relations through
 // ApplyInsert would take — left side first (no partners yet), then every
@@ -304,16 +250,19 @@ func (ls *LiveSpace) joinPartners(left []relation.Tuple) map[int64][]int {
 // the replay's, and with them the retract order of every later apply.
 func (ls *LiveSpace) mapJoin(ctx context.Context, left, right []relation.Tuple) (all []*liveTuple, lo, hi []float64, err error) {
 	d := ls.d
-	partners := ls.joinPartners(left)
+	// The left relation by join key: each key's positions, by ascending ID.
+	partners := make(map[int64][]int, len(ls.byKey[mapping.Left]))
+	for i, lt := range left {
+		partners[lt.JoinKey] = append(partners[lt.JoinKey], i)
+	}
+	for _, ps := range partners {
+		slices.SortFunc(ps, func(a, b int) int { return cmp.Compare(left[a].ID, left[b].ID) })
+	}
 	n := 0
 	for _, rt := range right {
 		n += len(partners[rt.JoinKey])
 	}
-	lo = make([]float64, d)
-	hi = make([]float64, d)
-	for i := range lo {
-		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
-	}
+	lo, hi = slices.Repeat([]float64{math.Inf(1)}, d), slices.Repeat([]float64{math.Inf(-1)}, d)
 	// Each byBase list gets its own exactly sized allocation: a list carved
 	// out of a shared backing array would keep the mapped tuples of a deleted
 	// base tuple reachable for as long as any neighbour lives.
@@ -334,11 +283,11 @@ func (ls *LiveSpace) mapJoin(ctx context.Context, left, right []relation.Tuple) 
 		fanout := len(ls.byKey[mapping.Right][rt.JoinKey])
 		mine := make([]*liveTuple, 0, len(ps))
 		for _, li := range ps {
-			lt := left[li]
-			nt := &liveTuple{leftID: lt.ID, rightID: rt.ID, v: make([]float64, d), seq: int64(len(all))}
-			ls.maps.Map(lt.Vals, rt.Vals, nt.v)
+			nt, err := ls.mapPair(left[li], rt, int64(len(all)))
+			if err != nil {
+				return nil, nil, nil, err
+			}
 			for i, x := range nt.v {
-				nt.sum += x
 				lo[i], hi[i] = min(lo[i], x), max(hi[i], x)
 			}
 			if leftLists[li] == nil {
@@ -357,6 +306,19 @@ func (ls *LiveSpace) mapJoin(ctx context.Context, left, right []relation.Tuple) 
 	}
 	ls.nextSeq = int64(len(all))
 	return all, lo, hi, nil
+}
+
+// mapPair maps the join pair (l, r) to a new dead tuple numbered seq; a
+// non-finite output is an error.
+func (ls *LiveSpace) mapPair(l, r relation.Tuple, seq int64) (*liveTuple, error) {
+	nt := &liveTuple{leftID: l.ID, rightID: r.ID, v: make([]float64, ls.d), seq: seq}
+	for _, x := range ls.maps.Map(l.Vals, r.Vals, nt.v) {
+		if x-x != 0 { // NaN, ±Inf
+			return nil, fmt.Errorf("live: left tuple %d and right tuple %d map to a %w", l.ID, r.ID, ErrNonFiniteOutput)
+		}
+		nt.sum += x
+	}
+	return nt, nil
 }
 
 // newLiveSpace returns the empty space of p, whose canonical form is cp.
@@ -410,19 +372,13 @@ const denseGridCells = 1 << 12
 // looks at its context.
 const buildPoll = 4096
 
-// Build is BuildContext without cancellation, which cannot fail.
-func (st *LiveStage) Build(sink LiveSink) *LiveSpace {
-	ls, _ := st.BuildContext(context.Background(), sink)
-	return ls
-}
-
 // BuildContext maps the join, lays the grid over the box of the mapped
 // outputs, places every tuple and returns the settled space. Survivors are
 // delivered to sink (which may be nil) in ascending (sum, seq) order, each
 // the moment it is proven — see the file comment for why each is final. It
 // looks at ctx every buildPoll tuples of the mapping and of the dominance
-// pass and gives up with ctx's error once it is done. The stage must not be
-// used again.
+// pass and gives up with ctx's error once it is done; a pair that maps to a
+// non-finite output fails it too. The stage must not be used again.
 func (st *LiveStage) BuildContext(ctx context.Context, sink LiveSink) (*LiveSpace, error) {
 	ls, left, right := st.ls, st.left, st.right
 	st.ls, st.left, st.right = nil, nil, nil
@@ -684,62 +640,66 @@ func (ls *LiveSpace) retract(t *liveTuple, sink LiveSink) {
 	}
 }
 
-// register validates base tuple t and makes it resident on side, returning
-// the resident copy: values must match the side's arity, those a mapping
-// function reads must be finite (the batch engine's rule), and a duplicate
-// ID on the side is rejected.
-func (ls *LiveSpace) register(side mapping.Side, t relation.Tuple) (relation.Tuple, error) {
+// check validates base tuple t for side: values must match the side's
+// arity, those a mapping function reads must be finite (the batch engine's
+// rule), and a duplicate ID on the side is rejected.
+func (ls *LiveSpace) check(side mapping.Side, t relation.Tuple) error {
 	if len(t.Vals) != ls.arity[side] {
-		return t, fmt.Errorf("live: tuple %d has %d values, the %v side has %d attributes", t.ID, len(t.Vals), side, ls.arity[side])
+		return fmt.Errorf("live: tuple %d has %d values, the %v side has %d attributes", t.ID, len(t.Vals), side, ls.arity[side])
 	}
 	for _, a := range ls.used[side] {
 		if v := t.Vals[a]; math.IsNaN(v) || math.IsInf(v, 0) {
-			return t, fmt.Errorf("live: non-finite value in tuple %d", t.ID)
+			return fmt.Errorf("live: non-finite value in tuple %d", t.ID)
 		}
 	}
 	if _, dup := ls.base[side][t.ID]; dup {
-		return t, fmt.Errorf("live: duplicate id %d on %v side", t.ID, side)
+		return fmt.Errorf("live: duplicate id %d on %v side", t.ID, side)
 	}
+	return nil
+}
+
+// add makes a copy of checked base tuple t resident on side.
+func (ls *LiveSpace) add(side mapping.Side, t relation.Tuple) {
 	t.Vals = slices.Clone(t.Vals)
 	ls.base[side][t.ID] = t
 	ls.byKey[side][t.JoinKey] = append(ls.byKey[side][t.JoinKey], t.ID)
-	return t, nil
 }
 
 // ApplyInsert adds base tuple t to side, maps it against every join partner
 // on the opposite side, and routes each mapped output through the dominance
 // protocol — emitting results for survivors and retracts for the tuples they
 // evict. Values must match the side's arity and be finite where a mapping
-// function reads them; a duplicate ID on the side is rejected.
+// function reads them; a duplicate ID on the side is rejected, and so is a
+// tuple some pair of which maps to a non-finite output. A refused insert
+// leaves the space as it was.
 func (ls *LiveSpace) ApplyInsert(side mapping.Side, t relation.Tuple, sink LiveSink) error {
 	if side != mapping.Left && side != mapping.Right {
 		return fmt.Errorf("live: invalid side %d", side)
 	}
-	t, err := ls.register(side, t)
-	if err != nil {
+	if err := ls.check(side, t); err != nil {
 		return err
 	}
-	ls.stats.Inserts++
-
 	other := mapping.Right - side
 	partners := slices.Clone(ls.byKey[other][t.JoinKey])
 	slices.Sort(partners) // deterministic mapping order
-	for _, pid := range partners {
-		p := ls.base[other][pid]
-		lv, rv := t.Vals, p.Vals
-		lid, rid := t.ID, p.ID
+	mapped := make([]*liveTuple, len(partners))
+	for i, pid := range partners {
+		l, r := t, ls.base[other][pid]
 		if side == mapping.Right {
-			lv, rv = p.Vals, t.Vals
-			lid, rid = p.ID, t.ID
+			l, r = r, l
 		}
-		nt := &liveTuple{leftID: lid, rightID: rid, v: make([]float64, ls.d), seq: ls.nextSeq}
-		ls.nextSeq++
-		ls.maps.Map(lv, rv, nt.v)
-		for _, v := range nt.v {
-			nt.sum += v
+		nt, err := ls.mapPair(l, r, ls.nextSeq+int64(i))
+		if err != nil {
+			return err
 		}
+		mapped[i] = nt
+	}
+	ls.add(side, t)
+	ls.stats.Inserts++
+	ls.nextSeq += int64(len(mapped))
+	for i, nt := range mapped {
 		ls.byBase[side][t.ID] = append(ls.byBase[side][t.ID], nt)
-		ls.byBase[other][pid] = append(ls.byBase[other][pid], nt)
+		ls.byBase[other][partners[i]] = append(ls.byBase[other][partners[i]], nt)
 		ls.place(nt, sink)
 	}
 	return nil

@@ -301,7 +301,10 @@ func TestLiveBuildStreamsFinalResults(t *testing.T) {
 				t.Fatal(err)
 			}
 			fin := &finalitySink{t: t, pref: p.Pref, want: want}
-			ls := st.Build(fin)
+			ls, err := st.BuildContext(context.Background(), fin)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if fin.n != len(want) {
 				t.Fatalf("build streamed %d records, oracle skyline has %d", fin.n, len(want))
 			}
@@ -327,7 +330,8 @@ func (m multiSink) Retract(l, r int64) {
 }
 
 // TestLiveBuildRejectsBadRelations pins that staging keeps ApplyInsert's
-// checks and fails before anything is placed.
+// checks and fails before anything is placed, and that a pair mapping to a
+// non-finite output fails the build.
 func TestLiveBuildRejectsBadRelations(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -337,11 +341,6 @@ func TestLiveBuildRejectsBadRelations(t *testing.T) {
 		{"duplicate right id", func(p *smj.Problem) { p.Right.Tuples[5].ID = p.Right.Tuples[1].ID }},
 		{"NaN value", func(p *smj.Problem) { p.Right.Tuples[2].Vals[0] = math.NaN() }},
 		{"infinite value", func(p *smj.Problem) { p.Left.Tuples[2].Vals[1] = math.Inf(1) }},
-		{"overflowing output", func(p *smj.Problem) {
-			for _, r := range []*relation.Relation{p.Left, p.Right} {
-				r.Tuples[0].Vals[0], r.Tuples[0].JoinKey = math.MaxFloat64, 99
-			}
-		}},
 	} {
 		p := liveProblem(t, 10, 2, datagen.Independent, 0.2, 5)
 		c.mutate(p)
@@ -349,13 +348,19 @@ func TestLiveBuildRejectsBadRelations(t *testing.T) {
 			t.Fatalf("%s: staged", c.name)
 		}
 	}
+	p := liveProblem(t, 10, 2, datagen.Independent, 0.2, 5)
+	for _, r := range []*relation.Relation{p.Left, p.Right} {
+		r.Tuples[0].Vals[0], r.Tuples[0].JoinKey = math.MaxFloat64, 99
+	}
+	if _, err := NewLiveSpace(p); !errors.Is(err, ErrNonFiniteOutput) {
+		t.Fatalf("overflowing output: built, error %v", err)
+	}
 }
 
-// TestLiveStageAcceptsFiniteJoinPastBounds pins the fallback of staging's
-// finite-output check: attribute bounds whose corners overflow prove
-// nothing, so every pair is mapped, and a join none of whose pairs
-// overflows is staged and builds the result set a replay builds. (The batch
-// engine refuses this input: its output grid is bounded by the corners.)
+// TestLiveStageAcceptsFiniteJoinPastBounds pins that a join whose attribute
+// bounds' corners overflow, though none of its pairs does, is staged and
+// builds the result set a replay builds, and that once a pair overflows the
+// build fails.
 func TestLiveStageAcceptsFiniteJoinPastBounds(t *testing.T) {
 	p := liveProblem(t, 40, 2, datagen.Independent, 0.2, 5)
 	// Two huge tuples whose sum overflows, under join keys nothing else has:
@@ -366,12 +371,16 @@ func TestLiveStageAcceptsFiniteJoinPastBounds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("staging refused a join whose outputs are all finite: %v", err)
 	}
-	sameResults(t, "build", st.Build(nil).Results(), replayLiveSpace(t, p).Results())
+	ls, err := st.BuildContext(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "build", ls.Results(), replayLiveSpace(t, p).Results())
 
 	// Give the right one the left one's key: now a pair overflows.
 	p.Right.Tuples[0].JoinKey = p.Left.Tuples[0].JoinKey
-	if _, err := StageLive(p); err == nil {
-		t.Fatal("staged a join with an overflowing pair")
+	if _, err := NewLiveSpace(p); !errors.Is(err, ErrNonFiniteOutput) {
+		t.Fatalf("built a join with an overflowing pair, error %v", err)
 	}
 }
 
@@ -449,7 +458,10 @@ func TestLiveAcceptsNonFiniteUnreadValues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("staging refused a non-finite value no mapping reads: %v", err)
 	}
-	ls := st.Build(nil)
+	ls, err := st.BuildContext(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sameResults(t, "build", ls.Results(), batch.Results)
 
 	key := p.Right.Tuples[0].JoinKey
@@ -506,7 +518,10 @@ func TestLiveSpaceRoundedSumTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newNetSink(t)
-	ls := st.Build(sink)
+	ls, err := st.BuildContext(context.Background(), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
 	assertNetMatchesOracle(t, "build", sink, p)
 	if got := pairs(ls.Results()); !slices.Equal(got, [][2]int64{{1, 2}}) {
 		t.Fatalf("build kept %v, want only the dominator (1,2)", got)
@@ -540,7 +555,10 @@ func TestLiveSpaceRoundedSumTies(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink = newNetSink(t)
-	ls = st.Build(sink)
+	ls, err = st.BuildContext(context.Background(), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := ls.ApplyDelete(mapping.Left, 2, sink); err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +580,10 @@ func TestLiveSpaceInfiniteWidthGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newNetSink(t)
-	ls := st.Build(sink)
+	ls, err := st.BuildContext(context.Background(), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
 	assertNetMatchesOracle(t, "build", sink, p)
 	for i, vals := range [][]float64{{-1, 5e307}, {-2, -5e307}, {-3, 5e307}} {
 		tup := relation.Tuple{ID: int64(10 + i), Vals: vals, JoinKey: 1}
@@ -623,7 +644,10 @@ func FuzzLiveFloatEdges(f *testing.F) {
 			t.Fatal(err)
 		}
 		sink := newNetSink(t)
-		ls := st.Build(multiSink{sink, &finalitySink{t: t, pref: p.Pref, anyMember: true}})
+		ls, err := st.BuildContext(context.Background(), multiSink{sink, &finalitySink{t: t, pref: p.Pref, anyMember: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		label := fmt.Sprintf("seed %d", seed)
 		assertNetMatchesOracle(t, label+" build", sink, p)
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -122,7 +123,10 @@ func testLiveDifferential(t *testing.T, dist datagen.Distribution, d int) {
 		t.Fatal(err)
 	}
 	sink := newNetSink(t)
-	ls := stage.Build(sink)
+	ls, err := stage.BuildContext(context.Background(), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// cur mirrors the base relations the LiveSpace holds; the oracle runs
 	// on it after every batch.
@@ -197,7 +201,10 @@ func TestLiveSpaceHighestOrientation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newNetSink(t)
-	ls := st.Build(sink)
+	ls, err := st.BuildContext(context.Background(), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cur := [2]*relation.Relation{cloneRelation(p.Left), cloneRelation(p.Right)}
 	rng := rand.New(rand.NewPCG(7, 11))
 	for i := int64(0); i < 20; i++ {

@@ -141,7 +141,10 @@ func TestStaticMarkAtCellBoundary(t *testing.T) {
 		mkPart(2, []float64{2, 0}, []float64{8, 3}),
 	}
 	right := []*inputPartition{mkPart(3, []float64{0, 0}, []float64{0, 0})}
-	regions, pruned, front := buildRegions(left, right, sumMaps2(), nil)
+	regions, pruned, front, err := buildRegions(left, right, sumMaps2(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pruned != 0 || len(regions) != 3 {
 		t.Fatalf("pruned=%d regions=%d, want 0/3", pruned, len(regions))
 	}
@@ -378,7 +381,11 @@ func TestPairRegionsMatchesPerPairJoin(t *testing.T) {
 				}
 			}
 			var got []pair
-			for i, r := range pairRegions(left, right, maps) {
+			all, err := pairRegions(left, right, maps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range all {
 				if r.id != i {
 					t.Fatalf("%s trial %d: region %d has id %d", shape.name, trial, i, r.id)
 				}
@@ -460,7 +467,10 @@ func TestLookAheadDominanceTestsGrowSubquadratically(t *testing.T) {
 		opts := fineOpts
 		opts.InputCells = inputCells
 		pl := preparePlan(t, fineProblem(t, n), opts)
-		all := pairRegions(pl.lparts, pl.rparts, pl.problem.Maps)
+		all, err := pairRegions(pl.lparts, pl.rparts, pl.problem.Maps)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, r := range all {
 			_, k := pl.frontier.Probe(r.rect.Lower)
 			tests += k

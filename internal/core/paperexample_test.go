@@ -45,7 +45,10 @@ func TestExample2RegionElimination(t *testing.T) {
 		mkPart(2, []float64{0, 0}, []float64{1, 1}),
 		mkPart(3, []float64{3, 3}, []float64{5, 5}),
 	}
-	regions, pruned, _ := buildRegions(left, right, sumMaps2(), nil)
+	regions, pruned, _, err := buildRegions(left, right, sumMaps2(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Region (0,2) = [(0,0),(2,2)] dominates the other three pairs, whose
 	// lower corners are (3,3), (3,3) and (6,6).
 	if pruned != 3 {
@@ -72,7 +75,10 @@ func TestNoEliminationAtSharedBoundary(t *testing.T) {
 		mkPart(1, []float64{1, 1}, []float64{2, 2}),
 	}
 	right := []*inputPartition{mkPart(2, []float64{1, 1}, []float64{1, 1})}
-	regions, pruned, _ := buildRegions(left, right, sumMaps2(), nil)
+	regions, pruned, _, err := buildRegions(left, right, sumMaps2(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Regions: [(1,1),(2,2)] and [(2,2),(3,3)] — upper of the first equals
 	// lower of the second.
 	if pruned != 1 || len(regions) != 1 {
@@ -98,7 +104,10 @@ func TestExample3StaticCellMarking(t *testing.T) {
 	}
 	right := []*inputPartition{mkPart(2, []float64{0, 0}, []float64{2, 2})}
 	maps := sumMaps2()
-	regions, pruned, front := buildRegions(left, right, maps, nil)
+	regions, pruned, front, err := buildRegions(left, right, maps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pruned != 0 || len(regions) != 2 {
 		t.Fatalf("pruned=%d regions=%d", pruned, len(regions))
 	}
@@ -133,7 +142,10 @@ func TestCompleteElimination(t *testing.T) {
 		mkPart(1, []float64{2.2, 2.2}, []float64{3, 3}),
 	}
 	right := []*inputPartition{mkPart(2, []float64{0, 0}, []float64{0.4, 0.4})}
-	regions, _, front := buildRegions(left, right, sumMaps2(), nil)
+	regions, _, front, err := buildRegions(left, right, sumMaps2(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(regions) != 2 {
 		t.Skipf("expected 2 live regions, got %d", len(regions))
 	}
@@ -164,7 +176,10 @@ func TestProgCountDefinition2(t *testing.T) {
 	}
 	right := []*inputPartition{mkPart(2, []float64{0, 0}, []float64{0, 0})}
 	maps := sumMaps2()
-	regions, _, front := buildRegions(left, right, maps, nil)
+	regions, _, front, err := buildRegions(left, right, maps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(regions) != 2 {
 		t.Fatalf("regions = %d", len(regions))
 	}
@@ -213,7 +228,10 @@ func TestAnalyseRankOrdersByBenefitPerCost(t *testing.T) {
 		mkPart(1, []float64{2.5, 0}, []float64{5, 2}),
 	}
 	right := []*inputPartition{mkPart(2, []float64{0, 0}, []float64{0, 0})}
-	regions, _, front := buildRegions(left, right, sumMaps2(), nil)
+	regions, _, front, err := buildRegions(left, right, sumMaps2(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var stats smj.Stats
 	s, err := buildSpace(regions, front, 2, 8, &stats, 0)
 	if err != nil {

@@ -109,7 +109,10 @@ func parallelFixture(t *testing.T) (*pool, *region, *space) {
 		return testPartitions(side, 2, members)
 	}
 	left, right := mk(mapping.Left, 40), mk(mapping.Right, 35)
-	regions, _, front := buildRegions(left, right, sumMaps2(), nil)
+	regions, _, front, err := buildRegions(left, right, sumMaps2(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(regions) != 1 || regions[0].joinCard == 0 {
 		t.Fatalf("fixture: regions=%d", len(regions))
 	}

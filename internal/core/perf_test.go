@@ -13,7 +13,10 @@ func perfSpace(tb testing.TB, outputCells int) (*space, *region) {
 	tb.Helper()
 	left := []*inputPartition{mkPart(0, []float64{0, 0}, []float64{5, 5})}
 	right := []*inputPartition{mkPart(1, []float64{0, 0}, []float64{5, 5})}
-	regions, pruned, front := buildRegions(left, right, sumMaps2(), nil)
+	regions, pruned, front, err := buildRegions(left, right, sumMaps2(), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	if pruned != 0 || len(regions) != 1 {
 		tb.Fatalf("setup: pruned=%d regions=%d", pruned, len(regions))
 	}

@@ -111,7 +111,10 @@ func (e *Engine) prepare(cancel *smj.Canceler, p *smj.Problem, stats *smj.Stats)
 		return nil, err
 	}
 	// Output space look-ahead (§III-A).
-	regions, pruned, front := buildRegions(pl.lparts, pl.rparts, pl.problem.Maps, e.opts.Profiler)
+	regions, pruned, front, err := buildRegions(pl.lparts, pl.rparts, pl.problem.Maps, e.opts.Profiler)
+	if err != nil {
+		return nil, err
+	}
 	pl.pruned, pl.frontier = pruned, front
 	pl.blueprints = make([]regionBlueprint, len(regions))
 	for i, r := range regions {

@@ -25,7 +25,7 @@ type prunedRun struct {
 // scan: the same partitions paired again, the survivors of
 // grid.DominatedRectsQuadratic as blueprints.
 func quadraticPlan(pl *Prepared) *Prepared {
-	all := pairRegions(pl.lparts, pl.rparts, pl.problem.Maps)
+	all, _ := pairRegions(pl.lparts, pl.rparts, pl.problem.Maps) // pl was prepared: no pair fails
 	ref := *pl
 	ref.blueprints, ref.pruned = nil, 0
 	for i, dominated := range grid.DominatedRectsQuadratic(regionRects(all), 2) {
@@ -128,7 +128,10 @@ func TestPrunedRegionSetsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := pairRegions(lparts, rparts, cp.Maps)
+	all, err := pairRegions(lparts, rparts, cp.Maps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(all) < 8 {
 		t.Fatalf("fixture paired only %d regions", len(all))
 	}

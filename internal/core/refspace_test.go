@@ -386,7 +386,10 @@ func differentialCheck(t *testing.T, p *smj.Problem, opts Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions, _, front := buildRegions(lparts, rparts, cp.Maps, nil)
+	regions, _, front, err := buildRegions(lparts, rparts, cp.Maps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	outCells := e.opts.OutputCells
 	if outCells == 0 {
 		outCells = autoOutputCells(d)

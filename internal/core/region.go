@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -27,7 +28,7 @@ const (
 type region struct {
 	id   int
 	a, b *inputPartition // a from Left, b from Right
-	rect grid.Rect       // output-space enclosure from interval propagation
+	rect grid.Rect       // output-space enclosure of its join rows (enclosure)
 
 	// minC..maxC is the inclusive coordinate box of the output cells the
 	// region covers — its whole coverage: the region covers a cell iff the
@@ -41,13 +42,18 @@ type region struct {
 	rank    float64 // Equation 8: Benefit / Cost, as of analyse
 }
 
+// ErrNonFiniteOutput marks the refusal of a join pair that maps to a NaN or
+// infinite output, by prepare, by the live build and by a live insert.
+var ErrNonFiniteOutput = errors.New("non-finite output")
+
 // pairRegions pairs the input partitions and keeps pairs that produce at
 // least one join result — read off the right side's key directory, one probe
 // per left tuple for all of its partition's pairs — so a kept pair is
-// guaranteed populated and carries its exact join cardinality. Their output
-// enclosures come from interval propagation: the region candidates before
-// domination pruning, left partition outer, right partition inner.
-func pairRegions(left, right []*inputPartition, maps *mapping.Set) []*region {
+// guaranteed populated and carries its exact join cardinality and its
+// output enclosure: the region candidates before domination pruning, left
+// partition outer, right partition inner. A pair with a non-finite output
+// is an error.
+func pairRegions(left, right []*inputPartition, maps *mapping.Set) ([]*region, error) {
 	dir := newKeyDirectory(right)
 	card := make([]int, len(right))
 	var all []*region
@@ -58,16 +64,39 @@ func pairRegions(left, right []*inputPartition, maps *mapping.Set) []*region {
 			if card[bi] == 0 {
 				continue
 			}
-			all = append(all, &region{
-				id:       len(all),
-				a:        a,
-				b:        b,
-				rect:     maps.MapRegion(a.rect, b.rect),
-				joinCard: card[bi],
-			})
+			rect, err := enclosure(a, b, maps)
+			if err != nil {
+				return nil, err
+			}
+			all = append(all, &region{id: len(all), a: a, b: b, rect: rect, joinCard: card[bi]})
 		}
 	}
-	return all
+	return all, nil
+}
+
+// enclosure returns a box every join row of a and b maps into: the interval
+// image of the partitions' boxes when mapping.Set.Bounded holds over them,
+// else — an interval proves nothing once a subexpression is not finite, as
+// a NaN that MIN swallows shows — the exact box of the rows' outputs.
+func enclosure(a, b *inputPartition, maps *mapping.Set) (grid.Rect, error) {
+	if maps.Bounded(a.rect, b.rect) {
+		return maps.MapRegion(a.rect, b.rect), nil
+	}
+	d := maps.Dims()
+	box := grid.Rect{Lower: slices.Repeat([]float64{math.Inf(1)}, d), Upper: slices.Repeat([]float64{math.Inf(-1)}, d)}
+	v := make([]float64, d)
+	for li, key := range a.jkeys {
+		lo, hi := b.keys.lookup(key)
+		for ri := int(lo); ri < int(hi); ri++ {
+			for _, x := range maps.Map(a.row(li), b.row(ri), v) {
+				if x-x != 0 { // NaN, ±Inf
+					return grid.Rect{}, fmt.Errorf("core: left tuple %d and right tuple %d map to a %w", a.ids[li], b.ids[ri], ErrNonFiniteOutput)
+				}
+			}
+			box.Extend(grid.Rect{Lower: v, Upper: v})
+		}
+	}
+	return box, nil
 }
 
 // regionRects lists the regions' enclosures.
@@ -80,15 +109,19 @@ func regionRects(all []*region) []grid.Rect {
 }
 
 // buildRegions pairs the input partitions into candidate regions and
-// applies region-level domination pruning (Output Space Look-Ahead step 1).
-// The returned regions are live; pruned is the count eliminated before any
-// tuple work; front is the upper-corner frontier buildSpace marks cells
-// with. Pairing reports to the profiler as region-build, pruning as prune (a
-// nil profiler costs two no-op calls).
-func buildRegions(left, right []*inputPartition, maps *mapping.Set, prof *obs.Profiler) (regions []*region, pruned int, front *grid.Frontier) {
+// applies region-level domination pruning (Output Space Look-Ahead step 1),
+// failing on a pair with a non-finite output. The returned regions are live;
+// pruned is the count eliminated before any tuple work; front is the
+// upper-corner frontier buildSpace marks cells with. Pairing reports to the
+// profiler as region-build, pruning as prune (a nil profiler costs two no-op
+// calls).
+func buildRegions(left, right []*inputPartition, maps *mapping.Set, prof *obs.Profiler) (regions []*region, pruned int, front *grid.Frontier, err error) {
 	t0 := prof.Clock()
-	all := pairRegions(left, right, maps)
+	all, err := pairRegions(left, right, maps)
 	prof.EndSequencer(obs.PhaseRegionBuild, t0)
+	if err != nil {
+		return nil, 0, nil, err
+	}
 	t1 := prof.Clock()
 	// A region X is eliminated if some guaranteed-populated region's UPPER
 	// point dominates LOWER(X) (Example 2). Pruning by a region that is
@@ -107,7 +140,7 @@ func buildRegions(left, right []*inputPartition, maps *mapping.Set, prof *obs.Pr
 		r.id = len(regions)
 		regions = append(regions, r)
 	}
-	return regions, pruned, front
+	return regions, pruned, front, nil
 }
 
 // buildSpace lays the output grid over the union of the live regions'

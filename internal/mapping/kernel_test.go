@@ -187,8 +187,8 @@ func BenchmarkMap(b *testing.B) {
 
 // FuzzBounded is Bounded's soundness oracle: when it holds over two boxes,
 // Map sends every point inside them — corners and interior points alike —
-// to finite outputs, over random trees and boxes whose ends are signed
-// zeros, subnormals and values near ±1e308.
+// to finite outputs inside MapRegion's rect, over random trees and boxes
+// whose ends are signed zeros, subnormals and values near ±1e308.
 func FuzzBounded(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 3})
 	f.Add(uint64(2), []byte{5, 4, 8, 0, 2, 7, 3})
@@ -230,12 +230,17 @@ func FuzzBounded(f *testing.F) {
 			return p
 		}
 		out := make([]float64, len(funcs))
+		rect := s.MapRegion(box[0], box[1])
 		for range 16 {
 			left, right := point(box[0]), point(box[1])
 			for j, v := range s.Map(left, right, out) {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("%s is bounded over L%v R%v but maps L%v R%v to %v",
 						funcs[j].Expr, box[0], box[1], left, right, v)
+				}
+				if v < rect.Lower[j] || v > rect.Upper[j] {
+					t.Fatalf("%s is bounded over L%v R%v but maps L%v R%v to %v, outside [%v, %v]",
+						funcs[j].Expr, box[0], box[1], left, right, v, rect.Lower[j], rect.Upper[j])
 				}
 			}
 		}

@@ -170,8 +170,10 @@ func (s *Set) MapRegion(left, right grid.Rect) grid.Rect {
 
 // Bounded reports whether every subexpression of every function has a
 // finite interval over the boxes left and right. Then every point inside
-// them maps to finite outputs: rounding is monotone, so each node's value
-// lies in its interval. A false answer proves nothing about the points.
+// them maps to finite outputs inside MapRegion's rect: rounding is
+// monotone, so each node's value lies in its interval. A false answer
+// proves nothing about the points, nor does MapRegion's rect: a NaN that a
+// MIN or MAX swallows can misplace it.
 func (s *Set) Bounded(left, right grid.Rect) bool {
 	var bounded func(e Expr) bool
 	bounded = func(e Expr) bool {

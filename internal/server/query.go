@@ -237,19 +237,38 @@ func (s *Server) planFor(key planKey, engine smj.Engine, q *query.Query, left, r
 		if !ok {
 			return e, nil // baseline engine: cache the compilation alone
 		}
-		ctx, cancel := context.WithCancel(s.runCtx)
-		defer cancel()
-		if t := s.cfg.RunTimeout; t > 0 {
-			ctx, cancel = context.WithTimeout(ctx, t)
-			defer cancel()
-		}
-		pl, err := pe.PrepareContext(ctx, p)
+		pl, err := s.preparePlan(pe, p)
 		if err != nil {
 			return nil, err
 		}
 		e.plan = pl
 		return e, nil
 	})
+}
+
+// preparePlan runs pe's prepare step on p under a server-scoped context,
+// bounded by shutdown and the server's RunTimeout.
+func (s *Server) preparePlan(pe planEngine, p *smj.Problem) (*core.Prepared, error) {
+	ctx, cancel := s.runCtx, context.CancelFunc(func() {})
+	if t := s.cfg.RunTimeout; t > 0 {
+		ctx, cancel = context.WithTimeout(ctx, t)
+	}
+	defer cancel()
+	return pe.PrepareContext(ctx, p)
+}
+
+// planFailure classifies a failure to resolve a plan: a refused query is
+// bad, shutdown or the RunTimeout make the server unavailable, a panic is
+// internal.
+func planFailure(err error) *httpError {
+	status, code := http.StatusBadRequest, errBadQuery
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		status, code = http.StatusServiceUnavailable, errUnavailable
+	case errors.Is(err, errPlanPanic):
+		status, code = http.StatusInternalServerError, errInternal
+	}
+	return httpErrorf(status, code, "%v", err)
 }
 
 // runResult gathers everything one finished engine run produced, for the
@@ -474,14 +493,7 @@ func (s *Server) startRun(g *runGroup, req QueryRequest, engineName string, q *q
 	// spans — a trace documents one complete run.
 	entry, cached, err := s.planFor(g.key.plan, engine, q, left, right, !req.Trace)
 	if err != nil {
-		status, code := http.StatusBadRequest, errBadQuery
-		switch {
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			status, code = http.StatusServiceUnavailable, errUnavailable
-		case errors.Is(err, errPlanPanic):
-			status, code = http.StatusInternalServerError, errInternal
-		}
-		failure = httpErrorf(status, code, "%v", err)
+		failure = planFailure(err)
 		return
 	}
 

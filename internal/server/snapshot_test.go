@@ -7,6 +7,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,7 +17,9 @@ import (
 	"testing"
 	"time"
 
+	"progxe/internal/baseline"
 	"progxe/internal/core"
+	"progxe/internal/feed"
 	"progxe/internal/query"
 	"progxe/internal/smj"
 )
@@ -365,47 +368,96 @@ func TestSubscribeRunRecordObservesSnapshot(t *testing.T) {
 	}
 }
 
-// TestSubscribeWithoutBatchPlan pins the snapshot's fallback: when there is
-// no batch plan to stream — the default engine prepares none, or the batch
-// engine refuses a join the live space accepts — the build streams the
-// snapshot in ascending coordinate-sum order, and it is still the space's
-// result set.
-func TestSubscribeWithoutBatchPlan(t *testing.T) {
-	t.Run("baseline default engine", func(t *testing.T) {
-		srv, ts := newTestServer(t, Config{DefaultEngine: "jfsl"})
-		lines, resp := streamRecords(t, ts, "/v1/subscribe", QueryRequest{Query: tinyQuery}, "checkpoint")
+// pastBoundsRelations hold two huge values under join keys nothing else
+// has: no pair overflows, though the interval image of the relations' boxes
+// does.
+var pastBoundsRelations = map[string]string{
+	"HL": "id,price,speed,region\n1,1.7e308,5,7\n2,3,4,1\n3,2,6,1\n",
+	"HR": "id,cost,delay,region\n1,1.7e308,2,8\n2,1,1,1\n3,0,3,1\n",
+}
+
+const pastBoundsQuery = `SELECT (L.price + R.cost) AS total, (L.speed + R.delay) AS lag
+	FROM HL L, HR R WHERE L.region = R.region PREFERRING LOWEST(total) AND LOWEST(lag)`
+
+// putRelations uploads each CSV of rels under its name.
+func putRelations(t *testing.T, ts *httptest.Server, rels map[string]string) {
+	t.Helper()
+	for name, csv := range rels {
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/relations/"+name, strings.NewReader(csv))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
-		got := results(t, lines)
-		sameWire(t, "stream against the live space", got, spaceResults(t, srv, tinyQuery))
-		requireFreshQuery(t, ts, "snapshot", pairsOf(got))
-		sumOrdered(t, got)
-	})
-	t.Run("join past the batch grid", func(t *testing.T) {
-		srv, ts := newTestServer(t, Config{})
-		// Two huge values under join keys nothing else has: no pair
-		// overflows, but the batch engine's output bounds do.
-		for name, csv := range map[string]string{
-			"HL": "id,price,speed,region\n1,1.7e308,5,7\n2,3,4,1\n3,2,6,1\n",
-			"HR": "id,cost,delay,region\n1,1.7e308,2,8\n2,1,1,1\n3,0,3,1\n",
-		} {
-			req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/relations/"+name, strings.NewReader(csv))
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("upload %s: status %d", name, resp.StatusCode)
+		}
+	}
+}
+
+// recordHead decodes the type, cached and live members of a record line.
+func recordHead(t *testing.T, line []byte) (typ string, cached bool, live int) {
+	t.Helper()
+	var h struct {
+		Type   string
+		Cached bool
+		Live   int
+	}
+	if err := json.Unmarshal(line, &h); err != nil {
+		t.Fatal(err)
+	}
+	return h.Type, h.Cached, h.Live
+}
+
+// TestSubscribeSnapshotFromProgXePlan pins that every subscription streams
+// its snapshot from a ProgXe plan — under a baseline default engine, with
+// the plan cache off, and over a finite join whose interval bounds
+// overflow: the stream arrives in the release order of a /v1/query with
+// "engine":"progxe", it is the live space's result set and a fresh query's,
+// and a checkpoint closes it. A later subscription reads the plan that
+// query cached.
+func TestSubscribeSnapshotFromProgXePlan(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		query string
+		rels  map[string]string
+	}{
+		{"baseline default engine", Config{DefaultEngine: "jfsl"}, tinyQuery, nil},
+		{"plan cache off", Config{PlanCacheSize: -1}, tinyQuery, nil},
+		{"finite join past the interval bounds", Config{}, pastBoundsQuery, pastBoundsRelations},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv, ts := newTestServer(t, c.cfg)
+			putRelations(t, ts, c.rels)
+			lines, resp := streamRecords(t, ts, "/v1/subscribe", QueryRequest{Query: c.query}, "checkpoint")
 			resp.Body.Close()
-		}
-		q := `SELECT (L.price + R.cost) AS total, (L.speed + R.delay) AS lag
-			FROM HL L, HR R WHERE L.region = R.region PREFERRING LOWEST(total) AND LOWEST(lag)`
-		lines, resp := streamRecords(t, ts, "/v1/subscribe", QueryRequest{Query: q}, "checkpoint")
-		resp.Body.Close()
-		got := results(t, lines)
-		if len(got) == 0 {
-			t.Fatalf("empty snapshot: %s", bytes.Join(lines, []byte("\n")))
-		}
-		sameWire(t, "stream against the live space", got, spaceResults(t, srv, q))
-		sumOrdered(t, got)
-	})
+			got := results(t, lines)
+			typ, cached, _ := recordHead(t, lines[0])
+			end, _, live := recordHead(t, lines[len(lines)-1])
+			if typ != "run" || cached || end != "checkpoint" || live != len(got) || len(got) == 0 {
+				t.Fatalf("snapshot %s: want a run record (not cached), results, and a checkpoint counting them", bytes.Join(lines, []byte("\n")))
+			}
+			sameWire(t, "stream against the live space", got, spaceResults(t, srv, c.query))
+			requireFresh(t, ts, c.query, "snapshot", pairsOf(got))
+
+			qlines, qresp := streamRecords(t, ts, "/v1/query", QueryRequest{Query: c.query, Engine: "progxe"}, "")
+			qresp.Body.Close()
+			want := results(t, qlines)
+			for i := range got {
+				if byPair(got[i], want[i]) != 0 {
+					t.Fatalf("snapshot result %d is (%d,%d), the ProgXe query released (%d,%d)",
+						i, got[i].LeftID, got[i].RightID, want[i].LeftID, want[i].RightID)
+				}
+			}
+
+			lines, resp = streamRecords(t, ts, "/v1/subscribe", QueryRequest{Query: c.query}, "run")
+			resp.Body.Close()
+			if _, cached, _ := recordHead(t, lines[0]); cached != (c.cfg.PlanCacheSize >= 0) {
+				t.Fatalf("second subscription cached = %v with plan cache size %d", cached, c.cfg.PlanCacheSize)
+			}
+		})
+	}
 }
 
 func pairsOf(rs []wireResult) map[pair]bool {
@@ -416,22 +468,86 @@ func pairsOf(rs []wireResult) map[pair]bool {
 	return out
 }
 
-// sumOrdered fails unless rs arrive in ascending coordinate sum.
-func sumOrdered(t *testing.T, rs []wireResult) {
-	t.Helper()
-	prev := 0.0
-	for i, r := range rs {
-		var out []float64
-		if err := json.Unmarshal(r.Out, &out); err != nil {
-			t.Fatal(err)
-		}
-		s := 0.0
-		for _, x := range out {
-			s += x
-		}
-		if i > 0 && s < prev {
-			t.Fatalf("result %d has sum %v after %v", i, s, prev)
-		}
-		prev = s
+// TestQueryRefusesOnlyNonFiniteOutputs pins the batch engine's finite-output
+// rule on /v1/query: a join whose interval bounds overflow though none of
+// its pairs does answers the oracle's result set, and a join one pair of
+// which overflows is refused before any header, starting no run.
+func TestQueryRefusesOnlyNonFiniteOutputs(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	putRelations(t, ts, pastBoundsRelations)
+	lines, resp := streamRecords(t, ts, "/v1/query", QueryRequest{Query: pastBoundsQuery}, "")
+	resp.Body.Close()
+	if typ, _, _ := recordHead(t, lines[len(lines)-1]); typ != "stats" || bytes.Contains(lines[len(lines)-1], []byte(`"error"`)) {
+		t.Fatalf("trailer %s, want a clean stats record", lines[len(lines)-1])
+	}
+	pq, err := query.Parse(pastBoundsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := srv.catalog.snapshot([2]string{"HL", "HR"})
+	p, err := pq.Compile(snap.rels[0], snap.rels[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := baseline.Oracle(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []wireResult
+	for _, r := range oracle {
+		out, _ := json.Marshal(r.Out)
+		want = append(want, wireResult{LeftID: r.LeftID, RightID: r.RightID, Out: out})
+	}
+	sameWire(t, "query against the oracle", results(t, lines), want)
+	started := srv.Stats().RunsStarted
+
+	// Give HR's huge tuple HL's key: now that pair overflows.
+	putRelations(t, ts, map[string]string{"HR": "id,cost,delay,region\n1,1.7e308,2,7\n2,1,1,1\n3,0,3,1\n"})
+	b, _ := json.Marshal(QueryRequest{Query: pastBoundsQuery})
+	resp, err = http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var e errorRecord
+	if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusBadRequest || e.Code != errBadQuery ||
+		!strings.Contains(e.Message, "left tuple 1 and right tuple 1") {
+		t.Fatalf("status %d body %s, want 400 %s naming the pair (1,1)", resp.StatusCode, body, errBadQuery)
+	}
+	if st := srv.Stats(); st.RunsStarted != started {
+		t.Fatalf("the refused query started a run: %d runs, %d before", st.RunsStarted, started)
+	}
+}
+
+// TestSubscribeRefusesNonFiniteInsert pins that an insert some new pair of
+// which maps to a non-finite output ends the subscription with a terminal
+// bad_query record and a failed run, without streaming that pair, and that
+// a fresh /v1/query refuses the same relations.
+func TestSubscribeRefusesNonFiniteInsert(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	sub, id, net := subscribeTiny(t, ts)
+	huge := []float64{1.7e308, -1.7e308}
+	postChanges(t, ts, "L", []feed.Change{{Relation: "L", Op: feed.OpInsert, ID: 100, Vals: huge, JoinKey: 9}})
+	sub.drainTo(t, 0, net) // the left insert pairs with nothing
+	postChanges(t, ts, "R", []feed.Change{{Relation: "R", Op: feed.OpInsert, ID: 100, Vals: huge, JoinKey: 9}})
+	rec := sub.next(t)
+	if rec == nil || rec["type"] != "error" || rec["code"] != errBadQuery ||
+		!strings.Contains(rec["message"].(string), "left tuple 100 and right tuple 100 map to a non-finite output") {
+		t.Fatalf("record after the overflowing insert = %v, want a terminal bad_query error", rec)
+	}
+	if rec := sub.next(t); rec != nil {
+		t.Fatalf("stream kept going after the terminal error: %v", rec)
+	}
+	requireFailedRun(t, srv, id, "non-finite output")
+
+	b, _ := json.Marshal(QueryRequest{Query: tinyQuery})
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("fresh query over the overflowing relations: status %d, want 400", resp.StatusCode)
 	}
 }

@@ -89,7 +89,7 @@ func (ls *liveStreamSink) Retract(leftID, rightID int64) {
 // snapshotSink streams the snapshot through the subscription's sink and
 // keeps what the snapshot checks and reports: the pairs it streamed and when.
 type snapshotSink struct {
-	*liveStreamSink
+	live     *liveStreamSink
 	pairs    [][2]int64
 	timeline *obs.Timeline
 }
@@ -97,55 +97,48 @@ type snapshotSink struct {
 func (ss *snapshotSink) Result(r smj.Result) {
 	ss.pairs = append(ss.pairs, r.Key())
 	ss.timeline.Observe()
-	ss.liveStreamSink.Result(r)
+	ss.live.Result(r)
 }
 
-// snapshotPlan is the batch plan a subscription streams its snapshot from,
-// with the engine that runs it and that engine's profiler.
+// snapshotPlan is the ProgXe plan a subscription streams its snapshot
+// from, with the engine that runs it and that engine's profiler.
 type snapshotPlan struct {
-	engine planEngine
+	engine *core.Engine
 	plan   *core.Prepared
 	prof   *obs.Profiler
 	cached bool
 }
 
-// resolveSnapshotPlan resolves the ProgXe plan of q through the plan cache,
-// under the key a /v1/query of q with the default engine over the same
-// relation versions uses, so a plan a query already prepared serves the
-// snapshot. It returns nil when the default engine prepares no plans, the
-// plan cache is off, or the plan cannot be prepared; the space's build then
-// streams the snapshot itself.
-func (s *Server) resolveSnapshotPlan(q *query.Query, snap catalogSnapshot) *snapshotPlan {
+// resolveSnapshotPlan resolves the ProgXe plan of q, whatever the default
+// engine: through the plan cache, under the key of a /v1/query of q with
+// "engine":"progxe" over the same relation versions, or with the cache off
+// prepared under a cache build's bounds. Its error refuses the subscription.
+func (s *Server) resolveSnapshotPlan(q *query.Query, snap catalogSnapshot) (*snapshotPlan, error) {
 	prof := obs.NewProfiler()
-	engine, err := s.cfg.NewEngine(s.cfg.DefaultEngine, core.Options{Profiler: prof})
-	pe, ok := engine.(planEngine)
-	if err != nil || !ok || s.plans == nil {
-		return nil
-	}
-	key := planKey{
-		engine: strings.ToLower(s.cfg.DefaultEngine), query: q.String(),
-		leftVer: snap.vers[0], rightVer: snap.vers[1],
-	}
+	engine := core.New(core.Options{Profiler: prof}) // the registry's "progxe"
+	key := planKey{engine: "progxe", query: q.String(), leftVer: snap.vers[0], rightVer: snap.vers[1]}
 	entry, hit, err := s.planFor(key, engine, q, snap.rels[0], snap.rels[1], true)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return &snapshotPlan{engine: pe, plan: entry.plan, prof: prof, cached: hit}
+	pl := entry.plan
+	if pl == nil { // the cache is off, or holds the compilation alone
+		if pl, err = s.preparePlan(engine, entry.problem); err != nil {
+			return nil, err
+		}
+	}
+	return &snapshotPlan{engine: engine, plan: pl, prof: prof, cached: hit}, nil
 }
 
 // streamSnapshot streams the subscription's snapshot to ss and builds the
-// space that maintains it. With a batch plan the two run at once: this
-// goroutine runs the plan serially, streaming each result as ProgXe releases
-// it, final, and at the first result a second goroutine starts the build
-// (before it the two would share the CPU the first result needs); a failed
-// build cancels the stream and a failed stream the build. Without a plan, or
-// when the batch engine refuses it before streaming a result (it bounds its
-// output grid by the regions' corners, the live space by the mapped outputs,
-// so it accepts less), the build streams the survivors it proves. Either way
-// the snapshot stands only if the streamed pairs are exactly the space's
-// alive set. Each step runs contained, so the build goroutine is always
-// joined. The error is ctx's when ctx ended the snapshot, and a failure
-// otherwise.
+// space that maintains it, the two at once: this goroutine runs the plan
+// serially, streaming each result as ProgXe releases it, final, and at the
+// first result a second goroutine starts the build (before it the two
+// would share the CPU the first result needs); a failed build cancels the
+// stream and a failed stream the build. The snapshot stands only if the
+// streamed pairs are exactly the space's alive set. Each step runs
+// contained, so the build goroutine is always joined. The error is ctx's
+// when ctx ended the snapshot, and a failure otherwise.
 func (s *Server) streamSnapshot(ctx context.Context, cancel context.CancelFunc, runID string,
 	stage *core.LiveStage, bp *snapshotPlan, ss *snapshotSink) (*core.LiveSpace, error) {
 
@@ -174,45 +167,28 @@ func (s *Server) streamSnapshot(ctx context.Context, cancel context.CancelFunc, 
 			}
 		}()
 	}
-	fallback := bp == nil
-	if bp != nil {
-		runErr = s.containStep(runID, func() error {
-			var sink smj.Sink = smj.SinkFunc(func(r smj.Result) {
-				ss.Result(r)
-				build()
-			})
-			if snapshotHook != nil {
-				sink = snapshotHook(sink)
-			}
-			_, err := bp.engine.RunPlanContext(ctx, bp.plan, sink)
-			return err
+	runErr = s.containStep(runID, func() error {
+		var sink smj.Sink = smj.SinkFunc(func(r smj.Result) {
+			ss.Result(r)
+			build()
 		})
-		switch {
-		case runErr == nil:
-			build() // a run without results starts it only now
-		case !started && ctx.Err() == nil && !errors.Is(runErr, errPanicked):
-			s.logger.Warn("the batch engine refused the snapshot plan; the build streams the snapshot",
-				"id", runID, "error", runErr)
-			runErr, fallback = nil, true
-		default:
-			cancel()
+		if snapshotHook != nil {
+			sink = snapshotHook(sink)
 		}
-		if started {
-			<-built
-		}
+		_, err := bp.engine.RunPlanContext(ctx, bp.plan, sink)
+		return err
+	})
+	if runErr == nil {
+		build() // a run without results starts it only now
+	} else {
+		cancel()
 	}
-	if fallback {
-		buildErr = s.containStep(runID, func() (err error) {
-			space, err = stage.BuildContext(ctx, ss)
-			return err
-		})
+	if started {
+		<-built
 	}
 
-	ended := func(err error) bool {
-		return ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
-	}
 	for _, err := range []error{buildErr, runErr} {
-		if err != nil && !ended(err) {
+		if err != nil && (ctx.Err() == nil || !errors.Is(err, ctx.Err())) {
 			return nil, err
 		}
 	}
@@ -239,15 +215,12 @@ func sameAlive(streamed [][2]int64, space *core.LiveSpace) error {
 	return nil
 }
 
-// errPanicked marks the error of a subscription step that panicked.
-var errPanicked = errors.New("panic")
-
 // containStep runs one step of subscription runID. A panic in it becomes
-// its error, wrapping errPanicked, so it ends only this subscription.
+// its error, so it ends only this subscription.
 func (s *Server) containStep(runID string, step func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("%w: %v", errPanicked, p)
+			err = fmt.Errorf("panic: %v", p)
 			s.logger.Error("subscription panicked", "id", runID, "panic", p, "stack", string(debug.Stack()))
 		}
 	}()
@@ -259,20 +232,21 @@ func (s *Server) containStep(runID string, step func() error) (err error) {
 // and limit are meaningless on an unbounded stream and rejected.
 //
 // Before the response header only what can refuse the subscription runs:
-// compilation, StageLive's register pass and its finite-output and grid-size
-// checks, and the resolution of the query's batch plan through the plan
-// cache, under the key a /v1/query of it uses. A refusal is a structured 4xx
-// body, never a half-open stream. After the header the snapshot streams from
-// that plan's serial run, each result record final, in ProgXe release order,
-// while the resident space is built beside it; one checkpoint closes the
-// snapshot once both are done and the streamed pairs are exactly the space's
-// survivors. The handler then holds the space resident and folds in every
-// catalog change to the subscribed relations — emitting result records for
-// new skyline members, retract records for killed ones, and a checkpoint
-// record after each applied change. The stream ends when the client
-// disconnects, the server shuts down, a subscribed relation is dropped or
-// wholesale-replaced, or the subscription falls off the bounded change log
-// (replay_truncated).
+// compilation, StageLive's register pass and grid-size check, and the
+// resolution of the query's ProgXe plan (resolveSnapshotPlan), whose
+// prepare refuses a join pair that maps to a non-finite output. A refusal
+// is a structured 4xx body, never a half-open stream. After the header the
+// snapshot streams from that plan's serial run, each result record final,
+// in ProgXe release order, while the resident space is built beside it; one
+// checkpoint closes the snapshot once both are done and the streamed pairs
+// are exactly the space's survivors. The handler then holds the space
+// resident and folds in every catalog change to the subscribed relations —
+// emitting result records for new skyline members, retract records for
+// killed ones, and a checkpoint record after each applied change. The
+// stream ends when the client disconnects, the server shuts down, a
+// subscribed relation is dropped or wholesale-replaced, the subscription
+// falls off the bounded change log (replay_truncated), or an insert would
+// pair into a non-finite output (bad_query).
 //
 // Exec parallelism knobs are accepted but not granted: the snapshot run and
 // live maintenance are serial (each change's repair work is tiny), so the
@@ -334,7 +308,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errBadQuery, "%v", err)
 		return
 	}
-	bp := s.resolveSnapshotPlan(q, snap)
+	bp, err := s.resolveSnapshotPlan(q, snap)
+	if err != nil {
+		f := planFailure(err)
+		writeError(w, f.status, f.code, "%s", f.msg)
+		return
+	}
 	staged := time.Since(start)
 	schemas := [2]*relation.Schema{plan.Problem.Left.Schema, plan.Problem.Right.Schema}
 
@@ -355,7 +334,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.metrics.subStarted()
 	sw.record("run", runRecord{
 		Type: "run", ID: runID, Engine: "live",
-		Dims: plan.Problem.Maps.Names(), Cached: bp != nil && bp.cached,
+		Dims: plan.Problem.Maps.Names(), Cached: bp.cached,
 	})
 
 	sink := &liveStreamSink{sw: sw, start: start}
@@ -384,7 +363,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	)
 
 	var space *core.LiveSpace
-	ss := &snapshotSink{liveStreamSink: sink, timeline: obs.NewTimeline(start)}
+	ss := &snapshotSink{live: sink, timeline: obs.NewTimeline(start)}
 	err = contain(func() (err error) {
 		space, err = s.streamSnapshot(ctx, cancel, runID, stage, bp, ss)
 		return err
@@ -448,7 +427,11 @@ loop:
 				return err
 			})
 			if applyErr != nil {
-				rec := newErrorRecord(errInternal, "applying change seq %d: %v", ev.seq, applyErr)
+				code := errInternal
+				if errors.Is(applyErr, core.ErrNonFiniteOutput) {
+					code = errBadQuery
+				}
+				rec := newErrorRecord(code, "applying change seq %d: %v", ev.seq, applyErr)
 				endRec = &rec
 				break loop
 			}
@@ -490,9 +473,8 @@ loop:
 		StageMillis:    float64(staged.Microseconds()) / 1000,
 		SnapshotMillis: float64(snapshot.Microseconds()) / 1000,
 		Progress:       progress,
-	}
-	if bp != nil {
-		rr.Cached, rr.Phases = bp.cached, bp.prof.Report()
+		Cached:         bp.cached,
+		Phases:         bp.prof.Report(),
 	}
 	s.runlog.add(rr, nil)
 	s.logger.Info("subscription",
